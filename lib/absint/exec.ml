@@ -211,22 +211,37 @@ let interpret ?lesion env (program : Types.instr array) =
          under-approximate. *)
       st
     | _ ->
-      let c = Instr_cost.of_instr ~cost:env.cost ~mb_words:env.mb_words instr in
+      let lo, hi = Charge.of_instr ~recv_words:env.mb_words env.cost instr in
+      let demand =
+        match instr with Types.Compute w -> Itv.const w | _ -> Itv.range lo hi
+      in
+      (* time the job may spend blocked, as far as the instruction's own
+         text bounds it: untimed blocking calls have no local bound *)
+      let suspend =
+        match instr with
+        | Types.Acquire _ | Types.Wait _ | Types.Send _ | Types.Recv _ ->
+          Itv.unbounded_from 0
+        | Types.Timed_wait (_, d) -> Itv.range 0 (max 0 d)
+        | Types.Delay d -> Itv.const d
+        | _ -> Itv.zero
+      in
       (* time that elapses for the job at this instruction, seen from an
          enclosing critical section: charged demand, plus the wait —
          where an acquire's wait is bounded by the semaphore's worst
          hold elsewhere rather than by its (locally unbounded) text *)
       let elapsed_here =
         match instr with
-        | Types.Acquire s -> Itv.add c.demand (env.acquire_wait s.Types.sem_id)
-        | _ -> Itv.add c.demand c.suspend
+        | Types.Acquire s -> Itv.add demand (env.acquire_wait s.Types.sem_id)
+        | _ -> Itv.add demand suspend
       in
       if
         st.open_s <> []
-        && (not (Itv.is_bounded c.suspend))
+        && (not (Itv.is_bounded suspend))
         && not (match instr with Types.Acquire _ -> true | _ -> false)
       then unbounded_held := pc :: !unbounded_held;
-      atomic := max !atomic c.atomic;
+      (* every charge of a kernel call runs with interrupts deferred;
+         compute is preemptible ([hi] is 0 for it) *)
+      atomic := max !atomic hi;
       let frames =
         List.length st.open_s + (if Program.is_blocking instr then 1 else 0)
       in
@@ -235,12 +250,12 @@ let interpret ?lesion env (program : Types.instr array) =
         {
           st with
           elapsed = Itv.add st.elapsed elapsed_here;
-          exec = Itv.add st.exec c.demand;
+          exec = Itv.add st.exec demand;
           suspend =
             (match instr with
             | Types.Acquire _ ->
               st.suspend (* blocking term territory, not suspension *)
-            | _ -> Itv.add st.suspend c.suspend);
+            | _ -> Itv.add st.suspend suspend);
           open_s =
             List.map
               (fun (sec : osec) -> { sec with acc = Itv.add sec.acc elapsed_here })

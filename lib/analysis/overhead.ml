@@ -90,63 +90,20 @@ let per_task ~cost ~spec ~n ~rank =
    observes inside a response window (every charge landing in the
    window is attributed, whoever caused it). *)
 
-(* Worst-case kernel charge of one leaf instruction, mirroring the
-   [charge] sites of [Kernel.run_instrs].  [recv_words] bounds the
-   payload of a received message (the copy cost depends on the sender,
-   not the receiver's program). *)
-let rec path_charges (cost : Cost.t) ~recv_words (prog : Emeralds.Program.t) =
-  List.fold_left
-    (fun acc (ins : Emeralds.Types.instr) ->
-      acc
-      +
-      match ins with
-      | Compute _ -> 0
-      | Acquire _ | Release _ -> cost.Cost.syscall_entry + cost.Cost.sem_admin
-      | Wait _ | Signal _ | Broadcast _ -> cost.Cost.syscall_entry
-      | Timed_wait _ -> cost.Cost.syscall_entry + cost.Cost.timer_service
-      | Send (_, data) ->
-        cost.Cost.syscall_entry
-        + Cost.mailbox_copy cost ~words:(Array.length data)
-      | Recv _ ->
-        cost.Cost.syscall_entry + Cost.mailbox_copy cost ~words:recv_words
-      | State_write (sm, _) ->
-        cost.Cost.syscall_entry
-        + Cost.state_write cost ~words:(Emeralds.State_msg.words sm)
-      | State_read sm ->
-        cost.Cost.syscall_entry
-        + Cost.state_read cost ~words:(Emeralds.State_msg.words sm)
-      | Delay _ -> cost.Cost.timer_service
-      | Alloc _ | Free _ -> cost.Cost.syscall_entry + cost.Cost.pool_admin
-      | If_input (a, b) ->
-        max
-          (path_charges cost ~recv_words a)
-          (path_charges cost ~recv_words b)
-      | Repeat (n, body) -> n * path_charges cost ~recv_words body
-      | Br_input _ | Jump _ -> 0)
-    0 prog
+(* A receiver pays for the copy of whatever a sender enqueued, which
+   its own program cannot name, so a [Recv] is priced at this many
+   words.  Every shipped preset sends at most 3 words and the generator
+   at most 4, so 16 covers them with room to spare; a spec file that
+   sends more than 16 words would be under-priced. *)
+let recv_words_bound = 16
 
-let program_charges ~cost ?(recv_words = 16) prog =
-  path_charges cost ~recv_words prog
-
-(* Worst-path count of leaves that can block (and of acquires, which
-   can additionally trigger an inherit/restore pair on the holder). *)
-let rec path_counts (prog : Emeralds.Program.t) =
-  List.fold_left
-    (fun (blocks, acqs) (ins : Emeralds.Types.instr) ->
-      match ins with
-      | Acquire _ -> (blocks + 1, acqs + 1)
-      | Wait _ | Timed_wait _ | Send _ | Recv _ | Delay _ ->
-        (blocks + 1, acqs)
-      | If_input (a, b) ->
-        let ba, aa = path_counts a and bb, ab = path_counts b in
-        (blocks + max ba bb, acqs + max aa ab)
-      | Repeat (n, body) ->
-        let b, a = path_counts body in
-        (blocks + (n * b), acqs + (n * a))
-      | Compute _ | Release _ | Signal _ | Broadcast _ | State_write _
-      | State_read _ | Alloc _ | Free _ | Br_input _ | Jump _ ->
-        (blocks, acqs))
-    (0, 0) prog
+let program_charges ~cost prog =
+  Emeralds.Program.worst_path
+    (fun ins ->
+      snd
+        (Emeralds.Charge.of_instr ~recv_words:(fun _ -> recv_words_bound) cost
+           ins))
+    prog
 
 (* Everything one job of rank [rank] can charge: its syscall-layer
    charges, one §5.1 scheduler term per block/unblock cycle (the job
@@ -155,7 +112,12 @@ let rec path_counts (prog : Emeralds.Program.t) =
    release-time restore are each bounded by t_b + t_u <= per_task),
    and a context-switch pair per cycle. *)
 let job_envelope ~cost ~spec ~n ~rank prog =
-  let blocks, acqs = path_counts prog in
+  (* blocking leaves, and acquires, on the job's worst path *)
+  let count p =
+    Emeralds.Program.worst_path (fun i -> if p i then 1 else 0) prog
+  in
+  let blocks = count Emeralds.Program.is_blocking
+  and acqs = count (function Emeralds.Types.Acquire _ -> true | _ -> false) in
   let sched = per_task ~cost ~spec ~n ~rank in
   program_charges ~cost prog
   + (sched * (1 + blocks + (2 * acqs)))

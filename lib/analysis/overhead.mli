@@ -31,13 +31,12 @@ val inflate :
 (** [(period, deadline, wcet + overhead)] rows in RM order — the input
     the schedulability tests consume. *)
 
-val program_charges :
-  cost:Sim.Cost.t -> ?recv_words:int -> Emeralds.Program.t -> Model.Time.t
-(** Worst-path sum of the Table 1 kernel charges one job of this
-    program can incur at its own syscalls (branch arms take the
-    costlier side, loops multiply).  [recv_words] (default 16) bounds
-    received-message payloads, whose copy cost the receiving program
-    cannot name. *)
+val program_charges : cost:Sim.Cost.t -> Emeralds.Program.t -> Model.Time.t
+(** Worst-path sum ({!Emeralds.Program.worst_path}) of the
+    {!Emeralds.Charge.hi} of every kernel call one job of this program
+    makes.  A [Recv] is priced at a fixed 16-word payload: the copy
+    cost depends on the sender, which the receiving program cannot
+    name, and no shipped preset or generated scenario sends more. *)
 
 val job_envelope :
   cost:Sim.Cost.t ->

@@ -388,7 +388,7 @@ let park_approachers k s ~except =
       s.approachers
 
 let sem_acquire k tcb s =
-  charge k Sim.Trace.Ovh_sem k.cost.sem_admin;
+  charge k Sim.Trace.Ovh_sem (Charge.service k.cost Charge.Sem ~words:0);
   leave_approachers tcb;
   if s.sem_value > 0 then begin
     s.sem_value <- s.sem_value - 1;
@@ -420,7 +420,7 @@ let sem_release k tcb s =
     match s.holder with
     | Some h when h == tcb -> ()
     | Some _ | None -> invalid_arg "Kernel: release of a semaphore not held");
-  charge k Sim.Trace.Ovh_sem k.cost.sem_admin;
+  charge k Sim.Trace.Ovh_sem (Charge.service k.cost Charge.Sem ~words:0);
   Obs.Probe.emit k.probe ~at:(now k)
     (Sem_released { tid = tcb.tid; sem = s.sem_id });
   tcb.held_sems <- List.filter (fun x -> x != s) tcb.held_sems;
@@ -557,7 +557,8 @@ let deliver k receiver msg mb =
        })
 
 let mb_send k tcb mb data =
-  charge k Sim.Trace.Ovh_ipc (Sim.Cost.mailbox_copy k.cost ~words:(Array.length data));
+  charge k Sim.Trace.Ovh_ipc
+    (Charge.service k.cost Charge.Send ~words:(Array.length data));
   let msg = { msg_data = Array.copy data; msg_src = tcb.tid; msg_stamp = now k } in
   match take_first_waiter mb.mb_receivers with
   | Some receiver ->
@@ -580,7 +581,8 @@ let mb_send k tcb mb data =
     end
 
 let mb_recv k tcb mb =
-  charge k Sim.Trace.Ovh_ipc k.cost.mailbox_base;
+  (* the floor now; a queued message adds its copy below *)
+  charge k Sim.Trace.Ovh_ipc (Charge.service_floor k.cost Charge.Recv ~words:0);
   if Queue.is_empty mb.mb_queue then begin
     insert_by_prio mb.mb_receivers tcb;
     block_thread k tcb ~reason:"mbox-empty" ~dormant:false;
@@ -588,9 +590,10 @@ let mb_recv k tcb mb =
   end
   else begin
     let msg = Queue.pop mb.mb_queue in
+    let words = Array.length msg.msg_data in
     charge k Sim.Trace.Ovh_ipc
-      (Sim.Cost.mailbox_copy k.cost ~words:(Array.length msg.msg_data)
-      - k.cost.mailbox_base);
+      (Charge.service k.cost Charge.Recv ~words
+      - Charge.service_floor k.cost Charge.Recv ~words);
     tcb.inbox <- Some msg;
     Obs.Probe.emit k.probe ~at:(now k)
       (Msg_received
@@ -712,7 +715,10 @@ and run_instrs k tcb =
       tcb.pc <- tcb.pc + 1;
       run_instrs k tcb
     in
-    match tcb.program.(tcb.pc) with
+    let instr = tcb.program.(tcb.pc) in
+    (* the trap: every kernel call but [Delay] pays [syscall_entry] *)
+    charge k Sim.Trace.Ovh_syscall (Charge.entry k.cost (Charge.call instr));
+    match instr with
     | Compute w ->
       (* WCET-overrun fault: perturb the demand, but only when the
          instruction first starts (a resumed burst keeps its residue) *)
@@ -729,14 +735,11 @@ and run_instrs k tcb =
         start_compute k tcb
       end
     | Acquire s -> (
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       match sem_acquire k tcb s with `Granted -> step () | `Blocked -> ())
     | Release s ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       sem_release k tcb s;
       step ()
     | Wait wq ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       if wq.pending_signals > 0 then begin
         wq.pending_signals <- wq.pending_signals - 1;
         let hint = tcb.hints.(tcb.pc) in
@@ -749,7 +752,6 @@ and run_instrs k tcb =
         block_thread k tcb ~reason:"wait" ~dormant:false
       end
     | Timed_wait (wq, d) ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       if wq.pending_signals > 0 then begin
         wq.pending_signals <- wq.pending_signals - 1;
         let hint = tcb.hints.(tcb.pc) in
@@ -762,7 +764,8 @@ and run_instrs k tcb =
         let hint = tcb.hints.(tcb.pc) in
         insert_by_prio wq.wq_waiters tcb;
         block_thread k tcb ~reason:"wait" ~dormant:false;
-        charge k Sim.Trace.Ovh_timer k.cost.timer_service;
+        charge k Sim.Trace.Ovh_timer
+          (Charge.service k.cost Charge.Timed_wait ~words:0);
         let timeout () =
           (* fire only if the very same wait is still pending *)
           let still_waiting =
@@ -788,35 +791,31 @@ and run_instrs k tcb =
              (kernel_event k timeout))
       end
     | Signal wq ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       do_signal k wq;
       step ()
     | Broadcast wq ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       do_broadcast k wq;
       step ()
     | Send (mb, data) -> (
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       match mb_send k tcb mb data with `Sent -> step () | `Blocked -> ())
     | Recv mb -> (
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
       match mb_recv k tcb mb with `Got -> step () | `Blocked -> ())
     | State_write (sm, data) ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
-      charge k Sim.Trace.Ovh_ipc (Sim.Cost.state_write k.cost ~words:(State_msg.words sm));
+      charge k Sim.Trace.Ovh_ipc
+        (Charge.service k.cost Charge.State_write ~words:(State_msg.words sm));
       State_msg.write sm data;
       Obs.Probe.emit k.probe ~at:(now k)
         (State_written { tid = tcb.tid; state = State_msg.id sm; seq = State_msg.seq sm });
       step ()
     | State_read sm ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
-      charge k Sim.Trace.Ovh_ipc (Sim.Cost.state_read k.cost ~words:(State_msg.words sm));
+      charge k Sim.Trace.Ovh_ipc
+        (Charge.service k.cost Charge.State_read ~words:(State_msg.words sm));
       ignore (State_msg.read sm);
       Obs.Probe.emit k.probe ~at:(now k)
         (State_read { tid = tcb.tid; state = State_msg.id sm; seq = State_msg.seq sm });
       step ()
     | Delay d ->
-      charge k Sim.Trace.Ovh_timer k.cost.timer_service;
+      charge k Sim.Trace.Ovh_timer (Charge.service k.cost Charge.Delay ~words:0);
       let hint = tcb.hints.(tcb.pc) in
       block_thread k tcb ~reason:"delay" ~dormant:false;
       let wake () =
@@ -828,8 +827,7 @@ and run_instrs k tcb =
            ~at:(quantize k (now k + d))
            (kernel_event k wake))
     | Alloc p ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
-      charge k Sim.Trace.Ovh_pool k.cost.pool_admin;
+      charge k Sim.Trace.Ovh_pool (Charge.service k.cost Charge.Pool ~words:0);
       if p.pool_free > 0 then begin
         p.pool_free <- p.pool_free - 1;
         let live = p.pool_capacity - p.pool_free in
@@ -855,8 +853,7 @@ and run_instrs k tcb =
         step ()
       end
     | Free p ->
-      charge k Sim.Trace.Ovh_syscall k.cost.syscall_entry;
-      charge k Sim.Trace.Ovh_pool k.cost.pool_admin;
+      charge k Sim.Trace.Ovh_pool (Charge.service k.cost Charge.Pool ~words:0);
       let mine = live_in tcb p in
       if mine <= 0 then
         invalid_arg "Kernel: free of a block the job does not hold";

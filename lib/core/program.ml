@@ -47,6 +47,17 @@ let rec iter_leaves f p =
       | i -> f i)
     p
 
+let rec worst_path f p =
+  List.fold_left
+    (fun acc i ->
+      acc
+      +
+      match i with
+      | If_input (a, b) -> max (worst_path f a) (worst_path f b)
+      | Repeat (n, body) -> n * worst_path f body
+      | i -> f i)
+    0 p
+
 let is_structured = function If_input _ | Repeat _ -> true | _ -> false
 
 (* Lowering.  [If_input (a, b)] becomes

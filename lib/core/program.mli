@@ -74,6 +74,12 @@ val iter_leaves : (Types.instr -> unit) -> t -> unit
     into branch arms and loop bodies.  Loop bodies are visited once,
     not [n] times — use this for object-usage scans, not for cost. *)
 
+val worst_path : (Types.instr -> int) -> t -> int
+(** [worst_path f p]: the largest sum of [f] over the leaves one run of
+    [p] executes — a branch takes its larger arm, a loop multiplies its
+    body by the count.  The fold behind every per-job worst-case count
+    and charge envelope. *)
+
 val flatten : t -> Types.instr array
 (** Lower structured control flow to the executable form: branches
     become [Br_input]/[Jump] with absolute forward targets and loops

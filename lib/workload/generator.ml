@@ -99,22 +99,19 @@ type spec = {
 
 let sporadic_phase = Model.Time.sec 3600
 
-(* Exact worst-case kernel demand of one segment, mirroring the
-   per-instruction charges of [Absint.Instr_cost] (demand.hi): a
-   declared WCET of [sum (seg_charge ...)] is exactly the abstract
-   interpreter's derived exec bound, so [wcet-declaration] can never
-   fire on a generated scenario. *)
-let rec seg_charge (cost : Sim.Cost.t) spec seg =
-  let sys = cost.syscall_entry in
-  let lockpair = 2 * (sys + cost.sem_admin) in
-  let sum segs =
-    List.fold_left (fun a s -> a + seg_charge cost spec s) 0 segs
-  in
+(* Worst-case demand of one segment: its computes plus the
+   [Charge.hi] of every kernel call {!realize} lowers it to, the
+   heavier arm of a branch and [n] bodies of a loop — exactly the
+   abstract interpreter's exec bound, so [wcet-declaration] can never
+   fire on a generated scenario.  Priced from the spec alone: realizing
+   objects would advance the global object ids. *)
+let rec seg_charge cost spec seg =
+  let call c words = Charge.hi cost c ~words in
+  let lockpair = 2 * call Charge.Sem 0 (* acquire + release *) in
+  let sum = List.fold_left (fun a s -> a + seg_charge cost spec s) 0 in
+  let words table i = snd (List.nth table i) in
   match seg with
-  | S_branch (a, b) ->
-    (* worst-case demand is path-wise: the heavier arm, exactly what
-       the abstract interpreter's branch join derives *)
-    max (sum a) (sum b)
+  | S_branch (a, b) -> max (sum a) (sum b)
   | S_repeat (n, body) -> n * sum body
   | S_compute c -> c
   | S_critical { body; nested; _ } ->
@@ -122,24 +119,16 @@ let rec seg_charge (cost : Sim.Cost.t) spec seg =
     + (match nested with None -> 0 | Some (_, b) -> lockpair + b)
   | S_cond_wait { before; after; _ } ->
     (* acquire; compute; [release; wait; acquire]; compute; release *)
-    (2 * lockpair) + sys + before + after
-  | S_wait _ -> sys
-  | S_timed_wait _ -> sys + cost.timer_service
-  | S_signal _ -> sys
-  | S_send mb ->
-    let _, words = List.nth spec.s_mailboxes mb in
-    sys + Sim.Cost.mailbox_copy cost ~words
-  | S_recv mb ->
-    let _, words = List.nth spec.s_mailboxes mb in
-    sys + Sim.Cost.mailbox_copy cost ~words
-  | S_state_write sm ->
-    let _, words = List.nth spec.s_state_msgs sm in
-    sys + Sim.Cost.state_write cost ~words
-  | S_state_read sm ->
-    let _, words = List.nth spec.s_state_msgs sm in
-    sys + Sim.Cost.state_read cost ~words
-  | S_delay _ -> cost.timer_service
-  | S_alloc _ | S_free _ -> sys + cost.pool_admin
+    (2 * lockpair) + call Charge.Wait 0 + before + after
+  | S_wait _ -> call Charge.Wait 0
+  | S_timed_wait _ -> call Charge.Timed_wait 0
+  | S_signal _ -> call Charge.Signal 0
+  | S_send mb -> call Charge.Send (words spec.s_mailboxes mb)
+  | S_recv mb -> call Charge.Recv (words spec.s_mailboxes mb)
+  | S_state_write sm -> call Charge.State_write (words spec.s_state_msgs sm)
+  | S_state_read sm -> call Charge.State_read (words spec.s_state_msgs sm)
+  | S_delay _ -> call Charge.Delay 0
+  | S_alloc _ | S_free _ -> call Charge.Pool 0
 
 let random_period_of_family rng family =
   let p =

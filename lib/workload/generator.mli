@@ -136,17 +136,11 @@ val spec_of :
 (** Generate one scenario spec.  [family] defaults to a random draw;
     [n] to 3–8 tasks; [target_u] to a draw in [0.35, 0.75] (clamped to
     0.85).  Per-task utilizations come from UUniFast over [target_u];
-    each task's declared WCET is its compute budget plus the exact
-    kernel charges of its segments, so the realized set's utilization
-    tracks the target (small upward rounding only). *)
-
-val seg_charge : Sim.Cost.t -> spec -> seg -> int
-(** The exact worst-case kernel demand of one segment, ns — computes
-    plus per-instruction charges, mirroring [Absint.Instr_cost]; the
-    heavier arm for a branch (worst case is path-wise), [n] times the
-    body for a bounded loop.  {!realize} sums this over a task's
-    segments to declare its WCET, which therefore equals the abstract
-    interpreter's derived demand bound exactly. *)
+    each task's declared WCET is its compute budget plus the
+    {!Emeralds.Charge.hi} of every kernel call its segments lower to
+    (the heavier arm of a branch, [n] bodies of a loop), which is
+    exactly the abstract interpreter's exec bound.  The realized set's
+    utilization tracks the target (small upward rounding only). *)
 
 val realize : ?cost:Sim.Cost.t -> spec -> Scenario.t
 (** Allocate kernel objects and build the scenario.  [cost] (default

@@ -436,6 +436,29 @@ let test_peak_live () =
        (diags_with "pool-sizing" r4))
 
 (* ------------------------------------------------------------------ *)
+(* generated WCETs are exactly the derived bound *)
+
+(* The generator prices each segment with [Charge.hi] and absint
+   derives the exec bound from the same charges, so the two agree to
+   the nanosecond — not merely declared >= derived, which is all the
+   wcet-declaration check (and the campaign's validity oracle) sees. *)
+let test_generated_wcet_is_exact () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun spec ->
+          let r = Absint.Report.analyze (Workload.Generator.realize spec) in
+          Array.iter
+            (fun (tb : Absint.Report.task_bound) ->
+              check (option int)
+                (Printf.sprintf "seed %d %s tau%d" seed r.scenario_name tb.task.id)
+                (Some tb.task.wcet)
+                (Absint.Itv.hi_int tb.summary.exec))
+            r.tasks)
+        (Workload.Generator.scenario_specs ~seed ~count:40 ()))
+    [ 1; 42; 7 ]
+
+(* ------------------------------------------------------------------ *)
 (* the failing demos *)
 
 let test_under_declared_demo () =
@@ -518,6 +541,8 @@ let suite =
       test_sim_containment;
     test_case "absint dominates the model checker" `Quick test_mc_domination;
     test_case "peak-live block bounds" `Quick test_peak_live;
+    test_case "generated WCETs equal the derived bound" `Quick
+      test_generated_wcet_is_exact;
     test_case "under-declared WCET demo fails" `Quick test_under_declared_demo;
     test_case "over-budget demo fails" `Quick test_over_budget_demo;
     test_case "footprint derivation" `Quick test_footprint_derivation;
