@@ -118,8 +118,12 @@ let multiq_inherit m ~holder ~waiter =
   match (holder_class, waiter_class) with
   | Fp, Fp ->
     if m.optimized_pi then begin
+      (* A waiter that outranks the holder only by deadline leaves the
+         FP order as it is: swapping would move the holder down into
+         the waiter's lower slot. *)
+      let outranks = waiter.eff_prio < holder.eff_prio in
       inherit_fields ~holder ~waiter;
-      Readyq.Rm_queue.inherit_swap m.fp ~holder ~waiter;
+      if outranks then Readyq.Rm_queue.inherit_swap m.fp ~holder ~waiter;
       m.cost.pi_step
     end
     else begin

@@ -402,6 +402,46 @@ let test_counting_via_chain () =
       check int (Printf.sprintf "tau%d done" tid) 1 (stat k tid).jobs_completed)
     [ 1; 2; 3 ]
 
+(* Under RM, a waiter can outrank the holder by deadline alone (here
+   tau2's job is due at 40ms, holder tau1's at 45ms).
+   The holder takes the earlier deadline but must keep its FP slot: a
+   place-holder swap would park it below tau3, and once tau1 wakes
+   from its in-section delay the ready queue would be out of order. *)
+let test_deadline_only_inheritance_keeps_fp_order () =
+  let sem = Objects.sem ~kind:Types.Emeralds () in
+  let ts =
+    Model.Taskset.of_list
+      [
+        task ~phase:(ms 30) 1 15 3;
+        task ~phase:(us 31_500) 3 20 2;
+        task 2 40 33;
+      ]
+  in
+  let programs (t : Model.Task.t) =
+    let open Program in
+    match t.id with
+    | 1 -> [ acquire sem; delay (ms 2); compute (ms 1); release sem ]
+    | 2 -> [ compute (ms 31); acquire sem; compute (ms 1); release sem ]
+    | 3 -> [ compute (ms 2) ]
+    | _ -> assert false
+  in
+  let k =
+    Kernel.create ~cost:Sim.Cost.zero ~spec:Sched.Rm ~taskset:ts ~programs ()
+  in
+  Kernel.at k ~at:(us 32_500) (fun () -> Kernel.check_invariants k);
+  Kernel.run k ~until:(ms 40);
+  let inherited =
+    List.exists
+      (fun (s : Sim.Trace.stamped) ->
+        match s.entry with
+        | Priority_inherit { holder = 1; from_tid = 2 } -> true
+        | _ -> false)
+      (entries_of k)
+  in
+  check bool "tau1 inherited tau2's deadline" true inherited;
+  check int "tau1 preempts tau3 on waking" (ms 3) (stat k 1).max_response;
+  Kernel.check_invariants k
+
 (* Generalizing §6.2.2: for random semaphore programs under a
    zero-cost kernel, the EMERALDS scheme must not change any task's
    deadline outcome — it only swaps execution chunks around.  The
@@ -485,6 +525,8 @@ let suite =
     test_case "release of un-held semaphore" `Quick test_release_unheld_rejected;
     test_case "priority-ordered grants" `Quick test_queue_wakeup_order;
     test_case "chained inheritance" `Quick test_counting_via_chain;
+    test_case "deadline-only inheritance keeps FP order" `Quick
+      test_deadline_only_inheritance_keeps_fp_order;
   ]
 
 let _ = us
