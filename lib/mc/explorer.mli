@@ -3,7 +3,12 @@
     States are pruned at decision points using the canonical encoding
     ({!State.key}): once a decision state has been expanded, every
     later path reaching it is cut, which is sound because the
-    continuation from a decision state depends only on the state.
+    continuation from a decision state depends only on the state.  The
+    key writes the canonical fields directly into a string (a tag per
+    variant, a length per list, a varint per int); the code is
+    prefix-free, so equal keys mean equal canonical states, and the
+    visited set compares whole keys — a hash collision never merges
+    two states.
     Exploration is bounded three ways — virtual-time horizon, total
     expansions, and decisions per path — and reports whether any bound
     actually truncated it, so "no violation" can be read as "none

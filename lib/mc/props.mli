@@ -4,13 +4,21 @@
     or notes (emitted by the transition relation as they happen); the
     first failure aborts exploration with a counterexample. *)
 
+type probe
+(** One probed state, with what several properties derive from it
+    computed at most once. *)
+
+val probe_state : probe -> State.t
+(** The probed state: a view of the checker's working state, valid
+    only during the call. *)
+
 type t = {
   name : string;
   doc : string;
   timing_sensitive : bool;
       (** verdict depends on execution-order timing, so the explorer
           must not apply partial-order reduction *)
-  on_state : Machine.t -> State.t -> string option;
+  on_state : Machine.t -> probe -> string option;
   on_note : Machine.t -> at:int -> State.note -> string option;
 }
 

@@ -103,12 +103,21 @@ let init (m : Machine.t) =
 
 let dispatch_key (m : Machine.t) st i =
   let t = st.tasks.(i) in
-  match m.sched with Machine.Fp -> (t.eff, i) | Machine.Edf -> (t.effdl, i)
+  match m.sched with Machine.Fp -> t.eff | Machine.Edf -> t.effdl
 
+(* Collected in ascending index order, so a stable sort on the key
+   alone yields the [(key, idx)] order. *)
 let blocked_on pred m st =
   let out = ref [] in
-  Array.iteri (fun i t -> if pred t.mode then out := i :: !out) st.tasks;
-  List.sort (fun a b -> compare (dispatch_key m st a) (dispatch_key m st b)) !out
+  for i = Array.length st.tasks - 1 downto 0 do
+    if pred st.tasks.(i).mode then out := i :: !out
+  done;
+  match !out with
+  | ([] | [ _ ]) as l -> l
+  | l ->
+    List.stable_sort
+      (fun a b -> Int.compare (dispatch_key m st a) (dispatch_key m st b))
+      l
 
 let sem_waiters m st s = blocked_on (function BSem x -> x = s | _ -> false) m st
 
@@ -126,59 +135,141 @@ let mb_receivers m st b =
    per-reader write delta (capped at the depth — beyond that the read
    is torn either way), since nothing else about an unbounded counter
    affects the future.  Job release times are dropped entirely: they
-   feed only the response-time notes. *)
+   feed only the response-time notes.
+
+   The canonical fields are written straight into one buffer, in a
+   fixed order: a tag byte for each variant (followed by only the
+   fields that variant carries), a length before each list, and every
+   int as a zigzag LEB128 varint.  For one machine the array lengths
+   are fixed, so this code is prefix-free: two keys are equal exactly
+   when the canonical values are.  The task index needs no field — the
+   position carries it. *)
 
 let rel_t now t = if t = max_int then max_int else t - now
 
-let canon_nr now = function
-  | At t -> (0, t - now, 0)
-  | Never -> (1, 0, 0)
-  | Choose (lo, hi) -> (2, max lo now - now, max hi now - now)
+(* A scratch byte buffer and its cursor.  Each tag or varint first
+   makes room for its longest form (a varint of a 63-bit int is at most
+   9 bytes), so its bytes are then written unchecked. *)
+type writer = { mutable buf : Bytes.t; mutable pos : int }
 
-let canon_mode now = function
-  | Idle -> (0, 0, 0)
-  | Ready -> (1, 0, 0)
-  | Run -> (2, 0, 0)
-  | BSem s -> (3, s, 0)
-  | BWait w -> (4, w, 0)
-  | BTimed (w, t) -> (5, w, t - now)
-  | BDelay t -> (6, t - now, 0)
-  | BSend b -> (7, b, 0)
-  | BRecv b -> (8, b, 0)
+let grow b =
+  let buf = Bytes.create (2 * Bytes.length b.buf) in
+  Bytes.blit b.buf 0 buf 0 b.pos;
+  b.buf <- buf
+
+let add_tag b k =
+  if b.pos >= Bytes.length b.buf then grow b;
+  Bytes.unsafe_set b.buf b.pos (Char.unsafe_chr k);
+  b.pos <- b.pos + 1
+
+let add_int b n =
+  if b.pos + 9 > Bytes.length b.buf then grow b;
+  let buf = b.buf and pos = ref b.pos in
+  let z = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
+  while !z land lnot 0x7f <> 0 do
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr ((!z land 0x7f) lor 0x80));
+    incr pos;
+    z := !z lsr 7
+  done;
+  Bytes.unsafe_set buf !pos (Char.unsafe_chr !z);
+  b.pos <- !pos + 1
+
+let add_len b l = add_int b (List.length l)
+
+let rec add_ints b ~off = function
+  | [] -> ()
+  | x :: tl ->
+    add_int b (x - off);
+    add_ints b ~off tl
+
+let rec add_pairs b = function
+  | [] -> ()
+  | (x, y) :: tl ->
+    add_int b x;
+    add_int b y;
+    add_pairs b tl
+
+let add_array b a =
+  for i = 0 to Array.length a - 1 do
+    add_int b a.(i)
+  done
+
+let add_nr b now = function
+  | At t ->
+    add_tag b 0;
+    add_int b (t - now)
+  | Never -> add_tag b 1
+  | Choose (lo, hi) ->
+    add_tag b 2;
+    add_int b (Int.max lo now - now);
+    add_int b (Int.max hi now - now)
+
+let add_mode b now = function
+  | Idle -> add_tag b 0
+  | Ready -> add_tag b 1
+  | Run -> add_tag b 2
+  | BSem s ->
+    add_tag b 3;
+    add_int b s
+  | BWait w ->
+    add_tag b 4;
+    add_int b w
+  | BTimed (w, t) ->
+    add_tag b 5;
+    add_int b w;
+    add_int b (t - now)
+  | BDelay t ->
+    add_tag b 6;
+    add_int b (t - now)
+  | BSend x ->
+    add_tag b 7;
+    add_int b x
+  | BRecv x ->
+    add_tag b 8;
+    add_int b x
+
+let add_task b (m : Machine.t) st (t : tstate) =
+  let now = st.now in
+  add_mode b now t.mode;
+  add_int b t.pc;
+  add_int b t.rem;
+  add_int b (rel_t now t.dl);
+  add_int b (rel_t now t.effdl);
+  add_int b t.eff;
+  add_tag b (Bool.to_int t.inh);
+  add_len b t.held;
+  add_ints b ~off:0 t.held;
+  add_nr b now t.next_rel;
+  add_len b t.pending;
+  add_ints b ~off:now t.pending;
+  add_int b (rel_t now t.dl_check);
+  add_int b t.read_sm;
+  add_int b
+    (if t.read_sm < 0 then -1
+     else Int.min (st.sm_seq.(t.read_sm) - t.read_seq) m.sm_depth.(t.read_sm));
+  add_len b t.live;
+  add_pairs b t.live
+
+(* One scratch buffer per domain, so the key string is the only
+   allocation. *)
+let scratch = Domain.DLS.new_key (fun () -> { buf = Bytes.create 256; pos = 0 })
 
 let key (m : Machine.t) st =
-  let now = st.now in
-  let task (i : int) (t : tstate) =
-    let read_delta =
-      if t.read_sm < 0 then -1
-      else min (st.sm_seq.(t.read_sm) - t.read_seq) m.sm_depth.(t.read_sm)
-    in
-    ( canon_mode now t.mode,
-      t.pc,
-      t.rem,
-      rel_t now t.dl,
-      rel_t now t.effdl,
-      t.eff,
-      t.inh,
-      t.held,
-      canon_nr now t.next_rel,
-      List.map (fun r -> r - now) t.pending,
-      rel_t now t.dl_check,
-      (t.read_sm, read_delta),
-      t.live,
-      i )
-  in
-  let v =
-    ( now mod m.hyperperiod,
-      Array.to_list (Array.mapi task st.tasks),
-      Array.to_list st.sem_val,
-      Array.to_list st.sem_holder,
-      Array.to_list st.wq_sig,
-      Array.to_list st.mb_occ,
-      Array.to_list st.pool_occ,
-      Array.to_list (Array.map (canon_nr now) st.irq_next) )
-  in
-  Marshal.to_string v []
+  let b = Domain.DLS.get scratch in
+  b.pos <- 0;
+  add_int b (st.now mod m.hyperperiod);
+  for i = 0 to Array.length st.tasks - 1 do
+    add_task b m st st.tasks.(i)
+  done;
+  add_array b st.sem_val;
+  add_array b st.sem_holder;
+  add_array b st.wq_sig;
+  add_array b st.mb_occ;
+  add_array b st.pool_occ;
+  for k = 0 to Array.length st.irq_next - 1 do
+    add_nr b st.now st.irq_next.(k)
+  done;
+  Bytes.sub_string b.buf 0 b.pos
 
 let pp_mode (m : Machine.t) fmt = function
   | Idle -> Format.pp_print_string fmt "idle"

@@ -15,8 +15,10 @@
     The canonical encoding rebases every absolute instant to the
     current virtual time and keeps only the clock's residue modulo the
     hyperperiod, so states one hyperperiod apart with identical futures
-    coincide.  Keys are the exact marshalled bytes of the canonical
-    value — pruning never suffers hash-collision unsoundness. *)
+    coincide.  The key writes the canonical fields directly as tagged,
+    length-prefixed varints; the encoding is prefix-free for a given
+    machine, so keys are equal exactly when the canonical values are —
+    pruning never suffers hash-collision unsoundness. *)
 
 (** Next arrival of a release or interrupt source. *)
 type nr =
@@ -94,16 +96,19 @@ val init : Machine.t -> t
     interrupt sources start [Choose]-unresolved. *)
 
 val key : Machine.t -> t -> string
-(** Canonical encoding (marshalled bytes) for the visited set. *)
+(** Canonical encoding for the visited set.  Exact among the states of
+    one machine: two keys are equal iff the states agree on every
+    canonical field. *)
 
-val dispatch_key : Machine.t -> t -> int -> int * int
-(** The scheduler ordering key of a task: [(eff, idx)] under FP,
-    [(effdl, idx)] under EDF.  Smaller dispatches first. *)
+val dispatch_key : Machine.t -> t -> int -> int
+(** The scheduler ordering key of a task: [eff] under FP, [effdl] under
+    EDF.  Smaller dispatches first; equal keys order by task index. *)
 
 val sem_waiters : Machine.t -> t -> int -> int list
-(** Tasks blocked on a semaphore, best {!dispatch_key} first.
+(** Tasks blocked on a semaphore, in [(dispatch_key, idx)] order.
     Derived from task modes, not stored — queue order cannot drift
-    out of sync with the modes. *)
+    out of sync with the modes.  This is the one definition of
+    wait-queue order; {!Step} uses it on its working state too. *)
 
 val wq_waiters : Machine.t -> t -> int -> int list
 (** Tasks blocked (plain or timed) on a wait queue, same order. *)

@@ -16,8 +16,8 @@ type expansion = {
 exception Stop_violation of string * string
 
 (* Mutable working copy of a state.  [tstate] records stay immutable
-   and are replaced wholesale per index, so freezing is just copying
-   the spine arrays. *)
+   and are replaced wholesale per index, so [thaw] need only copy the
+   spine arrays. *)
 type ctx = {
   m : Machine.t;
   mutable now : int;
@@ -51,17 +51,20 @@ let thaw ?(emit = fun _ _ -> ()) m (st : State.t) =
     on_note = (fun ~at:_ _ -> ());
   }
 
-let freeze c : State.t =
+(* The ctx as a state, sharing its arrays: a read-only view while the
+   ctx is live (property probes, wait-queue order), and the frozen
+   result once the ctx is dead. *)
+let view c : State.t =
   {
     now = c.now;
-    tasks = Array.copy c.tasks;
-    sem_val = Array.copy c.sem_val;
-    sem_holder = Array.copy c.sem_holder;
-    wq_sig = Array.copy c.wq_sig;
-    mb_occ = Array.copy c.mb_occ;
-    sm_seq = Array.copy c.sm_seq;
-    pool_occ = Array.copy c.pool_occ;
-    irq_next = Array.copy c.irq_next;
+    tasks = c.tasks;
+    sem_val = c.sem_val;
+    sem_holder = c.sem_holder;
+    wq_sig = c.wq_sig;
+    mb_occ = c.mb_occ;
+    sm_seq = c.sm_seq;
+    pool_occ = c.pool_occ;
+    irq_next = c.irq_next;
   }
 
 let set c i t = c.tasks.(i) <- t
@@ -78,31 +81,14 @@ let job_no c i =
   | Machine.Periodic -> ((c.tasks.(i).rel - mt.phase) / mt.period) + 1
   | Machine.Sporadic _ -> 0
 
-let dispatch_key c i =
-  let t = c.tasks.(i) in
-  match c.m.sched with Machine.Fp -> t.eff | Machine.Edf -> t.effdl
-
-let blocked_on c pred =
-  let out = ref [] in
-  Array.iteri (fun i t -> if pred t.mode then out := i :: !out) c.tasks;
-  List.sort
-    (fun a b -> compare (dispatch_key c a, a) (dispatch_key c b, b))
-    !out
-
-let sem_waiters c s = blocked_on c (function BSem x -> x = s | _ -> false)
-
-let wq_waiters c w =
-  blocked_on c (function BWait x | BTimed (x, _) -> x = w | _ -> false)
-
-let mb_senders c b = blocked_on c (function BSend x -> x = b | _ -> false)
-let mb_receivers c b = blocked_on c (function BRecv x -> x = b | _ -> false)
-
 let running c =
   let r = ref None in
-  Array.iteri (fun i t -> if t.mode = Run then r := Some i) c.tasks;
+  for i = 0 to Array.length c.tasks - 1 do
+    match c.tasks.(i).mode with Run -> r := Some i | _ -> ()
+  done;
   !r
 
-let rec remove_first x = function
+let rec remove_first (x : int) = function
   | [] -> []
   | y :: tl -> if y = x then tl else y :: remove_first x tl
 
@@ -115,7 +101,7 @@ let rec remove_first x = function
 let rec inherit_into c ~holder ~waiter =
   if holder <> waiter then begin
     let h = c.tasks.(holder) and w = c.tasks.(waiter) in
-    let eff = min h.eff w.eff and effdl = min h.effdl w.effdl in
+    let eff = Int.min h.eff w.eff and effdl = Int.min h.effdl w.effdl in
     if eff < h.eff || effdl < h.effdl then begin
       set c holder { h with eff; effdl; inh = true };
       emit c
@@ -138,7 +124,9 @@ let restore_prio c i =
   set c i { t with eff = i; effdl = t.dl; inh = false };
   List.iter
     (fun s ->
-      List.iter (fun w -> inherit_into c ~holder:i ~waiter:w) (sem_waiters c s))
+      List.iter
+        (fun w -> inherit_into c ~holder:i ~waiter:w)
+        (State.sem_waiters c.m (view c) s))
     t.held;
   if was_inh && not c.tasks.(i).inh then
     emit c (Sim.Trace.Priority_restore { holder = tid c i })
@@ -156,7 +144,7 @@ let begin_job c i ~release =
   set c i
     {
       t with
-      mode = (if t.mode = Idle then Ready else t.mode);
+      mode = (match t.mode with Idle -> Ready | m -> m);
       pc = 0;
       rem = 0;
       rel = release;
@@ -194,7 +182,7 @@ let job_complete c i =
      job end are a leak, noted then reclaimed, before the completion *)
   List.iter
     (fun (p, n) ->
-      c.pool_occ.(p) <- max 0 (c.pool_occ.(p) - n);
+      c.pool_occ.(p) <- Int.max 0 (c.pool_occ.(p) - n);
       note c (Leak { idx = i; pool = p; count = n });
       emit c
         (Sim.Trace.Pool_leak
@@ -221,11 +209,11 @@ let wake c i =
   emit c (Sim.Trace.Thread_unblock { tid = tid c i })
 
 let do_signal c w =
-  match wq_waiters c w with
+  match State.wq_waiters c.m (view c) w with
   | [] -> c.wq_sig.(w) <- c.wq_sig.(w) + 1
   | i :: _ -> wake c i
 
-let do_broadcast c w = List.iter (wake c) (wq_waiters c w)
+let do_broadcast c w = List.iter (wake c) (State.wq_waiters c.m (view c) w)
 
 let deliver_irq c k =
   let src = c.m.irqs.(k) in
@@ -244,33 +232,36 @@ let deliver_irq c k =
    (releases by rank, then timers, then interrupts by source, then
    deadline probes).  Idempotent: firing consumes the event. *)
 let deliver_due c =
-  Array.iteri
-    (fun i (t : tstate) ->
-      match t.next_rel with At r when r <= c.now -> release_task c i | _ -> ())
-    c.tasks;
-  Array.iteri
-    (fun i (t : tstate) ->
-      match t.mode with
-      | BDelay w when w <= c.now ->
-        set c i { t with mode = Ready };
-        emit c (Sim.Trace.Thread_unblock { tid = tid c i })
-      | BTimed (_, tmo) when tmo <= c.now -> wake c i
-      | _ -> ())
-    c.tasks;
-  Array.iteri
-    (fun k nr ->
-      match nr with At t when t <= c.now -> deliver_irq c k | _ -> ())
-    c.irq_next;
-  Array.iteri
-    (fun i (t : tstate) ->
-      if t.dl_check <= c.now then begin
-        set c i { t with dl_check = max_int };
-        note c (Miss { idx = i });
-        emit c
-          (Sim.Trace.Deadline_miss
-             { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
-      end)
-    c.tasks
+  let n = Array.length c.tasks in
+  for i = 0 to n - 1 do
+    match c.tasks.(i).next_rel with
+    | At r when r <= c.now -> release_task c i
+    | _ -> ()
+  done;
+  for i = 0 to n - 1 do
+    let t = c.tasks.(i) in
+    match t.mode with
+    | BDelay w when w <= c.now ->
+      set c i { t with mode = Ready };
+      emit c (Sim.Trace.Thread_unblock { tid = tid c i })
+    | BTimed (_, tmo) when tmo <= c.now -> wake c i
+    | _ -> ()
+  done;
+  for k = 0 to Array.length c.irq_next - 1 do
+    match c.irq_next.(k) with
+    | At t when t <= c.now -> deliver_irq c k
+    | _ -> ()
+  done;
+  for i = 0 to n - 1 do
+    let t = c.tasks.(i) in
+    if t.dl_check <= c.now then begin
+      set c i { t with dl_check = max_int };
+      note c (Miss { idx = i });
+      emit c
+        (Sim.Trace.Deadline_miss
+           { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
+    end
+  done
 
 (* Unresolved arrival windows, canonical order: sporadic tasks first,
    then interrupt sources.  Time may not advance past one. *)
@@ -287,8 +278,8 @@ let arm_choices c =
         Some
           (dedup
              [
-               Arm_task { idx = i; at = At (max lo c.now) };
-               Arm_task { idx = i; at = At (max hi c.now) };
+               Arm_task { idx = i; at = At (Int.max lo c.now) };
+               Arm_task { idx = i; at = At (Int.max hi c.now) };
              ]
           @ [ Arm_task { idx = i; at = Never } ])
       | _ -> task_choice (i + 1)
@@ -304,8 +295,8 @@ let arm_choices c =
           Some
             (dedup
                [
-                 Arm_irq { src = k; at = max lo c.now };
-                 Arm_irq { src = k; at = max hi c.now };
+                 Arm_irq { src = k; at = Int.max lo c.now };
+                 Arm_irq { src = k; at = Int.max hi c.now };
                ])
         | _ -> irq_choice (k + 1)
     in
@@ -313,51 +304,56 @@ let arm_choices c =
 
 let next_event_time c =
   let best = ref max_int in
-  let consider t = if t < !best then best := t in
   Array.iter
     (fun (t : tstate) ->
-      (match t.next_rel with At r -> consider r | _ -> ());
+      (match t.next_rel with At r -> best := Int.min !best r | _ -> ());
       (match t.mode with
-      | BDelay w -> consider w
-      | BTimed (_, tmo) -> consider tmo
+      | BDelay w -> best := Int.min !best w
+      | BTimed (_, tmo) -> best := Int.min !best tmo
       | _ -> ());
-      if t.dl_check < max_int then consider t.dl_check)
+      best := Int.min !best t.dl_check)
     c.tasks;
-  Array.iter (function At t -> consider t | _ -> ()) c.irq_next;
-  if !best = max_int then None else Some !best
+  Array.iter (function At t -> best := Int.min !best t | _ -> ()) c.irq_next;
+  !best
 
 (* --- dispatch -------------------------------------------------------- *)
 
 type picked = PRun of int | PTie of int list | PIdle
 
 let pick c =
-  let cands = ref [] in
-  Array.iteri
-    (fun i (t : tstate) ->
-      match t.mode with Ready | Run -> cands := i :: !cands | _ -> ())
-    c.tasks;
-  match !cands with
-  | [] -> PIdle
-  | cands ->
-    let mink =
-      List.fold_left (fun k i -> min k (dispatch_key c i)) max_int cands
-    in
-    let best =
-      List.sort compare (List.filter (fun i -> dispatch_key c i = mink) cands)
-    in
+  let st = view c in
+  let key i = State.dispatch_key c.m st i in
+  let ready i = match c.tasks.(i).mode with Ready | Run -> true | _ -> false in
+  let n = Array.length c.tasks in
+  let mink = ref max_int and nbest = ref 0 and first = ref (-1) in
+  for i = 0 to n - 1 do
+    if ready i then begin
+      let k = key i in
+      if !nbest = 0 || k < !mink then begin
+        mink := k;
+        nbest := 1;
+        first := i
+      end
+      else if k = !mink then incr nbest
+    end
+  done;
+  if !nbest = 0 then PIdle
+  else
     (* the incumbent keeps the CPU on equal keys (no preemption
        without a strictly better key — the kernel behaves the same) *)
-    let incumbent =
-      match running c with Some r when List.mem r best -> Some r | None | Some _ -> None
-    in
-    (match (incumbent, best) with
-    | Some r, _ -> PRun r
-    | None, [ i ] -> PRun i
-    | None, best -> PTie best)
+    match running c with
+    | Some r when key r = !mink -> PRun r
+    | None | Some _ ->
+      if !nbest = 1 then PRun !first
+      else
+        PTie
+          (List.filter
+             (fun i -> ready i && key i = !mink)
+             (List.init n Fun.id))
 
 let dispatch c i =
   let prev = running c in
-  if prev <> Some i then begin
+  if not (match prev with Some p -> p = i | None -> false) then begin
     (match prev with
     | Some p -> set c p { (c.tasks.(p)) with mode = Ready }
     | None -> ());
@@ -386,10 +382,7 @@ let exec_instr c i ~horizon =
       end
       else begin
         let t_done = c.now + rem in
-        let t_ev =
-          match next_event_time c with Some t -> t | None -> max_int
-        in
-        let target = min t_done t_ev in
+        let target = Int.min t_done (next_event_time c) in
         if target > horizon then `Capped
         else begin
           let elapsed = target - c.now in
@@ -427,7 +420,7 @@ let exec_instr c i ~horizon =
         set c i { t with pc = t.pc + 1; held = remove_first s t.held };
         emit c (Sim.Trace.Sem_released { tid = tid c i; sem = c.m.sem_ids.(s) });
         restore_prio c i;
-        match sem_waiters c s with
+        match State.sem_waiters c.m (view c) s with
         | [] ->
           c.sem_val.(s) <- c.sem_val.(s) + 1;
           if c.sem_holder.(s) = i then c.sem_holder.(s) <- -1
@@ -476,7 +469,7 @@ let exec_instr c i ~horizon =
       do_broadcast c w;
       `Ok
     | Machine.ISend b ->
-      (match mb_receivers c b with
+      (match State.mb_receivers c.m (view c) b with
       | r :: _ ->
         (* a blocked receiver takes delivery directly *)
         set c i { t with pc = t.pc + 1 };
@@ -505,7 +498,7 @@ let exec_instr c i ~horizon =
           (Sim.Trace.Msg_received
              { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 });
         (* a freed slot admits the best blocked sender's message *)
-        (match mb_senders c b with
+        (match State.mb_senders c.m (view c) b with
         | s :: _ ->
           c.mb_occ.(b) <- c.mb_occ.(b) + 1;
           wake c s;
@@ -515,7 +508,7 @@ let exec_instr c i ~horizon =
         | [] -> ())
       end
       else begin
-        match mb_senders c b with
+        match State.mb_senders c.m (view c) b with
         | s :: _ ->
           (* zero-capacity rendezvous *)
           set c i { t with pc = t.pc + 1 };
@@ -615,12 +608,13 @@ let rec crank ~horizon ~probe c =
       probe c;
       match pick c with
       | PTie best -> `Branch (List.map (fun i -> Tie i) best)
-      | PIdle -> (
-        match next_event_time c with
-        | Some t when t <= horizon ->
+      | PIdle ->
+        let t = next_event_time c in
+        if t <> max_int && t <= horizon then begin
           c.now <- t;
           crank ~horizon ~probe c
-        | Some _ | None -> `Leaf)
+        end
+        else `Leaf
       | PRun i -> (
         dispatch c i;
         match exec_instr c i ~horizon with
@@ -637,8 +631,9 @@ let rec crank ~horizon ~probe c =
              completion is zero-time, so deferring it to the next
              dispatch would inflate the measured response. *)
           let t = c.tasks.(i) in
-          if t.mode = Run && t.pc >= Array.length c.m.tasks.(i).code then
-            job_complete c i;
+          (match t.mode with
+          | Run when t.pc >= Array.length c.m.tasks.(i).code -> job_complete c i
+          | _ -> ());
           crank ~horizon ~probe c)))
 
 let expand ?emit ?(check = fun _ -> None)
@@ -650,7 +645,7 @@ let expand ?emit ?(check = fun _ -> None)
       | Some (p, msg) -> raise (Stop_violation (p, msg))
       | None -> ());
   let probe c =
-    match check (freeze c) with
+    match check (view c) with
     | Some (p, msg) -> raise (Stop_violation (p, msg))
     | None -> ()
   in
@@ -659,7 +654,7 @@ let expand ?emit ?(check = fun _ -> None)
     | r -> (r, None)
     | exception Stop_violation (p, msg) -> (`Leaf, Some (p, msg, c.now))
   in
-  { state = freeze c; notes = List.rev c.notes; violation; next }
+  { state = view c; notes = List.rev c.notes; violation; next }
 
 let pp_choice (m : Machine.t) fmt = function
   | Arm_irq { src; at } ->
@@ -677,7 +672,8 @@ let choice_to_string m c = Format.asprintf "%a" (pp_choice m) c
 
 let apply ?emit m st choice =
   let c = thaw ?emit m st in
-  c.trace c.now (Sim.Trace.Note ("choice: " ^ choice_to_string m choice));
+  if Option.is_some emit then
+    c.trace c.now (Sim.Trace.Note ("choice: " ^ choice_to_string m choice));
   (match choice with
   | Arm_irq { src; at } -> c.irq_next.(src) <- At at
   | Arm_task { idx; at } ->
@@ -693,4 +689,4 @@ let apply ?emit m st choice =
     c.trace c.now
       (Sim.Trace.Branch { tid = tid c idx; pc = t.pc; idx = t.brs; taken });
     set c idx { t with pc = (if taken then t.pc + 1 else target); brs = t.brs + 1 });
-  freeze c
+  view c

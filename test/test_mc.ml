@@ -389,6 +389,326 @@ let branch_fork_and_replay () =
     check "replay reproduces the exact taken path" true
       (recorded = [ (1, 0, true) ])
 
+(* --- the campaign's model-checking configuration ----------------------- *)
+
+let campaign_props =
+  List.filter_map Mc.Props.by_name
+    [ "deadlock"; "pi"; "invariants"; "tear"; "mem" ]
+
+(* [Campaign.Eval]'s bounds: the simulation horizon, capped by the
+   hyperperiod, 4000 expansions, 2000 decisions. *)
+let campaign_bounds (sc : Workload.Scenario.t) (m : Mc.Machine.t) =
+  let maxp =
+    Array.fold_left
+      (fun a (t : Model.Task.t) -> max a t.period)
+      0
+      (Model.Taskset.tasks sc.taskset)
+  in
+  {
+    Mc.Explorer.horizon = min m.hyperperiod (min (2 * maxp) (ms 1000));
+    max_states = 4000;
+    max_depth = 2000;
+  }
+
+(* The presets and the first [count] seed-42 generated scenarios, each
+   compiled the way the campaign compiles it. *)
+let campaign_machines ~count =
+  let presets =
+    List.map
+      (fun name ->
+        let sc = Option.get (Workload.Scenario.make name) in
+        let m = Mc.Machine.of_scenario sc in
+        (name, m, campaign_bounds sc m))
+      [ "table2"; "engine"; "branchy" ]
+  in
+  let generated =
+    List.mapi
+      (fun i (spec : Workload.Generator.spec) ->
+        let sporadic =
+          List.filter_map
+            (fun (t : Workload.Generator.task_spec) ->
+              if t.g_sporadic then Some (t.g_id, t.g_period, t.g_period * 5 / 4)
+              else None)
+            spec.s_tasks
+        in
+        let sc = Workload.Generator.realize spec in
+        let m = Mc.Machine.of_scenario ~sporadic sc in
+        (Printf.sprintf "spec %d" i, m, campaign_bounds sc m))
+      (Workload.Generator.scenario_specs ~seed:42 ~count ())
+  in
+  presets @ generated
+
+(* --- the direct key decides exactly what the marshalled key did ---- *)
+
+(* The earlier canonical encoding, kept as the reference: a tuple tree
+   of the canonical fields, marshalled. *)
+let reference_key (m : Mc.Machine.t) (st : Mc.State.t) =
+  let open Mc.State in
+  let now = st.now in
+  let rel_t t = if t = max_int then max_int else t - now in
+  let canon_nr = function
+    | At t -> (0, t - now, 0)
+    | Never -> (1, 0, 0)
+    | Choose (lo, hi) -> (2, max lo now - now, max hi now - now)
+  in
+  let canon_mode = function
+    | Idle -> (0, 0, 0)
+    | Ready -> (1, 0, 0)
+    | Run -> (2, 0, 0)
+    | BSem s -> (3, s, 0)
+    | BWait w -> (4, w, 0)
+    | BTimed (w, t) -> (5, w, t - now)
+    | BDelay t -> (6, t - now, 0)
+    | BSend b -> (7, b, 0)
+    | BRecv b -> (8, b, 0)
+  in
+  let task i (t : tstate) =
+    let read_delta =
+      if t.read_sm < 0 then -1
+      else min (st.sm_seq.(t.read_sm) - t.read_seq) m.sm_depth.(t.read_sm)
+    in
+    ( canon_mode t.mode,
+      t.pc,
+      t.rem,
+      rel_t t.dl,
+      rel_t t.effdl,
+      t.eff,
+      t.inh,
+      t.held,
+      canon_nr t.next_rel,
+      List.map (fun r -> r - now) t.pending,
+      rel_t t.dl_check,
+      (t.read_sm, read_delta),
+      t.live,
+      i )
+  in
+  Marshal.to_string
+    ( now mod m.hyperperiod,
+      Array.to_list (Array.mapi task st.tasks),
+      Array.to_list st.sem_val,
+      Array.to_list st.sem_holder,
+      Array.to_list st.wq_sig,
+      Array.to_list st.mb_occ,
+      Array.to_list st.pool_occ,
+      Array.to_list (Array.map canon_nr st.irq_next) )
+    []
+
+(* Every decision state a bounded depth-first search reaches, revisits
+   included; only first visits (by reference key) are expanded. *)
+let decision_states m (bounds : Mc.Explorer.bounds) =
+  let check = Mc.Props.check_state campaign_props m in
+  let seen = Hashtbl.create 1024 in
+  let out = ref [] and expansions = ref 0 in
+  let stack = ref [ Mc.State.init m ] in
+  while !stack <> [] && !expansions < bounds.max_states do
+    match !stack with
+    | [] -> ()
+    | st :: rest -> (
+      stack := rest;
+      incr expansions;
+      let e = Mc.Step.expand ~check ~horizon:bounds.horizon m st in
+      match e.next with
+      | `Leaf -> ()
+      | `Branch cs ->
+        out := e.state :: !out;
+        let k = reference_key m e.state in
+        if not (Hashtbl.mem seen k) then begin
+          Hashtbl.add seen k ();
+          List.iter (fun ch -> stack := Mc.Step.apply m e.state ch :: !stack) cs
+        end)
+  done;
+  !out
+
+(* [st] with the clock and every absolute instant moved by one tick:
+   canonically it differs from [st] only in the clock's residue. *)
+let shifted (st : Mc.State.t) =
+  let open Mc.State in
+  let at t = if t = max_int then t else t + 1 in
+  let nr = function
+    | At t -> At (t + 1)
+    | Never -> Never
+    | Choose (lo, hi) -> Choose (lo + 1, hi + 1)
+  in
+  let shift (t : tstate) =
+    {
+      t with
+      mode =
+        (match t.mode with
+        | BTimed (w, tmo) -> BTimed (w, tmo + 1)
+        | BDelay d -> BDelay (d + 1)
+        | m -> m);
+      dl = at t.dl;
+      effdl = at t.effdl;
+      next_rel = nr t.next_rel;
+      pending = List.map succ t.pending;
+      dl_check = at t.dl_check;
+    }
+  in
+  {
+    st with
+    now = st.now + 1;
+    tasks = Array.map shift st.tasks;
+    irq_next = Array.map nr st.irq_next;
+  }
+
+(* States one canonical field away from [st]: reached states seldom
+   differ in a single field, so these make sure no field is lost. *)
+let neighbours (st : Mc.State.t) =
+  let open Mc.State in
+  let now = st.now in
+  let with_task i t =
+    let tasks = Array.copy st.tasks in
+    tasks.(i) <- t;
+    { st with tasks }
+  in
+  List.concat
+    (List.mapi
+       (fun i (t : tstate) ->
+         List.map (with_task i)
+           ([
+             { t with pc = t.pc + 1 };
+             { t with rem = t.rem + 1 };
+             { t with dl = t.dl + 1 };
+             { t with effdl = t.effdl + 1 };
+             { t with eff = t.eff + 1 };
+             { t with inh = not t.inh };
+             { t with held = 0 :: t.held };
+             { t with held = t.held @ [ 0 ] };
+             (* the same bytes but for [held]'s length prefix *)
+             { t with held = [ 0 ]; next_rel = Never };
+             { t with held = []; next_rel = At (now - 1) };
+             { t with next_rel = Never };
+             { t with next_rel = At now };
+             { t with next_rel = Choose (now, now + 1) };
+             { t with pending = now :: t.pending };
+             { t with dl_check = (if t.dl_check = max_int then now else max_int) };
+             { t with live = (0, 1) :: t.live };
+             { t with mode = (if t.mode = Ready then Run else Ready) };
+             { t with mode = BTimed (0, now + 1) };
+            ]
+            (* mid-read of each state message, all at write delta 0 *)
+            @ List.init (Array.length st.sm_seq) (fun s ->
+                  { t with read_sm = s; read_seq = st.sm_seq.(s) })))
+       (Array.to_list st.tasks))
+  @ [ { st with now = now + 1 }; shifted st ]
+
+let key_matches_reference () =
+  let pairs = ref 0 and distinct = ref 0 in
+  List.iter
+    (fun (name, m, bounds) ->
+      (* new a = new b <=> ref a = ref b over all pairs, checked as a
+         bijection between the two keys' equivalence classes *)
+      let to_ref = Hashtbl.create 1024 and to_new = Hashtbl.create 1024 in
+      let states = decision_states m bounds in
+      let states =
+        states
+        @ List.concat_map neighbours
+            (List.filteri (fun i _ -> i mod 97 = 0) states)
+      in
+      List.iter
+        (fun st ->
+          let k = Mc.State.key m st and r = reference_key m st in
+          (match Hashtbl.find_opt to_ref k with
+          | Some r' when r' <> r ->
+            Alcotest.failf "%s: equal keys for different canonical states" name
+          | Some _ -> ()
+          | None -> Hashtbl.add to_ref k r);
+          match Hashtbl.find_opt to_new r with
+          | Some k' when k' <> k ->
+            Alcotest.failf "%s: different keys for one canonical state" name
+          | Some _ -> ()
+          | None -> Hashtbl.add to_new r k)
+        states;
+      pairs := !pairs + List.length states;
+      distinct := !distinct + Hashtbl.length to_ref)
+    (campaign_machines ~count:30);
+  check "the states include revisits, so equal keys were compared" true
+    (!pairs > !distinct && !distinct > 1000)
+
+(* --- pruning is pinned ----------------------------------------------- *)
+
+(* [Explorer.check] with the campaign's properties and bounds, recorded
+   before the direct key replaced the marshalled one: (name, expansions,
+   distinct, revisits, truncated, jobs, max_response). *)
+let golden =
+  [
+    ("table2", 1, 0, 0, false, 175,
+     [ 1000000; 2000000; 3000000; 4000000; 9400000; 11800000; 19200000;
+       23200000; 27600000; 34000000 ]);
+    ("engine", 1923, 961, 942, false, 12707,
+     [ 800000; 1300000; 3400000; 6700000; 8300000; 12900000; 16400000;
+       22500000; 57500000; 69900000; 99900000; 173300000 ]);
+    ("branchy", 21, 10, 11, false, 34, [ 2500000; 6200000; 9200000 ]);
+    ("spec 0", 1, 0, 0, false, 30,
+     [ 1010199; 1409759; 1475604; 5010199; 8581846; 13899326; 9396104;
+       15952429 ]);
+    ("spec 1", 931, 465, 412, false, 2188,
+     [ 113682; 204347; 569671; 618967; 1478775; 1626518; 3003664; 10522922 ]);
+    ("spec 2", 109, 54, 35, false, 61,
+     [ 3005672; 5272118; 13075876; 31342524; 32171168 ]);
+    ("spec 3", 4000, 2009, 1780, true, 4468,
+     [ 159410; 786380; 1052481; 7904292; 8482202; 0; 9080045; 22185085 ]);
+    ("spec 4", 4, 1, 0, false, 561,
+     [ 2034474; 0; 427589; 5283301; 10321876; 22034474 ]);
+    ("spec 5", 315, 157, 123, false, 192,
+     [ 895382; 11897373; 14773134; 17784714; 22383527; 35484280 ]);
+    ("spec 6", 553, 276, 256, false, 1004,
+     [ 35924; 65924; 724250; 2209349; 3363375; 7246001 ]);
+    ("spec 7", 364, 181, 138, false, 198, [ 601463; 0; 5465002 ]);
+    ("spec 8", 107, 53, 34, false, 175,
+     [ 2186289; 2216289; 2393495; 2956052; 15874048; 17270619; 34989835;
+       67091727 ]);
+    ("spec 9", 109, 54, 46, false, 71, [ 11011310; 9492478; 14986731 ]);
+    ("spec 10", 3634, 1816, 1641, false, 2244,
+     [ 16871983; 17734676; 20563155; 0; 70563155; 71607203; 72144046;
+       79515938 ]);
+    ("spec 11", 715, 357, 313, false, 4248,
+     [ 1990070; 11227902; 12598711; 19714376; 64494075 ]);
+    ("spec 12", 4000, 2008, 1782, true, 831, [ 3129350; 3891842; 0 ]);
+    ("spec 13", 3214, 1606, 1461, false, 300, [ 96642649; 21642649; 0 ]);
+    ("spec 14", 4000, 2013, 1630, true, 2888,
+     [ 241914; 1506138; 1992120; 2695422; 6790507; 12376009; 16382165 ]);
+    ("spec 15", 1060, 529, 420, false, 1326,
+     [ 432301; 1629659; 15037217; 2178686; 0; 30898450; 40028457 ]);
+    ("spec 16", 1060, 529, 420, false, 0, [ 0; 0; 0 ]);
+    ("spec 17", 27, 13, 12, false, 147,
+     [ 345103152; 561341; 6159434; 12127037; 32200073 ]);
+    ("spec 18", 209, 104, 76, false, 665,
+     [ 2937241; 3219699; 5749076; 5875432; 5436592; 10741821; 15070540;
+       22970337 ]);
+    ("spec 19", 4, 1, 0, false, 51,
+     [ 1071959; 3133522; 5618800; 6151596; 0; 10678045 ]);
+    ("spec 20", 93, 46, 28, false, 245,
+     [ 893156; 1847120; 3549053; 13022170 ]);
+    ("spec 21", 274, 136, 81, false, 438,
+     [ 100113; 3361398; 0; 5857546; 6447238; 24613576 ]);
+    ("spec 22", 4000, 2040, 1902, true, 3320,
+     [ 633662; 600633662; 1610758; 3568689; 28516485; 48339614; 54967846 ]);
+    ("spec 23", 1611, 805, 762, false, 3218,
+     [ 649846; 1810844; 1170972; 1600972; 4489044; 19686414; 22066745 ]);
+    ("spec 24", 328, 163, 105, false, 663,
+     [ 957180; 1155138; 3716213; 4381223; 12806291; 30556537; 44892417; 0 ]);
+  ]
+
+let exploration_golden () =
+  let machines = campaign_machines ~count:25 in
+  check_int "one golden row per machine" (List.length golden)
+    (List.length machines);
+  List.iter2
+    (fun (name, m, bounds) (gname, exp, dist, rev, trunc, jobs, resp) ->
+      Alcotest.(check string) "golden row order" gname name;
+      let r = Mc.Explorer.check ~props:campaign_props ~bounds m in
+      check (name ^ " clean") true (r.verdict = `Ok);
+      check_int (name ^ " expansions") exp r.expansions;
+      check_int (name ^ " distinct") dist r.distinct;
+      check_int (name ^ " revisits") rev r.revisits;
+      check (name ^ " truncated") trunc r.truncated;
+      check_int (name ^ " jobs") jobs r.jobs;
+      Alcotest.(check (list int))
+        (name ^ " max_response") resp
+        (Array.to_list r.max_response))
+    machines golden
+
 let suite =
   [
     Alcotest.test_case "seeded deadlock: lint and MC agree" `Quick
@@ -406,4 +726,8 @@ let suite =
       snapshot_determinism;
     Alcotest.test_case "branch fork and counterexample replay" `Quick
       branch_fork_and_replay;
+    Alcotest.test_case "state keys match the marshalled reference" `Quick
+      key_matches_reference;
+    Alcotest.test_case "exploration counts match the golden record" `Quick
+      exploration_golden;
   ]
