@@ -981,7 +981,6 @@ let inject_cmd =
             };
         mem_enforcement;
         plan;
-        keep_trace = true;
         observer;
       }
     in
@@ -1207,26 +1206,6 @@ let trace_cmd =
 (* ------------------------------------------------------------------ *)
 (* explain *)
 
-(* RTA's bounds only speak about computes and bounded critical
-   sections; tasks with open-ended blocking fall outside the claim and
-   their bound columns are suppressed (mirrors the campaign's
-   eligibility rule). *)
-let explain_eligible (sc : Workload.Scenario.t) =
-  Array.map
-    (fun (t : Model.Task.t) ->
-      let ok = ref true in
-      Emeralds.Program.iter_leaves
-        (fun instr ->
-          match instr with
-          | Emeralds.Types.Wait _ | Emeralds.Types.Timed_wait _
-          | Emeralds.Types.Recv _ | Emeralds.Types.Send _
-          | Emeralds.Types.Delay _ ->
-            ok := false
-          | _ -> ())
-        (sc.programs t);
-      !ok)
-    (Model.Taskset.tasks sc.taskset)
-
 let explain_cmd =
   let preset_name =
     Arg.(
@@ -1301,26 +1280,10 @@ let explain_cmd =
       when not (Array.exists (fun (t : Model.Task.t) -> t.id = tid) tasks) ->
       bad_invocation "no task %d in scenario %S" tid preset_name
     | _ -> ());
-    (* static terms: the same lint blocking terms, Table-1-inflated RTA
-       and absint demand bounds the campaign's blame oracle checks
-       against (all RM-specific) *)
-    let rm_bounds = sched = Emeralds.Sched.Rm in
-    let ctx =
-      Lint.Ctx.make ~irq_signals:scenario.irq_signals
-        ~irq_writes:scenario.irq_writes ~taskset:scenario.taskset
-        ~programs:scenario.programs ()
-    in
-    let blocking = Lint.Blocking_terms.blocking_terms ctx in
-    let rows =
-      Analysis.Overhead.inflate ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Rm
-        scenario.taskset
-    in
-    let rta =
-      Array.init (Array.length tasks) (fun i ->
-          Analysis.Rta.response_time ~blocking ~tasks:rows i)
-    in
-    let eligible = explain_eligible scenario in
-    let rep = Absint.Report.analyze scenario in
+    (* static terms: the campaign's own (all RM-specific); tasks RTA
+       does not cover, or any other scheduler, get no bound columns *)
+    let statics = Campaign.Eval.statics scenario in
+    let bounded i = sched = Emeralds.Sched.Rm && statics.eligible.(i) in
     (* simulation with the attributor on the probe stream *)
     let blame =
       Obs.Blame.create ~tasks:(Obs.Blame.of_taskset scenario.taskset) ()
@@ -1343,32 +1306,6 @@ let explain_cmd =
       match task_filter with Some tid -> s.s_id = tid | None -> true
     in
     let summaries = List.filter selected (Obs.Blame.summaries blame) in
-    let exec_hi (t : Model.Task.t) =
-      match
-        Array.find_opt
-          (fun (tb : Absint.Report.task_bound) -> tb.task.id = t.id)
-          rep.tasks
-      with
-      | Some tb -> Absint.Itv.hi_int tb.summary.exec
-      | None -> None
-    in
-    let overhead_budget i (s : Obs.Blame.task_summary) =
-      match rta.(i) with
-      | Some rstar ->
-        Some
-          (Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
-             ~spec:Emeralds.Sched.Rm ~taskset:scenario.taskset
-             ~programs:(Array.map scenario.programs tasks)
-             ~rank:i ~response:rstar ~irqs:s.s_max_irqs)
-      | None -> None
-    in
-    let interference_bound i j =
-      match Analysis.Rta.decompose ~blocking ~tasks:rows i with
-      | Some dec ->
-        let _, _, cj = rows.(j) in
-        Some (dec.Analysis.Rta.dec_interference.(j) + cj)
-      | None -> None
-    in
     (* the dominant cause of each missing task's worst job — the line
        the exit-1 path prints and SARIF reports *)
     let verdicts =
@@ -1409,38 +1346,29 @@ let explain_cmd =
             Printf.bprintf buf
               "\ntau%d (rank %d): %d job(s), max response %dns%s%s\n" s.s_id
               s.s_rank s.s_jobs s.s_max_response
-              (match rta.(i) with
-              | Some r when rm_bounds && eligible.(i) ->
-                Printf.sprintf ", RTA bound %dns" r
+              (match statics.rta.(i) with
+              | Some r when bounded i -> Printf.sprintf ", RTA bound %dns" r
               | _ -> "")
               (if s.s_max_response > t.deadline then "  ** MISSED **" else "");
             (match s.s_worst with
             | Some bd ->
               Printf.bprintf buf "%s"
                 (Format.asprintf "%a" Obs.Blame.pp_breakdown bd);
-              if rm_bounds && eligible.(i) then begin
-                let line label v bound =
-                  match bound with
-                  | Some b ->
-                    Printf.bprintf buf "  %-22s %10dns <= %10dns  %s\n" label
-                      v b
-                      (if v <= b then "ok" else "EXCEEDS")
-                  | None -> ()
-                in
+              if bounded i then begin
                 Printf.bprintf buf "  cross-validation (worst per component \
                                     across jobs vs analytical term):\n";
-                line "exec <= absint demand" s.s_max_exec (exec_hi t);
                 List.iter
-                  (fun (j, v) ->
-                    line
-                      (Printf.sprintf "interference(rank %d)" j)
-                      v
-                      (interference_bound i j))
-                  s.s_max_interference;
-                line "blocking <= lint term" s.s_max_blocking_total
-                  (Some blocking.(i));
-                line "overhead <= Table-1" s.s_max_overhead_total
-                  (overhead_budget i s)
+                  (fun (term, v, b) ->
+                    Printf.bprintf buf "  %-22s %10dns <= %10dns  %s\n"
+                      (match term with
+                      | Campaign.Eval.Exec -> "exec <= absint demand"
+                      | Interference j ->
+                        Printf.sprintf "interference(rank %d)" j
+                      | Blocking -> "blocking <= lint term"
+                      | Overhead -> "overhead <= Table-1")
+                      v b
+                      (if v <= b then "ok" else "EXCEEDS"))
+                  (Campaign.Eval.blame_terms statics ~rank:i s)
               end
             | None -> ())
           )
@@ -1476,9 +1404,8 @@ let explain_cmd =
                \"missed\":%b"
               s.s_id s.s_rank s.s_jobs s.s_max_response
               (s.s_max_response > t.deadline);
-            (match rta.(i) with
-            | Some r when rm_bounds && eligible.(i) ->
-              Printf.bprintf buf ",\"rta_bound\":%d" r
+            (match statics.rta.(i) with
+            | Some r when bounded i -> Printf.bprintf buf ",\"rta_bound\":%d" r
             | _ -> ());
             (match s.s_worst with
             | Some bd ->

@@ -58,18 +58,7 @@ let hi_int itv = match itv.hi with Fin h -> Some h | Inf -> None
 
 let dominates itv n = match itv.hi with Fin h -> h >= n | Inf -> true
 
-let bound_to_string = function
-  | Fin n -> string_of_int n
-  | Inf -> "inf"
-
 let to_string itv =
   match itv.hi with
   | Fin h -> Printf.sprintf "[%d, %d]" itv.lo h
   | Inf -> Printf.sprintf "[%d, inf)" itv.lo
-
-let pp_us ppf itv =
-  match itv.hi with
-  | Fin h ->
-    Format.fprintf ppf "[%.1f, %.1f]us" (Model.Time.to_us_f itv.lo)
-      (Model.Time.to_us_f h)
-  | Inf -> Format.fprintf ppf "[%.1f, inf)us" (Model.Time.to_us_f itv.lo)

@@ -69,9 +69,4 @@ val dominates : t -> int -> bool
     ([Inf] covers everything) — the soundness comparator every
     cross-validation check uses. *)
 
-val bound_to_string : bound -> string
 val to_string : t -> string
-
-val pp_us : Format.formatter -> t -> unit
-(** Render as microseconds (the paper's unit), e.g. ["[300.0, 1214.9]us"]
-    or ["[0.0, inf)us"]. *)

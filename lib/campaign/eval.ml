@@ -3,14 +3,15 @@
    Each oracle compares two independently built layers of the repo;
    the scenario is re-realized for every stateful consumer (statics,
    each simulation, the model checker) so no kernel-object state leaks
-   between them.  All comparisons replicate exactly what the CLI's
-   individual subcommands would compute — the campaign adds nothing
-   but the cross-layer diff. *)
+   between them.  The static terms the RM oracles check against — RTA
+   eligibility, the Table-1-inflated fixpoint, the lint blocking terms
+   and the per-component blame bounds — are derived only here; the
+   CLI's [explain] reads them through [statics] and [blame_terms]. *)
 
 type t = {
   findings : Oracle.finding list;
   stat_us : int;  (** wall time of lint + absint + RTA, microseconds *)
-  sim_us : int;  (** wall time of the two simulations *)
+  sim_us : int;  (** wall time of the two simulations and the e2e fabric *)
   mc_us : int;  (** wall time of the model checker *)
   mc_expansions : int;
   mc_truncated : bool;
@@ -120,6 +121,98 @@ let rta_eligible (sc : Workload.Scenario.t) =
         (sc.programs t);
       !ok)
     (Model.Taskset.tasks sc.taskset)
+
+type statics = {
+  scenario : Workload.Scenario.t;
+  ctx : Lint.Ctx.t;
+  absint : Absint.Report.t;
+  blocking : Model.Time.t array;
+  rows : (int * int * int) array;
+  rta : Model.Time.t option array;
+  eligible : bool array;
+}
+
+let statics ?(ablation = Oracle.No_ablation) (sc : Workload.Scenario.t) =
+  let ctx =
+    Lint.Ctx.make ~irq_signals:sc.irq_signals ~irq_writes:sc.irq_writes
+      ~taskset:sc.taskset ~programs:sc.programs ()
+  in
+  (* cfg ablations weaken the abstract interpreter itself (skip the
+     loop-bound multiplication / follow one branch arm); the resulting
+     under-approximate bounds must be caught by Demand and Mem *)
+  let lesion =
+    match ablation with
+    | Oracle.Cfg_loop -> Some Absint.Exec.Drop_loop_mult
+    | Oracle.Cfg_join -> Some Absint.Exec.Drop_branch_join
+    | _ -> None
+  in
+  let absint = Absint.Report.analyze ?lesion sc in
+  let blocking = Lint.Blocking_terms.blocking_terms ctx in
+  let blocking =
+    (* ablation: pretend blocking is free — RTA bounds shrink below
+       what the kernel actually delivers, which the campaign must
+       catch *)
+    if ablation = Oracle.Rta_blocking then Array.map (fun _ -> 0) blocking
+    else blocking
+  in
+  let rows =
+    Analysis.Overhead.inflate ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Rm
+      sc.taskset
+  in
+  let rta =
+    Array.init (Array.length rows) (fun i ->
+        Analysis.Rta.response_time ~blocking ~tasks:rows i)
+  in
+  let eligible = rta_eligible sc in
+  { scenario = sc; ctx; absint; blocking; rows; rta; eligible }
+
+type term = Exec | Interference of int | Blocking | Overhead
+
+let blame_terms st ~rank (s : Obs.Blame.task_summary) =
+  (* own execution vs the absint demand bound *)
+  let exec =
+    match
+      Array.find_opt
+        (fun (tb : Absint.Report.task_bound) -> tb.task.id = s.s_id)
+        st.absint.tasks
+    with
+    | Some tb -> (
+      match Absint.Itv.hi_int tb.summary.exec with
+      | Some hi -> [ (Exec, s.s_max_exec, hi) ]
+      | None -> [])
+    | None -> []
+  in
+  (* per-rank interference vs the RTA decomposition (one extra job per
+     rank covers release-aligned carry-in) *)
+  let interference =
+    match Analysis.Rta.decompose ~blocking:st.blocking ~tasks:st.rows rank with
+    | Some dec ->
+      List.map
+        (fun (j, v) ->
+          let _, _, cj = st.rows.(j) in
+          (Interference j, v, dec.Analysis.Rta.dec_interference.(j) + cj))
+        s.s_max_interference
+    | None -> []
+  in
+  (* total blocking vs the lint-derived blocking term *)
+  let blocking = [ (Blocking, s.s_max_blocking_total, st.blocking.(rank)) ] in
+  (* ambient kernel overhead vs the Table-1 budget at the RTA fixpoint,
+     priced with the observed IRQ count *)
+  let overhead =
+    match st.rta.(rank) with
+    | Some rstar ->
+      let sc = st.scenario in
+      [
+        ( Overhead,
+          s.s_max_overhead_total,
+          Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
+            ~spec:Emeralds.Sched.Rm ~taskset:sc.taskset
+            ~programs:(Array.map sc.programs (Model.Taskset.tasks sc.taskset))
+            ~rank ~response:rstar ~irqs:s.s_max_irqs );
+      ]
+    | None -> []
+  in
+  exec @ interference @ blocking @ overhead
 
 let sim_horizon tasks =
   let maxp =
@@ -247,17 +340,6 @@ let run_sim ?attach (spec : Workload.Generator.spec) ~horizon ~enforcement =
   let cfg = { cfg with observer = Some observer; enforcement } in
   (Fault.Inject.run cfg).kernel
 
-let empty =
-  {
-    findings = [];
-    stat_us = 0;
-    sim_us = 0;
-    mc_us = 0;
-    mc_expansions = 0;
-    mc_truncated = false;
-    metrics = None;
-  }
-
 let wants oracles k = List.mem k oracles
 
 let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
@@ -272,21 +354,9 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   let t0 = now_us () in
   let sc = Workload.Generator.realize spec in
   let tasks = Model.Taskset.tasks sc.taskset in
-  let ctx =
-    Lint.Ctx.make ~irq_signals:sc.irq_signals ~irq_writes:sc.irq_writes
-      ~taskset:sc.taskset ~programs:sc.programs ()
-  in
-  let diags = Lint.Report.run ctx in
-  (* cfg ablations weaken the abstract interpreter itself (skip the
-     loop-bound multiplication / follow one branch arm); the resulting
-     under-approximate bounds must be caught by Demand and Mem below *)
-  let lesion =
-    match ablation with
-    | Oracle.Cfg_loop -> Some Absint.Exec.Drop_loop_mult
-    | Oracle.Cfg_join -> Some Absint.Exec.Drop_branch_join
-    | _ -> None
-  in
-  let rep = Absint.Report.analyze ?lesion sc in
+  let st = statics ~ablation sc in
+  let diags = Lint.Report.run st.ctx in
+  let rep = st.absint in
   if wants oracles Validity then begin
     List.iter
       (fun (d : Lint.Diag.t) ->
@@ -302,23 +372,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     if u > 1.0 then
       add Validity (Printf.sprintf "generated utilization %.3f > 1" u)
   end;
-  let blocking = Lint.Blocking_terms.blocking_terms ctx in
-  let blocking =
-    (* ablation: pretend blocking is free — RTA bounds shrink below
-       what the kernel actually delivers, which the campaign must
-       catch *)
-    if ablation = Oracle.Rta_blocking then Array.map (fun _ -> 0) blocking
-    else blocking
-  in
-  let rows =
-    Analysis.Overhead.inflate ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Rm
-      sc.taskset
-  in
-  let rta =
-    Array.init (Array.length tasks) (fun i ->
-        Analysis.Rta.response_time ~blocking ~tasks:rows i)
-  in
-  let eligible = rta_eligible sc in
+  let rta = st.rta and eligible = st.eligible in
   let stat_us = now_us () - t0 in
   (* -- simulation phase -------------------------------------------- *)
   let horizon = sim_horizon tasks in
@@ -384,28 +438,13 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   | _ -> ());
   (match enforced with
   | Some k when wants oracles Demand ->
-    (* worst observed per-job execution, from the enforcement
-       accounting plus any overrun records *)
-    let worst = Hashtbl.create 8 in
-    let note tid v =
-      let cur = Option.value ~default:0 (Hashtbl.find_opt worst tid) in
-      if v > cur then Hashtbl.replace worst tid v
-    in
-    List.iter
-      (fun (s : Emeralds.Kernel.enf_stats) -> note s.e_tid s.e_budget_used)
-      (Emeralds.Kernel.enforcement_stats k);
-    List.iter
-      (fun (st : Sim.Trace.stamped) ->
-        match st.entry with
-        | Sim.Trace.Budget_overrun { tid; used; _ } -> note tid used
-        | _ -> ())
-      (Sim.Trace.entries (Emeralds.Kernel.trace k));
+    let observed = Fault.Report.observed_demand k in
     Array.iter
       (fun (tb : Absint.Report.task_bound) ->
         match Absint.Itv.hi_int tb.summary.exec with
         | Some hi ->
           let hi = if ablation = Oracle.Absint_demand then hi / 2 else hi in
-          let used = Option.value ~default:0 (Hashtbl.find_opt worst tb.task.id) in
+          let used = observed tb.task.id in
           if used > hi then
             add Demand ~task:tb.task.id
               (Printf.sprintf "observed execution %dns > absint bound %dns"
@@ -542,58 +581,31 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
       Array.iteri
         (fun i (t : Model.Task.t) ->
           match (Obs.Blame.summary b ~tid:t.id, rta.(i)) with
-          | Some s, Some rstar when eligible.(i) && s.s_jobs > 0 ->
-            (* own execution vs the absint demand bound *)
-            (match
-               Array.find_opt
-                 (fun (tb : Absint.Report.task_bound) -> tb.task.id = t.id)
-                 rep.tasks
-             with
-            | Some tb -> (
-              match Absint.Itv.hi_int tb.summary.exec with
-              | Some hi ->
-                if s.s_max_exec > halve hi then
+          | Some s, Some _ when eligible.(i) && s.s_jobs > 0 ->
+            List.iter
+              (fun (term, v, bound) ->
+                let bound = halve bound in
+                if v > bound then
                   add Blame ~task:t.id
-                    (Printf.sprintf
-                       "blamed execution %dns > absint demand bound %dns"
-                       s.s_max_exec (halve hi))
-              | None -> ())
-            | None -> ());
-            (* per-rank interference vs the RTA decomposition (one
-               extra job per rank covers release-aligned carry-in) *)
-            (match Analysis.Rta.decompose ~blocking ~tasks:rows i with
-            | Some dec ->
-              List.iter
-                (fun (j, v) ->
-                  let _, _, cj = rows.(j) in
-                  let bound = halve (dec.Analysis.Rta.dec_interference.(j) + cj) in
-                  if v > bound then
-                    add Blame ~task:t.id
-                      (Printf.sprintf
-                         "blamed interference %dns from rank %d > RTA term \
-                          %dns"
-                         v j bound))
-                s.s_max_interference
-            | None -> ());
-            (* total blocking vs the lint-derived blocking term *)
-            if s.s_max_blocking_total > halve blocking.(i) then
-              add Blame ~task:t.id
-                (Printf.sprintf
-                   "blamed blocking %dns > lint blocking term %dns"
-                   s.s_max_blocking_total (halve blocking.(i)));
-            (* ambient kernel overhead vs the Table-1 budget at the
-               RTA fixpoint, priced with the observed IRQ count *)
-            let budget =
-              Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
-                ~spec:Emeralds.Sched.Rm ~taskset:sc.taskset
-                ~programs:(Array.map sc.programs tasks)
-                ~rank:i ~response:rstar ~irqs:s.s_max_irqs
-            in
-            if s.s_max_overhead_total > halve budget then
-              add Blame ~task:t.id
-                (Printf.sprintf
-                   "blamed kernel overhead %dns > Table-1 budget %dns"
-                   s.s_max_overhead_total (halve budget))
+                    (match term with
+                    | Exec ->
+                      Printf.sprintf
+                        "blamed execution %dns > absint demand bound %dns" v
+                        bound
+                    | Interference j ->
+                      Printf.sprintf
+                        "blamed interference %dns from rank %d > RTA term \
+                         %dns"
+                        v j bound
+                    | Blocking ->
+                      Printf.sprintf
+                        "blamed blocking %dns > lint blocking term %dns" v
+                        bound
+                    | Overhead ->
+                      Printf.sprintf
+                        "blamed kernel overhead %dns > Table-1 budget %dns" v
+                        bound))
+              (blame_terms st ~rank:i s)
           | _ -> ())
         tasks
   | _ -> ());
@@ -606,8 +618,11 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     | _ -> None
   in
   (* -- e2e fabric phase --------------------------------------------- *)
+  let fabric_us = ref 0 in
   if wants oracles Oracle.E2e then begin
+    let t0 = now_us () in
     let cluster, net, assignments = run_e2e ~index ~ablation spec in
+    fabric_us := now_us () - t0;
     if net.Fault.Report.n_e2e_misses > 0 then
       add Oracle.E2e
         (Printf.sprintf
@@ -750,7 +765,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   {
     findings = List.rev !findings;
     stat_us;
-    sim_us;
+    sim_us = sim_us + !fabric_us;
     mc_us;
     mc_expansions = !mc_expansions;
     mc_truncated = !mc_truncated;

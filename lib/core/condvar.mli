@@ -19,7 +19,6 @@ val create : mutex:Types.sem -> unit -> t
 (** A condition tied to its monitor mutex. *)
 
 val mutex : t -> Types.sem
-val waitq : t -> Types.waitq
 
 val wait : t -> Program.t
 (** Program fragment: release the monitor, block, re-acquire.  The

@@ -124,7 +124,6 @@ type t = {
 }
 
 let now k = Sim.Engine.now k.engine
-let engine k = k.engine
 
 (* A periodic-tick kernel only notices timer expirations at tick
    boundaries; EMERALDS programs its timer for exact instants.  A
@@ -192,8 +191,6 @@ let tcb k ~tid =
   match Hashtbl.find_opt k.by_tid tid with
   | Some tcb -> tcb
   | None -> invalid_arg "Kernel.tcb: unknown tid"
-
-let queue_class k tcb = k.sched.s_queue_class tcb
 
 let check_invariants k =
   k.sched.s_check ();
@@ -1491,28 +1488,11 @@ module Snapshot = struct
 
   let hash t = Digest.to_hex (Digest.string (Marshal.to_string t []))
   let equal a b = a = b
-  let compare = Stdlib.compare
 
   let thread t ~tid =
     List.find_opt (fun th -> th.s_tid = tid) t.threads
     |> Option.map (fun th ->
            (th.s_mode, th.s_pc, th.s_remaining, th.s_eff_prio, th.s_held))
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>clock residue %dns, %d pending events@,"
-      t.residue
-      (List.length t.events_in);
-    List.iter
-      (fun th ->
-        Format.fprintf ppf
-          "tau%-2d %-12s pc=%-2d rem=%-8d eff=%-2d held=[%s]%s@," th.s_tid
-          th.s_mode th.s_pc th.s_remaining th.s_eff_prio
-          (String.concat ";" (List.map string_of_int th.s_held))
-          (match th.s_waiting_on with
-          | Some s -> Printf.sprintf " waiting-on=sem%d" s
-          | None -> ""))
-      t.threads;
-    Format.fprintf ppf "@]"
 end
 
 (* ------------------------------------------------------------------ *)

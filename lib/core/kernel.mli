@@ -73,7 +73,6 @@ val step : t -> bool
     inspection ([Snapshot.capture], [check_invariants]).  [false] when
     no event remains. *)
 
-val engine : t -> Sim.Engine.t
 val now : t -> Model.Time.t
 val trace : t -> Sim.Trace.t
 
@@ -108,8 +107,6 @@ val tcb : t -> tid:int -> Types.tcb
 (** The thread of task [tid] (tids are task ids); for tests and
     experiments. *)
 
-val queue_class : t -> Types.tcb -> Types.queue_class
-
 val check_invariants : t -> unit
 (** Assert the scheduler's structural invariants (queue link
     consistency, ready counts, highestp correctness) and basic TCB
@@ -137,15 +134,12 @@ module Snapshot : sig
   (** Digest of the canonical encoding; equal snapshots hash equal. *)
 
   val equal : t -> t -> bool
-  val compare : t -> t -> int
 
   val thread :
     t -> tid:int -> (string * int * Model.Time.t * int * int list) option
   (** [(mode, pc, remaining, eff_prio, held_sem_ids)] of one thread;
       [mode] is ["ready"], ["running"], ["dormant"] or ["blocked:R"].
       [None] for an unknown tid. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Environment hooks}

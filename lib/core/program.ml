@@ -58,8 +58,6 @@ let rec worst_path f p =
       | i -> f i)
     0 p
 
-let is_structured = function If_input _ | Repeat _ -> true | _ -> false
-
 (* Lowering.  [If_input (a, b)] becomes
 
      Br_input L_else; <a>; Jump L_end; L_else: <b>; L_end:

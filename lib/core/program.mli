@@ -65,10 +65,6 @@ val is_blocking : Types.instr -> bool
     answer for their contents: a branch or loop is blocking when any
     reachable leaf is. *)
 
-val is_structured : Types.instr -> bool
-(** Whether the instruction is a structured control-flow form
-    ([If_input]/[Repeat]) that [flatten] must lower before execution. *)
-
 val iter_leaves : (Types.instr -> unit) -> t -> unit
 (** Visit every leaf (effect) instruction of a program, descending
     into branch arms and loop bodies.  Loop bodies are visited once,

@@ -78,7 +78,6 @@ let peer t id =
 
 let id t = Fieldbus.Node.id t.node
 let set_alive t v = t.alive <- v
-let alive t = t.alive
 let on_deliver t f = t.deliver <- Some f
 let on_suspect t f = t.on_suspect <- Some f
 let suspects t =

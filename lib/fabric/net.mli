@@ -64,8 +64,6 @@ val set_alive : t -> bool -> unit
     heartbeats) nor receives — the station-side half of a node
     crash. *)
 
-val alive : t -> bool
-
 val suspects : t -> int list
 (** Destinations currently marked link-suspect, ascending. *)
 

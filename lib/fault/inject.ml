@@ -19,7 +19,6 @@ type config = {
   enforcement : Kernel.enforcement option;
   mem_enforcement : Kernel.mem_enforcement option;
   plan : Plan.t;
-  keep_trace : bool;
   observer : (Kernel.t -> unit) option;
 }
 
@@ -36,7 +35,6 @@ let default_config ~scenario ?(spec = Sched.Rm) ?(cost = Sim.Cost.m68040)
     enforcement;
     mem_enforcement;
     plan;
-    keep_trace = true;
     observer = None;
   }
 
@@ -222,9 +220,8 @@ let schedule_storms_and_bursts k (cfg : config) mark =
 
 let run (cfg : config) =
   let k =
-    Kernel.create ~keep_trace:cfg.keep_trace ?tick:cfg.tick ~cost:cfg.cost
-      ~spec:cfg.spec ~taskset:cfg.scenario.taskset
-      ~programs:cfg.scenario.programs ()
+    Kernel.create ?tick:cfg.tick ~cost:cfg.cost ~spec:cfg.spec
+      ~taskset:cfg.scenario.taskset ~programs:cfg.scenario.programs ()
   in
   Kernel.set_enforcement k cfg.enforcement;
   Kernel.set_mem_enforcement k cfg.mem_enforcement;

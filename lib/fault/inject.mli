@@ -24,7 +24,6 @@ type config = {
   enforcement : Emeralds.Kernel.enforcement option;
   mem_enforcement : Emeralds.Kernel.mem_enforcement option;
   plan : Plan.t;
-  keep_trace : bool;
   observer : (Emeralds.Kernel.t -> unit) option;
       (** Called on the freshly built kernel before any fault hook or
           arrival is installed — the place to attach [Obs] subscribers
@@ -45,7 +44,7 @@ val default_config :
   unit ->
   config
 (** RM scheduling, m68040 costs, 200 ms horizon, seed 7, event-precise
-    (no tick), no enforcement, empty plan, trace kept, no observer. *)
+    (no tick), no enforcement, empty plan, no observer. *)
 
 val declared_budgets : Model.Task.t -> Model.Time.t option
 (** The natural budget function: every task's declared WCET. *)
@@ -64,5 +63,7 @@ type outcome = {
 }
 
 val run : config -> outcome
+(** Every run keeps its full trace: reports diff it against a
+    baseline and fold overrun entries out of it. *)
 
 val first_activation : outcome -> Model.Time.t option

@@ -261,31 +261,6 @@ let render_fault = function
 
 let render t = String.concat ";" (List.map render_fault t)
 
-let label = function
-  | Wcet_scale { tid; pct; _ } ->
-    Printf.sprintf "wcet-scale tau%d x%.1f" tid (float_of_int pct /. 100.)
-  | Wcet_add { tid; extra; _ } ->
-    Printf.sprintf "wcet-add tau%d +%s" tid (dur extra)
-  | Release_jitter { tid; amplitude } ->
-    Printf.sprintf "jitter tau%d +-%s" tid (dur amplitude)
-  | Irq_storm { irq; count; _ } ->
-    Printf.sprintf "irq-storm irq%d x%d" irq count
-  | Irq_drop { irq; one_in } ->
-    Printf.sprintf "irq-drop irq%d 1-in-%d" irq one_in
-  | Lost_signal { wq; one_in } ->
-    Printf.sprintf "lost-signal wq%d 1-in-%d" wq one_in
-  | Sporadic_burst { tid; count; _ } ->
-    Printf.sprintf "burst tau%d x%d" tid count
-  | Clock_drift { ppm } -> Printf.sprintf "drift %+dppm" ppm
-  | Frame_drop { one_in } -> Printf.sprintf "frame-drop 1-in-%d" one_in
-  | Frame_corrupt { one_in } -> Printf.sprintf "frame-corrupt 1-in-%d" one_in
-  | Node_crash { node; at } ->
-    Printf.sprintf "node-crash node%d @%s" node (dur at)
-  | Node_restart { node; at } ->
-    Printf.sprintf "node-restart node%d @%s" node (dur at)
-  | Link_partition { a; b; _ } ->
-    Printf.sprintf "link-partition node%d<->node%d" a b
-
 let json_fault = function
   | Wcet_scale { tid; pct; from_job } ->
     Printf.sprintf "{\"kind\":\"wcet-scale\",\"tid\":%d,\"pct\":%d,\"from\":%d}"

@@ -97,8 +97,5 @@ val parse : string -> (t, string) result
 val render : t -> string
 (** Canonical concrete syntax; [parse (render p)] = [Ok p]. *)
 
-val label : fault -> string
-(** Short human label, e.g. ["wcet-scale tau2 x4.0"]. *)
-
 val to_json : t -> string
 (** JSON array of fault objects. *)

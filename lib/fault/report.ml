@@ -177,7 +177,7 @@ let falsified statics k =
   rta_falsified @ demand_falsified
 
 let make_cell (cfg : Inject.config) statics baseline ~label ~plan =
-  let outcome = Inject.run { cfg with plan; keep_trace = true } in
+  let outcome = Inject.run { cfg with plan } in
   let k = outcome.kernel in
   let tr = Kernel.trace k in
   let first_detection =
@@ -222,9 +222,7 @@ let run ?plans (cfg : Inject.config) =
   let statics = compute_statics cfg in
   let baseline =
     trace_sig
-      (Inject.run
-         { cfg with plan = Plan.empty; enforcement = None; keep_trace = true })
-        .kernel
+      (Inject.run { cfg with plan = Plan.empty; enforcement = None }).kernel
   in
   let cells =
     List.map

@@ -55,9 +55,13 @@ type t = {
 val run : ?plans:(string * Plan.t) list -> Inject.config -> t
 (** Replay [cfg.scenario] under the plan matrix.  [plans] defaults to
     the single entry [cfg.plan] (skipped when empty); the baseline and
-    the empty-plan cell are always included.  Runs force [keep_trace]
-    regardless of [cfg.keep_trace] (the baseline comparison needs
-    entries). *)
+    the empty-plan cell are always included. *)
+
+val observed_demand : Emeralds.Kernel.t -> int -> Model.Time.t
+(** [observed_demand k tid] is the worst per-job demand task [tid]
+    consumed in the run [k]: the enforcement state's banked figures
+    joined with every [Budget_overrun] entry of the kept trace; 0 for a
+    task never seen. *)
 
 val violations : t -> bool
 (** Any cell with misses, overruns, kills or sheds — the CLI's exit-1

@@ -12,7 +12,6 @@ let create ~bus ~id () =
 
 let id t = t.node_id
 let engine t = t.engine
-let bus t = t.bus
 let frames_received t = t.rx
 let frames_sent t = t.tx
 

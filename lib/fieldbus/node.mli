@@ -16,7 +16,6 @@ val create : bus:Bus.t -> id:int -> unit -> t
 
 val id : t -> int
 val engine : t -> Sim.Engine.t
-val bus : t -> Bus.t
 val frames_received : t -> int
 val frames_sent : t -> int
 

@@ -12,7 +12,6 @@ type t = {
 
 let no_state _ _ = None
 let no_note _ ~at:_ _ = None
-let probe_state p = p.st
 
 (* Raised by [fail] with the first violated condition's message, which
    is formatted only then. *)

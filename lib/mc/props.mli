@@ -8,10 +8,6 @@ type probe
 (** One probed state, with what several properties derive from it
     computed at most once. *)
 
-val probe_state : probe -> State.t
-(** The probed state: a view of the checker's working state, valid
-    only during the call. *)
-
 type t = {
   name : string;
   doc : string;

@@ -270,61 +270,3 @@ let key (m : Machine.t) st =
     add_nr b st.now st.irq_next.(k)
   done;
   Bytes.sub_string b.buf 0 b.pos
-
-let pp_mode (m : Machine.t) fmt = function
-  | Idle -> Format.pp_print_string fmt "idle"
-  | Ready -> Format.pp_print_string fmt "ready"
-  | Run -> Format.pp_print_string fmt "run"
-  | BSem s -> Format.fprintf fmt "blocked:sem%d" m.sem_ids.(s)
-  | BWait w -> Format.fprintf fmt "blocked:wq%d" m.wq_ids.(w)
-  | BTimed (w, t) -> Format.fprintf fmt "blocked:wq%d(timeout@%d)" m.wq_ids.(w) t
-  | BDelay t -> Format.fprintf fmt "delay(until@%d)" t
-  | BSend b -> Format.fprintf fmt "blocked:mb%d(send)" m.mb_ids.(b)
-  | BRecv b -> Format.fprintf fmt "blocked:mb%d(recv)" m.mb_ids.(b)
-
-let pp (m : Machine.t) fmt st =
-  Format.fprintf fmt "@[<v>t=%dns@," st.now;
-  Array.iteri
-    (fun i (t : tstate) ->
-      Format.fprintf fmt "  %s: %a pc=%d rem=%d eff=%d%s%a@,"
-        m.tasks.(i).task_name (pp_mode m) t.mode t.pc t.rem t.eff
-        (if t.inh then "*" else "")
-        (fun fmt -> function
-          | [] -> ()
-          | held ->
-            Format.fprintf fmt " held=[%s]"
-              (String.concat ","
-                 (List.map (fun s -> string_of_int m.sem_ids.(s)) held)))
-        t.held)
-    st.tasks;
-  Array.iteri
-    (fun s v ->
-      Format.fprintf fmt "  sem%d: value=%d holder=%s@," m.sem_ids.(s) v
-        (match st.sem_holder.(s) with
-        | -1 -> "-"
-        | h -> m.tasks.(h).task_name))
-    st.sem_val;
-  Array.iteri
-    (fun p occ ->
-      Format.fprintf fmt "  pool%d: live=%d/%d@," m.pool_ids.(p) occ
-        m.pool_cap.(p))
-    st.pool_occ;
-  Format.fprintf fmt "@]"
-
-let pp_note (m : Machine.t) fmt = function
-  | Job_done { idx; response } ->
-    Format.fprintf fmt "%s: job done, response %dns" m.tasks.(idx).task_name
-      response
-  | Miss { idx } ->
-    Format.fprintf fmt "%s: DEADLINE MISS" m.tasks.(idx).task_name
-  | Torn { idx; sm; writes } ->
-    Format.fprintf fmt
-      "%s: TORN READ of state msg %d (%d writes completed mid-read, depth %d)"
-      m.tasks.(idx).task_name m.sm_ids.(sm) writes m.sm_depth.(sm)
-  | Oom { idx; pool } ->
-    Format.fprintf fmt "%s: POOL OOM on pool %d" m.tasks.(idx).task_name
-      m.pool_ids.(pool)
-  | Leak { idx; pool; count } ->
-    Format.fprintf fmt "%s: LEAK of %d block(s) of pool %d at job end"
-      m.tasks.(idx).task_name count m.pool_ids.(pool)
-  | Fault msg -> Format.fprintf fmt "FAULT: %s" msg

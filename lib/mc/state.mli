@@ -115,6 +115,3 @@ val wq_waiters : Machine.t -> t -> int -> int list
 
 val mb_senders : Machine.t -> t -> int -> int list
 val mb_receivers : Machine.t -> t -> int -> int list
-
-val pp : Machine.t -> Format.formatter -> t -> unit
-val pp_note : Machine.t -> Format.formatter -> note -> unit

@@ -57,8 +57,3 @@ let scale_periods_down t factor =
         ~wcet:task.wcet ()
   in
   match map scale t with set -> Some set | exception Infeasible -> None
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iter (fun task -> Format.fprintf ppf "%a@," Task.pp task) t.tasks;
-  Format.fprintf ppf "U=%.3f@]" (utilization t)

@@ -38,4 +38,3 @@ val scale_periods_down : t -> int -> t option
     when a WCET would exceed its shortened deadline. *)
 
 val map : (Task.t -> Task.t) -> t -> t
-val pp : Format.formatter -> t -> unit

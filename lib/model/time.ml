@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
@@ -20,5 +19,3 @@ let pp ppf t =
   else if a < 1_000_000 then Format.fprintf ppf "%.2fus" (to_us_f t)
   else if a < 1_000_000_000 then Format.fprintf ppf "%.3fms" (to_ms_f t)
   else Format.fprintf ppf "%.3fs" (float_of_int t /. 1e9)
-
-let pp_us ppf t = Format.fprintf ppf "%.2fus" (to_us_f t)

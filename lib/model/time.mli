@@ -12,7 +12,6 @@ type t = int
     ([*_ns]) and constructors below keep units straight. *)
 
 val zero : t
-val ns : int -> t
 val us : int -> t
 val ms : int -> t
 val sec : int -> t
@@ -31,6 +30,3 @@ val max : t -> t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable: picks ns / µs / ms / s by magnitude. *)
-
-val pp_us : Format.formatter -> t -> unit
-(** Always as microseconds with two decimals (paper's unit). *)

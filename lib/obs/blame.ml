@@ -47,9 +47,6 @@ let sum l = List.fold_left (fun acc (_, v) -> acc + v) 0 l
 let blocking_total b = sum b.b_blocking
 let overhead_total b = sum b.b_overhead
 
-let interference_of b ~rank =
-  match List.assoc_opt rank b.b_interference with Some v -> v | None -> 0
-
 let components_total b =
   b.b_exec + b.b_backlog + sum b.b_interference + sum b.b_blocking
   + sum b.b_overhead + b.b_suspend + b.b_gap

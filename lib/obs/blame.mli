@@ -71,7 +71,6 @@ type breakdown = {
 
 val blocking_total : breakdown -> Model.Time.t
 val overhead_total : breakdown -> Model.Time.t
-val interference_of : breakdown -> rank:int -> Model.Time.t
 
 val components_total : breakdown -> Model.Time.t
 (** Sum of every component (excluding the residual); equals

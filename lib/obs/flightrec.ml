@@ -57,7 +57,6 @@ let record t (stamped : Sim.Trace.stamped) =
     if trips t stamped.entry then t.frozen <- Some stamped
   end
 
-let observe = record
 let attach t probe = Probe.subscribe probe ~mask:Probe.all_mask (record t)
 let total_recorded t = t.total
 let triggered t = t.frozen

@@ -37,9 +37,6 @@ val record : t -> Sim.Trace.stamped -> unit
 (** Append one event (overwriting the oldest when full).  Once a
     trigger has fired the recorder is frozen and this is a no-op. *)
 
-val observe : t -> Sim.Trace.stamped -> unit
-(** Alias of {!record}, for {!Probe.subscribe}. *)
-
 val attach : t -> Probe.t -> unit
 (** Subscribe to all categories of [probe]. *)
 

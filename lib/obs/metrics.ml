@@ -112,7 +112,6 @@ let net_nodes t =
   Hashtbl.fold (fun (node, _) _ acc -> node :: acc) t.net []
   |> List.sort_uniq compare
 
-let arbitration_delay t = t.arb
 let response t ~tid = Hashtbl.find_opt t.resp tid
 let live_blocks t ~pool = Hashtbl.find_opt t.live pool
 

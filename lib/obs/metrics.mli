@@ -64,10 +64,6 @@ val net_counter : t -> node:int -> string -> int
 val net_nodes : t -> int list
 (** Stations with at least one fabric event, ascending. *)
 
-val arbitration_delay : t -> Util.Hist.t
-(** Bus arbitration delay per transmitted frame (queued-to-wire), ns —
-    fed by [Net_arb] entries. *)
-
 val merge : t -> t -> t
 (** Pointwise merge (counter sums, histogram merges); commutative and
     associative.  In-flight pairing state (open blocks, pending

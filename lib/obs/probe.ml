@@ -64,7 +64,6 @@ let bit = function
 
 let mask_of cats = List.fold_left (fun m c -> m lor bit c) 0 cats
 let all_mask = mask_of all_categories
-let mask_mem m c = m land bit c <> 0
 
 type subscriber = { s_mask : mask; fn : Sim.Trace.stamped -> unit }
 
@@ -84,8 +83,6 @@ let refresh t =
 
 let create ~trace () =
   { tr = trace; trace_mask = all_mask; subs = []; union = 0; plain = true }
-
-let trace t = t.tr
 
 let set_trace_mask t m =
   t.trace_mask <- m land all_mask;

@@ -39,14 +39,11 @@ type mask = int
 
 val mask_of : category list -> mask
 val all_mask : mask
-val mask_mem : mask -> category -> bool
 
 type t
 
 val create : trace:Sim.Trace.t -> unit -> t
 (** A hub whose built-in trace subscriber is [trace], fully enabled. *)
-
-val trace : t -> Sim.Trace.t
 
 val set_trace_mask : t -> mask -> unit
 (** Restrict which categories reach the built-in trace.  Note the

@@ -32,9 +32,6 @@ let cancel t h =
 
 let pending t = Util.Pqueue.size t.queue
 
-let next_time t =
-  Option.map (fun ev -> ev.time) (Util.Pqueue.peek t.queue)
-
 let pending_times t =
   List.sort compare (List.map (fun ev -> ev.time) (Util.Pqueue.to_list t.queue))
 
@@ -54,8 +51,6 @@ let run_until t horizon =
     | Some _ | None -> continue := false
   done;
   t.clock <- Model.Time.max t.clock horizon
-
-let run t = while step t do () done
 
 let run_bounded t ~max_events =
   if max_events < 0 then invalid_arg "Engine.run_bounded: negative budget";

@@ -28,10 +28,6 @@ val cancel : t -> handle -> bool
 val pending : t -> int
 (** Number of events still queued. *)
 
-val next_time : t -> Model.Time.t option
-(** Fire time of the earliest queued event, or [None] when the queue
-    is empty. *)
-
 val pending_times : t -> Model.Time.t list
 (** Fire times of every queued event, sorted ascending — the
     event-queue part of a kernel state snapshot ([Kernel.Snapshot]
@@ -44,10 +40,6 @@ val run_until : t -> Model.Time.t -> unit
 (** Fire every event with time <= the horizon (events newly scheduled
     within the horizon are fired too), then set the clock to the
     horizon. *)
-
-val run : t -> unit
-(** Fire events until none remain.  Diverges on a self-perpetuating
-    event pattern, so prefer [run_until] for kernel simulations. *)
 
 val run_bounded : t -> max_events:int -> bool
 (** Fire events until none remain or [max_events] have fired,

@@ -56,9 +56,6 @@ let ovh_categories =
 
 let ovh_count = List.length ovh_categories
 
-let ovh_of_name s =
-  List.find_opt (fun c -> ovh_name c = s) ovh_categories
-
 type entry =
   | Job_release of { tid : int; job : int; deadline : Model.Time.t }
   | Job_complete of { tid : int; job : int; response : Model.Time.t }

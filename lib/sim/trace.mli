@@ -29,8 +29,6 @@ type ovh_category =
 val ovh_name : ovh_category -> string
 (** Stable display name ("sched.select", "pi", "switch.as", ...). *)
 
-val ovh_of_name : string -> ovh_category option
-
 val ovh_index : ovh_category -> int
 (** Dense index in [0, ovh_count), declaration order. *)
 

@@ -64,12 +64,6 @@ let insert_before t anchor v =
   link_after t anchor.prev n;
   n
 
-let insert_after t anchor v =
-  assert (anchor.in_list && anchor.list_id = t.id);
-  let n = make_node v in
-  link_after t anchor n;
-  n
-
 let remove t n = unlink t n
 
 let swap t a b =

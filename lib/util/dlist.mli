@@ -22,8 +22,6 @@ val insert_before : 'a t -> 'a node -> 'a -> 'a node
 (** [insert_before t anchor v] links a new node holding [v] immediately
     before [anchor].  [anchor] must belong to [t]. *)
 
-val insert_after : 'a t -> 'a node -> 'a -> 'a node
-
 val remove : 'a t -> 'a node -> unit
 (** Unlink a node.  The node must currently belong to [t]; removing it
     twice is a programming error (checked by assertion). *)

@@ -54,10 +54,3 @@ let fit_linear pts =
   in
   let r2 = if ss_tot <= 1e-12 then 1.0 else 1.0 -. (ss_res /. ss_tot) in
   { intercept; slope; r2 }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" s.n s.mean
-    s.stddev s.min s.max
-
-let pp_linear_fit ppf f =
-  Format.fprintf ppf "%.3f + %.4f*x (r2=%.4f)" f.intercept f.slope f.r2

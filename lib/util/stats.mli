@@ -30,6 +30,3 @@ type linear_fit = {
 val fit_linear : (float * float) list -> linear_fit
 (** Ordinary least squares on (x, y) points.  Requires at least two
     points with distinct x. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-val pp_linear_fit : Format.formatter -> linear_fit -> unit

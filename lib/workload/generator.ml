@@ -637,6 +637,3 @@ let scenario_specs ~seed ~count ?family ?n ?target_u () =
   let root = Util.Rng.create ~seed in
   List.init count (fun i ->
       spec_of ~rng:(Util.Rng.split root i) ~index:i ?family ?n ?target_u ())
-
-let scenario_batch ~seed ~count ?family ?n ?target_u ?cost () =
-  List.map (realize ?cost) (scenario_specs ~seed ~count ?family ?n ?target_u ())

@@ -163,14 +163,3 @@ val scenario_specs :
 (** [count] reproducible scenario specs: spec [i] comes from split
     stream [i] of [seed], so growing [count] never changes spec
     [i]. *)
-
-val scenario_batch :
-  seed:int ->
-  count:int ->
-  ?family:family ->
-  ?n:int ->
-  ?target_u:float ->
-  ?cost:Sim.Cost.t ->
-  unit ->
-  Scenario.t list
-(** {!scenario_specs} realized. *)

@@ -121,12 +121,8 @@ let prop_conservation =
       in
       Obs.Blame.residual_violations b = 0)
 
-(* Per-term domination: every empirical blame component stays within
-   its analytical term — absint demand for execution, the RTA
-   decomposition (plus one carry-in job) per interference rank, the
-   lint blocking term, and the Table-1 overhead budget at the RTA
-   fixpoint.  Mirrors the campaign's blame oracle as a direct
-   property over presets and input seeds. *)
+(* RTA's bounds speak only about programs without open-ended
+   blocking (waits, receives, sends, delays). *)
 let rta_eligible (sc : Workload.Scenario.t) =
   Array.map
     (fun (t : Model.Task.t) ->
@@ -143,73 +139,128 @@ let rta_eligible (sc : Workload.Scenario.t) =
       !ok)
     (Model.Taskset.tasks sc.taskset)
 
+(* The analytical terms each empirical blame component is held to —
+   absint demand for execution, the RTA decomposition (plus one
+   carry-in job) per interference rank, the lint blocking term, and
+   the Table-1 overhead budget at the RTA fixpoint — derived here from
+   the analysis libraries directly, as the independent reference for
+   [Campaign.Eval]'s own derivation.  [terms i s] lists
+   [(term, observed, bound)] for rank [i]: exec when absint's bound is
+   finite, interference and overhead when the fixpoint exists,
+   blocking always. *)
+type reference = {
+  eligible : bool array;
+  rta : Model.Time.t option array;
+  terms :
+    int -> Obs.Blame.task_summary -> (Campaign.Eval.term * int * int) list;
+}
+
+let reference_terms (scenario : Workload.Scenario.t) =
+  let tasks = Model.Taskset.tasks scenario.taskset in
+  let ctx =
+    Lint.Ctx.make ~irq_signals:scenario.irq_signals
+      ~irq_writes:scenario.irq_writes ~taskset:scenario.taskset
+      ~programs:scenario.programs ()
+  in
+  let blocking = Lint.Blocking_terms.blocking_terms ctx in
+  let rows =
+    Analysis.Overhead.inflate ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Rm
+      scenario.taskset
+  in
+  let rta =
+    Array.init (Array.length tasks) (fun i ->
+        Analysis.Rta.response_time ~blocking ~tasks:rows i)
+  in
+  let rep = Absint.Report.analyze scenario in
+  let terms i (s : Obs.Blame.task_summary) =
+    let exec =
+      match
+        Array.find_opt
+          (fun (tb : Absint.Report.task_bound) -> tb.task.id = tasks.(i).id)
+          rep.tasks
+      with
+      | Some tb -> (
+        match Absint.Itv.hi_int tb.summary.exec with
+        | Some hi -> [ (Campaign.Eval.Exec, s.s_max_exec, hi) ]
+        | None -> [])
+      | None -> []
+    in
+    let interference =
+      match Analysis.Rta.decompose ~blocking ~tasks:rows i with
+      | Some dec ->
+        List.map
+          (fun (j, v) ->
+            let _, _, cj = rows.(j) in
+            ( Campaign.Eval.Interference j,
+              v,
+              dec.Analysis.Rta.dec_interference.(j) + cj ))
+          s.s_max_interference
+      | None -> []
+    in
+    let overhead =
+      match rta.(i) with
+      | Some rstar ->
+        [
+          ( Campaign.Eval.Overhead,
+            s.s_max_overhead_total,
+            Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
+              ~spec:Emeralds.Sched.Rm ~taskset:scenario.taskset
+              ~programs:(Array.map scenario.programs tasks)
+              ~rank:i ~response:rstar ~irqs:s.s_max_irqs );
+        ]
+      | None -> []
+    in
+    exec @ interference
+    @ [ (Campaign.Eval.Blocking, s.s_max_blocking_total, blocking.(i)) ]
+    @ overhead
+  in
+  { eligible = rta_eligible scenario; rta; terms }
+
 let gen_domination_case =
   QCheck2.Gen.(
     let* preset = oneofl Workload.Scenario.names in
     let* input_seed = int_range 0 1000 in
     return (preset, input_seed))
 
+(* Per-term domination: every empirical blame component stays within
+   its analytical term.  Mirrors the campaign's blame oracle as a
+   direct property over presets and input seeds. *)
 let prop_domination =
   fuzz ~count:25 "every component dominated by its analytical term"
     gen_domination_case
     (fun (preset, input_seed) ->
       let scenario = Option.get (Workload.Scenario.make preset) in
-      let tasks = Model.Taskset.tasks scenario.taskset in
-      let ctx =
-        Lint.Ctx.make ~irq_signals:scenario.irq_signals
-          ~irq_writes:scenario.irq_writes ~taskset:scenario.taskset
-          ~programs:scenario.programs ()
-      in
-      let blocking = Lint.Blocking_terms.blocking_terms ctx in
-      let rows =
-        Analysis.Overhead.inflate ~cost:Sim.Cost.m68040
-          ~spec:Emeralds.Sched.Rm scenario.taskset
-      in
-      let eligible = rta_eligible scenario in
-      let rep = Absint.Report.analyze scenario in
+      let r = reference_terms scenario in
       let b, _ = run_with_blame ~input_seed ~horizon:(ms 150) scenario in
       Array.for_all Fun.id
         (Array.mapi
            (fun i (t : Model.Task.t) ->
-             match
-               ( Obs.Blame.summary b ~tid:t.id,
-                 Analysis.Rta.response_time ~blocking ~tasks:rows i )
-             with
-             | Some s, Some rstar when eligible.(i) && s.s_jobs > 0 ->
-               let exec_ok =
-                 match
-                   Array.find_opt
-                     (fun (tb : Absint.Report.task_bound) ->
-                       tb.task.id = t.id)
-                     rep.tasks
-                 with
-                 | Some tb -> (
-                   match Absint.Itv.hi_int tb.summary.exec with
-                   | Some hi -> s.s_max_exec <= hi
-                   | None -> true)
-                 | None -> true
-               in
-               let interference_ok =
-                 match Analysis.Rta.decompose ~blocking ~tasks:rows i with
-                 | Some dec ->
-                   List.for_all
-                     (fun (j, v) ->
-                       let _, _, cj = rows.(j) in
-                       v <= dec.Analysis.Rta.dec_interference.(j) + cj)
-                     s.s_max_interference
-                 | None -> true
-               in
-               let blocking_ok = s.s_max_blocking_total <= blocking.(i) in
-               let overhead_ok =
-                 s.s_max_overhead_total
-                 <= Analysis.Overhead.job_budget ~cost:Sim.Cost.m68040
-                      ~spec:Emeralds.Sched.Rm ~taskset:scenario.taskset
-                      ~programs:(Array.map scenario.programs tasks)
-                      ~rank:i ~response:rstar ~irqs:s.s_max_irqs
-               in
-               exec_ok && interference_ok && blocking_ok && overhead_ok
+             match (Obs.Blame.summary b ~tid:t.id, r.rta.(i)) with
+             | Some s, Some _ when r.eligible.(i) && s.s_jobs > 0 ->
+               List.for_all (fun (_, v, bound) -> v <= bound) (r.terms i s)
              | _ -> true)
-           tasks))
+           (Model.Taskset.tasks scenario.taskset)))
+
+(* The campaign's (and explain's) single derivation of the terms
+   agrees with the reference above: same eligibility, same fixpoints,
+   and for every task's summary exactly the same terms, observations
+   and bounds in the same order. *)
+let prop_eval_terms =
+  fuzz ~count:25 "Eval.blame_terms equal the reference derivation"
+    gen_domination_case
+    (fun (preset, input_seed) ->
+      let scenario = Option.get (Workload.Scenario.make preset) in
+      let r = reference_terms scenario in
+      let st = Campaign.Eval.statics scenario in
+      let b, _ = run_with_blame ~input_seed ~horizon:(ms 150) scenario in
+      st.eligible = r.eligible && st.rta = r.rta
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i (t : Model.Task.t) ->
+                match Obs.Blame.summary b ~tid:t.id with
+                | Some s -> Campaign.Eval.blame_terms st ~rank:i s = r.terms i s
+                | None -> true)
+              (Model.Taskset.tasks scenario.taskset)))
 
 (* Seeded priority inversion: the worst job of the high-priority task
    must blame the contended semaphore, and blocking must dominate. *)
@@ -240,4 +291,5 @@ let suite =
     prop_domination;
     test_case "inversion demo blames the semaphore" `Quick
       test_inversion_blames_sem;
+    prop_eval_terms;
   ]

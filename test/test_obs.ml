@@ -252,14 +252,13 @@ let test_mem_category_and_live_metrics () =
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
-let engine_outcome ?observer ?(keep_trace = true) () =
+let engine_outcome ?observer () =
   let scenario = Option.get (Workload.Scenario.make "engine") in
   let cfg =
     {
       (Fault.Inject.default_config ~scenario ~spec:Emeralds.Sched.Rm
          ~horizon:(ms 100) ~seed:7 ())
       with
-      keep_trace;
       observer;
     }
   in
