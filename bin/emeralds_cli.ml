@@ -1014,11 +1014,12 @@ let inject_cmd =
         let window = List.length (Obs.Flightrec.dump fr) in
         (match Obs.Flightrec.triggered fr with
         | Some { at; entry } ->
-          let kind, _, _ = Sim.Trace.csv_fields entry in
           Printf.printf
             "flight recorder: %d-event window ending at %s (%.3f ms) \
              written to %s\n"
-            window kind (Model.Time.to_ms_f at) path
+            window
+            (Sim.Trace.kind_name (Sim.Trace.kind entry))
+            (Model.Time.to_ms_f at) path
         | None ->
           Printf.printf
             "flight recorder: no trigger fired; %d-event live window \
@@ -1154,16 +1155,7 @@ let trace_cmd =
         Obs.Export.perfetto
           ~blame:(Obs.Blame.of_taskset scenario.taskset)
           window
-      | "csv" ->
-        let buf = Buffer.create 1024 in
-        Buffer.add_string buf "time_ns,kind,tid,detail\n";
-        List.iter
-          (fun ({ at; entry } : Sim.Trace.stamped) ->
-            let kind, tid, detail = Sim.Trace.csv_fields entry in
-            Buffer.add_string buf
-              (Printf.sprintf "%d,%s,%d,%s\n" at kind tid detail))
-          window;
-        Buffer.contents buf
+      | "csv" -> Sim.Trace.csv_of_stamped window
       | "metrics" -> Obs.Export.prometheus metrics
       | "json" -> Obs.Export.metrics_json metrics
       | _ -> assert false
@@ -1181,8 +1173,7 @@ let trace_cmd =
         "flight recorder froze at %.3f ms (%s); window holds the last %d of \
          %d events\n"
         (Model.Time.to_ms_f at)
-        (let kind, _, _ = Sim.Trace.csv_fields entry in
-         kind)
+        (Sim.Trace.kind_name (Sim.Trace.kind entry))
         (List.length window)
         (Obs.Flightrec.total_recorded flightrec)
     | None -> ());

@@ -545,7 +545,7 @@ let create ?probe ?(config = default_config) ~engine ~bus ~cost ~spec ~seed
                (Sim.Trace.Net_frame
                   {
                     node = frame.Fieldbus.Bus.src_node;
-                    dir = "drop";
+                    dir = Drop;
                     frame_id = frame.Fieldbus.Bus.frame_id;
                     words = Array.length frame.Fieldbus.Bus.payload;
                   }))));

@@ -91,7 +91,7 @@ let timeouts t = t.timeouts
 let transmit t (m : Wire.msg) =
   emit t
     (Sim.Trace.Net_frame
-       { node = id t; dir = "tx"; frame_id = Wire.frame_id m; words = Wire.words m });
+       { node = id t; dir = Tx; frame_id = Wire.frame_id m; words = Wire.words m });
   Fieldbus.Node.send t.node ~frame_id:(Wire.frame_id m) (Wire.pack m)
 
 (* Unreliable path: heartbeats (and acks) go on the wire once, no seq
@@ -233,7 +233,7 @@ let create ?probe ~node ~rng ?(config = default_config) () =
             (Sim.Trace.Net_frame
                {
                  node = id t;
-                 dir = "corrupt";
+                 dir = Corrupt;
                  frame_id = frame.Fieldbus.Bus.frame_id;
                  words = Array.length frame.Fieldbus.Bus.payload;
                })
@@ -243,7 +243,7 @@ let create ?probe ~node ~rng ?(config = default_config) () =
               (Sim.Trace.Net_frame
                  {
                    node = id t;
-                   dir = "rx";
+                   dir = Rx;
                    frame_id = frame.Fieldbus.Bus.frame_id;
                    words = Array.length frame.Fieldbus.Bus.payload;
                  });

@@ -11,9 +11,31 @@ type trigger =
    (Budget_overrun) would take. *)
 let slot_bytes = 48
 
+let trigger_bit = function
+  | On_miss -> 1
+  | On_overrun -> 2
+  | On_kill -> 4
+  | On_oom -> 8
+  | On_quota -> 16
+  | On_net_timeout -> 32
+
+(* The trigger an entry would fire, as its bit; 0 for the rest. *)
+let entry_bit : Sim.Trace.entry -> int = function
+  | Deadline_miss _ -> trigger_bit On_miss
+  | Budget_overrun _ -> trigger_bit On_overrun
+  | Job_killed _ -> trigger_bit On_kill
+  | Pool_oom _ -> trigger_bit On_oom
+  | Quota_exceeded _ -> trigger_bit On_quota
+  | Net_timeout _ -> trigger_bit On_net_timeout
+  | _ -> 0
+
+(* The ring holds the last [min total capacity] records offered; the
+   slots past them hold [empty], never read. *)
+let empty = { Sim.Trace.at = 0; entry = Note "" }
+
 type t = {
-  slots : Sim.Trace.stamped option array;
-  triggers : trigger list;
+  slots : Sim.Trace.stamped array;
+  armed : int; (* trigger bits *)
   mutable next : int; (* write cursor *)
   mutable total : int;
   mutable frozen : Sim.Trace.stamped option; (* triggering entry *)
@@ -25,8 +47,8 @@ let create ~bytes ~triggers () =
       (Printf.sprintf "Flightrec.create: %d bytes < one %d-byte slot" bytes
          slot_bytes);
   {
-    slots = Array.make (bytes / slot_bytes) None;
-    triggers;
+    slots = Array.make (bytes / slot_bytes) empty;
+    armed = List.fold_left (fun m trig -> m lor trigger_bit trig) 0 triggers;
     next = 0;
     total = 0;
     frozen = None;
@@ -35,26 +57,13 @@ let create ~bytes ~triggers () =
 let capacity t = Array.length t.slots
 let footprint_bytes t = capacity t * slot_bytes
 
-let trips t (entry : Sim.Trace.entry) =
-  List.exists
-    (fun trig ->
-      match (trig, entry) with
-      | On_miss, Deadline_miss _
-      | On_overrun, Budget_overrun _
-      | On_kill, Job_killed _
-      | On_oom, Pool_oom _
-      | On_quota, Quota_exceeded _
-      | On_net_timeout, Net_timeout _ ->
-        true
-      | _ -> false)
-    t.triggers
-
 let record t (stamped : Sim.Trace.stamped) =
-  if t.frozen = None then begin
-    t.slots.(t.next) <- Some stamped;
-    t.next <- (t.next + 1) mod capacity t;
+  if Option.is_none t.frozen then begin
+    t.slots.(t.next) <- stamped;
+    t.next <- (if t.next + 1 = capacity t then 0 else t.next + 1);
     t.total <- t.total + 1;
-    if trips t stamped.entry then t.frozen <- Some stamped
+    if t.armed land entry_bit stamped.entry <> 0 then
+      t.frozen <- Some stamped
   end
 
 let attach t probe = Probe.subscribe probe ~mask:Probe.all_mask (record t)
@@ -63,11 +72,8 @@ let triggered t = t.frozen
 
 let dump t =
   let cap = capacity t in
-  let acc = ref [] in
-  for i = 0 to cap - 1 do
-    (* oldest slot is at the write cursor once the ring has wrapped *)
-    match t.slots.((t.next + i) mod cap) with
-    | Some s -> acc := s :: !acc
-    | None -> ()
-  done;
-  List.rev !acc
+  let n = min t.total cap in
+  (* the oldest record is at the write cursor once the ring has
+     wrapped, at slot 0 before *)
+  let oldest = (t.next - n + cap) mod cap in
+  List.init n (fun i -> t.slots.((oldest + i) mod cap))

@@ -35,7 +35,9 @@ val footprint_bytes : t -> int
 
 val record : t -> Sim.Trace.stamped -> unit
 (** Append one event (overwriting the oldest when full).  Once a
-    trigger has fired the recorder is frozen and this is a no-op. *)
+    trigger has fired the recorder is frozen and this is a no-op.
+    Allocation-free: the ring stores the record it is handed, and the
+    armed triggers are a bit set tested with one match on the entry. *)
 
 val attach : t -> Probe.t -> unit
 (** Subscribe to all categories of [probe]. *)

@@ -1,12 +1,12 @@
 type t = {
-  counts : (string, int ref) Hashtbl.t; (* by csv kind *)
+  counts : int array; (* indexed by [Sim.Trace.kind] *)
   resp : (int, Util.Hist.t) Hashtbl.t;
   block : (int, Util.Hist.t) Hashtbl.t;
   irq_lat : Util.Hist.t;
   depth : Util.Hist.t;
   ovh : Util.Hist.t option array; (* indexed by [Sim.Trace.ovh_index] *)
   live : (int, Util.Hist.t) Hashtbl.t; (* pool -> pool-wide live blocks *)
-  net : (int * string, int ref) Hashtbl.t; (* (node, kind) -> count *)
+  net : (int, int array) Hashtbl.t; (* node -> its fabric events, by kind *)
   arb : Util.Hist.t; (* bus arbitration delay per transmitted frame *)
   (* pairing state *)
   open_blocks : (int, Model.Time.t) Hashtbl.t; (* tid -> block time *)
@@ -16,7 +16,7 @@ type t = {
 
 let create () =
   {
-    counts = Hashtbl.create 32;
+    counts = Array.make Sim.Trace.kind_count 0;
     resp = Hashtbl.create 8;
     block = Hashtbl.create 8;
     irq_lat = Util.Hist.create ();
@@ -30,10 +30,15 @@ let create () =
     released = 0;
   }
 
-let bump_net t ~node kind =
-  match Hashtbl.find_opt t.net (node, kind) with
-  | Some c -> incr c
-  | None -> Hashtbl.add t.net (node, kind) (ref 1)
+let bump counts k = counts.(k) <- counts.(k) + 1
+
+let net_counts t node =
+  match Hashtbl.find_opt t.net node with
+  | Some c -> c
+  | None ->
+    let c = Array.make Sim.Trace.kind_count 0 in
+    Hashtbl.add t.net node c;
+    c
 
 let hist_for tbl key =
   match Hashtbl.find_opt tbl key with
@@ -48,10 +53,8 @@ let bump_depth t delta =
   Util.Hist.observe t.depth t.released
 
 let observe t ({ at; entry } : Sim.Trace.stamped) =
-  let kind, _, _ = Sim.Trace.csv_fields entry in
-  (match Hashtbl.find_opt t.counts kind with
-  | Some c -> incr c
-  | None -> Hashtbl.add t.counts kind (ref 1));
+  let k = Sim.Trace.kind entry in
+  bump t.counts k;
   match entry with
   | Job_release _ -> bump_depth t 1
   | Job_complete { tid; response; _ } ->
@@ -84,9 +87,8 @@ let observe t ({ at; entry } : Sim.Trace.stamped) =
     Util.Hist.observe h cost
   | Block_alloc { pool; live; _ } | Block_free { pool; live; _ } ->
     Util.Hist.observe (hist_for t.live pool) live
-  | Net_frame { node; dir; _ } -> bump_net t ~node dir
-  | Net_retry { node; _ } -> bump_net t ~node "retry"
-  | Net_timeout { node; _ } -> bump_net t ~node "timeout"
+  | Net_frame { node; _ } | Net_retry { node; _ } | Net_timeout { node; _ } ->
+    bump (net_counts t node) k
   | Net_arb { delay; _ } -> Util.Hist.observe t.arb delay
   | Deadline_miss _ | Budget_overrun _ | Job_shed _ | Sem_acquired _
   | Sem_blocked _ | Sem_released _ | Priority_inherit _ | Priority_restore _
@@ -97,20 +99,22 @@ let observe t ({ at; entry } : Sim.Trace.stamped) =
 
 let attach t probe = Probe.subscribe probe ~mask:Probe.all_mask (observe t)
 
-let counter t kind =
-  match Hashtbl.find_opt t.counts kind with Some c -> !c | None -> 0
+let count_of counts kind =
+  match Sim.Trace.kind_of_name kind with Some k -> counts.(k) | None -> 0
+
+let counter t kind = count_of t.counts kind
 
 let counters t =
-  Hashtbl.fold (fun k c acc -> (k, !c) :: acc) t.counts []
+  List.init Sim.Trace.kind_count (fun k -> (Sim.Trace.kind_name k, t.counts.(k)))
   |> List.filter (fun (_, n) -> n > 0)
   |> List.sort compare
 
+(* a station's fabric events are counted under their trace kinds,
+   "net-tx" ... "net-timeout" *)
 let net_counter t ~node kind =
-  match Hashtbl.find_opt t.net (node, kind) with Some c -> !c | None -> 0
-
-let net_nodes t =
-  Hashtbl.fold (fun (node, _) _ acc -> node :: acc) t.net []
-  |> List.sort_uniq compare
+  match Hashtbl.find_opt t.net node with
+  | Some c -> count_of c ("net-" ^ kind)
+  | None -> 0
 
 let response t ~tid = Hashtbl.find_opt t.resp tid
 let live_blocks t ~pool = Hashtbl.find_opt t.live pool
@@ -118,6 +122,7 @@ let live_blocks t ~pool = Hashtbl.find_opt t.live pool
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
+let net_nodes t = sorted_keys t.net
 let response_tids t = sorted_keys t.resp
 let live_pools t = sorted_keys t.live
 let blocking t ~tid = Hashtbl.find_opt t.block tid
@@ -136,14 +141,7 @@ let overhead t =
 
 let merge a b =
   let m = create () in
-  let add_counts (src : t) =
-    Hashtbl.iter
-      (fun k c ->
-        match Hashtbl.find_opt m.counts k with
-        | Some c' -> c' := !c' + !c
-        | None -> Hashtbl.add m.counts k (ref !c))
-      src.counts
-  in
+  let add_counts dst src = Array.iteri (fun i n -> dst.(i) <- dst.(i) + n) src in
   let merge_tbl dst t1 t2 =
     let keys = List.sort_uniq compare (sorted_keys t1 @ sorted_keys t2) in
     List.iter
@@ -157,18 +155,14 @@ let merge a b =
         Hashtbl.replace dst k h)
       keys
   in
-  add_counts a;
-  add_counts b;
   let add_net (src : t) =
-    Hashtbl.iter
-      (fun k c ->
-        match Hashtbl.find_opt m.net k with
-        | Some c' -> c' := !c' + !c
-        | None -> Hashtbl.add m.net k (ref !c))
-      src.net
+    Hashtbl.iter (fun node c -> add_counts (net_counts m node) c) src.net
   in
-  add_net a;
-  add_net b;
+  List.iter
+    (fun src ->
+      add_counts m.counts src.counts;
+      add_net src)
+    [ a; b ];
   merge_tbl m.resp a.resp b.resp;
   merge_tbl m.block a.block b.block;
   Array.iteri

@@ -6,7 +6,9 @@
     released-but-incomplete job depth gauge, and per-category overhead
     distributions.  Because everything is maintained online, breakdown
     sweeps and fault-injection runs get p50/p95/p99/max even with
-    [keep_entries:false]. *)
+    [keep_entries:false].  Counting an event is an array increment at
+    its {!Sim.Trace.kind} — no detail string is formatted and no kind
+    string hashed per event. *)
 
 type t
 
@@ -20,10 +22,11 @@ val attach : t -> Probe.t -> unit
 
 val counter : t -> string -> int
 (** Events seen of one CSV kind ("release", "switch", "miss", ...);
-    0 when never seen. *)
+    0 when never seen or not a kind. *)
 
 val counters : t -> (string * int) list
-(** All non-zero counters, sorted by kind. *)
+(** All non-zero counters, sorted by kind: for a kept trace of the same
+    stream, exactly its {!Sim.Trace.to_csv} row count per kind. *)
 
 val response : t -> tid:int -> Util.Hist.t option
 (** Response-time distribution of one task, ns. *)

@@ -70,7 +70,7 @@ type subscriber = { s_mask : mask; fn : Sim.Trace.stamped -> unit }
 type t = {
   tr : Sim.Trace.t;
   mutable trace_mask : mask;
-  mutable subs : subscriber list; (* in subscription order, see emit *)
+  mutable subs : subscriber array; (* in subscription order, see emit *)
   mutable union : mask; (* union of subscriber masks *)
   (* [plain] caches "trace fully enabled, nobody listening": the hot
      path is then one load+test on top of the bare Sim.Trace.emit. *)
@@ -78,27 +78,31 @@ type t = {
 }
 
 let refresh t =
-  t.union <- List.fold_left (fun m s -> m lor s.s_mask) 0 t.subs;
+  t.union <- Array.fold_left (fun m s -> m lor s.s_mask) 0 t.subs;
   t.plain <- t.trace_mask = all_mask && t.union = 0
 
 let create ~trace () =
-  { tr = trace; trace_mask = all_mask; subs = []; union = 0; plain = true }
+  { tr = trace; trace_mask = all_mask; subs = [||]; union = 0; plain = true }
 
 let set_trace_mask t m =
   t.trace_mask <- m land all_mask;
   refresh t
 
 let subscribe t ~mask fn =
-  t.subs <- t.subs @ [ { s_mask = mask land all_mask; fn } ];
+  t.subs <- Array.append t.subs [| { s_mask = mask land all_mask; fn } |];
   refresh t
 
+(* One stamped record per event, shared by the built-in trace and every
+   subscriber; a plain loop over the array, so no closure either. *)
 let emit t ~at entry =
   if t.plain then Sim.Trace.emit t.tr ~at entry
   else begin
     let b = bit (category_of_entry entry) in
-    if t.trace_mask land b <> 0 then Sim.Trace.emit t.tr ~at entry;
-    if t.union land b <> 0 then begin
-      let stamped = { Sim.Trace.at; entry } in
-      List.iter (fun s -> if s.s_mask land b <> 0 then s.fn stamped) t.subs
-    end
+    let stamped = { Sim.Trace.at; entry } in
+    if t.trace_mask land b <> 0 then Sim.Trace.record t.tr stamped;
+    if t.union land b <> 0 then
+      for i = 0 to Array.length t.subs - 1 do
+        let s = t.subs.(i) in
+        if s.s_mask land b <> 0 then s.fn stamped
+      done
   end

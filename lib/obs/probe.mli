@@ -8,7 +8,11 @@
     The common case — trace fully enabled, no subscribers — is a single
     flag test on top of the plain [Sim.Trace.emit] call, so simulation
     output stays bit-identical to the pre-observability kernel and the
-    instrumentation cost for disabled categories is near zero. *)
+    instrumentation cost for disabled categories is near zero.  With
+    subscribers, each event is stamped once: the built-in trace
+    ({!Sim.Trace.record}) and every subscriber receive the same
+    [stamped] record, and the subscribers are walked as an array, so
+    fan-out allocates that record and nothing else. *)
 
 type category =
   | Job  (** releases, completions, deadline misses *)
@@ -53,6 +57,8 @@ val set_trace_mask : t -> mask -> unit
 
 val subscribe : t -> mask:mask -> (Sim.Trace.stamped -> unit) -> unit
 (** Attach a subscriber; it sees exactly the events in [mask], in
-    emission order, after the built-in trace has recorded them. *)
+    emission order, after the built-in trace has recorded them.  The
+    record it is handed is shared with the trace and the other
+    subscribers: keep it, never rebuild it. *)
 
 val emit : t -> at:Model.Time.t -> Sim.Trace.entry -> unit

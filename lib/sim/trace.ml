@@ -56,6 +56,14 @@ let ovh_categories =
 
 let ovh_count = List.length ovh_categories
 
+type net_dir = Tx | Rx | Drop | Corrupt
+
+let net_dir_name = function
+  | Tx -> "tx"
+  | Rx -> "rx"
+  | Drop -> "drop"
+  | Corrupt -> "corrupt"
+
 type entry =
   | Job_release of { tid : int; job : int; deadline : Model.Time.t }
   | Job_complete of { tid : int; job : int; response : Model.Time.t }
@@ -103,9 +111,9 @@ type entry =
          only for programs that contain branches *)
   | Branch of { tid : int; pc : int; idx : int; taken : bool }
       (* one Br_input decision: input bit [idx], [taken] = fell through *)
-  | Net_frame of { node : int; dir : string; frame_id : int; words : int }
-      (* fabric: one frame event at a station; [dir] is "tx", "rx",
-         "drop" (lost on the wire) or "corrupt" (CRC check failed) *)
+  | Net_frame of { node : int; dir : net_dir; frame_id : int; words : int }
+      (* fabric: one frame event at a station; [Drop] = lost on the
+         wire, [Corrupt] = CRC check failed at the receiver *)
   | Net_retry of { node : int; seq : int; attempt : int }
       (* fabric: a reliable frame was retransmitted *)
   | Net_timeout of { node : int; seq : int }
@@ -115,6 +123,69 @@ type entry =
   | Note of string
 
 type stamped = { at : Model.Time.t; entry : entry }
+
+(* The closed kind table: one CSV kind per constructor, four for
+   [Net_frame] (one per direction).  [kind] is a tag dispatch, so a
+   subscriber counts kinds by array index without rendering or hashing
+   the kind string. *)
+let kind_names =
+  [|
+    "release"; "complete"; "miss"; "switch"; "block"; "unblock"; "sem-lock";
+    "sem-wait"; "sem-free"; "inherit"; "restore"; "parked"; "send"; "recv";
+    "st-write"; "st-read"; "irq"; "overhead"; "overrun"; "kill"; "shed";
+    "alloc"; "free"; "oom"; "leak"; "quota"; "input"; "branch"; "net-tx";
+    "net-rx"; "net-drop"; "net-corrupt"; "net-retry"; "net-timeout";
+    "net-arb"; "note";
+  |]
+
+let kind_count = Array.length kind_names
+let kind_name i = kind_names.(i)
+
+let kind_of_name name =
+  let rec go i =
+    if i = kind_count then None
+    else if kind_names.(i) = name then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let kind = function
+  | Job_release _ -> 0
+  | Job_complete _ -> 1
+  | Deadline_miss _ -> 2
+  | Context_switch _ -> 3
+  | Thread_block _ -> 4
+  | Thread_unblock _ -> 5
+  | Sem_acquired _ -> 6
+  | Sem_blocked _ -> 7
+  | Sem_released _ -> 8
+  | Priority_inherit _ -> 9
+  | Priority_restore _ -> 10
+  | Approach_parked _ -> 11
+  | Msg_sent _ -> 12
+  | Msg_received _ -> 13
+  | State_written _ -> 14
+  | State_read _ -> 15
+  | Interrupt _ -> 16
+  | Overhead _ -> 17
+  | Budget_overrun _ -> 18
+  | Job_killed _ -> 19
+  | Job_shed _ -> 20
+  | Block_alloc _ -> 21
+  | Block_free _ -> 22
+  | Pool_oom _ -> 23
+  | Pool_leak _ -> 24
+  | Quota_exceeded _ -> 25
+  | Input_word _ -> 26
+  | Branch _ -> 27
+  | Net_frame { dir = Tx; _ } -> 28
+  | Net_frame { dir = Rx; _ } -> 29
+  | Net_frame { dir = Drop; _ } -> 30
+  | Net_frame { dir = Corrupt; _ } -> 31
+  | Net_retry _ -> 32
+  | Net_timeout _ -> 33
+  | Net_arb _ -> 34
+  | Note _ -> 35
 
 type t = {
   keep : bool;
@@ -159,15 +230,17 @@ let create ?(keep_entries = true) () =
     resp_hists = [||];
   }
 
-let emit t ~at entry =
-  let stamped = { at; entry } in
-  (match entry with
+(* The aggregate counters of one event.  Builds no stamped record
+   except the first miss's, so [emit] without kept entries allocates
+   none. *)
+let tally t ~at entry =
+  match entry with
   | Context_switch _ ->
     t.switches <- t.switches + 1;
     if t.last_outgoing_ready then t.preemptions <- t.preemptions + 1
   | Deadline_miss _ ->
     t.misses <- t.misses + 1;
-    if t.first_miss = None then t.first_miss <- Some stamped
+    if Option.is_none t.first_miss then t.first_miss <- Some { at; entry }
   | Overhead { category; cost } ->
     t.overhead <- Model.Time.add t.overhead cost;
     let i = ovh_index category in
@@ -197,8 +270,15 @@ let emit t ~at entry =
   | Block_free _ | Pool_oom _ | Pool_leak _ | Quota_exceeded _
   | Input_word _ | Branch _ | Net_frame _ | Net_retry _ | Net_timeout _
   | Net_arb _ | Note _ ->
-    ());
+    ()
+
+let record t ({ at; entry } as stamped) =
+  tally t ~at entry;
   if t.keep then t.entries <- stamped :: t.entries
+
+let emit t ~at entry =
+  tally t ~at entry;
+  if t.keep then t.entries <- { at; entry } :: t.entries
 
 let entries t = List.rev t.entries
 let context_switches t = t.switches
@@ -290,8 +370,8 @@ let pp_entry ppf = function
     Format.fprintf ppf "branch    tau%d pc=%d bit%d %s" tid pc idx
       (if taken then "taken" else "not-taken")
   | Net_frame { node; dir; frame_id; words } ->
-    Format.fprintf ppf "net-%-5s node%d frame=0x%x (%d words)" dir node
-      frame_id words
+    Format.fprintf ppf "net-%-5s node%d frame=0x%x (%d words)"
+      (net_dir_name dir) node frame_id words
   | Net_retry { node; seq; attempt } ->
     Format.fprintf ppf "net-retry node%d seq=%d attempt=%d" node seq attempt
   | Net_timeout { node; seq } ->
@@ -342,77 +422,75 @@ let response_hist t ~tid =
     | None -> Util.Hist.create ()
   else Util.Hist.create ()
 
-let csv_fields = function
+(* [(tid, detail)] of one entry's CSV row; the kind comes from the
+   table above. *)
+let csv_row = function
   | Job_release { tid; job; deadline } ->
-    ("release", tid, Printf.sprintf "job=%d deadline=%d" job deadline)
+    (tid, Printf.sprintf "job=%d deadline=%d" job deadline)
   | Job_complete { tid; job; response } ->
-    ("complete", tid, Printf.sprintf "job=%d response=%d" job response)
-  | Deadline_miss { tid; job; _ } -> ("miss", tid, Printf.sprintf "job=%d" job)
+    (tid, Printf.sprintf "job=%d response=%d" job response)
+  | Deadline_miss { tid; job; _ } -> (tid, Printf.sprintf "job=%d" job)
   | Context_switch { from_tid; to_tid } ->
     let s = function Some tid -> string_of_int tid | None -> "idle" in
-    ("switch", Option.value from_tid ~default:(-1),
-     Printf.sprintf "from=%s to=%s" (s from_tid) (s to_tid))
-  | Thread_block { tid; reason } -> ("block", tid, reason)
-  | Thread_unblock { tid } -> ("unblock", tid, "")
-  | Sem_acquired { tid; sem } -> ("sem-lock", tid, Printf.sprintf "sem=%d" sem)
-  | Sem_blocked { tid; sem } -> ("sem-wait", tid, Printf.sprintf "sem=%d" sem)
-  | Sem_released { tid; sem } -> ("sem-free", tid, Printf.sprintf "sem=%d" sem)
-  | Priority_inherit { holder; from_tid } ->
-    ("inherit", holder, Printf.sprintf "from=%d" from_tid)
-  | Priority_restore { holder } -> ("restore", holder, "")
+    ( Option.value from_tid ~default:(-1),
+      Printf.sprintf "from=%s to=%s" (s from_tid) (s to_tid) )
+  | Thread_block { tid; reason } -> (tid, reason)
+  | Thread_unblock { tid } -> (tid, "")
+  | Sem_acquired { tid; sem } | Sem_blocked { tid; sem } | Sem_released { tid; sem }
   | Approach_parked { tid; sem } ->
-    ("parked", tid, Printf.sprintf "sem=%d" sem)
+    (tid, Printf.sprintf "sem=%d" sem)
+  | Priority_inherit { holder; from_tid } ->
+    (holder, Printf.sprintf "from=%d" from_tid)
+  | Priority_restore { holder } -> (holder, "")
   | Msg_sent { tid; mailbox; words } ->
-    ("send", tid, Printf.sprintf "mbox=%d words=%d" mailbox words)
+    (tid, Printf.sprintf "mbox=%d words=%d" mailbox words)
   | Msg_received { tid; mailbox; words; queued_for } ->
-    ("recv", tid,
-     Printf.sprintf "mbox=%d words=%d queued_ns=%d" mailbox words queued_for)
-  | State_written { tid; state; seq } ->
-    ("st-write", tid, Printf.sprintf "state=%d seq=%d" state seq)
-  | State_read { tid; state; seq } ->
-    ("st-read", tid, Printf.sprintf "state=%d seq=%d" state seq)
-  | Interrupt { irq } -> ("irq", -1, Printf.sprintf "irq=%d" irq)
+    (tid, Printf.sprintf "mbox=%d words=%d queued_ns=%d" mailbox words queued_for)
+  | State_written { tid; state; seq } | State_read { tid; state; seq } ->
+    (tid, Printf.sprintf "state=%d seq=%d" state seq)
+  | Interrupt { irq } -> (-1, Printf.sprintf "irq=%d" irq)
   | Overhead { category; cost } ->
-    ("overhead", -1, Printf.sprintf "%s=%d" (ovh_name category) cost)
+    (-1, Printf.sprintf "%s=%d" (ovh_name category) cost)
   | Budget_overrun { tid; job; used; budget } ->
-    ("overrun", tid, Printf.sprintf "job=%d used=%d budget=%d" job used budget)
-  | Job_killed { tid; job } -> ("kill", tid, Printf.sprintf "job=%d" job)
+    (tid, Printf.sprintf "job=%d used=%d budget=%d" job used budget)
+  | Job_killed { tid; job } -> (tid, Printf.sprintf "job=%d" job)
   | Job_shed { tid; job; reason } ->
-    ("shed", tid, Printf.sprintf "job=%d reason=%s" job reason)
-  | Block_alloc { tid; pool; live } ->
-    ("alloc", tid, Printf.sprintf "pool=%d live=%d" pool live)
-  | Block_free { tid; pool; live } ->
-    ("free", tid, Printf.sprintf "pool=%d live=%d" pool live)
-  | Pool_oom { tid; pool } -> ("oom", tid, Printf.sprintf "pool=%d" pool)
+    (tid, Printf.sprintf "job=%d reason=%s" job reason)
+  | Block_alloc { tid; pool; live } | Block_free { tid; pool; live } ->
+    (tid, Printf.sprintf "pool=%d live=%d" pool live)
+  | Pool_oom { tid; pool } -> (tid, Printf.sprintf "pool=%d" pool)
   | Pool_leak { tid; job; pool; count } ->
-    ("leak", tid, Printf.sprintf "job=%d pool=%d count=%d" job pool count)
+    (tid, Printf.sprintf "job=%d pool=%d count=%d" job pool count)
   | Quota_exceeded { tid; job; live; quota } ->
-    ("quota", tid, Printf.sprintf "job=%d live=%d quota=%d" job live quota)
+    (tid, Printf.sprintf "job=%d live=%d quota=%d" job live quota)
   | Input_word { tid; job; word } ->
-    ("input", tid, Printf.sprintf "job=%d word=0x%Lx" job word)
+    (tid, Printf.sprintf "job=%d word=0x%Lx" job word)
   | Branch { tid; pc; idx; taken } ->
-    ("branch", tid,
-     Printf.sprintf "pc=%d bit=%d taken=%b" pc idx taken)
-  | Net_frame { node; dir; frame_id; words } ->
-    ("net-" ^ dir, -1,
-     Printf.sprintf "node=%d frame=%d words=%d" node frame_id words)
+    (tid, Printf.sprintf "pc=%d bit=%d taken=%b" pc idx taken)
+  | Net_frame { node; frame_id; words; _ } ->
+    (-1, Printf.sprintf "node=%d frame=%d words=%d" node frame_id words)
   | Net_retry { node; seq; attempt } ->
-    ("net-retry", -1, Printf.sprintf "node=%d seq=%d attempt=%d" node seq attempt)
-  | Net_timeout { node; seq } ->
-    ("net-timeout", -1, Printf.sprintf "node=%d seq=%d" node seq)
+    (-1, Printf.sprintf "node=%d seq=%d attempt=%d" node seq attempt)
+  | Net_timeout { node; seq } -> (-1, Printf.sprintf "node=%d seq=%d" node seq)
   | Net_arb { frame_id; delay } ->
-    ("net-arb", -1, Printf.sprintf "frame=%d delay_ns=%d" frame_id delay)
-  | Note s -> ("note", -1, s)
+    (-1, Printf.sprintf "frame=%d delay_ns=%d" frame_id delay)
+  | Note s -> (-1, s)
 
-let to_csv t =
+let csv_fields entry =
+  let tid, detail = csv_row entry in
+  (kind_name (kind entry), tid, detail)
+
+let csv_of_stamped stamped =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "time_ns,kind,tid,detail\n";
   List.iter
     (fun { at; entry } ->
       let kind, tid, detail = csv_fields entry in
       Buffer.add_string buf (Printf.sprintf "%d,%s,%d,%s\n" at kind tid detail))
-    (entries t);
+    stamped;
   Buffer.contents buf
+
+let to_csv t = csv_of_stamped (entries t)
 
 let pp_timeline ppf t =
   let emit_line { at; entry } =

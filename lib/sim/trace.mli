@@ -37,12 +37,21 @@ val ovh_count : int
 val ovh_categories : ovh_category list
 (** In declaration order. *)
 
+type net_dir =
+  | Tx
+  | Rx
+  | Drop  (** lost on the wire *)
+  | Corrupt  (** checksum failed at the receiver *)
+
 type entry =
   | Job_release of { tid : int; job : int; deadline : Model.Time.t }
   | Job_complete of { tid : int; job : int; response : Model.Time.t }
   | Deadline_miss of { tid : int; job : int; lateness : Model.Time.t }
   | Context_switch of { from_tid : int option; to_tid : int option }
   | Thread_block of { tid : int; reason : string }
+      (** [reason] is one of the kernel's literal block reasons
+          (["sem"], ["delay"], ["mbox-empty"], ...), never built per
+          event. *)
   | Thread_unblock of { tid : int }
   | Sem_acquired of { tid : int; sem : int }
   | Sem_blocked of { tid : int; sem : int }
@@ -94,10 +103,8 @@ type entry =
   | Branch of { tid : int; pc : int; idx : int; taken : bool }
       (** One branch decision: the [Br_input] at [pc] consumed input
           bit [idx]; [taken] means it fell through to the first arm. *)
-  | Net_frame of { node : int; dir : string; frame_id : int; words : int }
-      (** Fabric: one frame event at a station; [dir] is ["tx"], ["rx"],
-          ["drop"] (lost on the wire) or ["corrupt"] (checksum failed at
-          the receiver). *)
+  | Net_frame of { node : int; dir : net_dir; frame_id : int; words : int }
+      (** Fabric: one frame event at a station. *)
   | Net_retry of { node : int; seq : int; attempt : int }
       (** Fabric: the reliable-delivery layer retransmitted a frame. *)
   | Net_timeout of { node : int; seq : int }
@@ -109,6 +116,25 @@ type entry =
 
 type stamped = { at : Model.Time.t; entry : entry }
 
+(** {2 Kinds}
+
+    The closed set of event kinds, each named as in {!to_csv}'s [kind]
+    column: one per constructor, and one per direction of [Net_frame]
+    (["net-tx"], ["net-rx"], ["net-drop"], ["net-corrupt"]).  Counting
+    events by kind is an array index — no rendering, no string hash. *)
+
+val kind : entry -> int
+(** Dense index in [0, kind_count). *)
+
+val kind_count : int
+
+val kind_name : int -> string
+(** The CSV kind of an index ("release", "switch", "net-tx", ...).
+    @raise Invalid_argument outside [0, kind_count). *)
+
+val kind_of_name : string -> int option
+(** Inverse of {!kind_name}; [None] for a string that is not a kind. *)
+
 type t
 
 val create : ?keep_entries:bool -> unit -> t
@@ -117,6 +143,12 @@ val create : ?keep_entries:bool -> unit -> t
     simulations and must not retain per-event lists. *)
 
 val emit : t -> at:Model.Time.t -> entry -> unit
+(** Record one event.  Allocates its [stamped] record only when the
+    entries are kept (or for the first deadline miss). *)
+
+val record : t -> stamped -> unit
+(** [emit] of an already stamped event, kept as is: lets a probe hub
+    build one record per event and share it with its subscribers. *)
 
 val entries : t -> stamped list
 (** Chronological.  Empty when created with [keep_entries:false]. *)
@@ -179,7 +211,13 @@ val to_csv : t -> string
     external timeline tooling.  Empty (header only) when the trace was
     created with [keep_entries:false]. *)
 
+val csv_of_stamped : stamped list -> string
+(** The same CSV (header included) of any event list, e.g. a
+    flight-recorder window. *)
+
 val csv_fields : entry -> string * int * string
-(** [(kind, tid, detail)] as rendered by {!to_csv} ([tid] is [-1] for
-    entries with no owning task).  Exposed so external exporters
+(** [(kind, tid, detail)] as rendered by {!to_csv} ([kind] is
+    [kind_name (kind entry)]; [tid] is [-1] for entries with no owning
+    task).  Formats the detail string, so per-event consumers that only
+    need the kind should use {!kind}.  Exposed so external exporters
     (Perfetto, Prometheus) name events consistently with the CSV. *)

@@ -709,6 +709,133 @@ let test_prometheus_export () =
          && String.sub l 0 25 = "emeralds_response_time_ns")
        lines)
 
+(* ------------------------------------------------------------------ *)
+(* Kind table: Metrics counts what the CSV writer renders *)
+
+(* Per-kind row counts of a kept trace's CSV, sorted by kind. *)
+let csv_kind_counts tr =
+  let counts = Hashtbl.create 32 in
+  (match String.split_on_char '\n' (Sim.Trace.to_csv tr) with
+  | _header :: rows ->
+    List.iter
+      (fun row ->
+        match String.split_on_char ',' row with
+        | _ :: kind :: _ ->
+          Hashtbl.replace counts kind
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts kind))
+        | _ -> ())
+      rows
+  | [] -> ());
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] |> List.sort compare
+
+let check_kind_counts name m tr =
+  check
+    (list (pair string int))
+    (name ^ ": counters = CSV rows per kind")
+    (csv_kind_counts tr) (Obs.Metrics.counters m);
+  check int
+    (name ^ ": counters sum to the entry count")
+    (List.length (Sim.Trace.entries tr))
+    (List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters m))
+
+let metered_run ~scenario ~horizon =
+  let m = Obs.Metrics.create () in
+  let outcome =
+    Fault.Inject.run
+      {
+        (Fault.Inject.default_config ~scenario ~spec:Emeralds.Sched.Rm ~horizon
+           ~seed:7 ())
+        with
+        observer = Some (fun k -> Obs.Metrics.attach m (Emeralds.Kernel.probe k));
+      }
+  in
+  (m, Emeralds.Kernel.trace outcome.kernel)
+
+let test_kind_counts_match_csv () =
+  (* every preset the trace subcommand records *)
+  List.iter
+    (fun (name, scenario) ->
+      let m, tr = metered_run ~scenario ~horizon:(ms 100) in
+      check_kind_counts name m tr)
+    (List.map (fun n -> (n, Option.get (Workload.Scenario.make n)))
+       Workload.Scenario.names
+    @ [
+        ("alloc-demo", Workload.Scenario.alloc_demo ());
+        ("leak-demo", Workload.Scenario.leak_demo ());
+        ("inversion-demo", Workload.Scenario.inversion_demo ());
+      ]);
+  (* generated scenarios *)
+  List.iteri
+    (fun i spec ->
+      let m, tr =
+        metered_run ~scenario:(Workload.Generator.realize spec)
+          ~horizon:(ms 200)
+      in
+      check_kind_counts (Printf.sprintf "generated #%d" i) m tr)
+    (Campaign.Driver.spec_streams
+       { Campaign.Driver.default_config with seed = 42; count = 30 });
+  (* the fabric crash preset on a lossy wire: every frame direction,
+     retries and timeouts *)
+  let tr = Sim.Trace.create () in
+  let probe = Obs.Probe.create ~trace:tr () in
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.attach m probe;
+  let engine = Sim.Engine.create () in
+  let bus = Fieldbus.Bus.create ~engine ~bitrate_bps:1_000_000 () in
+  let task ~id ~period_ms ~wcet_ms =
+    Model.Task.make ~id ~period:(ms period_ms) ~wcet:(ms wcet_ms) ()
+  in
+  let cluster =
+    Fabric.Cluster.create ~probe ~engine ~bus ~cost:Sim.Cost.m68040
+      ~spec:Emeralds.Sched.Edf ~seed:7
+      ~assignments:
+        [
+          ( 0,
+            [ task ~id:1 ~period_ms:20 ~wcet_ms:2; task ~id:2 ~period_ms:40 ~wcet_ms:4 ]
+          );
+          ( 1,
+            [ task ~id:3 ~period_ms:20 ~wcet_ms:2; task ~id:4 ~period_ms:50 ~wcet_ms:5 ]
+          );
+          (2, [ task ~id:5 ~period_ms:25 ~wcet_ms:2 ]);
+        ]
+      ()
+  in
+  (match
+     Fault.Plan.parse
+       "node-crash:node=1,at=50ms;frame-drop:one-in=3;frame-corrupt:one-in=16"
+   with
+  | Ok plan -> Fabric.Cluster.install_plan cluster plan
+  | Error e -> fail e);
+  Fabric.Cluster.run cluster ~until:(ms 400);
+  List.iter
+    (fun kind ->
+      check bool ("fabric run has " ^ kind) true (Obs.Metrics.counter m kind > 0))
+    [ "net-tx"; "net-rx"; "net-drop"; "net-corrupt"; "net-retry"; "net-timeout" ];
+  check_kind_counts "fabric crash" m tr
+
+(* Every subscriber sees the kernel's own event stream, in order. *)
+let test_subscribers_see_trace () =
+  let seen = Array.make 3 [] in
+  let outcome =
+    engine_outcome
+      ~observer:(fun k ->
+        Array.iteri
+          (fun i _ ->
+            Obs.Probe.subscribe (Emeralds.Kernel.probe k)
+              ~mask:Obs.Probe.all_mask (fun s -> seen.(i) <- s :: seen.(i)))
+          seen)
+      ()
+  in
+  let entries = Sim.Trace.entries (Emeralds.Kernel.trace outcome.kernel) in
+  check bool "a non-trivial run" true (List.length entries > 100);
+  Array.iteri
+    (fun i got ->
+      check bool
+        (Printf.sprintf "subscriber %d got the trace" i)
+        true
+        (List.rev got = entries))
+    seen
+
 let suite =
   [
     test_case "hist: small values exact" `Quick test_hist_exact_small;
@@ -749,4 +876,8 @@ let suite =
       test_perfetto_blame_export;
     test_case "export: metrics JSON" `Quick test_metrics_json_export;
     test_case "export: prometheus line format" `Quick test_prometheus_export;
+    test_case "metrics: kind counts match CSV rows" `Quick
+      test_kind_counts_match_csv;
+    test_case "probe: every subscriber sees the trace" `Quick
+      test_subscribers_see_trace;
   ]

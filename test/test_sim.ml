@@ -203,7 +203,7 @@ let every_entry : Sim.Trace.entry list =
     Budget_overrun { tid = 1; job = 1; used = us 9; budget = us 8 };
     Job_killed { tid = 1; job = 1 };
     Job_shed { tid = 1; job = 2; reason = "skip-over" };
-    Net_frame { node = 1; dir = "tx"; frame_id = 65; words = 2 };
+    Net_frame { node = 1; dir = Tx; frame_id = 65; words = 2 };
     Net_retry { node = 1; seq = 3; attempt = 2 };
     Net_timeout { node = 1; seq = 3 };
     Net_arb { frame_id = 65; delay = us 79 };
