@@ -20,87 +20,12 @@ type t = {
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
-(* Trace normalization for the IDENT oracle: object ids are allocated
-   by realization order, which differs between two [realize] calls of
-   the same spec only in identity, never in role.  Rank every id space
-   by first appearance so two runs of the same program compare
-   bit-identically. *)
+(* Object ids are per realization, so two runs of one spec compare
+   as they are: [run] checks Ident with [Sim.Trace.equal], and this
+   projection only reports the sizes of a divergence. *)
 let norm_sig k =
-  let sems = Hashtbl.create 8
-  and mbs = Hashtbl.create 8
-  and sms = Hashtbl.create 8
-  and pools = Hashtbl.create 8 in
-  let rank tbl id =
-    match Hashtbl.find_opt tbl id with
-    | Some r -> r
-    | None ->
-      let r = Hashtbl.length tbl in
-      Hashtbl.add tbl id r;
-      r
-  in
-  let rewrite_note s =
-    (* notes embed raw sem ids in free text ("held back awaiting
-       semN"); send them through the same rank map *)
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    while !i < n do
-      if
-        !i + 3 < n
-        && String.sub s !i 3 = "sem"
-        && s.[!i + 3] >= '0'
-        && s.[!i + 3] <= '9'
-      then begin
-        let j = ref (!i + 3) in
-        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-          incr j
-        done;
-        let id = int_of_string (String.sub s (!i + 3) (!j - (!i + 3))) in
-        Buffer.add_string buf (Printf.sprintf "sem%d" (rank sems id));
-        i := !j
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  in
   let tr = Emeralds.Kernel.trace k in
-  let entries =
-    List.map
-      (fun (st : Sim.Trace.stamped) ->
-        let entry =
-          match st.entry with
-          | Sim.Trace.Sem_acquired { tid; sem } ->
-            Sim.Trace.Sem_acquired { tid; sem = rank sems sem }
-          | Sem_blocked { tid; sem } -> Sem_blocked { tid; sem = rank sems sem }
-          | Sem_released { tid; sem } ->
-            Sem_released { tid; sem = rank sems sem }
-          | Approach_parked { tid; sem } ->
-            Approach_parked { tid; sem = rank sems sem }
-          | Msg_sent { tid; mailbox; words } ->
-            Msg_sent { tid; mailbox = rank mbs mailbox; words }
-          | Msg_received { tid; mailbox; words; queued_for } ->
-            Msg_received { tid; mailbox = rank mbs mailbox; words; queued_for }
-          | State_written { tid; state; seq } ->
-            State_written { tid; state = rank sms state; seq }
-          | State_read { tid; state; seq } ->
-            State_read { tid; state = rank sms state; seq }
-          | Block_alloc { tid; pool; live } ->
-            Block_alloc { tid; pool = rank pools pool; live }
-          | Block_free { tid; pool; live } ->
-            Block_free { tid; pool = rank pools pool; live }
-          | Pool_oom { tid; pool } -> Pool_oom { tid; pool = rank pools pool }
-          | Pool_leak { tid; job; pool; count } ->
-            Pool_leak { tid; job; pool = rank pools pool; count }
-          | Note s -> Note (rewrite_note s)
-          | e -> e
-        in
-        { st with entry })
-      (Sim.Trace.entries tr)
-  in
-  (entries, Sim.Trace.busy_time tr, Sim.Trace.context_switches tr)
+  (Sim.Trace.entries tr, Sim.Trace.busy_time tr, Sim.Trace.context_switches tr)
 
 (* RTA's bounds only claim anything for tasks whose programs the
    response-time recurrence models: computes and bounded critical
@@ -319,9 +244,16 @@ let sporadic_observer (spec : Workload.Generator.spec) ~horizon k =
       end)
     spec.s_tasks
 
-let declared_enforcement =
+(* [Ident_budget] halves the budgets: still notify-only, but the
+   enforced run now records overruns the plain run does not *)
+let declared_enforcement ablation =
+  let budget_of =
+    if ablation = Oracle.Ident_budget then fun (t : Model.Task.t) ->
+      Some (t.wcet / 2)
+    else Fault.Inject.declared_budgets
+  in
   {
-    Emeralds.Kernel.budget_of = Fault.Inject.declared_budgets;
+    Emeralds.Kernel.budget_of;
     policy = Emeralds.Kernel.Notify_only;
     miss = Emeralds.Kernel.Miss_record;
     shed_one_in = None;
@@ -393,7 +325,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     if need_sim then
       Some
         (run_sim spec ~horizon
-           ~enforcement:(Some declared_enforcement)
+           ~enforcement:(Some (declared_enforcement ablation))
            ?attach:
              (Option.map
                 (fun b k -> Obs.Blame.attach b (Emeralds.Kernel.probe k))
@@ -406,7 +338,10 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   in
   let sim_us = now_us () - t0 in
   (match (enforced, plain) with
-  | Some e, Some p when norm_sig e <> norm_sig p ->
+  | Some e, Some p
+    when not
+           (Sim.Trace.equal (Emeralds.Kernel.trace e) (Emeralds.Kernel.trace p))
+    ->
     let en, eb, es = norm_sig e and pn, pb, ps = norm_sig p in
     add Ident
       (Printf.sprintf
@@ -455,26 +390,6 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   (match enforced with
   | Some k when wants oracles Mem ->
     let mstats = Emeralds.Kernel.mem_stats k in
-    (* the static phase and the simulation realize the spec separately,
-       so pool ids differ in identity but never in role: creation order
-       (ascending id) pairs them up *)
-    let static_ids =
-      List.map (fun (pb : Absint.Report.pool_bound) -> pb.pool_id) rep.pools
-      |> List.sort compare
-    in
-    let sim_ids =
-      List.map
-        (fun (p : Emeralds.Types.pool) -> p.pool_id)
-        (Emeralds.Kernel.pool_stats k)
-      |> List.sort compare
-    in
-    let static_of_sim =
-      if List.length sim_ids = List.length static_ids then
-        fun p ->
-          Option.value ~default:p
-            (List.assoc_opt p (List.combine sim_ids static_ids))
-      else Fun.id
-    in
     (* domination: every (task, pool) high-water mark the kernel saw
        must sit inside the absint peak-live interval *)
     List.iter
@@ -486,9 +401,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
               rep.tasks
           with
           | Some tb -> (
-            match
-              List.assoc_opt (static_of_sim ms.m_pool) tb.summary.peak_live
-            with
+            match List.assoc_opt ms.m_pool tb.summary.peak_live with
             | Some itv -> Option.value ~default:0 (Absint.Itv.hi_int itv)
             | None -> 0)
           | None -> 0

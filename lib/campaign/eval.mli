@@ -59,9 +59,10 @@ val blame_terms :
 
 val norm_sig :
   Emeralds.Kernel.t -> Sim.Trace.stamped list * Model.Time.t * int
-(** Trace signature with object ids ranked by first appearance, so two
-    realizations of the same spec compare bit-identically; returns the
-    normalized entries, busy time and context-switch count. *)
+(** A kernel trace's entries, busy time and context-switch count.  Kept
+    only for perfbench's replay of the Ident comparison; {!run} compares
+    the traces in place with [Sim.Trace.equal].  Object ids are per
+    realization, so two realizations of one spec compare as they are. *)
 
 val run_e2e :
   index:int ->

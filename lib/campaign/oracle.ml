@@ -75,11 +75,12 @@ type ablation =
   | Cfg_join
   | E2e_bound
   | Blame_bounds
+  | Ident_budget
 
 let ablations =
   [
     No_ablation; Rta_blocking; Absint_demand; Mem_peak; Cfg_loop; Cfg_join;
-    E2e_bound; Blame_bounds;
+    E2e_bound; Blame_bounds; Ident_budget;
   ]
 
 let ablation_name = function
@@ -91,6 +92,7 @@ let ablation_name = function
   | Cfg_join -> "cfg-join"
   | E2e_bound -> "e2e-bound"
   | Blame_bounds -> "blame"
+  | Ident_budget -> "ident"
 
 let ablation_of_string s =
   let s = String.lowercase_ascii (String.trim s) in

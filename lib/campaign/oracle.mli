@@ -69,6 +69,10 @@ type ablation =
   | Blame_bounds
       (** halve every analytical blame bound: empirical interference /
           blocking / overhead components must escape domination *)
+  | Ident_budget
+      (** enforce half the declared budgets (still notify-only): the
+          enforced run records overruns the plain run does not, so Ident
+          must see the traces diverge *)
 
 val ablations : ablation list
 val ablation_name : ablation -> string

@@ -1608,8 +1608,6 @@ let mem_stats k =
     k.mem_cells []
   |> List.sort (fun a b -> compare (a.m_pool, a.m_tid) (b.m_pool, b.m_tid))
 
-let pool_stats k = k.pools
-
 let quota_hits k =
   Array.to_list
     (Array.map

@@ -291,10 +291,6 @@ val mem_stats : t -> mem_stats list
 (** Sorted by (pool, task); only (task, pool) pairs that allocated at
     least once appear. *)
 
-val pool_stats : t -> Types.pool list
-(** The kernel's block pools (discovered from the programs), with
-    their pool-wide high-water and failure counters. *)
-
 val quota_hits : t -> (int * int) list
 (** [(tid, quota-exceeded detections)] per task, for enforced runs. *)
 

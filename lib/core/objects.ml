@@ -1,14 +1,11 @@
 open Types
 
-let sem_counter = ref 0
-let wq_counter = ref 0
-let mb_counter = ref 0
-
 let sem ?(kind = Emeralds) ?(initial = 1) () =
   if initial < 1 then invalid_arg "Objects.sem: initial must be >= 1";
-  incr sem_counter;
+  let ids = Ids.get () in
+  ids.sem <- ids.sem + 1;
   {
-    sem_id = !sem_counter;
+    sem_id = ids.sem;
     sem_kind = kind;
     sem_initial = initial;
     sem_value = initial;
@@ -18,17 +15,17 @@ let sem ?(kind = Emeralds) ?(initial = 1) () =
   }
 
 let waitq () =
-  incr wq_counter;
-  { wq_id = !wq_counter; wq_waiters = Util.Dlist.create (); pending_signals = 0 }
-
-let pool_counter = ref 0
+  let ids = Ids.get () in
+  ids.waitq <- ids.waitq + 1;
+  { wq_id = ids.waitq; wq_waiters = Util.Dlist.create (); pending_signals = 0 }
 
 let pool ~block_bytes ~capacity () =
   if block_bytes < 1 then invalid_arg "Objects.pool: block_bytes must be >= 1";
   if capacity < 1 then invalid_arg "Objects.pool: capacity must be >= 1";
-  incr pool_counter;
+  let ids = Ids.get () in
+  ids.pool <- ids.pool + 1;
   {
-    pool_id = !pool_counter;
+    pool_id = ids.pool;
     pool_block_bytes = block_bytes;
     pool_capacity = capacity;
     pool_free = capacity;
@@ -38,9 +35,10 @@ let pool ~block_bytes ~capacity () =
 
 let mailbox ~capacity () =
   if capacity < 1 then invalid_arg "Objects.mailbox: capacity must be >= 1";
-  incr mb_counter;
+  let ids = Ids.get () in
+  ids.mailbox <- ids.mailbox + 1;
   {
-    mb_id = !mb_counter;
+    mb_id = ids.mailbox;
     mb_capacity = capacity;
     mb_queue = Queue.create ();
     mb_senders = Util.Dlist.create ();

@@ -4,7 +4,8 @@
     paper notes that embedded designers know at build time which
     threads, semaphores and mailboxes exist (no dynamic naming service,
     §3) — so objects are plain values that programs reference
-    directly. *)
+    directly.  Each id space counts from 1 per domain and restarts at
+    {!Ids.restart}, which every workload realization calls first. *)
 
 val sem : ?kind:Types.sem_kind -> ?initial:int -> unit -> Types.sem
 (** A semaphore with [initial] free units (default 1 — a mutex).

@@ -9,17 +9,16 @@ type t = {
   mutable published : int;
 }
 
-let id_counter = ref 0
-
 let create ~depth ~words =
   if depth < 2 then invalid_arg "State_msg.create: depth must be >= 2";
   if words < 1 then invalid_arg "State_msg.create: words must be >= 1";
   let slot_stamp = Array.init depth (fun i -> i - depth) in
   (* Sequence 0 is pre-published as the all-zero value. *)
   slot_stamp.(0) <- 0;
-  incr id_counter;
+  let ids = Ids.get () in
+  ids.state <- ids.state + 1;
   {
-    sm_id = !id_counter;
+    sm_id = ids.state;
     depth;
     words;
     slots = Array.init depth (fun _ -> Array.make words 0);

@@ -30,9 +30,8 @@ val create : depth:int -> words:int -> t
     published (readers of a never-written message see all zeroes). *)
 
 val id : t -> int
-(** Unique identifier (assigned at creation, like kernel-object ids);
-    traces and the static verifier ({!Lint}) key state messages by
-    it. *)
+(** Identifier, numbered like kernel-object ids ({!Objects}); traces
+    and the static verifier ({!Lint}) key state messages by it. *)
 
 val depth : t -> int
 val words : t -> int

@@ -105,7 +105,8 @@ type task_summary = {
 
 val create : tasks:(int * Model.Time.t * Model.Time.t) array -> unit -> t
 (** [create ~tasks:(id, period, relative_deadline)] in RM order: row
-    index = rank, matching the kernel's [base_prio] assignment. *)
+    index = rank, matching the kernel's [base_prio] assignment.  Ids
+    index a dense table, so events of negative ids are ignored. *)
 
 val of_taskset : Model.Taskset.t -> (int * Model.Time.t * Model.Time.t) array
 (** The [~tasks] argument for a kernel built from [taskset] with the

@@ -281,6 +281,10 @@ let emit t ~at entry =
   if t.keep then t.entries <- { at; entry } :: t.entries
 
 let entries t = List.rev t.entries
+
+let equal a b =
+  a.busy = b.busy && a.switches = b.switches && a.entries = b.entries
+
 let context_switches t = t.switches
 let deadline_misses t = t.misses
 let preemptions t = t.preemptions

@@ -153,6 +153,10 @@ val record : t -> stamped -> unit
 val entries : t -> stamped list
 (** Chronological.  Empty when created with [keep_entries:false]. *)
 
+val equal : t -> t -> bool
+(** Same kept entries, busy time and context-switch count; compares
+    the stored entries in place, copying nothing. *)
+
 val context_switches : t -> int
 val deadline_misses : t -> int
 val preemptions : t -> int

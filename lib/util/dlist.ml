@@ -1,23 +1,22 @@
 (* Circular doubly-linked list with a sentinel node.  The sentinel's
-   [v] is [None]; every real node carries [Some v].  [in_list] guards
-   against double-removal and powers [mem]. *)
+   [v] is [None]; every real node carries [Some v].  A node belongs to
+   the list it was made in for life, so [owner] (that list's sentinel)
+   is fixed and only [in_list] changes: together they guard against
+   double-removal and power [mem], with no write barrier on a link. *)
 
 type 'a node = {
   v : 'a option;
   mutable prev : 'a node;
   mutable next : 'a node;
+  owner : 'a node;
   mutable in_list : bool;
-  mutable list_id : int;
 }
 
-type 'a t = { sentinel : 'a node; mutable len : int; id : int }
-
-let next_id = ref 0
+type 'a t = { sentinel : 'a node; mutable len : int }
 
 let create () =
-  let rec s = { v = None; prev = s; next = s; in_list = false; list_id = -1 } in
-  incr next_id;
-  { sentinel = s; len = 0; id = !next_id }
+  let rec s = { v = None; prev = s; next = s; owner = s; in_list = false } in
+  { sentinel = s; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -34,33 +33,36 @@ let link_after t before n =
   before.next.prev <- n;
   before.next <- n;
   n.in_list <- true;
-  n.list_id <- t.id;
   t.len <- t.len + 1
 
+let mem t n = n.in_list && n.owner == t.sentinel
+
 let unlink t n =
-  assert (n.in_list && n.list_id = t.id);
+  assert (mem t n);
   n.prev.next <- n.next;
   n.next.prev <- n.prev;
   n.in_list <- false;
   t.len <- t.len - 1
 
-let make_node v =
-  let rec n = { v = Some v; prev = n; next = n; in_list = false; list_id = -1 } in
+let make_node t v =
+  let rec n =
+    { v = Some v; prev = n; next = n; owner = t.sentinel; in_list = false }
+  in
   n
 
 let push_front t v =
-  let n = make_node v in
+  let n = make_node t v in
   link_after t t.sentinel n;
   n
 
 let push_back t v =
-  let n = make_node v in
+  let n = make_node t v in
   link_after t t.sentinel.prev n;
   n
 
 let insert_before t anchor v =
-  assert (anchor.in_list && anchor.list_id = t.id);
-  let n = make_node v in
+  assert (mem t anchor);
+  let n = make_node t v in
   link_after t anchor.prev n;
   n
 
@@ -68,7 +70,7 @@ let remove t n = unlink t n
 
 let swap t a b =
   assert (a != b);
-  assert (a.in_list && a.list_id = t.id && b.in_list && b.list_id = t.id);
+  assert (mem t a && mem t b);
   if a.next == b then begin
     unlink t a;
     link_after t b a
@@ -89,14 +91,12 @@ let first t = if t.len = 0 then None else Some t.sentinel.next
 let last t = if t.len = 0 then None else Some t.sentinel.prev
 
 let next t n =
-  assert (n.in_list && n.list_id = t.id);
+  assert (mem t n);
   if n.next == t.sentinel then None else Some n.next
 
 let prev t n =
-  assert (n.in_list && n.list_id = t.id);
+  assert (mem t n);
   if n.prev == t.sentinel then None else Some n.prev
-
-let mem t n = n.in_list && n.list_id = t.id
 
 let iter_nodes f t =
   let rec loop n =
@@ -135,7 +135,7 @@ let check t =
   let count = ref 0 in
   let rec loop n =
     if n != t.sentinel then begin
-      assert (n.in_list && n.list_id = t.id);
+      assert (mem t n);
       assert (n.prev.next == n && n.next.prev == n);
       incr count;
       loop n.next

@@ -534,6 +534,7 @@ let task_wcet cost spec (t : task_spec) =
   max w 10_000
 
 let realize ?(cost = Sim.Cost.m68040) spec =
+  Ids.restart ();
   let lock =
     Array.init spec.s_locks (fun i ->
         Objects.sem ~kind:(if i mod 2 = 0 then Types.Emeralds else Types.Standard) ())

@@ -143,11 +143,12 @@ val spec_of :
     utilization tracks the target (small upward rounding only). *)
 
 val realize : ?cost:Sim.Cost.t -> spec -> Scenario.t
-(** Allocate kernel objects and build the scenario.  [cost] (default
-    m68040) must match the cost model the scenario is analyzed and
-    simulated under, since declared WCETs embed its charges.  Tasks
-    whose segments sum to nothing get a minimal compute so the taskset
-    stays valid. *)
+(** Allocate kernel objects and build the scenario.  Ids restart at 1
+    ({!Emeralds.Ids.restart}), so every realization of a spec numbers
+    its objects alike.  [cost] (default m68040) must match the cost
+    model the scenario is analyzed and simulated under, since declared
+    WCETs embed its charges.  Tasks whose segments sum to nothing get a
+    minimal compute so the taskset stays valid. *)
 
 val spec_utilization : ?cost:Sim.Cost.t -> spec -> float
 (** Utilization of the realized taskset (declared WCET over period). *)

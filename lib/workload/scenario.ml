@@ -20,6 +20,10 @@ type t = {
 let us = Model.Time.us
 let ms = Model.Time.ms
 
+(* Every builder restarts the object ids, so each call numbers its
+   objects alike. *)
+let fresh build () = Ids.restart (); build ()
+
 (* The lint-facing signal/write lists are the union over sources, so a
    scenario declares each interrupt once. *)
 let with_sources ~name ~taskset ~programs sources =
@@ -34,7 +38,7 @@ let with_sources ~name ~taskset ~programs sources =
 
 (* Pure computation: the Table 2 schedulability workload has no
    synchronisation story, so every job just burns its WCET. *)
-let table2 () =
+let table2 = fresh @@ fun () ->
   with_sources ~name:"table2" ~taskset:Presets.table2
     ~programs:(fun (task : Model.Task.t) -> [ Program.compute task.wcet ])
     []
@@ -44,7 +48,7 @@ let table2 () =
    share the fuel-map object under an EMERALDS semaphore, and knock
    diagnostics waits for the spark window.  The crank window models
    6000 rpm with speed wander. *)
-let engine () =
+let engine = fresh @@ fun () ->
   let engine_speed = State_msg.create ~depth:3 ~words:2 in
   let fuel_map = Objects.sem ~kind:Types.Emeralds () in
   let spark_event = Objects.waitq () in
@@ -79,7 +83,7 @@ let engine () =
    control loops, navigation shares a filter state under a semaphore,
    landing gear raises an event the monitor waits on, and maintenance
    streams log records through a mailbox. *)
-let avionics () =
+let avionics = fresh @@ fun () ->
   let air_data = State_msg.create ~depth:2 ~words:4 in
   let nav_state = Objects.sem ~kind:Types.Emeralds () in
   let gear_event = Objects.waitq () in
@@ -118,7 +122,7 @@ let avionics () =
    (single writer, no IRQ involvement), shares the codec buffer with
    the channel protocol, and the protocol streams frames to the
    battery/thermal logger through a mailbox. *)
-let voice () =
+let voice = fresh @@ fun () ->
   let frame_clock = State_msg.create ~depth:2 ~words:1 in
   let codec_buf = Objects.sem ~kind:Types.Emeralds () in
   let tx_queue = Objects.mailbox ~capacity:8 () in
@@ -146,7 +150,7 @@ let voice () =
    cover the heavier arm and the full iteration count — the worst-path
    demand the path-sensitive analyzer derives — so lint, absint, RTA,
    the model checker and the footprint report all stay clean. *)
-let branchy () =
+let branchy = fresh @@ fun () ->
   let frames = Objects.pool ~block_bytes:32 ~capacity:8 () in
   let taskset =
     Model.Taskset.of_list
@@ -189,7 +193,7 @@ let all () = List.map (fun (_, mk) -> mk ()) scenarios
    abstract interpreter's demand bound exceeds the declaration, which
    every schedulability result downstream silently trusts — exactly
    the failure `analyze` exists to catch. *)
-let under_declared_wcet () =
+let under_declared_wcet = fresh @@ fun () ->
   let taskset =
     Model.Taskset.of_list
       [
@@ -209,7 +213,7 @@ let under_declared_wcet () =
    a 64-deep, 600-word state message — 64 x 600 x 4 bytes of buffer
    alone — blowing through the 128 KB envelope once kernel code and
    the other objects are added. *)
-let over_budget () =
+let over_budget = fresh @@ fun () ->
   let bulk = State_msg.create ~depth:64 ~words:600 in
   let taskset =
     Model.Taskset.of_list
@@ -230,7 +234,7 @@ let over_budget () =
    reachable: tau2 takes B at t=0 and computes; tau1 preempts at 1 ms,
    takes A, and blocks on B; tau2 resumes and blocks on A — deadlock
    at 5 ms, well inside the 50 ms hyperperiod. *)
-let seeded_deadlock () =
+let seeded_deadlock = fresh @@ fun () ->
   let sem_a = Objects.sem () in
   let sem_b = Objects.sem () in
   let taskset =
@@ -262,7 +266,7 @@ let seeded_deadlock () =
    1 ms and inherits-boosts the holder, eating ~5 ms of blocking
    against a 2 ms compute — its first job must miss, and blame must
    pin the miss on the semaphore rather than on interference. *)
-let inversion_demo () =
+let inversion_demo = fresh @@ fun () ->
   let sem = Objects.sem () in
   let taskset =
     Model.Taskset.of_list
@@ -286,7 +290,7 @@ let inversion_demo () =
    [overrun-demo] inject preset scales tau2's demand 4x — enough that
    the budget watcher must fire and the analytical response-time bounds
    for tau2/tau3 are falsified by observed misses. *)
-let overrun_demo () =
+let overrun_demo = fresh @@ fun () ->
   let taskset =
     Model.Taskset.of_list
       [
@@ -305,7 +309,7 @@ let overrun_demo () =
    category, live-block metrics, and quota enforcement: --mem-policy
    installs the analyzer's peak-live bounds as quotas and nothing
    fires, while the static pool-sizing table shows 5/8 blocks used. *)
-let alloc_demo () =
+let alloc_demo = fresh @@ fun () ->
   let frames = Objects.pool ~block_bytes:64 ~capacity:8 () in
   let taskset =
     Model.Taskset.of_list
@@ -337,7 +341,7 @@ let alloc_demo () =
    and records the leak, the alloc-discipline lint proves it
    statically (the 6-block pool would exhaust within 6 jobs), and the
    campaign's mem oracle demands the two verdicts agree. *)
-let leak_demo () =
+let leak_demo = fresh @@ fun () ->
   let buffers = Objects.pool ~block_bytes:32 ~capacity:6 () in
   let taskset =
     Model.Taskset.of_list
@@ -360,7 +364,7 @@ let leak_demo () =
    longer holds.  The lint walk flags the second free exactly (the
    kernel would raise on it at run time), so this demo is for the
    static analyzers only. *)
-let double_free_demo () =
+let double_free_demo = fresh @@ fun () ->
   let scratch = Objects.pool ~block_bytes:16 ~capacity:4 () in
   let taskset =
     Model.Taskset.of_list
@@ -383,7 +387,7 @@ let double_free_demo () =
    horizon: its jobs arrive only via [Kernel.trigger_job_at] — the
    sporadic arrivals §5 motivates — with [period] as the declared
    minimum interarrival the burst fault then violates. *)
-let storm_demo () =
+let storm_demo = fresh @@ fun () ->
   let sample_ready = Objects.waitq () in
   let taskset =
     Model.Taskset.of_list

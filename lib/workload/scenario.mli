@@ -8,9 +8,11 @@
     and simulate — or to compile into the pure transition system the
     bounded model checker ([lib/mc]) explores.
 
-    [make] allocates fresh kernel objects on every call, so a scenario
-    can be linted and simulated repeatedly without sharing mutable
-    semaphore/mailbox state across runs. *)
+    [make] and every builder below allocate fresh kernel objects on
+    every call, so a scenario can be linted and simulated repeatedly
+    without sharing mutable semaphore/mailbox state across runs; each
+    call restarts the ids ({!Emeralds.Ids.restart}), so every call
+    numbers its objects alike. *)
 
 type irq_source = {
   irq : int;

@@ -52,8 +52,6 @@ let test_conservation_presets () =
 (* Attaching the attributor must not perturb the kernel: the trace is
    bit-identical with and without the subscriber. *)
 let test_attach_invisible () =
-  (* one scenario for both runs: object ids are drawn from a global
-     counter, so two [branchy] realizations would differ in pool id *)
   let scenario = Option.get (Workload.Scenario.make "branchy") in
   let run attach =
     let k =
@@ -283,6 +281,155 @@ let test_inversion_blames_sem () =
   | c, _ ->
     failf "expected Blocking dominant, got %s" (Obs.Blame.cause_label c)
 
+(* The allocation-free attributor against the test-local reference
+   ([Blame_ref], the direct implementation): the same summaries, with
+   or without an [on_complete] callback, and the same breakdown of
+   every closed job, on every preset under RM and under EDF with kill
+   enforcement, and on 30 generated scenarios run as the campaign runs
+   them (IRQ arrivals, declared notify-only budgets). *)
+let test_matches_reference () =
+  let closed = ref 0 in
+  let compare_run label (sc : Workload.Scenario.t) run =
+    let tasks = Obs.Blame.of_taskset sc.taskset in
+    let r = Blame_ref.create ~tasks () in
+    let a = Obs.Blame.create ~tasks () and b = Obs.Blame.create ~tasks () in
+    let r_done = ref [] and a_done = ref [] in
+    Blame_ref.on_complete r (fun x -> r_done := x :: !r_done);
+    Obs.Blame.on_complete a (fun x -> a_done := x :: !a_done);
+    run (fun k ->
+        let p = Emeralds.Kernel.probe k in
+        Blame_ref.attach r p;
+        Obs.Blame.attach a p;
+        Obs.Blame.attach b p);
+    closed := !closed + List.length !r_done;
+    check bool (label ^ ": breakdowns") true (!r_done = !a_done);
+    check bool (label ^ ": summaries") true
+      (Blame_ref.summaries r = Obs.Blame.summaries a);
+    check bool (label ^ ": summaries without callbacks") true
+      (Blame_ref.summaries r = Obs.Blame.summaries b)
+  in
+  let kill =
+    {
+      Emeralds.Kernel.budget_of = (fun (t : Model.Task.t) -> Some t.wcet);
+      policy = Emeralds.Kernel.Kill_job;
+      miss = Emeralds.Kernel.Miss_record;
+      shed_one_in = None;
+    }
+  in
+  let presets =
+    List.map
+      (fun n -> Option.get (Workload.Scenario.make n))
+      Workload.Scenario.names
+    @ Workload.Scenario.
+        [
+          inversion_demo (); overrun_demo (); alloc_demo (); leak_demo ();
+          storm_demo ();
+        ]
+  in
+  List.iter
+    (fun (sc : Workload.Scenario.t) ->
+      List.iter
+        (fun (spec, enforcement, tag) ->
+          compare_run (sc.name ^ tag) sc (fun attach ->
+              let k =
+                Emeralds.Kernel.create ~cost:Sim.Cost.m68040 ~spec
+                  ~taskset:sc.taskset ~programs:sc.programs ~input_seed:5 ()
+              in
+              Emeralds.Kernel.set_enforcement k enforcement;
+              attach k;
+              Emeralds.Kernel.run k ~until:(ms 150)))
+        [
+          (Emeralds.Sched.Rm, None, "");
+          (Emeralds.Sched.Edf, Some kill, " edf/kill");
+        ])
+    presets;
+  List.iter
+    (fun spec ->
+      let sc = Workload.Generator.realize spec in
+      let horizon =
+        Array.fold_left
+          (fun h (t : Model.Task.t) -> max h (2 * t.period))
+          0 (Model.Taskset.tasks sc.taskset)
+      in
+      let cfg =
+        Fault.Inject.default_config ~scenario:sc
+          ~horizon:(min horizon (ms 1000)) ~seed:9
+          ~enforcement:
+            {
+              Emeralds.Kernel.budget_of = Fault.Inject.declared_budgets;
+              policy = Emeralds.Kernel.Notify_only;
+              miss = Emeralds.Kernel.Miss_record;
+              shed_one_in = None;
+            }
+          ()
+      in
+      compare_run sc.name sc (fun attach ->
+          ignore (Fault.Inject.run { cfg with observer = Some attach })))
+    (Workload.Generator.scenario_specs ~seed:42 ~count:30 ());
+  check bool "thousands of jobs compared" true (!closed > 1000)
+
+(* The same comparison on arbitrary event streams, which reach states
+   the kernel seldom produces: idle gaps, nested holds of one
+   semaphore, inversions behind a runner holding several, kills and
+   events of unknown tasks. *)
+let gen_stream =
+  QCheck2.Gen.(
+    let tid = int_range 1 4 (* 4 is not a task *) and sem = int_range 1 2 in
+    let entry =
+      oneof
+        [
+          map3
+            (fun tid job deadline ->
+              Sim.Trace.Job_release { tid; job; deadline })
+            tid (int_range 1 9) (int_range 0 400);
+          map2
+            (fun tid response ->
+              Sim.Trace.Job_complete { tid; job = 1; response })
+            tid (int_range 0 300);
+          map (fun tid -> Sim.Trace.Job_killed { tid; job = 1 }) tid;
+          map2
+            (fun from_tid to_tid ->
+              Sim.Trace.Context_switch { from_tid; to_tid })
+            (opt tid) (opt tid);
+          map2
+            (fun tid reason -> Sim.Trace.Thread_block { tid; reason })
+            tid (oneofl [ "sem"; "approach"; "dormant"; "killed"; "delay" ]);
+          map (fun tid -> Sim.Trace.Thread_unblock { tid }) tid;
+          map2 (fun tid sem -> Sim.Trace.Approach_parked { tid; sem }) tid sem;
+          map2 (fun tid sem -> Sim.Trace.Sem_blocked { tid; sem }) tid sem;
+          map2 (fun tid sem -> Sim.Trace.Sem_acquired { tid; sem }) tid sem;
+          map2 (fun tid sem -> Sim.Trace.Sem_released { tid; sem }) tid sem;
+          map2
+            (fun holder from_tid ->
+              Sim.Trace.Priority_inherit { holder; from_tid })
+            tid tid;
+          map (fun holder -> Sim.Trace.Priority_restore { holder }) tid;
+          map2
+            (fun category cost -> Sim.Trace.Overhead { category; cost })
+            (oneofl Sim.Trace.ovh_categories) (int_range 0 40);
+          return (Sim.Trace.Interrupt { irq = 1 });
+        ]
+    in
+    list_size (int_range 1 300) (pair (int_range 0 30) entry))
+
+let prop_matches_reference_streams =
+  fuzz ~count:500 "matches the reference on random event streams" gen_stream
+    (fun steps ->
+      let tasks = [| (1, 100, 100); (2, 200, 150); (3, 400, 400) |] in
+      let r = Blame_ref.create ~tasks () and a = Obs.Blame.create ~tasks () in
+      let r_done = ref [] and a_done = ref [] in
+      Blame_ref.on_complete r (fun x -> r_done := x :: !r_done);
+      Obs.Blame.on_complete a (fun x -> a_done := x :: !a_done);
+      let at = ref 0 in
+      List.iter
+        (fun (dt, entry) ->
+          at := !at + dt;
+          let st = { Sim.Trace.at = !at; entry } in
+          Blame_ref.observe r st;
+          Obs.Blame.observe a st)
+        steps;
+      !r_done = !a_done && Blame_ref.summaries r = Obs.Blame.summaries a)
+
 let suite =
   [
     test_case "conservation on every preset" `Quick test_conservation_presets;
@@ -292,4 +439,6 @@ let suite =
     test_case "inversion demo blames the semaphore" `Quick
       test_inversion_blames_sem;
     prop_eval_terms;
+    test_case "matches the reference attributor" `Quick test_matches_reference;
+    prop_matches_reference_streams;
   ]

@@ -140,6 +140,26 @@ let test_mem_ablation_detected () =
         (r.finding.oracle = Campaign.Oracle.Mem))
     s.findings
 
+(* Half the declared budgets, still notify-only: every enforced run
+   records overruns the plain run does not, and Ident must say so. *)
+let test_ident_ablation_detected () =
+  let s =
+    Campaign.Driver.run
+      {
+        Campaign.Driver.default_config with
+        seed = 42;
+        count = 30;
+        oracles = [ Campaign.Oracle.Validity; Campaign.Oracle.Ident ];
+        ablation = Campaign.Oracle.Ident_budget;
+      }
+  in
+  check int "every scenario diverges" 30 (Campaign.Driver.falsifications s);
+  List.iter
+    (fun (r : Campaign.Driver.report_finding) ->
+      check bool "ablated finding hits the ident oracle" true
+        (r.finding.oracle = Campaign.Oracle.Ident))
+    s.findings
+
 (* --- shrinking -------------------------------------------------------- *)
 
 let test_shrink () =
@@ -208,6 +228,7 @@ let suite =
     test_case "absint ablation is detected" `Quick test_ablation_detected;
     test_case "rta ablation is detected" `Quick test_rta_ablation_detected;
     test_case "mem ablation is detected" `Quick test_mem_ablation_detected;
+    test_case "ident ablation is detected" `Quick test_ident_ablation_detected;
     test_case "falsifications shrink" `Quick test_shrink;
     test_case "sarif report shape" `Quick test_sarif_shape;
     test_case "json and text reports" `Quick test_json_and_text;

@@ -186,8 +186,6 @@ let test_kernel_trace_unperturbed () =
    everything — while a different input seed steers jobs down
    different paths. *)
 let test_branchy_replay_bit_identical () =
-  (* one scenario for both runs: object ids are drawn from a global
-     counter, so two [branchy] realizations would differ in pool id *)
   let scenario = Option.get (Workload.Scenario.make "branchy") in
   let run ~input_seed =
     let k =

@@ -275,6 +275,60 @@ let test_presets_sane () =
        Workload.Presets.table2_troublesome_rank)
       .id
 
+(* Object ids are per realization: realizing a spec (or building a
+   preset) twice numbers every semaphore, wait queue, mailbox, pool and
+   state message alike, in programs and IRQ sources, and the two
+   kernels' traces are bit-identical. *)
+let object_ids (sc : Workload.Scenario.t) =
+  let open Emeralds.Types in
+  let ids = ref [] in
+  let add space id = ids := (space, id) :: !ids in
+  let state sm = add "state" (Emeralds.State_msg.id sm) in
+  Array.iter
+    (fun t ->
+      Emeralds.Program.iter_leaves
+        (function
+          | Acquire s | Release s -> add "sem" s.sem_id
+          | Wait q | Timed_wait (q, _) | Signal q | Broadcast q ->
+            add "waitq" q.wq_id
+          | Send (m, _) | Recv m -> add "mailbox" m.mb_id
+          | State_write (sm, _) | State_read sm -> state sm
+          | Alloc p | Free p -> add "pool" p.pool_id
+          | _ -> ())
+        (sc.programs t))
+    (Model.Taskset.tasks sc.taskset);
+  List.iter
+    (fun (src : Workload.Scenario.irq_source) ->
+      List.iter (fun q -> add "waitq" q.wq_id) src.signals;
+      List.iter state src.writes)
+    sc.irq_sources;
+  List.rev !ids
+
+let test_realizations_number_alike () =
+  let trace sc =
+    let cfg =
+      Fault.Inject.default_config ~scenario:sc ~horizon:(ms 200) ~seed:9 ()
+    in
+    Emeralds.Kernel.trace (Fault.Inject.run cfg).kernel
+  in
+  let same name mk =
+    let a = mk () in
+    let b = mk () in
+    check (list (pair string int)) (name ^ " object ids") (object_ids a)
+      (object_ids b);
+    let ta = trace a and tb = trace b in
+    check bool (name ^ " traces equal") true (Sim.Trace.equal ta tb);
+    check string (name ^ " traces bit-identical") (Sim.Trace.to_csv ta)
+      (Sim.Trace.to_csv tb)
+  in
+  List.iter
+    (fun (spec : Workload.Generator.spec) ->
+      same spec.s_name (fun () -> Workload.Generator.realize spec))
+    (Workload.Generator.scenario_specs ~seed:42 ~count:30 ());
+  List.iter
+    (fun name -> same name (fun () -> Option.get (Workload.Scenario.make name)))
+    Workload.Scenario.names
+
 let suite =
   [
     test_case "period buckets" `Quick test_period_buckets;
@@ -287,4 +341,6 @@ let suite =
     prop_scenario_specs_well_formed;
     test_case "stream stability golden" `Quick test_stream_stability_golden;
     test_case "presets" `Quick test_presets_sane;
+    test_case "realizations number objects alike" `Quick
+      test_realizations_number_alike;
   ]
