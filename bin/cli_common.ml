@@ -1,52 +1,159 @@
 (* Argument vocabulary shared by the CLI subcommands: scheduler and
-   workload selection, the exit-code convention, and the validated
-   observability knobs.  Every subcommand composes these rather than
-   re-declaring its own spellings, so `--seed` or `--preset` mean the
-   same thing everywhere. *)
+   workload selection, the output format, the exit-code convention,
+   and the validated observability knobs.  Every subcommand composes
+   these rather than re-declaring its own spellings, so `--seed`,
+   `--preset` or `--format` mean the same thing everywhere, and every
+   name is checked by a cmdliner converter before a subcommand runs. *)
 
 open Cmdliner
 
-let sched_conv =
+(* Exit-code convention, shared by every subcommand: 0 = clean, 1 =
+   findings/violations in an otherwise valid run, 2 = bad invocation
+   (unknown name, unreadable file, conflicting arguments).  A name a
+   converter rejects is a cmdliner usage error, which the entry point
+   maps to 2 as well. *)
+let bad_invocation fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+let one_of names = String.concat ", " names
+let names pairs = one_of (List.map fst pairs)
+
+(* A converter over a closed vocabulary: [parse] reads one spelling
+   (the library's own reader where there is one); [names] lists the
+   spellings for the error. *)
+let vocab ~what names parse print =
   let parse s =
-    match String.lowercase_ascii s with
-    | "edf" -> Ok Emeralds.Sched.Edf
-    | "rm" -> Ok Emeralds.Sched.Rm
-    | "rm-heap" | "rmheap" -> Ok Emeralds.Sched.Rm_heap
-    | other ->
-      (* csd2 / csd3 / csd4, or an explicit partition "csd:3,4" *)
-      if String.length other > 4 && String.sub other 0 4 = "csd:" then
-        try
-          let sizes =
-            String.split_on_char ','
-              (String.sub other 4 (String.length other - 4))
-            |> List.map int_of_string
-          in
-          Ok (Emeralds.Sched.Csd sizes)
-        with _ -> Error (`Msg "bad CSD partition, expected csd:S1,S2,...")
-      else if other = "csd2" then Ok (Emeralds.Sched.Csd [ 3 ])
-      else if other = "csd3" then Ok (Emeralds.Sched.Csd [ 2; 3 ])
-      else if other = "csd4" then Ok (Emeralds.Sched.Csd [ 2; 2; 3 ])
-      else Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
+    match parse s with
+    | Some v -> Ok v
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown %s %S (expected: %s)" what s (one_of names)))
   in
-  let print ppf spec = Format.pp_print_string ppf (Emeralds.Sched.spec_name spec) in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (print v))
+
+(* A vocabulary given as a name table; [ci] matches any case, as the
+   flags that always lowercased their input do. *)
+let table ?(ci = false) ~what pairs =
+  vocab ~what (List.map fst pairs)
+    (fun s ->
+      List.assoc_opt (if ci then String.lowercase_ascii s else s) pairs)
+    (fun v ->
+      match List.find_opt (fun (_, v') -> v' == v) pairs with
+      | Some (name, _) -> name
+      | None -> "?")
+
+(* A comma-separated list over [conv]; every element must parse. *)
+let comma_list conv =
+  let parse s =
+    List.fold_right
+      (fun x acc ->
+        match (Arg.conv_parser conv x, acc) with
+        | Ok v, Ok vs -> Ok (v :: vs)
+        | Error m, _ | _, Error m -> Error m)
+      (String.split_on_char ',' s) (Ok [])
+  in
+  let print =
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
+      (Arg.conv_printer conv)
+  in
   Arg.conv (parse, print)
 
-let preset_conv =
-  let parse = function
-    | "table2" -> Ok Workload.Presets.table2
-    | "engine" -> Ok Workload.Presets.engine_control
-    | "avionics" -> Ok Workload.Presets.avionics
-    | "voice" -> Ok Workload.Presets.voice
-    | s -> Error (`Msg (Printf.sprintf "unknown preset %S" s))
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
   in
-  Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "<taskset>")
+  Arg.conv (parse, Format.pp_print_int)
 
-let preset =
+let sched_conv =
+  let named =
+    Emeralds.Sched.
+      [
+        ("edf", Edf); ("rm", Rm); ("rm-heap", Rm_heap); ("rmheap", Rm_heap);
+        ("csd2", Csd [ 3 ]); ("csd3", Csd [ 2; 3 ]); ("csd4", Csd [ 2; 2; 3 ]);
+      ]
+  in
+  let parse s =
+    let l = String.lowercase_ascii s in
+    match List.assoc_opt l named with
+    | Some spec -> Ok spec
+    | None when String.length l > 4 && String.sub l 0 4 = "csd:" -> (
+      (* an explicit partition "csd:3,4" *)
+      let sizes = String.sub l 4 (String.length l - 4) in
+      match List.map int_of_string (String.split_on_char ',' sizes) with
+      | sizes -> Ok (Emeralds.Sched.Csd sizes)
+      | exception _ ->
+        Error (`Msg "bad CSD partition, expected csd:S1,S2,..."))
+    | None -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
+  in
+  let print ppf spec =
+    Format.pp_print_string ppf (Emeralds.Sched.spec_name spec)
+  in
+  Arg.conv (parse, print)
+
+let sched ?(doc = "") default =
   Arg.(
     value
-    & opt (some preset_conv) None
-    & info [ "preset" ] ~docv:"NAME"
-        ~doc:"Named workload: table2, engine, avionics or voice.")
+    & opt sched_conv default
+    & info [ "sched" ] ~docv:"SCHED"
+        ~doc:
+          ("Scheduler: edf, rm, rm-heap, csd2, csd3, csd4 or csd:S1,S2,..."
+          ^ doc))
+
+(* The kernel refuses a CSD partition larger than its task set: a bad
+   invocation for every subcommand that runs one. *)
+let check_fits spec taskset =
+  let n_tasks = Model.Taskset.size taskset in
+  try Emeralds.Sched.validate_partition spec ~n_tasks
+  with Invalid_argument msg ->
+    bad_invocation "--sched %s does not fit a %d-task set: %s"
+      (Emeralds.Sched.spec_name spec) n_tasks msg
+
+(* ------------------------------------------------------------------ *)
+(* --preset: one catalog of named scenarios *)
+
+let catalog = Workload.Scenario.catalog
+
+let scenario_names =
+  List.map (fun (e : Workload.Scenario.entry) -> e.name) catalog
+
+let find_scenario name =
+  List.find_opt (fun (e : Workload.Scenario.entry) -> e.name = name) catalog
+
+(* [runs]: the subcommand runs the kernel on the scenario's programs,
+   so it refuses a static-only scenario. *)
+let scenario_conv ~runs =
+  let known =
+    vocab ~what:"scenario" scenario_names find_scenario (fun e -> e.name)
+  in
+  let parse s =
+    match Arg.conv_parser known s with
+    | Ok { static_only = Some why; _ } when runs ->
+      Error (`Msg (Printf.sprintf "scenario %S is static-only: %s" s why))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer known)
+
+let preset_info doc =
+  Arg.info [ "preset" ] ~docv:"NAME"
+    ~doc:(Printf.sprintf "%s. Scenarios: %s." doc (one_of scenario_names))
+
+(* --preset with a default scenario, or (preset_opt) without one *)
+let preset ?(runs = false) ~doc default =
+  Arg.(
+    value
+    & opt (scenario_conv ~runs) (Option.get (find_scenario default))
+    & preset_info doc)
+
+let preset_opt ~doc =
+  Arg.(value & opt (some (scenario_conv ~runs:false)) None & preset_info doc)
 
 let random_n =
   Arg.(
@@ -62,21 +169,13 @@ let file =
     value
     & opt (some string) None
     & info [ "file" ] ~docv:"PATH"
-        ~doc:"Load the task set from a spec file (see lib/workload/spec_file.mli).")
-
-(* Exit-code convention, shared by every subcommand: 0 = clean, 1 =
-   findings/violations in an otherwise valid run, 2 = bad invocation
-   (unknown name, unreadable file, conflicting arguments). *)
-let bad_invocation fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline msg;
-      exit 2)
-    fmt
+        ~doc:
+          "Load the task set from a spec file (see \
+           lib/workload/spec_file.mli).")
 
 let taskset_of ~preset ~random_n ~file ~seed =
   match (preset, random_n, file) with
-  | Some ts, None, None -> ts
+  | Some (e : Workload.Scenario.entry), None, None -> (e.build ()).taskset
   | None, Some n, None ->
     Workload.Generator.random_taskset ~rng:(Util.Rng.create ~seed) ~n ()
   | None, None, Some path -> (
@@ -85,6 +184,109 @@ let taskset_of ~preset ~random_n ~file ~seed =
     | Error msg -> bad_invocation "cannot load task set: %s" msg)
   | None, None, None -> Workload.Presets.table2
   | _ -> bad_invocation "give exactly one of --preset, --random, --file"
+
+(* ------------------------------------------------------------------ *)
+(* --format, --json and --out *)
+
+let format_name = function
+  | `Text -> "text"
+  | `Json -> "json"
+  | `Sarif -> "sarif"
+  | `Perfetto -> "perfetto"
+  | `Csv -> "csv"
+  | `Metrics -> "metrics"
+
+(* --format over [formats], the first being the default; [json] adds
+   the --json flag, a spelling of --format json that an explicit
+   --format overrides. *)
+let format ?(json = false) ?(doc = "") formats =
+  let pairs = List.map (fun f -> (format_name f, f)) formats in
+  let default = List.hd formats in
+  let fmt =
+    Arg.(
+      value
+      & opt (some (table ~what:"format" pairs)) None
+      & info [ "format" ] ~docv:"FMT"
+          ~doc:
+            (Printf.sprintf "Output format: %s (default: %s).%s" (names pairs)
+               (format_name default) doc))
+  in
+  if not json then Term.(const (Option.value ~default) $ fmt)
+  else
+    let flag =
+      Arg.(value & flag & info [ "json" ] ~doc:"Same as $(b,--format json).")
+    in
+    let pick f json =
+      match f with Some f -> f | None -> if json then `Json else default
+    in
+    Term.(const pick $ fmt $ flag)
+
+let out =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~docv:"PATH"
+        ~doc:"Write the output to a file instead of stdout.")
+
+let write_file path s =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc s)
+
+(* Print [output], or write it to the --out file and say so. *)
+let emit ~out ~format output =
+  match out with
+  | None -> print_string output
+  | Some path ->
+    write_file path output;
+    Printf.printf "%s output written to %s\n" (format_name format) path
+
+(* analyze and lint, on the --preset scenario or every shipped one: a
+   report per scenario, or one SARIF log over all of them with each
+   result located in its scenario; exit 1 on any error.  [report]
+   returns a scenario's diagnostics and the printer of its text or JSON
+   report. *)
+let report_scenarios ~tool ~format preset report =
+  let scenarios =
+    match preset with
+    | None -> Workload.Scenario.all ()
+    | Some (e : Workload.Scenario.entry) -> [ e.build () ]
+  in
+  let results = ref [] and errors = ref 0 in
+  List.iter
+    (fun (s : Workload.Scenario.t) ->
+      let diags, print = report s in
+      errors := !errors + Lint.Diag.errors diags;
+      if format = `Sarif then
+        let locate (r : Lint.Sarif.result) =
+          let at = match r.logical with None -> "" | Some l -> ", " ^ l in
+          { r with logical = Some (s.name ^ at) }
+        in
+        results := !results @ List.map locate (Lint.Sarif.of_diags diags)
+      else print ())
+    scenarios;
+  if format = `Sarif then
+    print_endline (Lint.Sarif.render ~tool_name:tool !results);
+  if !errors > 0 then exit 1
+
+(* ------------------------------------------------------------------ *)
+(* run length and observability knobs *)
+
+let horizon_ms default =
+  Arg.(
+    value & opt int default
+    & info [ "horizon-ms" ] ~doc:"Simulation horizon in milliseconds.")
+
+let ring_bytes default =
+  Arg.(
+    value & opt int default
+    & info [ "ring-bytes" ] ~docv:"N"
+        ~doc:
+          "Flight-recorder ring size in modeled bytes (48 per event slot); \
+           bounded by the paper's 128 KB memory envelope.")
+
+(* the recorder freezes at the first detected fault *)
+let fault_triggers =
+  Obs.Flightrec.
+    [ On_miss; On_overrun; On_kill; On_oom; On_quota; On_net_timeout ]
 
 (* Shared by inject and trace: a ring must hold at least one slot and
    stay inside the paper's total-memory envelope (a recorder bigger
@@ -100,19 +302,23 @@ let validated_ring_bytes bytes =
       envelope_hi;
   bytes
 
-let category_mask_of_names spec =
-  match spec with
-  | None -> Obs.Probe.all_mask
-  | Some s ->
-    let cats =
-      List.map
-        (fun name ->
-          match Obs.Probe.category_of_name (String.lowercase_ascii name) with
-          | Some c -> c
-          | None ->
-            bad_invocation "unknown category %S (expected: %s)" name
-              (String.concat ", "
-                 (List.map Obs.Probe.category_name Obs.Probe.all_categories)))
-        (String.split_on_char ',' s)
-    in
-    Obs.Probe.mask_of cats
+(* --categories: the probe categories the observability subscribers
+   take, in any case *)
+let categories =
+  let names = List.map Obs.Probe.category_name Obs.Probe.all_categories in
+  let category =
+    vocab ~what:"category" names
+      (fun s -> Obs.Probe.category_of_name (String.lowercase_ascii s))
+      Obs.Probe.category_name
+  in
+  Arg.(
+    value
+    & opt (comma_list category) Obs.Probe.all_categories
+    & info [ "categories" ] ~docv:"LIST"
+        ~doc:
+          (Printf.sprintf
+             "Comma-separated probe categories the recorder and exporters \
+              subscribe to (%s); default all.  Filters the observability \
+              subscribers only — the kernel's own trace and statistics are \
+              unaffected."
+             (one_of names)))

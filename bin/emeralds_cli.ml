@@ -8,28 +8,29 @@ open Cli_common
 (* experiment *)
 
 let experiments =
-  [
-    ("table1", fun ~seed:_ ~workloads:_ -> Experiments.Exp_table1.run ());
-    ("figure2", fun ~seed:_ ~workloads:_ -> Experiments.Exp_figure2.run ());
-    ( "figures3to5",
-      fun ~seed ~workloads -> Experiments.Exp_figures3_5.run ~seed ~workloads () );
-    ("table3", fun ~seed:_ ~workloads:_ -> Experiments.Exp_table3.run ());
-    ("semaphores", fun ~seed:_ ~workloads:_ -> Experiments.Exp_sem.run ());
-    ("ipc", fun ~seed:_ ~workloads:_ -> Experiments.Exp_ipc.run ());
-    ("cyclic", fun ~seed:_ ~workloads:_ -> Experiments.Exp_cyclic.run ());
-    ("ablation", fun ~seed:_ ~workloads:_ -> Experiments.Exp_ablation.run ());
-    ("interrupt", fun ~seed:_ ~workloads:_ -> Experiments.Exp_interrupt.run ());
-  ]
+  let plain run ~seed:_ ~workloads:_ = run () in
+  Experiments.
+    [
+      ("table1", plain Exp_table1.run); ("figure2", plain Exp_figure2.run);
+      ( "figures3to5",
+        fun ~seed ~workloads -> Exp_figures3_5.run ~seed ~workloads () );
+      ("table3", plain Exp_table3.run); ("semaphores", plain Exp_sem.run);
+      ("ipc", plain Exp_ipc.run); ("cyclic", plain Exp_cyclic.run);
+      ("ablation", plain Exp_ablation.run);
+      ("interrupt", plain Exp_interrupt.run);
+    ]
 
 let experiment_cmd =
+  (* [None] is "all" *)
+  let choices =
+    List.map (fun (key, f) -> (key, Some f)) experiments @ [ ("all", None) ]
+  in
   let name_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (table ~what:"experiment" choices)) None
       & info [] ~docv:"NAME"
-          ~doc:
-            "Experiment: table1, figure2, figures3to5, table3, semaphores, \
-             ipc, cyclic, ablation, interrupt, or all.")
+          ~doc:(Printf.sprintf "Experiment: %s." (names choices)))
   in
   let workloads =
     Arg.(
@@ -37,17 +38,15 @@ let experiment_cmd =
       & info [ "workloads" ]
           ~doc:"Random workloads per data point (paper: 500).")
   in
-  let run name seed workloads =
-    let run_one (key, f) =
-      print_endline ("==== " ^ key ^ " ====");
-      print_endline (f ~seed ~workloads)
-    in
-    match name with
-    | "all" -> List.iter run_one experiments
-    | key -> (
-      match List.assoc_opt key experiments with
-      | Some f -> print_endline (f ~seed ~workloads)
-      | None -> bad_invocation "unknown experiment: %s" key)
+  let run which seed workloads =
+    match which with
+    | Some f -> print_endline (f ~seed ~workloads)
+    | None ->
+      List.iter
+        (fun (key, f) ->
+          print_endline ("==== " ^ key ^ " ====");
+          print_endline (f ~seed ~workloads))
+        experiments
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
@@ -55,6 +54,11 @@ let experiment_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* schedulability (off-line feasibility tables) *)
+
+(* schedulability, simulate and sensitivity take a task set: a
+   scenario's, a random one, or a spec file's *)
+let taskset_preset =
+  preset_opt ~doc:"Workload: the task set of a named scenario"
 
 let schedulability_cmd =
   let run preset random_n file seed =
@@ -99,49 +103,67 @@ let schedulability_cmd =
   Cmd.v
     (Cmd.info "schedulability"
        ~doc:"Off-line schedulability and breakdown analysis")
-    Term.(const run $ preset $ random_n $ file $ seed)
+    Term.(const run $ taskset_preset $ random_n $ file $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* analyze (abstract interpretation) *)
 
-let demo_scenarios =
-  [
-    ("under-declared-demo", Workload.Scenario.under_declared_wcet);
-    ("over-budget-demo", Workload.Scenario.over_budget);
-    ("deadlock-demo", Workload.Scenario.seeded_deadlock);
-    ("alloc-demo", Workload.Scenario.alloc_demo);
-    ("leak-demo", Workload.Scenario.leak_demo);
-    ("double-free-demo", Workload.Scenario.double_free_demo);
-  ]
+(* Response-time analysis on the derived per-job demand with the absint
+   blocking terms; a task below an untimed wait has no bound. *)
+let print_derived_rta (r : Absint.Report.t) =
+  let blocking = Absint.Report.blocking_terms r in
+  let demand = Absint.Report.derived_demand r in
+  let rows =
+    Array.mapi
+      (fun i (tb : Absint.Report.task_bound) ->
+        let t = tb.task in
+        (t.period, t.deadline, Option.value demand.(i) ~default:t.wcet))
+      r.tasks
+  in
+  let us = Model.Time.to_us_f in
+  Printf.printf "\nRTA with derived demand and absint blocking terms:\n";
+  Array.iteri
+    (fun i (tb : Absint.Report.task_bound) ->
+      let t = tb.task in
+      let d = us (Option.value demand.(i) ~default:0) in
+      if Array.exists Option.is_none (Array.sub demand 0 (i + 1)) then
+        Printf.printf "  %-8s demand unbounded (untimed wait): no RTA bound\n"
+          t.name
+      else
+        match Analysis.Rta.response_time ~blocking ~tasks:rows i with
+        | None ->
+          Printf.printf "  %-8s demand %8.1fus  RTA: unbounded\n" t.name d
+        | Some bound ->
+          Printf.printf
+            "  %-8s demand %8.1fus  B %6.1fus  response %8.1fus  deadline \
+             %8.1fus  %s\n"
+            t.name d (us blocking.(i)) (us bound) (us t.deadline)
+            (if bound <= t.deadline then "ok" else "MISSED"))
+    r.tasks
 
-let analyze_scenario_names =
-  Workload.Scenario.names @ List.map fst demo_scenarios
+let scenarios_format =
+  format ~json:true ~doc:" SARIF is one log for all scenarios."
+    [ `Text; `Json; `Sarif ]
 
-let analyze_scenario_of name =
-  match List.assoc_opt name demo_scenarios with
-  | Some mk -> Some (mk ())
-  | None -> Workload.Scenario.make name
+let lint_ctx (s : Workload.Scenario.t) =
+  Lint.Ctx.make ~irq_signals:s.irq_signals ~irq_writes:s.irq_writes
+    ~taskset:s.taskset ~programs:s.programs ()
 
 let analyze_cmd =
-  let preset_name =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to analyze: table2, engine, avionics, voice, branchy, \
-             under-declared-demo, over-budget-demo, deadlock-demo, \
-             alloc-demo, leak-demo or double-free-demo (default: the \
-             shipped presets).")
+  let preset =
+    preset_opt ~doc:"Scenario to analyze (default: the shipped presets)"
   in
-  let cost_name =
+  let cost_models = [ ("m68040", Sim.Cost.m68040); ("zero", Sim.Cost.zero) ] in
+  let cost =
     Arg.(
       value
-      & opt string "m68040"
+      & opt (table ~ci:true ~what:"cost model" cost_models) Sim.Cost.m68040
       & info [ "cost" ] ~docv:"MODEL"
           ~doc:
-            "Cost model charged for kernel calls: m68040 (the paper's \
-             target) or zero (pure program time).")
+            (Printf.sprintf
+               "Cost model charged for kernel calls: %s (m68040 is the \
+                paper's target, zero charges pure program time)."
+               (names cost_models)))
   in
   let budget_bytes =
     Arg.(
@@ -152,17 +174,6 @@ let analyze_cmd =
             "Memory budget the derived footprint must fit (default: the \
              paper's 128 KB device ceiling).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the analysis as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: sarif (SARIF 2.1.0, one log for all \
-                scenarios).")
-  in
   let rta =
     Arg.(
       value & flag
@@ -172,109 +183,18 @@ let analyze_cmd =
              per-job demand and the absint blocking terms (instead of \
              declared WCETs and lint terms).")
   in
-  let run preset_name cost_name budget_bytes json format rta =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
-    let cost =
-      match String.lowercase_ascii cost_name with
-      | "m68040" -> Sim.Cost.m68040
-      | "zero" -> Sim.Cost.zero
-      | s -> bad_invocation "unknown cost model %S (expected: m68040, zero)" s
-    in
-    let scenarios =
-      match preset_name with
-      | None -> Workload.Scenario.all ()
-      | Some n -> (
-        match analyze_scenario_of n with
-        | Some s -> [ s ]
-        | None ->
-          bad_invocation "unknown scenario %S (expected: %s)" n
-            (String.concat ", " analyze_scenario_names))
-    in
-    let had_errors = ref false in
-    let sarif_results = ref [] in
-    List.iter
-      (fun (s : Workload.Scenario.t) ->
+  let run preset cost budget_bytes format rta =
+    report_scenarios ~tool:"emeralds-absint" ~format preset
+      (fun s ->
         let r = Absint.Report.analyze ~cost ~budget_bytes s in
-        if Absint.Report.errors r > 0 then had_errors := true;
-        if format = Some "sarif" then
-          sarif_results :=
-            !sarif_results
-            @ List.map
-                (fun (sr : Lint.Sarif.result) ->
-                  {
-                    sr with
-                    Lint.Sarif.logical =
-                      Some
-                        (s.name
-                        ^ match sr.logical with None -> "" | Some l -> ", " ^ l
-                        );
-                  })
-                (Lint.Sarif.of_diags r.diags)
-        else if json then print_endline (Absint.Report.to_json r)
-        else begin
-          Printf.printf "==== %s ====\n" s.name;
-          print_string (Absint.Report.render r);
-          if rta then begin
-            let blocking = Absint.Report.blocking_terms r in
-            let demand = Absint.Report.derived_demand r in
-            let rows =
-              Array.mapi
-                (fun i tb ->
-                  let t = tb.Absint.Report.task in
-                  ( t.Model.Task.period,
-                    t.Model.Task.deadline,
-                    match demand.(i) with
-                    | Some d -> d
-                    | None -> t.Model.Task.wcet ))
-                r.tasks
-            in
-            Printf.printf
-              "\nRTA with derived demand and absint blocking terms:\n";
-            Array.iteri
-              (fun i tb ->
-                let t = tb.Absint.Report.task in
-                let higher_unbounded =
-                  Array.exists (fun j -> demand.(j) = None)
-                    (Array.init (i + 1) Fun.id)
-                in
-                if higher_unbounded then
-                  Printf.printf
-                    "  %-8s demand unbounded (untimed wait): no RTA bound\n"
-                    t.Model.Task.name
-                else
-                  match
-                    Analysis.Rta.response_time ~blocking ~tasks:rows i
-                  with
-                  | None ->
-                    Printf.printf "  %-8s demand %8.1fus  RTA: unbounded\n"
-                      t.Model.Task.name
-                      (Model.Time.to_us_f (match demand.(i) with
-                                           | Some d -> d
-                                           | None -> 0))
-                  | Some bound ->
-                    Printf.printf
-                      "  %-8s demand %8.1fus  B %6.1fus  response %8.1fus  \
-                       deadline %8.1fus  %s\n"
-                      t.Model.Task.name
-                      (Model.Time.to_us_f (match demand.(i) with
-                                           | Some d -> d
-                                           | None -> 0))
-                      (Model.Time.to_us_f blocking.(i))
-                      (Model.Time.to_us_f bound)
-                      (Model.Time.to_us_f t.Model.Task.deadline)
-                      (if bound <= t.Model.Task.deadline then "ok"
-                       else "MISSED")
-              )
-              r.tasks
-          end
-        end)
-      scenarios;
-    if format = Some "sarif" then
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-absint" !sarif_results);
-    if !had_errors then exit 1
+        ( r.diags,
+          fun () ->
+            if format = `Json then print_endline (Absint.Report.to_json r)
+            else begin
+              Printf.printf "==== %s ====\n" s.name;
+              print_string (Absint.Report.render r);
+              if rta then print_derived_rta r
+            end ))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -282,26 +202,13 @@ let analyze_cmd =
          "Abstract interpretation: sound per-task demand intervals, \
           semaphore hold times, interrupt-latency bound, and derived \
           memory footprint with a budget check")
-    Term.(
-      const run $ preset_name $ cost_name $ budget_bytes $ json $ format
-      $ rta)
+    Term.(const run $ preset $ cost $ budget_bytes $ scenarios_format $ rta)
 
 (* ------------------------------------------------------------------ *)
 (* simulate *)
 
 let simulate_cmd =
-  let sched =
-    Arg.(
-      value
-      & opt sched_conv (Emeralds.Sched.Csd [ 2; 3 ])
-      & info [ "sched" ] ~docv:"SCHED"
-          ~doc:"Scheduler: edf, rm, rm-heap, csd2, csd3, csd4 or csd:S1,S2.")
-  in
-  let horizon =
-    Arg.(
-      value & opt int 1000
-      & info [ "horizon-ms" ] ~doc:"Virtual time to simulate (ms).")
-  in
+  let sched = sched (Emeralds.Sched.Csd [ 2; 3 ]) in
   let timeline =
     Arg.(value & flag & info [ "timeline" ] ~doc:"Print the execution trace.")
   in
@@ -313,6 +220,7 @@ let simulate_cmd =
   in
   let run preset random_n file seed spec horizon timeline csv =
     let taskset = taskset_of ~preset ~random_n ~file ~seed in
+    check_fits spec taskset;
     let k =
       Emeralds.Kernel.create ~cost:Sim.Cost.m68040 ~spec ~taskset ()
     in
@@ -321,8 +229,7 @@ let simulate_cmd =
     if timeline then Format.printf "%a@." Sim.Trace.pp_timeline tr;
     (match csv with
     | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc (Sim.Trace.to_csv tr));
+      write_file path (Sim.Trace.to_csv tr);
       Printf.printf "trace written to %s\n" path
     | None -> ());
     Printf.printf "%s over %dms: %d misses, %d switches, overhead %.3fms\n"
@@ -343,19 +250,13 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the kernel simulation on a workload")
     Term.(
-      const run $ preset $ random_n $ file $ seed $ sched $ horizon $ timeline
-      $ csv)
+      const run $ taskset_preset $ random_n $ file $ seed $ sched
+      $ horizon_ms 1000 $ timeline $ csv)
 
 (* ------------------------------------------------------------------ *)
 (* sensitivity *)
 
 let sensitivity_cmd =
-  let sched =
-    Arg.(
-      value
-      & opt sched_conv (Emeralds.Sched.Csd [ 2; 3 ])
-      & info [ "sched" ] ~docv:"SCHED" ~doc:"Scheduler to analyse under.")
-  in
   let run preset random_n file seed spec =
     let taskset = taskset_of ~preset ~random_n ~file ~seed in
     let cost = Sim.Cost.m68040 in
@@ -370,32 +271,16 @@ let sensitivity_cmd =
   Cmd.v
     (Cmd.info "sensitivity"
        ~doc:"Per-task WCET headroom under a scheduler (with overheads)")
-    Term.(const run $ preset $ random_n $ file $ seed $ sched)
+    Term.(
+      const run $ taskset_preset $ random_n $ file $ seed
+      $ sched (Emeralds.Sched.Csd [ 2; 3 ]))
 
 (* ------------------------------------------------------------------ *)
 (* lint *)
 
 let lint_cmd =
-  let preset_name =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to lint: table2, engine, avionics, voice, branchy or one \
-             of the demo scenarios (deadlock-demo, leak-demo, \
-             double-free-demo, ...); default: the shipped presets.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: sarif (SARIF 2.1.0, one log for all \
-                scenarios).")
+  let preset =
+    preset_opt ~doc:"Scenario to lint (default: the shipped presets)"
   in
   let blocking =
     Arg.(
@@ -406,89 +291,44 @@ let lint_cmd =
              ceilings, worst-case critical sections, and per-rank \
              blocking terms.")
   in
-  let run preset_name json format blocking =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f ->
-      Printf.eprintf "unknown format %S (expected: sarif)\n" f;
-      exit 2);
-    let scenarios =
-      match preset_name with
-      | None -> Workload.Scenario.all ()
-      | Some n -> (
-        match analyze_scenario_of n with
-        | Some s -> [ s ]
-        | None ->
-          Printf.eprintf "unknown scenario %S (expected: %s)\n" n
-            (String.concat ", " analyze_scenario_names);
-          exit 2)
-    in
-    let had_errors = ref false in
-    let sarif_results = ref [] in
-    List.iter
-      (fun (s : Workload.Scenario.t) ->
-        let ctx =
-          Lint.Ctx.make ~irq_signals:s.irq_signals ~irq_writes:s.irq_writes
-            ~taskset:s.taskset ~programs:s.programs ()
-        in
+  let run preset format blocking =
+    report_scenarios ~tool:"emeralds-lint" ~format preset
+      (fun s ->
+        let ctx = lint_ctx s in
         let diags = Lint.Report.run ctx in
-        if Lint.Diag.errors diags > 0 then had_errors := true;
-        if format = Some "sarif" then
-          sarif_results :=
-            !sarif_results
-            @ List.map
-                (fun (r : Lint.Sarif.result) ->
-                  {
-                    r with
-                    Lint.Sarif.logical =
-                      Some
-                        (s.name
-                        ^ match r.logical with None -> "" | Some l -> ", " ^ l
-                        );
-                  })
-                (Lint.Sarif.of_diags diags)
-        else if json then
-          Printf.printf "{\"scenario\":%S,\"findings\":%s}\n" s.name
-            (Lint.Report.to_json diags)
-        else begin
-          Printf.printf "==== %s ====\n" s.name;
-          print_string (Lint.Report.render diags);
-          if blocking then print_string (Lint.Report.render_blocking ctx)
-        end)
-      scenarios;
-    if format = Some "sarif" then
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-lint" !sarif_results);
-    if !had_errors then exit 1
+        ( diags,
+          fun () ->
+            if format = `Json then
+              Printf.printf "{\"scenario\":%S,\"findings\":%s}\n" s.name
+                (Lint.Report.to_json diags)
+            else begin
+              Printf.printf "==== %s ====\n" s.name;
+              print_string (Lint.Report.render diags);
+              if blocking then print_string (Lint.Report.render_blocking ctx)
+            end ))
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Statically verify task programs, sync-object usage, and \
           schedulability inputs")
-    Term.(const run $ preset_name $ json $ format $ blocking)
+    Term.(const run $ preset $ scenarios_format $ blocking)
 
 (* ------------------------------------------------------------------ *)
 (* check (bounded model checker) *)
 
 let check_cmd =
-  let preset_name =
-    Arg.(
-      value
-      & opt string "engine"
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to check: table2, engine, avionics, voice, branchy, or \
-             deadlock-demo (the intentionally buggy lock-order cycle).")
-  in
+  let preset = preset ~doc:"Scenario to check" "engine" in
+  let scheds = Mc.Machine.[ ("fp", Fp); ("rm", Fp); ("edf", Edf) ] in
   let sched =
     Arg.(
       value
-      & opt string "fp"
+      & opt (table ~ci:true ~what:"scheduler" scheds) Mc.Machine.Fp
       & info [ "sched" ] ~docv:"SCHED"
           ~doc:
-            "Model scheduler: fp (fixed priority, RM order) or edf. The \
-             checker explores every admissible tie-break either way.")
+            "Model scheduler: fp (fixed priority, RM order; also rm) or \
+             edf. The checker explores every admissible tie-break either \
+             way.")
   in
   let horizon_ms =
     Arg.(
@@ -507,14 +347,19 @@ let check_cmd =
       value & opt int 10_000
       & info [ "max-depth" ] ~doc:"Decision-depth budget per path.")
   in
-  let props_arg =
+  let props =
+    let prop =
+      vocab ~what:"property" Mc.Props.names
+        (fun s -> Mc.Props.by_name (String.trim s))
+        (fun (p : Mc.Props.t) -> p.name)
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (comma_list prop) Mc.Props.all
       & info [ "props" ] ~docv:"P1,P2"
           ~doc:
             (Printf.sprintf "Properties to check (default: all). Known: %s."
-               (String.concat ", " Mc.Props.names)))
+               (one_of Mc.Props.names)))
   in
   let no_por =
     Arg.(
@@ -530,24 +375,27 @@ let check_cmd =
              non-zero spans expose torn reads to the tear property.")
   in
   let sporadic =
+    let parse s =
+      match List.map int_of_string_opt (String.split_on_char ':' s) with
+      | [ Some tid; Some lo; Some hi ] ->
+        Ok (tid, Model.Time.ms lo, Model.Time.ms hi)
+      | _ ->
+        Error (`Msg (Printf.sprintf "bad %S, expected TID:MIN_MS:MAX_MS" s))
+    in
+    let print ppf (tid, lo, hi) =
+      let ms t = t / Model.Time.ms 1 in
+      Format.fprintf ppf "%d:%d:%d" tid (ms lo) (ms hi)
+    in
     Arg.(
       value
-      & opt_all string []
+      & opt_all (conv (parse, print)) []
       & info [ "sporadic" ] ~docv:"TID:MIN_MS:MAX_MS"
           ~doc:
             "Re-model a task as sporadic with the given inter-arrival \
              window; the checker forks over earliest arrival, latest \
              arrival and silence. Repeatable.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: sarif.")
-  in
+  let format = format ~json:true [ `Text; `Json; `Sarif ] in
   let rta =
     Arg.(
       value & flag
@@ -566,64 +414,9 @@ let check_cmd =
              (reproducibly). The verdict is order-independent; the search \
              path and the reported counterexample are not.")
   in
-  let run preset_name sched horizon_ms max_states max_depth props_arg no_por
-      read_span_us sporadic json format rta search_seed =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f ->
-      Printf.eprintf "unknown format %S (expected: sarif)\n" f;
-      exit 2);
-    let scenario =
-      if preset_name = "deadlock-demo" then Workload.Scenario.seeded_deadlock ()
-      else
-        match Workload.Scenario.make preset_name with
-        | Some s -> s
-        | None ->
-          Printf.eprintf "unknown scenario %S (expected: %s, deadlock-demo)\n"
-            preset_name
-            (String.concat ", " Workload.Scenario.names);
-          exit 2
-    in
-    let sched =
-      match String.lowercase_ascii sched with
-      | "fp" | "rm" -> Mc.Machine.Fp
-      | "edf" -> Mc.Machine.Edf
-      | s ->
-        Printf.eprintf "unknown scheduler %S (expected: fp, edf)\n" s;
-        exit 2
-    in
-    let sporadic =
-      List.map
-        (fun spec ->
-          match String.split_on_char ':' spec with
-          | [ tid; lo; hi ] -> (
-            try
-              ( int_of_string tid,
-                Model.Time.ms (int_of_string lo),
-                Model.Time.ms (int_of_string hi) )
-            with _ ->
-              Printf.eprintf "bad --sporadic %S\n" spec;
-              exit 2)
-          | _ ->
-            Printf.eprintf "bad --sporadic %S (expected TID:MIN_MS:MAX_MS)\n"
-              spec;
-            exit 2)
-        sporadic
-    in
-    let props =
-      match props_arg with
-      | None -> Mc.Props.all
-      | Some spec ->
-        List.map
-          (fun name ->
-            match Mc.Props.by_name (String.trim name) with
-            | Some p -> p
-            | None ->
-              Printf.eprintf "unknown property %S (known: %s)\n" name
-                (String.concat ", " Mc.Props.names);
-              exit 2)
-          (String.split_on_char ',' spec)
-    in
+  let run (preset : Workload.Scenario.entry) sched horizon_ms max_states
+      max_depth props no_por read_span_us sporadic format rta search_seed =
+    let scenario = preset.build () in
     let m =
       Mc.Machine.of_scenario ~sched ~read_span:(Model.Time.us read_span_us)
         ~sporadic scenario
@@ -641,8 +434,8 @@ let check_cmd =
     let r =
       Mc.Explorer.check ~por:(not no_por) ?seed:search_seed ~props ~bounds m
     in
-    let ok = r.verdict = `Ok in
-    if format = Some "sarif" then begin
+    (match format with
+    | `Sarif ->
       let results =
         match r.verdict with
         | `Ok -> []
@@ -660,8 +453,7 @@ let check_cmd =
           ]
       in
       print_endline (Lint.Sarif.render ~tool_name:"emeralds-mc" results)
-    end
-    else if json then begin
+    | `Json ->
       let verdict_fields =
         match r.verdict with
         | `Ok -> {|"verdict":"ok"|}
@@ -683,8 +475,7 @@ let check_cmd =
         scenario.name verdict_fields r.expansions r.distinct r.revisits
         r.por_skipped r.truncated r.jobs responses;
       print_newline ()
-    end
-    else begin
+    | `Text ->
       Printf.printf
         "%s: %d tasks, horizon %.1fms, properties: %s%s\n"
         scenario.name (Mc.Machine.n_tasks m)
@@ -702,12 +493,7 @@ let check_cmd =
           (if r.truncated then " (exploration incomplete)" else "")
       | `Violation cex -> print_string (Mc.Counterexample.render m ~props cex));
       if rta then begin
-        let ctx =
-          Lint.Ctx.make ~irq_signals:scenario.irq_signals
-            ~irq_writes:scenario.irq_writes ~taskset:scenario.taskset
-            ~programs:scenario.programs ()
-        in
-        let blocking = Lint.Blocking_terms.blocking_terms ctx in
+        let blocking = Lint.Blocking_terms.blocking_terms (lint_ctx scenario) in
         let rows =
           Array.map
             (fun (t : Model.Task.t) -> (t.period, t.deadline, t.wcet))
@@ -728,9 +514,8 @@ let check_cmd =
                 (Model.Time.to_ms_f bound)
                 (if r.max_response.(i) <= bound then "ok" else "EXCEEDED"))
           m.tasks
-      end
-    end;
-    if not ok then exit 1
+      end);
+    if r.verdict <> `Ok then exit 1
   in
   Cmd.v
     (Cmd.info "check"
@@ -739,30 +524,49 @@ let check_cmd =
           freedom, priority-inheritance correctness, invariants, torn \
           reads, deadline safety — with replayable counterexamples")
     Term.(
-      const run $ preset_name $ sched $ horizon_ms $ max_states $ max_depth
-      $ props_arg $ no_por $ read_span_us $ sporadic $ json $ format $ rta
-      $ search_seed)
+      const run $ preset $ sched $ horizon_ms $ max_states $ max_depth $ props
+      $ no_por $ read_span_us $ sporadic $ format $ rta $ search_seed)
 
 (* ------------------------------------------------------------------ *)
 (* inject (fault injection + enforcement report) *)
 
+let plan_conv =
+  let parse s = Result.map_error (fun e -> `Msg e) (Fault.Plan.parse s) in
+  let print ppf p = Format.pp_print_string ppf (Fault.Plan.render p) in
+  Arg.conv (parse, print)
+
+(* notify, kill, skip-next or demote:N (N >= 1), any case *)
+let policy_of s =
+  match String.lowercase_ascii s with
+  | "notify" -> Some Emeralds.Kernel.Notify_only
+  | "kill" -> Some Emeralds.Kernel.Kill_job
+  | "skip-next" -> Some Emeralds.Kernel.Skip_next
+  | p when String.length p > 7 && String.sub p 0 7 = "demote:" -> (
+    match int_of_string_opt (String.sub p 7 (String.length p - 7)) with
+    | Some n when n > 0 -> Some (Emeralds.Kernel.Demote n)
+    | _ -> None)
+  | _ -> None
+
+let policy_names = [ "notify"; "kill"; "skip-next"; "demote:N" ]
+
+let policy_name = function
+  | Emeralds.Kernel.Notify_only -> "notify"
+  | Kill_job -> "kill"
+  | Skip_next -> "skip-next"
+  | Demote n -> Printf.sprintf "demote:%d" n
+
 let inject_cmd =
-  let preset_name =
-    Arg.(
-      value
-      & opt string "overrun-demo"
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to inject into: table2, engine, avionics, voice (clean \
-             presets, empty default plan), overrun-demo (WCET-overrun \
-             seeded-fault demo), storm-demo (IRQ storm / lost signal / \
-             sporadic burst demo), alloc-demo (disciplined block-pool use) \
-             or leak-demo (per-job block leak).")
+  let preset =
+    preset ~runs:true
+      ~doc:
+        "Scenario to inject into (overrun-demo and storm-demo carry a \
+         default fault plan, the others an empty one)"
+      "overrun-demo"
   in
-  let plan_arg =
+  let plan =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some plan_conv) None
       & info [ "plan" ] ~docv:"SPEC"
           ~doc:
             "Fault plan (replaces the preset's default plan), e.g. \
@@ -772,23 +576,34 @@ let inject_cmd =
   let policy =
     Arg.(
       value
-      & opt string "notify"
+      & opt (vocab ~what:"policy" policy_names policy_of policy_name)
+          Emeralds.Kernel.Notify_only
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
             "Budget-overrun policy: notify, kill, skip-next, or demote:N \
              (lower the job's priority by N ranks).")
   in
+  let miss_policies =
+    Emeralds.Kernel.
+      [
+        ("record", Miss_record); ("kill", Miss_kill);
+        ("shed-next", Miss_shed_next);
+      ]
+  in
   let miss_policy =
     Arg.(
       value
-      & opt string "record"
+      & opt
+          (table ~ci:true ~what:"miss policy" miss_policies)
+          Emeralds.Kernel.Miss_record
       & info [ "miss-policy" ] ~docv:"POLICY"
-          ~doc:"Deadline-miss policy: record, kill, or shed-next.")
+          ~doc:
+            (Printf.sprintf "Deadline-miss policy: %s." (names miss_policies)))
   in
   let shed_one_in =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "shed-one-in" ] ~docv:"K"
           ~doc:
             "Skip-over overload shedding: a release that finds the previous \
@@ -796,9 +611,14 @@ let inject_cmd =
              releases of that task.")
   in
   let mem_policy =
+    let parse s =
+      if String.lowercase_ascii s = "off" then Some None
+      else Option.map Option.some (policy_of s)
+    in
+    let print = function None -> "off" | Some p -> policy_name p in
     Arg.(
       value
-      & opt string "off"
+      & opt (vocab ~what:"mem policy" ("off" :: policy_names) parse print) None
       & info [ "mem-policy" ] ~docv:"POLICY"
           ~doc:
             "Live-block quota policy: off (no memory enforcement), notify, \
@@ -806,27 +626,7 @@ let inject_cmd =
              per-task peak-live bounds; tasks that never allocate stay \
              unenforced.")
   in
-  let sched =
-    Arg.(
-      value
-      & opt sched_conv Emeralds.Sched.Rm
-      & info [ "sched" ] ~docv:"SCHED"
-          ~doc:"Scheduler: edf, rm, rm-heap, csd2/csd3/csd4 or csd:S1,S2,...")
-  in
-  let horizon_ms =
-    Arg.(
-      value & opt int 200
-      & info [ "horizon-ms" ] ~doc:"Simulation horizon in milliseconds.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: sarif.")
-  in
+  let format = format ~json:true [ `Text; `Json; `Sarif ] in
   let flightrec_path =
     Arg.(
       value
@@ -838,13 +638,6 @@ let inject_cmd =
              overrun or job kill) as Perfetto trace-event JSON — the last \
              ring-buffer events, ending at the triggering entry.")
   in
-  let ring_bytes =
-    Arg.(
-      value
-      & opt int 32_768
-      & info [ "ring-bytes" ] ~docv:"N"
-          ~doc:"Flight-recorder ring size in modeled bytes (48 per slot).")
-  in
   (* The storm demo's default plan must name the wait queue the scenario
      allocated, so it is built against the instance rather than parsed
      from a constant. *)
@@ -852,95 +645,34 @@ let inject_cmd =
     | "overrun-demo" ->
       [ Fault.Plan.Wcet_scale { tid = 2; pct = 400; from_job = 1 } ]
     | "storm-demo" ->
+      let ms = Model.Time.ms and us = Model.Time.us in
       let wq =
-        match scenario.irq_signals with
-        | wq :: _ -> wq.Emeralds.Types.wq_id
-        | [] -> 0
+        match scenario.irq_signals with wq :: _ -> wq.wq_id | [] -> 0
       in
-      [
-        Fault.Plan.Irq_storm
-          {
-            irq = 9;
-            at = Model.Time.ms 20;
-            count = 40;
-            spacing = Model.Time.us 100;
-          };
-        Fault.Plan.Lost_signal { wq; one_in = 3 };
-        Fault.Plan.Sporadic_burst
-          {
-            tid = 3;
-            at = Model.Time.ms 50;
-            count = 5;
-            spacing = Model.Time.us 500;
-          };
-      ]
+      Fault.Plan.
+        [
+          Irq_storm { irq = 9; at = ms 20; count = 40; spacing = us 100 };
+          Lost_signal { wq; one_in = 3 };
+          Sporadic_burst { tid = 3; at = ms 50; count = 5; spacing = us 500 };
+        ]
     | _ -> []
   in
-  let run preset_name plan_arg policy miss_policy shed_one_in mem_policy sched
-      horizon_ms seed json format flightrec_path ring_bytes =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
-    let scenario =
-      match preset_name with
-      | "overrun-demo" -> Workload.Scenario.overrun_demo ()
-      | "storm-demo" -> Workload.Scenario.storm_demo ()
-      | "alloc-demo" -> Workload.Scenario.alloc_demo ()
-      | "leak-demo" -> Workload.Scenario.leak_demo ()
-      | n -> (
-        match Workload.Scenario.make n with
-        | Some s -> s
-        | None ->
-          bad_invocation
-            "unknown scenario %S (expected: %s, overrun-demo, storm-demo, \
-             alloc-demo, leak-demo)" n
-            (String.concat ", " Workload.Scenario.names))
-    in
+  let run (preset : Workload.Scenario.entry) plan policy miss shed_one_in
+      mem_policy sched horizon_ms seed format flightrec_path ring_bytes =
+    let scenario = preset.build () in
+    check_fits sched scenario.taskset;
     let plan =
-      match plan_arg with
-      | None -> default_plan scenario preset_name
-      | Some spec -> (
-        match Fault.Plan.parse spec with
-        | Ok p -> p
-        | Error e -> bad_invocation "bad --plan: %s" e)
+      match plan with None -> default_plan scenario preset.name | Some p -> p
     in
-    let parse_policy ~flag s =
-      match String.lowercase_ascii s with
-      | "notify" -> Emeralds.Kernel.Notify_only
-      | "kill" -> Emeralds.Kernel.Kill_job
-      | "skip-next" -> Emeralds.Kernel.Skip_next
-      | p when String.length p > 7 && String.sub p 0 7 = "demote:" -> (
-        match int_of_string_opt (String.sub p 7 (String.length p - 7)) with
-        | Some n when n > 0 -> Emeralds.Kernel.Demote n
-        | _ -> bad_invocation "bad %s %S (demote:N needs N >= 1)" flag s)
-      | _ ->
-        bad_invocation
-          "unknown %s %S (expected: notify, kill, skip-next, demote:N)" flag s
-    in
-    let policy = parse_policy ~flag:"--policy" policy in
     let mem_enforcement =
-      match String.lowercase_ascii mem_policy with
-      | "off" -> None
-      | s ->
-        Some
+      Option.map
+        (fun on_exceed ->
           {
             Emeralds.Kernel.quota_of = Fault.Inject.declared_quotas scenario;
-            on_exceed = parse_policy ~flag:"--mem-policy" s;
-          }
+            on_exceed;
+          })
+        mem_policy
     in
-    let miss =
-      match String.lowercase_ascii miss_policy with
-      | "record" -> Emeralds.Kernel.Miss_record
-      | "kill" -> Emeralds.Kernel.Miss_kill
-      | "shed-next" -> Emeralds.Kernel.Miss_shed_next
-      | _ ->
-        bad_invocation
-          "unknown --miss-policy %S (expected: record, kill, shed-next)"
-          miss_policy
-    in
-    (match shed_one_in with
-    | Some k when k <= 0 -> bad_invocation "--shed-one-in must be positive"
-    | _ -> ());
     (* One fresh recorder per kernel the report builds (baseline + one
        per plan cell); the dump comes from the first that triggered. *)
     let recorders = ref [] in
@@ -952,13 +684,7 @@ let inject_cmd =
         Some
           (fun k ->
             let fr =
-              Obs.Flightrec.create ~bytes
-                ~triggers:
-                  [
-                    Obs.Flightrec.On_miss; On_overrun; On_kill; On_oom;
-                    On_quota; On_net_timeout;
-                  ]
-                ()
+              Obs.Flightrec.create ~bytes ~triggers:fault_triggers ()
             in
             recorders := !recorders @ [ fr ];
             Obs.Flightrec.attach fr (Emeralds.Kernel.probe k))
@@ -985,46 +711,35 @@ let inject_cmd =
       }
     in
     let report = Fault.Report.run cfg in
-    if format = Some "sarif" then
+    (match format with
+    | `Sarif ->
       print_endline
         (Lint.Sarif.render ~tool_name:"emeralds-inject"
            (Fault.Report.to_sarif report))
-    else if json then print_endline (Fault.Report.to_json report)
-    else print_string (Fault.Report.render report);
-    (match flightrec_path with
-    | None -> ()
-    | Some path ->
-      let fr =
-        match
-          List.find_opt (fun fr -> Obs.Flightrec.triggered fr <> None)
-            !recorders
-        with
-        | Some fr -> Some fr
-        | None -> (
-          (* nothing triggered: fall back to the live window of the
-             last (most faulted) run *)
-          match List.rev !recorders with fr :: _ -> Some fr | [] -> None)
-      in
-      (match fr with
-      | None -> ()
-      | Some fr ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc
-              (Obs.Export.perfetto (Obs.Flightrec.dump fr)));
-        let window = List.length (Obs.Flightrec.dump fr) in
-        (match Obs.Flightrec.triggered fr with
-        | Some { at; entry } ->
-          Printf.printf
-            "flight recorder: %d-event window ending at %s (%.3f ms) \
-             written to %s\n"
-            window
-            (Sim.Trace.kind_name (Sim.Trace.kind entry))
-            (Model.Time.to_ms_f at) path
-        | None ->
-          Printf.printf
-            "flight recorder: no trigger fired; %d-event live window \
-             written to %s\n"
-            window path)));
+    | `Json -> print_endline (Fault.Report.to_json report)
+    | `Text -> print_string (Fault.Report.render report));
+    (* the first recorder that triggered, else the live window of the
+       last (most faulted) run *)
+    let triggered fr = Obs.Flightrec.triggered fr <> None in
+    let candidates = List.filter triggered !recorders @ List.rev !recorders in
+    (match (flightrec_path, candidates) with
+    | None, _ | _, [] -> ()
+    | Some path, fr :: _ -> (
+      let window = Obs.Flightrec.dump fr in
+      write_file path (Obs.Export.perfetto window);
+      match Obs.Flightrec.triggered fr with
+      | Some { at; entry } ->
+        Printf.printf
+          "flight recorder: %d-event window ending at %s (%.3f ms) written \
+           to %s\n"
+          (List.length window)
+          (Sim.Trace.kind_name (Sim.Trace.kind entry))
+          (Model.Time.to_ms_f at) path
+      | None ->
+        Printf.printf
+          "flight recorder: no trigger fired; %d-event live window written \
+           to %s\n"
+          (List.length window) path));
     if Fault.Report.violations report then exit 1
   in
   Cmd.v
@@ -1035,137 +750,67 @@ let inject_cmd =
           with runtime budget enforcement, and report detection latency, \
           shedding, and which static predictions the faults falsified")
     Term.(
-      const run $ preset_name $ plan_arg $ policy $ miss_policy $ shed_one_in
-      $ mem_policy $ sched $ horizon_ms $ seed $ json $ format
-      $ flightrec_path $ ring_bytes)
+      const run $ preset $ plan $ policy $ miss_policy $ shed_one_in
+      $ mem_policy $ sched Emeralds.Sched.Rm $ horizon_ms 200 $ seed $ format
+      $ flightrec_path $ ring_bytes 32_768)
+
+(* trace and explain: one plain run of a scenario, with [observer]
+   subscribed to the kernel's probe *)
+let observed_run ~scenario ~sched ~horizon_ms ~seed observer =
+  Fault.Inject.run
+    {
+      (Fault.Inject.default_config ~scenario ~spec:sched
+         ~horizon:(Model.Time.ms horizon_ms) ~seed ())
+      with
+      observer = Some observer;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* trace *)
 
 let trace_cmd =
-  let preset_name =
-    Arg.(
-      value
-      & opt string "engine"
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to record: table2, engine, avionics, voice, branchy, \
-             alloc-demo, leak-demo or inversion-demo (full scenario replay: \
-             programs attached, IRQ sources firing).")
-  in
-  let sched =
-    Arg.(
-      value
-      & opt sched_conv Emeralds.Sched.Rm
-      & info [ "sched" ] ~docv:"SCHED"
-          ~doc:"Scheduler: edf, rm, rm-heap, csd2/csd3/csd4 or csd:S1,S2,...")
-  in
-  let horizon_ms =
-    Arg.(
-      value & opt int 100
-      & info [ "horizon-ms" ] ~doc:"Simulation horizon in milliseconds.")
-  in
-  let categories =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "categories" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated probe categories the recorder and exporters \
-             subscribe to (job, sched, sync, ipc, irq, overhead, enforce, \
-             mem, meta); default all.  Filters the observability \
-             subscribers only — the kernel's own trace and statistics are \
-             unaffected.")
-  in
-  let ring_bytes =
-    Arg.(
-      value
-      & opt int (fst Emeralds.Footprint.envelope)
-      & info [ "ring-bytes" ] ~docv:"N"
-          ~doc:
-            "Flight-recorder ring size in modeled bytes (48 per event \
-             slot); bounded by the paper's 128 KB memory envelope.")
+  let preset =
+    preset ~runs:true
+      ~doc:
+        "Scenario to record (full replay: programs attached, IRQ sources \
+         firing)"
+      "engine"
   in
   let format =
-    Arg.(
-      value
-      & opt string "perfetto"
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output: perfetto (Chrome/Perfetto trace-event JSON of the \
-             flight-recorder window), csv (same window as CSV), metrics \
-             (Prometheus text exposition of the streaming metrics) or \
-             json (metrics digest).")
+    format
+      ~doc:
+        " perfetto is Chrome/Perfetto trace-event JSON of the \
+         flight-recorder window, csv the same window as CSV, metrics the \
+         Prometheus text exposition of the streaming metrics, json the \
+         metrics digest."
+      [ `Perfetto; `Csv; `Metrics; `Json ]
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"PATH"
-          ~doc:"Write the output to a file instead of stdout.")
-  in
-  let run preset_name sched horizon_ms seed categories ring_bytes format out =
-    (match format with
-    | "perfetto" | "csv" | "metrics" | "json" -> ()
-    | f ->
-      bad_invocation "unknown format %S (expected: perfetto, csv, metrics, json)" f);
-    let scenario =
-      match Workload.Scenario.make preset_name with
-      | Some s -> s
-      | None -> (
-        match preset_name with
-        | "alloc-demo" -> Workload.Scenario.alloc_demo ()
-        | "leak-demo" -> Workload.Scenario.leak_demo ()
-        | "inversion-demo" -> Workload.Scenario.inversion_demo ()
-        | _ ->
-          bad_invocation "unknown scenario %S (expected: %s, alloc-demo, \
-                          leak-demo, inversion-demo)" preset_name
-            (String.concat ", " Workload.Scenario.names))
-    in
-    let mask = category_mask_of_names categories in
+  let run (preset : Workload.Scenario.entry) sched horizon_ms seed categories
+      ring_bytes format out =
+    let scenario = preset.build () in
+    check_fits sched scenario.taskset;
+    let mask = Obs.Probe.mask_of categories in
     let ring_bytes = validated_ring_bytes ring_bytes in
     let metrics = Obs.Metrics.create () in
     let flightrec =
-      Obs.Flightrec.create ~bytes:ring_bytes
-        ~triggers:
-          [
-            Obs.Flightrec.On_miss; On_overrun; On_kill; On_oom; On_quota;
-            On_net_timeout;
-          ]
-        ()
+      Obs.Flightrec.create ~bytes:ring_bytes ~triggers:fault_triggers ()
     in
     let observer k =
       let probe = Emeralds.Kernel.probe k in
       Obs.Probe.subscribe probe ~mask (Obs.Metrics.observe metrics);
       Obs.Probe.subscribe probe ~mask (Obs.Flightrec.record flightrec)
     in
-    let cfg =
-      {
-        (Fault.Inject.default_config ~scenario ~spec:sched
-           ~horizon:(Model.Time.ms horizon_ms) ~seed ())
-        with
-        observer = Some observer;
-      }
-    in
-    let outcome = Fault.Inject.run cfg in
+    let outcome = observed_run ~scenario ~sched ~horizon_ms ~seed observer in
     let window = Obs.Flightrec.dump flightrec in
-    let output =
-      match format with
-      | "perfetto" ->
+    emit ~out ~format
+      (match format with
+      | `Perfetto ->
         Obs.Export.perfetto
           ~blame:(Obs.Blame.of_taskset scenario.taskset)
           window
-      | "csv" -> Sim.Trace.csv_of_stamped window
-      | "metrics" -> Obs.Export.prometheus metrics
-      | "json" -> Obs.Export.metrics_json metrics
-      | _ -> assert false
-    in
-    (match out with
-    | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc output);
-      Printf.printf "%s output written to %s\n" format path
-    | None -> print_string output);
+      | `Csv -> Sim.Trace.csv_of_stamped window
+      | `Metrics -> Obs.Export.prometheus metrics
+      | `Json -> Obs.Export.metrics_json metrics);
     let tr = Emeralds.Kernel.trace outcome.kernel in
     (match Obs.Flightrec.triggered flightrec with
     | Some { at; entry } ->
@@ -1191,36 +836,21 @@ let trace_cmd =
           (Perfetto / CSV) that freezes at the first deadline miss, budget \
           overrun or job kill")
     Term.(
-      const run $ preset_name $ sched $ horizon_ms $ seed $ categories
-      $ ring_bytes $ format $ out)
+      const run $ preset $ sched Emeralds.Sched.Rm $ horizon_ms 100 $ seed
+      $ categories $ ring_bytes (fst Emeralds.Footprint.envelope) $ format
+      $ out)
 
 (* ------------------------------------------------------------------ *)
 (* explain *)
 
 let explain_cmd =
-  let preset_name =
-    Arg.(
-      value
-      & opt string "branchy"
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Scenario to explain: table2, engine, avionics, voice, branchy, \
-             inversion-demo, alloc-demo, leak-demo or overrun-demo.")
-  in
+  let preset = preset ~runs:true ~doc:"Scenario to explain" "branchy" in
   let sched =
-    Arg.(
-      value
-      & opt sched_conv Emeralds.Sched.Rm
-      & info [ "sched" ] ~docv:"SCHED"
-          ~doc:
-            "Scheduler: edf, rm, rm-heap, csd2/csd3/csd4 or csd:S1,S2,...  \
-             The analytical bound columns assume RM and are suppressed \
-             otherwise.")
-  in
-  let horizon_ms =
-    Arg.(
-      value & opt int 100
-      & info [ "horizon-ms" ] ~doc:"Simulation horizon in milliseconds.")
+    sched
+      ~doc:
+        "  The analytical bound columns assume RM and are suppressed \
+         otherwise."
+      Emeralds.Sched.Rm
   in
   let task_filter =
     Arg.(
@@ -1229,42 +859,18 @@ let explain_cmd =
       & info [ "task" ] ~docv:"TID" ~doc:"Explain only this task id.")
   in
   let format =
-    Arg.(
-      value
-      & opt string "text"
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output: text (ranked blame tables), json (machine digest) or \
-             sarif (misses, conservation and domination violations as \
-             results).")
+    format
+      ~doc:
+        " text is the ranked blame tables, json a machine digest, sarif \
+         the misses and conservation and domination violations as \
+         results."
+      [ `Text; `Json; `Sarif ]
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"PATH"
-          ~doc:"Write the output to a file instead of stdout.")
-  in
-  let run preset_name sched horizon_ms seed task_filter format out =
-    (match format with
-    | "text" | "json" | "sarif" -> ()
-    | f -> bad_invocation "unknown format %S (expected: text, json, sarif)" f);
-    let scenario =
-      match Workload.Scenario.make preset_name with
-      | Some s -> s
-      | None -> (
-        match preset_name with
-        | "inversion-demo" -> Workload.Scenario.inversion_demo ()
-        | "alloc-demo" -> Workload.Scenario.alloc_demo ()
-        | "leak-demo" -> Workload.Scenario.leak_demo ()
-        | "overrun-demo" -> Workload.Scenario.overrun_demo ()
-        | _ ->
-          bad_invocation
-            "unknown scenario %S (expected: %s, inversion-demo, alloc-demo, \
-             leak-demo, overrun-demo)"
-            preset_name
-            (String.concat ", " Workload.Scenario.names))
-    in
+  let run (preset : Workload.Scenario.entry) sched horizon_ms seed task_filter
+      format out =
+    let preset_name = preset.name in
+    let scenario = preset.build () in
+    check_fits sched scenario.taskset;
     let tasks = Model.Taskset.tasks scenario.taskset in
     (match task_filter with
     | Some tid
@@ -1280,15 +886,7 @@ let explain_cmd =
       Obs.Blame.create ~tasks:(Obs.Blame.of_taskset scenario.taskset) ()
     in
     let observer k = Obs.Blame.attach blame (Emeralds.Kernel.probe k) in
-    let cfg =
-      {
-        (Fault.Inject.default_config ~scenario ~spec:sched
-           ~horizon:(Model.Time.ms horizon_ms) ~seed ())
-        with
-        observer = Some observer;
-      }
-    in
-    let outcome = Fault.Inject.run cfg in
+    let outcome = observed_run ~scenario ~sched ~horizon_ms ~seed observer in
     let tr = Emeralds.Kernel.trace outcome.kernel in
     let misses = Sim.Trace.deadline_misses tr in
     let overruns = Sim.Trace.budget_overruns tr in
@@ -1297,17 +895,16 @@ let explain_cmd =
       match task_filter with Some tid -> s.s_id = tid | None -> true
     in
     let summaries = List.filter selected (Obs.Blame.summaries blame) in
+    let task_of (s : Obs.Blame.task_summary) =
+      Array.to_list tasks |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
+    in
     (* the dominant cause of each missing task's worst job — the line
        the exit-1 path prints and SARIF reports *)
     let verdicts =
       List.filter_map
         (fun (s : Obs.Blame.task_summary) ->
-          let t =
-            Array.to_list tasks
-            |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
-          in
           match s.s_worst with
-          | Some bd when s.s_max_response > t.deadline ->
+          | Some bd when s.s_max_response > (task_of s).deadline ->
             let cause, amount = Obs.Blame.dominant bd in
             Some (s.s_id, cause, amount)
           | _ -> None)
@@ -1315,7 +912,7 @@ let explain_cmd =
     in
     let output =
       match format with
-      | "text" ->
+      | `Text ->
         let buf = Buffer.create 2048 in
         Printf.bprintf buf
           "explain: scenario %s, sched %s, horizon %d ms, seed %d\n"
@@ -1330,17 +927,14 @@ let explain_cmd =
         List.iter
           (fun (s : Obs.Blame.task_summary) ->
             let i = s.s_rank in
-            let t =
-              Array.to_list tasks
-              |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
-            in
             Printf.bprintf buf
               "\ntau%d (rank %d): %d job(s), max response %dns%s%s\n" s.s_id
               s.s_rank s.s_jobs s.s_max_response
               (match statics.rta.(i) with
               | Some r when bounded i -> Printf.sprintf ", RTA bound %dns" r
               | _ -> "")
-              (if s.s_max_response > t.deadline then "  ** MISSED **" else "");
+              (if s.s_max_response > (task_of s).deadline then "  ** MISSED **"
+               else "");
             (match s.s_worst with
             | Some bd ->
               Printf.bprintf buf "%s"
@@ -1372,7 +966,7 @@ let explain_cmd =
               amount)
           verdicts;
         Buffer.contents buf
-      | "json" ->
+      | `Json ->
         let buf = Buffer.create 2048 in
         Printf.bprintf buf
           "{\"scenario\":%S,\"sched\":%S,\"horizon_ms\":%d,\"seed\":%d,\n \
@@ -1385,16 +979,12 @@ let explain_cmd =
         List.iteri
           (fun n (s : Obs.Blame.task_summary) ->
             let i = s.s_rank in
-            let t =
-              Array.to_list tasks
-              |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
-            in
             if n > 0 then Buffer.add_char buf ',';
             Printf.bprintf buf
               "\n  {\"tid\":%d,\"rank\":%d,\"jobs\":%d,\"max_response\":%d,\
                \"missed\":%b"
               s.s_id s.s_rank s.s_jobs s.s_max_response
-              (s.s_max_response > t.deadline);
+              (s.s_max_response > (task_of s).deadline);
             (match statics.rta.(i) with
             | Some r when bounded i -> Printf.bprintf buf ",\"rta_bound\":%d" r
             | _ -> ());
@@ -1406,17 +996,15 @@ let explain_cmd =
                  \"backlog\":%d,\"blocking\":%d,\"overhead\":%d,\
                  \"suspend\":%d,\"gap\":%d,\"residual\":%d,\
                  \"interference\":["
-                bd.Obs.Blame.b_job bd.Obs.Blame.b_response bd.Obs.Blame.b_exec
-                bd.Obs.Blame.b_backlog
+                bd.b_job bd.b_response bd.b_exec bd.b_backlog
                 (Obs.Blame.blocking_total bd)
                 (Obs.Blame.overhead_total bd)
-                bd.Obs.Blame.b_suspend bd.Obs.Blame.b_gap
-                bd.Obs.Blame.b_residual;
+                bd.b_suspend bd.b_gap bd.b_residual;
               List.iteri
                 (fun m (j, v) ->
                   if m > 0 then Buffer.add_char buf ',';
                   Printf.bprintf buf "{\"rank\":%d,\"ns\":%d}" j v)
-                bd.Obs.Blame.b_interference;
+                bd.b_interference;
               Printf.bprintf buf
                 "],\"dominant\":{\"cause\":%S,\"ns\":%d}}"
                 (Obs.Blame.cause_label cause)
@@ -1426,7 +1014,7 @@ let explain_cmd =
           summaries;
         Buffer.add_string buf "\n ]}\n";
         Buffer.contents buf
-      | "sarif" ->
+      | `Sarif ->
         let results = ref [] in
         let add rule_id level message logical =
           results :=
@@ -1452,14 +1040,8 @@ let explain_cmd =
               (Printf.sprintf "%s, task %d" preset_name tid))
           verdicts;
         Lint.Sarif.render ~tool_name:"emeralds-explain" (List.rev !results)
-      | _ -> assert false
     in
-    (match out with
-    | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc output);
-      Printf.printf "%s output written to %s\n" format path
-    | None -> print_string output);
+    emit ~out ~format output;
     if
       misses > 0 || overruns > 0 || kills > 0
       || Obs.Blame.residual_violations blame > 0
@@ -1476,32 +1058,25 @@ let explain_cmd =
           the RTA fixpoint.  Exits 1 on any miss, overrun, kill or \
           conservation violation, naming the dominant blamer")
     Term.(
-      const run $ preset_name $ sched $ horizon_ms $ seed $ task_filter
+      const run $ preset $ sched $ horizon_ms 100 $ seed $ task_filter
       $ format $ out)
 
 (* ------------------------------------------------------------------ *)
 (* footprint *)
 
 let footprint_cmd =
-  let preset_name =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Report the footprint derived from a scenario's programs \
-             instead of the representative default configuration.")
+  let preset =
+    preset_opt
+      ~doc:
+        "Report the footprint derived from a scenario's programs instead \
+         of the representative default configuration"
   in
-  let run preset_name =
+  let run preset =
     let config =
-      match preset_name with
+      match preset with
       | None -> Emeralds.Footprint.default_config
-      | Some n -> (
-        match analyze_scenario_of n with
-        | Some s -> (Absint.Report.analyze s).Absint.Report.config
-        | None ->
-          bad_invocation "unknown scenario %S (expected: %s)" n
-            (String.concat ", " analyze_scenario_names))
+      | Some (e : Workload.Scenario.entry) ->
+        (Absint.Report.analyze (e.build ())).config
     in
     print_string (Emeralds.Footprint.report config);
     Printf.printf "TOTAL code + RAM: %d bytes (envelope %d-%d): %s\n"
@@ -1514,7 +1089,7 @@ let footprint_cmd =
   in
   Cmd.v
     (Cmd.info "footprint" ~doc:"Kernel code-size budget and RAM model")
-    Term.(const run $ preset_name)
+    Term.(const run $ preset)
 
 (* ------------------------------------------------------------------ *)
 (* campaign (differential soundness fuzzing) *)
@@ -1522,7 +1097,7 @@ let footprint_cmd =
 let campaign_cmd =
   let count =
     Arg.(
-      value & opt int 100
+      value & opt positive 100
       & info [ "count" ] ~docv:"N"
           ~doc:"Generated scenarios to evaluate.")
   in
@@ -1544,26 +1119,40 @@ let campaign_cmd =
              [0.35, 0.75]).")
   in
   let family =
+    let families =
+      List.map Workload.Generator.family_name Workload.Generator.families
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt
+          (some
+             (vocab ~what:"family" families Workload.Generator.family_of_string
+                Workload.Generator.family_name))
+          None
       & info [ "family" ] ~docv:"NAME"
           ~doc:
             (Printf.sprintf
                "Scenario family: %s (default: a random draw per scenario)."
-               (String.concat ", "
-                  (List.map Workload.Generator.family_name
-                     Workload.Generator.families))))
+               (one_of families)))
   in
   let oracles =
+    let oracle_names = List.map Campaign.Oracle.name Campaign.Oracle.all in
+    let parse s =
+      Result.map_error (fun e -> `Msg e) (Campaign.Oracle.parse_list s)
+    in
+    let print ppf l =
+      Format.pp_print_string ppf
+        (if l = Campaign.Oracle.all then "all"
+         else String.concat "," (List.map Campaign.Oracle.name l))
+    in
     Arg.(
-      value & opt string "all"
+      value
+      & opt (conv (parse, print)) Campaign.Oracle.all
       & info [ "oracles" ] ~docv:"O1,O2"
           ~doc:
             (Printf.sprintf
                "Oracles to evaluate (comma-separated, or 'all'). Known: %s."
-               (String.concat ", "
-                  (List.map Campaign.Oracle.name Campaign.Oracle.all))))
+               (one_of oracle_names)))
   in
   let shrink =
     Arg.(
@@ -1575,27 +1164,30 @@ let campaign_cmd =
              oracle.")
   in
   let ablate =
+    let ablations =
+      List.map Campaign.Oracle.ablation_name Campaign.Oracle.ablations
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt
+          (vocab ~what:"ablation" ablations Campaign.Oracle.ablation_of_string
+             Campaign.Oracle.ablation_name)
+          Campaign.Oracle.No_ablation
       & info [ "ablate" ] ~docv:"NAME"
           ~doc:
-            "Deliberately weaken one static layer (rta-blocking: drop \
-             blocking terms; absint-demand: halve demand bounds) to prove \
-             the campaign detects unsoundness. Findings are expected; the \
-             exit code is still 1.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the summary as JSON.")
+            (Printf.sprintf
+               "Deliberately weaken one static layer (%s; e.g. \
+                rta-blocking drops blocking terms, absint-demand halves \
+                demand bounds) to prove the campaign detects unsoundness. \
+                Findings are expected; the exit code is still 1."
+               (one_of ablations)))
   in
   let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: sarif (SARIF 2.1.0, one run per tool driver; \
-             findings are routed to the layer they indict).")
+    format ~json:true
+      ~doc:
+        " SARIF is one run per tool driver; findings are routed to the \
+         layer they indict."
+      [ `Text; `Json; `Sarif ]
   in
   let metrics =
     Arg.(
@@ -1606,41 +1198,8 @@ let campaign_cmd =
              and append the aggregate digest (response/blocking/latency \
              histograms over the whole campaign) to the text report.")
   in
-  let run count seed tasks target_u family oracles shrink ablate json format
+  let run count seed tasks target_u family oracles shrink ablation format
       metrics =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
-    if count <= 0 then bad_invocation "--count must be positive";
-    let family =
-      Option.map
-        (fun f ->
-          match Workload.Generator.family_of_string f with
-          | Some f -> f
-          | None ->
-            bad_invocation "unknown family %S (expected: %s)" f
-              (String.concat ", "
-                 (List.map Workload.Generator.family_name
-                    Workload.Generator.families)))
-        family
-    in
-    let oracles =
-      match Campaign.Oracle.parse_list oracles with
-      | Ok l -> l
-      | Error e -> bad_invocation "bad --oracles: %s" e
-    in
-    let ablation =
-      match ablate with
-      | None -> Campaign.Oracle.No_ablation
-      | Some a -> (
-        match Campaign.Oracle.ablation_of_string a with
-        | Some a -> a
-        | None ->
-          bad_invocation "unknown ablation %S (expected: %s)" a
-            (String.concat ", "
-               (List.map Campaign.Oracle.ablation_name
-                  Campaign.Oracle.ablations)))
-    in
     (* Findings stream to stderr as they fire, so long campaigns are
        not silent until the final report; stdout stays a single clean
        document in every format. *)
@@ -1667,9 +1226,10 @@ let campaign_cmd =
           progress;
         }
     in
-    if format = Some "sarif" then print_endline (Campaign.Report.to_sarif s)
-    else if json then print_string (Campaign.Report.to_json s)
-    else print_string (Campaign.Report.render_text s);
+    (match format with
+    | `Sarif -> print_endline (Campaign.Report.to_sarif s)
+    | `Json -> print_string (Campaign.Report.to_json s)
+    | `Text -> print_string (Campaign.Report.render_text s));
     if Campaign.Driver.falsifications s > 0 then exit 1
   in
   Cmd.v
@@ -1681,15 +1241,49 @@ let campaign_cmd =
           reporting falsifications as SARIF")
     Term.(
       const run $ count $ seed $ tasks $ target_u $ family $ oracles $ shrink
-      $ ablate $ json $ format $ metrics)
+      $ ablate $ format $ metrics)
 
 (* ------------------------------------------------------------------ *)
 (* fabric (multikernel fault-tolerance demos) *)
 
+(* name -> (shard assignments, fault plan, planned migration) *)
+let fabric_presets =
+  let ms = Model.Time.ms in
+  let task ~id ~period_ms ~wcet_ms =
+    Model.Task.make ~id ~period:(ms period_ms) ~wcet:(ms wcet_ms) ()
+  in
+  (* three light shards; the storm preset adds a fourth *)
+  let base =
+    [
+      (0, [ task ~id:1 ~period_ms:20 ~wcet_ms:2;
+            task ~id:2 ~period_ms:40 ~wcet_ms:4 ]);
+      (1, [ task ~id:3 ~period_ms:20 ~wcet_ms:2;
+            task ~id:4 ~period_ms:50 ~wcet_ms:5 ]);
+      (2, [ task ~id:5 ~period_ms:25 ~wcet_ms:2 ]);
+    ]
+  in
+  [
+    ("steady", (base, "", None));
+    ("migrate", (base, "", Some (ms 50, 5, 0)));
+    ("crash", (base, "node-crash:node=1,at=50ms", None));
+    ( "crash-storm",
+      ( base @ [ (3, [ task ~id:6 ~period_ms:40 ~wcet_ms:2 ]) ],
+        "frame-drop:one-in=16;frame-corrupt:one-in=64;\
+         node-crash:node=1,at=60ms;node-crash:node=2,at=160ms",
+        None ) );
+    ( "partition",
+      ( base,
+        "frame-drop:one-in=16;link-partition:a=0,b=2,from=30ms,until=90ms",
+        None ) );
+  ]
+
 let fabric_cmd =
-  let preset_name =
+  let preset =
     Arg.(
-      value & opt string "steady"
+      value
+      & opt
+          (table ~what:"preset" fabric_presets)
+          (List.assoc "steady" fabric_presets)
       & info [ "preset" ] ~docv:"NAME"
           ~doc:
             "Fabric preset: steady (3 shards, no faults), migrate (steady \
@@ -1698,9 +1292,10 @@ let fabric_cmd =
              crashes under frame loss and corruption), partition (a \
              timed link partition under frame loss).")
   in
-  let plan_spec =
+  let plan =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some plan_conv) None
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
             "Extra fault clauses appended to the preset's plan \
@@ -1709,65 +1304,15 @@ let fabric_cmd =
   in
   let horizon_ms =
     Arg.(
-      value & opt int 400
-      & info [ "horizon" ] ~docv:"MS" ~doc:"Simulated horizon, milliseconds.")
+      value & opt positive 400
+      & info [ "horizon-ms"; "horizon" ] ~docv:"MS"
+          ~doc:"Simulated horizon, milliseconds.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the scorecard as JSON.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: sarif (SARIF 2.1.0).")
-  in
-  let run preset_name plan_spec horizon_ms seed json format =
-    (match format with
-    | None | Some "sarif" -> ()
-    | Some f -> bad_invocation "unknown format %S (expected: sarif)" f);
-    if horizon_ms <= 0 then bad_invocation "--horizon must be positive";
-    let ms = Model.Time.ms in
-    let task ~id ~period_ms ~wcet_ms =
-      Model.Task.make ~id ~period:(ms period_ms) ~wcet:(ms wcet_ms) ()
-    in
-    (* three light shards; the storm preset adds a fourth *)
-    let base_assignments =
-      [
-        (0, [ task ~id:1 ~period_ms:20 ~wcet_ms:2;
-              task ~id:2 ~period_ms:40 ~wcet_ms:4 ]);
-        (1, [ task ~id:3 ~period_ms:20 ~wcet_ms:2;
-              task ~id:4 ~period_ms:50 ~wcet_ms:5 ]);
-        (2, [ task ~id:5 ~period_ms:25 ~wcet_ms:2 ]);
-      ]
-    in
-    let assignments, preset_plan, migration =
-      match preset_name with
-      | "steady" -> (base_assignments, "", None)
-      | "migrate" -> (base_assignments, "", Some (ms 50, 5, 0))
-      | "crash" -> (base_assignments, "node-crash:node=1,at=50ms", None)
-      | "crash-storm" ->
-        ( base_assignments
-          @ [ (3, [ task ~id:6 ~period_ms:40 ~wcet_ms:2 ]) ],
-          "frame-drop:one-in=16;frame-corrupt:one-in=64;\
-           node-crash:node=1,at=60ms;node-crash:node=2,at=160ms",
-          None )
-      | "partition" ->
-        ( base_assignments,
-          "frame-drop:one-in=16;link-partition:a=0,b=2,from=30ms,until=90ms",
-          None )
-      | p -> bad_invocation "unknown preset %S" p
-    in
-    let plan_str =
-      match plan_spec with
-      | None -> preset_plan
-      | Some extra when preset_plan = "" -> extra
-      | Some extra -> preset_plan ^ ";" ^ extra
-    in
+  let format = format ~json:true [ `Text; `Json; `Sarif ] in
+  let run (assignments, preset_plan, migration) extra horizon_ms seed format =
     let plan =
-      match Fault.Plan.parse plan_str with
-      | Ok p -> p
-      | Error e -> bad_invocation "bad --plan: %s" e
+      Result.get_ok (Fault.Plan.parse preset_plan)
+      @ Option.value extra ~default:[]
     in
     let engine = Sim.Engine.create () in
     let bus = Fieldbus.Bus.create ~engine ~bitrate_bps:1_000_000 () in
@@ -1782,15 +1327,16 @@ let fabric_cmd =
       ignore
         (Sim.Engine.schedule engine ~at (fun () ->
              ignore (Fabric.Cluster.migrate cluster ~tid ~dst))));
-    let horizon = ms horizon_ms in
+    let horizon = Model.Time.ms horizon_ms in
     Fabric.Cluster.run cluster ~until:horizon;
     let score = Fabric.Cluster.score cluster ~horizon in
-    if format = Some "sarif" then
+    (match format with
+    | `Sarif ->
       print_endline
         (Lint.Sarif.render ~tool_name:"emeralds-fabric"
            (Fault.Report.net_to_sarif score))
-    else if json then print_endline (Fault.Report.net_to_json score)
-    else print_string (Fault.Report.render_net score);
+    | `Json -> print_endline (Fault.Report.net_to_json score)
+    | `Text -> print_string (Fault.Report.render_net score));
     let fault_activity =
       Fabric.Cluster.crashes cluster <> []
       || Fabric.Cluster.shed cluster <> []
@@ -1808,19 +1354,21 @@ let fabric_cmd =
           frame delivery with retry/backoff, task migration with RTA \
           re-admission, and an end-to-end scorecard checking observed \
           failover latency against the static migration-cost bound")
-    Term.(
-      const run $ preset_name $ plan_spec $ horizon_ms $ seed $ json $ format)
+    Term.(const run $ preset $ plan $ horizon_ms $ seed $ format)
 
 let () =
   let info =
     Cmd.info "emeralds_cli" ~version:"1.0.0"
       ~doc:"EMERALDS small-memory real-time microkernel reproduction"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            experiment_cmd; schedulability_cmd; analyze_cmd; simulate_cmd;
-            sensitivity_cmd; lint_cmd; check_cmd; inject_cmd; trace_cmd;
-            explain_cmd; footprint_cmd; campaign_cmd; fabric_cmd;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           experiment_cmd; schedulability_cmd; analyze_cmd; simulate_cmd;
+           sensitivity_cmd; lint_cmd; check_cmd; inject_cmd; trace_cmd;
+           explain_cmd; footprint_cmd; campaign_cmd; fabric_cmd;
+         ])
+  in
+  (* a usage error cmdliner reports is a bad invocation like any other *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -1421,79 +1421,6 @@ let create ?(keep_trace = true) ?(stop_on_miss = false) ?(optimized_pi = true)
   k
 
 let run k ~until = Sim.Engine.run_until k.engine until
-let step k = Sim.Engine.step k.engine
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots *)
-
-module Snapshot = struct
-  type thread_snap = {
-    s_tid : int;
-    s_mode : string;
-    s_pc : int;
-    s_remaining : int;
-    s_eff_prio : int;
-    s_deadline_in : int; (* abs_deadline relative to the capture instant *)
-    s_held : int list;   (* sem ids, sorted *)
-    s_waiting_on : int option;
-    s_pending : int;     (* queued releases *)
-  }
-
-  type t = {
-    residue : int;        (* clock mod hyperperiod *)
-    threads : thread_snap list; (* in tid order *)
-    events_in : int list; (* pending event-queue offsets, sorted *)
-  }
-
-  let mode_of (tcb : tcb) =
-    match tcb.state with
-    | Ready -> "ready"
-    | Running -> "running"
-    | Dormant -> "dormant"
-    | Blocked r -> "blocked:" ^ r
-
-  let capture k =
-    let t0 = now k in
-    let hyper =
-      Util.Intmath.lcm_list
-        (Array.to_list (Array.map (fun (tcb : tcb) -> tcb.task.period) k.tcbs))
-    in
-    let threads =
-      Array.to_list
-        (Array.map
-           (fun (tcb : tcb) ->
-             {
-               s_tid = tcb.tid;
-               s_mode = mode_of tcb;
-               s_pc = tcb.pc;
-               s_remaining = tcb.remaining;
-               s_eff_prio = tcb.eff_prio;
-               s_deadline_in = tcb.abs_deadline - t0;
-               s_held =
-                 List.sort compare
-                   (List.map (fun s -> s.sem_id) tcb.held_sems);
-               s_waiting_on =
-                 Option.map (fun s -> s.sem_id) tcb.waiting_on;
-               s_pending = Queue.length tcb.pending_releases;
-             })
-           k.tcbs)
-      |> List.sort (fun a b -> compare a.s_tid b.s_tid)
-    in
-    {
-      residue = (if hyper > 0 then t0 mod hyper else t0);
-      threads;
-      events_in =
-        List.map (fun at -> at - t0) (Sim.Engine.pending_times k.engine);
-    }
-
-  let hash t = Digest.to_hex (Digest.string (Marshal.to_string t []))
-  let equal a b = a = b
-
-  let thread t ~tid =
-    List.find_opt (fun th -> th.s_tid = tid) t.threads
-    |> Option.map (fun th ->
-           (th.s_mode, th.s_pc, th.s_remaining, th.s_eff_prio, th.s_held))
-end
 
 (* ------------------------------------------------------------------ *)
 (* Statistics *)

@@ -66,13 +66,6 @@ val create :
 val run : t -> until:Model.Time.t -> unit
 (** Simulate up to the horizon (inclusive of events at it). *)
 
-val step : t -> bool
-(** Fire exactly one pending simulation event — the single-step
-    variant of [run] that drivers like the model checker's
-    differential harness use to interleave execution with state
-    inspection ([Snapshot.capture], [check_invariants]).  [false] when
-    no event remains. *)
-
 val now : t -> Model.Time.t
 val trace : t -> Sim.Trace.t
 
@@ -111,36 +104,6 @@ val check_invariants : t -> unit
 (** Assert the scheduler's structural invariants (queue link
     consistency, ready counts, highestp correctness) and basic TCB
     sanity; raises on violation.  For tests and fuzzing. *)
-
-(** {1 State snapshots}
-
-    A snapshot is a canonical, pure value of the kernel's dynamic
-    state: per-thread control state (mode, pc, remaining work,
-    effective priority, held semaphores, wait reason), plus the
-    virtual-clock residue modulo the task set's hyperperiod and the
-    pending event-queue offsets.  All absolute times are stored
-    relative to the capture instant, so two captures of equivalent
-    kernel states taken whole hyperperiods apart compare equal — the
-    same canonicalisation the model checker ([lib/mc]) uses for its
-    visited-set pruning, which is what makes kernel states and model
-    states directly comparable in the differential harness. *)
-module Snapshot : sig
-  type kernel := t
-  type t
-
-  val capture : kernel -> t
-
-  val hash : t -> string
-  (** Digest of the canonical encoding; equal snapshots hash equal. *)
-
-  val equal : t -> t -> bool
-
-  val thread :
-    t -> tid:int -> (string * int * Model.Time.t * int * int list) option
-  (** [(mode, pc, remaining, eff_prio, held_sem_ids)] of one thread;
-      [mode] is ["ready"], ["running"], ["dormant"] or ["blocked:R"].
-      [None] for an unknown tid. *)
-end
 
 (** {1 Environment hooks}
 

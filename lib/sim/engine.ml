@@ -32,9 +32,6 @@ let cancel t h =
 
 let pending t = Util.Pqueue.size t.queue
 
-let pending_times t =
-  List.sort compare (List.map (fun ev -> ev.time) (Util.Pqueue.to_list t.queue))
-
 let step t =
   match Util.Pqueue.pop t.queue with
   | None -> false

@@ -28,11 +28,6 @@ val cancel : t -> handle -> bool
 val pending : t -> int
 (** Number of events still queued. *)
 
-val pending_times : t -> Model.Time.t list
-(** Fire times of every queued event, sorted ascending — the
-    event-queue part of a kernel state snapshot ([Kernel.Snapshot]
-    hashes these as residues relative to the current clock). *)
-
 val step : t -> bool
 (** Fire the earliest event.  [false] when the queue is empty. *)
 

@@ -82,10 +82,6 @@ let remove t h =
     true
   end
 
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.arr.(i).v :: acc) in
-  loop (t.len - 1) []
-
 let check t =
   for i = 0 to t.len - 1 do
     assert (t.arr.(i).pos = i);

@@ -32,9 +32,6 @@ val value : 'a handle -> 'a
 val in_heap : 'a handle -> bool
 (** Whether the handle's element is still queued. *)
 
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order.  O(n). *)
-
 val visit_count : 'a t -> int
 (** Cumulative count of node visits performed by sift operations since
     creation; the Table 1 experiment uses it to confirm O(log n)

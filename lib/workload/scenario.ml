@@ -176,19 +176,6 @@ let branchy = fresh @@ fun () ->
   in
   with_sources ~name:"branchy" ~taskset ~programs []
 
-let scenarios =
-  [
-    ("table2", table2); ("engine", engine); ("avionics", avionics);
-    ("voice", voice); ("branchy", branchy);
-  ]
-
-let names = List.map fst scenarios
-
-let make name =
-  Option.map (fun mk -> mk ()) (List.assoc_opt name scenarios)
-
-let all () = List.map (fun (_, mk) -> mk ()) scenarios
-
 (* A WCET lie: tau2 declares 1 ms but its program computes 3 ms.  The
    abstract interpreter's demand bound exceeds the declaration, which
    every schedulability result downstream silently trusts — exactly
@@ -414,3 +401,36 @@ let storm_demo = fresh @@ fun () ->
         writes = [];
       };
     ]
+
+type entry = { name : string; build : unit -> t; static_only : string option }
+
+let entry ?static_only name build = { name; build; static_only }
+
+let shipped =
+  [
+    entry "table2" table2; entry "engine" engine; entry "avionics" avionics;
+    entry "voice" voice; entry "branchy" branchy;
+  ]
+
+let catalog =
+  shipped
+  @ [
+      entry "under-declared-demo" under_declared_wcet;
+      entry "over-budget-demo" over_budget;
+      entry "deadlock-demo" seeded_deadlock;
+      entry "inversion-demo" inversion_demo;
+      entry "overrun-demo" overrun_demo;
+      entry "alloc-demo" alloc_demo;
+      entry "leak-demo" leak_demo;
+      entry "double-free-demo" double_free_demo
+        ~static_only:"the kernel raises on its double free";
+      entry "storm-demo" storm_demo;
+    ]
+
+let names = List.map (fun e -> e.name) shipped
+
+let make name =
+  List.find_opt (fun e -> e.name = name) catalog
+  |> Option.map (fun e -> e.build ())
+
+let all () = List.map (fun e -> e.build ()) shipped

@@ -42,29 +42,42 @@ type t = {
           sources) *)
 }
 
+(** A named scenario of the {!catalog}. *)
+type entry = {
+  name : string;  (** the CLI's [--preset] spelling *)
+  build : unit -> t;  (** a fresh instance *)
+  static_only : string option;
+      (** why the kernel cannot run it: such a scenario is for the
+          static layers (lint, absint, the model checker) only *)
+}
+
+val catalog : entry list
+(** Every named scenario: the shipped presets ({!names}), then the
+    demos below under their CLI names — ["under-declared-demo"],
+    ["over-budget-demo"], ["deadlock-demo"], ["inversion-demo"],
+    ["overrun-demo"], ["alloc-demo"], ["leak-demo"],
+    ["double-free-demo"] (static-only) and ["storm-demo"]. *)
+
 val names : string list
-(** ["table2"; "engine"; "avionics"; "voice"; "branchy"] — matches the CLI's
-    [--preset] vocabulary. *)
+(** The shipped presets: ["table2"; "engine"; "avionics"; "voice";
+    "branchy"]. *)
 
 val make : string -> t option
-(** Fresh scenario for a preset name; [None] for unknown names. *)
+(** Fresh scenario for a {!catalog} name; [None] for unknown names. *)
 
 val all : unit -> t list
-(** A fresh scenario per name, in {!names} order. *)
+(** A fresh scenario per shipped preset, in {!names} order. *)
 
 val under_declared_wcet : unit -> t
 (** A two-task demo whose second task declares a 1 ms WCET but
     computes 3 ms: the abstract interpreter ([lib/absint]) must derive
     a demand bound above the declaration and fail [analyze] with a
-    [wcet-declaration] error.  Excluded from {!names} / {!all}; the
-    CLI exposes it as the ["under-declared-demo"] preset of
-    [analyze]. *)
+    [wcet-declaration] error. *)
 
 val over_budget : unit -> t
 (** A demo whose derived kernel-object footprint (a 64-deep, 600-word
     state message) exceeds the paper's 128 KB device envelope:
-    [analyze] must fail it with a [budget] error.  Excluded from
-    {!names} / {!all}; the CLI exposes it as ["over-budget-demo"]. *)
+    [analyze] must fail it with a [budget] error. *)
 
 val seeded_deadlock : unit -> t
 (** An intentionally buggy two-task scenario whose mutexes are nested
@@ -72,8 +85,7 @@ val seeded_deadlock : unit -> t
     reachable within one hyperperiod.  The lint deadlock check flags
     it statically and the model checker must produce a witness trace —
     the guard against a checker that silently passes everything.
-    Excluded from {!names} / {!all} so the shipped presets stay
-    lint-clean. *)
+    Kept out of the shipped presets so they stay lint-clean. *)
 
 val inversion_demo : unit -> t
 (** A seeded priority inversion: the low-priority task grabs the
@@ -83,16 +95,14 @@ val inversion_demo : unit -> t
     inheritance-boosted holder needs to finish — so its first job
     misses with blocking as the dominant blame component.  The canvas
     for [emeralds_cli explain]: the attributor must name the contended
-    semaphore.  Later jobs run contention-free.  Excluded from
-    {!names} / {!all}; the CLI exposes it as ["inversion-demo"]. *)
+    semaphore.  Later jobs run contention-free. *)
 
 val overrun_demo : unit -> t
 (** A pure-compute, comfortably RM-schedulable three-task set (U =
     0.56) that runs clean unfaulted — the canvas for the WCET-overrun
     fault plan.  The CLI's ["overrun-demo"] inject preset scales tau2's
     demand 4x, which budget enforcement must detect and which falsifies
-    the static response-time bounds.  Excluded from {!names} /
-    {!all}. *)
+    the static response-time bounds. *)
 
 val alloc_demo : unit -> t
 (** An allocation-heavy but disciplined three-task set: blocks taken
@@ -100,20 +110,17 @@ val alloc_demo : unit -> t
     summed per-task peaks (5).  Runs denial- and leak-free — the
     canvas for the mem trace category, live-block metrics, the
     analyzer's pool-sizing table, and quota enforcement
-    ([--mem-policy]).  Excluded from {!names} / {!all}; the CLI
-    exposes it as ["alloc-demo"]. *)
+    ([--mem-policy]). *)
 
 val leak_demo : unit -> t
 (** A per-job leak: tau1 allocates two blocks and frees one, so every
     completion leaves a block live.  The kernel reclaims and records
     it, the alloc-discipline lint proves it statically, and the
-    campaign's mem oracle demands the verdicts agree.  Excluded from
-    {!names} / {!all}; the CLI exposes it as ["leak-demo"]. *)
+    campaign's mem oracle demands the verdicts agree. *)
 
 val double_free_demo : unit -> t
 (** A double free the lint walk flags exactly (the kernel raises on it
-    at run time) — for the static analyzers only.  Excluded from
-    {!names} / {!all}; the CLI exposes it as ["double-free-demo"]. *)
+    at run time) — for the static analyzers only. *)
 
 val storm_demo : unit -> t
 (** An IRQ-driven sampler (waits a sample event delivered every 4-5 ms
@@ -121,4 +128,4 @@ val storm_demo : unit -> t
     beyond the horizon (released only by [Kernel.trigger_job_at]) —
     the canvas for the arrival-model faults: IRQ storm, lost
     wait-queue signal, and sporadic bursts beyond the declared 20 ms
-    minimum interarrival.  Excluded from {!names} / {!all}. *)
+    minimum interarrival. *)

@@ -302,30 +302,6 @@ let kernel_differential () =
           r.max_response.(mt.idx))
     (Emeralds.Kernel.stats k)
 
-let snapshot_determinism () =
-  let mk () =
-    let s = Option.get (Workload.Scenario.make "engine") in
-    Emeralds.Kernel.create ~cost:Sim.Cost.zero ~spec:Emeralds.Sched.Rm
-      ~taskset:s.taskset ~programs:s.programs ()
-  in
-  let k1 = mk () and k2 = mk () in
-  for _ = 1 to 400 do
-    ignore (Emeralds.Kernel.step k1);
-    ignore (Emeralds.Kernel.step k2)
-  done;
-  let s1 = Emeralds.Kernel.Snapshot.capture k1 in
-  let s2 = Emeralds.Kernel.Snapshot.capture k2 in
-  check "identical kernels stepped in lockstep snapshot equal" true
-    (Emeralds.Kernel.Snapshot.equal s1 s2);
-  check "equal snapshots hash equal" true
-    (Emeralds.Kernel.Snapshot.hash s1 = Emeralds.Kernel.Snapshot.hash s2);
-  match Emeralds.Kernel.Snapshot.thread s1 ~tid:1 with
-  | None -> Alcotest.fail "snapshot lost task 1"
-  | Some (mode, _, _, _, _) ->
-    check "task 1 mode is a known word" true
-      (List.mem mode [ "ready"; "running"; "dormant" ]
-      || String.length mode >= 8 && String.sub mode 0 8 = "blocked:")
-
 (* --- branch forking: the checker explores both arms ----------------- *)
 
 (* A violation hiding behind one branch outcome: the taken arm
@@ -722,8 +698,6 @@ let suite =
     Alcotest.test_case "sporadic windows explored" `Quick sporadic_explored;
     Alcotest.test_case "kernel = checker on deterministic runs" `Quick
       kernel_differential;
-    Alcotest.test_case "kernel snapshots are deterministic" `Quick
-      snapshot_determinism;
     Alcotest.test_case "branch fork and counterexample replay" `Quick
       branch_fork_and_replay;
     Alcotest.test_case "state keys match the marshalled reference" `Quick
