@@ -42,10 +42,7 @@ let table ?(ci = false) ~what pairs =
   vocab ~what (List.map fst pairs)
     (fun s ->
       List.assoc_opt (if ci then String.lowercase_ascii s else s) pairs)
-    (fun v ->
-      match List.find_opt (fun (_, v') -> v' == v) pairs with
-      | Some (name, _) -> name
-      | None -> "?")
+    (fun v -> fst (List.find (fun (_, v') -> v' == v) pairs))
 
 (* A comma-separated list over [conv]; every element must parse. *)
 let comma_list conv =
@@ -64,13 +61,15 @@ let comma_list conv =
   in
   Arg.conv (parse, print)
 
-let positive =
+let at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s lo))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive = at_least 1
 
 let sched_conv =
   let named =
@@ -116,6 +115,13 @@ let check_fits spec taskset =
     bad_invocation "--sched %s does not fit a %d-task set: %s"
       (Emeralds.Sched.spec_name spec) n_tasks msg
 
+(* A task id given on the command line must name one of the
+   scenario's tasks. *)
+let check_task ~flag (s : Workload.Scenario.t) tid =
+  let tasks = Model.Taskset.tasks s.taskset in
+  if not (Array.exists (fun (t : Model.Task.t) -> t.id = tid) tasks) then
+    bad_invocation "%s: the scenario has no task %d" flag tid
+
 (* ------------------------------------------------------------------ *)
 (* --preset: one catalog of named scenarios *)
 
@@ -158,7 +164,7 @@ let preset_opt ~doc =
 let random_n =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "random" ] ~docv:"N" ~doc:"Generate a random N-task workload.")
 
 let seed =

@@ -227,11 +227,11 @@ let simulate_cmd =
     Emeralds.Kernel.run k ~until:(Model.Time.ms horizon);
     let tr = Emeralds.Kernel.trace k in
     if timeline then Format.printf "%a@." Sim.Trace.pp_timeline tr;
-    (match csv with
-    | Some path ->
-      write_file path (Sim.Trace.to_csv tr);
-      Printf.printf "trace written to %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_file path (Sim.Trace.to_csv tr);
+        Printf.printf "trace written to %s\n" path)
+      csv;
     Printf.printf "%s over %dms: %d misses, %d switches, overhead %.3fms\n"
       (Emeralds.Sched.spec_name spec)
       horizon
@@ -368,7 +368,7 @@ let check_cmd =
   in
   let read_span_us =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "read-span-us" ]
           ~doc:
             "Model state-message reads as taking this long (0 = atomic); \
@@ -377,10 +377,9 @@ let check_cmd =
   let sporadic =
     let parse s =
       match List.map int_of_string_opt (String.split_on_char ':' s) with
-      | [ Some tid; Some lo; Some hi ] ->
+      | [ Some tid; Some lo; Some hi ] when 0 < lo && lo <= hi ->
         Ok (tid, Model.Time.ms lo, Model.Time.ms hi)
-      | _ ->
-        Error (`Msg (Printf.sprintf "bad %S, expected TID:MIN_MS:MAX_MS" s))
+      | _ -> Error (`Msg (Printf.sprintf "bad window %S" s))
     in
     let print ppf (tid, lo, hi) =
       let ms t = t / Model.Time.ms 1 in
@@ -392,8 +391,8 @@ let check_cmd =
       & info [ "sporadic" ] ~docv:"TID:MIN_MS:MAX_MS"
           ~doc:
             "Re-model a task as sporadic with the given inter-arrival \
-             window; the checker forks over earliest arrival, latest \
-             arrival and silence. Repeatable.")
+             window (0 < MIN_MS <= MAX_MS); the checker forks over \
+             earliest arrival, latest arrival and silence. Repeatable.")
   in
   let format = format ~json:true [ `Text; `Json; `Sarif ] in
   let rta =
@@ -417,6 +416,8 @@ let check_cmd =
   let run (preset : Workload.Scenario.entry) sched horizon_ms max_states
       max_depth props no_por read_span_us sporadic format rta search_seed =
     let scenario = preset.build () in
+    List.iter (fun (t, _, _) -> check_task ~flag:"--sporadic" scenario t)
+      sporadic;
     let m =
       Mc.Machine.of_scenario ~sched ~read_span:(Model.Time.us read_span_us)
         ~sporadic scenario
@@ -677,17 +678,14 @@ let inject_cmd =
        per plan cell); the dump comes from the first that triggered. *)
     let recorders = ref [] in
     let observer =
-      match flightrec_path with
-      | None -> None
-      | Some _ ->
-        let bytes = validated_ring_bytes ring_bytes in
-        Some
-          (fun k ->
-            let fr =
-              Obs.Flightrec.create ~bytes ~triggers:fault_triggers ()
-            in
+      Option.map
+        (fun _ ->
+          let bytes = validated_ring_bytes ring_bytes in
+          fun k ->
+            let fr = Obs.Flightrec.create ~bytes ~triggers:fault_triggers () in
             recorders := !recorders @ [ fr ];
             Obs.Flightrec.attach fr (Emeralds.Kernel.probe k))
+        flightrec_path
     in
     let cfg =
       {
@@ -871,12 +869,8 @@ let explain_cmd =
     let preset_name = preset.name in
     let scenario = preset.build () in
     check_fits sched scenario.taskset;
+    Option.iter (check_task ~flag:"--task" scenario) task_filter;
     let tasks = Model.Taskset.tasks scenario.taskset in
-    (match task_filter with
-    | Some tid
-      when not (Array.exists (fun (t : Model.Task.t) -> t.id = tid) tasks) ->
-      bad_invocation "no task %d in scenario %S" tid preset_name
-    | _ -> ());
     (* static terms: the campaign's own (all RM-specific); tasks RTA
        does not cover, or any other scheduler, get no bound columns *)
     let statics = Campaign.Eval.statics scenario in
@@ -1321,12 +1315,11 @@ let fabric_cmd =
         ~spec:Emeralds.Sched.Edf ~seed ~assignments ()
     in
     Fabric.Cluster.install_plan cluster plan;
-    (match migration with
-    | None -> ()
-    | Some (at, tid, dst) ->
-      ignore
-        (Sim.Engine.schedule engine ~at (fun () ->
-             ignore (Fabric.Cluster.migrate cluster ~tid ~dst))));
+    Option.iter
+      (fun (at, tid, dst) ->
+        let migrate () = ignore (Fabric.Cluster.migrate cluster ~tid ~dst) in
+        ignore (Sim.Engine.schedule engine ~at migrate))
+      migration;
     let horizon = Model.Time.ms horizon_ms in
     Fabric.Cluster.run cluster ~until:horizon;
     let score = Fabric.Cluster.score cluster ~horizon in

@@ -2,6 +2,8 @@
    with short horizons: each run must exit 0, 1 or 2 with no exception
    on stderr, and the subcommands that run the kernel on a scenario's
    programs must refuse a static-only scenario with exit 2, saying so.
+   Flag values the kernel or the model checker would raise on must
+   exit 2 as well.
 
    Usage: matrix.exe PATH-TO-emeralds_cli.exe *)
 
@@ -23,6 +25,16 @@ let subcommands =
 
 let runs_kernel = [ "inject"; "trace"; "explain" ]
 
+let bad_values =
+  [
+    [ "simulate"; "--random"; "0" ];
+    [ "simulate"; "--random"; "3" ] (* the default CSD-3 needs 5 tasks *);
+    [ "check"; "--read-span-us=-5" ];
+    [ "check"; "--sporadic"; "1:5:2" ];
+    [ "check"; "--sporadic"; "99:1:2" ];
+    [ "explain"; "--task"; "99" ];
+  ]
+
 let contains s sub =
   let n = String.length sub in
   let rec at i =
@@ -34,21 +46,24 @@ let () =
   let cli = Sys.argv.(1) in
   let err = Filename.temp_file "matrix" ".err" in
   let failures = ref 0 in
+  let run argv =
+    let code =
+      Filename.quote_command cli argv ~stdout:Filename.null ~stderr:err
+      |> Sys.command
+    in
+    let stderr = In_channel.with_open_bin err In_channel.input_all in
+    let fail why =
+      incr failures;
+      Printf.printf "FAIL emeralds_cli %s: %s (exit %d)\n%s\n"
+        (String.concat " " argv) why code stderr
+    in
+    (code, stderr, fail)
+  in
   List.iter
     (fun (e : Workload.Scenario.entry) ->
       List.iter
         (fun (sub, args) ->
-          let argv = sub :: "--preset" :: e.name :: args in
-          let code =
-            Filename.quote_command cli argv ~stdout:Filename.null ~stderr:err
-            |> Sys.command
-          in
-          let stderr = In_channel.with_open_bin err In_channel.input_all in
-          let fail why =
-            incr failures;
-            Printf.printf "FAIL emeralds_cli %s: %s (exit %d)\n%s\n"
-              (String.concat " " argv) why code stderr
-          in
+          let code, stderr, fail = run (sub :: "--preset" :: e.name :: args) in
           if e.static_only <> None && List.mem sub runs_kernel then begin
             if code <> 2 || not (contains stderr "static-only") then
               fail "a static-only scenario must be refused with exit 2"
@@ -58,5 +73,10 @@ let () =
             fail "exception on stderr")
         subcommands)
     Workload.Scenario.catalog;
+  List.iter
+    (fun argv ->
+      let code, _, fail = run argv in
+      if code <> 2 then fail "a bad flag value must exit 2")
+    bad_values;
   Sys.remove err;
   if !failures > 0 then exit 1
