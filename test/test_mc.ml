@@ -685,6 +685,48 @@ let exploration_golden () =
         (Array.to_list r.max_response))
     machines golden
 
+(* EDF dispatch keys, [Tie] choices and POR pruning, under the bounds and
+   properties of [por_sound_on_ties]: (name, por, expansions, distinct,
+   revisits, por_skipped, jobs, max_response). *)
+let edf_golden =
+  [
+    ("table2", true, 5, 4, 0, 4, 50,
+     [ 1000000; 2000000; 3000000; 4000000; 5400000; 11800000; 19200000;
+       23200000; 27600000; 34000000 ]);
+    ("table2", false, 9, 4, 3, 0, 96,
+     [ 1400000; 2000000; 3000000; 4000000; 5400000; 11800000; 19200000;
+       23200000; 27600000; 34000000 ]);
+    ("avionics", true, 152, 80, 62, 9, 291,
+     [ 600000; 2900000; 2900000; 6200000; 6200000; 12400000; 12900000;
+       28500000; 28500000; 39400000; 0; 0; 0; 0 ]);
+    ("avionics", false, 395, 197, 128, 0, 659,
+     [ 600000; 2900000; 2900000; 6200000; 6200000; 12400000; 12900000;
+       28500000; 28500000; 39400000; 39400000; 0; 0; 0 ]);
+  ]
+
+let edf_exploration_golden () =
+  let bounds =
+    { Mc.Explorer.horizon = ms 50; max_states = 50_000; max_depth = 5_000 }
+  in
+  let props = [ Mc.Props.deadlock; Mc.Props.invariants ] in
+  List.iter
+    (fun (name, por, exp, dist, rev, skipped, jobs, resp) ->
+      let s = Option.get (Workload.Scenario.make name) in
+      let m = Mc.Machine.of_scenario ~sched:Mc.Machine.Edf s in
+      let r = Mc.Explorer.check ~por ~props ~bounds m in
+      let name = Printf.sprintf "%s edf por=%b" name por in
+      check (name ^ " clean and complete") true
+        (r.verdict = `Ok && not r.truncated);
+      check_int (name ^ " expansions") exp r.expansions;
+      check_int (name ^ " distinct") dist r.distinct;
+      check_int (name ^ " revisits") rev r.revisits;
+      check_int (name ^ " por_skipped") skipped r.por_skipped;
+      check_int (name ^ " jobs") jobs r.jobs;
+      Alcotest.(check (list int))
+        (name ^ " max_response") resp
+        (Array.to_list r.max_response))
+    edf_golden
+
 let suite =
   [
     Alcotest.test_case "seeded deadlock: lint and MC agree" `Quick
@@ -704,4 +746,6 @@ let suite =
       key_matches_reference;
     Alcotest.test_case "exploration counts match the golden record" `Quick
       exploration_golden;
+    Alcotest.test_case "EDF and POR exploration counts match the golden record"
+      `Quick edf_exploration_golden;
   ]
