@@ -401,7 +401,9 @@ let check_cmd =
       & info [ "rta" ]
           ~doc:
             "Cross-check: print observed worst-case responses next to the \
-             RTA bounds fed with the lint-extracted blocking terms.")
+             RTA bounds fed with the lint-extracted blocking terms. Turns \
+             partial-order reduction off, since merged tie orders can \
+             hide the worst response.")
   in
   let search_seed =
     Arg.(
@@ -432,9 +434,10 @@ let check_cmd =
         max_depth;
       }
     in
-    let r =
-      Mc.Explorer.check ~por:(not no_por) ?seed:search_seed ~props ~bounds m
-    in
+    (* POR merges tie orders, so the RTA cross-check's worst responses
+       need it off *)
+    let por = not (no_por || rta) in
+    let r = Mc.Explorer.check ~por ?seed:search_seed ~props ~bounds m in
     (match format with
     | `Sarif ->
       let results =
@@ -482,7 +485,7 @@ let check_cmd =
         scenario.name (Mc.Machine.n_tasks m)
         (Model.Time.to_ms_f bounds.horizon)
         (String.concat ", " (List.map (fun (p : Mc.Props.t) -> p.name) props))
-        (if no_por then " (POR off)" else "");
+        (if por then "" else " (POR off)");
       Printf.printf
         "explored %d segments, %d distinct decision states, %d revisits \
          pruned, %d tie choices merged, %d jobs%s\n"

@@ -651,7 +651,10 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
       List.filter_map Mc.Props.by_name
         [ "deadlock"; "pi"; "invariants"; "tear"; "mem" ]
     in
-    let res = Mc.Explorer.check ~props ~bounds m in
+    (* POR merges tie orders, so rta-mc's worst responses need it off *)
+    let res =
+      Mc.Explorer.check ~por:(not (wants oracles Rta_mc)) ~props ~bounds m
+    in
     mc_expansions := res.expansions;
     mc_truncated := res.truncated;
     (match res.verdict with

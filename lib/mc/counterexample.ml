@@ -15,8 +15,10 @@ let replay m ~props cex =
   let emit at e = Sim.Trace.emit trace ~at e in
   let check = Props.check_state props m in
   let check_note = Props.check_note props m in
-  let rec go st choices =
-    let e = Step.expand ~emit ~check ~check_note ~horizon:cex.horizon m st in
+  let rec go st choice choices =
+    let e =
+      Step.expand ~emit ~check ~check_note ?choice ~horizon:cex.horizon m st
+    in
     match (e.violation, choices) with
     | Some (p, _, _), [] ->
       if p <> cex.prop then
@@ -31,9 +33,9 @@ let replay m ~props cex =
         if not (List.mem c offered) then
           diverge "recorded choice %s was not offered on replay"
             (Step.choice_to_string m c);
-        go (Step.apply ~emit m e.state c) rest)
+        go e.state (Some c) rest)
   in
-  go (State.init m) cex.choices;
+  go (State.init m) None cex.choices;
   trace
 
 let render m ~props cex =

@@ -2,8 +2,8 @@
 
     A violation is witnessed by the list of choices taken at each
     decision point.  Because everything between decision points is
-    deterministic, re-running {!Step.expand}/{!Step.apply} over the
-    recorded choices reproduces the violation exactly — and, with the
+    deterministic, re-running {!Step.expand} over the recorded
+    choices reproduces the violation exactly — and, with the
     emit hook attached, yields a full {!Sim.Trace} of the offending
     schedule that the CLI renders with the standard trace
     pretty-printers. *)

@@ -40,8 +40,10 @@ let check ?(por = true) ?seed ~props ~bounds m =
   let jobs = ref 0 in
   let max_response = Array.make (Machine.n_tasks m) 0 in
   let violation = ref None in
-  (* Explicit DFS stack; each frame carries the reversed choice path,
-     structurally shared with its siblings. *)
+  (* Explicit DFS stack.  A frame is a parent decision state and the
+     reversed choice path that reaches the child, structurally shared
+     with its siblings: the head is the choice to commit (none for the
+     initial state), so each child is copied once, when expanded. *)
   let stack = ref [ (State.init m, [], 0) ] in
   while !stack <> [] && !violation = None do
     match !stack with
@@ -51,9 +53,10 @@ let check ?(por = true) ?seed ~props ~bounds m =
       if !expansions >= bounds.max_states then truncated := true
       else begin
         incr expansions;
+        let choice = match path with ch :: _ -> Some ch | [] -> None in
         let e =
-          Step.expand ~check:check_state ~check_note ~horizon:bounds.horizon m
-            st
+          Step.expand ~check:check_state ~check_note ?choice
+            ~horizon:bounds.horizon m st
         in
         List.iter
           (fun (_, n) ->
@@ -79,23 +82,18 @@ let check ?(por = true) ?seed ~props ~bounds m =
           match e.next with
           | `Leaf -> ()
           | `Branch cs ->
-            let key = State.key m e.state in
-            if Hashtbl.mem visited key then incr revisits
+            (* one hash per decision state: a revisit leaves the size as is *)
+            let before = Hashtbl.length visited in
+            Hashtbl.replace visited (State.key m e.state) ();
+            if Hashtbl.length visited = before then incr revisits
+            else if depth >= bounds.max_depth then truncated := true
             else begin
-              Hashtbl.add visited key ();
-              if depth >= bounds.max_depth then truncated := true
-              else begin
-                let cs, sk =
-                  if por then Por.reduce m e.state cs else (cs, 0)
-                in
-                let cs = shuffle cs in
-                skipped := !skipped + sk;
-                List.iter
-                  (fun ch ->
-                    stack :=
-                      (Step.apply m e.state ch, ch :: path, depth + 1) :: !stack)
-                  cs
-              end
+              let cs, sk = if por then Por.reduce m e.state cs else (cs, 0) in
+              let cs = shuffle cs in
+              skipped := !skipped + sk;
+              List.iter
+                (fun ch -> stack := (e.state, ch :: path, depth + 1) :: !stack)
+                cs
             end)
       end
   done;

@@ -4,6 +4,9 @@
     ({!State.key}): once a decision state has been expanded, every
     later path reaching it is cut, which is sound because the
     continuation from a decision state depends only on the state.  The
+    search stacks each child as its parent decision state and the
+    choice to commit, so a child state is copied once, when it is
+    expanded.  The
     key writes the canonical fields directly into a string (a tag per
     variant, a length per list, a varint per int); the code is
     prefix-free, so equal keys mean equal canonical states, and the
@@ -33,10 +36,12 @@ type result = {
   jobs : int;  (** job completions observed across all paths *)
   max_response : int array;
       (** worst observed response per task (indexed like
-          [Machine.tasks]); with [`Ok] and [truncated = false] these are
-          exhaustive worst cases over every admissible schedule within
-          the horizon — the numbers the RTA cross-check compares
-          against analytical bounds *)
+          [Machine.tasks]); with [`Ok], [truncated = false] and
+          partial-order reduction off, these are exhaustive worst cases
+          over every admissible schedule within the horizon — the
+          numbers the RTA cross-check compares against analytical
+          bounds.  With the reduction on they may be lower, since the
+          merged tie orders differ in the tied tasks' responses. *)
 }
 
 val check :
@@ -49,7 +54,8 @@ val check :
 (** Explore.  [por] (default true) enables the tie reduction; it is
     forced off whenever a selected property is
     {!Props.timing_sensitive}, since the reduction deliberately drops
-    schedules that differ only in timing.
+    schedules that differ only in timing.  A caller that reads
+    [max_response] passes [~por:false] for the same reason.
 
     [seed] shuffles the order in which each branch's children are
     explored (default: the machine's deterministic enumeration order).

@@ -1,6 +1,19 @@
-(* [cycle] is shared by [deadlock] and [pi]: the first circular wait,
-   as task indices along the chain. *)
-type probe = { st : State.t; cycle : int list option Lazy.t }
+(* One probe serves a whole search: [check_state] rebinds [st] and
+   forgets the cycle before each state.  [cycle] is shared by
+   [deadlock] and [pi] and found at most once per state; a found cycle
+   is [path.(cyc_from .. len - 1)].  [e] and [d] accumulate the PI
+   fixpoint. *)
+type cycle = Unknown | Acyclic | Cyclic
+
+type probe = {
+  mutable st : State.t;
+  mutable cycle : cycle;
+  path : int array;  (* the blocked-on walk, one slot per task *)
+  mutable len : int;
+  mutable cyc_from : int;
+  mutable e : int;
+  mutable d : int;
+}
 
 type t = {
   name : string;
@@ -21,29 +34,51 @@ let fail fmt = Printf.ksprintf (fun msg -> raise_notrace (Failed msg)) fmt
 
 (* --- deadlock -------------------------------------------------------- *)
 
-(* Follow the blocked-on chain: each task blocks on at most one
-   semaphore and a mutex has at most one holder, so the graph is
-   functional — walking it either terminates or closes a cycle. *)
-let find_cycle (st : State.t) =
-  let n = Array.length st.tasks in
-  let holder i =
-    match st.tasks.(i).mode with State.BSem s -> st.sem_holder.(s) | _ -> -1
-  in
-  let rec follow seen i steps =
-    if steps > n then None
-    else
-      match holder i with
-      | -1 -> None
-      | h ->
-        if List.mem h seen then Some (List.rev seen)
-        else follow (seen @ [ h ]) h (steps + 1)
-  in
-  let rec scan i =
-    if i >= n then None
-    else if holder i = -1 then scan (i + 1)
-    else match follow [ i ] i 0 with Some c -> Some c | None -> scan (i + 1)
-  in
-  scan 0
+(* Each task blocks on at most one semaphore and a mutex has at most
+   one holder, so the blocked-on graph is functional: walking it from
+   a task either terminates or closes a cycle. *)
+let holder (st : State.t) i =
+  match st.tasks.(i).mode with State.BSem s -> st.sem_holder.(s) | _ -> -1
+
+let rec index_of (a : int array) x i len =
+  if i >= len then -1 else if a.(i) = x then i else index_of a x (i + 1) len
+
+(* The path holds distinct tasks, so it ends or closes before it
+   outgrows its one slot per task. *)
+let rec follow p =
+  match holder p.st p.path.(p.len - 1) with
+  | -1 -> false
+  | h ->
+    let j = index_of p.path h 0 p.len in
+    if j >= 0 then begin
+      p.cyc_from <- j;
+      true
+    end
+    else begin
+      p.path.(p.len) <- h;
+      p.len <- p.len + 1;
+      follow p
+    end
+
+(* The first circular wait, walking from each blocked task in index
+   order. *)
+let rec scan p i =
+  if i >= Array.length p.st.tasks then false
+  else if holder p.st i = -1 then scan p (i + 1)
+  else begin
+    p.path.(0) <- i;
+    p.len <- 1;
+    follow p || scan p (i + 1)
+  end
+
+let has_cycle p =
+  match p.cycle with
+  | Cyclic -> true
+  | Acyclic -> false
+  | Unknown ->
+    let found = scan p 0 in
+    p.cycle <- (if found then Cyclic else Acyclic);
+    found
 
 let deadlock =
   {
@@ -52,14 +87,14 @@ let deadlock =
     timing_sensitive = false;
     on_state =
       (fun m p ->
-        match Lazy.force p.cycle with
-        | None -> None
-        | Some cycle ->
+        if not (has_cycle p) then None
+        else
+          (* the cycle's tasks only, last walked first *)
           let names =
-            String.concat " -> "
-              (List.map (fun i -> m.tasks.(i).task_name) cycle)
+            List.init (p.len - p.cyc_from) (fun k ->
+                m.tasks.(p.path.(p.len - 1 - k)).task_name)
           in
-          Some (Printf.sprintf "circular wait: %s" names));
+          Some (Printf.sprintf "circular wait: %s" (String.concat " -> " names)));
     on_note = no_note;
   }
 
@@ -68,44 +103,41 @@ let deadlock =
 (* Task [i]'s fixpoint is the minimum rank and deadline over [i] and
    every task transitively blocked on a semaphore [i] holds.  Called
    only on states without a circular wait, so the walk terminates. *)
-let pi_state (m : Machine.t) (st : State.t) =
-  let n = Array.length st.tasks in
-  let e = ref max_int and d = ref max_int in
-  let rec visit i =
-    let t = st.tasks.(i) in
-    if i < !e then e := i;
-    if t.dl < !d then d := t.dl;
-    visit_held i t.held
-  and visit_held i = function
-    | [] -> ()
-    | s :: rest ->
-      if st.sem_holder.(s) = i then
-        for w = 0 to n - 1 do
-          match st.tasks.(w).mode with
-          | State.BSem x when x = s -> visit w
-          | _ -> ()
-        done;
-      visit_held i rest
-  in
-  let rec scan i =
-    if i >= n then None
-    else
-      let t = st.tasks.(i) in
-      match t.mode with
-      | State.Idle -> scan (i + 1)
-      | _ ->
-        e := max_int;
-        d := max_int;
-        visit i;
-        if t.eff <> !e || t.effdl <> !d then
-          Some
-            (Printf.sprintf
-               "%s: effective (rank %d, deadline %d) but inheritance \
-                fixpoint gives (rank %d, deadline %d)"
-               m.tasks.(i).task_name t.eff t.effdl !e !d)
-        else scan (i + 1)
-  in
-  scan 0
+let rec pi_visit p i =
+  let t = p.st.tasks.(i) in
+  if i < p.e then p.e <- i;
+  if t.dl < p.d then p.d <- t.dl;
+  pi_visit_held p i t.held
+
+and pi_visit_held p i = function
+  | [] -> ()
+  | s :: rest ->
+    let st = p.st in
+    if st.sem_holder.(s) = i then
+      for w = 0 to Array.length st.tasks - 1 do
+        match st.tasks.(w).mode with
+        | State.BSem x when x = s -> pi_visit p w
+        | _ -> ()
+      done;
+    pi_visit_held p i rest
+
+let rec pi_scan (m : Machine.t) p i =
+  if i >= Array.length p.st.tasks then None
+  else
+    let t = p.st.tasks.(i) in
+    match t.mode with
+    | State.Idle -> pi_scan m p (i + 1)
+    | _ ->
+      p.e <- max_int;
+      p.d <- max_int;
+      pi_visit p i;
+      if t.eff <> p.e || t.effdl <> p.d then
+        Some
+          (Printf.sprintf
+             "%s: effective (rank %d, deadline %d) but inheritance \
+              fixpoint gives (rank %d, deadline %d)"
+             m.tasks.(i).task_name t.eff t.effdl p.e p.d)
+      else pi_scan m p (i + 1)
 
 let pi =
   {
@@ -114,30 +146,34 @@ let pi =
     timing_sensitive = false;
     on_state =
       (fun m p ->
-        match Lazy.force p.cycle with
-        | Some _ -> None (* fixpoint undefined; the deadlock prop owns this *)
-        | None -> pi_state m p.st);
+        (* the fixpoint is undefined on a circular wait; the deadlock
+           prop owns those *)
+        if has_cycle p then None else pi_scan m p 0);
     on_note = no_note;
   }
 
 (* --- structural invariants ------------------------------------------ *)
 
-let blocked (st : State.t) pred =
-  Array.exists (fun (t : State.tstate) -> pred t.mode) st.tasks
+let bsem_on s = function State.BSem x -> x = s | _ -> false
+let bsend_on b = function State.BSend x -> x = b | _ -> false
+let brecv_on b = function State.BRecv x -> x = b | _ -> false
+
+(* Some task from [i] on has a mode satisfying [pred obj]. *)
+let rec blocked (st : State.t) pred obj i =
+  i < Array.length st.tasks
+  && (pred obj st.tasks.(i).mode || blocked st pred obj (i + 1))
 
 let check_invariants (m : Machine.t) (st : State.t) =
-  let runners =
-    Array.fold_left
-      (fun n (t : State.tstate) ->
-        match t.mode with State.Run -> n + 1 | _ -> n)
-      0 st.tasks
-  in
-  if runners > 1 then fail "%d tasks running at once" runners;
+  let runners = ref 0 in
+  for i = 0 to Array.length st.tasks - 1 do
+    match st.tasks.(i).mode with State.Run -> incr runners | _ -> ()
+  done;
+  if !runners > 1 then fail "%d tasks running at once" !runners;
   for s = 0 to Array.length st.sem_val - 1 do
     let v = st.sem_val.(s) in
     if v < 0 || v > m.sem_initial.(s) then
       fail "sem %d value %d outside [0,%d]" m.sem_ids.(s) v m.sem_initial.(s);
-    if v <> 0 && blocked st (function State.BSem x -> x = s | _ -> false) then
+    if v <> 0 && blocked st bsem_on s 0 then
       fail "sem %d available (value %d) yet has waiters" m.sem_ids.(s) v;
     match st.sem_holder.(s) with
     | -1 -> ()
@@ -149,37 +185,32 @@ let check_invariants (m : Machine.t) (st : State.t) =
       if not (List.mem s ht.held) then
         fail "sem %d holder %s does not list it as held" m.sem_ids.(s)
           m.tasks.(h).task_name;
-      (match ht.mode with
-      | State.BSem x when x = s ->
+      if bsem_on s ht.mode then
         fail "sem %d holder %s blocked on its own sem" m.sem_ids.(s)
           m.tasks.(h).task_name
-      | _ -> ())
   done;
   for b = 0 to Array.length st.mb_occ - 1 do
     let occ = st.mb_occ.(b) and cap = m.mb_cap.(b) in
     if occ < 0 || occ > cap then
       fail "mailbox %d occupancy %d outside [0,%d]" m.mb_ids.(b) occ cap;
-    if occ <> cap && blocked st (function State.BSend x -> x = b | _ -> false)
-    then
+    if occ <> cap && blocked st bsend_on b 0 then
       fail "mailbox %d has blocked senders yet %d/%d slots" m.mb_ids.(b) occ
         cap;
-    if occ <> 0 && blocked st (function State.BRecv x -> x = b | _ -> false)
-    then
+    if occ <> 0 && blocked st brecv_on b 0 then
       fail "mailbox %d has blocked receivers yet occupancy %d" m.mb_ids.(b)
         occ
   done;
-  Array.iteri
-    (fun w n ->
-      if n < 0 then fail "wait queue %d pending count %d" m.wq_ids.(w) n)
-    st.wq_sig;
-  Array.iteri
-    (fun i (t : State.tstate) ->
-      let len = Array.length m.tasks.(i).code in
-      if t.pc < 0 || t.pc > len then
-        fail "%s pc %d outside [0,%d]" m.tasks.(i).task_name t.pc len;
-      if t.rem < 0 then
-        fail "%s negative remaining burst" m.tasks.(i).task_name)
-    st.tasks
+  for w = 0 to Array.length st.wq_sig - 1 do
+    if st.wq_sig.(w) < 0 then
+      fail "wait queue %d pending count %d" m.wq_ids.(w) st.wq_sig.(w)
+  done;
+  for i = 0 to Array.length st.tasks - 1 do
+    let t = st.tasks.(i) in
+    let len = Array.length m.tasks.(i).code in
+    if t.pc < 0 || t.pc > len then
+      fail "%s pc %d outside [0,%d]" m.tasks.(i).task_name t.pc len;
+    if t.rem < 0 then fail "%s negative remaining burst" m.tasks.(i).task_name
+  done
 
 let invariants =
   {
@@ -229,14 +260,13 @@ let check_pools (m : Machine.t) (st : State.t) =
     if occ < 0 || occ > m.pool_cap.(p) then
       fail "pool %d occupancy %d outside [0,%d]" m.pool_ids.(p) occ
         m.pool_cap.(p);
-    let owned =
-      Array.fold_left
-        (fun acc (t : State.tstate) -> acc + blocks_of p t.live)
-        0 st.tasks
-    in
-    if owned <> occ then
+    let owned = ref 0 in
+    for i = 0 to Array.length st.tasks - 1 do
+      owned := !owned + blocks_of p st.tasks.(i).live
+    done;
+    if !owned <> occ then
       fail "pool %d: tasks hold %d block(s) yet occupancy is %d"
-        m.pool_ids.(p) owned occ
+        m.pool_ids.(p) !owned occ
   done
 
 let mem =
@@ -284,15 +314,48 @@ let all = [ deadlock; pi; invariants; tear; mem; deadline ]
 let names = List.map (fun p -> p.name) all
 let by_name n = List.find_opt (fun p -> p.name = n) all
 
-let check_state props m st =
-  let probe = { st; cycle = lazy (find_cycle st) } in
-  List.find_map
-    (fun p ->
-      match p.on_state m probe with Some msg -> Some (p.name, msg) | None -> None)
-    props
+let rec first_state_failure m p = function
+  | [] -> None
+  | prop :: rest -> (
+    match prop.on_state m p with
+    | Some msg -> Some (prop.name, msg)
+    | None -> first_state_failure m p rest)
 
-let check_note props m ~at n =
-  List.find_map
-    (fun p ->
-      match p.on_note m ~at n with Some msg -> Some (p.name, msg) | None -> None)
-    props
+let empty : State.t =
+  {
+    now = 0;
+    tasks = [||];
+    sem_val = [||];
+    sem_holder = [||];
+    wq_sig = [||];
+    mb_occ = [||];
+    sm_seq = [||];
+    pool_occ = [||];
+    irq_next = [||];
+  }
+
+let check_state props m =
+  let p =
+    {
+      st = empty;
+      cycle = Unknown;
+      path = Array.make (Machine.n_tasks m) 0;
+      len = 0;
+      cyc_from = 0;
+      e = 0;
+      d = 0;
+    }
+  in
+  fun st ->
+    p.st <- st;
+    p.cycle <- Unknown;
+    first_state_failure m p props
+
+let rec first_note_failure m ~at n = function
+  | [] -> None
+  | prop :: rest -> (
+    match prop.on_note m ~at n with
+    | Some msg -> Some (prop.name, msg)
+    | None -> first_note_failure m ~at n rest)
+
+let check_note props m ~at n = first_note_failure m ~at n props

@@ -5,8 +5,10 @@
     first failure aborts exploration with a counterexample. *)
 
 type probe
-(** One probed state, with what several properties derive from it
-    computed at most once. *)
+(** The state being probed, with what several properties derive from
+    it (the first circular wait) computed at most once per state.  One
+    probe serves a whole search; it allocates nothing while the state
+    passes. *)
 
 type t = {
   name : string;
@@ -20,7 +22,7 @@ type t = {
 
 val deadlock : t
 (** No circular wait: no cycle in the blocked-task → semaphore-holder
-    graph. *)
+    graph.  The message names the tasks on the cycle only. *)
 
 val pi : t
 (** Priority-inheritance correctness: every task's incrementally
@@ -59,7 +61,10 @@ val names : string list
 
 val check_state :
   t list -> Machine.t -> State.t -> (string * string) option
-(** First failing property on a state, as [(name, message)]. *)
+(** First failing property on a state, as [(name, message)].  Applied
+    to the properties and the machine, it builds the one probe that
+    every state it is then given reuses: apply it once per search.
+    Messages are formatted only on failure. *)
 
 val check_note :
   t list -> Machine.t -> at:int -> State.note -> (string * string) option

@@ -17,7 +17,8 @@ exception Stop_violation of string * string
 
 (* Mutable working copy of a state.  [tstate] records stay immutable
    and are replaced wholesale per index, so [thaw] need only copy the
-   spine arrays. *)
+   spine arrays.  Trace entries are built only when [tracing]: an
+   emitter is attached only for counterexample replay. *)
 type ctx = {
   m : Machine.t;
   mutable now : int;
@@ -30,50 +31,79 @@ type ctx = {
   pool_occ : int array;
   irq_next : nr array;
   mutable notes : (int * note) list; (* reversed *)
+  tracing : bool;
   trace : int -> Sim.Trace.entry -> unit;
-  mutable on_note : at:int -> note -> unit;
+  check : State.t -> (string * string) option;
+  check_note : at:int -> note -> (string * string) option;
+  mutable view : State.t;
 }
 
-let thaw ?(emit = fun _ _ -> ()) m (st : State.t) =
-  {
-    m;
-    now = st.now;
-    tasks = Array.copy st.tasks;
-    sem_val = Array.copy st.sem_val;
-    sem_holder = Array.copy st.sem_holder;
-    wq_sig = Array.copy st.wq_sig;
-    mb_occ = Array.copy st.mb_occ;
-    sm_seq = Array.copy st.sm_seq;
-    pool_occ = Array.copy st.pool_occ;
-    irq_next = Array.copy st.irq_next;
-    notes = [];
-    trace = emit;
-    on_note = (fun ~at:_ _ -> ());
-  }
+let no_trace _ _ = ()
 
 (* The ctx as a state, sharing its arrays: a read-only view while the
    ctx is live (property probes, wait-queue order), and the frozen
-   result once the ctx is dead. *)
-let view c : State.t =
+   result once the ctx is dead.  The arrays never change identity, so
+   one view serves until the clock moves. *)
+let view c =
+  if c.view.now <> c.now then c.view <- { c.view with now = c.now };
+  c.view
+
+let thaw ?emit ~check ~check_note m (st : State.t) =
+  let tasks = Array.copy st.tasks
+  and sem_val = Array.copy st.sem_val
+  and sem_holder = Array.copy st.sem_holder
+  and wq_sig = Array.copy st.wq_sig
+  and mb_occ = Array.copy st.mb_occ
+  and sm_seq = Array.copy st.sm_seq
+  and pool_occ = Array.copy st.pool_occ
+  and irq_next = Array.copy st.irq_next in
   {
-    now = c.now;
-    tasks = c.tasks;
-    sem_val = c.sem_val;
-    sem_holder = c.sem_holder;
-    wq_sig = c.wq_sig;
-    mb_occ = c.mb_occ;
-    sm_seq = c.sm_seq;
-    pool_occ = c.pool_occ;
-    irq_next = c.irq_next;
+    m;
+    now = st.now;
+    tasks;
+    sem_val;
+    sem_holder;
+    wq_sig;
+    mb_occ;
+    sm_seq;
+    pool_occ;
+    irq_next;
+    notes = [];
+    tracing = Option.is_some emit;
+    trace = Option.value emit ~default:no_trace;
+    check;
+    check_note;
+    view =
+      {
+        now = st.now;
+        tasks;
+        sem_val;
+        sem_holder;
+        wq_sig;
+        mb_occ;
+        sm_seq;
+        pool_occ;
+        irq_next;
+      };
   }
 
 let set c i t = c.tasks.(i) <- t
 let tid c i = c.m.tasks.(i).tid
+
+(* Callers guard with [c.tracing], so no entry is built without an
+   emitter. *)
 let emit c e = c.trace c.now e
 
 let note c n =
   c.notes <- (c.now, n) :: c.notes;
-  c.on_note ~at:c.now n
+  match c.check_note ~at:c.now n with
+  | Some (p, msg) -> raise (Stop_violation (p, msg))
+  | None -> ()
+
+let probe c =
+  match c.check (view c) with
+  | Some (p, msg) -> raise (Stop_violation (p, msg))
+  | None -> ()
 
 let job_no c i =
   let mt = c.m.tasks.(i) in
@@ -81,10 +111,11 @@ let job_no c i =
   | Machine.Periodic -> ((c.tasks.(i).rel - mt.phase) / mt.period) + 1
   | Machine.Sporadic _ -> 0
 
+(* The running task, -1 for none. *)
 let running c =
-  let r = ref None in
+  let r = ref (-1) in
   for i = 0 to Array.length c.tasks - 1 do
-    match c.tasks.(i).mode with Run -> r := Some i | _ -> ()
+    match c.tasks.(i).mode with Run -> r := i | _ -> ()
   done;
   !r
 
@@ -104,9 +135,10 @@ let rec inherit_into c ~holder ~waiter =
     let eff = Int.min h.eff w.eff and effdl = Int.min h.effdl w.effdl in
     if eff < h.eff || effdl < h.effdl then begin
       set c holder { h with eff; effdl; inh = true };
-      emit c
-        (Sim.Trace.Priority_inherit
-           { holder = tid c holder; from_tid = tid c waiter });
+      if c.tracing then
+        emit c
+          (Sim.Trace.Priority_inherit
+             { holder = tid c holder; from_tid = tid c waiter });
       match h.mode with
       | BSem s -> (
         match c.sem_holder.(s) with
@@ -128,7 +160,7 @@ let restore_prio c i =
         (fun w -> inherit_into c ~holder:i ~waiter:w)
         (State.sem_waiters c.m (view c) s))
     t.held;
-  if was_inh && not c.tasks.(i).inh then
+  if was_inh && (not c.tasks.(i).inh) && c.tracing then
     emit c (Sim.Trace.Priority_restore { holder = tid c i })
 
 (* --- job lifecycle --------------------------------------------------- *)
@@ -153,12 +185,15 @@ let begin_job c i ~release =
       dl_check;
       brs = 0;
     };
-  emit c (Sim.Trace.Job_release { tid = tid c i; job = job_no c i; deadline = dl });
+  if c.tracing then
+    emit c
+      (Sim.Trace.Job_release { tid = tid c i; job = job_no c i; deadline = dl });
   if late then begin
     note c (Miss { idx = i });
-    emit c
-      (Sim.Trace.Deadline_miss
-         { tid = tid c i; job = job_no c i; lateness = c.now - dl })
+    if c.tracing then
+      emit c
+        (Sim.Trace.Deadline_miss
+           { tid = tid c i; job = job_no c i; lateness = c.now - dl })
   end
 
 let release_task c i =
@@ -184,14 +219,16 @@ let job_complete c i =
     (fun (p, n) ->
       c.pool_occ.(p) <- Int.max 0 (c.pool_occ.(p) - n);
       note c (Leak { idx = i; pool = p; count = n });
-      emit c
-        (Sim.Trace.Pool_leak
-           { tid = tid c i; job = job_no c i; pool = c.m.pool_ids.(p); count = n }))
+      if c.tracing then
+        emit c
+          (Sim.Trace.Pool_leak
+             { tid = tid c i; job = job_no c i; pool = c.m.pool_ids.(p); count = n }))
     t.live;
   let response = c.now - t.rel in
   note c (Job_done { idx = i; response });
-  emit c
-    (Sim.Trace.Job_complete { tid = tid c i; job = job_no c i; response });
+  if c.tracing then
+    emit c
+      (Sim.Trace.Job_complete { tid = tid c i; job = job_no c i; response });
   set c i { t with dl_check = max_int; live = [] };
   match t.pending with
   | [] -> set c i { (c.tasks.(i)) with mode = Idle }
@@ -206,7 +243,7 @@ let job_complete c i =
 let wake c i =
   let t = c.tasks.(i) in
   set c i { t with mode = Ready; pc = t.pc + 1 };
-  emit c (Sim.Trace.Thread_unblock { tid = tid c i })
+  if c.tracing then emit c (Sim.Trace.Thread_unblock { tid = tid c i })
 
 let do_signal c w =
   match State.wq_waiters c.m (view c) w with
@@ -217,14 +254,15 @@ let do_broadcast c w = List.iter (wake c) (State.wq_waiters c.m (view c) w)
 
 let deliver_irq c k =
   let src = c.m.irqs.(k) in
-  emit c (Sim.Trace.Interrupt { irq = src.src_irq });
+  if c.tracing then emit c (Sim.Trace.Interrupt { irq = src.src_irq });
   List.iter (do_signal c) src.sig_wqs;
   List.iter
     (fun smi ->
       c.sm_seq.(smi) <- c.sm_seq.(smi) + 1;
-      emit c
-        (Sim.Trace.State_written
-           { tid = -1; state = c.m.sm_ids.(smi); seq = c.sm_seq.(smi) }))
+      if c.tracing then
+        emit c
+          (Sim.Trace.State_written
+             { tid = -1; state = c.m.sm_ids.(smi); seq = c.sm_seq.(smi) }))
     src.wr_sms;
   c.irq_next.(k) <- Choose (c.now + src.min_ia, c.now + src.max_ia)
 
@@ -243,7 +281,7 @@ let deliver_due c =
     match t.mode with
     | BDelay w when w <= c.now ->
       set c i { t with mode = Ready };
-      emit c (Sim.Trace.Thread_unblock { tid = tid c i })
+      if c.tracing then emit c (Sim.Trace.Thread_unblock { tid = tid c i })
     | BTimed (_, tmo) when tmo <= c.now -> wake c i
     | _ -> ()
   done;
@@ -257,78 +295,70 @@ let deliver_due c =
     if t.dl_check <= c.now then begin
       set c i { t with dl_check = max_int };
       note c (Miss { idx = i });
-      emit c
-        (Sim.Trace.Deadline_miss
-           { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
+      if c.tracing then
+        emit c
+          (Sim.Trace.Deadline_miss
+             { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
     end
   done
 
 (* Unresolved arrival windows, canonical order: sporadic tasks first,
-   then interrupt sources.  Time may not advance past one. *)
+   then interrupt sources; [[]] when none is open.  Time may not
+   advance past one. *)
+let rec task_window c i =
+  if i >= Array.length c.tasks then []
+  else
+    match c.tasks.(i).next_rel with
+    | Choose (lo, hi) ->
+      let lo = Int.max lo c.now and hi = Int.max hi c.now in
+      let rest = [ Arm_task { idx = i; at = Never } ] in
+      Arm_task { idx = i; at = At lo }
+      :: (if hi = lo then rest else Arm_task { idx = i; at = At hi } :: rest)
+    | _ -> task_window c (i + 1)
+
+let rec irq_window c k =
+  if k >= Array.length c.irq_next then []
+  else
+    match c.irq_next.(k) with
+    | Choose (lo, hi) ->
+      let lo = Int.max lo c.now and hi = Int.max hi c.now in
+      let rest = if hi = lo then [] else [ Arm_irq { src = k; at = hi } ] in
+      Arm_irq { src = k; at = lo } :: rest
+    | _ -> irq_window c (k + 1)
+
 let arm_choices c =
-  let dedup = function
-    | [ a; b ] when a = b -> [ a ]
-    | l -> l
-  in
-  let rec task_choice i =
-    if i >= Array.length c.tasks then None
-    else
-      match c.tasks.(i).next_rel with
-      | Choose (lo, hi) ->
-        Some
-          (dedup
-             [
-               Arm_task { idx = i; at = At (Int.max lo c.now) };
-               Arm_task { idx = i; at = At (Int.max hi c.now) };
-             ]
-          @ [ Arm_task { idx = i; at = Never } ])
-      | _ -> task_choice (i + 1)
-  in
-  match task_choice 0 with
-  | Some cs -> Some cs
-  | None ->
-    let rec irq_choice k =
-      if k >= Array.length c.irq_next then None
-      else
-        match c.irq_next.(k) with
-        | Choose (lo, hi) ->
-          Some
-            (dedup
-               [
-                 Arm_irq { src = k; at = Int.max lo c.now };
-                 Arm_irq { src = k; at = Int.max hi c.now };
-               ])
-        | _ -> irq_choice (k + 1)
-    in
-    irq_choice 0
+  match task_window c 0 with [] -> irq_window c 0 | cs -> cs
 
 let next_event_time c =
   let best = ref max_int in
-  Array.iter
-    (fun (t : tstate) ->
-      (match t.next_rel with At r -> best := Int.min !best r | _ -> ());
-      (match t.mode with
-      | BDelay w -> best := Int.min !best w
-      | BTimed (_, tmo) -> best := Int.min !best tmo
-      | _ -> ());
-      best := Int.min !best t.dl_check)
-    c.tasks;
-  Array.iter (function At t -> best := Int.min !best t | _ -> ()) c.irq_next;
+  for i = 0 to Array.length c.tasks - 1 do
+    let t = c.tasks.(i) in
+    (match t.next_rel with At r -> best := Int.min !best r | _ -> ());
+    (match t.mode with
+    | BDelay w -> best := Int.min !best w
+    | BTimed (_, tmo) -> best := Int.min !best tmo
+    | _ -> ());
+    best := Int.min !best t.dl_check
+  done;
+  for k = 0 to Array.length c.irq_next - 1 do
+    match c.irq_next.(k) with At t -> best := Int.min !best t | _ -> ()
+  done;
   !best
 
 (* --- dispatch -------------------------------------------------------- *)
 
-type picked = PRun of int | PTie of int list | PIdle
+let ready c i = match c.tasks.(i).mode with Ready | Run -> true | _ -> false
+
+(* What [pick] returns besides a task index. *)
+let idle = -1
+let tie = -2
 
 let pick c =
   let st = view c in
-  let key i = State.dispatch_key c.m st i in
-  let ready i = match c.tasks.(i).mode with Ready | Run -> true | _ -> false in
-  let n = Array.length c.tasks in
   let mink = ref max_int and nbest = ref 0 and first = ref (-1) in
-  for i = 0 to n - 1 do
-    if ready i then begin
-      let k = key i in
+  for i = 0 to Array.length c.tasks - 1 do
+    if ready c i then begin
+      let k = State.dispatch_key c.m st i in
       if !nbest = 0 || k < !mink then begin
         mink := k;
         nbest := 1;
@@ -337,30 +367,43 @@ let pick c =
       else if k = !mink then incr nbest
     end
   done;
-  if !nbest = 0 then PIdle
+  if !nbest = 0 then idle
   else
     (* the incumbent keeps the CPU on equal keys (no preemption
        without a strictly better key — the kernel behaves the same) *)
-    match running c with
-    | Some r when key r = !mink -> PRun r
-    | None | Some _ ->
-      if !nbest = 1 then PRun !first
-      else
-        PTie
-          (List.filter
-             (fun i -> ready i && key i = !mink)
-             (List.init n Fun.id))
+    let r = running c in
+    if r >= 0 && State.dispatch_key c.m st r = !mink then r
+    else if !nbest = 1 then !first
+    else tie
+
+(* The candidates of a [tie], in index order. *)
+let tie_choices c =
+  let st = view c in
+  let mink = ref max_int and out = ref [] in
+  for i = Array.length c.tasks - 1 downto 0 do
+    if ready c i then begin
+      let k = State.dispatch_key c.m st i in
+      if k < !mink then begin
+        mink := k;
+        out := [ Tie i ]
+      end
+      else if k = !mink then out := Tie i :: !out
+    end
+  done;
+  !out
 
 let dispatch c i =
   let prev = running c in
-  if not (match prev with Some p -> p = i | None -> false) then begin
-    (match prev with
-    | Some p -> set c p { (c.tasks.(p)) with mode = Ready }
-    | None -> ());
+  if prev <> i then begin
+    if prev >= 0 then set c prev { (c.tasks.(prev)) with mode = Ready };
     set c i { (c.tasks.(i)) with mode = Run };
-    emit c
-      (Sim.Trace.Context_switch
-         { from_tid = Option.map (tid c) prev; to_tid = Some (tid c i) })
+    if c.tracing then
+      emit c
+        (Sim.Trace.Context_switch
+           {
+             from_tid = (if prev >= 0 then Some (tid c prev) else None);
+             to_tid = Some (tid c i);
+           })
   end
 
 (* --- instruction execution ------------------------------------------ *)
@@ -397,12 +440,17 @@ let exec_instr c i ~horizon =
         c.sem_val.(s) <- c.sem_val.(s) - 1;
         if c.m.sem_initial.(s) = 1 then c.sem_holder.(s) <- i;
         set c i { t with pc = t.pc + 1; held = s :: t.held };
-        emit c (Sim.Trace.Sem_acquired { tid = tid c i; sem = c.m.sem_ids.(s) })
+        if c.tracing then
+          emit c
+            (Sim.Trace.Sem_acquired { tid = tid c i; sem = c.m.sem_ids.(s) })
       end
       else begin
         set c i { t with mode = BSem s };
-        emit c (Sim.Trace.Sem_blocked { tid = tid c i; sem = c.m.sem_ids.(s) });
-        emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "sem" });
+        if c.tracing then begin
+          emit c
+            (Sim.Trace.Sem_blocked { tid = tid c i; sem = c.m.sem_ids.(s) });
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "sem" })
+        end;
         match c.sem_holder.(s) with
         | -1 -> ()
         | h -> inherit_into c ~holder:h ~waiter:i
@@ -418,7 +466,9 @@ let exec_instr c i ~horizon =
       end
       else begin
         set c i { t with pc = t.pc + 1; held = remove_first s t.held };
-        emit c (Sim.Trace.Sem_released { tid = tid c i; sem = c.m.sem_ids.(s) });
+        if c.tracing then
+          emit c
+            (Sim.Trace.Sem_released { tid = tid c i; sem = c.m.sem_ids.(s) });
         restore_prio c i;
         match State.sem_waiters c.m (view c) s with
         | [] ->
@@ -433,9 +483,11 @@ let exec_instr c i ~horizon =
           if c.m.sem_initial.(s) = 1 then c.sem_holder.(s) <- w;
           let wt = c.tasks.(w) in
           set c w { wt with mode = Ready; pc = wt.pc + 1; held = s :: wt.held };
-          emit c (Sim.Trace.Thread_unblock { tid = tid c w });
-          emit c
-            (Sim.Trace.Sem_acquired { tid = tid c w; sem = c.m.sem_ids.(s) });
+          if c.tracing then begin
+            emit c (Sim.Trace.Thread_unblock { tid = tid c w });
+            emit c
+              (Sim.Trace.Sem_acquired { tid = tid c w; sem = c.m.sem_ids.(s) })
+          end;
           if c.m.sem_initial.(s) = 1 then
             List.iter (fun w2 -> inherit_into c ~holder:w ~waiter:w2) rest
       end;
@@ -447,7 +499,8 @@ let exec_instr c i ~horizon =
       end
       else begin
         set c i { t with mode = BWait w };
-        emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "waitq" })
+        if c.tracing then
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "waitq" })
       end;
       `Ok
     | Machine.ITimed_wait (w, d) ->
@@ -457,7 +510,8 @@ let exec_instr c i ~horizon =
       end
       else begin
         set c i { t with mode = BTimed (w, c.now + d) };
-        emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "waitq" })
+        if c.tracing then
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "waitq" })
       end;
       `Ok
     | Machine.ISignal w ->
@@ -473,38 +527,47 @@ let exec_instr c i ~horizon =
       | r :: _ ->
         (* a blocked receiver takes delivery directly *)
         set c i { t with pc = t.pc + 1 };
-        emit c (Sim.Trace.Msg_sent { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0 });
+        if c.tracing then
+          emit c
+            (Sim.Trace.Msg_sent
+               { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0 });
         wake c r;
-        emit c
-          (Sim.Trace.Msg_received
-             { tid = tid c r; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
+        if c.tracing then
+          emit c
+            (Sim.Trace.Msg_received
+               { tid = tid c r; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
       | [] ->
         if c.mb_occ.(b) < c.m.mb_cap.(b) then begin
           c.mb_occ.(b) <- c.mb_occ.(b) + 1;
           set c i { t with pc = t.pc + 1 };
-          emit c
-            (Sim.Trace.Msg_sent { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0 })
+          if c.tracing then
+            emit c
+              (Sim.Trace.Msg_sent
+                 { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0 })
         end
         else begin
           set c i { t with mode = BSend b };
-          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
+          if c.tracing then
+            emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
         end);
       `Ok
     | Machine.IRecv b ->
       if c.mb_occ.(b) > 0 then begin
         c.mb_occ.(b) <- c.mb_occ.(b) - 1;
         set c i { t with pc = t.pc + 1 };
-        emit c
-          (Sim.Trace.Msg_received
-             { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 });
+        if c.tracing then
+          emit c
+            (Sim.Trace.Msg_received
+               { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 });
         (* a freed slot admits the best blocked sender's message *)
         (match State.mb_senders c.m (view c) b with
         | s :: _ ->
           c.mb_occ.(b) <- c.mb_occ.(b) + 1;
           wake c s;
-          emit c
-            (Sim.Trace.Msg_sent
-               { tid = tid c s; mailbox = c.m.mb_ids.(b); words = 0 })
+          if c.tracing then
+            emit c
+              (Sim.Trace.Msg_sent
+                 { tid = tid c s; mailbox = c.m.mb_ids.(b); words = 0 })
         | [] -> ())
       end
       else begin
@@ -513,20 +576,23 @@ let exec_instr c i ~horizon =
           (* zero-capacity rendezvous *)
           set c i { t with pc = t.pc + 1 };
           wake c s;
-          emit c
-            (Sim.Trace.Msg_received
-               { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
+          if c.tracing then
+            emit c
+              (Sim.Trace.Msg_received
+                 { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
         | [] ->
           set c i { t with mode = BRecv b };
-          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
+          if c.tracing then
+            emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
       end;
       `Ok
     | Machine.ISwrite sm ->
       c.sm_seq.(sm) <- c.sm_seq.(sm) + 1;
       set c i { t with pc = t.pc + 1 };
-      emit c
-        (Sim.Trace.State_written
-           { tid = tid c i; state = c.m.sm_ids.(sm); seq = c.sm_seq.(sm) });
+      if c.tracing then
+        emit c
+          (Sim.Trace.State_written
+             { tid = tid c i; state = c.m.sm_ids.(sm); seq = c.sm_seq.(sm) });
       `Ok
     | Machine.ISread_begin sm ->
       set c i { t with pc = t.pc + 1; read_sm = sm; read_seq = c.sm_seq.(sm) };
@@ -534,9 +600,10 @@ let exec_instr c i ~horizon =
     | Machine.ISread_end sm ->
       let writes = c.sm_seq.(sm) - t.read_seq in
       set c i { t with pc = t.pc + 1; read_sm = -1; read_seq = 0 };
-      emit c
-        (Sim.Trace.State_read
-           { tid = tid c i; state = c.m.sm_ids.(sm); seq = c.sm_seq.(sm) });
+      if c.tracing then
+        emit c
+          (Sim.Trace.State_read
+             { tid = tid c i; state = c.m.sm_ids.(sm); seq = c.sm_seq.(sm) });
       if writes >= c.m.sm_depth.(sm) - 1 then
         note c (Torn { idx = i; sm; writes });
       `Ok
@@ -544,7 +611,8 @@ let exec_instr c i ~horizon =
       if d = 0 then set c i { t with pc = t.pc + 1 }
       else begin
         set c i { t with mode = BDelay (c.now + d); pc = t.pc + 1 };
-        emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "delay" })
+        if c.tracing then
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "delay" })
       end;
       `Ok
     | Machine.IAlloc p ->
@@ -555,13 +623,15 @@ let exec_instr c i ~horizon =
         in
         let live = List.sort compare ((p, mine) :: List.remove_assoc p t.live) in
         set c i { t with pc = t.pc + 1; live };
-        emit c
-          (Sim.Trace.Block_alloc
-             { tid = tid c i; pool = c.m.pool_ids.(p); live = c.pool_occ.(p) })
+        if c.tracing then
+          emit c
+            (Sim.Trace.Block_alloc
+               { tid = tid c i; pool = c.m.pool_ids.(p); live = c.pool_occ.(p) })
       end
       else begin
         note c (Oom { idx = i; pool = p });
-        emit c (Sim.Trace.Pool_oom { tid = tid c i; pool = c.m.pool_ids.(p) });
+        if c.tracing then
+          emit c (Sim.Trace.Pool_oom { tid = tid c i; pool = c.m.pool_ids.(p) });
         set c i { t with pc = t.pc + 1 }
       end;
       `Ok
@@ -583,9 +653,10 @@ let exec_instr c i ~horizon =
           if mine = 1 then rest else List.sort compare ((p, mine - 1) :: rest)
         in
         set c i { t with pc = t.pc + 1; live };
-        emit c
-          (Sim.Trace.Block_free
-             { tid = tid c i; pool = c.m.pool_ids.(p); live = c.pool_occ.(p) });
+        if c.tracing then
+          emit c
+            (Sim.Trace.Block_free
+               { tid = tid c i; pool = c.m.pool_ids.(p); live = c.pool_occ.(p) });
         `Ok)
     | Machine.IBr_input _ ->
       (* a data-dependent branch is a nondeterminism source: stop here
@@ -597,25 +668,26 @@ let exec_instr c i ~horizon =
 
 (* --- the crank ------------------------------------------------------- *)
 
-let rec crank ~horizon ~probe c =
+let rec crank ~horizon c =
   match arm_choices c with
-  | Some cs -> `Branch cs
-  | None -> (
+  | _ :: _ as cs -> `Branch cs
+  | [] -> (
     deliver_due c;
     match arm_choices c with
-    | Some cs -> `Branch cs
-    | None -> (
+    | _ :: _ as cs -> `Branch cs
+    | [] ->
       probe c;
-      match pick c with
-      | PTie best -> `Branch (List.map (fun i -> Tie i) best)
-      | PIdle ->
+      let i = pick c in
+      if i = tie then `Branch (tie_choices c)
+      else if i = idle then begin
         let t = next_event_time c in
         if t <> max_int && t <= horizon then begin
           c.now <- t;
-          crank ~horizon ~probe c
+          crank ~horizon c
         end
         else `Leaf
-      | PRun i -> (
+      end
+      else begin
         dispatch c i;
         match exec_instr c i ~horizon with
         | `Capped -> `Leaf
@@ -634,27 +706,8 @@ let rec crank ~horizon ~probe c =
           (match t.mode with
           | Run when t.pc >= Array.length c.m.tasks.(i).code -> job_complete c i
           | _ -> ());
-          crank ~horizon ~probe c)))
-
-let expand ?emit ?(check = fun _ -> None)
-    ?(check_note = fun ~at:_ _ -> None) ~horizon m st =
-  let c = thaw ?emit m st in
-  c.on_note <-
-    (fun ~at n ->
-      match check_note ~at n with
-      | Some (p, msg) -> raise (Stop_violation (p, msg))
-      | None -> ());
-  let probe c =
-    match check (view c) with
-    | Some (p, msg) -> raise (Stop_violation (p, msg))
-    | None -> ()
-  in
-  let next, violation =
-    match crank ~horizon ~probe c with
-    | r -> (r, None)
-    | exception Stop_violation (p, msg) -> (`Leaf, Some (p, msg, c.now))
-  in
-  { state = view c; notes = List.rev c.notes; violation; next }
+          crank ~horizon c
+      end)
 
 let pp_choice (m : Machine.t) fmt = function
   | Arm_irq { src; at } ->
@@ -670,23 +723,36 @@ let pp_choice (m : Machine.t) fmt = function
 
 let choice_to_string m c = Format.asprintf "%a" (pp_choice m) c
 
-let apply ?emit m st choice =
-  let c = thaw ?emit m st in
-  if Option.is_some emit then
-    c.trace c.now (Sim.Trace.Note ("choice: " ^ choice_to_string m choice));
-  (match choice with
+(* Commit one choice of the parent's [`Branch] list.  It never
+   advances time; the crank that follows does. *)
+let commit c choice =
+  if c.tracing then
+    emit c (Sim.Trace.Note ("choice: " ^ choice_to_string c.m choice));
+  match choice with
   | Arm_irq { src; at } -> c.irq_next.(src) <- At at
-  | Arm_task { idx; at } ->
-    set c idx { (c.tasks.(idx)) with next_rel = at }
+  | Arm_task { idx; at } -> set c idx { (c.tasks.(idx)) with next_rel = at }
   | Tie i -> dispatch c i
   | Take_branch { idx; taken } ->
     let t = c.tasks.(idx) in
     let target =
       match c.m.tasks.(idx).code.(t.pc) with
       | Machine.IBr_input target -> target
-      | _ -> invalid_arg "Mc.Step.apply: Take_branch at a non-branch pc"
+      | _ -> invalid_arg "Mc.Step.expand: Take_branch at a non-branch pc"
     in
-    c.trace c.now
-      (Sim.Trace.Branch { tid = tid c idx; pc = t.pc; idx = t.brs; taken });
-    set c idx { t with pc = (if taken then t.pc + 1 else target); brs = t.brs + 1 });
-  view c
+    if c.tracing then
+      emit c (Sim.Trace.Branch { tid = tid c idx; pc = t.pc; idx = t.brs; taken });
+    set c idx
+      { t with pc = (if taken then t.pc + 1 else target); brs = t.brs + 1 }
+
+let expand ?emit ?(check = fun _ -> None)
+    ?(check_note = fun ~at:_ _ -> None) ?choice ~horizon m st =
+  let c = thaw ?emit ~check ~check_note m st in
+  let next, violation =
+    match
+      (match choice with Some ch -> commit c ch | None -> ());
+      crank ~horizon c
+    with
+    | r -> (r, None)
+    | exception Stop_violation (p, msg) -> (`Leaf, Some (p, msg, c.now))
+  in
+  { state = view c; notes = List.rev c.notes; violation; next }

@@ -1,14 +1,16 @@
 (** The transition relation: deterministic cranking between
     nondeterministic decision points.
 
-    Exploration alternates two moves.  {!expand} runs the kernel model
-    forward deterministically — delivering due releases, timers,
-    interrupts and deadline probes, dispatching the unique best ready
-    task, executing its instructions, advancing virtual time — until it
-    hits a {e decision point}: an unresolved arrival window that must
-    be forked over before time may pass, or a dispatch tie among
-    ready tasks with equal scheduler keys.  {!apply} then commits one
-    {!choice}, and the explorer expands each resulting child.
+    Exploration alternates two moves.  At a {e decision point} — an
+    unresolved arrival window that must be forked over before time may
+    pass, or a dispatch tie among ready tasks with equal scheduler keys
+    — {!expand} offers the open {!choice}s.  Expanding that decision
+    state again with [~choice] commits one of them and then runs the
+    kernel model forward deterministically — delivering due releases,
+    timers, interrupts and deadline probes, dispatching the unique best
+    ready task, executing its instructions, advancing virtual time —
+    up to the next decision point.  Each expansion copies its parent
+    state once.
 
     Everything between two decision points is a single canonical
     schedule (same-instant kernel events fire in a fixed order —
@@ -44,23 +46,19 @@ val expand :
   ?emit:(int -> Sim.Trace.entry -> unit) ->
   ?check:(State.t -> (string * string) option) ->
   ?check_note:(at:int -> State.note -> (string * string) option) ->
+  ?choice:choice ->
   horizon:int ->
   Machine.t ->
   State.t ->
   expansion
-(** [check] probes every intermediate state, [check_note] every
+(** Copy the state, commit [choice] (one of the [`Branch] list its
+    expansion offered; none for the initial state) and crank to the
+    next decision point.  Committing never advances time; the crank
+    does.  [check] probes every intermediate state, [check_note] every
     emitted note; the first [Some (prop, message)] aborts the crank
     and surfaces as [violation].  [emit] receives replayable
-    {!Sim.Trace} entries (used by counterexample replay). *)
-
-val apply :
-  ?emit:(int -> Sim.Trace.entry -> unit) ->
-  Machine.t ->
-  State.t ->
-  choice ->
-  State.t
-(** Commit one choice from the expansion's [`Branch] list.  Applying a
-    choice never advances time; the follow-up [expand] does. *)
+    {!Sim.Trace} entries (used by counterexample replay); without it
+    no entry is built. *)
 
 val pp_choice : Machine.t -> Format.formatter -> choice -> unit
 val choice_to_string : Machine.t -> choice -> string

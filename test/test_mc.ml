@@ -386,33 +386,33 @@ let campaign_bounds (sc : Workload.Scenario.t) (m : Mc.Machine.t) =
     max_depth = 2000;
   }
 
-(* The presets and the first [count] seed-42 generated scenarios, each
-   compiled the way the campaign compiles it. *)
+(* The first [count] seed-42 generated scenarios, each compiled the
+   way the campaign compiles it. *)
+let generated_machines ~count =
+  List.mapi
+    (fun i (spec : Workload.Generator.spec) ->
+      let sporadic =
+        List.filter_map
+          (fun (t : Workload.Generator.task_spec) ->
+            if t.g_sporadic then Some (t.g_id, t.g_period, t.g_period * 5 / 4)
+            else None)
+          spec.s_tasks
+      in
+      let sc = Workload.Generator.realize spec in
+      let m = Mc.Machine.of_scenario ~sporadic sc in
+      (Printf.sprintf "spec %d" i, m, campaign_bounds sc m))
+    (Workload.Generator.scenario_specs ~seed:42 ~count ())
+
+let machine_of_scenario (sc : Workload.Scenario.t) =
+  let m = Mc.Machine.of_scenario sc in
+  (sc.name, m, campaign_bounds sc m)
+
+(* The presets and the first [count] seed-42 generated scenarios. *)
 let campaign_machines ~count =
-  let presets =
-    List.map
-      (fun name ->
-        let sc = Option.get (Workload.Scenario.make name) in
-        let m = Mc.Machine.of_scenario sc in
-        (name, m, campaign_bounds sc m))
-      [ "table2"; "engine"; "branchy" ]
-  in
-  let generated =
-    List.mapi
-      (fun i (spec : Workload.Generator.spec) ->
-        let sporadic =
-          List.filter_map
-            (fun (t : Workload.Generator.task_spec) ->
-              if t.g_sporadic then Some (t.g_id, t.g_period, t.g_period * 5 / 4)
-              else None)
-            spec.s_tasks
-        in
-        let sc = Workload.Generator.realize spec in
-        let m = Mc.Machine.of_scenario ~sporadic sc in
-        (Printf.sprintf "spec %d" i, m, campaign_bounds sc m))
-      (Workload.Generator.scenario_specs ~seed:42 ~count ())
-  in
-  presets @ generated
+  List.map
+    (fun name -> machine_of_scenario (Option.get (Workload.Scenario.make name)))
+    [ "table2"; "engine"; "branchy" ]
+  @ generated_machines ~count
 
 (* --- the direct key decides exactly what the marshalled key did ---- *)
 
@@ -470,19 +470,19 @@ let reference_key (m : Mc.Machine.t) (st : Mc.State.t) =
     []
 
 (* Every decision state a bounded depth-first search reaches, revisits
-   included; only first visits (by reference key) are expanded. *)
-let decision_states m (bounds : Mc.Explorer.bounds) =
-  let check = Mc.Props.check_state campaign_props m in
+   included; only first visits (by reference key) are expanded.  [check]
+   probes every state the search passes through. *)
+let decision_states ?(check = fun _ -> None) m (bounds : Mc.Explorer.bounds) =
   let seen = Hashtbl.create 1024 in
   let out = ref [] and expansions = ref 0 in
-  let stack = ref [ Mc.State.init m ] in
+  let stack = ref [ (Mc.State.init m, None) ] in
   while !stack <> [] && !expansions < bounds.max_states do
     match !stack with
     | [] -> ()
-    | st :: rest -> (
+    | (st, choice) :: rest -> (
       stack := rest;
       incr expansions;
-      let e = Mc.Step.expand ~check ~horizon:bounds.horizon m st in
+      let e = Mc.Step.expand ~check ?choice ~horizon:bounds.horizon m st in
       match e.next with
       | `Leaf -> ()
       | `Branch cs ->
@@ -490,7 +490,7 @@ let decision_states m (bounds : Mc.Explorer.bounds) =
         let k = reference_key m e.state in
         if not (Hashtbl.mem seen k) then begin
           Hashtbl.add seen k ();
-          List.iter (fun ch -> stack := Mc.Step.apply m e.state ch :: !stack) cs
+          List.iter (fun ch -> stack := (e.state, Some ch) :: !stack) cs
         end)
   done;
   !out
@@ -564,7 +564,11 @@ let neighbours (st : Mc.State.t) =
             ]
             (* mid-read of each state message, all at write delta 0 *)
             @ List.init (Array.length st.sm_seq) (fun s ->
-                  { t with read_sm = s; read_seq = st.sm_seq.(s) })))
+                  { t with read_sm = s; read_seq = st.sm_seq.(s) })
+            (* blocked on each semaphore: on one it holds, a circular
+               wait, with a lead-in when another task waits on it *)
+            @ List.init (Array.length st.sem_val) (fun s ->
+                  { t with mode = BSem s })))
        (Array.to_list st.tasks))
   @ [ { st with now = now + 1 }; shifted st ]
 
@@ -575,7 +579,9 @@ let key_matches_reference () =
       (* new a = new b <=> ref a = ref b over all pairs, checked as a
          bijection between the two keys' equivalence classes *)
       let to_ref = Hashtbl.create 1024 and to_new = Hashtbl.create 1024 in
-      let states = decision_states m bounds in
+      let states =
+        decision_states ~check:(Mc.Props.check_state campaign_props m) m bounds
+      in
       let states =
         states
         @ List.concat_map neighbours
@@ -600,6 +606,116 @@ let key_matches_reference () =
     (campaign_machines ~count:30);
   check "the states include revisits, so equal keys were compared" true
     (!pairs > !distinct && !distinct > 1000)
+
+(* --- state probes match the reference --------------------------------- *)
+
+let verdict = Alcotest.(option (pair string string))
+
+(* gen-0 of seed 42, hand-built: tau3 waits on a semaphore tau4 holds,
+   and tau4 and tau1 wait on each other.  The walk starts at tau3, the
+   lowest rank, which is not on the cycle. *)
+let deadlock_names_the_cycle () =
+  let _, m, _ = List.hd (generated_machines ~count:1) in
+  let idx name =
+    (Option.get
+       (Array.find_opt
+          (fun (t : Mc.Machine.mtask) -> t.task_name = name)
+          m.tasks))
+      .idx
+  in
+  let tau1 = idx "tau1" and tau3 = idx "tau3" and tau4 = idx "tau4" in
+  let clean = Mc.State.init m in
+  let st =
+    {
+      clean with
+      tasks = Array.copy clean.tasks;
+      sem_holder = Array.copy clean.sem_holder;
+    }
+  in
+  st.sem_holder.(0) <- tau4;
+  st.sem_holder.(1) <- tau1;
+  let block i s =
+    st.tasks.(i) <- { (st.tasks.(i)) with mode = Mc.State.BSem s }
+  in
+  block tau3 0;
+  block tau4 1;
+  block tau1 0;
+  let probe = Mc.Props.check_state [ Mc.Props.deadlock; Mc.Props.pi ] m in
+  let cycle = Some ("deadlock", "circular wait: tau1 -> tau4") in
+  Alcotest.check verdict "only the tasks on the cycle are named" cycle (probe st);
+  (* one probe answers each state afresh: no cycle carries over *)
+  Alcotest.check verdict "a clean state after it" None (probe clean);
+  Alcotest.check verdict "the cycle again" cycle (probe st)
+
+(* Every property alone, then all six. *)
+let prop_sets = List.map (fun p -> [ p ]) Mc.Props.all @ [ Mc.Props.all ]
+
+(* A comparer of [Props.check_state] against [Props_ref] on every
+   property set.  Each set's probe is built once and reused on every
+   state compared, as a search reuses it, so a stale cached answer
+   shows as a mismatch; the reference starts afresh on each state. *)
+let probe_comparer name m =
+  let checks =
+    List.map
+      (fun ps ->
+        ( List.map (fun (p : Mc.Props.t) -> p.name) ps,
+          Mc.Props.check_state ps m ))
+      prop_sets
+  in
+  let show = function None -> "ok" | Some (p, msg) -> p ^ ": " ^ msg in
+  fun st ->
+    (* the reference keeps nothing between states: when all six pass,
+       each passes alone *)
+    let clean = Props_ref.check_state Mc.Props.names m st = None in
+    List.iter
+      (fun (names, probe) ->
+        let got = probe st in
+        let want = if clean then None else Props_ref.check_state names m st in
+        if got <> want then
+          Alcotest.failf "%s [%s]: %s, reference %s" name
+            (String.concat "," names) (show got) (show want))
+      checks
+
+(* Neighbours may hold a semaphore the machine lacks. *)
+let well_formed (st : Mc.State.t) =
+  Array.for_all
+    (fun (t : Mc.State.tstate) ->
+      List.for_all (fun s -> s < Array.length st.sem_val) t.held)
+    st.tasks
+
+(* The decision states of the catalog's scenarios and of 30 generated
+   seed-42 machines, and the neighbours of every twentieth.  The
+   catalog's searches compare every probed state too, which takes in
+   the demos' violating states where their searches would stop. *)
+let props_match_reference () =
+  let violated = Hashtbl.create 8 in
+  let run ~every_probe (name, m, bounds) =
+    let compare = probe_comparer name m in
+    let check st =
+      if every_probe then compare st;
+      None
+    in
+    let all = Mc.Props.check_state Mc.Props.all m in
+    List.iteri
+      (fun i st ->
+        compare st;
+        if i mod 20 = 0 then
+          List.iter
+            (fun st ->
+              compare st;
+              Option.iter (fun (p, _) -> Hashtbl.replace violated p ()) (all st))
+            (List.filter well_formed (neighbours st)))
+      (decision_states ~check m bounds)
+  in
+  List.iter
+    (fun (e : Workload.Scenario.entry) ->
+      run ~every_probe:true (machine_of_scenario (e.build ())))
+    Workload.Scenario.catalog;
+  List.iter (run ~every_probe:false) (generated_machines ~count:30);
+  List.iter
+    (fun p ->
+      check (p ^ " fails on some neighbour") true (Hashtbl.mem violated p))
+    [ "deadlock"; "pi"; "invariants"; "mem" ]
 
 (* --- pruning is pinned ----------------------------------------------- *)
 
@@ -744,6 +860,10 @@ let suite =
       branch_fork_and_replay;
     Alcotest.test_case "state keys match the marshalled reference" `Quick
       key_matches_reference;
+    Alcotest.test_case "deadlock message names the cycle only" `Quick
+      deadlock_names_the_cycle;
+    Alcotest.test_case "state probes match the reference" `Quick
+      props_match_reference;
     Alcotest.test_case "exploration counts match the golden record" `Quick
       exploration_golden;
     Alcotest.test_case "EDF and POR exploration counts match the golden record"
