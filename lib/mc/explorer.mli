@@ -4,14 +4,14 @@
     ({!State.key}): once a decision state has been expanded, every
     later path reaching it is cut, which is sound because the
     continuation from a decision state depends only on the state.  The
-    search stacks each child as its parent decision state and the
-    choice to commit, so a child state is copied once, when it is
-    expanded.  The
     key writes the canonical fields directly into a string (a tag per
     variant, a length per list, a varint per int); the code is
     prefix-free, so equal keys mean equal canonical states, and the
     visited set compares whole keys — a hash collision never merges
     two states.
+    The search stacks each child as its parent decision state and the
+    choice to commit, so a child state is copied once, when it is
+    expanded.
     Exploration is bounded three ways — virtual-time horizon, total
     expansions, and decisions per path — and reports whether any bound
     actually truncated it, so "no violation" can be read as "none
