@@ -62,7 +62,7 @@ let spec_streams (c : config) =
     ?family:c.family ?n:c.n_tasks ?target_u:c.target_u ()
 
 let run (c : config) =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Eval.now_us () in
   let specs = spec_streams c in
   let findings = ref [] in
   let counts = Hashtbl.create 8 in
@@ -140,7 +140,7 @@ let run (c : config) =
     mc_expansions = !mc_expansions;
     mc_truncated = !mc_truncated;
     metrics = !metrics;
-    elapsed_s = Unix.gettimeofday () -. t0;
+    elapsed_s = float_of_int (Eval.since_us t0) /. 1e6;
   }
 
 let falsifications s = List.length s.findings

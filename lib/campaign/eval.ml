@@ -20,12 +20,11 @@ type t = {
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
-(* Object ids are per realization, so two runs of one spec compare
-   as they are: [run] checks Ident with [Sim.Trace.equal], and this
-   projection only reports the sizes of a divergence. *)
-let norm_sig k =
-  let tr = Emeralds.Kernel.trace k in
-  (Sim.Trace.entries tr, Sim.Trace.busy_time tr, Sim.Trace.context_switches tr)
+(* Clamped at 0: a host clock stepped back between two reads must not
+   hand [Util.Hist.observe] a negative sample. *)
+let since_us t0 = max 0 (now_us () - t0)
+
+let norm_sig k = Sim.Trace.signature (Emeralds.Kernel.trace k)
 
 (* RTA's bounds only claim anything for tasks whose programs the
    response-time recurrence models: computes and bounded critical
@@ -305,7 +304,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
       add Validity (Printf.sprintf "generated utilization %.3f > 1" u)
   end;
   let rta = st.rta and eligible = st.eligible in
-  let stat_us = now_us () - t0 in
+  let stat_us = since_us t0 in
   (* -- simulation phase -------------------------------------------- *)
   let horizon = sim_horizon tasks in
   let need_sim =
@@ -336,18 +335,19 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     if wants oracles Ident then Some (run_sim spec ~horizon ~enforcement:None)
     else None
   in
-  let sim_us = now_us () - t0 in
+  let sim_us = since_us t0 in
   (match (enforced, plain) with
-  | Some e, Some p
-    when not
-           (Sim.Trace.equal (Emeralds.Kernel.trace e) (Emeralds.Kernel.trace p))
-    ->
-    let en, eb, es = norm_sig e and pn, pb, ps = norm_sig p in
-    add Ident
-      (Printf.sprintf
-         "enforcement at declared budgets diverges: entries %d/%d busy %d/%d \
-          switches %d/%d"
-         (List.length en) (List.length pn) eb pb es ps)
+  | Some e, Some p ->
+    let te = Emeralds.Kernel.trace e and tp = Emeralds.Kernel.trace p in
+    if not (Sim.Trace.equal te tp) then
+      add Ident
+        (Printf.sprintf
+           "enforcement at declared budgets diverges: entries %d/%d busy \
+            %d/%d switches %d/%d"
+           (Sim.Trace.length te) (Sim.Trace.length tp)
+           (Sim.Trace.busy_time te) (Sim.Trace.busy_time tp)
+           (Sim.Trace.context_switches te)
+           (Sim.Trace.context_switches tp))
   | _ -> ());
   (match enforced with
   | Some k when wants oracles Rta_sim ->
@@ -526,7 +526,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     match enforced with
     | Some k when collect_metrics ->
       let m = Obs.Metrics.create () in
-      List.iter (Obs.Metrics.observe m) (Sim.Trace.entries (Emeralds.Kernel.trace k));
+      Sim.Trace.iter (Obs.Metrics.observe m) (Emeralds.Kernel.trace k);
       Some m
     | _ -> None
   in
@@ -535,7 +535,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   if wants oracles Oracle.E2e then begin
     let t0 = now_us () in
     let cluster, net, assignments = run_e2e ~index ~ablation spec in
-    fabric_us := now_us () - t0;
+    fabric_us := since_us t0;
     if net.Fault.Report.n_e2e_misses > 0 then
       add Oracle.E2e
         (Printf.sprintf
@@ -585,9 +585,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
         | ks ->
           let b = Obs.Blame.create ~tasks:all_tasks () in
           List.iter
-            (fun k ->
-              List.iter (Obs.Blame.observe b)
-                (Sim.Trace.entries (Emeralds.Kernel.trace k)))
+            (fun k -> Sim.Trace.iter (Obs.Blame.observe b) (Emeralds.Kernel.trace k))
             ks;
           Some b
       in
@@ -677,7 +675,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
           | _ -> ())
         m.tasks
   end;
-  let mc_us = now_us () - t0 in
+  let mc_us = since_us t0 in
   {
     findings = List.rev !findings;
     stat_us;

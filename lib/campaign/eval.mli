@@ -57,12 +57,19 @@ val blame_terms :
     [Analysis.Overhead.job_budget] at R* with the observed IRQ count.
     Interference and overhead appear only when the fixpoint exists. *)
 
-val norm_sig :
-  Emeralds.Kernel.t -> Sim.Trace.stamped list * Model.Time.t * int
-(** A kernel trace's entries, busy time and context-switch count.  Kept
-    only for perfbench's replay of the Ident comparison; {!run} compares
-    the traces in place with [Sim.Trace.equal].  Object ids are per
-    realization, so two realizations of one spec compare as they are. *)
+val now_us : unit -> int
+(** Host wall clock, microseconds. *)
+
+val since_us : int -> int
+(** Microseconds from a {!now_us} reading to now, clamped at 0: a host
+    clock that steps back yields 0, never a negative duration. *)
+
+val norm_sig : Emeralds.Kernel.t -> Sim.Trace.signature
+(** The kernel trace's {!Sim.Trace.signature}: [=] on two of them is
+    [Sim.Trace.equal] on the traces, the Ident comparison {!run} makes
+    in place.  Kept for perfbench's replay of that comparison.  Object
+    ids are per realization, so two realizations of one spec compare
+    as they are. *)
 
 val run_e2e :
   index:int ->

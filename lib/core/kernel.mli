@@ -32,8 +32,10 @@ val create :
       configurations put several nodes and a fieldbus on one engine);
       by default the kernel owns a fresh one.
 
-    - [keep_trace] (default true): retain individual trace entries;
-      disable for bulk feasibility sweeps.
+    - [keep_trace] (default true): retain individual trace entries,
+      encoded into the trace's byte log (a few bytes per event, never
+      scanned by the GC; see {!Sim.Trace.t}); disable for bulk
+      feasibility sweeps, which need only the aggregate counters.
     - [stop_on_miss] (default false): freeze the simulation at the
       first deadline miss (the breakdown-utilization probe needs only
       the miss bit).

@@ -76,7 +76,7 @@ let rm_timeline () =
              (Model.Time.to_ms_f s.at) tid)
       | _ -> ()
   in
-  List.iter visit (Sim.Trace.entries tr);
+  Sim.Trace.iter visit tr;
   flush_segment (Model.Time.ms 10);
   Buffer.contents buf
 

@@ -50,7 +50,7 @@ let measure_one ?(spec = Sched.Csd [ 1 ]) ~irqs ~background () =
      driver thread. *)
   let latencies = ref [] in
   let pending = ref None in
-  List.iter
+  Sim.Trace.iter
     (fun (s : Sim.Trace.stamped) ->
       match s.entry with
       | Interrupt _ -> if !pending = None then pending := Some s.at
@@ -61,7 +61,7 @@ let measure_one ?(spec = Sched.Csd [ 1 ]) ~irqs ~background () =
           pending := None
         | None -> ())
       | _ -> ())
-    (Sim.Trace.entries (Kernel.trace k));
+    (Kernel.trace k);
   let ls = !latencies in
   let n = List.length ls in
   let bg_u =

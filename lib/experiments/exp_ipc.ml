@@ -160,7 +160,7 @@ let measure_freshness ?(writer_period_ms = 10) ?(reader_period_ms = 35) () =
   (* age of a state read = read time - write time of the sequence read *)
   let write_times = Hashtbl.create 64 in
   let state_ages = ref [] in
-  List.iter
+  Sim.Trace.iter
     (fun (s : Sim.Trace.stamped) ->
       match s.entry with
       | State_written { seq; _ } -> Hashtbl.replace write_times seq s.at
@@ -169,7 +169,7 @@ let measure_freshness ?(writer_period_ms = 10) ?(reader_period_ms = 35) () =
         | Some w -> state_ages := Model.Time.to_ms_f (s.at - w) :: !state_ages
         | None -> () (* seq 0: nothing written yet *))
       | _ -> ())
-    (Sim.Trace.entries (Kernel.trace state_k));
+    (Kernel.trace state_k);
   (* mailbox *)
   let mb = Objects.mailbox ~capacity:4 () in
   let mb_k =

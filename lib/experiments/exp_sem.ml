@@ -114,7 +114,7 @@ let scenario_timeline ~kind =
       Buffer.add_char buf '\n'
     end
   in
-  List.iter pp (Sim.Trace.entries (Kernel.trace k));
+  Sim.Trace.iter pp (Kernel.trace k);
   Buffer.contents buf
 
 let render_curve ~title ms =

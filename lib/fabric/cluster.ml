@@ -560,18 +560,22 @@ let kernels_of sh =
   (match sh.sh_kernel with Some k -> [ k ] | None -> []) @ sh.sh_retired
 
 let misses_after t ~cut =
-  Array.to_list t.shards
-  |> List.concat_map kernels_of
-  |> List.fold_left
-       (fun acc k ->
-         List.fold_left
-           (fun acc (st : Sim.Trace.stamped) ->
-             match st.entry with
-             | Sim.Trace.Deadline_miss _ when st.at >= cut -> acc + 1
-             | _ -> acc)
-           acc
-           (Sim.Trace.entries (Kernel.trace k)))
-       0
+  let n = ref 0 in
+  Array.iter
+    (fun sh ->
+      List.iter
+        (fun k ->
+          let tr = Kernel.trace k in
+          if Sim.Trace.deadline_misses tr > 0 then
+            Sim.Trace.iter
+              (fun (st : Sim.Trace.stamped) ->
+                match st.entry with
+                | Sim.Trace.Deadline_miss _ when st.at >= cut -> incr n
+                | _ -> ())
+              tr)
+        (kernels_of sh))
+    t.shards;
+  !n
 
 let first_crash t =
   match List.sort (fun (_, a) (_, b) -> compare a b) t.crashes with

@@ -87,20 +87,6 @@ let compute_statics (cfg : Inject.config) =
 (* ------------------------------------------------------------------ *)
 (* One cell *)
 
-type trace_sig = {
-  sig_entries : Sim.Trace.stamped list;
-  sig_busy : Model.Time.t;
-  sig_switches : int;
-}
-
-let trace_sig k =
-  let tr = Kernel.trace k in
-  {
-    sig_entries = Sim.Trace.entries tr;
-    sig_busy = Sim.Trace.busy_time tr;
-    sig_switches = Sim.Trace.context_switches tr;
-  }
-
 (* Worst per-job demand each task was observed to consume: the running
    job's banked figure from the enforcement state, joined with every
    Budget_overrun entry (those carry the consumption at detection). *)
@@ -113,12 +99,14 @@ let observed_demand k =
   List.iter
     (fun (s : Kernel.enf_stats) -> note s.e_tid s.e_budget_used)
     (Kernel.enforcement_stats k);
-  List.iter
-    (fun (st : Sim.Trace.stamped) ->
-      match st.entry with
-      | Sim.Trace.Budget_overrun { tid; used; _ } -> note tid used
-      | _ -> ())
-    (Sim.Trace.entries (Kernel.trace k));
+  let tr = Kernel.trace k in
+  if Sim.Trace.budget_overruns tr > 0 then
+    Sim.Trace.iter
+      (fun (st : Sim.Trace.stamped) ->
+        match st.entry with
+        | Sim.Trace.Budget_overrun { tid; used; _ } -> note tid used
+        | _ -> ())
+      tr;
   fun tid -> Option.value ~default:0 (Hashtbl.find_opt worst tid)
 
 let falsified statics k =
@@ -190,7 +178,6 @@ let make_cell (cfg : Inject.config) statics baseline ~label ~plan =
       None (Kernel.enforcement_stats k)
   in
   let first_activation = Inject.first_activation outcome in
-  let s = trace_sig k in
   {
     c_label = label;
     c_plan = plan;
@@ -208,7 +195,7 @@ let make_cell (cfg : Inject.config) statics baseline ~label ~plan =
       (match (first_activation, first_detection) with
       | Some a, Some d -> Some (Model.Time.sub d a)
       | _ -> None);
-    c_matches_baseline = s = baseline;
+    c_matches_baseline = Sim.Trace.signature tr = baseline;
     c_falsified = falsified statics k;
   }
 
@@ -221,8 +208,9 @@ let run ?plans (cfg : Inject.config) =
   in
   let statics = compute_statics cfg in
   let baseline =
-    trace_sig
-      (Inject.run { cfg with plan = Plan.empty; enforcement = None }).kernel
+    Sim.Trace.signature
+      (Kernel.trace
+         (Inject.run { cfg with plan = Plan.empty; enforcement = None }).kernel)
   in
   let cells =
     List.map

@@ -54,9 +54,9 @@ let render m ~props cex =
   (match replay m ~props cex with
   | trace ->
     Format.fprintf fmt "@.schedule:@.";
-    List.iter
+    Sim.Trace.iter
       (fun stamped -> Format.fprintf fmt "  %a@." Sim.Trace.pp_stamped stamped)
-      (Sim.Trace.entries trace)
+      trace
   | exception Divergence msg ->
     Format.fprintf fmt "@.(replay diverged: %s)@." msg);
   Format.pp_print_flush fmt ();

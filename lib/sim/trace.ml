@@ -187,9 +187,31 @@ let kind = function
   | Net_arb _ -> 34
   | Note _ -> 35
 
+(* The kept entries are one append-only byte log the GC never scans.
+   A record is, in order:
+   - the zigzag varint of its [at] minus the previous record's (the
+     first one's minus 0);
+   - its [kind] byte, which also carries a [Net_frame]'s direction;
+   - its fields in declaration order: ints as zigzag varints, an
+     [Input_word] as 8 little-endian bytes, an [ovh_category] as its
+     index byte, a bool or option as a tag byte (an option's payload
+     follows a 1), a string as the varint index of its first-use slot
+     in the trace's string table;
+   - one trailing byte holding the record's length without it, so
+     [entries] can walk the log from the end and cons the list once.
+   Encoding is deterministic and interning is by content, so two
+   traces hold equal logs and tables exactly when their entry lists
+   are equal. *)
 type t = {
   keep : bool;
-  mutable entries : stamped list; (* reversed *)
+  mutable log : Bytes.t; (* empty until the first kept entry *)
+  mutable len : int; (* bytes of [log] in use *)
+  mutable count : int; (* kept entries *)
+  mutable last_at : Model.Time.t; (* [at] of the last kept entry *)
+  mutable strings : string array; (* interned, in first-use order *)
+  mutable n_strings : int;
+  mutable string_ids : (string, int) Hashtbl.t option;
+      (* built once the table outgrows a linear scan *)
   mutable switches : int;
   mutable misses : int;
   mutable preemptions : int;
@@ -205,7 +227,7 @@ type t = {
   mutable last_outgoing_ready : bool;
   (* Per-task response-time histograms indexed by tid, maintained ONLY
      under [keep = false] so that [responses] can degrade gracefully
-     instead of returning []; with [keep = true] the exact entry list
+     instead of returning []; with [keep = true] the exact entry log
      is the source of truth and this array stays empty.  A flat array
      (not a Hashtbl) because the lookup sits on the per-completion hot
      path of probe-disabled simulations. *)
@@ -215,7 +237,13 @@ type t = {
 let create ?(keep_entries = true) () =
   {
     keep = keep_entries;
-    entries = [];
+    log = Bytes.empty;
+    len = 0;
+    count = 0;
+    last_at = 0;
+    strings = [||];
+    n_strings = 0;
+    string_ids = None;
     switches = 0;
     misses = 0;
     preemptions = 0;
@@ -272,18 +300,309 @@ let tally t ~at entry =
   | Net_arb _ | Note _ ->
     ()
 
-let record t ({ at; entry } as stamped) =
+(* -- encoding ---------------------------------------------------------- *)
+
+(* Longest record: a 9-byte delta, the kind byte, four 9-byte ints and
+   the length byte. *)
+let max_record = 47
+
+let reserve t =
+  let cap = Bytes.length t.log in
+  if t.len + max_record > cap then begin
+    let grown = Bytes.create (max 256 (2 * cap)) in
+    Bytes.blit t.log 0 grown 0 t.len;
+    t.log <- grown
+  end
+
+let put_byte t b =
+  Bytes.unsafe_set t.log t.len (Char.unsafe_chr b);
+  t.len <- t.len + 1
+
+(* [v] as an unsigned 63-bit LEB128 varint: at most 9 bytes. *)
+let rec put_uvar t v =
+  if v land lnot 0x7f = 0 then put_byte t v
+  else begin
+    put_byte t (v land 0x7f lor 0x80);
+    put_uvar t (v lsr 7)
+  end
+
+let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+let unzigzag z = (z lsr 1) lxor -(z land 1)
+let put_int t n = put_uvar t (zigzag n)
+let put_bool t b = put_byte t (Bool.to_int b)
+
+let put_opt t = function
+  | None -> put_byte t 0
+  | Some n ->
+    put_byte t 1;
+    put_int t n
+
+let put_word t w =
+  Bytes.set_int64_le t.log t.len w;
+  t.len <- t.len + 8
+
+(* Small tables (a run's block reasons) are scanned, literals matching
+   by address first; a table of many distinct notes gets a hash. *)
+let scan_limit = 8
+
+let intern t s =
+  let n = t.n_strings in
+  let rec by_address i =
+    if i = n then by_content 0
+    else if t.strings.(i) == s then i
+    else by_address (i + 1)
+  and by_content i =
+    if i = n then -1
+    else if String.equal t.strings.(i) s then i
+    else by_content (i + 1)
+  in
+  let found =
+    match t.string_ids with
+    | None -> by_address 0
+    | Some ids -> Option.value (Hashtbl.find_opt ids s) ~default:(-1)
+  in
+  if found >= 0 then found
+  else begin
+    if n = Array.length t.strings then begin
+      let grown = Array.make (max 4 (2 * n)) "" in
+      Array.blit t.strings 0 grown 0 n;
+      t.strings <- grown
+    end;
+    t.strings.(n) <- s;
+    t.n_strings <- n + 1;
+    (match t.string_ids with
+    | Some ids -> Hashtbl.replace ids s n
+    | None when n + 1 > scan_limit ->
+      let ids = Hashtbl.create (4 * scan_limit) in
+      for i = 0 to n do
+        Hashtbl.replace ids t.strings.(i) i
+      done;
+      t.string_ids <- Some ids
+    | None -> ());
+    n
+  end
+
+let put_string t s = put_uvar t (intern t s)
+
+let put_fields t = function
+  | Job_release { tid; job; deadline = x }
+  | Job_complete { tid; job; response = x }
+  | Deadline_miss { tid; job; lateness = x } ->
+    put_int t tid;
+    put_int t job;
+    put_int t x
+  | Context_switch { from_tid; to_tid } ->
+    put_opt t from_tid;
+    put_opt t to_tid
+  | Thread_block { tid; reason } ->
+    put_int t tid;
+    put_string t reason
+  | Thread_unblock { tid } | Priority_restore { holder = tid } ->
+    put_int t tid
+  | Sem_acquired { tid; sem = x }
+  | Sem_blocked { tid; sem = x }
+  | Sem_released { tid; sem = x }
+  | Priority_inherit { holder = tid; from_tid = x }
+  | Approach_parked { tid; sem = x }
+  | Job_killed { tid; job = x }
+  | Pool_oom { tid; pool = x }
+  | Net_timeout { node = tid; seq = x }
+  | Net_arb { frame_id = tid; delay = x } ->
+    put_int t tid;
+    put_int t x
+  | Msg_sent { tid; mailbox = a; words = b }
+  | State_written { tid; state = a; seq = b }
+  | State_read { tid; state = a; seq = b }
+  | Block_alloc { tid; pool = a; live = b }
+  | Block_free { tid; pool = a; live = b }
+  | Net_retry { node = tid; seq = a; attempt = b }
+  | Net_frame { node = tid; frame_id = a; words = b; dir = _ } ->
+    put_int t tid;
+    put_int t a;
+    put_int t b
+  | Msg_received { tid; mailbox = a; words = b; queued_for = c }
+  | Budget_overrun { tid; job = a; used = b; budget = c }
+  | Pool_leak { tid; job = a; pool = b; count = c }
+  | Quota_exceeded { tid; job = a; live = b; quota = c } ->
+    put_int t tid;
+    put_int t a;
+    put_int t b;
+    put_int t c
+  | Interrupt { irq } -> put_int t irq
+  | Overhead { category; cost } ->
+    put_byte t (ovh_index category);
+    put_int t cost
+  | Job_shed { tid; job; reason } ->
+    put_int t tid;
+    put_int t job;
+    put_string t reason
+  | Input_word { tid; job; word } ->
+    put_int t tid;
+    put_int t job;
+    put_word t word
+  | Branch { tid; pc; idx; taken } ->
+    put_int t tid;
+    put_int t pc;
+    put_int t idx;
+    put_bool t taken
+  | Note s -> put_string t s
+
+let keep_entry t ~at entry =
+  reserve t;
+  let start = t.len in
+  put_int t (at - t.last_at);
+  put_byte t (kind entry);
+  put_fields t entry;
+  put_byte t (t.len - start);
+  t.last_at <- at;
+  t.count <- t.count + 1
+
+let record t { at; entry } =
   tally t ~at entry;
-  if t.keep then t.entries <- stamped :: t.entries
+  if t.keep then keep_entry t ~at entry
 
 let emit t ~at entry =
   tally t ~at entry;
-  if t.keep then t.entries <- { at; entry } :: t.entries
+  if t.keep then keep_entry t ~at entry
 
-let entries t = List.rev t.entries
+(* -- decoding ---------------------------------------------------------- *)
+
+(* [ints] holds the leading int fields of the record being decoded. *)
+type cursor = { buf : Bytes.t; mutable pos : int; ints : int array }
+
+let cursor t = { buf = t.log; pos = 0; ints = Array.make 4 0 }
+
+let get_byte c =
+  let b = Char.code (Bytes.get c.buf c.pos) in
+  c.pos <- c.pos + 1;
+  b
+
+let get_uvar c =
+  let rec go acc shift =
+    let b = get_byte c in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else go acc (shift + 7)
+  in
+  go 0 0
+
+let get_int c = unzigzag (get_uvar c)
+let get_opt c = if get_byte c = 0 then None else Some (get_int c)
+let get_string t c = t.strings.(get_uvar c)
+let ovh_of_index = Array.of_list ovh_categories
+
+(* How many of each kind's fields, in [put_fields] order, are plain
+   ints written first. *)
+let leading_ints =
+  [|
+    3; 3; 3; 0; 1; 1; 2; 2; 2; 2; 1; 2; 3; 4; 3; 3; 1; 0; 4; 2; 2; 3; 3; 2; 4;
+    4; 2; 3; 3; 3; 3; 3; 3; 2; 2; 0;
+  |]
+
+(* One record's entry, the cursor just past its kind byte. *)
+let get_entry t c kind =
+  let i = c.ints in
+  for k = 0 to leading_ints.(kind) - 1 do
+    i.(k) <- get_int c
+  done;
+  match kind with
+  | 0 -> Job_release { tid = i.(0); job = i.(1); deadline = i.(2) }
+  | 1 -> Job_complete { tid = i.(0); job = i.(1); response = i.(2) }
+  | 2 -> Deadline_miss { tid = i.(0); job = i.(1); lateness = i.(2) }
+  | 3 ->
+    let from_tid = get_opt c in
+    Context_switch { from_tid; to_tid = get_opt c }
+  | 4 -> Thread_block { tid = i.(0); reason = get_string t c }
+  | 5 -> Thread_unblock { tid = i.(0) }
+  | 6 -> Sem_acquired { tid = i.(0); sem = i.(1) }
+  | 7 -> Sem_blocked { tid = i.(0); sem = i.(1) }
+  | 8 -> Sem_released { tid = i.(0); sem = i.(1) }
+  | 9 -> Priority_inherit { holder = i.(0); from_tid = i.(1) }
+  | 10 -> Priority_restore { holder = i.(0) }
+  | 11 -> Approach_parked { tid = i.(0); sem = i.(1) }
+  | 12 -> Msg_sent { tid = i.(0); mailbox = i.(1); words = i.(2) }
+  | 13 ->
+    Msg_received
+      { tid = i.(0); mailbox = i.(1); words = i.(2); queued_for = i.(3) }
+  | 14 -> State_written { tid = i.(0); state = i.(1); seq = i.(2) }
+  | 15 -> State_read { tid = i.(0); state = i.(1); seq = i.(2) }
+  | 16 -> Interrupt { irq = i.(0) }
+  | 17 ->
+    let category = ovh_of_index.(get_byte c) in
+    Overhead { category; cost = get_int c }
+  | 18 -> Budget_overrun { tid = i.(0); job = i.(1); used = i.(2); budget = i.(3) }
+  | 19 -> Job_killed { tid = i.(0); job = i.(1) }
+  | 20 -> Job_shed { tid = i.(0); job = i.(1); reason = get_string t c }
+  | 21 -> Block_alloc { tid = i.(0); pool = i.(1); live = i.(2) }
+  | 22 -> Block_free { tid = i.(0); pool = i.(1); live = i.(2) }
+  | 23 -> Pool_oom { tid = i.(0); pool = i.(1) }
+  | 24 -> Pool_leak { tid = i.(0); job = i.(1); pool = i.(2); count = i.(3) }
+  | 25 -> Quota_exceeded { tid = i.(0); job = i.(1); live = i.(2); quota = i.(3) }
+  | 26 ->
+    let word = Bytes.get_int64_le c.buf c.pos in
+    c.pos <- c.pos + 8;
+    Input_word { tid = i.(0); job = i.(1); word }
+  | 27 -> Branch { tid = i.(0); pc = i.(1); idx = i.(2); taken = get_byte c = 1 }
+  | 28 | 29 | 30 | 31 ->
+    let dir = match kind with 28 -> Tx | 29 -> Rx | 30 -> Drop | _ -> Corrupt in
+    Net_frame { node = i.(0); dir; frame_id = i.(1); words = i.(2) }
+  | 32 -> Net_retry { node = i.(0); seq = i.(1); attempt = i.(2) }
+  | 33 -> Net_timeout { node = i.(0); seq = i.(1) }
+  | 34 -> Net_arb { frame_id = i.(0); delay = i.(1) }
+  | _ -> Note (get_string t c)
+
+let iter f t =
+  let c = cursor t in
+  let at = ref 0 in
+  while c.pos < t.len do
+    at := !at + get_int c;
+    let entry = get_entry t c (get_byte c) in
+    c.pos <- c.pos + 1 (* the length byte *);
+    f { at = !at; entry }
+  done
+
+(* Decoded from the last record back, so the list is consed once in
+   chronological order; each record's delta steps [at] back. *)
+let entries t =
+  let c = cursor t in
+  let rec back stop at acc =
+    if stop = 0 then acc
+    else begin
+      let start = stop - 1 - Char.code (Bytes.get t.log (stop - 1)) in
+      c.pos <- start;
+      let delta = get_int c in
+      let entry = get_entry t c (get_byte c) in
+      back start (at - delta) ({ at; entry } :: acc)
+    end
+  in
+  back t.len t.last_at []
+
+let length t = t.count
 
 let equal a b =
-  a.busy = b.busy && a.switches = b.switches && a.entries = b.entries
+  let rec same_bytes i =
+    i = a.len || (Bytes.get a.log i = Bytes.get b.log i && same_bytes (i + 1))
+  in
+  let rec same_strings i =
+    i = a.n_strings
+    || (String.equal a.strings.(i) b.strings.(i) && same_strings (i + 1))
+  in
+  a.busy = b.busy && a.switches = b.switches && a.len = b.len
+  && a.n_strings = b.n_strings && same_bytes 0 && same_strings 0
+
+type signature = {
+  sig_log : string;
+  sig_strings : string array;
+  sig_busy : Model.Time.t;
+  sig_switches : int;
+}
+
+let signature t =
+  {
+    sig_log = Bytes.sub_string t.log 0 t.len;
+    sig_strings = Array.sub t.strings 0 t.n_strings;
+    sig_busy = t.busy;
+    sig_switches = t.switches;
+  }
 
 let context_switches t = t.switches
 let deadline_misses t = t.misses
@@ -401,14 +720,20 @@ let timeline_relevant = function
 let pp_stamped ppf { at; entry } =
   Format.fprintf ppf "%10.3fms  %a" (Model.Time.to_ms_f at) pp_entry entry
 
+(* Job responses of one task, chronological, from the kept log. *)
+let kept_responses t ~tid =
+  let acc = ref [] in
+  iter
+    (fun { entry; _ } ->
+      match entry with
+      | Job_complete { tid = t'; response; _ } when t' = tid ->
+        acc := response :: !acc
+      | _ -> ())
+    t;
+  List.rev !acc
+
 let responses t ~tid =
-  if t.keep then
-    List.filter_map
-      (fun { entry; _ } ->
-        match entry with
-        | Job_complete { tid = t'; response; _ } when t' = tid -> Some response
-        | _ -> None)
-      (entries t)
+  if t.keep then kept_responses t ~tid
   else if tid >= 0 && tid < Array.length t.resp_hists then
     match t.resp_hists.(tid) with
     | None -> []
@@ -418,7 +743,13 @@ let responses t ~tid =
 let response_hist t ~tid =
   if t.keep then (
     let h = Util.Hist.create () in
-    List.iter (Util.Hist.observe h) (responses t ~tid);
+    iter
+      (fun { entry; _ } ->
+        match entry with
+        | Job_complete { tid = t'; response; _ } when t' = tid ->
+          Util.Hist.observe h response
+        | _ -> ())
+      t;
     h)
   else if tid >= 0 && tid < Array.length t.resp_hists then
     match t.resp_hists.(tid) with
@@ -484,17 +815,17 @@ let csv_fields entry =
   let tid, detail = csv_row entry in
   (kind_name (kind entry), tid, detail)
 
-let csv_of_stamped stamped =
+(* The CSV of whatever [iter_events] walks, header first. *)
+let csv_of iter_events =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "time_ns,kind,tid,detail\n";
-  List.iter
-    (fun { at; entry } ->
+  iter_events (fun { at; entry } ->
       let kind, tid, detail = csv_fields entry in
-      Buffer.add_string buf (Printf.sprintf "%d,%s,%d,%s\n" at kind tid detail))
-    stamped;
+      Buffer.add_string buf (Printf.sprintf "%d,%s,%d,%s\n" at kind tid detail));
   Buffer.contents buf
 
-let to_csv t = csv_of_stamped (entries t)
+let csv_of_stamped stamped = csv_of (fun f -> List.iter f stamped)
+let to_csv t = csv_of (fun f -> iter f t)
 
 let pp_timeline ppf t =
   let emit_line { at; entry } =
@@ -503,5 +834,5 @@ let pp_timeline ppf t =
         entry
   in
   Format.fprintf ppf "@[<v>";
-  List.iter emit_line (entries t);
+  iter emit_line t;
   Format.fprintf ppf "@]"

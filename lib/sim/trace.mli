@@ -136,26 +136,57 @@ val kind_of_name : string -> int option
 (** Inverse of {!kind_name}; [None] for a string that is not a kind. *)
 
 type t
+(** A trace: the aggregate counters below, plus (unless created with
+    [keep_entries:false]) every event in one append-only byte log that
+    the GC never scans.  A kept event is, in order: the zigzag varint
+    of its [at] minus the previous event's; its {!kind} byte (which
+    also tells the [Net_frame] directions apart); its fields as
+    varints, with an [Input_word] as 8 raw bytes, an [ovh_category] as
+    its {!ovh_index}, options and bools as tag bytes, and strings as
+    indices into a per-trace table interned by content; and a trailing
+    length byte, so the log can be walked from either end.  The engine
+    preset's events average 6.9 bytes. *)
 
 val create : ?keep_entries:bool -> unit -> t
 (** With [keep_entries:false] only the aggregate counters below are
     maintained — breakdown-utilization sweeps run thousands of
-    simulations and must not retain per-event lists. *)
+    simulations and must not retain per-event lists.  Allocates no
+    log: the buffer appears with the first kept event and doubles as
+    it grows. *)
 
 val emit : t -> at:Model.Time.t -> entry -> unit
-(** Record one event.  Allocates its [stamped] record only when the
-    entries are kept (or for the first deadline miss). *)
+(** Record one event, encoded in place: allocates nothing but the
+    log's occasional growth (and, for the first deadline miss, its
+    {!first_miss} record). *)
 
 val record : t -> stamped -> unit
-(** [emit] of an already stamped event, kept as is: lets a probe hub
-    build one record per event and share it with its subscribers. *)
+(** [emit] of an already stamped event: lets a probe hub build one
+    record per event and share it with its subscribers. *)
 
 val entries : t -> stamped list
-(** Chronological.  Empty when created with [keep_entries:false]. *)
+(** Chronological.  Empty when created with [keep_entries:false].
+    Decodes the whole log and allocates the list; readers that only
+    fold over the events should use {!iter}. *)
+
+val iter : (stamped -> unit) -> t -> unit
+(** The kept events in chronological order, decoded one at a time:
+    builds no list. *)
+
+val length : t -> int
+(** Number of kept events, without decoding. *)
 
 val equal : t -> t -> bool
-(** Same kept entries, busy time and context-switch count; compares
-    the stored entries in place, copying nothing. *)
+(** Same kept entries, busy time and context-switch count — exactly as
+    strict as comparing the two {!entries} lists with [=], by
+    comparing the logs and string tables in place. *)
+
+type signature
+(** A trace's log bytes, string table, busy time and context-switch
+    count: [=] on two signatures is {!equal} on their traces, and a
+    signature outlives the trace's later events. *)
+
+val signature : t -> signature
+(** Copies the log once; decodes nothing. *)
 
 val context_switches : t -> int
 val deadline_misses : t -> int

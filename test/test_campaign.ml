@@ -218,6 +218,14 @@ let test_json_and_text () =
   check bool "text mentions scenario count" true (contains text "25");
   check bool "text mentions oracles" true (contains text "rta-sim")
 
+(* A host clock stepped back between two reads: the stage duration
+   the driver feeds its histograms is 0, not negative. *)
+let test_clock_step_back () =
+  let later = Campaign.Eval.now_us () + 60_000_000 in
+  check int "start in the future gives 0" 0 (Campaign.Eval.since_us later);
+  check bool "a past start is non-negative" true
+    (Campaign.Eval.since_us (Campaign.Eval.now_us ()) >= 0)
+
 let suite =
   [
     test_case "oracle names round-trip" `Quick test_oracle_names;
@@ -232,4 +240,5 @@ let suite =
     test_case "falsifications shrink" `Quick test_shrink;
     test_case "sarif report shape" `Quick test_sarif_shape;
     test_case "json and text reports" `Quick test_json_and_text;
+    test_case "a clock stepped back clamps to 0" `Quick test_clock_step_back;
   ]

@@ -287,6 +287,300 @@ let test_trace_responses_degraded () =
   check int "hist max exact in both" (Util.Hist.max_value hk)
     (Util.Hist.max_value hd)
 
+(* ------------------------------------------------------------------ *)
+(* The byte log against the list store it replaced ([Trace_ref]) *)
+
+let gen_int =
+  QCheck2.Gen.(
+    frequency
+      [ (6, int_range (-3) 300); (2, oneofl [ 0; -1; max_int; min_int ]); (1, int) ])
+
+(* Shared literals (matched by address), fresh copies of them (equal
+   content at another address), and arbitrary bytes. *)
+let literals =
+  [ "sem"; "delay"; ""; "mbox-empty"; "\xc3\xa9t\xc3\xa9"; "choice: \xe2\x86\x92 tau2" ]
+
+let gen_string =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, oneofl literals);
+        (2, map (fun s -> String.init (String.length s) (String.get s)) (oneofl literals));
+        (1, string_size ~gen:char (int_range 0 6));
+      ])
+
+let gen_entry : Sim.Trace.entry QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let i = gen_int and s = gen_string in
+  oneof
+    [
+      map3 (fun tid job deadline -> Sim.Trace.Job_release { tid; job; deadline }) i i i;
+      map3 (fun tid job response -> Sim.Trace.Job_complete { tid; job; response }) i i i;
+      map3 (fun tid job lateness -> Sim.Trace.Deadline_miss { tid; job; lateness }) i i i;
+      map2
+        (fun from_tid to_tid -> Sim.Trace.Context_switch { from_tid; to_tid })
+        (opt i) (opt i);
+      map2 (fun tid reason -> Sim.Trace.Thread_block { tid; reason }) i s;
+      map (fun tid -> Sim.Trace.Thread_unblock { tid }) i;
+      map2 (fun tid sem -> Sim.Trace.Sem_acquired { tid; sem }) i i;
+      map2 (fun tid sem -> Sim.Trace.Sem_blocked { tid; sem }) i i;
+      map2 (fun tid sem -> Sim.Trace.Sem_released { tid; sem }) i i;
+      map2 (fun holder from_tid -> Sim.Trace.Priority_inherit { holder; from_tid }) i i;
+      map (fun holder -> Sim.Trace.Priority_restore { holder }) i;
+      map2 (fun tid sem -> Sim.Trace.Approach_parked { tid; sem }) i i;
+      map3 (fun tid mailbox words -> Sim.Trace.Msg_sent { tid; mailbox; words }) i i i;
+      map4
+        (fun tid mailbox words queued_for ->
+          Sim.Trace.Msg_received { tid; mailbox; words; queued_for })
+        i i i i;
+      map3 (fun tid state seq -> Sim.Trace.State_written { tid; state; seq }) i i i;
+      map3 (fun tid state seq -> Sim.Trace.State_read { tid; state; seq }) i i i;
+      map (fun irq -> Sim.Trace.Interrupt { irq }) i;
+      map2
+        (fun category cost -> Sim.Trace.Overhead { category; cost })
+        (oneofl Sim.Trace.ovh_categories) i;
+      map4
+        (fun tid job used budget -> Sim.Trace.Budget_overrun { tid; job; used; budget })
+        i i i i;
+      map2 (fun tid job -> Sim.Trace.Job_killed { tid; job }) i i;
+      map3 (fun tid job reason -> Sim.Trace.Job_shed { tid; job; reason }) i i s;
+      map3 (fun tid pool live -> Sim.Trace.Block_alloc { tid; pool; live }) i i i;
+      map3 (fun tid pool live -> Sim.Trace.Block_free { tid; pool; live }) i i i;
+      map2 (fun tid pool -> Sim.Trace.Pool_oom { tid; pool }) i i;
+      map4
+        (fun tid job pool count -> Sim.Trace.Pool_leak { tid; job; pool; count })
+        i i i i;
+      map4
+        (fun tid job live quota -> Sim.Trace.Quota_exceeded { tid; job; live; quota })
+        i i i i;
+      map3
+        (fun tid job word -> Sim.Trace.Input_word { tid; job; word })
+        i i
+        (oneof [ int64; oneofl [ Int64.min_int; -1L; 0L; Int64.max_int ] ]);
+      map4 (fun tid pc idx taken -> Sim.Trace.Branch { tid; pc; idx; taken }) i i i bool;
+      map4
+        (fun node dir frame_id words -> Sim.Trace.Net_frame { node; dir; frame_id; words })
+        i
+        (oneofl Sim.Trace.[ Tx; Rx; Drop; Corrupt ])
+        i i;
+      map3 (fun node seq attempt -> Sim.Trace.Net_retry { node; seq; attempt }) i i i;
+      map2 (fun node seq -> Sim.Trace.Net_timeout { node; seq }) i i;
+      map2 (fun frame_id delay -> Sim.Trace.Net_arb { frame_id; delay }) i i;
+      map (fun s -> Sim.Trace.Note s) s;
+    ]
+
+(* A stream drives both stores: events with an [at] step (negative
+   steps go back in time, extreme ones wrap), through [emit] or
+   [record], interleaved with the kernel's two other hooks. *)
+type op =
+  | Emit of int * Sim.Trace.entry
+  | Record of int * Sim.Trace.entry
+  | Ready of bool
+  | Busy of int
+
+let gen_ops =
+  QCheck2.Gen.(
+    let op =
+      frequency
+        [
+          (5, map2 (fun dt e -> Emit (dt, e)) gen_int gen_entry);
+          (3, map2 (fun dt e -> Record (dt, e)) gen_int gen_entry);
+          (1, map (fun b -> Ready b) bool);
+          (1, map (fun d -> Busy d) (int_range 0 1000));
+        ]
+    in
+    (* the long streams regrow the log from 256 bytes several times *)
+    list_size (frequency [ (4, int_range 0 60); (1, int_range 300 1500) ]) op)
+
+let run_ops ops =
+  let tr = Sim.Trace.create () and r = Trace_ref.create () in
+  let at = ref 0 in
+  List.iter
+    (function
+      | Emit (dt, entry) ->
+        at := !at + dt;
+        Sim.Trace.emit tr ~at:!at entry;
+        Trace_ref.emit r ~at:!at entry
+      | Record (dt, entry) ->
+        at := !at + dt;
+        let st = { Sim.Trace.at = !at; entry } in
+        Sim.Trace.record tr st;
+        Trace_ref.record r st
+      | Ready b ->
+        Sim.Trace.set_outgoing_ready tr b;
+        Trace_ref.set_outgoing_ready r b
+      | Busy d ->
+        Sim.Trace.add_busy tr d;
+        Trace_ref.add_busy r d)
+    ops;
+  (tr, r)
+
+let agrees (tr, r) =
+  let expected = Trace_ref.entries r in
+  let walked = ref [] in
+  Sim.Trace.iter (fun st -> walked := st :: !walked) tr;
+  Sim.Trace.entries tr = expected
+  && List.rev !walked = expected
+  && Sim.Trace.length tr = Trace_ref.length r
+  && Sim.Trace.context_switches tr = Trace_ref.context_switches r
+  && Sim.Trace.deadline_misses tr = Trace_ref.deadline_misses r
+  && Sim.Trace.preemptions tr = Trace_ref.preemptions r
+  && Sim.Trace.overhead_total tr = Trace_ref.overhead_total r
+  && Sim.Trace.overhead_by_category tr = Trace_ref.overhead_by_category r
+  && Sim.Trace.first_miss tr = Trace_ref.first_miss r
+  && Sim.Trace.budget_overruns tr = Trace_ref.budget_overruns r
+  && Sim.Trace.jobs_killed tr = Trace_ref.jobs_killed r
+  && Sim.Trace.jobs_shed tr = Trace_ref.jobs_shed r
+  && Sim.Trace.busy_time tr = Trace_ref.busy_time r
+  && Sim.Trace.to_csv tr = Sim.Trace.csv_of_stamped expected
+
+let trace_fuzz ~count name gen law =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    (QCheck2.Test.make ~count ~name gen law)
+
+let prop_log_matches_reference =
+  trace_fuzz ~count:100 "trace: log matches the list reference"
+    gen_ops
+    (fun ops -> agrees (run_ops ops))
+
+(* Field [j] of an entry changed (the [j]-th in declaration order; no
+   change when the entry has fewer fields). *)
+let mutate j (e : Sim.Trace.entry) : Sim.Trace.entry =
+  let i k v = if k = j then v + 1 else v in
+  let s k v = if k = j then v ^ "x" else v in
+  let o k v =
+    if k <> j then v else match v with None -> Some 0 | Some x -> Some (x + 1)
+  in
+  match e with
+  | Job_release { tid; job; deadline } ->
+    Job_release { tid = i 0 tid; job = i 1 job; deadline = i 2 deadline }
+  | Job_complete { tid; job; response } ->
+    Job_complete { tid = i 0 tid; job = i 1 job; response = i 2 response }
+  | Deadline_miss { tid; job; lateness } ->
+    Deadline_miss { tid = i 0 tid; job = i 1 job; lateness = i 2 lateness }
+  | Context_switch { from_tid; to_tid } ->
+    Context_switch { from_tid = o 0 from_tid; to_tid = o 1 to_tid }
+  | Thread_block { tid; reason } -> Thread_block { tid = i 0 tid; reason = s 1 reason }
+  | Thread_unblock { tid } -> Thread_unblock { tid = i 0 tid }
+  | Sem_acquired { tid; sem } -> Sem_acquired { tid = i 0 tid; sem = i 1 sem }
+  | Sem_blocked { tid; sem } -> Sem_blocked { tid = i 0 tid; sem = i 1 sem }
+  | Sem_released { tid; sem } -> Sem_released { tid = i 0 tid; sem = i 1 sem }
+  | Priority_inherit { holder; from_tid } ->
+    Priority_inherit { holder = i 0 holder; from_tid = i 1 from_tid }
+  | Priority_restore { holder } -> Priority_restore { holder = i 0 holder }
+  | Approach_parked { tid; sem } -> Approach_parked { tid = i 0 tid; sem = i 1 sem }
+  | Msg_sent { tid; mailbox; words } ->
+    Msg_sent { tid = i 0 tid; mailbox = i 1 mailbox; words = i 2 words }
+  | Msg_received { tid; mailbox; words; queued_for } ->
+    Msg_received
+      { tid = i 0 tid; mailbox = i 1 mailbox; words = i 2 words; queued_for = i 3 queued_for }
+  | State_written { tid; state; seq } ->
+    State_written { tid = i 0 tid; state = i 1 state; seq = i 2 seq }
+  | State_read { tid; state; seq } ->
+    State_read { tid = i 0 tid; state = i 1 state; seq = i 2 seq }
+  | Interrupt { irq } -> Interrupt { irq = i 0 irq }
+  | Overhead { category; cost } ->
+    let next = (Sim.Trace.ovh_index category + 1) mod Sim.Trace.ovh_count in
+    Overhead
+      {
+        category = (if j = 0 then List.nth Sim.Trace.ovh_categories next else category);
+        cost = i 1 cost;
+      }
+  | Budget_overrun { tid; job; used; budget } ->
+    Budget_overrun { tid = i 0 tid; job = i 1 job; used = i 2 used; budget = i 3 budget }
+  | Job_killed { tid; job } -> Job_killed { tid = i 0 tid; job = i 1 job }
+  | Job_shed { tid; job; reason } ->
+    Job_shed { tid = i 0 tid; job = i 1 job; reason = s 2 reason }
+  | Block_alloc { tid; pool; live } ->
+    Block_alloc { tid = i 0 tid; pool = i 1 pool; live = i 2 live }
+  | Block_free { tid; pool; live } ->
+    Block_free { tid = i 0 tid; pool = i 1 pool; live = i 2 live }
+  | Pool_oom { tid; pool } -> Pool_oom { tid = i 0 tid; pool = i 1 pool }
+  | Pool_leak { tid; job; pool; count } ->
+    Pool_leak { tid = i 0 tid; job = i 1 job; pool = i 2 pool; count = i 3 count }
+  | Quota_exceeded { tid; job; live; quota } ->
+    Quota_exceeded { tid = i 0 tid; job = i 1 job; live = i 2 live; quota = i 3 quota }
+  | Input_word { tid; job; word } ->
+    Input_word
+      { tid = i 0 tid; job = i 1 job; word = (if j = 2 then Int64.succ word else word) }
+  | Branch { tid; pc; idx; taken } ->
+    Branch
+      { tid = i 0 tid; pc = i 1 pc; idx = i 2 idx; taken = (if j = 3 then not taken else taken) }
+  | Net_frame { node; dir; frame_id; words } ->
+    let next = function
+      | Sim.Trace.Tx -> Sim.Trace.Rx
+      | Rx -> Drop
+      | Drop -> Corrupt
+      | Corrupt -> Tx
+    in
+    Net_frame
+      {
+        node = i 0 node;
+        dir = (if j = 1 then next dir else dir);
+        frame_id = i 2 frame_id;
+        words = i 3 words;
+      }
+  | Net_retry { node; seq; attempt } ->
+    Net_retry { node = i 0 node; seq = i 1 seq; attempt = i 2 attempt }
+  | Net_timeout { node; seq } -> Net_timeout { node = i 0 node; seq = i 1 seq }
+  | Net_arb { frame_id; delay } -> Net_arb { frame_id = i 0 frame_id; delay = i 1 delay }
+  | Note n -> Note (s 0 n)
+
+(* Every string of a stream moved to a fresh address. *)
+let copy_strings ops =
+  let fresh s = String.init (String.length s) (String.get s) in
+  let entry : Sim.Trace.entry -> Sim.Trace.entry = function
+    | Thread_block { tid; reason } -> Thread_block { tid; reason = fresh reason }
+    | Job_shed { tid; job; reason } -> Job_shed { tid; job; reason = fresh reason }
+    | Note s -> Note (fresh s)
+    | e -> e
+  in
+  List.map
+    (function
+      | Emit (dt, e) -> Emit (dt, entry e)
+      | Record (dt, e) -> Record (dt, entry e)
+      | op -> op)
+    ops
+
+(* The second stream of a pair: the same events at other addresses, a
+   single-field or single-step change of one event, a prefix, an extra
+   busy charge, or an unrelated stream. *)
+let gen_pair =
+  QCheck2.Gen.(
+    gen_ops >>= fun a ->
+    let n = List.length a in
+    let change k f = List.mapi (fun idx op -> if idx = k then f op else op) a in
+    let variant =
+      frequency
+        [
+          (2, return (copy_strings a));
+          ( 5,
+            map2
+              (fun k j ->
+                change k (function
+                  | Emit (dt, e) -> if j < 0 then Emit (dt + 1, e) else Emit (dt, mutate j e)
+                  | Record (dt, e) ->
+                    if j < 0 then Record (dt + 1, e) else Record (dt, mutate j e)
+                  | Ready b -> Ready (not b)
+                  | Busy d -> Busy (d + 1)))
+              (int_range 0 (max 0 (n - 1)))
+              (int_range (-1) 4) );
+          (1, map (fun k -> List.filteri (fun idx _ -> idx < k) a) (int_range 0 n));
+          (1, return (a @ [ Busy 1 ]));
+          (1, gen_ops);
+        ]
+    in
+    map (fun b -> (a, b)) variant)
+
+let prop_equal_matches_reference =
+  trace_fuzz ~count:150 "trace: equal agrees with the list reference" gen_pair
+    (fun (a, b) ->
+      let ta, ra = run_ops a and tb, rb = run_ops b in
+      let verdict = Trace_ref.equal ra rb in
+      Sim.Trace.equal ta tb = verdict
+      && Sim.Trace.equal tb ta = verdict
+      && (Sim.Trace.signature ta = Sim.Trace.signature tb) = verdict)
+
 let suite =
   [
     test_case "engine: time order" `Quick test_engine_order;
@@ -303,6 +597,8 @@ let suite =
     test_case "engine: past rejected" `Quick test_engine_past_rejected;
     test_case "trace: counters" `Quick test_trace_counters;
     test_case "trace: counters-only mode" `Quick test_trace_no_entries_mode;
+    prop_log_matches_reference;
+    prop_equal_matches_reference;
     test_case "cost: Table 1 values" `Quick test_cost_table1;
     test_case "cost: zero and scale" `Quick test_cost_zero_and_scale;
     test_case "cost: ipc" `Quick test_cost_ipc;
