@@ -526,13 +526,12 @@ let mutate j (e : Sim.Trace.entry) : Sim.Trace.entry =
   | Net_arb { frame_id; delay } -> Net_arb { frame_id = i 0 frame_id; delay = i 1 delay }
   | Note n -> Note (s 0 n)
 
-(* Every string of a stream moved to a fresh address. *)
-let copy_strings ops =
-  let fresh s = String.init (String.length s) (String.get s) in
+(* [f] applied to every string of a stream. *)
+let map_strings f ops =
   let entry : Sim.Trace.entry -> Sim.Trace.entry = function
-    | Thread_block { tid; reason } -> Thread_block { tid; reason = fresh reason }
-    | Job_shed { tid; job; reason } -> Job_shed { tid; job; reason = fresh reason }
-    | Note s -> Note (fresh s)
+    | Thread_block { tid; reason } -> Thread_block { tid; reason = f reason }
+    | Job_shed { tid; job; reason } -> Job_shed { tid; job; reason = f reason }
+    | Note s -> Note (f s)
     | e -> e
   in
   List.map
@@ -542,9 +541,10 @@ let copy_strings ops =
       | op -> op)
     ops
 
-(* The second stream of a pair: the same events at other addresses, a
-   single-field or single-step change of one event, a prefix, an extra
-   busy charge, or an unrelated stream. *)
+(* The second stream of a pair: the same events with every string at
+   another address, one string renamed wherever it occurs (same table
+   slots, other contents), a single-field or single-step change of one
+   event, a prefix, an extra busy charge, or an unrelated stream. *)
 let gen_pair =
   QCheck2.Gen.(
     gen_ops >>= fun a ->
@@ -553,7 +553,11 @@ let gen_pair =
     let variant =
       frequency
         [
-          (2, return (copy_strings a));
+          (2, return (map_strings (fun s -> String.init (String.length s) (String.get s)) a));
+          ( 1,
+            map
+              (fun lit -> map_strings (fun s -> if s = lit then s ^ "'" else s) a)
+              (oneofl literals) );
           ( 5,
             map2
               (fun k j ->
