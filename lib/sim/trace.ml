@@ -720,20 +720,18 @@ let timeline_relevant = function
 let pp_stamped ppf { at; entry } =
   Format.fprintf ppf "%10.3fms  %a" (Model.Time.to_ms_f at) pp_entry entry
 
-(* Job responses of one task, chronological, from the kept log. *)
-let kept_responses t ~tid =
-  let acc = ref [] in
-  iter
-    (fun { entry; _ } ->
-      match entry with
-      | Job_complete { tid = t'; response; _ } when t' = tid ->
-        acc := response :: !acc
-      | _ -> ())
-    t;
-  List.rev !acc
-
 let responses t ~tid =
-  if t.keep then kept_responses t ~tid
+  if t.keep then begin
+    let acc = ref [] in
+    iter
+      (fun { entry; _ } ->
+        match entry with
+        | Job_complete { tid = t'; response; _ } when t' = tid ->
+          acc := response :: !acc
+        | _ -> ())
+      t;
+    List.rev !acc
+  end
   else if tid >= 0 && tid < Array.length t.resp_hists then
     match t.resp_hists.(tid) with
     | None -> []
@@ -743,13 +741,7 @@ let responses t ~tid =
 let response_hist t ~tid =
   if t.keep then (
     let h = Util.Hist.create () in
-    iter
-      (fun { entry; _ } ->
-        match entry with
-        | Job_complete { tid = t'; response; _ } when t' = tid ->
-          Util.Hist.observe h response
-        | _ -> ())
-      t;
+    List.iter (Util.Hist.observe h) (responses t ~tid);
     h)
   else if tid >= 0 && tid < Array.length t.resp_hists then
     match t.resp_hists.(tid) with
