@@ -601,9 +601,9 @@ let suite =
     test_case "engine: past rejected" `Quick test_engine_past_rejected;
     test_case "trace: counters" `Quick test_trace_counters;
     test_case "trace: counters-only mode" `Quick test_trace_no_entries_mode;
-    prop_log_matches_reference;
-    prop_equal_matches_reference;
     test_case "cost: Table 1 values" `Quick test_cost_table1;
     test_case "cost: zero and scale" `Quick test_cost_zero_and_scale;
     test_case "cost: ipc" `Quick test_cost_ipc;
+    prop_log_matches_reference;
+    prop_equal_matches_reference;
   ]
