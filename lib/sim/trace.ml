@@ -529,19 +529,22 @@ let get_entry t c kind =
   | 17 ->
     let category = ovh_of_index.(get_byte c) in
     Overhead { category; cost = get_int c }
-  | 18 -> Budget_overrun { tid = i.(0); job = i.(1); used = i.(2); budget = i.(3) }
+  | 18 ->
+    Budget_overrun { tid = i.(0); job = i.(1); used = i.(2); budget = i.(3) }
   | 19 -> Job_killed { tid = i.(0); job = i.(1) }
   | 20 -> Job_shed { tid = i.(0); job = i.(1); reason = get_string t c }
   | 21 -> Block_alloc { tid = i.(0); pool = i.(1); live = i.(2) }
   | 22 -> Block_free { tid = i.(0); pool = i.(1); live = i.(2) }
   | 23 -> Pool_oom { tid = i.(0); pool = i.(1) }
   | 24 -> Pool_leak { tid = i.(0); job = i.(1); pool = i.(2); count = i.(3) }
-  | 25 -> Quota_exceeded { tid = i.(0); job = i.(1); live = i.(2); quota = i.(3) }
+  | 25 ->
+    Quota_exceeded { tid = i.(0); job = i.(1); live = i.(2); quota = i.(3) }
   | 26 ->
     let word = Bytes.get_int64_le c.buf c.pos in
     c.pos <- c.pos + 8;
     Input_word { tid = i.(0); job = i.(1); word }
-  | 27 -> Branch { tid = i.(0); pc = i.(1); idx = i.(2); taken = get_byte c = 1 }
+  | 27 ->
+    Branch { tid = i.(0); pc = i.(1); idx = i.(2); taken = get_byte c = 1 }
   | 28 | 29 | 30 | 31 ->
     let dir = match kind with 28 -> Tx | 29 -> Rx | 30 -> Drop | _ -> Corrupt in
     Net_frame { node = i.(0); dir; frame_id = i.(1); words = i.(2) }

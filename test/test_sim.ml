@@ -293,80 +293,92 @@ let test_trace_responses_degraded () =
 let gen_int =
   QCheck2.Gen.(
     frequency
-      [ (6, int_range (-3) 300); (2, oneofl [ 0; -1; max_int; min_int ]); (1, int) ])
+      [
+        (6, int_range (-3) 300);
+        (2, oneofl [ 0; -1; max_int; min_int ]);
+        (1, int);
+      ])
 
-(* Shared literals (matched by address), fresh copies of them (equal
-   content at another address), and arbitrary bytes. *)
+(* Equal content at another address. *)
+let fresh s = String.init (String.length s) (String.get s)
+
+(* Shared literals (matched by address), fresh copies of them, and
+   arbitrary bytes. *)
 let literals =
-  [ "sem"; "delay"; ""; "mbox-empty"; "\xc3\xa9t\xc3\xa9"; "choice: \xe2\x86\x92 tau2" ]
+  [
+    "sem"; "delay"; ""; "mbox-empty"; "\xc3\xa9t\xc3\xa9";
+    "choice: \xe2\x86\x92 tau2";
+  ]
 
 let gen_string =
   QCheck2.Gen.(
     frequency
       [
         (4, oneofl literals);
-        (2, map (fun s -> String.init (String.length s) (String.get s)) (oneofl literals));
+        (2, map fresh (oneofl literals));
         (1, string_size ~gen:char (int_range 0 6));
       ])
 
-let gen_entry : Sim.Trace.entry QCheck2.Gen.t =
+let gen_entry =
+  let open Sim.Trace in
   let open QCheck2.Gen in
   let i = gen_int and s = gen_string in
   oneof
     [
-      map3 (fun tid job deadline -> Sim.Trace.Job_release { tid; job; deadline }) i i i;
-      map3 (fun tid job response -> Sim.Trace.Job_complete { tid; job; response }) i i i;
-      map3 (fun tid job lateness -> Sim.Trace.Deadline_miss { tid; job; lateness }) i i i;
+      map3 (fun tid job deadline -> Job_release { tid; job; deadline }) i i i;
+      map3 (fun tid job response -> Job_complete { tid; job; response }) i i i;
+      map3 (fun tid job lateness -> Deadline_miss { tid; job; lateness }) i i i;
       map2
-        (fun from_tid to_tid -> Sim.Trace.Context_switch { from_tid; to_tid })
+        (fun from_tid to_tid -> Context_switch { from_tid; to_tid })
         (opt i) (opt i);
-      map2 (fun tid reason -> Sim.Trace.Thread_block { tid; reason }) i s;
-      map (fun tid -> Sim.Trace.Thread_unblock { tid }) i;
-      map2 (fun tid sem -> Sim.Trace.Sem_acquired { tid; sem }) i i;
-      map2 (fun tid sem -> Sim.Trace.Sem_blocked { tid; sem }) i i;
-      map2 (fun tid sem -> Sim.Trace.Sem_released { tid; sem }) i i;
-      map2 (fun holder from_tid -> Sim.Trace.Priority_inherit { holder; from_tid }) i i;
-      map (fun holder -> Sim.Trace.Priority_restore { holder }) i;
-      map2 (fun tid sem -> Sim.Trace.Approach_parked { tid; sem }) i i;
-      map3 (fun tid mailbox words -> Sim.Trace.Msg_sent { tid; mailbox; words }) i i i;
+      map2 (fun tid reason -> Thread_block { tid; reason }) i s;
+      map (fun tid -> Thread_unblock { tid }) i;
+      map2 (fun tid sem -> Sem_acquired { tid; sem }) i i;
+      map2 (fun tid sem -> Sem_blocked { tid; sem }) i i;
+      map2 (fun tid sem -> Sem_released { tid; sem }) i i;
+      map2 (fun holder from_tid -> Priority_inherit { holder; from_tid }) i i;
+      map (fun holder -> Priority_restore { holder }) i;
+      map2 (fun tid sem -> Approach_parked { tid; sem }) i i;
+      map3 (fun tid mailbox words -> Msg_sent { tid; mailbox; words }) i i i;
       map4
         (fun tid mailbox words queued_for ->
-          Sim.Trace.Msg_received { tid; mailbox; words; queued_for })
+          Msg_received { tid; mailbox; words; queued_for })
         i i i i;
-      map3 (fun tid state seq -> Sim.Trace.State_written { tid; state; seq }) i i i;
-      map3 (fun tid state seq -> Sim.Trace.State_read { tid; state; seq }) i i i;
-      map (fun irq -> Sim.Trace.Interrupt { irq }) i;
+      map3 (fun tid state seq -> State_written { tid; state; seq }) i i i;
+      map3 (fun tid state seq -> State_read { tid; state; seq }) i i i;
+      map (fun irq -> Interrupt { irq }) i;
       map2
-        (fun category cost -> Sim.Trace.Overhead { category; cost })
-        (oneofl Sim.Trace.ovh_categories) i;
+        (fun category cost -> Overhead { category; cost })
+        (oneofl ovh_categories) i;
       map4
-        (fun tid job used budget -> Sim.Trace.Budget_overrun { tid; job; used; budget })
+        (fun tid job used budget -> Budget_overrun { tid; job; used; budget })
         i i i i;
-      map2 (fun tid job -> Sim.Trace.Job_killed { tid; job }) i i;
-      map3 (fun tid job reason -> Sim.Trace.Job_shed { tid; job; reason }) i i s;
-      map3 (fun tid pool live -> Sim.Trace.Block_alloc { tid; pool; live }) i i i;
-      map3 (fun tid pool live -> Sim.Trace.Block_free { tid; pool; live }) i i i;
-      map2 (fun tid pool -> Sim.Trace.Pool_oom { tid; pool }) i i;
+      map2 (fun tid job -> Job_killed { tid; job }) i i;
+      map3 (fun tid job reason -> Job_shed { tid; job; reason }) i i s;
+      map3 (fun tid pool live -> Block_alloc { tid; pool; live }) i i i;
+      map3 (fun tid pool live -> Block_free { tid; pool; live }) i i i;
+      map2 (fun tid pool -> Pool_oom { tid; pool }) i i;
       map4
-        (fun tid job pool count -> Sim.Trace.Pool_leak { tid; job; pool; count })
+        (fun tid job pool count -> Pool_leak { tid; job; pool; count })
         i i i i;
       map4
-        (fun tid job live quota -> Sim.Trace.Quota_exceeded { tid; job; live; quota })
+        (fun tid job live quota -> Quota_exceeded { tid; job; live; quota })
         i i i i;
       map3
-        (fun tid job word -> Sim.Trace.Input_word { tid; job; word })
+        (fun tid job word -> Input_word { tid; job; word })
         i i
         (oneof [ int64; oneofl [ Int64.min_int; -1L; 0L; Int64.max_int ] ]);
-      map4 (fun tid pc idx taken -> Sim.Trace.Branch { tid; pc; idx; taken }) i i i bool;
+      map4 (fun tid pc idx taken -> Branch { tid; pc; idx; taken }) i i i bool;
       map4
-        (fun node dir frame_id words -> Sim.Trace.Net_frame { node; dir; frame_id; words })
+        (fun node dir frame_id words ->
+          Net_frame { node; dir; frame_id; words })
         i
-        (oneofl Sim.Trace.[ Tx; Rx; Drop; Corrupt ])
+        (oneofl [ Tx; Rx; Drop; Corrupt ])
         i i;
-      map3 (fun node seq attempt -> Sim.Trace.Net_retry { node; seq; attempt }) i i i;
-      map2 (fun node seq -> Sim.Trace.Net_timeout { node; seq }) i i;
-      map2 (fun frame_id delay -> Sim.Trace.Net_arb { frame_id; delay }) i i;
-      map (fun s -> Sim.Trace.Note s) s;
+      map3 (fun node seq attempt -> Net_retry { node; seq; attempt }) i i i;
+      map2 (fun node seq -> Net_timeout { node; seq }) i i;
+      map2 (fun frame_id delay -> Net_arb { frame_id; delay }) i i;
+      map (fun s -> Note s) s;
     ]
 
 (* A stream drives both stores: events with an [at] step (negative
@@ -446,11 +458,19 @@ let prop_log_matches_reference =
 (* Field [j] of an entry changed (the [j]-th in declaration order; no
    change when the entry has fewer fields). *)
 let mutate j (e : Sim.Trace.entry) : Sim.Trace.entry =
+  let open Sim.Trace in
   let i k v = if k = j then v + 1 else v in
   let s k v = if k = j then v ^ "x" else v in
   let o k v =
     if k <> j then v else match v with None -> Some 0 | Some x -> Some (x + 1)
   in
+  let next_dir = function
+    | Tx -> Rx
+    | Rx -> Drop
+    | Drop -> Corrupt
+    | Corrupt -> Tx
+  in
+  let next_ovh c = List.nth ovh_categories ((ovh_index c + 1) mod ovh_count) in
   match e with
   | Job_release { tid; job; deadline } ->
     Job_release { tid = i 0 tid; job = i 1 job; deadline = i 2 deadline }
@@ -460,7 +480,8 @@ let mutate j (e : Sim.Trace.entry) : Sim.Trace.entry =
     Deadline_miss { tid = i 0 tid; job = i 1 job; lateness = i 2 lateness }
   | Context_switch { from_tid; to_tid } ->
     Context_switch { from_tid = o 0 from_tid; to_tid = o 1 to_tid }
-  | Thread_block { tid; reason } -> Thread_block { tid = i 0 tid; reason = s 1 reason }
+  | Thread_block { tid; reason } ->
+    Thread_block { tid = i 0 tid; reason = s 1 reason }
   | Thread_unblock { tid } -> Thread_unblock { tid = i 0 tid }
   | Sem_acquired { tid; sem } -> Sem_acquired { tid = i 0 tid; sem = i 1 sem }
   | Sem_blocked { tid; sem } -> Sem_blocked { tid = i 0 tid; sem = i 1 sem }
@@ -468,26 +489,32 @@ let mutate j (e : Sim.Trace.entry) : Sim.Trace.entry =
   | Priority_inherit { holder; from_tid } ->
     Priority_inherit { holder = i 0 holder; from_tid = i 1 from_tid }
   | Priority_restore { holder } -> Priority_restore { holder = i 0 holder }
-  | Approach_parked { tid; sem } -> Approach_parked { tid = i 0 tid; sem = i 1 sem }
+  | Approach_parked { tid; sem } ->
+    Approach_parked { tid = i 0 tid; sem = i 1 sem }
   | Msg_sent { tid; mailbox; words } ->
     Msg_sent { tid = i 0 tid; mailbox = i 1 mailbox; words = i 2 words }
   | Msg_received { tid; mailbox; words; queued_for } ->
     Msg_received
-      { tid = i 0 tid; mailbox = i 1 mailbox; words = i 2 words; queued_for = i 3 queued_for }
+      {
+        tid = i 0 tid;
+        mailbox = i 1 mailbox;
+        words = i 2 words;
+        queued_for = i 3 queued_for;
+      }
   | State_written { tid; state; seq } ->
     State_written { tid = i 0 tid; state = i 1 state; seq = i 2 seq }
   | State_read { tid; state; seq } ->
     State_read { tid = i 0 tid; state = i 1 state; seq = i 2 seq }
   | Interrupt { irq } -> Interrupt { irq = i 0 irq }
   | Overhead { category; cost } ->
-    let next = (Sim.Trace.ovh_index category + 1) mod Sim.Trace.ovh_count in
     Overhead
       {
-        category = (if j = 0 then List.nth Sim.Trace.ovh_categories next else category);
+        category = (if j = 0 then next_ovh category else category);
         cost = i 1 cost;
       }
   | Budget_overrun { tid; job; used; budget } ->
-    Budget_overrun { tid = i 0 tid; job = i 1 job; used = i 2 used; budget = i 3 budget }
+    Budget_overrun
+      { tid = i 0 tid; job = i 1 job; used = i 2 used; budget = i 3 budget }
   | Job_killed { tid; job } -> Job_killed { tid = i 0 tid; job = i 1 job }
   | Job_shed { tid; job; reason } ->
     Job_shed { tid = i 0 tid; job = i 1 job; reason = s 2 reason }
@@ -497,33 +524,39 @@ let mutate j (e : Sim.Trace.entry) : Sim.Trace.entry =
     Block_free { tid = i 0 tid; pool = i 1 pool; live = i 2 live }
   | Pool_oom { tid; pool } -> Pool_oom { tid = i 0 tid; pool = i 1 pool }
   | Pool_leak { tid; job; pool; count } ->
-    Pool_leak { tid = i 0 tid; job = i 1 job; pool = i 2 pool; count = i 3 count }
+    Pool_leak
+      { tid = i 0 tid; job = i 1 job; pool = i 2 pool; count = i 3 count }
   | Quota_exceeded { tid; job; live; quota } ->
-    Quota_exceeded { tid = i 0 tid; job = i 1 job; live = i 2 live; quota = i 3 quota }
+    Quota_exceeded
+      { tid = i 0 tid; job = i 1 job; live = i 2 live; quota = i 3 quota }
   | Input_word { tid; job; word } ->
     Input_word
-      { tid = i 0 tid; job = i 1 job; word = (if j = 2 then Int64.succ word else word) }
+      {
+        tid = i 0 tid;
+        job = i 1 job;
+        word = (if j = 2 then Int64.succ word else word);
+      }
   | Branch { tid; pc; idx; taken } ->
     Branch
-      { tid = i 0 tid; pc = i 1 pc; idx = i 2 idx; taken = (if j = 3 then not taken else taken) }
+      {
+        tid = i 0 tid;
+        pc = i 1 pc;
+        idx = i 2 idx;
+        taken = (if j = 3 then not taken else taken);
+      }
   | Net_frame { node; dir; frame_id; words } ->
-    let next = function
-      | Sim.Trace.Tx -> Sim.Trace.Rx
-      | Rx -> Drop
-      | Drop -> Corrupt
-      | Corrupt -> Tx
-    in
     Net_frame
       {
         node = i 0 node;
-        dir = (if j = 1 then next dir else dir);
+        dir = (if j = 1 then next_dir dir else dir);
         frame_id = i 2 frame_id;
         words = i 3 words;
       }
   | Net_retry { node; seq; attempt } ->
     Net_retry { node = i 0 node; seq = i 1 seq; attempt = i 2 attempt }
   | Net_timeout { node; seq } -> Net_timeout { node = i 0 node; seq = i 1 seq }
-  | Net_arb { frame_id; delay } -> Net_arb { frame_id = i 0 frame_id; delay = i 1 delay }
+  | Net_arb { frame_id; delay } ->
+    Net_arb { frame_id = i 0 frame_id; delay = i 1 delay }
   | Note n -> Note (s 0 n)
 
 (* [f] applied to every string of a stream. *)
@@ -553,23 +586,29 @@ let gen_pair =
     let variant =
       frequency
         [
-          (2, return (map_strings (fun s -> String.init (String.length s) (String.get s)) a));
+          (2, return (map_strings fresh a));
           ( 1,
             map
-              (fun lit -> map_strings (fun s -> if s = lit then s ^ "'" else s) a)
+              (fun lit ->
+                map_strings (fun s -> if s = lit then s ^ "'" else s) a)
               (oneofl literals) );
           ( 5,
             map2
               (fun k j ->
+                (* field [j] of event [k]; [j = -1] is its [at] step *)
                 change k (function
-                  | Emit (dt, e) -> if j < 0 then Emit (dt + 1, e) else Emit (dt, mutate j e)
-                  | Record (dt, e) ->
-                    if j < 0 then Record (dt + 1, e) else Record (dt, mutate j e)
+                  | Emit (dt, e) when j < 0 -> Emit (dt + 1, e)
+                  | Emit (dt, e) -> Emit (dt, mutate j e)
+                  | Record (dt, e) when j < 0 -> Record (dt + 1, e)
+                  | Record (dt, e) -> Record (dt, mutate j e)
                   | Ready b -> Ready (not b)
                   | Busy d -> Busy (d + 1)))
               (int_range 0 (max 0 (n - 1)))
               (int_range (-1) 4) );
-          (1, map (fun k -> List.filteri (fun idx _ -> idx < k) a) (int_range 0 n));
+          ( 1,
+            map
+              (fun k -> List.filteri (fun idx _ -> idx < k) a)
+              (int_range 0 n) );
           (1, return (a @ [ Busy 1 ]));
           (1, gen_ops);
         ]
