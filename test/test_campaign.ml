@@ -219,7 +219,7 @@ let test_json_and_text () =
   check bool "text mentions oracles" true (contains text "rta-sim")
 
 (* A host clock stepped back between two reads: the stage duration
-   the driver feeds its histograms is 0, not negative. *)
+   [Driver.run] feeds its histograms is 0, not negative. *)
 let test_clock_step_back () =
   let later = Campaign.Eval.now_us () + 60_000_000 in
   check int "start in the future gives 0" 0 (Campaign.Eval.since_us later);
