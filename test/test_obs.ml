@@ -620,7 +620,9 @@ let test_perfetto_export () =
 
 (* With ?blame, each closed job adds one "C" counter sample, and the
    missed deadline gains a flow arrow labelled with the dominant cause
-   (the seeded inversion's semaphore). *)
+   (the seeded inversion's semaphore).  No CLI output reaches a flow
+   arrow (the flight recorder freezes at the miss, before the late job
+   completes), so the whole export's bytes are pinned here. *)
 let test_perfetto_blame_export () =
   let scenario = Workload.Scenario.inversion_demo () in
   let k =
@@ -635,6 +637,8 @@ let test_perfetto_blame_export () =
     Obs.Export.perfetto ~blame:(Obs.Blame.of_taskset scenario.taskset) events
   in
   check bool "blame perfetto JSON parses" true (json_valid out);
+  check string "bytes pinned" "e46c89e44edcedf0ae9a534e18c17401"
+    (Digest.to_hex (Digest.string out));
   let count pat =
     let p = ref 0 and found = ref 0 in
     let pl = String.length pat in
