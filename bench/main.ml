@@ -318,85 +318,59 @@ let run_benchmarks ~seed ~json_path () =
   | Some path ->
     (* machine-readable per-benchmark ns/op for CI artifacts *)
     let item (name, ns, r2) =
-      let ns =
-        match ns with Some e -> Printf.sprintf "%.1f" e | None -> "null"
-      in
-      let r2 =
-        match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "null"
-      in
-      Printf.sprintf {|{"name":%S,"ns_per_op":%s,"r_square":%s}|} name ns r2
+      let open Util.Json in
+      let num d = Option.fold ~none:Null ~some:(fun x -> Fixed (d, x)) in
+      Obj
+        [ ("name", String name); ("ns_per_op", num 1 ns);
+          ("r_square", num 4 r2) ]
     in
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc
-          ("[" ^ String.concat "," (List.map item rows) ^ "]\n"));
+          (Util.Json.to_string (List (List.map item rows)) ^ "\n"));
     Printf.printf "benchmark JSON written to %s\n\n" path);
   rows
 
 (* ------------------------------------------------------------------ *)
 (* Baseline regression check *)
 
-(* Parser for the JSON this harness itself writes (a flat array of
-   non-nested objects) — the toolchain has no JSON library, so the
-   scanner leans on that shape rather than parsing general JSON. *)
+(* [(name, ns_per_op)] of each entry of a baseline array as [--json]
+   writes it; anything else exits 2. *)
 let parse_baseline path =
+  let fail msg =
+    Printf.eprintf "baseline %s: %s\n" path msg;
+    exit 2
+  in
   let text =
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error e ->
       prerr_endline ("cannot read baseline: " ^ e);
       exit 2
   in
-  let find_sub s pat from =
-    let n = String.length s and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = pat then Some (i + m)
-      else go (i + 1)
-    in
-    go from
+  let entry = function
+    | Util.Json.Obj ms -> (
+      match (List.assoc_opt "name" ms, List.assoc_opt "ns_per_op" ms) with
+      | Some (String name), Some (Fixed (_, ns)) -> (name, Some ns)
+      | Some (String name), Some (Int ns) -> (name, Some (float_of_int ns))
+      | Some (String name), _ -> (name, None)
+      | _ -> fail "an entry has no string \"name\"")
+    | _ -> fail "an entry is not an object"
   in
-  let items = ref [] in
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match find_sub text "{\"name\":\"" !pos with
-    | None -> continue := false
-    | Some name_start -> (
-      match String.index_from_opt text name_start '"' with
-      | None -> continue := false
-      | Some name_end -> (
-        let name = String.sub text name_start (name_end - name_start) in
-        match find_sub text "\"ns_per_op\":" name_end with
-        | None -> continue := false
-        | Some v_start ->
-          let v_end = ref v_start in
-          while
-            !v_end < String.length text
-            && text.[!v_end] <> ','
-            && text.[!v_end] <> '}'
-          do
-            incr v_end
-          done;
-          let v = String.trim (String.sub text v_start (!v_end - v_start)) in
-          items := (name, float_of_string_opt v) :: !items;
-          pos := !v_end))
-  done;
-  List.rev !items
+  match Util.Json.parse text with
+  | Ok (List items) -> List.map entry items
+  | Ok _ -> fail "not a JSON array"
+  | Error e -> fail e
 
 let regression_threshold = 1.25 (* >25% slower than baseline fails *)
 
-let check_against ~baseline_path rows =
-  let base = parse_baseline baseline_path in
-  if base = [] then begin
-    Printf.eprintf "baseline %s holds no benchmark entries\n" baseline_path;
-    exit 2
-  end;
-  let regressions = ref [] in
+let check_against ~baseline_path ~base rows =
+  let regressions = ref [] and compared = ref 0 in
   Printf.printf "regression check vs %s (threshold +%.0f%%):\n" baseline_path
     ((regression_threshold -. 1.) *. 100.);
   List.iter
     (fun (name, ns, _) ->
       match (ns, List.assoc_opt name base) with
       | Some cur, Some (Some b) when b > 0. ->
+        incr compared;
         let pct = ((cur /. b) -. 1.) *. 100. in
         let flag = cur > b *. regression_threshold in
         Printf.printf "  %-34s %10.1f -> %10.1f ns/op  %+6.1f%%%s\n" name b
@@ -410,6 +384,10 @@ let check_against ~baseline_path rows =
         Printf.printf "  %-34s (no baseline entry, skipped)\n" name
       | None, _ -> Printf.printf "  %-34s (no estimate, skipped)\n" name)
     rows;
+  if !compared = 0 then begin
+    Printf.eprintf "no benchmark has an entry in baseline %s\n" baseline_path;
+    exit 2
+  end;
   if !regressions <> [] then begin
     Printf.printf "FAIL: %d benchmark(s) regressed >%.0f%%\n"
       (List.length !regressions)
@@ -452,9 +430,11 @@ let () =
     in
     find argv
   in
-  let check_path =
+  (* the baseline is read before the benchmarks run, so a bad one
+     fails fast *)
+  let baseline =
     let rec find = function
-      | "--check" :: path :: _ -> Some path
+      | "--check" :: path :: _ -> Some (path, parse_baseline path)
       | _ :: tl -> find tl
       | [] -> None
     in
@@ -475,9 +455,9 @@ let () =
     find argv
   in
   let rows = run_benchmarks ~seed ~json_path () in
-  match check_path with
-  | Some path ->
+  match baseline with
+  | Some (path, base) ->
     (* check mode is for CI gating: compare and exit, skip the
        experiment tables *)
-    check_against ~baseline_path:path rows
+    check_against ~baseline_path:path ~base rows
   | None -> run_experiments ~seed ~workloads:(if quick then 8 else 30)

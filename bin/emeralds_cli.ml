@@ -299,8 +299,12 @@ let lint_cmd =
         ( diags,
           fun () ->
             if format = `Json then
-              Printf.printf "{\"scenario\":%S,\"findings\":%s}\n" s.name
-                (Lint.Report.to_json diags)
+              Util.Json.(
+                print_endline
+                  (to_string
+                     (Obj
+                        [ ("scenario", String s.name);
+                          ("findings", Lint.Report.to_json diags) ])))
             else begin
               Printf.printf "==== %s ====\n" s.name;
               print_string (Lint.Report.render diags);
@@ -458,27 +462,28 @@ let check_cmd =
       in
       print_endline (Lint.Sarif.render ~tool_name:"emeralds-mc" results)
     | `Json ->
-      let verdict_fields =
+      let open Util.Json in
+      let verdict =
         match r.verdict with
-        | `Ok -> {|"verdict":"ok"|}
+        | `Ok -> [ ("verdict", String "ok") ]
         | `Violation cex ->
-          Printf.sprintf
-            {|"verdict":"violation","prop":%S,"message":%S,"at_ns":%d,"choices":%d|}
-            cex.prop cex.message cex.at
-            (List.length cex.choices)
+          [ ("verdict", String "violation"); ("prop", String cex.prop);
+            ("message", String cex.message); ("at_ns", Int cex.at);
+            ("choices", Int (List.length cex.choices)) ]
       in
-      let responses =
-        String.concat ","
-          (List.map
-             (fun (t : Mc.Machine.mtask) ->
-               Printf.sprintf {|%S:%d|} t.task_name r.max_response.(t.idx))
-             (Array.to_list m.tasks))
+      let response (t : Mc.Machine.mtask) =
+        (t.task_name, Int r.max_response.(t.idx))
       in
-      Printf.printf
-        {|{"scenario":%S,%s,"expansions":%d,"distinct":%d,"revisits":%d,"por_skipped":%d,"truncated":%b,"jobs":%d,"max_response_ns":{%s}}|}
-        scenario.name verdict_fields r.expansions r.distinct r.revisits
-        r.por_skipped r.truncated r.jobs responses;
-      print_newline ()
+      print_endline
+        (to_string
+           (Obj
+              ((("scenario", String scenario.name) :: verdict)
+              @ [ ("expansions", Int r.expansions);
+                  ("distinct", Int r.distinct); ("revisits", Int r.revisits);
+                  ("por_skipped", Int r.por_skipped);
+                  ("truncated", Bool r.truncated); ("jobs", Int r.jobs);
+                  ( "max_response_ns",
+                    Obj (Array.to_list (Array.map response m.tasks)) ) ])))
     | `Text ->
       Printf.printf
         "%s: %d tasks, horizon %.1fms, properties: %s%s\n"
@@ -964,53 +969,44 @@ let explain_cmd =
           verdicts;
         Buffer.contents buf
       | `Json ->
-        let buf = Buffer.create 2048 in
-        Printf.bprintf buf
-          "{\"scenario\":%S,\"sched\":%S,\"horizon_ms\":%d,\"seed\":%d,\n \
-           \"misses\":%d,\"overruns\":%d,\"kills\":%d,\
-           \"residual_violations\":%d,\n \"tasks\":["
-          preset_name
-          (Emeralds.Sched.spec_name sched)
-          horizon_ms seed misses overruns kills
-          (Obs.Blame.residual_violations blame);
-        List.iteri
-          (fun n (s : Obs.Blame.task_summary) ->
-            let i = s.s_rank in
-            if n > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf
-              "\n  {\"tid\":%d,\"rank\":%d,\"jobs\":%d,\"max_response\":%d,\
-               \"missed\":%b"
-              s.s_id s.s_rank s.s_jobs s.s_max_response
-              (s.s_max_response > (task_of s).deadline);
-            (match statics.rta.(i) with
-            | Some r when bounded i -> Printf.bprintf buf ",\"rta_bound\":%d" r
-            | _ -> ());
-            (match s.s_worst with
-            | Some bd ->
-              let cause, amount = Obs.Blame.dominant bd in
-              Printf.bprintf buf
-                ",\"worst\":{\"job\":%d,\"response\":%d,\"exec\":%d,\
-                 \"backlog\":%d,\"blocking\":%d,\"overhead\":%d,\
-                 \"suspend\":%d,\"gap\":%d,\"residual\":%d,\
-                 \"interference\":["
-                bd.b_job bd.b_response bd.b_exec bd.b_backlog
-                (Obs.Blame.blocking_total bd)
-                (Obs.Blame.overhead_total bd)
-                bd.b_suspend bd.b_gap bd.b_residual;
-              List.iteri
-                (fun m (j, v) ->
-                  if m > 0 then Buffer.add_char buf ',';
-                  Printf.bprintf buf "{\"rank\":%d,\"ns\":%d}" j v)
-                bd.b_interference;
-              Printf.bprintf buf
-                "],\"dominant\":{\"cause\":%S,\"ns\":%d}}"
-                (Obs.Blame.cause_label cause)
-                amount
-            | None -> ());
-            Buffer.add_char buf '}')
-          summaries;
-        Buffer.add_string buf "\n ]}\n";
-        Buffer.contents buf
+        let open Util.Json in
+        let worst (bd : Obs.Blame.breakdown) =
+          let cause, ns = Obs.Blame.dominant bd in
+          let cause = String (Obs.Blame.cause_label cause) in
+          let term (j, v) = Obj [ ("rank", Int j); ("ns", Int v) ] in
+          Obj
+            [ ("job", Int bd.b_job); ("response", Int bd.b_response);
+              ("exec", Int bd.b_exec); ("backlog", Int bd.b_backlog);
+              ("blocking", Int (Obs.Blame.blocking_total bd));
+              ("overhead", Int (Obs.Blame.overhead_total bd));
+              ("suspend", Int bd.b_suspend); ("gap", Int bd.b_gap);
+              ("residual", Int bd.b_residual);
+              ("interference", List (List.map term bd.b_interference));
+              ("dominant", Obj [ ("cause", cause); ("ns", Int ns) ]) ]
+        in
+        let task (s : Obs.Blame.task_summary) =
+          let i = s.s_rank in
+          Obj
+            ([ ("tid", Int s.s_id); ("rank", Int i); ("jobs", Int s.s_jobs);
+               ("max_response", Int s.s_max_response);
+               ("missed", Bool (s.s_max_response > (task_of s).deadline)) ]
+            @ (match statics.rta.(i) with
+              | Some r when bounded i -> [ ("rta_bound", Int r) ]
+              | _ -> [])
+            @ Option.fold s.s_worst ~none:[] ~some:(fun bd ->
+                  [ ("worst", worst bd) ]))
+        in
+        to_string
+          (Obj
+             [ ("scenario", String preset_name);
+               ("sched", String (Emeralds.Sched.spec_name sched));
+               ("horizon_ms", Int horizon_ms); ("seed", Int seed);
+               ("misses", Int misses); ("overruns", Int overruns);
+               ("kills", Int kills);
+               ( "residual_violations",
+                 Int (Obs.Blame.residual_violations blame) );
+               ("tasks", List (List.map task summaries)) ])
+        ^ "\n"
       | `Sarif ->
         let results = ref [] in
         let add rule_id level message logical =
@@ -1225,7 +1221,7 @@ let campaign_cmd =
     in
     (match format with
     | `Sarif -> print_endline (Campaign.Report.to_sarif s)
-    | `Json -> print_string (Campaign.Report.to_json s)
+    | `Json -> print_endline (Campaign.Report.to_json s)
     | `Text -> print_string (Campaign.Report.render_text s));
     if Campaign.Driver.falsifications s > 0 then exit 1
   in

@@ -51,55 +51,35 @@ let pp_text ppf (s : Driver.summary) =
 let render_text s = Format.asprintf "%a" pp_text s
 
 let to_json (s : Driver.summary) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"scenarios\": %d,\n" s.scenarios);
-  Buffer.add_string b
-    (Printf.sprintf "  \"falsifications\": %d,\n" (Driver.falsifications s));
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" s.config.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"ablation\": %S,\n"
-       (Oracle.ablation_name s.config.ablation));
-  Buffer.add_string b
-    (Printf.sprintf "  \"elapsed_s\": %.3f,\n" s.elapsed_s);
-  Buffer.add_string b "  \"per_oracle\": {";
-  List.iteri
-    (fun i (k, n) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "%S: %d" (Oracle.name k) n))
-    s.per_oracle;
-  Buffer.add_string b "},\n";
-  Buffer.add_string b "  \"findings\": [";
-  List.iteri
-    (fun i (r : Driver.report_finding) ->
-      let f = r.finding in
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b "\n    {";
-      Buffer.add_string b
-        (Printf.sprintf "\"oracle\": %S, \"scenario\": %S, \"index\": %d, "
-           (Oracle.name f.oracle) f.scenario f.index);
-      (match f.task with
-      | Some t -> Buffer.add_string b (Printf.sprintf "\"task\": %d, " t)
-      | None -> ());
-      Buffer.add_string b (Printf.sprintf "\"message\": %S" f.message);
-      (match r.shrunk with
-      | Some sh ->
-        Buffer.add_string b
-          (Printf.sprintf
-             ", \"shrunk\": {\"tasks\": [%d, %d], \"segments\": [%d, %d], \
-              \"evals\": %d}"
-             sh.sh_tasks_before sh.sh_tasks_after sh.sh_segs_before
-             sh.sh_segs_after sh.sh_evals)
-      | None -> ());
-      Buffer.add_string b "}")
-    s.findings;
-  if s.findings <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"mc\": {\"expansions\": %d, \"truncated\": %d}\n"
-       s.mc_expansions s.mc_truncated);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let open Util.Json in
+  let finding (r : Driver.report_finding) =
+    let f = r.finding in
+    let pair a b = List [ Int a; Int b ] in
+    Obj
+      ([ ("oracle", String (Oracle.name f.oracle));
+         ("scenario", String f.scenario); ("index", Int f.index) ]
+      @ Option.fold f.task ~none:[] ~some:(fun t -> [ ("task", Int t) ])
+      @ [ ("message", String f.message) ]
+      @ Option.fold r.shrunk ~none:[] ~some:(fun (sh : Driver.shrunk) ->
+            [ ( "shrunk",
+                Obj
+                  [ ("tasks", pair sh.sh_tasks_before sh.sh_tasks_after);
+                    ("segments", pair sh.sh_segs_before sh.sh_segs_after);
+                    ("evals", Int sh.sh_evals) ] ) ]))
+  in
+  to_string
+    (Obj
+       [ ("scenarios", Int s.scenarios);
+         ("falsifications", Int (Driver.falsifications s));
+         ("seed", Int s.config.seed);
+         ("ablation", String (Oracle.ablation_name s.config.ablation));
+         ("elapsed_s", Fixed (3, s.elapsed_s));
+         ( "per_oracle",
+           Obj (List.map (fun (k, n) -> (Oracle.name k, Int n)) s.per_oracle) );
+         ("findings", List (List.map finding s.findings));
+         ( "mc",
+           Obj [ ("expansions", Int s.mc_expansions);
+                 ("truncated", Int s.mc_truncated) ] ) ])
 
 (* SARIF routing: each finding is reported by the tool whose layer the
    falsified claim indicts, so CI annotations land on the right

@@ -227,81 +227,61 @@ let dur ns =
   else if ns <> 0 && ns mod 1_000 = 0 then Printf.sprintf "%dus" (ns / 1_000)
   else Printf.sprintf "%dns" ns
 
-let render_fault = function
+(* Each fault's kind and fields in printing order, shared by the
+   concrete syntax and JSON; a [`Dur] field is a duration. *)
+let fields = function
   | Wcet_scale { tid; pct; from_job } ->
-    if from_job = 1 then Printf.sprintf "wcet-scale:tid=%d,pct=%d" tid pct
-    else Printf.sprintf "wcet-scale:tid=%d,pct=%d,from=%d" tid pct from_job
+    ( "wcet-scale",
+      [ ("tid", `Int tid); ("pct", `Int pct); ("from", `Int from_job) ] )
   | Wcet_add { tid; extra; from_job } ->
-    if from_job = 1 then
-      Printf.sprintf "wcet-add:tid=%d,extra=%s" tid (dur extra)
-    else Printf.sprintf "wcet-add:tid=%d,extra=%s,from=%d" tid (dur extra) from_job
+    ( "wcet-add",
+      [ ("tid", `Int tid); ("extra", `Dur extra); ("from", `Int from_job) ] )
   | Release_jitter { tid; amplitude } ->
-    Printf.sprintf "jitter:tid=%d,amp=%s" tid (dur amplitude)
+    ("jitter", [ ("tid", `Int tid); ("amp", `Dur amplitude) ])
   | Irq_storm { irq; at; count; spacing } ->
-    Printf.sprintf "irq-storm:irq=%d,at=%s,count=%d,spacing=%s" irq (dur at)
-      count (dur spacing)
+    ( "irq-storm",
+      [ ("irq", `Int irq); ("at", `Dur at); ("count", `Int count);
+        ("spacing", `Dur spacing) ] )
   | Irq_drop { irq; one_in } ->
-    Printf.sprintf "irq-drop:irq=%d,one-in=%d" irq one_in
+    ("irq-drop", [ ("irq", `Int irq); ("one-in", `Int one_in) ])
   | Lost_signal { wq; one_in } ->
-    Printf.sprintf "lost-signal:wq=%d,one-in=%d" wq one_in
+    ("lost-signal", [ ("wq", `Int wq); ("one-in", `Int one_in) ])
   | Sporadic_burst { tid; at; count; spacing } ->
-    Printf.sprintf "burst:tid=%d,at=%s,count=%d,spacing=%s" tid (dur at) count
-      (dur spacing)
-  | Clock_drift { ppm } -> Printf.sprintf "drift:ppm=%d" ppm
-  | Frame_drop { one_in } -> Printf.sprintf "frame-drop:one-in=%d" one_in
-  | Frame_corrupt { one_in } ->
-    Printf.sprintf "frame-corrupt:one-in=%d" one_in
+    ( "burst",
+      [ ("tid", `Int tid); ("at", `Dur at); ("count", `Int count);
+        ("spacing", `Dur spacing) ] )
+  | Clock_drift { ppm } -> ("drift", [ ("ppm", `Int ppm) ])
+  | Frame_drop { one_in } -> ("frame-drop", [ ("one-in", `Int one_in) ])
+  | Frame_corrupt { one_in } -> ("frame-corrupt", [ ("one-in", `Int one_in) ])
   | Node_crash { node; at } ->
-    Printf.sprintf "node-crash:node=%d,at=%s" node (dur at)
+    ("node-crash", [ ("node", `Int node); ("at", `Dur at) ])
   | Node_restart { node; at } ->
-    Printf.sprintf "node-restart:node=%d,at=%s" node (dur at)
+    ("node-restart", [ ("node", `Int node); ("at", `Dur at) ])
   | Link_partition { a; b; from_; until } ->
-    Printf.sprintf "link-partition:a=%d,b=%d,from=%s,until=%s" a b (dur from_)
-      (dur until)
+    ( "link-partition",
+      [ ("a", `Int a); ("b", `Int b); ("from", `Dur from_);
+        ("until", `Dur until) ] )
+
+(* the concrete syntax leaves out the default first job, from=1 *)
+let render_fault f =
+  let kind, fs = fields f in
+  let field = function
+    | "from", `Int 1 -> None
+    | k, `Int n -> Some (Printf.sprintf "%s=%d" k n)
+    | k, `Dur ns -> Some (k ^ "=" ^ dur ns)
+  in
+  kind ^ ":" ^ String.concat "," (List.filter_map field fs)
 
 let render t = String.concat ";" (List.map render_fault t)
 
-let json_fault = function
-  | Wcet_scale { tid; pct; from_job } ->
-    Printf.sprintf "{\"kind\":\"wcet-scale\",\"tid\":%d,\"pct\":%d,\"from\":%d}"
-      tid pct from_job
-  | Wcet_add { tid; extra; from_job } ->
-    Printf.sprintf
-      "{\"kind\":\"wcet-add\",\"tid\":%d,\"extra_ns\":%d,\"from\":%d}" tid
-      extra from_job
-  | Release_jitter { tid; amplitude } ->
-    Printf.sprintf "{\"kind\":\"jitter\",\"tid\":%d,\"amp_ns\":%d}" tid
-      amplitude
-  | Irq_storm { irq; at; count; spacing } ->
-    Printf.sprintf
-      "{\"kind\":\"irq-storm\",\"irq\":%d,\"at_ns\":%d,\"count\":%d,\
-       \"spacing_ns\":%d}"
-      irq at count spacing
-  | Irq_drop { irq; one_in } ->
-    Printf.sprintf "{\"kind\":\"irq-drop\",\"irq\":%d,\"one_in\":%d}" irq
-      one_in
-  | Lost_signal { wq; one_in } ->
-    Printf.sprintf "{\"kind\":\"lost-signal\",\"wq\":%d,\"one_in\":%d}" wq
-      one_in
-  | Sporadic_burst { tid; at; count; spacing } ->
-    Printf.sprintf
-      "{\"kind\":\"burst\",\"tid\":%d,\"at_ns\":%d,\"count\":%d,\
-       \"spacing_ns\":%d}"
-      tid at count spacing
-  | Clock_drift { ppm } -> Printf.sprintf "{\"kind\":\"drift\",\"ppm\":%d}" ppm
-  | Frame_drop { one_in } ->
-    Printf.sprintf "{\"kind\":\"frame-drop\",\"one_in\":%d}" one_in
-  | Frame_corrupt { one_in } ->
-    Printf.sprintf "{\"kind\":\"frame-corrupt\",\"one_in\":%d}" one_in
-  | Node_crash { node; at } ->
-    Printf.sprintf "{\"kind\":\"node-crash\",\"node\":%d,\"at_ns\":%d}" node at
-  | Node_restart { node; at } ->
-    Printf.sprintf "{\"kind\":\"node-restart\",\"node\":%d,\"at_ns\":%d}" node
-      at
-  | Link_partition { a; b; from_; until } ->
-    Printf.sprintf
-      "{\"kind\":\"link-partition\",\"a\":%d,\"b\":%d,\"from_ns\":%d,\
-       \"until_ns\":%d}"
-      a b from_ until
+(* JSON keys use '_' for '-' and carry durations as [_ns] *)
+let json_fault f =
+  let kind, fs = fields f in
+  let key = String.map (fun c -> if c = '-' then '_' else c) in
+  let field = function
+    | k, `Int n -> (key k, Util.Json.Int n)
+    | k, `Dur ns -> (k ^ "_ns", Util.Json.Int ns)
+  in
+  Util.Json.(Obj (("kind", String kind) :: List.map field fs))
 
-let to_json t = "[" ^ String.concat "," (List.map json_fault t) ^ "]"
+let to_json t = Util.Json.List (List.map json_fault t)

@@ -97,5 +97,5 @@ val parse : string -> (t, string) result
 val render : t -> string
 (** Canonical concrete syntax; [parse (render p)] = [Ok p]. *)
 
-val to_json : t -> string
+val to_json : t -> Util.Json.t
 (** JSON array of fault objects. *)

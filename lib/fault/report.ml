@@ -275,41 +275,32 @@ let render t =
     t.r_cells;
   Buffer.contents buf
 
-let json_opt = function None -> "null" | Some v -> string_of_int v
+let json_opt = Option.fold ~none:Util.Json.Null ~some:(fun v -> Util.Json.Int v)
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"scenario\":%S,\"sched\":%S,\"seed\":%d,\"horizon_ns\":%d,\
-        \"violations\":%b,\"cells\":["
-       t.r_scenario t.r_sched t.r_seed t.r_horizon (violations t));
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"plan\":%S,\"faults\":%s,\"misses\":%d,\"overruns\":%d,\
-            \"kills\":%d,\"sheds\":%d,\"jobs\":%d,\"first_activation_ns\":%s,\
-            \"first_detection_ns\":%s,\"detection_latency_ns\":%s,\
-            \"matches_baseline\":%b,\"falsified\":[%s]}"
-           c.c_label
-           (Plan.to_json c.c_plan)
-           c.c_misses c.c_overruns c.c_kills c.c_sheds c.c_jobs
-           (json_opt c.c_first_activation)
-           (json_opt c.c_first_detection)
-           (json_opt c.c_detection_latency)
-           c.c_matches_baseline
-           (String.concat ","
-              (List.map
-                 (fun p ->
-                   Printf.sprintf
-                     "{\"source\":%S,\"task\":%d,\"claim\":%S,\"observed\":%S}"
-                     p.p_source p.p_task p.p_claim p.p_observed)
-                 c.c_falsified))))
-    t.r_cells;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Util.Json in
+  let falsified p =
+    Obj [ ("source", String p.p_source); ("task", Int p.p_task);
+          ("claim", String p.p_claim); ("observed", String p.p_observed) ]
+  in
+  let cell c =
+    Obj
+      [ ("plan", String c.c_label); ("faults", Plan.to_json c.c_plan);
+        ("misses", Int c.c_misses); ("overruns", Int c.c_overruns);
+        ("kills", Int c.c_kills); ("sheds", Int c.c_sheds);
+        ("jobs", Int c.c_jobs);
+        ("first_activation_ns", json_opt c.c_first_activation);
+        ("first_detection_ns", json_opt c.c_first_detection);
+        ("detection_latency_ns", json_opt c.c_detection_latency);
+        ("matches_baseline", Bool c.c_matches_baseline);
+        ("falsified", List (List.map falsified c.c_falsified)) ]
+  in
+  to_string
+    (Obj
+       [ ("scenario", String t.r_scenario); ("sched", String t.r_sched);
+         ("seed", Int t.r_seed); ("horizon_ns", Int t.r_horizon);
+         ("violations", Bool (violations t));
+         ("cells", List (List.map cell t.r_cells)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Fabric scoring (pure data; assembled by lib/fabric) *)
@@ -377,19 +368,20 @@ let render_net n =
   Buffer.contents buf
 
 let net_to_json n =
-  Printf.sprintf
-    "{\"nodes\":%d,\"surviving\":%d,\"migrated\":%d,\"shed\":%d,\
-     \"e2e_misses\":%d,\"frames\":%d,\"dropped\":%d,\"corrupt\":%d,\
-     \"retries\":%d,\"timeouts\":%d,\"retry_amplification\":%.3f,\
-     \"bus_utilization\":%.4f,\"detect_latency_ns\":%s,\
-     \"failover_latency_ns\":%s,\"failover_bound_ns\":%s,\"ok\":%b}"
-    n.n_nodes n.n_surviving n.n_migrated n.n_shed n.n_e2e_misses n.n_frames
-    n.n_dropped n.n_corrupt n.n_retries n.n_timeouts n.n_retry_amplification
-    n.n_bus_utilization
-    (json_opt n.n_detect_latency)
-    (json_opt n.n_failover_latency)
-    (json_opt n.n_failover_bound)
-    (net_ok n)
+  Util.Json.(
+    to_string
+      (Obj
+         [ ("nodes", Int n.n_nodes); ("surviving", Int n.n_surviving);
+           ("migrated", Int n.n_migrated); ("shed", Int n.n_shed);
+           ("e2e_misses", Int n.n_e2e_misses); ("frames", Int n.n_frames);
+           ("dropped", Int n.n_dropped); ("corrupt", Int n.n_corrupt);
+           ("retries", Int n.n_retries); ("timeouts", Int n.n_timeouts);
+           ("retry_amplification", Fixed (3, n.n_retry_amplification));
+           ("bus_utilization", Fixed (4, n.n_bus_utilization));
+           ("detect_latency_ns", json_opt n.n_detect_latency);
+           ("failover_latency_ns", json_opt n.n_failover_latency);
+           ("failover_bound_ns", json_opt n.n_failover_bound);
+           ("ok", Bool (net_ok n)) ]))
 
 let net_to_sarif n =
   let fabric = Some "fabric" in

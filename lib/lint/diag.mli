@@ -30,6 +30,5 @@ val compare : t -> t -> int
 val count : severity -> t list -> int
 val errors : t list -> int
 
-val to_json : t -> string
-(** One diagnostic as a JSON object (ASCII messages; OCaml [%S]
-    escaping, which is JSON-compatible for this character set). *)
+val to_json : t -> Util.Json.t
+(** One diagnostic as a JSON object. *)

@@ -64,6 +64,4 @@ let render_blocking ctx =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let to_json diags =
-  let items = List.map Diag.to_json diags in
-  "[" ^ String.concat "," items ^ "]"
+let to_json diags = Util.Json.List (List.map Diag.to_json diags)

@@ -19,5 +19,5 @@ val render_blocking : Ctx.t -> string
     sections, plus the per-rank blocking terms, from
     {!Blocking_terms}. *)
 
-val to_json : Diag.t list -> string
+val to_json : Diag.t list -> Util.Json.t
 (** The findings as a JSON array (see {!Diag.to_json}). *)

@@ -33,41 +33,43 @@ let of_diags diags =
       })
     diags
 
-(* %S escaping is JSON-compatible for the ASCII messages these tools
-   produce (same convention as Diag.to_json). *)
-
 let result_json r =
-  let locations =
-    match r.logical with
-    | None -> ""
-    | Some l ->
-      Printf.sprintf
-        {|,"locations":[{"logicalLocations":[{"fullyQualifiedName":%S}]}]|} l
+  let open Util.Json in
+  let location l =
+    Obj [ ("logicalLocations", List [ Obj [ ("fullyQualifiedName", l) ] ]) ]
   in
-  Printf.sprintf {|{"ruleId":%S,"level":%S,"message":{"text":%S}%s}|}
-    r.rule_id (level_label r.level) r.message locations
+  Obj
+    ([ ("ruleId", String r.rule_id); ("level", String (level_label r.level));
+       ("message", Obj [ ("text", String r.message) ]) ]
+    @ Option.fold r.logical ~none:[] ~some:(fun l ->
+          [ ("locations", List [ location (String l) ]) ]))
 
-let rule_json id = Printf.sprintf {|{"id":%S}|} id
+type run = { tool_name : string; results : result list }
 
-type run = { tool_name : string; tool_version : string; results : result list }
-
-let run ~tool_name ?(tool_version = "0.1") results =
-  { tool_name; tool_version; results }
+let run ~tool_name results = { tool_name; results }
 
 let run_json r =
+  let open Util.Json in
   let rules =
     List.sort_uniq String.compare (List.map (fun x -> x.rule_id) r.results)
+    |> List.map (fun id -> Obj [ ("id", String id) ])
   in
-  Printf.sprintf
-    {|{"tool":{"driver":{"name":%S,"version":%S,"rules":[%s]}},"results":[%s]}|}
-    r.tool_name r.tool_version
-    (String.concat "," (List.map rule_json rules))
-    (String.concat "," (List.map result_json r.results))
+  let driver =
+    Obj [ ("name", String r.tool_name); ("version", String "0.1");
+          ("rules", List rules) ]
+  in
+  Obj
+    [ ("tool", Obj [ ("driver", driver) ]);
+      ("results", List (List.map result_json r.results)) ]
+
+let schema =
+  "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/\
+   sarif-schema-2.1.0.json"
 
 let render_log runs =
-  Printf.sprintf
-    {|{"$schema":"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json","version":"2.1.0","runs":[%s]}|}
-    (String.concat "," (List.map run_json runs))
+  Util.Json.(
+    to_string
+      (Obj [ ("$schema", String schema); ("version", String "2.1.0");
+             ("runs", List (List.map run_json runs)) ]))
 
-let render ~tool_name ?(tool_version = "0.1") results =
-  render_log [ run ~tool_name ~tool_version results ]
+let render ~tool_name results = render_log [ run ~tool_name results ]

@@ -22,17 +22,16 @@ type result = {
 val of_diags : Diag.t list -> result list
 (** Lint diagnostics as SARIF results ([Info] maps to [Note]). *)
 
-type run = { tool_name : string; tool_version : string; results : result list }
-(** One SARIF run: a tool driver plus its results. *)
+type run = { tool_name : string; results : result list }
+(** One SARIF run: a tool driver (version 0.1) plus its results. *)
 
-val run : tool_name:string -> ?tool_version:string -> result list -> run
+val run : tool_name:string -> result list -> run
 
 val render_log : run list -> string
 (** A complete SARIF 2.1.0 log aggregating several tool runs — the
     multi-run shape the campaign uses to report each oracle (lint,
     analyze, check, the differential lattice) as its own run. *)
 
-val render :
-  tool_name:string -> ?tool_version:string -> result list -> string
+val render : tool_name:string -> result list -> string
 (** A complete single-run SARIF 2.1.0 log document; byte-identical to
-    [render_log [run ~tool_name ?tool_version results]]. *)
+    [render_log [run ~tool_name results]]. *)

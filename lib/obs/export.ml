@@ -1,18 +1,11 @@
-let us_of_ns ns = float_of_int ns /. 1_000.0
-
 (* ---- Perfetto / Chrome trace-event JSON ---- *)
 
+(* One event per line for human readers; each event is a compact object. *)
 let perfetto ?blame (events : Sim.Trace.stamped list) =
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let item fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_string buf ",\n ";
-        Buffer.add_string buf s)
-      fmt
-  in
-  Buffer.add_string buf "{\"traceEvents\":[\n ";
+  let open Util.Json in
+  let items = ref [] in
+  let item fields = items := to_string (Obj fields) :: !items in
+  let ts ns = Fixed (3, float_of_int ns /. 1_000.0) in
   (* Blame counter tracks: one "C" sample per closed job carrying the
      component split, plus a flow arrow from each deadline miss to its
      dominant blamer's track.  The attributor replays the same event
@@ -26,15 +19,19 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
     | Some tasks ->
       let b = Blame.create ~tasks () in
       Blame.on_complete b (fun bd ->
-          let ts = us_of_ns !last_ts in
           let interference =
             List.fold_left (fun a (_, v) -> a + v) 0 bd.Blame.b_interference
           in
           item
-            "{\"name\":\"blame tau%d\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"exec\":%d,\"interference\":%d,\"blocking\":%d,\"overhead\":%d,\"backlog\":%d,\"suspend\":%d,\"gap\":%d}}"
-            bd.Blame.b_tid ts bd.Blame.b_exec interference
-            (Blame.blocking_total bd) (Blame.overhead_total bd)
-            bd.Blame.b_backlog bd.Blame.b_suspend bd.Blame.b_gap;
+            [ ("name", String (Printf.sprintf "blame tau%d" bd.Blame.b_tid));
+              ("ph", String "C"); ("ts", ts !last_ts); ("pid", Int 0);
+              ( "args",
+                Obj
+                  [ ("exec", Int bd.b_exec); ("interference", Int interference);
+                    ("blocking", Int (Blame.blocking_total bd));
+                    ("overhead", Int (Blame.overhead_total bd));
+                    ("backlog", Int bd.b_backlog);
+                    ("suspend", Int bd.b_suspend); ("gap", Int bd.b_gap) ] ) ];
           match
             Hashtbl.find_opt pending_miss (bd.Blame.b_tid, bd.Blame.b_job)
           with
@@ -50,13 +47,18 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
                 id
               | _ -> bd.Blame.b_tid
             in
-            let label = "blame: " ^ Blame.cause_label cause in
-            item
-              "{\"name\":%S,\"cat\":\"blame\",\"ph\":\"s\",\"id\":%d,\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"ns\":%d}}"
-              label !flow_seq (us_of_ns miss_ts) blamer_tid amount;
-            item
-              "{\"name\":%S,\"cat\":\"blame\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%.3f,\"pid\":0,\"tid\":%d}"
-              label !flow_seq ts bd.Blame.b_tid);
+            let flow ph rest =
+              item
+                ([ ("name", String ("blame: " ^ Blame.cause_label cause));
+                   ("cat", String "blame"); ("ph", String ph) ]
+                @ rest)
+            in
+            flow "s"
+              [ ("id", Int !flow_seq); ("ts", ts miss_ts); ("pid", Int 0);
+                ("tid", Int blamer_tid); ("args", Obj [ ("ns", Int amount) ]) ];
+            flow "f"
+              [ ("bp", String "e"); ("id", Int !flow_seq); ("ts", ts !last_ts);
+                ("pid", Int 0); ("tid", Int bd.Blame.b_tid) ]);
       Some b
   in
   (* thread-name metadata for every task that appears *)
@@ -68,19 +70,21 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
       events
     |> List.sort_uniq compare
   in
+  let tau tid = String (Printf.sprintf "tau%d" tid) in
   List.iter
     (fun tid ->
       item
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"tau%d\"}}"
-        tid tid)
+        [ ("name", String "thread_name"); ("ph", String "M"); ("pid", Int 0);
+          ("tid", Int tid); ("args", Obj [ ("name", tau tid) ]) ])
     tids;
   let open_slice = ref None in
-  let close_slice ts =
+  let close_slice at =
     match !open_slice with
     | None -> ()
     | Some (tid, _) ->
-      item "{\"name\":\"tau%d\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":0,\"tid\":%d}"
-        tid (us_of_ns ts) tid;
+      item
+        [ ("name", tau tid); ("ph", String "E"); ("ts", ts at); ("pid", Int 0);
+          ("tid", Int tid) ];
       open_slice := None
   in
   List.iter
@@ -97,25 +101,24 @@ let perfetto ?blame (events : Sim.Trace.stamped list) =
         match to_tid with
         | Some tid ->
           item
-            "{\"name\":\"tau%d\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"cat\":\"sched\"}"
-            tid (us_of_ns at) tid;
+            [ ("name", tau tid); ("ph", String "B"); ("ts", ts at);
+              ("pid", Int 0); ("tid", Int tid); ("cat", String "sched") ];
           open_slice := Some (tid, at)
         | None -> ())
       | _ ->
         let kind, tid, detail = Sim.Trace.csv_fields entry in
         let cat = Probe.category_name (Probe.category_of_entry entry) in
-        if tid >= 0 then
-          item
-            "{\"name\":%S,\"ph\":\"i\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"cat\":%S,\"s\":\"t\",\"args\":{\"detail\":%S}}"
-            kind (us_of_ns at) tid cat detail
-        else
-          item
-            "{\"name\":%S,\"ph\":\"i\",\"ts\":%.3f,\"pid\":0,\"tid\":0,\"cat\":%S,\"s\":\"g\",\"args\":{\"detail\":%S}}"
-            kind (us_of_ns at) cat detail)
+        (* a task's instant on its track, any other on the global one *)
+        let tid, scope = if tid >= 0 then (tid, "t") else (0, "g") in
+        item
+          [ ("name", String kind); ("ph", String "i"); ("ts", ts at);
+            ("pid", Int 0); ("tid", Int tid); ("cat", String cat);
+            ("s", String scope); ("args", Obj [ ("detail", String detail) ]) ])
     events;
   close_slice !last_ts;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  "{\"traceEvents\":[\n "
+  ^ String.concat ",\n " (List.rev !items)
+  ^ "\n],\"displayTimeUnit\":\"ms\"}\n"
 
 (* ---- Prometheus text exposition ---- *)
 
@@ -197,58 +200,27 @@ let prometheus (m : Metrics.t) =
 
 (* ---- JSON metrics digest ---- *)
 
-let json_hist buf h =
-  Printf.bprintf buf
-    "{\"count\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"max\":%d}"
-    (Util.Hist.count h)
-    (Util.Hist.quantile h 0.5)
-    (Util.Hist.quantile h 0.95)
-    (Util.Hist.quantile h 0.99)
-    (Util.Hist.max_value h)
+let hist h =
+  let q p = Util.Json.Int (Util.Hist.quantile h p) in
+  Util.Json.(
+    Obj [ ("count", Int (Util.Hist.count h)); ("p50", q 0.5); ("p95", q 0.95);
+          ("p99", q 0.99); ("max", Int (Util.Hist.max_value h)) ])
 
 let metrics_json (m : Metrics.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (kind, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "%S:%d" kind n)
-    (Metrics.counters m);
-  Buffer.add_string buf "},\"response\":{";
-  List.iteri
-    (fun i tid ->
-      match Metrics.response m ~tid with
-      | Some h ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "\"%d\":" tid;
-        json_hist buf h
-      | None -> ())
-    (Metrics.response_tids m);
-  Buffer.add_string buf "},\"blocking\":{";
-  List.iteri
-    (fun i tid ->
-      match Metrics.blocking m ~tid with
-      | Some h ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "\"%d\":" tid;
-        json_hist buf h
-      | None -> ())
-    (Metrics.blocking_tids m);
-  Buffer.add_string buf "}";
-  if Util.Hist.count (Metrics.irq_latency m) > 0 then begin
-    Buffer.add_string buf ",\"irq_latency\":";
-    json_hist buf (Metrics.irq_latency m)
-  end;
-  if Util.Hist.count (Metrics.ready_depth m) > 0 then begin
-    Buffer.add_string buf ",\"ready_depth\":";
-    json_hist buf (Metrics.ready_depth m)
-  end;
-  Buffer.add_string buf ",\"overhead\":{";
-  List.iteri
-    (fun i (cat, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "%S:" cat;
-      json_hist buf h)
-    (Metrics.overhead m);
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+  let open Util.Json in
+  let hists l = Obj (List.map (fun (k, h) -> (k, hist h)) l) in
+  let per_tid tids find =
+    let find tid = Option.map (fun h -> (string_of_int tid, h)) (find m ~tid) in
+    hists (List.filter_map find (tids m))
+  in
+  let nonempty k h = if Util.Hist.count h > 0 then [ (k, hist h) ] else [] in
+  let counters = List.map (fun (k, n) -> (k, Int n)) (Metrics.counters m) in
+  to_string
+    (Obj
+       ([ ("counters", Obj counters);
+          ("response", per_tid Metrics.response_tids Metrics.response);
+          ("blocking", per_tid Metrics.blocking_tids Metrics.blocking) ]
+       @ nonempty "irq_latency" (Metrics.irq_latency m)
+       @ nonempty "ready_depth" (Metrics.ready_depth m)
+       @ [ ("overhead", hists (Metrics.overhead m)) ]))
+  ^ "\n"

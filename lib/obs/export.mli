@@ -1,8 +1,5 @@
-(** Exporters for traces and metrics.
-
-    Everything here is plain string generation — no JSON library is
-    available in the toolchain, so emitters stick to a small, easily
-    validated subset (ASCII, [%S] escaping). *)
+(** Exporters for traces and metrics.  The JSON outputs are built as
+    {!Util.Json.t} values. *)
 
 val perfetto :
   ?blame:(int * Model.Time.t * Model.Time.t) array ->

@@ -482,141 +482,29 @@ let test_flightrec_dump_ends_at_first_overrun () =
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
-(* Minimal JSON syntax checker (no JSON library in the toolchain):
-   accepts exactly the value grammar the exporters can produce. *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n' || s.[!pos] = '\t')
-    do
-      incr pos
-    done
-  in
-  let fail_at = ref None in
-  let error () =
-    if !fail_at = None then fail_at := Some !pos;
-    false
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then (
-      incr pos;
-      true)
-    else error ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_lit ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some 't' -> keyword "true"
-    | Some 'f' -> keyword "false"
-    | Some 'n' -> keyword "null"
-    | _ -> error ()
-  and keyword k =
-    let m = String.length k in
-    if !pos + m <= n && String.sub s !pos m = k then (
-      pos := !pos + m;
-      true)
-    else error ()
-  and number () =
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    !pos > start || error ()
-  and string_lit () =
-    expect '"'
-    &&
-    let fine = ref true and closed = ref false in
-    while !fine && not !closed do
-      if !pos >= n then fine := false
-      else
-        match s.[!pos] with
-        | '"' ->
-          closed := true;
-          incr pos
-        | '\\' -> pos := !pos + 2
-        | c when Char.code c < 0x20 -> fine := false
-        | _ -> incr pos
-    done;
-    !fine || error ()
-  and obj () =
-    expect '{'
-    &&
-    (skip_ws ();
-     if peek () = Some '}' then expect '}'
-     else
-       let ok = ref (member ()) in
-       skip_ws ();
-       while !ok && peek () = Some ',' do
-         incr pos;
-         ok := member ();
-         skip_ws ()
-       done;
-       !ok && expect '}')
-  and member () =
-    skip_ws ();
-    string_lit ()
-    && (skip_ws ();
-        expect ':')
-    && value ()
-  and arr () =
-    expect '['
-    &&
-    (skip_ws ();
-     if peek () = Some ']' then expect ']'
-     else
-       let ok = ref (value ()) in
-       skip_ws ();
-       while !ok && peek () = Some ',' do
-         incr pos;
-         ok := value ();
-         skip_ws ()
-       done;
-       !ok && expect ']')
-  in
-  let ok = value () in
-  skip_ws ();
-  ok && !pos = n
+let parse what s =
+  match Util.Json.parse s with Ok v -> v | Error e -> failf "%s: %s" what e
 
-let test_json_validator_self_check () =
-  check bool "accepts object" true
-    (json_valid {|{"a":[1,2.5,-3e4],"b":"x\"y","c":null}|});
-  check bool "rejects trailing junk" false (json_valid "{}g");
-  check bool "rejects bare comma" false (json_valid "[1,]");
-  check bool "rejects unclosed string" false (json_valid {|{"a":"b}|})
+(* How many events of a Perfetto export have a string field [k] that
+   satisfies [p]. *)
+let count_events out k p =
+  let field_is = function
+    | Util.Json.Obj ms -> (
+      match List.assoc_opt k ms with Some (String v) -> p v | _ -> false)
+    | _ -> false
+  in
+  match parse "perfetto JSON" out with
+  | Obj (("traceEvents", List evs) :: _) ->
+    List.length (List.filter field_is evs)
+  | _ -> fail "no traceEvents array"
 
 let test_perfetto_export () =
   let m, outcome = with_metrics () in
   ignore m;
   let events = Sim.Trace.entries (Emeralds.Kernel.trace outcome.kernel) in
-  let out = Obs.Export.perfetto events in
-  check bool "perfetto JSON parses" true (json_valid out);
-  check bool "has traceEvents" true
-    (String.length out > 20 && String.sub out 0 15 = {|{"traceEvents":|});
-  (* every B has a matching E: count them *)
-  let count pat =
-    let p = ref 0 and found = ref 0 in
-    let pl = String.length pat in
-    while !p + pl <= String.length out do
-      if String.sub out !p pl = pat then incr found;
-      incr p
-    done;
-    !found
-  in
-  check int "balanced slices" (count {|"ph":"B"|}) (count {|"ph":"E"|});
-  check bool "instants present" true (count {|"ph":"i"|} > 0)
+  let ph p = count_events (Obs.Export.perfetto events) "ph" (String.equal p) in
+  check int "balanced slices" (ph "B") (ph "E");
+  check bool "instants present" true (ph "i" > 0)
 
 (* With ?blame, each closed job adds one "C" counter sample, and the
    missed deadline gains a flow arrow labelled with the dominant cause
@@ -636,18 +524,9 @@ let test_perfetto_blame_export () =
   let out =
     Obs.Export.perfetto ~blame:(Obs.Blame.of_taskset scenario.taskset) events
   in
-  check bool "blame perfetto JSON parses" true (json_valid out);
   check string "bytes pinned" "e46c89e44edcedf0ae9a534e18c17401"
     (Digest.to_hex (Digest.string out));
-  let count pat =
-    let p = ref 0 and found = ref 0 in
-    let pl = String.length pat in
-    while !p + pl <= String.length out do
-      if String.sub out !p pl = pat then incr found;
-      incr p
-    done;
-    !found
-  in
+  let ph p = count_events out "ph" (String.equal p) in
   let completions =
     List.length
       (List.filter
@@ -656,17 +535,15 @@ let test_perfetto_blame_export () =
          events)
   in
   check bool "has completions" true (completions > 0);
-  check int "one counter sample per closed job" completions
-    (count {|"ph":"C"|});
-  check int "flow start/finish balanced" (count {|"ph":"s"|})
-    (count {|"ph":"f"|});
-  check bool "miss gains a flow arrow" true (count {|"ph":"s"|} > 0);
+  check int "one counter sample per closed job" completions (ph "C");
+  check int "flow start/finish balanced" (ph "s") (ph "f");
+  check bool "miss gains a flow arrow" true (ph "s" > 0);
   check bool "flow names the blocking semaphore" true
-    (count {|"name":"blame: sem |} > 0)
+    (count_events out "name" (String.starts_with ~prefix:"blame: sem ") > 0)
 
 let test_metrics_json_export () =
   let m, _ = with_metrics () in
-  check bool "metrics JSON parses" true (json_valid (Obs.Export.metrics_json m))
+  ignore (parse "metrics JSON" (Obs.Export.metrics_json m))
 
 (* text/plain 0.0.4: every non-comment line is `name{labels} value` or
    `name value`, name in [a-z0-9_], value an integer here. *)
@@ -871,8 +748,6 @@ let suite =
       test_flightrec_within_envelope;
     test_case "flightrec: overrun-demo dump ends at first overrun" `Quick
       test_flightrec_dump_ends_at_first_overrun;
-    test_case "export: json validator self-check" `Quick
-      test_json_validator_self_check;
     test_case "export: perfetto JSON" `Quick test_perfetto_export;
     test_case "export: perfetto blame tracks" `Quick
       test_perfetto_blame_export;

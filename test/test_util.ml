@@ -1,5 +1,5 @@
 (* Tests for the util substrate: integer math, the deterministic RNG,
-   statistics, the indexed binary heap, and the intrusive list. *)
+   statistics, the indexed binary heap, the intrusive list, and JSON. *)
 
 open Alcotest
 
@@ -269,6 +269,65 @@ let test_tablefmt () =
   check string "cell_f" "1.50" (Util.Tablefmt.cell_f 1.5);
   check string "cell_i" "42" (Util.Tablefmt.cell_i 42)
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+(* Strings mix quotes, backslashes, control and non-ASCII bytes; a
+   Fixed holds a value its decimals print exactly. *)
+let gen_json =
+  let open QCheck2.Gen in
+  let open Util.Json in
+  let byte = oneofl [ 'a'; '"'; '\\'; '\n'; '\001'; '\xc2'; '\xb5' ] in
+  let str = string_size ~gen:byte (int_bound 6) in
+  let fixed d x = Fixed (d, float_of_string (Printf.sprintf "%.*f" d x)) in
+  let leaf =
+    oneof
+      [ pure Null; map (fun b -> Bool b) bool; map (fun i -> Int i) int;
+        map2 fixed (int_range 1 4) (float_range (-1e6) 1e6);
+        map (fun s -> String s) str ]
+  in
+  sized @@ fix (fun self n ->
+    if n <= 1 then leaf
+    else
+      let sub = self (n / 4) and many g = list_size (int_bound 4) g in
+      frequency [ (2, leaf); (1, map (fun l -> List l) (many sub));
+                  (1, map (fun m -> Obj m) (many (pair str sub))) ])
+
+let prop_json_round_trip =
+  qtest "json: parse inverts to_string" gen_json (fun v ->
+      Util.Json.(parse (to_string v)) = Ok v)
+
+let test_json_print () =
+  let open Util.Json in
+  check string "escapes" {|"q\"b\\\u000ac\u0001µ"|}
+    (to_string (String "q\"b\\\nc\001\xc2\xb5"));
+  let nums =
+    [ Int (-1); Fixed (3, 1.5); Fixed (2, 0.025); Fixed (1, nan);
+      Fixed (2, infinity) ]
+  in
+  check string "numbers" {|{"a":[-1,1.500,0.03,null,null],"b":{}}|}
+    (to_string (Obj [ ("a", List nums); ("b", Obj []) ]))
+
+(* The first three inputs are ones the hand-written validator this
+   parser replaced accepted: %S escapes of non-ASCII bytes and a raw
+   control byte in a string. *)
+let test_json_parse () =
+  let open Util.Json in
+  let text =
+    " {\"a\" : [1, -2.50, 3e2, 1E-1],\n\t\"b\":\"\\u00b5\\ud834\\udd1e"
+    ^ {|\/\b\f\n\r\t\"\\"} |}
+  in
+  let a = List [ Int 1; Fixed (2, -2.5); Fixed (0, 3e2); Fixed (0, 0.1) ] in
+  let b = String "\xc2\xb5\xf0\x9d\x84\x9e/\b\012\n\r\t\"\\" in
+  check bool "whitespace, exponents, escapes" true
+    (parse text = Ok (Obj [ ("a", a); ("b", b) ]));
+  List.iter
+    (fun s -> check bool s true (Result.is_error (parse s)))
+    [ {|"\194\181"|}; Printf.sprintf "%S" "caf\xc3\xa9"; "{\"m\":\"tab\001x\"}";
+      "[1,]"; "{}g"; "[1 2]"; "\"abc"; ""; "01"; {|"\ud834"|} ];
+  check (result reject string) "names the offset"
+    (Error "offset 3: expected a value") (parse "[1,]")
+
 let suite =
   [
     test_case "intmath: ceil_div" `Quick test_ceil_div;
@@ -293,4 +352,7 @@ let suite =
     prop_dlist_model;
     test_case "dlist: navigation" `Quick test_dlist_navigation;
     test_case "tablefmt: render" `Quick test_tablefmt;
+    test_case "json: escapes and numbers" `Quick test_json_print;
+    test_case "json: accepts RFC 8259, rejects the rest" `Quick test_json_parse;
+    prop_json_round_trip;
   ]
