@@ -2,8 +2,10 @@
    with short horizons: each run must exit 0, 1 or 2 with no exception
    on stderr, and the subcommands that run the kernel on a scenario's
    programs must refuse a static-only scenario with exit 2, saying so.
-   Flag values the kernel or the model checker would raise on must
-   exit 2 as well.
+   The subcommands that write JSON or SARIF run once more per such
+   format, and a run that exits 0 or 1 must print a document that
+   Util.Json.parse accepts.  Flag values the kernel or the model
+   checker would raise on must exit 2 as well.
 
    Usage: matrix.exe PATH-TO-emeralds_cli.exe *)
 
@@ -25,6 +27,16 @@ let subcommands =
 
 let runs_kernel = [ "inject"; "trace"; "explain" ]
 
+let json_formats =
+  [
+    ("analyze", [ "json"; "sarif" ]);
+    ("lint", [ "json"; "sarif" ]);
+    ("check", [ "json"; "sarif" ]);
+    ("inject", [ "json"; "sarif" ]);
+    ("explain", [ "json"; "sarif" ]);
+    ("trace", [ "json"; "perfetto" ]);
+  ]
+
 let bad_values =
   [
     [ "simulate"; "--random"; "0" ];
@@ -44,39 +56,54 @@ let contains s sub =
 
 let () =
   let cli = Sys.argv.(1) in
+  let out = Filename.temp_file "matrix" ".out" in
   let err = Filename.temp_file "matrix" ".err" in
   let failures = ref 0 in
   let run argv =
     let code =
-      Filename.quote_command cli argv ~stdout:Filename.null ~stderr:err
-      |> Sys.command
+      Filename.quote_command cli argv ~stdout:out ~stderr:err |> Sys.command
     in
-    let stderr = In_channel.with_open_bin err In_channel.input_all in
+    let read file = In_channel.with_open_bin file In_channel.input_all in
+    let stderr = read err in
     let fail why =
       incr failures;
       Printf.printf "FAIL emeralds_cli %s: %s (exit %d)\n%s\n"
         (String.concat " " argv) why code stderr
     in
-    (code, stderr, fail)
+    (code, read out, stderr, fail)
+  in
+  let scenario_run (e : Workload.Scenario.entry) sub args ~json =
+    let code, stdout, stderr, fail =
+      run (sub :: "--preset" :: e.name :: args)
+    in
+    if e.static_only <> None && List.mem sub runs_kernel then begin
+      if code <> 2 || not (contains stderr "static-only") then
+        fail "a static-only scenario must be refused with exit 2"
+    end
+    else if code < 0 || code > 2 then fail "exit code outside {0, 1, 2}"
+    else if contains (String.lowercase_ascii stderr) "exception" then
+      fail "exception on stderr"
+    else if json && code <= 1 then
+      match Util.Json.parse stdout with
+      | Ok _ -> ()
+      | Error e -> fail ("stdout does not parse as JSON: " ^ e)
   in
   List.iter
     (fun (e : Workload.Scenario.entry) ->
       List.iter
         (fun (sub, args) ->
-          let code, stderr, fail = run (sub :: "--preset" :: e.name :: args) in
-          if e.static_only <> None && List.mem sub runs_kernel then begin
-            if code <> 2 || not (contains stderr "static-only") then
-              fail "a static-only scenario must be refused with exit 2"
-          end
-          else if code < 0 || code > 2 then fail "exit code outside {0, 1, 2}"
-          else if contains (String.lowercase_ascii stderr) "exception" then
-            fail "exception on stderr")
+          scenario_run e sub args ~json:false;
+          List.iter
+            (fun fmt ->
+              scenario_run e sub (args @ [ "--format"; fmt ]) ~json:true)
+            (Option.value ~default:[] (List.assoc_opt sub json_formats)))
         subcommands)
     Workload.Scenario.catalog;
   List.iter
     (fun argv ->
-      let code, _, fail = run argv in
+      let code, _, _, fail = run argv in
       if code <> 2 then fail "a bad flag value must exit 2")
     bad_values;
+  Sys.remove out;
   Sys.remove err;
   if !failures > 0 then exit 1
