@@ -225,13 +225,6 @@ type t = {
   (* [last_outgoing_ready] is set by the kernel marking whether the
      thread being switched out was still ready (a preemption). *)
   mutable last_outgoing_ready : bool;
-  (* Per-task response-time histograms indexed by tid, maintained ONLY
-     under [keep = false] so that [responses] can degrade gracefully
-     instead of returning []; with [keep = true] the exact entry log
-     is the source of truth and this array stays empty.  A flat array
-     (not a Hashtbl) because the lookup sits on the per-completion hot
-     path of probe-disabled simulations. *)
-  mutable resp_hists : Util.Hist.t option array;
 }
 
 let create ?(keep_entries = true) () =
@@ -255,7 +248,6 @@ let create ?(keep_entries = true) () =
     sheds = 0;
     busy = 0;
     last_outgoing_ready = false;
-    resp_hists = [||];
   }
 
 (* The aggregate counters of one event.  Builds no stamped record
@@ -273,21 +265,6 @@ let tally t ~at entry =
     t.overhead <- Model.Time.add t.overhead cost;
     let i = ovh_index category in
     t.by_category.(i) <- Model.Time.add t.by_category.(i) cost
-  | Job_complete { tid; response; _ } when (not t.keep) && tid >= 0 ->
-    if tid >= Array.length t.resp_hists then begin
-      let grown = Array.make (max (tid + 1) (2 * Array.length t.resp_hists)) None in
-      Array.blit t.resp_hists 0 grown 0 (Array.length t.resp_hists);
-      t.resp_hists <- grown
-    end;
-    let h =
-      match t.resp_hists.(tid) with
-      | Some h -> h
-      | None ->
-        let h = Util.Hist.create () in
-        t.resp_hists.(tid) <- Some h;
-        h
-    in
-    Util.Hist.observe h response
   | Budget_overrun _ -> t.overruns <- t.overruns + 1
   | Job_killed _ -> t.kills <- t.kills + 1
   | Job_shed _ -> t.sheds <- t.sheds + 1
@@ -724,33 +701,15 @@ let pp_stamped ppf { at; entry } =
   Format.fprintf ppf "%10.3fms  %a" (Model.Time.to_ms_f at) pp_entry entry
 
 let responses t ~tid =
-  if t.keep then begin
-    let acc = ref [] in
-    iter
-      (fun { entry; _ } ->
-        match entry with
-        | Job_complete { tid = t'; response; _ } when t' = tid ->
-          acc := response :: !acc
-        | _ -> ())
-      t;
-    List.rev !acc
-  end
-  else if tid >= 0 && tid < Array.length t.resp_hists then
-    match t.resp_hists.(tid) with
-    | None -> []
-    | Some h -> Util.Hist.samples h
-  else []
-
-let response_hist t ~tid =
-  if t.keep then (
-    let h = Util.Hist.create () in
-    List.iter (Util.Hist.observe h) (responses t ~tid);
-    h)
-  else if tid >= 0 && tid < Array.length t.resp_hists then
-    match t.resp_hists.(tid) with
-    | Some h -> h
-    | None -> Util.Hist.create ()
-  else Util.Hist.create ()
+  let acc = ref [] in
+  iter
+    (fun { entry; _ } ->
+      match entry with
+      | Job_complete { tid = t'; response; _ } when t' = tid ->
+        acc := response :: !acc
+      | _ -> ())
+    t;
+  List.rev !acc
 
 (* [(tid, detail)] of one entry's CSV row; the kind comes from the
    table above. *)

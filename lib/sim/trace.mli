@@ -226,20 +226,9 @@ val pp_stamped : Format.formatter -> stamped -> unit
 (** One entry with its timestamp, as a single line. *)
 
 val responses : t -> tid:int -> Model.Time.t list
-(** Job response times of one task — the raw series for jitter
-    statistics.  With [keep_entries:true] this is the exact
-    chronological series.  Under [keep_entries:false] it no longer
-    returns [] (as it did before the observability layer): a per-task
-    {!Util.Hist} is maintained online in O(1) memory and the result is
-    its sorted re-expansion — same length as the true series, each
-    value a bucket representative within [2 / Util.Hist.sub_buckets]
-    relative error, chronology not preserved. *)
-
-val response_hist : t -> tid:int -> Util.Hist.t
-(** The response-time distribution of one task as a histogram.  Under
-    [keep_entries:false] this is the online histogram itself (O(1)
-    memory); with [keep_entries:true] it is rebuilt from the exact
-    entry list, so both modes agree up to bucket resolution. *)
+(** Job response times of one task in chronological order — the raw
+    series for jitter statistics; [] under [keep_entries:false], where
+    [Obs.Metrics] streams per-task histograms. *)
 
 val to_csv : t -> string
 (** Machine-readable dump: [time_ns,kind,tid,detail] per entry, for

@@ -252,40 +252,15 @@ let test_trace_exhaustive_render () =
       check bool (needle ^ " in timeline") true (contains needle))
     [ "OVERRUN"; "KILL"; "SHED"; "MISS"; "release"; "complete"; "switch" ]
 
-let test_trace_responses_degraded () =
+let test_trace_responses () =
   let exact = [ 120_000; 45_000; 45_000; 3_000_000; 7 ] in
-  let feed tr =
-    List.iteri
-      (fun i r ->
-        Sim.Trace.emit tr ~at:(ms i)
-          (Sim.Trace.Job_complete { tid = 4; job = i; response = r }))
-      exact
-  in
-  (* keep_entries:true — exact chronological series, as before *)
   let kept = Sim.Trace.create () in
-  feed kept;
-  check (list int) "kept: exact order" exact (Sim.Trace.responses kept ~tid:4);
-  (* keep_entries:false — no longer []: bucketed values, same length *)
-  let degraded = Sim.Trace.create ~keep_entries:false () in
-  feed degraded;
-  let got = Sim.Trace.responses degraded ~tid:4 in
-  check int "degraded: same count" (List.length exact) (List.length got);
-  check (list int) "degraded: sorted" (List.sort compare got) got;
-  List.iter2
-    (fun e g ->
-      let tol = 2.0 /. float_of_int Util.Hist.sub_buckets in
-      if abs_float (float_of_int (g - e)) > (tol *. float_of_int e) +. 1.0 then
-        Alcotest.failf "degraded response %d too far from exact %d" g e)
-    (List.sort compare exact)
-    got;
-  check (list int) "degraded: absent task still []" []
-    (Sim.Trace.responses degraded ~tid:9);
-  (* response_hist agrees across modes up to bucketing *)
-  let hk = Sim.Trace.response_hist kept ~tid:4 in
-  let hd = Sim.Trace.response_hist degraded ~tid:4 in
-  check int "hist counts agree" (Util.Hist.count hk) (Util.Hist.count hd);
-  check int "hist max exact in both" (Util.Hist.max_value hk)
-    (Util.Hist.max_value hd)
+  List.iteri
+    (fun i r ->
+      Sim.Trace.emit kept ~at:(ms i)
+        (Sim.Trace.Job_complete { tid = 4; job = i; response = r }))
+    exact;
+  check (list int) "kept: exact order" exact (Sim.Trace.responses kept ~tid:4)
 
 (* ------------------------------------------------------------------ *)
 (* The byte log against the list store it replaced ([Trace_ref]) *)
@@ -629,8 +604,7 @@ let suite =
     test_case "engine: time order" `Quick test_engine_order;
     test_case "trace: every constructor renders" `Quick
       test_trace_exhaustive_render;
-    test_case "trace: responses degrade gracefully" `Quick
-      test_trace_responses_degraded;
+    test_case "trace: responses of a kept trace" `Quick test_trace_responses;
     test_case "trace: csv export" `Quick test_trace_csv;
     test_case "engine: FIFO ties" `Quick test_engine_fifo_ties;
     test_case "engine: cancel" `Quick test_engine_cancel;
