@@ -502,7 +502,8 @@ let test_perfetto_export () =
   let m, outcome = with_metrics () in
   ignore m;
   let events = Sim.Trace.entries (Emeralds.Kernel.trace outcome.kernel) in
-  let ph p = count_events (Obs.Export.perfetto events) "ph" (String.equal p) in
+  let out = Obs.Export.perfetto events in
+  let ph p = count_events out "ph" (String.equal p) in
   check int "balanced slices" (ph "B") (ph "E");
   check bool "instants present" true (ph "i" > 0)
 

@@ -308,9 +308,8 @@ let test_json_print () =
   check string "numbers" {|{"a":[-1,1.500,0.03,null,null],"b":{}}|}
     (to_string (Obj [ ("a", List nums); ("b", Obj []) ]))
 
-(* The first three inputs are ones the hand-written validator this
-   parser replaced accepted: %S escapes of non-ASCII bytes and a raw
-   control byte in a string. *)
+(* The first three rejected inputs are what OCaml's %S makes of
+   non-ASCII bytes, and a raw control byte in a string: not JSON. *)
 let test_json_parse () =
   let open Util.Json in
   let text =
