@@ -352,6 +352,6 @@ let suite =
     test_case "dlist: navigation" `Quick test_dlist_navigation;
     test_case "tablefmt: render" `Quick test_tablefmt;
     test_case "json: escapes and numbers" `Quick test_json_print;
-    test_case "json: accepts RFC 8259, rejects the rest" `Quick test_json_parse;
+    test_case "json: parse accepts only valid JSON" `Quick test_json_parse;
     prop_json_round_trip;
   ]
