@@ -13,7 +13,7 @@ let diverge fmt = Printf.ksprintf (fun s -> raise (Divergence s)) fmt
 let replay m ~props cex =
   let trace = Sim.Trace.create () in
   let emit at e = Sim.Trace.emit trace ~at e in
-  let check = Props.check_state props m in
+  let check = Props.check_changed props m in
   let check_note = Props.check_note props m in
   let rec go st choice choices =
     let e =

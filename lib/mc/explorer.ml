@@ -30,7 +30,7 @@ let check ?(por = true) ?seed ~props ~bounds m =
         Util.Rng.shuffle rng a;
         Array.to_list a
   in
-  let check_state = Props.check_state props m in
+  let check = Props.check_changed props m in
   let check_note = Props.check_note props m in
   let visited = Hashtbl.create 4096 in
   let expansions = ref 0 in
@@ -55,7 +55,7 @@ let check ?(por = true) ?seed ~props ~bounds m =
         incr expansions;
         let choice = match path with ch :: _ -> Some ch | [] -> None in
         let e =
-          Step.expand ~check:check_state ~check_note ?choice
+          Step.expand ~check ~check_note ?choice
             ~horizon:bounds.horizon m st
         in
         List.iter

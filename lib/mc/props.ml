@@ -15,15 +15,16 @@ type probe = {
   mutable d : int;
 }
 
+type check = { reads : State.parts; run : Machine.t -> probe -> string option }
+
 type t = {
   name : string;
   doc : string;
   timing_sensitive : bool;
-  on_state : Machine.t -> probe -> string option;
+  on_state : check list;
   on_note : Machine.t -> at:int -> State.note -> string option;
 }
 
-let no_state _ _ = None
 let no_note _ ~at:_ _ = None
 
 (* Raised by [fail] with the first violated condition's message, which
@@ -31,6 +32,18 @@ let no_note _ ~at:_ _ = None
 exception Failed of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise_notrace (Failed msg)) fmt
+
+(* A check of the probed state by a function that [fail]s. *)
+let failing reads f =
+  {
+    reads;
+    run =
+      (fun m p ->
+        match f m p.st with () -> None | exception Failed msg -> Some msg);
+  }
+
+(* What the cycle search and the inheritance fixpoint read. *)
+let blocking = State.(modes lor sems)
 
 (* --- deadlock -------------------------------------------------------- *)
 
@@ -86,15 +99,23 @@ let deadlock =
     doc = "no circular wait among semaphore holders";
     timing_sensitive = false;
     on_state =
-      (fun m p ->
-        if not (has_cycle p) then None
-        else
-          (* the cycle's tasks only, last walked first *)
-          let names =
-            List.init (p.len - p.cyc_from) (fun k ->
-                m.tasks.(p.path.(p.len - 1 - k)).task_name)
-          in
-          Some (Printf.sprintf "circular wait: %s" (String.concat " -> " names)));
+      [
+        {
+          reads = blocking;
+          run =
+            (fun m p ->
+              if not (has_cycle p) then None
+              else
+                (* the cycle's tasks only, last walked first *)
+                let names =
+                  List.init (p.len - p.cyc_from) (fun k ->
+                      m.tasks.(p.path.(p.len - 1 - k)).task_name)
+                in
+                Some
+                  (Printf.sprintf "circular wait: %s"
+                     (String.concat " -> " names)));
+        };
+      ];
     on_note = no_note;
   }
 
@@ -145,10 +166,16 @@ let pi =
     doc = "effective priorities equal the inheritance fixpoint";
     timing_sensitive = false;
     on_state =
-      (fun m p ->
-        (* the fixpoint is undefined on a circular wait; the deadlock
-           prop owns those *)
-        if has_cycle p then None else pi_scan m p 0);
+      [
+        {
+          reads = blocking;
+          run =
+            (fun m p ->
+              (* the fixpoint is undefined on a circular wait; the
+                 deadlock prop owns those *)
+              if has_cycle p then None else pi_scan m p 0);
+        };
+      ];
     on_note = no_note;
   }
 
@@ -163,12 +190,14 @@ let rec blocked (st : State.t) pred obj i =
   i < Array.length st.tasks
   && (pred obj st.tasks.(i).mode || blocked st pred obj (i + 1))
 
-let check_invariants (m : Machine.t) (st : State.t) =
+let check_runners (_ : Machine.t) (st : State.t) =
   let runners = ref 0 in
   for i = 0 to Array.length st.tasks - 1 do
     match st.tasks.(i).mode with State.Run -> incr runners | _ -> ()
   done;
-  if !runners > 1 then fail "%d tasks running at once" !runners;
+  if !runners > 1 then fail "%d tasks running at once" !runners
+
+let check_objects (m : Machine.t) (st : State.t) =
   for s = 0 to Array.length st.sem_val - 1 do
     let v = st.sem_val.(s) in
     if v < 0 || v > m.sem_initial.(s) then
@@ -203,7 +232,9 @@ let check_invariants (m : Machine.t) (st : State.t) =
   for w = 0 to Array.length st.wq_sig - 1 do
     if st.wq_sig.(w) < 0 then
       fail "wait queue %d pending count %d" m.wq_ids.(w) st.wq_sig.(w)
-  done;
+  done
+
+let check_progress (m : Machine.t) (st : State.t) =
   for i = 0 to Array.length st.tasks - 1 do
     let t = st.tasks.(i) in
     let len = Array.length m.tasks.(i).code in
@@ -218,10 +249,12 @@ let invariants =
     doc = "structural kernel-state invariants hold everywhere";
     timing_sensitive = false;
     on_state =
-      (fun m p ->
-        match check_invariants m p.st with
-        | () -> None
-        | exception Failed msg -> Some msg);
+      State.
+        [
+          failing (modes lor switch) check_runners;
+          failing (modes lor sems lor mailboxes lor waitqs) check_objects;
+          failing progress check_progress;
+        ];
     on_note =
       (fun _ ~at:_ -> function
         | State.Fault msg -> Some msg
@@ -235,7 +268,7 @@ let tear =
     name = "tear";
     doc = "no state-message read is torn by concurrent writes";
     timing_sensitive = false;
-    on_state = no_state;
+    on_state = [];
     on_note =
       (fun m ~at:_ -> function
         | State.Torn { idx; sm; writes } ->
@@ -274,11 +307,7 @@ let mem =
     name = "mem";
     doc = "block pools never over-commit, deny, or leak";
     timing_sensitive = false;
-    on_state =
-      (fun m p ->
-        match check_pools m p.st with
-        | () -> None
-        | exception Failed msg -> Some msg);
+    on_state = [ failing State.(pools lor live) check_pools ];
     on_note =
       (fun m ~at -> function
         | State.Oom { idx; pool } ->
@@ -300,7 +329,7 @@ let deadline =
     name = "deadline";
     doc = "no deadline miss up to the horizon";
     timing_sensitive = true;
-    on_state = no_state;
+    on_state = [];
     on_note =
       (fun m ~at -> function
         | State.Miss { idx } ->
@@ -314,12 +343,22 @@ let all = [ deadlock; pi; invariants; tear; mem; deadline ]
 let names = List.map (fun p -> p.name) all
 let by_name n = List.find_opt (fun p -> p.name = n) all
 
-let rec first_state_failure m p = function
+(* The first failing check, in order, among those that read a changed
+   part. *)
+let rec first_check m p changed = function
+  | [] -> None
+  | c :: rest when c.reads land changed = 0 -> first_check m p changed rest
+  | c :: rest -> (
+    match c.run m p with
+    | None -> first_check m p changed rest
+    | failed -> failed)
+
+let rec first_state_failure m p changed = function
   | [] -> None
   | prop :: rest -> (
-    match prop.on_state m p with
+    match first_check m p changed prop.on_state with
     | Some msg -> Some (prop.name, msg)
-    | None -> first_state_failure m p rest)
+    | None -> first_state_failure m p changed rest)
 
 let empty : State.t =
   {
@@ -334,7 +373,7 @@ let empty : State.t =
     irq_next = [||];
   }
 
-let check_state props m =
+let check_changed props m =
   let p =
     {
       st = empty;
@@ -346,10 +385,14 @@ let check_state props m =
       d = 0;
     }
   in
-  fun st ->
+  fun ~changed st ->
     p.st <- st;
     p.cycle <- Unknown;
-    first_state_failure m p props
+    first_state_failure m p changed props
+
+let check_state props m =
+  let check = check_changed props m in
+  fun st -> check ~changed:State.all st
 
 let rec first_note_failure m ~at n = function
   | [] -> None

@@ -46,6 +46,18 @@ type t = {
   irq_next : nr array;
 }
 
+type parts = int
+
+let modes = 1
+let switch = 2
+let progress = 4
+let live = 8
+let sems = 16
+let mailboxes = 32
+let waitqs = 64
+let pools = 128
+let all = 255
+
 type note =
   | Job_done of { idx : int; response : int }
   | Miss of { idx : int }

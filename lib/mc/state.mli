@@ -76,6 +76,36 @@ type t = {
   irq_next : nr array;
 }
 
+(** The parts of a state that the property probes read ({!Props}), as
+    bits of a change mask: a set of parts is their [lor].  Fields no
+    probe reads ([now], [rel], [next_rel], [pending], [dl_check], the
+    read snapshot, [brs], [sm_seq], [irq_next]) belong to no part. *)
+type parts = int
+
+val modes : parts
+(** Task modes, except a switch between [Ready] and [Run], and the
+    priority fields [eff], [effdl], [dl], [inh] and [held]. *)
+
+val switch : parts
+(** A task switching between [Ready] and [Run]. *)
+
+val progress : parts
+(** Task [pc] and [rem]. *)
+
+val live : parts
+(** The blocks each job holds ([tstate.live]). *)
+
+val sems : parts
+(** Semaphore values and holders. *)
+
+val mailboxes : parts
+val waitqs : parts
+val pools : parts
+
+val all : parts
+(** Every part: what a probe of a state with no passing predecessor is
+    told. *)
+
 (** What a transition segment observed — consumed by properties and
     statistics, never part of the state. *)
 type note =

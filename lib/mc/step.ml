@@ -18,7 +18,15 @@ exception Stop_violation of string * string
 (* Mutable working copy of a state.  [tstate] records stay immutable
    and are replaced wholesale per index, so [thaw] need only copy the
    spine arrays.  Trace entries are built only when [tracing]: an
-   emitter is attached only for counterexample replay. *)
+   emitter is attached only for counterexample replay.
+
+   Besides the state, the ctx keeps facts every micro-step would
+   otherwise rescan: the running task, and — refreshed only when
+   [stale] — the next instant at which a release, timer, interrupt or
+   deadline probe falls due and the number of open arrival windows.
+   [changed] accumulates the parts written since the last passing
+   probe.  [set] and the IRQ-slot writes keep all of these current;
+   the object-array writes [mark] their own part. *)
 type ctx = {
   m : Machine.t;
   mutable now : int;
@@ -33,9 +41,14 @@ type ctx = {
   mutable notes : (int * note) list; (* reversed *)
   tracing : bool;
   trace : int -> Sim.Trace.entry -> unit;
-  check : State.t -> (string * string) option;
+  check : changed:State.parts -> State.t -> (string * string) option;
   check_note : at:int -> note -> (string * string) option;
   mutable view : State.t;
+  mutable running : int; (* the task in [Run], -1 for none *)
+  mutable stale : bool; (* [due] and [windows] need a refresh *)
+  mutable due : int; (* earliest pending instant; [max_int] = none *)
+  mutable windows : int; (* unresolved [Choose] sources *)
+  mutable changed : State.parts;
 }
 
 let no_trace _ _ = ()
@@ -47,6 +60,15 @@ let no_trace _ _ = ()
 let view c =
   if c.view.now <> c.now then c.view <- { c.view with now = c.now };
   c.view
+
+(* The last task in [Run]; a state reached by the crank has at most
+   one. *)
+let find_running (tasks : tstate array) =
+  let r = ref (-1) in
+  for i = 0 to Array.length tasks - 1 do
+    match tasks.(i).mode with Run -> r := i | _ -> ()
+  done;
+  !r
 
 let thaw ?emit ~check ~check_note m (st : State.t) =
   let tasks = Array.copy st.tasks
@@ -85,9 +107,45 @@ let thaw ?emit ~check ~check_note m (st : State.t) =
         pool_occ;
         irq_next;
       };
+    running = find_running tasks;
+    stale = true;
+    due = max_int;
+    windows = 0;
+    changed = State.all;
   }
 
-let set c i t = c.tasks.(i) <- t
+let mark c part = c.changed <- c.changed lor part
+
+let timed = function BDelay _ | BTimed _ -> true | _ -> false
+
+(* Replace task [i]'s record, marking the parts in which the new one
+   differs and keeping the derived facts current.  Lists and modes
+   compare physically: a rebuilt equal value only marks more. *)
+let set c i t =
+  let o = c.tasks.(i) in
+  c.tasks.(i) <- t;
+  if o.mode != t.mode then begin
+    (match (o.mode, t.mode) with
+    | (Ready | Run), (Ready | Run) -> mark c State.switch
+    | _ -> mark c State.modes);
+    (match t.mode with
+    | Run -> c.running <- i
+    | _ -> if c.running = i then c.running <- -1);
+    if timed o.mode || timed t.mode then c.stale <- true
+  end;
+  if
+    o.eff <> t.eff || o.effdl <> t.effdl || o.dl <> t.dl || o.inh != t.inh
+    || o.held != t.held
+  then mark c State.modes;
+  if o.pc <> t.pc || o.rem <> t.rem then mark c State.progress;
+  if o.live != t.live then mark c State.live;
+  if o.next_rel != t.next_rel || o.dl_check <> t.dl_check then
+    c.stale <- true
+
+let set_irq c k nr =
+  c.irq_next.(k) <- nr;
+  c.stale <- true
+
 let tid c i = c.m.tasks.(i).tid
 
 (* Callers guard with [c.tracing], so no entry is built without an
@@ -101,23 +159,15 @@ let note c n =
   | None -> ()
 
 let probe c =
-  match c.check (view c) with
+  match c.check ~changed:c.changed (view c) with
   | Some (p, msg) -> raise (Stop_violation (p, msg))
-  | None -> ()
+  | None -> c.changed <- 0
 
 let job_no c i =
   let mt = c.m.tasks.(i) in
   match mt.release with
   | Machine.Periodic -> ((c.tasks.(i).rel - mt.phase) / mt.period) + 1
   | Machine.Sporadic _ -> 0
-
-(* The running task, -1 for none. *)
-let running c =
-  let r = ref (-1) in
-  for i = 0 to Array.length c.tasks - 1 do
-    match c.tasks.(i).mode with Run -> r := i | _ -> ()
-  done;
-  !r
 
 let rec remove_first (x : int) = function
   | [] -> []
@@ -218,6 +268,7 @@ let job_complete c i =
   List.iter
     (fun (p, n) ->
       c.pool_occ.(p) <- Int.max 0 (c.pool_occ.(p) - n);
+      mark c State.pools;
       note c (Leak { idx = i; pool = p; count = n });
       if c.tracing then
         emit c
@@ -247,7 +298,9 @@ let wake c i =
 
 let do_signal c w =
   match State.wq_waiters c.m (view c) w with
-  | [] -> c.wq_sig.(w) <- c.wq_sig.(w) + 1
+  | [] ->
+    c.wq_sig.(w) <- c.wq_sig.(w) + 1;
+    mark c State.waitqs
   | i :: _ -> wake c i
 
 let do_broadcast c w = List.iter (wake c) (State.wq_waiters c.m (view c) w)
@@ -264,43 +317,80 @@ let deliver_irq c k =
           (Sim.Trace.State_written
              { tid = -1; state = c.m.sm_ids.(smi); seq = c.sm_seq.(smi) }))
     src.wr_sms;
-  c.irq_next.(k) <- Choose (c.now + src.min_ia, c.now + src.max_ia)
+  set_irq c k (Choose (c.now + src.min_ia, c.now + src.max_ia))
+
+(* Recompute the timing facts after a write made them stale: the
+   earliest instant at which a release, timer, interrupt or deadline
+   probe falls due, and the number of open arrival windows. *)
+let refresh c =
+  if c.stale then begin
+    let due = ref max_int and windows = ref 0 in
+    for i = 0 to Array.length c.tasks - 1 do
+      let t = c.tasks.(i) in
+      (match t.next_rel with
+      | At r -> due := Int.min !due r
+      | Choose _ -> incr windows
+      | Never -> ());
+      (match t.mode with
+      | BDelay w -> due := Int.min !due w
+      | BTimed (_, tmo) -> due := Int.min !due tmo
+      | _ -> ());
+      due := Int.min !due t.dl_check
+    done;
+    for k = 0 to Array.length c.irq_next - 1 do
+      match c.irq_next.(k) with
+      | At t -> due := Int.min !due t
+      | Choose _ -> incr windows
+      | Never -> ()
+    done;
+    c.due <- !due;
+    c.windows <- !windows;
+    c.stale <- false
+  end
+
+let next_event_time c =
+  refresh c;
+  c.due
 
 (* Fire everything due at the current instant, in the canonical order
    (releases by rank, then timers, then interrupts by source, then
-   deadline probes).  Idempotent: firing consumes the event. *)
+   deadline probes).  Idempotent: firing consumes the event.  Nothing
+   falls due before [next_event_time], so until then it scans
+   nothing. *)
 let deliver_due c =
-  let n = Array.length c.tasks in
-  for i = 0 to n - 1 do
-    match c.tasks.(i).next_rel with
-    | At r when r <= c.now -> release_task c i
-    | _ -> ()
-  done;
-  for i = 0 to n - 1 do
-    let t = c.tasks.(i) in
-    match t.mode with
-    | BDelay w when w <= c.now ->
-      set c i { t with mode = Ready };
-      if c.tracing then emit c (Sim.Trace.Thread_unblock { tid = tid c i })
-    | BTimed (_, tmo) when tmo <= c.now -> wake c i
-    | _ -> ()
-  done;
-  for k = 0 to Array.length c.irq_next - 1 do
-    match c.irq_next.(k) with
-    | At t when t <= c.now -> deliver_irq c k
-    | _ -> ()
-  done;
-  for i = 0 to n - 1 do
-    let t = c.tasks.(i) in
-    if t.dl_check <= c.now then begin
-      set c i { t with dl_check = max_int };
-      note c (Miss { idx = i });
-      if c.tracing then
-        emit c
-          (Sim.Trace.Deadline_miss
-             { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
-    end
-  done
+  if c.now >= next_event_time c then begin
+    let n = Array.length c.tasks in
+    for i = 0 to n - 1 do
+      match c.tasks.(i).next_rel with
+      | At r when r <= c.now -> release_task c i
+      | _ -> ()
+    done;
+    for i = 0 to n - 1 do
+      let t = c.tasks.(i) in
+      match t.mode with
+      | BDelay w when w <= c.now ->
+        set c i { t with mode = Ready };
+        if c.tracing then emit c (Sim.Trace.Thread_unblock { tid = tid c i })
+      | BTimed (_, tmo) when tmo <= c.now -> wake c i
+      | _ -> ()
+    done;
+    for k = 0 to Array.length c.irq_next - 1 do
+      match c.irq_next.(k) with
+      | At t when t <= c.now -> deliver_irq c k
+      | _ -> ()
+    done;
+    for i = 0 to n - 1 do
+      let t = c.tasks.(i) in
+      if t.dl_check <= c.now then begin
+        set c i { t with dl_check = max_int };
+        note c (Miss { idx = i });
+        if c.tracing then
+          emit c
+            (Sim.Trace.Deadline_miss
+               { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
+      end
+    done
+  end
 
 (* Unresolved arrival windows, canonical order: sporadic tasks first,
    then interrupt sources; [[]] when none is open.  Time may not
@@ -327,23 +417,9 @@ let rec irq_window c k =
     | _ -> irq_window c (k + 1)
 
 let arm_choices c =
-  match task_window c 0 with [] -> irq_window c 0 | cs -> cs
-
-let next_event_time c =
-  let best = ref max_int in
-  for i = 0 to Array.length c.tasks - 1 do
-    let t = c.tasks.(i) in
-    (match t.next_rel with At r -> best := Int.min !best r | _ -> ());
-    (match t.mode with
-    | BDelay w -> best := Int.min !best w
-    | BTimed (_, tmo) -> best := Int.min !best tmo
-    | _ -> ());
-    best := Int.min !best t.dl_check
-  done;
-  for k = 0 to Array.length c.irq_next - 1 do
-    match c.irq_next.(k) with At t -> best := Int.min !best t | _ -> ()
-  done;
-  !best
+  refresh c;
+  if c.windows = 0 then []
+  else match task_window c 0 with [] -> irq_window c 0 | cs -> cs
 
 (* --- dispatch -------------------------------------------------------- *)
 
@@ -371,7 +447,7 @@ let pick c =
   else
     (* the incumbent keeps the CPU on equal keys (no preemption
        without a strictly better key — the kernel behaves the same) *)
-    let r = running c in
+    let r = c.running in
     if r >= 0 && State.dispatch_key c.m st r = !mink then r
     else if !nbest = 1 then !first
     else tie
@@ -393,7 +469,7 @@ let tie_choices c =
   !out
 
 let dispatch c i =
-  let prev = running c in
+  let prev = c.running in
   if prev <> i then begin
     if prev >= 0 then set c prev { (c.tasks.(prev)) with mode = Ready };
     set c i { (c.tasks.(i)) with mode = Run };
@@ -439,6 +515,7 @@ let exec_instr c i ~horizon =
       if c.sem_val.(s) > 0 then begin
         c.sem_val.(s) <- c.sem_val.(s) - 1;
         if c.m.sem_initial.(s) = 1 then c.sem_holder.(s) <- i;
+        mark c State.sems;
         set c i { t with pc = t.pc + 1; held = s :: t.held };
         if c.tracing then
           emit c
@@ -473,14 +550,18 @@ let exec_instr c i ~horizon =
         match State.sem_waiters c.m (view c) s with
         | [] ->
           c.sem_val.(s) <- c.sem_val.(s) + 1;
-          if c.sem_holder.(s) = i then c.sem_holder.(s) <- -1
+          if c.sem_holder.(s) = i then c.sem_holder.(s) <- -1;
+          mark c State.sems
         | w :: rest ->
           (* direct handoff, like the kernel's [sem_release]: the best
              waiter leaves with the unit.  Its rank dominates the
              rank-sorted queue, but a remaining waiter's *deadline*
              component may still be tighter — re-inherit so the new
              holder's effective deadline is the min over the queue. *)
-          if c.m.sem_initial.(s) = 1 then c.sem_holder.(s) <- w;
+          if c.m.sem_initial.(s) = 1 then begin
+            c.sem_holder.(s) <- w;
+            mark c State.sems
+          end;
           let wt = c.tasks.(w) in
           set c w { wt with mode = Ready; pc = wt.pc + 1; held = s :: wt.held };
           if c.tracing then begin
@@ -495,6 +576,7 @@ let exec_instr c i ~horizon =
     | Machine.IWait w ->
       if c.wq_sig.(w) > 0 then begin
         c.wq_sig.(w) <- c.wq_sig.(w) - 1;
+        mark c State.waitqs;
         set c i { t with pc = t.pc + 1 }
       end
       else begin
@@ -506,6 +588,7 @@ let exec_instr c i ~horizon =
     | Machine.ITimed_wait (w, d) ->
       if c.wq_sig.(w) > 0 then begin
         c.wq_sig.(w) <- c.wq_sig.(w) - 1;
+        mark c State.waitqs;
         set c i { t with pc = t.pc + 1 }
       end
       else begin
@@ -539,6 +622,7 @@ let exec_instr c i ~horizon =
       | [] ->
         if c.mb_occ.(b) < c.m.mb_cap.(b) then begin
           c.mb_occ.(b) <- c.mb_occ.(b) + 1;
+          mark c State.mailboxes;
           set c i { t with pc = t.pc + 1 };
           if c.tracing then
             emit c
@@ -554,6 +638,7 @@ let exec_instr c i ~horizon =
     | Machine.IRecv b ->
       if c.mb_occ.(b) > 0 then begin
         c.mb_occ.(b) <- c.mb_occ.(b) - 1;
+        mark c State.mailboxes;
         set c i { t with pc = t.pc + 1 };
         if c.tracing then
           emit c
@@ -563,6 +648,7 @@ let exec_instr c i ~horizon =
         (match State.mb_senders c.m (view c) b with
         | s :: _ ->
           c.mb_occ.(b) <- c.mb_occ.(b) + 1;
+          mark c State.mailboxes;
           wake c s;
           if c.tracing then
             emit c
@@ -618,6 +704,7 @@ let exec_instr c i ~horizon =
     | Machine.IAlloc p ->
       if c.pool_occ.(p) < c.m.pool_cap.(p) then begin
         c.pool_occ.(p) <- c.pool_occ.(p) + 1;
+        mark c State.pools;
         let mine =
           (match List.assoc_opt p t.live with Some n -> n | None -> 0) + 1
         in
@@ -648,6 +735,7 @@ let exec_instr c i ~horizon =
         `Ok
       | Some mine ->
         c.pool_occ.(p) <- c.pool_occ.(p) - 1;
+        mark c State.pools;
         let rest = List.remove_assoc p t.live in
         let live =
           if mine = 1 then rest else List.sort compare ((p, mine - 1) :: rest)
@@ -729,7 +817,7 @@ let commit c choice =
   if c.tracing then
     emit c (Sim.Trace.Note ("choice: " ^ choice_to_string c.m choice));
   match choice with
-  | Arm_irq { src; at } -> c.irq_next.(src) <- At at
+  | Arm_irq { src; at } -> set_irq c src (At at)
   | Arm_task { idx; at } -> set c idx { (c.tasks.(idx)) with next_rel = at }
   | Tie i -> dispatch c i
   | Take_branch { idx; taken } ->
@@ -744,7 +832,7 @@ let commit c choice =
     set c idx
       { t with pc = (if taken then t.pc + 1 else target); brs = t.brs + 1 }
 
-let expand ?emit ?(check = fun _ -> None)
+let expand ?emit ?(check = fun ~changed:_ _ -> None)
     ?(check_note = fun ~at:_ _ -> None) ?choice ~horizon m st =
   let c = thaw ?emit ~check ~check_note m st in
   let next, violation =

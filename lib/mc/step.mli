@@ -17,9 +17,20 @@
     releases by rank, then timers, then interrupts by source — exactly
     as the discrete-event engine's FIFO tie-breaking does), so visited
     pruning at decision points loses no reachable decision states.
-    Property probes run after every micro-step inside the segment, so
-    violations inside a deterministic stretch are still caught at the
-    state where they first hold. *)
+    A property probe runs after every micro-step inside the segment,
+    so violations inside a deterministic stretch are still caught at
+    the state where they first hold.
+
+    A micro-step pays only for what it changed.  The working copy
+    keeps the running task's index, the next instant at which anything
+    falls due and the number of open arrival windows, computed when
+    [expand] copies its parent and refreshed only after a write to a
+    release, a timer, a deadline probe or an interrupt slot; so
+    [running] is O(1), nothing is delivered before that instant, and no
+    window is searched for while none is open.  Each probe is told the
+    {!State.parts} written since the last passing probe, and
+    {!Props.check_changed} re-runs only the checks that read one of
+    them. *)
 
 type choice =
   | Arm_irq of { src : int; at : int }
@@ -44,7 +55,7 @@ type expansion = {
 
 val expand :
   ?emit:(int -> Sim.Trace.entry -> unit) ->
-  ?check:(State.t -> (string * string) option) ->
+  ?check:(changed:State.parts -> State.t -> (string * string) option) ->
   ?check_note:(at:int -> State.note -> (string * string) option) ->
   ?choice:choice ->
   horizon:int ->
@@ -54,9 +65,11 @@ val expand :
 (** Copy the state, commit [choice] (one of the [`Branch] list its
     expansion offered; none for the initial state) and crank to the
     next decision point.  Committing never advances time; the crank
-    does.  [check] probes every intermediate state, [check_note] every
-    emitted note; the first [Some (prop, message)] aborts the crank
-    and surfaces as [violation].  [emit] receives replayable
+    does.  [check] probes every intermediate state, told the parts
+    written since its last passing probe of this expansion (the first
+    probe is told {!State.all}); [check_note] sees every emitted note.
+    The first [Some (prop, message)] aborts the crank and surfaces as
+    [violation].  [emit] receives replayable
     {!Sim.Trace} entries (used by counterexample replay); without it
     no entry is built. *)
 

@@ -471,8 +471,10 @@ let reference_key (m : Mc.Machine.t) (st : Mc.State.t) =
 
 (* Every decision state a bounded depth-first search reaches, revisits
    included; only first visits (by reference key) are expanded.  [check]
-   probes every state the search passes through. *)
-let decision_states ?(check = fun _ -> None) m (bounds : Mc.Explorer.bounds) =
+   probes every state the search passes through; [expanding] is called
+   before each expansion. *)
+let decision_states ?(check = fun ~changed:_ _ -> None) ?(expanding = ignore) m
+    (bounds : Mc.Explorer.bounds) =
   let seen = Hashtbl.create 1024 in
   let out = ref [] and expansions = ref 0 in
   let stack = ref [ (Mc.State.init m, None) ] in
@@ -482,6 +484,7 @@ let decision_states ?(check = fun _ -> None) m (bounds : Mc.Explorer.bounds) =
     | (st, choice) :: rest -> (
       stack := rest;
       incr expansions;
+      expanding ();
       let e = Mc.Step.expand ~check ?choice ~horizon:bounds.horizon m st in
       match e.next with
       | `Leaf -> ()
@@ -527,6 +530,12 @@ let shifted (st : Mc.State.t) =
     irq_next = Array.map nr st.irq_next;
   }
 
+(* A copy of [a] with slot [k] set to [v]. *)
+let with_slot (a : int array) k v =
+  let a = Array.copy a in
+  a.(k) <- v;
+  a
+
 (* States one canonical field away from [st]: reached states seldom
    differ in a single field, so these make sure no field is lost. *)
 let neighbours (st : Mc.State.t) =
@@ -571,6 +580,19 @@ let neighbours (st : Mc.State.t) =
                   { t with mode = BSem s })))
        (Array.to_list st.tasks))
   @ [ { st with now = now + 1 }; shifted st ]
+  (* one object slot each: a semaphore's value and holder, a mailbox's
+     occupancy, a wait queue's count and a pool's occupancy *)
+  @ List.init (Array.length st.sem_val) (fun s ->
+        { st with sem_val = with_slot st.sem_val s (st.sem_val.(s) + 1) })
+  @ List.init (Array.length st.sem_holder) (fun s ->
+        let h = if st.sem_holder.(s) < 0 then 0 else -1 in
+        { st with sem_holder = with_slot st.sem_holder s h })
+  @ List.init (Array.length st.mb_occ) (fun b ->
+        { st with mb_occ = with_slot st.mb_occ b (st.mb_occ.(b) + 1) })
+  @ List.init (Array.length st.wq_sig) (fun w ->
+        { st with wq_sig = with_slot st.wq_sig w (st.wq_sig.(w) - 1) })
+  @ List.init (Array.length st.pool_occ) (fun p ->
+        { st with pool_occ = with_slot st.pool_occ p (st.pool_occ.(p) + 1) })
 
 let key_matches_reference () =
   let pairs = ref 0 and distinct = ref 0 in
@@ -580,7 +602,8 @@ let key_matches_reference () =
          bijection between the two keys' equivalence classes *)
       let to_ref = Hashtbl.create 1024 and to_new = Hashtbl.create 1024 in
       let states =
-        decision_states ~check:(Mc.Props.check_state campaign_props m) m bounds
+        decision_states ~check:(Mc.Props.check_changed campaign_props m) m
+          bounds
       in
       let states =
         states
@@ -691,7 +714,7 @@ let props_match_reference () =
   let violated = Hashtbl.create 8 in
   let run ~every_probe (name, m, bounds) =
     let compare = probe_comparer name m in
-    let check st =
+    let check ~changed:_ st =
       if every_probe then compare st;
       None
     in
@@ -716,6 +739,122 @@ let props_match_reference () =
     (fun p ->
       check (p ^ " fails on some neighbour") true (Hashtbl.mem violated p))
     [ "deadlock"; "pi"; "invariants"; "mem" ]
+
+(* --- the change mask ----------------------------------------------- *)
+
+(* The parts in which two states of one machine differ, field by field
+   with structural equality: the test's own account of
+   [Mc.State.parts]. *)
+let parts_differing (a : Mc.State.t) (b : Mc.State.t) =
+  let open Mc.State in
+  let part p differs = if differs then p else 0 in
+  let task (x : tstate) (y : tstate) =
+    (match (x.mode, y.mode) with
+    | (Ready | Run), (Ready | Run) -> part switch (x.mode <> y.mode)
+    | _ -> part modes (x.mode <> y.mode))
+    lor part modes
+          (x.eff <> y.eff || x.effdl <> y.effdl || x.dl <> y.dl
+          || x.inh <> y.inh || x.held <> y.held)
+    lor part progress (x.pc <> y.pc || x.rem <> y.rem)
+    lor part live (x.live <> y.live)
+  in
+  let tasks = ref 0 in
+  Array.iteri
+    (fun i x -> if x != b.tasks.(i) then tasks := !tasks lor task x b.tasks.(i))
+    a.tasks;
+  !tasks
+  lor part sems (a.sem_val <> b.sem_val || a.sem_holder <> b.sem_holder)
+  lor part mailboxes (a.mb_occ <> b.mb_occ)
+  lor part waitqs (a.wq_sig <> b.wq_sig)
+  lor part pools (a.pool_occ <> b.pool_occ)
+
+(* A probed state outlives its probe: the crank goes on writing the
+   arrays it shares. *)
+let snapshot (st : Mc.State.t) =
+  {
+    st with
+    tasks = Array.copy st.tasks;
+    sem_val = Array.copy st.sem_val;
+    sem_holder = Array.copy st.sem_holder;
+    wq_sig = Array.copy st.wq_sig;
+    mb_occ = Array.copy st.mb_occ;
+    pool_occ = Array.copy st.pool_occ;
+  }
+
+let mask_machines () =
+  List.map
+    (fun (e : Workload.Scenario.entry) -> machine_of_scenario (e.build ()))
+    Workload.Scenario.catalog
+  @ generated_machines ~count:30
+
+(* Every probe of an expansion after its first is told at least the
+   parts in which its state differs from the one the previous probe
+   passed; the first is told every part. *)
+let mask_covers_changes () =
+  let partial = ref 0 in
+  List.iter
+    (fun (name, m, bounds) ->
+      let prev = ref None in
+      let check ~changed st =
+        let st = snapshot st in
+        (match !prev with
+        | None ->
+          if changed <> Mc.State.all then
+            Alcotest.failf "%s: the first probe of an expansion was told %#x"
+              name changed
+        | Some p ->
+          let missed = parts_differing p st land lnot changed in
+          if missed <> 0 then
+            Alcotest.failf "%s at %dns: parts %#x changed, unmarked" name
+              st.now missed;
+          if changed <> Mc.State.all then incr partial);
+        prev := Some st;
+        None
+      in
+      ignore (decision_states ~check ~expanding:(fun () -> prev := None) m bounds))
+    (mask_machines ());
+  check "most probes are told fewer than all parts" true (!partial > 10_000)
+
+(* On a clean decision state's neighbours, the probe told only the
+   parts that differ answers as the full check does, for every
+   property alone and all six.  Each distinct state is taken once. *)
+let partial_probe_exact () =
+  let skipped = ref 0 in
+  List.iter
+    (fun (name, m, bounds) ->
+      let seen = Hashtbl.create 1024 in
+      let probes =
+        List.map
+          (fun ps ->
+            ( List.map (fun (p : Mc.Props.t) -> p.name) ps,
+              Mc.Props.check_changed ps m,
+              Mc.Props.check_state ps m ))
+          prop_sets
+      in
+      let all = Mc.Props.check_state Mc.Props.all m in
+      List.iter
+        (fun st ->
+          let k = Mc.State.key m st in
+          if all st = None && not (Hashtbl.mem seen k) then begin
+            Hashtbl.add seen k ();
+            List.iter
+              (fun n ->
+                let changed = parts_differing st n in
+                if changed <> Mc.State.all then incr skipped;
+                List.iter
+                  (fun (names, partial, full) ->
+                    let got = partial ~changed n and want = full n in
+                    if got <> want then
+                      Alcotest.failf "%s [%s] told %#x: %s, full check %s" name
+                        (String.concat "," names) changed
+                        (Option.fold ~none:"ok" ~some:snd got)
+                        (Option.fold ~none:"ok" ~some:snd want))
+                  probes)
+              (List.filter well_formed (neighbours st))
+          end)
+        (decision_states m bounds))
+    (mask_machines ());
+  check "neighbours were probed in part" true (!skipped > 10_000)
 
 (* --- pruning is pinned ----------------------------------------------- *)
 
@@ -868,4 +1007,8 @@ let suite =
       exploration_golden;
     Alcotest.test_case "EDF and POR exploration counts match the golden record"
       `Quick edf_exploration_golden;
+    Alcotest.test_case "change mask covers every write" `Quick
+      mask_covers_changes;
+    Alcotest.test_case "probe told the changes is exact" `Quick
+      partial_probe_exact;
   ]
