@@ -278,8 +278,9 @@ let report_scenarios ~tool ~format preset report =
 
 let horizon_ms default =
   Arg.(
-    value & opt int default
-    & info [ "horizon-ms" ] ~doc:"Simulation horizon in milliseconds.")
+    value & opt positive default
+    & info [ "horizon-ms" ] ~docv:"MS"
+        ~doc:"Simulation horizon in milliseconds.")
 
 let ring_bytes default =
   Arg.(

@@ -337,19 +337,20 @@ let check_cmd =
   let horizon_ms =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "horizon-ms" ]
+      & opt (some positive) None
+      & info [ "horizon-ms" ] ~docv:"MS"
           ~doc:"Virtual-time bound (default: one hyperperiod).")
   in
   let max_states =
     Arg.(
-      value & opt int 200_000
-      & info [ "max-states" ] ~doc:"Expansion budget.")
+      value & opt positive 200_000
+      & info [ "max-states" ] ~docv:"N" ~doc:"Expansion budget.")
   in
   let max_depth =
     Arg.(
-      value & opt int 10_000
-      & info [ "max-depth" ] ~doc:"Decision-depth budget per path.")
+      value & opt (at_least 0) 10_000
+      & info [ "max-depth" ] ~docv:"N"
+          ~doc:"Decision-depth budget per path.")
   in
   let props =
     let prop =

@@ -40,8 +40,13 @@ let pp_text ppf (s : Driver.summary) =
     s.elapsed_s (pct s.stat_hist 0.5) (pct s.stat_hist 0.95)
     (pct s.sim_hist 0.5) (pct s.sim_hist 0.95) (pct s.mc_hist 0.5)
     (pct s.mc_hist 0.95);
-  Format.fprintf ppf "  mc: %d expansions, %d truncated searches@."
-    s.mc_expansions s.mc_truncated;
+  let mc_s = float_of_int (Util.Hist.sum s.mc_hist) /. 1e6 in
+  Format.fprintf ppf "  mc: %d expansions, %d truncated searches, %.2fs%s@."
+    s.mc_expansions s.mc_truncated mc_s
+    (if mc_s > 0. then
+       Printf.sprintf " (%.0f expansions/s)"
+         (float_of_int s.mc_expansions /. mc_s)
+     else "");
   (match s.metrics with
   | Some m -> Format.fprintf ppf "%a" Obs.Metrics.pp_summary m
   | None -> ());

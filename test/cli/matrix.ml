@@ -45,6 +45,14 @@ let bad_values =
     [ "check"; "--sporadic"; "1:5:2" ];
     [ "check"; "--sporadic"; "99:1:2" ];
     [ "explain"; "--task"; "99" ];
+    (* run lengths and budgets that would check nothing *)
+    [ "simulate"; "--horizon-ms=-5" ];
+    [ "inject"; "--horizon-ms=-5" ];
+    [ "trace"; "--horizon-ms=-5" ];
+    [ "explain"; "--horizon-ms=-5" ];
+    [ "check"; "--preset"; "table2"; "--horizon-ms=-10" ];
+    [ "check"; "--max-states=0" ];
+    [ "check"; "--max-depth=-1" ];
   ]
 
 let contains s sub =

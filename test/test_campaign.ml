@@ -221,7 +221,10 @@ let test_json_and_text () =
   | _ -> fail "the report is not a JSON object");
   let text = Campaign.Report.render_text s in
   check bool "text mentions scenario count" true (contains text "25");
-  check bool "text mentions oracles" true (contains text "rta-sim")
+  check bool "text mentions oracles" true (contains text "rta-sim");
+  check bool "text shows the checker's throughput" true
+    (contains text (Printf.sprintf "mc: %d expansions" s.mc_expansions)
+    && contains text "expansions/s)")
 
 (* A host clock stepped back between two reads: the stage duration
    [Driver.run] feeds its histograms is 0, not negative. *)
