@@ -56,7 +56,9 @@ let sems = 16
 let mailboxes = 32
 let waitqs = 64
 let pools = 128
-let all = 255
+let all =
+  modes lor switch lor progress lor live lor sems lor mailboxes lor waitqs
+  lor pools
 
 type note =
   | Job_done of { idx : int; response : int }

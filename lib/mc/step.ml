@@ -354,43 +354,39 @@ let next_event_time c =
 
 (* Fire everything due at the current instant, in the canonical order
    (releases by rank, then timers, then interrupts by source, then
-   deadline probes).  Idempotent: firing consumes the event.  Nothing
-   falls due before [next_event_time], so until then it scans
-   nothing. *)
+   deadline probes).  Idempotent: firing consumes the event. *)
 let deliver_due c =
-  if c.now >= next_event_time c then begin
-    let n = Array.length c.tasks in
-    for i = 0 to n - 1 do
-      match c.tasks.(i).next_rel with
-      | At r when r <= c.now -> release_task c i
-      | _ -> ()
-    done;
-    for i = 0 to n - 1 do
-      let t = c.tasks.(i) in
-      match t.mode with
-      | BDelay w when w <= c.now ->
-        set c i { t with mode = Ready };
-        if c.tracing then emit c (Sim.Trace.Thread_unblock { tid = tid c i })
-      | BTimed (_, tmo) when tmo <= c.now -> wake c i
-      | _ -> ()
-    done;
-    for k = 0 to Array.length c.irq_next - 1 do
-      match c.irq_next.(k) with
-      | At t when t <= c.now -> deliver_irq c k
-      | _ -> ()
-    done;
-    for i = 0 to n - 1 do
-      let t = c.tasks.(i) in
-      if t.dl_check <= c.now then begin
-        set c i { t with dl_check = max_int };
-        note c (Miss { idx = i });
-        if c.tracing then
-          emit c
-            (Sim.Trace.Deadline_miss
-               { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
-      end
-    done
-  end
+  let n = Array.length c.tasks in
+  for i = 0 to n - 1 do
+    match c.tasks.(i).next_rel with
+    | At r when r <= c.now -> release_task c i
+    | _ -> ()
+  done;
+  for i = 0 to n - 1 do
+    let t = c.tasks.(i) in
+    match t.mode with
+    | BDelay w when w <= c.now ->
+      set c i { t with mode = Ready };
+      if c.tracing then emit c (Sim.Trace.Thread_unblock { tid = tid c i })
+    | BTimed (_, tmo) when tmo <= c.now -> wake c i
+    | _ -> ()
+  done;
+  for k = 0 to Array.length c.irq_next - 1 do
+    match c.irq_next.(k) with
+    | At t when t <= c.now -> deliver_irq c k
+    | _ -> ()
+  done;
+  for i = 0 to n - 1 do
+    let t = c.tasks.(i) in
+    if t.dl_check <= c.now then begin
+      set c i { t with dl_check = max_int };
+      note c (Miss { idx = i });
+      if c.tracing then
+        emit c
+          (Sim.Trace.Deadline_miss
+             { tid = tid c i; job = job_no c i; lateness = c.now - t.dl })
+    end
+  done
 
 (* Unresolved arrival windows, canonical order: sporadic tasks first,
    then interrupt sources; [[]] when none is open.  Time may not
@@ -760,7 +756,8 @@ let rec crank ~horizon c =
   match arm_choices c with
   | _ :: _ as cs -> `Branch cs
   | [] -> (
-    deliver_due c;
+    (* nothing falls due before [next_event_time] *)
+    if c.now >= next_event_time c then deliver_due c;
     match arm_choices c with
     | _ :: _ as cs -> `Branch cs
     | [] ->

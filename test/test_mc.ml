@@ -811,7 +811,8 @@ let mask_covers_changes () =
         prev := Some st;
         None
       in
-      ignore (decision_states ~check ~expanding:(fun () -> prev := None) m bounds))
+      ignore
+        (decision_states ~check ~expanding:(fun () -> prev := None) m bounds))
     (mask_machines ());
   check "most probes are told fewer than all parts" true (!partial > 10_000)
 
@@ -819,7 +820,7 @@ let mask_covers_changes () =
    parts that differ answers as the full check does, for every
    property alone and all six.  Each distinct state is taken once. *)
 let partial_probe_exact () =
-  let skipped = ref 0 in
+  let in_part = ref 0 in
   List.iter
     (fun (name, m, bounds) ->
       let seen = Hashtbl.create 1024 in
@@ -840,7 +841,7 @@ let partial_probe_exact () =
             List.iter
               (fun n ->
                 let changed = parts_differing st n in
-                if changed <> Mc.State.all then incr skipped;
+                if changed <> Mc.State.all then incr in_part;
                 List.iter
                   (fun (names, partial, full) ->
                     let got = partial ~changed n and want = full n in
@@ -854,7 +855,7 @@ let partial_probe_exact () =
           end)
         (decision_states m bounds))
     (mask_machines ());
-  check "neighbours were probed in part" true (!skipped > 10_000)
+  check "neighbours were probed in part" true (!in_part > 10_000)
 
 (* --- pruning is pinned ----------------------------------------------- *)
 
