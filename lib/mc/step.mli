@@ -25,12 +25,12 @@
     keeps the running task's index, the next instant at which anything
     falls due and the number of open arrival windows, computed when
     [expand] copies its parent and refreshed only after a write to a
-    release, a timer, a deadline probe or an interrupt slot; so
-    [running] is O(1), nothing is delivered before that instant, and no
-    window is searched for while none is open.  Each probe is told the
-    {!State.parts} written since the last passing probe, and
-    {!Props.check_changed} re-runs only the checks that read one of
-    them. *)
+    task's next release, timed mode or deadline probe, or to an
+    interrupt slot; so the running task is read in O(1), nothing is
+    delivered before that instant, and no window is searched for while
+    none is open.  Each probe is told the {!State.parts} written since
+    the last passing probe, and {!Props.check_changed} re-runs only the
+    checks that read one of them. *)
 
 type choice =
   | Arm_irq of { src : int; at : int }
@@ -69,9 +69,8 @@ val expand :
     written since its last passing probe of this expansion (the first
     probe is told {!State.all}); [check_note] sees every emitted note.
     The first [Some (prop, message)] aborts the crank and surfaces as
-    [violation].  [emit] receives replayable
-    {!Sim.Trace} entries (used by counterexample replay); without it
-    no entry is built. *)
+    [violation].  [emit] receives replayable {!Sim.Trace} entries
+    (used by counterexample replay); without it no entry is built. *)
 
 val pp_choice : Machine.t -> Format.formatter -> choice -> unit
 val choice_to_string : Machine.t -> choice -> string
