@@ -55,8 +55,7 @@ let check ?(por = true) ?seed ~props ~bounds m =
         incr expansions;
         let choice = match path with ch :: _ -> Some ch | [] -> None in
         let e =
-          Step.expand ~check ~check_note ?choice
-            ~horizon:bounds.horizon m st
+          Step.expand ~check ~check_note ?choice ~horizon:bounds.horizon m st
         in
         List.iter
           (fun (_, n) ->

@@ -17,11 +17,8 @@ type probe
     probe serves a whole search; it allocates nothing while the state
     passes. *)
 
-type check = {
-  reads : State.parts;
-  run : Machine.t -> probe -> string option;
-}
-(** One state check: [Some message] when the state fails it. *)
+type check
+(** One state check of a {!probe}d state, with the parts it reads. *)
 
 type t = {
   name : string;

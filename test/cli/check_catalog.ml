@@ -17,7 +17,9 @@ let () =
             [ "check"; "--preset"; e.name; "--sched"; sched; "--horizon-ms";
               "50"; "--max-states"; "2000"; "--json" ]
           in
-          let code = Sys.command (Filename.quote_command cli argv ~stdout:out) in
+          let code =
+            Sys.command (Filename.quote_command cli argv ~stdout:out)
+          in
           Printf.printf "%s %s exit %d: %s" e.name sched code
             (In_channel.with_open_bin out In_channel.input_all))
         [ "fp"; "edf" ])
