@@ -417,8 +417,11 @@ let check_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:
             "Shuffle the exploration order of each branch's children \
-             (reproducibly). The verdict is order-independent; the search \
-             path and the reported counterexample are not.")
+             (reproducibly). While no bound truncates the search, the \
+             explored states and the verdict are order-independent and \
+             only the search path and the reported counterexample vary; \
+             a truncated search stops at an order-dependent place, so \
+             its counts, worst responses and verdict may vary too.")
   in
   let run (preset : Workload.Scenario.entry) sched horizon_ms max_states
       max_depth props no_por read_span_us sporadic format rta search_seed =

@@ -16,10 +16,13 @@ type result = {
 
 let check ?(por = true) ?seed ~props ~bounds m =
   let por = por && not (List.exists (fun p -> p.Props.timing_sensitive) props) in
-  (* With a seed, each branch's children are pushed in a shuffled order:
-     the visited set makes the explored state space identical, but
-     counterexample search order — and which of several violating
-     traces is found first — varies reproducibly with the seed. *)
+  (* With a seed, each branch's children are pushed in a shuffled order.
+     While no bound cuts the search, the visited set makes the explored
+     state space identical; the counterexample search order — which of
+     several violating traces is found first — varies reproducibly with
+     the seed.  A bound that truncates the search cuts it at a place
+     that depends on the order, so then the space, and the verdict, may
+     differ. *)
   let shuffle =
     match seed with
     | None -> fun cs -> cs
@@ -32,7 +35,7 @@ let check ?(por = true) ?seed ~props ~bounds m =
   in
   let check = Props.check_changed props m in
   let check_note = Props.check_note props m in
-  let visited = Hashtbl.create 4096 in
+  let visited = Visited.create m in
   let expansions = ref 0 in
   let revisits = ref 0 in
   let skipped = ref 0 in
@@ -40,15 +43,16 @@ let check ?(por = true) ?seed ~props ~bounds m =
   let jobs = ref 0 in
   let max_response = Array.make (Machine.n_tasks m) 0 in
   let violation = ref None in
-  (* Explicit DFS stack.  A frame is a parent decision state and the
-     reversed choice path that reaches the child, structurally shared
-     with its siblings: the head is the choice to commit (none for the
-     initial state), so each child is copied once, when expanded. *)
-  let stack = ref [ (State.init m, [], 0) ] in
+  (* Explicit DFS stack.  A frame is a parent decision state, its index
+     vector in the visited set, and the reversed choice path that
+     reaches the child, structurally shared with its siblings: the head
+     is the choice to commit (none for the initial state), so each
+     child is copied once, when expanded. *)
+  let stack = ref [ (State.init m, Visited.root, [], 0) ] in
   while !stack <> [] && !violation = None do
     match !stack with
     | [] -> ()
-    | (st, path, depth) :: rest ->
+    | (st, pvec, path, depth) :: rest ->
       stack := rest;
       if !expansions >= bounds.max_states then truncated := true
       else begin
@@ -81,26 +85,24 @@ let check ?(por = true) ?seed ~props ~bounds m =
           match e.next with
           | `Leaf -> ()
           | `Branch cs ->
-            (* one hash per decision state: a revisit leaves the size as is *)
-            let before = Hashtbl.length visited in
-            Hashtbl.replace visited (State.key m e.state) ();
-            if Hashtbl.length visited = before then incr revisits
-            else if depth >= bounds.max_depth then truncated := true
-            else begin
+            match Visited.visit visited ~parent:st ~pvec e.state with
+            | None -> incr revisits
+            | Some _ when depth >= bounds.max_depth -> truncated := true
+            | Some vec ->
               let cs, sk = if por then Por.reduce m e.state cs else (cs, 0) in
               let cs = shuffle cs in
               skipped := !skipped + sk;
               List.iter
-                (fun ch -> stack := (e.state, ch :: path, depth + 1) :: !stack)
-                cs
-            end)
+                (fun ch ->
+                  stack := (e.state, vec, ch :: path, depth + 1) :: !stack)
+                cs)
       end
   done;
   {
     verdict =
       (match !violation with None -> `Ok | Some cex -> `Violation cex);
     expansions = !expansions;
-    distinct = Hashtbl.length visited;
+    distinct = Visited.length visited;
     revisits = !revisits;
     por_skipped = !skipped;
     truncated = !truncated;

@@ -1,17 +1,18 @@
 (** Bounded depth-first exploration with visited-set pruning.
 
-    States are pruned at decision points using the canonical encoding
-    ({!State.key}): once a decision state has been expanded, every
-    later path reaching it is cut, which is sound because the
-    continuation from a decision state depends only on the state.  The
-    key writes the canonical fields directly into a string (a tag per
-    variant, a length per list, a varint per int); the code is
-    prefix-free, so equal keys mean equal canonical states, and the
-    visited set compares whole keys — a hash collision never merges
-    two states.
-    The search stacks each child as its parent decision state and the
-    choice to commit, so a child state is copied once, when it is
-    expanded.
+    States are pruned at decision points using their canonical
+    encoding: once a decision state has been expanded, every later
+    path reaching it is cut, which is sound because the continuation
+    from a decision state depends only on the state.  The visited set
+    ({!Visited}, one per search) keys a state by the vector of its
+    clock residue and the interned indices of its canonical components
+    — one per task, one for the object arrays, one for the IRQ slots —
+    so equal vectors mean equal {!State.key}s, and a hash collision
+    never merges two states.
+    The search stacks each child as its parent decision state, the
+    parent's index vector and the choice to commit, so a child state
+    is copied once, when it is expanded, and its vector reuses the
+    parent's index for every component that cannot have changed.
     Exploration is bounded three ways — virtual-time horizon, total
     expansions, and decisions per path — and reports whether any bound
     actually truncated it, so "no violation" can be read as "none
@@ -59,8 +60,11 @@ val check :
 
     [seed] shuffles the order in which each branch's children are
     explored (default: the machine's deterministic enumeration order).
-    The visited-set pruning makes the explored state space — and the
-    verdict — independent of the order; what varies reproducibly is
-    the search path, hence which of several violating traces is
-    reported and how many expansions a violating run needs before
-    finding it. *)
+    When no bound truncates the search, the visited-set pruning makes
+    the explored state space — and the verdict — independent of the
+    order; what varies reproducibly is the search path, hence which of
+    several violating traces is reported and how many expansions a
+    violating run needs before finding it.  A bound that truncates the
+    search cuts it at an order-dependent place, so then the explored
+    states, the counts, the worst responses and the verdict may differ
+    between seeds. *)

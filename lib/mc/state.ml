@@ -143,28 +143,40 @@ let mb_senders m st b = blocked_on (function BSend x -> x = b | _ -> false) m st
 let mb_receivers m st b =
   blocked_on (function BRecv x -> x = b | _ -> false) m st
 
-(* Canonical encoding.  All absolute instants become offsets from
-   [now]; the clock survives only as its residue modulo the
-   hyperperiod; state-message sequence numbers survive only as the
-   per-reader write delta (capped at the depth — beyond that the read
-   is torn either way), since nothing else about an unbounded counter
-   affects the future.  Job release times are dropped entirely: they
-   feed only the response-time notes.
+(* Canonical encoding.  The clock survives only as its residue
+   modulo the hyperperiod, and every absolute instant becomes an
+   offset from the hyperperiod base [now - now mod H]: under equal
+   residues [t - base = (t - now) + now mod H], so offsets from the
+   base decide exactly what offsets from [now] would.  State-message
+   sequence numbers survive only as the per-reader write delta (capped
+   at the depth — beyond that the read is torn either way), since
+   nothing else about an unbounded counter affects the future.  Job
+   release times are dropped entirely: they feed only the
+   response-time notes.
 
-   The canonical fields are written straight into one buffer, in a
+   The canonical fields are written in components — one per task, one
+   for the non-IRQ object arrays, one for the IRQ slots — each in a
    fixed order: a tag byte for each variant (followed by only the
    fields that variant carries), a length before each list, and every
    int as a zigzag LEB128 varint.  For one machine the array lengths
-   are fixed, so this code is prefix-free: two keys are equal exactly
-   when the canonical values are.  The task index needs no field — the
-   position carries it. *)
+   are fixed, so each kind of component is a prefix-free code, and so
+   is the key, which is the residue followed by every component: two
+   keys are equal exactly when the canonical values are.  The task
+   index needs no field — the position carries it. *)
 
-let rel_t now t = if t = max_int then max_int else t - now
+let residue (m : Machine.t) st = st.now mod m.hyperperiod
+
+let rel_t base t = if t = max_int then max_int else t - base
 
 (* A scratch byte buffer and its cursor.  Each tag or varint first
    makes room for its longest form (a varint of a 63-bit int is at most
    9 bytes), so its bytes are then written unchecked. *)
 type writer = { mutable buf : Bytes.t; mutable pos : int }
+
+let writer () = { buf = Bytes.create 256; pos = 0 }
+let reset b = b.pos <- 0
+let written b = b.buf
+let length b = b.pos
 
 let grow b =
   let buf = Bytes.create (2 * Bytes.length b.buf) in
@@ -208,17 +220,19 @@ let add_array b a =
     add_int b a.(i)
   done
 
-let add_nr b now = function
+(* An unresolved window is clamped to [now], so it is the one field
+   whose offset moves with the clock inside a hyperperiod. *)
+let add_nr b ~now ~base = function
   | At t ->
     add_tag b 0;
-    add_int b (t - now)
+    add_int b (t - base)
   | Never -> add_tag b 1
   | Choose (lo, hi) ->
     add_tag b 2;
-    add_int b (Int.max lo now - now);
-    add_int b (Int.max hi now - now)
+    add_int b (Int.max lo now - base);
+    add_int b (Int.max hi now - base)
 
-let add_mode b now = function
+let add_mode b base = function
   | Idle -> add_tag b 0
   | Ready -> add_tag b 1
   | Run -> add_tag b 2
@@ -231,10 +245,10 @@ let add_mode b now = function
   | BTimed (w, t) ->
     add_tag b 5;
     add_int b w;
-    add_int b (t - now)
+    add_int b (t - base)
   | BDelay t ->
     add_tag b 6;
-    add_int b (t - now)
+    add_int b (t - base)
   | BSend x ->
     add_tag b 7;
     add_int b x
@@ -242,21 +256,20 @@ let add_mode b now = function
     add_tag b 8;
     add_int b x
 
-let add_task b (m : Machine.t) st (t : tstate) =
-  let now = st.now in
-  add_mode b now t.mode;
+let write_task b (m : Machine.t) st ~base (t : tstate) =
+  add_mode b base t.mode;
   add_int b t.pc;
   add_int b t.rem;
-  add_int b (rel_t now t.dl);
-  add_int b (rel_t now t.effdl);
+  add_int b (rel_t base t.dl);
+  add_int b (rel_t base t.effdl);
   add_int b t.eff;
   add_tag b (Bool.to_int t.inh);
   add_len b t.held;
   add_ints b ~off:0 t.held;
-  add_nr b now t.next_rel;
+  add_nr b ~now:st.now ~base t.next_rel;
   add_len b t.pending;
-  add_ints b ~off:now t.pending;
-  add_int b (rel_t now t.dl_check);
+  add_ints b ~off:base t.pending;
+  add_int b (rel_t base t.dl_check);
   add_int b t.read_sm;
   add_int b
     (if t.read_sm < 0 then -1
@@ -264,23 +277,31 @@ let add_task b (m : Machine.t) st (t : tstate) =
   add_len b t.live;
   add_pairs b t.live
 
-(* One scratch buffer per domain, so the key string is the only
-   allocation. *)
-let scratch = Domain.DLS.new_key (fun () -> { buf = Bytes.create 256; pos = 0 })
-
-let key (m : Machine.t) st =
-  let b = Domain.DLS.get scratch in
-  b.pos <- 0;
-  add_int b (st.now mod m.hyperperiod);
-  for i = 0 to Array.length st.tasks - 1 do
-    add_task b m st st.tasks.(i)
-  done;
+let write_objects b st =
   add_array b st.sem_val;
   add_array b st.sem_holder;
   add_array b st.wq_sig;
   add_array b st.mb_occ;
-  add_array b st.pool_occ;
+  add_array b st.pool_occ
+
+let write_irqs b st ~base =
   for k = 0 to Array.length st.irq_next - 1 do
-    add_nr b st.now st.irq_next.(k)
+    add_nr b ~now:st.now ~base st.irq_next.(k)
+  done
+
+(* One scratch buffer per domain, so the key string is the only
+   allocation. *)
+let scratch = Domain.DLS.new_key writer
+
+let key (m : Machine.t) st =
+  let b = Domain.DLS.get scratch in
+  b.pos <- 0;
+  let r = residue m st in
+  add_int b r;
+  let base = st.now - r in
+  for i = 0 to Array.length st.tasks - 1 do
+    write_task b m st ~base st.tasks.(i)
   done;
+  write_objects b st;
+  write_irqs b st ~base;
   Bytes.sub_string b.buf 0 b.pos

@@ -12,13 +12,17 @@
     differs only in its best-seen response must hash equal or pruning
     collapses).
 
-    The canonical encoding rebases every absolute instant to the
-    current virtual time and keeps only the clock's residue modulo the
-    hyperperiod, so states one hyperperiod apart with identical futures
-    coincide.  The key writes the canonical fields directly as tagged,
-    length-prefixed varints; the encoding is prefix-free for a given
-    machine, so keys are equal exactly when the canonical values are —
-    pruning never suffers hash-collision unsoundness. *)
+    The canonical encoding keeps only the clock's residue modulo the
+    hyperperiod and writes every absolute instant as an offset from
+    the hyperperiod base [now - now mod H], so states one hyperperiod
+    apart with identical futures coincide.  It is written in
+    components — one per task, one for the non-IRQ object arrays, one
+    for the IRQ slots — as tagged, length-prefixed varints; each kind
+    of component is prefix-free for a given machine.  {!key} is the
+    residue followed by every component, so keys are equal exactly
+    when the canonical values are — pruning never suffers
+    hash-collision unsoundness.  {!Visited} interns the components
+    separately and keys a state by the vector of their indices. *)
 
 (** Next arrival of a release or interrupt source. *)
 type nr =
@@ -126,9 +130,43 @@ val init : Machine.t -> t
     interrupt sources start [Choose]-unresolved. *)
 
 val key : Machine.t -> t -> string
-(** Canonical encoding for the visited set.  Exact among the states of
-    one machine: two keys are equal iff the states agree on every
-    canonical field. *)
+(** Canonical encoding for the visited set: the {!residue}, then
+    {!write_task} for every task in index order, {!write_objects} and
+    {!write_irqs}, all from the state's hyperperiod base.  Exact among
+    the states of one machine: two keys are equal iff the states agree
+    on every canonical field. *)
+
+(** {2 Components of the key} *)
+
+val residue : Machine.t -> t -> int
+(** [now mod hyperperiod]; the state's hyperperiod base is [now]
+    minus it. *)
+
+type writer
+(** A growable scratch buffer that components are written into. *)
+
+val writer : unit -> writer
+val reset : writer -> unit
+
+val written : writer -> Bytes.t
+(** The buffer; its first {!length} bytes are the ones written since
+    the last {!reset}.  Valid until the next write. *)
+
+val length : writer -> int
+
+val write_task : writer -> Machine.t -> t -> base:int -> tstate -> unit
+(** A task's canonical fields, instants as offsets from [base].  The
+    bytes depend on the record and [base], and on two parts of the
+    state besides: [now] while [next_rel] is an unresolved [Choose]
+    (its window is clamped to the clock), and the state message's
+    sequence number while the task is mid-read ([read_sm >= 0]). *)
+
+val write_objects : writer -> t -> unit
+(** Semaphore values and holders, wait-queue signal counts, mailbox
+    and pool occupancy.  No instant, so no base. *)
+
+val write_irqs : writer -> t -> base:int -> unit
+(** Every interrupt source's next arrival, as offsets from [base]. *)
 
 val dispatch_key : Machine.t -> t -> int -> int
 (** The scheduler ordering key of a task: [eff] under FP, [effdl] under

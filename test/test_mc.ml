@@ -414,6 +414,37 @@ let campaign_machines ~count =
     [ "table2"; "engine"; "branchy" ]
   @ generated_machines ~count
 
+(* The catalog's scenarios and the first 30 generated ones. *)
+let mask_machines () =
+  List.map
+    (fun (e : Workload.Scenario.entry) -> machine_of_scenario (e.build ()))
+    Workload.Scenario.catalog
+  @ generated_machines ~count:30
+
+(* [mask_machines], and the engine twice more: with a 3 ms copy span
+   on its state-message reads, so tasks sit mid-read at decision
+   states, and with tau2 sporadic, so a task's next release sits in an
+   unresolved window. *)
+let key_machines () =
+  let engine = Option.get (Workload.Scenario.make "engine") in
+  let period tid =
+    (Option.get
+       (Array.find_opt
+          (fun (t : Model.Task.t) -> t.id = tid)
+          (Model.Taskset.tasks engine.taskset)))
+      .period
+  in
+  let variant name m = (name, m, campaign_bounds engine m) in
+  mask_machines ()
+  @ [
+      variant "engine read-span"
+        (Mc.Machine.of_scenario ~read_span:(ms 3) engine);
+      variant "engine sporadic tau2"
+        (Mc.Machine.of_scenario
+           ~sporadic:[ (2, period 2, period 2 * 5 / 4) ]
+           engine);
+    ]
+
 (* --- the direct key decides exactly what the marshalled key did ---- *)
 
 (* The earlier canonical encoding, kept as the reference: a tuple tree
@@ -472,9 +503,10 @@ let reference_key (m : Mc.Machine.t) (st : Mc.State.t) =
 (* Every decision state a bounded depth-first search reaches, revisits
    included; only first visits (by reference key) are expanded.  [check]
    probes every state the search passes through; [expanding] is called
-   before each expansion. *)
-let decision_states ?(check = fun ~changed:_ _ -> None) ?(expanding = ignore) m
-    (bounds : Mc.Explorer.bounds) =
+   before each expansion; [child] is told each decision state reached
+   from another, with that parent. *)
+let decision_states ?(check = fun ~changed:_ _ -> None) ?(expanding = ignore)
+    ?(child = fun _ _ -> ()) m (bounds : Mc.Explorer.bounds) =
   let seen = Hashtbl.create 1024 in
   let out = ref [] and expansions = ref 0 in
   let stack = ref [ (Mc.State.init m, None) ] in
@@ -489,6 +521,7 @@ let decision_states ?(check = fun ~changed:_ _ -> None) ?(expanding = ignore) m
       match e.next with
       | `Leaf -> ()
       | `Branch cs ->
+        if Option.is_some choice then child st e.state;
         out := e.state :: !out;
         let k = reference_key m e.state in
         if not (Hashtbl.mem seen k) then begin
@@ -498,34 +531,36 @@ let decision_states ?(check = fun ~changed:_ _ -> None) ?(expanding = ignore) m
   done;
   !out
 
-(* [st] with the clock and every absolute instant moved by one tick:
-   canonically it differs from [st] only in the clock's residue. *)
-let shifted (st : Mc.State.t) =
+(* [st] with the clock and every absolute instant moved by [by] (one
+   tick by default): canonically it differs from [st] only in the
+   clock's residue, and not at all when [by] is a whole number of
+   hyperperiods. *)
+let shifted ?(by = 1) (st : Mc.State.t) =
   let open Mc.State in
-  let at t = if t = max_int then t else t + 1 in
+  let at t = if t = max_int then t else t + by in
   let nr = function
-    | At t -> At (t + 1)
+    | At t -> At (t + by)
     | Never -> Never
-    | Choose (lo, hi) -> Choose (lo + 1, hi + 1)
+    | Choose (lo, hi) -> Choose (lo + by, hi + by)
   in
   let shift (t : tstate) =
     {
       t with
       mode =
         (match t.mode with
-        | BTimed (w, tmo) -> BTimed (w, tmo + 1)
-        | BDelay d -> BDelay (d + 1)
+        | BTimed (w, tmo) -> BTimed (w, tmo + by)
+        | BDelay d -> BDelay (d + by)
         | m -> m);
       dl = at t.dl;
       effdl = at t.effdl;
       next_rel = nr t.next_rel;
-      pending = List.map succ t.pending;
+      pending = List.map (fun r -> r + by) t.pending;
       dl_check = at t.dl_check;
     }
   in
   {
     st with
-    now = st.now + 1;
+    now = st.now + by;
     tasks = Array.map shift st.tasks;
     irq_next = Array.map nr st.irq_next;
   }
@@ -594,41 +629,137 @@ let neighbours (st : Mc.State.t) =
   @ List.init (Array.length st.pool_occ) (fun p ->
         { st with pool_occ = with_slot st.pool_occ p (st.pool_occ.(p) + 1) })
 
+(* Equality of the first component and of the second agree over
+   [pairs]: checked as a bijection between their equivalence classes.
+   The number of classes. *)
+let same_classes name what pairs =
+  let fwd = Hashtbl.create 1024 and bwd = Hashtbl.create 1024 in
+  List.iter
+    (fun (k, x) ->
+      (match Hashtbl.find_opt fwd k with
+      | Some x' when x' <> x ->
+        Alcotest.failf "%s: equal keys for different %s" name what
+      | Some _ -> ()
+      | None -> Hashtbl.add fwd k x);
+      match Hashtbl.find_opt bwd x with
+      | Some k' when k' <> k ->
+        Alcotest.failf "%s: different keys for equal %s" name what
+      | Some _ -> ()
+      | None -> Hashtbl.add bwd x k)
+    pairs;
+  Hashtbl.length fwd
+
+(* A state's index vector built from scratch, in the set [v]. *)
+let fresh_vector v st =
+  (Mc.Visited.vector v ~parent:st ~pvec:Mc.Visited.root st :> int array)
+
+(* The decision states of [key_machines]' searches under the
+   campaign's properties, with every parent/child pair among them;
+   the two tests below share them. *)
+let key_searches =
+  lazy
+    (List.map
+       (fun (name, m, bounds) ->
+         let pairs = ref [] in
+         let states =
+           decision_states ~check:(Mc.Props.check_changed campaign_props m)
+             ~child:(fun p c -> pairs := (p, c) :: !pairs)
+             m bounds
+         in
+         (name, m, states, !pairs))
+       (key_machines ()))
+
+(* The key decides exactly what the marshalled reference does, and so
+   does the visited set's index vector: on every decision state, the
+   neighbours of every 97th, and every 7th moved by one and by two
+   hyperperiods. *)
 let key_matches_reference () =
   let pairs = ref 0 and distinct = ref 0 in
   List.iter
-    (fun (name, m, bounds) ->
-      (* new a = new b <=> ref a = ref b over all pairs, checked as a
-         bijection between the two keys' equivalence classes *)
-      let to_ref = Hashtbl.create 1024 and to_new = Hashtbl.create 1024 in
-      let states =
-        decision_states ~check:(Mc.Props.check_changed campaign_props m) m
-          bounds
-      in
+    (fun (name, (m : Mc.Machine.t), states, _) ->
       let states =
         states
         @ List.concat_map neighbours
             (List.filteri (fun i _ -> i mod 97 = 0) states)
+        @ List.concat_map
+            (fun st ->
+              [
+                shifted ~by:m.hyperperiod st;
+                shifted ~by:(2 * m.hyperperiod) st;
+              ])
+            (List.filteri (fun i _ -> i mod 7 = 0) states)
       in
-      List.iter
-        (fun st ->
-          let k = Mc.State.key m st and r = reference_key m st in
-          (match Hashtbl.find_opt to_ref k with
-          | Some r' when r' <> r ->
-            Alcotest.failf "%s: equal keys for different canonical states" name
-          | Some _ -> ()
-          | None -> Hashtbl.add to_ref k r);
-          match Hashtbl.find_opt to_new r with
-          | Some k' when k' <> k ->
-            Alcotest.failf "%s: different keys for one canonical state" name
-          | Some _ -> ()
-          | None -> Hashtbl.add to_new r k)
-        states;
+      let keyed = List.map (fun st -> (Mc.State.key m st, st)) states in
+      let classes =
+        same_classes name "canonical states"
+          (List.map (fun (k, st) -> (k, reference_key m st)) keyed)
+      in
+      let v = Mc.Visited.create m in
+      ignore
+        (same_classes name "index vectors"
+           (List.map (fun (k, st) -> (k, fresh_vector v st)) keyed));
       pairs := !pairs + List.length states;
-      distinct := !distinct + Hashtbl.length to_ref)
-    (campaign_machines ~count:30);
+      distinct := !distinct + classes)
+    (Lazy.force key_searches);
   check "the states include revisits, so equal keys were compared" true
     (!pairs > !distinct && !distinct > 1000)
+
+(* States whose task records are all [st]'s own, with the clock moved
+   by a tick, to the last instant of its hyperperiod and to the next
+   hyperperiod's base, or with one state message written once more. *)
+let clock_neighbours (m : Mc.Machine.t) (st : Mc.State.t) =
+  let base = st.now - Mc.State.residue m st in
+  [
+    { st with now = st.now + 1 };
+    { st with now = base + m.hyperperiod - 1 };
+    { st with now = base + m.hyperperiod };
+  ]
+  @ List.init (Array.length st.sm_seq) (fun s ->
+        { st with sm_seq = with_slot st.sm_seq s (st.sm_seq.(s) + 1) })
+
+(* A child's vector built from its parent's, reusing the parent's
+   indices where [Visited] allows, equals the child's vector built
+   from scratch: on every parent/child pair of the searches, and with
+   each decision state as the parent of its clock neighbours and of
+   the neighbours of every 97th.  The searches reach tasks mid-read
+   and in unresolved windows, where reuse must not happen. *)
+let vector_reuse_exact () =
+  let mid_read = ref 0 and windows = ref 0 and reused = ref 0 in
+  List.iter
+    (fun (name, m, states, pairs) ->
+      let v = Mc.Visited.create m in
+      let check_pair (parent : Mc.State.t) pvec (child : Mc.State.t) =
+        let built = (Mc.Visited.vector v ~parent ~pvec child :> int array) in
+        if built <> fresh_vector v child then
+          Alcotest.failf "%s: a child at %dns of a parent at %dns" name
+            child.now parent.now
+      in
+      let vector st = Mc.Visited.vector v ~parent:st ~pvec:Mc.Visited.root st in
+      List.iter
+        (fun ((p : Mc.State.t), (c : Mc.State.t)) ->
+          if Array.exists2 ( == ) p.tasks c.tasks then incr reused;
+          check_pair p (vector p) c)
+        pairs;
+      List.iteri
+        (fun i (st : Mc.State.t) ->
+          if Array.exists (fun (t : Mc.State.tstate) -> t.read_sm >= 0) st.tasks
+          then incr mid_read;
+          if
+            Array.exists
+              (fun (t : Mc.State.tstate) ->
+                match t.next_rel with Choose _ -> true | At _ | Never -> false)
+              st.tasks
+          then incr windows;
+          let pvec = vector st in
+          List.iter (check_pair st pvec) (clock_neighbours m st);
+          if i mod 97 = 0 then List.iter (check_pair st pvec) (neighbours st))
+        states)
+    (Lazy.force key_searches);
+  check "some decision state has a task mid-read" true (!mid_read > 0);
+  check "some decision state has a task in an unresolved window" true
+    (!windows > 0);
+  check "children share task records with their parents" true
+    (!reused > 10_000)
 
 (* --- state probes match the reference --------------------------------- *)
 
@@ -780,12 +911,6 @@ let snapshot (st : Mc.State.t) =
     mb_occ = Array.copy st.mb_occ;
     pool_occ = Array.copy st.pool_occ;
   }
-
-let mask_machines () =
-  List.map
-    (fun (e : Workload.Scenario.entry) -> machine_of_scenario (e.build ()))
-    Workload.Scenario.catalog
-  @ generated_machines ~count:30
 
 (* Every probe of an expansion after its first is told at least the
    parts in which its state differs from the one the previous probe
@@ -1012,4 +1137,6 @@ let suite =
       mask_covers_changes;
     Alcotest.test_case "probe told the changes is exact" `Quick
       partial_probe_exact;
+    Alcotest.test_case "index vectors built from the parent's are exact"
+      `Quick vector_reuse_exact;
   ]
