@@ -227,19 +227,22 @@ let run_e2e ~index ~ablation (spec : Workload.Generator.spec) =
 
 (* Sporadic arrivals are part of the scenario, not the engine: an
    observer triggers them from a dedicated split stream so both
-   simulation runs and reruns see identical arrival times. *)
+   simulation runs and reruns see identical arrival times.  A task's
+   arrivals up to the horizon are drawn first, then queued one at a
+   time. *)
 let sporadic_observer (spec : Workload.Generator.spec) ~horizon k =
   List.iter
     (fun (t : Workload.Generator.task_spec) ->
       if t.g_sporadic then begin
         let rng = Util.Rng.split (Util.Rng.create ~seed:9) (3000 + t.g_id) in
-        let now = ref 0 in
         let draw () = t.g_period + Util.Rng.int rng (max 1 (t.g_period / 4)) in
-        now := draw ();
-        while !now <= horizon do
-          Emeralds.Kernel.trigger_job_at k ~at:!now ~tid:t.g_id;
-          now := !now + draw ()
-        done
+        let rec arrivals at acc =
+          if at > horizon then Array.of_list (List.rev acc)
+          else arrivals (at + draw ()) (at :: acc)
+        in
+        let at = arrivals (draw ()) [] in
+        Emeralds.Kernel.trigger_job_series k ~count:(Array.length at)
+          ~at:(Array.get at) ~tid:t.g_id
       end)
     spec.s_tasks
 

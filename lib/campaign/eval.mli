@@ -71,6 +71,13 @@ val norm_sig : Emeralds.Kernel.t -> Sim.Trace.signature
     ids are per realization, so two realizations of one spec compare
     as they are. *)
 
+val sporadic_observer :
+  Workload.Generator.spec -> horizon:Model.Time.t -> Emeralds.Kernel.t -> unit
+(** Trigger the spec's sporadic tasks up to [horizon], the observer
+    {!run}'s simulations install: each task's arrivals are drawn from
+    its own split stream, a period plus up to a quarter period apart,
+    and queued as one {!Emeralds.Kernel.trigger_job_series}. *)
+
 val run_e2e :
   index:int ->
   ablation:Oracle.ablation ->

@@ -135,7 +135,7 @@ let quantize k t =
   | Some q ->
     let q =
       if k.drift_ppm = 0 then q
-      else max 1 (q + (q * k.drift_ppm / 1_000_000))
+      else Int.max 1 (q + (q * k.drift_ppm / 1_000_000))
     in
     Util.Intmath.ceil_div t q * q
 
@@ -828,12 +828,12 @@ and run_instrs k tcb =
       if p.pool_free > 0 then begin
         p.pool_free <- p.pool_free - 1;
         let live = p.pool_capacity - p.pool_free in
-        p.pool_high_water <- max p.pool_high_water live;
+        p.pool_high_water <- Int.max p.pool_high_water live;
         let mine = live_in tcb p + 1 in
         tcb.live_blocks <-
           (p, mine) :: List.filter (fun (q, _) -> q != p) tcb.live_blocks;
         let c = mem_cell k tcb p in
-        c.mc_hw <- max c.mc_hw mine;
+        c.mc_hw <- Int.max c.mc_hw mine;
         Obs.Probe.emit k.probe ~at:(now k)
           (Block_alloc { tid = tcb.tid; pool = p.pool_id; live });
         let job = tcb.job_no in
@@ -931,7 +931,7 @@ and reclaim_blocks k tcb ~leak =
   List.iter
     (fun ((p : pool), n) ->
       if n > 0 then begin
-        p.pool_free <- min p.pool_capacity (p.pool_free + n);
+        p.pool_free <- Int.min p.pool_capacity (p.pool_free + n);
         if leak then begin
           (mem_cell k tcb p).mc_leaked <- (mem_cell k tcb p).mc_leaked + n;
           Obs.Probe.emit k.probe ~at:(now k)
@@ -1216,9 +1216,9 @@ and start_thread k tcb =
 let admit_release k tcb ~job ~sporadic =
   let job =
     let last =
-      Queue.fold (fun a (j, _) -> max a j) tcb.job_no tcb.pending_releases
+      Queue.fold (fun a (j, _) -> Int.max a j) tcb.job_no tcb.pending_releases
     in
-    max job (last + 1)
+    Int.max job (last + 1)
   in
   let disposition =
     match k.enforcement with
@@ -1554,13 +1554,17 @@ let register_irq k ~irq ?(signals = []) ?(writes = []) ~handler () =
   Hashtbl.replace k.irq_handlers irq
     { handler; wakes = signals; publishes = writes }
 
+let irq_event k ~irq =
+  kernel_event k (fun () ->
+      charge k Sim.Trace.Ovh_irq k.cost.interrupt_entry;
+      Obs.Probe.emit k.probe ~at:(now k) (Interrupt { irq });
+      (Hashtbl.find k.irq_handlers irq).handler ())
+
 let raise_irq_at k ~at ~irq =
-  let body () =
-    charge k Sim.Trace.Ovh_irq k.cost.interrupt_entry;
-    Obs.Probe.emit k.probe ~at:(now k) (Interrupt { irq });
-    (Hashtbl.find k.irq_handlers irq).handler ()
-  in
-  ignore (Sim.Engine.schedule k.engine ~at (kernel_event k body))
+  ignore (Sim.Engine.schedule k.engine ~at (irq_event k ~irq))
+
+let raise_irq_series k ~count ~at ~irq =
+  Sim.Engine.schedule_series k.engine ~count ~at (irq_event k ~irq)
 
 let irq_signals k =
   Hashtbl.fold (fun _ e acc -> e.wakes @ acc) k.irq_handlers []
@@ -1573,10 +1577,16 @@ let signal_waitq k wq = do_signal k wq
 let at k ~at:time body =
   ignore (Sim.Engine.schedule k.engine ~at:time (kernel_event k body))
 
-let trigger_job_at k ~at:time ~tid =
+let trigger_event k ~tid =
   let tcb = tcb k ~tid in
-  let body () =
-    let job = tcb.job_no + Queue.length tcb.pending_releases + 1 in
-    admit_release k tcb ~job ~sporadic:true
-  in
-  ignore (Sim.Engine.schedule k.engine ~at:time (kernel_event k body))
+  kernel_event k (fun () ->
+      let job = tcb.job_no + Queue.length tcb.pending_releases + 1 in
+      admit_release k tcb ~job ~sporadic:true)
+
+let trigger_job_at k ~at ~tid =
+  ignore (Sim.Engine.schedule k.engine ~at (trigger_event k ~tid))
+
+(* no instant, no task lookup: as zero [trigger_job_at] calls *)
+let trigger_job_series k ~count ~at ~tid =
+  if count > 0 then
+    Sim.Engine.schedule_series k.engine ~count ~at (trigger_event k ~tid)

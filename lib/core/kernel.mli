@@ -139,6 +139,12 @@ val raise_irq_at : t -> at:Model.Time.t -> irq:int -> unit
 (** Schedule delivery of interrupt [irq].
     @raise Not_found if no handler is registered when it fires. *)
 
+val raise_irq_series :
+  t -> count:int -> at:(int -> Model.Time.t) -> irq:int -> unit
+(** [raise_irq_at] at each of the non-decreasing instants [at 0], ...,
+    [at (count - 1)], with the same events in the same order, queued
+    one at a time ({!Sim.Engine.schedule_series}). *)
+
 val signal_waitq : t -> Types.waitq -> unit
 (** Signal a wait queue from kernel context (typically inside an
     interrupt handler): wakes the highest-priority waiter or leaves a
@@ -156,6 +162,12 @@ val trigger_job_at : t -> at:Model.Time.t -> tid:int -> unit
     for tasks whose [phase] lies beyond the simulation horizon, so the
     periodic release chain stays quiet; [period] then acts as the
     sporadic minimum interarrival for analysis purposes. *)
+
+val trigger_job_series :
+  t -> count:int -> at:(int -> Model.Time.t) -> tid:int -> unit
+(** [trigger_job_at] at each of the non-decreasing instants [at 0],
+    ..., [at (count - 1)], with the same events in the same order,
+    queued one at a time ({!Sim.Engine.schedule_series}). *)
 
 (** {1 Budget enforcement}
 

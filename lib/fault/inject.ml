@@ -159,7 +159,9 @@ let install_signal_drops k plan mark =
    declares: signal its wait queues, publish (zeroed) payloads to its
    state messages.  Arrival times are drawn per source from its
    inter-arrival window with an independent child generator, so adding
-   a source never re-times another. *)
+   a source never re-times another.  A source's arrivals up to the
+   horizon are drawn (and its drops marked) before any is queued; the
+   kernel queues them one at a time. *)
 let schedule_sources k (cfg : config) root mark =
   let drops =
     List.filter_map
@@ -178,23 +180,33 @@ let schedule_sources k (cfg : config) root mark =
         ();
       let rng = Util.Rng.split root (1000 + si) in
       let drop = List.assoc_opt src.irq drops in
-      let t = ref 0 and n = ref 0 in
-      let fin = ref false in
-      while not !fin do
-        t :=
-          !t
+      let rec draw t n kept =
+        let t =
+          t
           + Util.Rng.int_in rng ~lo:src.min_interarrival
-              ~hi:src.max_interarrival;
-        if !t > cfg.horizon then fin := true
-        else begin
-          incr n;
+              ~hi:src.max_interarrival
+        in
+        if t > cfg.horizon then Array.of_list (List.rev kept)
+        else
           match drop with
-          | Some one_in when !n mod one_in = 0 ->
-            mark !t (Printf.sprintf "dropped delivery of irq %d" src.irq)
-          | _ -> Kernel.raise_irq_at k ~at:!t ~irq:src.irq
-        end
-      done)
+          | Some one_in when (n + 1) mod one_in = 0 ->
+            mark t (Printf.sprintf "dropped delivery of irq %d" src.irq);
+            draw t (n + 1) kept
+          | _ -> draw t (n + 1) (t :: kept)
+      in
+      let at = draw 0 0 [] in
+      Kernel.raise_irq_series k ~count:(Array.length at) ~at:(Array.get at)
+        ~irq:src.irq)
     cfg.scenario.irq_sources
+
+(* How many of [at + spacing * i], i < count, lie within the horizon,
+   found without forming a product that could overflow.  [Plan] keeps
+   spacing >= 0, so the instants never decrease and the first one past
+   the horizon ends the series. *)
+let in_horizon (cfg : config) ~at ~count ~spacing =
+  if at > cfg.horizon then 0
+  else if spacing = 0 then count
+  else Int.min count (((cfg.horizon - at) / spacing) + 1)
 
 let schedule_storms_and_bursts k (cfg : config) mark =
   List.iter
@@ -205,16 +217,16 @@ let schedule_storms_and_bursts k (cfg : config) mark =
         (try Kernel.register_irq k ~irq ~handler:(fun () -> ()) ()
          with Invalid_argument _ -> ());
         mark at (Printf.sprintf "irq storm on irq %d (%d deliveries)" irq count);
-        for i = 0 to count - 1 do
-          let t = Model.Time.add at (Model.Time.mul spacing i) in
-          if t <= cfg.horizon then Kernel.raise_irq_at k ~at:t ~irq
-        done
+        Kernel.raise_irq_series k
+          ~count:(in_horizon cfg ~at ~count ~spacing)
+          ~at:(fun i -> at + (spacing * i))
+          ~irq
       | Plan.Sporadic_burst { tid; at; count; spacing } ->
         mark at (Printf.sprintf "sporadic burst on tau%d (%d arrivals)" tid count);
-        for i = 0 to count - 1 do
-          let t = Model.Time.add at (Model.Time.mul spacing i) in
-          if t <= cfg.horizon then Kernel.trigger_job_at k ~at:t ~tid
-        done
+        Kernel.trigger_job_series k
+          ~count:(in_horizon cfg ~at ~count ~spacing)
+          ~at:(fun i -> at + (spacing * i))
+          ~tid
       | _ -> ())
     cfg.plan
 

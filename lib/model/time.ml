@@ -10,8 +10,8 @@ let to_ms_f t = float_of_int t /. 1_000_000.0
 let add = ( + )
 let sub = ( - )
 let mul t k = t * k
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 
 let pp ppf t =
   let a = abs t in

@@ -22,6 +22,27 @@ let schedule t ~at fn =
   t.next_seq <- t.next_seq + 1;
   Util.Pqueue.add t.queue ev
 
+(* Instant [i + 1] is queued when instant [i] fires, under the number
+   reserved for it: its key (t(i+1), first+i+1) sorts after instant
+   [i]'s, so it cannot be the minimum while instant [i] is queued, and
+   it is in the heap before the next pop. *)
+let schedule_series t ~count ~at fn =
+  if count < 0 then invalid_arg "Engine.schedule_series: negative count";
+  let first = t.next_seq in
+  let rec queue i =
+    let time = at i in
+    if time < t.clock then
+      invalid_arg "Engine.schedule_series: event in the past";
+    let fn =
+      if i + 1 < count then (fun () -> queue (i + 1); fn ()) else fn
+    in
+    ignore (Util.Pqueue.add t.queue { time; seq = first + i; fn })
+  in
+  if count > 0 then begin
+    queue 0;
+    t.next_seq <- first + count
+  end
+
 let schedule_after t ~delay fn =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule t ~at:(Model.Time.add t.clock delay) fn

@@ -17,6 +17,19 @@ val schedule : t -> at:Model.Time.t -> (unit -> unit) -> handle
 (** Schedule a callback; [at] must not be in the past.
     @raise Invalid_argument if [at < now t]. *)
 
+val schedule_series :
+  t -> count:int -> at:(int -> Model.Time.t) -> (unit -> unit) -> unit
+(** [schedule_series t ~count ~at f] fires [f] at [at 0], [at 1], ...,
+    [at (count - 1)], in the order and at the places among other events
+    that [count] calls [schedule t ~at:(at i) f], made now in order of
+    [i], would give: it takes their [count] sequence numbers at once.
+    Only the next instant is queued; instant [i + 1] is queued when
+    instant [i] fires, before [f] runs, so [f] raising leaves it
+    queued.  So [pending] counts a series once, and a series cannot be
+    cancelled.  [at] is called once per instant, when it is queued.
+    @raise Invalid_argument if [count < 0] or [at 0 < now t], and, from
+    the event of instant [i], if [at (i + 1) < at i]. *)
+
 val schedule_after : t -> delay:Model.Time.t -> (unit -> unit) -> handle
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t + delay) f];
     [delay] must be non-negative. *)

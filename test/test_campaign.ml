@@ -234,6 +234,112 @@ let test_clock_step_back () =
   check bool "a past start is non-negative" true
     (Campaign.Eval.since_us (Campaign.Eval.now_us ()) >= 0)
 
+(* -- Arrival series against one event per arrival ------------------ *)
+
+(* A storm on an IRQ no generated source uses and a burst on a task,
+   on whole milliseconds, where periodic releases fall too: ties that
+   only the order rule decides. *)
+let storm_irq = 63
+
+let tie_plan tid : Fault.Plan.t =
+  let ms = Model.Time.ms in
+  [
+    Irq_storm { irq = storm_irq; at = ms 1; count = max_int; spacing = ms 1 };
+    Sporadic_burst { tid; at = ms 1; count = max_int; spacing = ms 5 };
+  ]
+
+(* The reference for [Eval.sporadic_observer] and [Fault.Inject]'s IRQ
+   sources, storm and burst: the same draws from the same streams, each
+   arrival queued by its own [trigger_job_at] or [raise_irq_at], in the
+   order [Inject.run] sets them up (sporadic tasks, sources, plan). *)
+let per_instant_observer (spec : Workload.Generator.spec)
+    (sc : Workload.Scenario.t) ~horizon k =
+  List.iter
+    (fun (t : Workload.Generator.task_spec) ->
+      if t.g_sporadic then begin
+        let rng = Util.Rng.split (Util.Rng.create ~seed:9) (3000 + t.g_id) in
+        let draw () = t.g_period + Util.Rng.int rng (max 1 (t.g_period / 4)) in
+        let at = ref (draw ()) in
+        while !at <= horizon do
+          Emeralds.Kernel.trigger_job_at k ~at:!at ~tid:t.g_id;
+          at := !at + draw ()
+        done
+      end)
+    spec.s_tasks;
+  let root = Util.Rng.create ~seed:9 in
+  List.iteri
+    (fun si (src : Workload.Scenario.irq_source) ->
+      Emeralds.Kernel.register_irq k ~irq:src.irq ~signals:src.signals
+        ~writes:src.writes
+        ~handler:(fun () ->
+          List.iter (Emeralds.Kernel.signal_waitq k) src.signals;
+          List.iter
+            (fun sm ->
+              Emeralds.State_msg.write sm
+                (Array.make (Emeralds.State_msg.words sm) 0))
+            src.writes)
+        ();
+      let rng = Util.Rng.split root (1000 + si) in
+      let at = ref 0 in
+      while
+        at :=
+          !at
+          + Util.Rng.int_in rng ~lo:src.min_interarrival
+              ~hi:src.max_interarrival;
+        !at <= horizon
+      do
+        Emeralds.Kernel.raise_irq_at k ~at:!at ~irq:src.irq
+      done)
+    sc.irq_sources;
+  Emeralds.Kernel.register_irq k ~irq:storm_irq ~handler:ignore ();
+  let every spacing f =
+    let at = ref (Model.Time.ms 1) in
+    while !at <= horizon do
+      f !at;
+      at := !at + spacing
+    done
+  in
+  every (Model.Time.ms 1) (fun at ->
+      Emeralds.Kernel.raise_irq_at k ~at ~irq:storm_irq);
+  let tid = (List.hd spec.s_tasks).g_id in
+  every (Model.Time.ms 5) (fun at -> Emeralds.Kernel.trigger_job_at k ~at ~tid)
+
+let test_series_match_per_instant () =
+  let sporadic = ref 0 and sourced = ref 0 in
+  List.iter
+    (fun (spec : Workload.Generator.spec) ->
+      let maxp =
+        List.fold_left
+          (fun a (t : Workload.Generator.task_spec) -> max a t.g_period)
+          0 spec.s_tasks
+      in
+      let horizon = min (2 * maxp) (Model.Time.ms 1000) in
+      let run ?plan sc observer =
+        let cfg =
+          Fault.Inject.default_config ~scenario:sc ~horizon ~seed:9 ?plan ()
+        in
+        Sim.Trace.signature
+          (Emeralds.Kernel.trace
+             (Fault.Inject.run { cfg with observer = Some observer }).kernel)
+      in
+      let series =
+        run (Workload.Generator.realize spec)
+          ~plan:(tie_plan (List.hd spec.s_tasks).g_id)
+          (Campaign.Eval.sporadic_observer spec ~horizon)
+      in
+      let sc = Workload.Generator.realize spec in
+      let reference =
+        run { sc with irq_sources = [] } (per_instant_observer spec sc ~horizon)
+      in
+      check bool (spec.s_name ^ ": same trace") true (series = reference);
+      if List.exists (fun (t : Workload.Generator.task_spec) -> t.g_sporadic)
+           spec.s_tasks
+      then incr sporadic;
+      if sc.irq_sources <> [] then incr sourced)
+    (Workload.Generator.scenario_specs ~seed:42 ~count:200 ());
+  check bool "specs with sporadic tasks" true (!sporadic >= 30);
+  check bool "specs with IRQ sources" true (!sourced >= 30)
+
 let suite =
   [
     test_case "oracle names round-trip" `Quick test_oracle_names;
@@ -249,4 +355,6 @@ let suite =
     test_case "sarif report shape" `Quick test_sarif_shape;
     test_case "json and text reports" `Quick test_json_and_text;
     test_case "a clock stepped back clamps to 0" `Quick test_clock_step_back;
+    test_case "arrival series match one event per arrival" `Quick
+      test_series_match_per_instant;
   ]

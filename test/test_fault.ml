@@ -322,6 +322,51 @@ let test_report_detects_and_falsifies () =
          p.p_source = "rta" || p.p_source = "absint")
        cell.c_falsified)
 
+(* ------------------------------------------------------------------ *)
+(* Storms and bursts past the horizon *)
+
+(* A storm or burst whose instants run far past the horizon, or would
+   overflow it, delivers only what falls within the horizon: it runs as
+   the same plan cut to the count that ends there (20 ms + 300 x 100 us
+   is the 50 ms horizon; a 3e18 ns spacing leaves the first), and the
+   report comes back. *)
+let test_plans_past_horizon () =
+  let cfg plan =
+    match Fault.Plan.parse plan with
+    | Ok plan ->
+      Fault.Inject.default_config
+        ~scenario:(Option.get (Workload.Scenario.make "engine"))
+        ~horizon:(ms 50) ~plan ()
+    | Error e -> fail e
+  in
+  let trace plan = Emeralds.Kernel.trace (Fault.Inject.run (cfg plan)).kernel in
+  List.iter
+    (fun target ->
+      List.iter
+        (fun (count, spacing, in_horizon) ->
+          let plan count =
+            Printf.sprintf "%s,at=20ms,count=%s,spacing=%s" target count spacing
+          in
+          check bool (plan count ^ ": only the in-horizon deliveries") true
+            (Sim.Trace.signature (trace (plan count))
+            = Sim.Trace.signature (trace (plan (string_of_int in_horizon))));
+          check int (plan count ^ ": reported") 2
+            (List.length (Fault.Report.run (cfg (plan count))).r_cells))
+        [
+          ("1000000000", "100us", 301);
+          (string_of_int max_int, "100us", 301);
+          ("3", "3000000000000000000ns", 1);
+        ])
+    [ "irq-storm:irq=9"; "burst:tid=1" ];
+  let storm =
+    trace "irq-storm:irq=9,at=20ms,count=1000000000,spacing=100us"
+  in
+  check int "the storm's deliveries" 301
+    (List.length
+       (List.filter
+          (fun (e : Sim.Trace.stamped) -> e.entry = Interrupt { irq = 9 })
+          (Sim.Trace.entries storm)))
+
 let suite =
   [
     test_case "plan: render/parse round-trip" `Quick test_plan_roundtrip;
@@ -339,4 +384,6 @@ let suite =
     test_case "report: clean demo" `Quick test_report_clean;
     test_case "report: detection and falsification" `Quick
       test_report_detects_and_falsifies;
+    test_case "storms and bursts past the horizon" `Quick
+      test_plans_past_horizon;
   ]

@@ -96,6 +96,148 @@ let test_engine_past_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_engine_series_rejects () =
+  let e = Sim.Engine.create () in
+  let raises f =
+    try
+      f ();
+      false
+    with Invalid_argument _ -> true
+  in
+  check bool "negative count rejected" true
+    (raises (fun () ->
+         Sim.Engine.schedule_series e ~count:(-1) ~at:(fun _ -> 0) ignore));
+  ignore (Sim.Engine.schedule e ~at:(ms 2) ignore);
+  check bool "queue drained" true (Sim.Engine.run_bounded e ~max_events:1);
+  check bool "a first instant in the past is rejected" true
+    (raises (fun () ->
+         Sim.Engine.schedule_series e ~count:2
+           ~at:(fun i -> ms (1 + i))
+           ignore));
+  check int "nothing queued" 0 (Sim.Engine.pending e);
+  let at = [| ms 3; ms 5; ms 4 |] in
+  let fired = ref 0 in
+  Sim.Engine.schedule_series e ~count:3 ~at:(Array.get at) (fun () ->
+      incr fired);
+  check int "one instant queued at a time" 1 (Sim.Engine.pending e);
+  check bool "first instant fires" true (Sim.Engine.step e);
+  check bool "a decreasing instant raises when it is queued" true
+    (raises (fun () -> ignore (Sim.Engine.step e)));
+  check int "the event that queues it does not run" 1 !fired
+
+(* ------------------------------------------------------------------ *)
+(* A series against one [schedule] per instant *)
+
+(* One setup step: a one-off event at [at], cancelled by the first
+   event to fire when [cancel]; or a series of non-decreasing instants
+   whose callback raises at its [raises]-th firing.  Every firing of
+   either schedules a nested one-off [spawn] ns later, if given. *)
+type setup =
+  | Once of { at : int; cancel : bool; spawn : int option }
+  | Series of { at : int list; raises : int option; spawn : int option }
+
+let gen_setup =
+  let open QCheck2.Gen in
+  let spawn = opt ~ratio:0.4 (int_range 0 2) in
+  let instants =
+    map2
+      (fun base steps ->
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (t, acc) d -> (t + d, (t + d) :: acc))
+                (base, []) steps)))
+      (int_range 0 4)
+      (list_size (int_range 0 6)
+         (frequency [ (3, return 0); (2, int_range 1 3) ]))
+  in
+  list_size (int_range 1 8)
+    (frequency
+       [
+         ( 3,
+           map3
+             (fun at cancel spawn -> Once { at; cancel; spawn })
+             (int_range 0 10)
+             (frequency [ (1, return true); (3, return false) ])
+             spawn );
+         ( 2,
+           map3
+             (fun at raises spawn -> Series { at; raises; spawn })
+             instants
+             (opt ~ratio:0.3 (int_range 0 5))
+             spawn );
+       ])
+
+(* The firing log of a setup, run until the queue drains (a raising
+   callback is noted and the run goes on).  With [~series:false] each
+   series instant gets its own [schedule], in order, at the point the
+   series is set up: the reference. *)
+let run_setup ~series setup =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note s = log := (s, Sim.Engine.now e) :: !log in
+  let to_cancel = ref [] in
+  let fired name spawn =
+    note name;
+    List.iter
+      (fun (n, h) ->
+        note (Printf.sprintf "cancel %s: %b" n (Sim.Engine.cancel e h)))
+      !to_cancel;
+    to_cancel := [];
+    Option.iter
+      (fun delay ->
+        ignore
+          (Sim.Engine.schedule_after e ~delay (fun () ->
+               note ("nested " ^ name))))
+      spawn
+  in
+  List.iteri
+    (fun i -> function
+      | Once { at; cancel; spawn } ->
+        let name = Printf.sprintf "once %d" i in
+        let h = Sim.Engine.schedule e ~at (fun () -> fired name spawn) in
+        if cancel then to_cancel := (name, h) :: !to_cancel
+      | Series { at; raises; spawn } ->
+        let n = ref 0 in
+        let fn () =
+          let j = !n in
+          incr n;
+          fired (Printf.sprintf "series %d.%d" i j) spawn;
+          if raises = Some j then raise Exit
+        in
+        if series then begin
+          let at = Array.of_list at in
+          Sim.Engine.schedule_series e ~count:(Array.length at)
+            ~at:(Array.get at) fn
+        end
+        else List.iter (fun at -> ignore (Sim.Engine.schedule e ~at fn)) at)
+    setup;
+  let rec drain () =
+    match Sim.Engine.step e with
+    | true -> drain ()
+    | false -> ()
+    | exception Exit ->
+      note "raised";
+      drain ()
+  in
+  drain ();
+  List.rev !log
+
+let prop_series_order =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    (QCheck2.Test.make ~count:300
+       ~name:"engine: a series fires as one schedule per instant"
+       ~print:(fun s ->
+         let show log =
+           String.concat "; "
+             (List.map (fun (name, at) -> Printf.sprintf "%s@%d" name at) log)
+         in
+         Printf.sprintf "series: %s\nreference: %s"
+           (show (run_setup ~series:true s))
+           (show (run_setup ~series:false s)))
+       gen_setup
+       (fun s -> run_setup ~series:true s = run_setup ~series:false s))
+
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
@@ -612,6 +754,8 @@ let suite =
     test_case "engine: nested scheduling" `Quick test_engine_schedule_during_event;
     test_case "engine: run_bounded" `Quick test_engine_run_bounded;
     test_case "engine: past rejected" `Quick test_engine_past_rejected;
+    test_case "engine: series rejects" `Quick test_engine_series_rejects;
+    prop_series_order;
     test_case "trace: counters" `Quick test_trace_counters;
     test_case "trace: counters-only mode" `Quick test_trace_no_entries_mode;
     test_case "cost: Table 1 values" `Quick test_cost_table1;
