@@ -754,8 +754,6 @@ let suite =
     test_case "engine: nested scheduling" `Quick test_engine_schedule_during_event;
     test_case "engine: run_bounded" `Quick test_engine_run_bounded;
     test_case "engine: past rejected" `Quick test_engine_past_rejected;
-    test_case "engine: series rejects" `Quick test_engine_series_rejects;
-    prop_series_order;
     test_case "trace: counters" `Quick test_trace_counters;
     test_case "trace: counters-only mode" `Quick test_trace_no_entries_mode;
     test_case "cost: Table 1 values" `Quick test_cost_table1;
@@ -763,4 +761,6 @@ let suite =
     test_case "cost: ipc" `Quick test_cost_ipc;
     prop_log_matches_reference;
     prop_equal_matches_reference;
+    test_case "engine: series rejects" `Quick test_engine_series_rejects;
+    prop_series_order;
   ]
