@@ -7,9 +7,13 @@
      pins verdicts, messages and exploration counts together;
    - [sensitivity]: `sensitivity --preset NAME` for every catalog name;
    - [experiment]: the paper's experiments that finish in well under a
-     second, `experiment NAME` at the default seed and workload count.
+     second, `experiment NAME` at the default seed and workload count;
+   - [experiment-slow]: `experiment ablation` and `experiment
+     figures3to5 --workloads 5`, which take seconds, so their golden is
+     diffed under its own alias rather than by `dune runtest`.
 
-   Usage: sweep.exe PATH-TO-emeralds_cli.exe check|sensitivity|experiment *)
+   Usage: sweep.exe PATH-TO-emeralds_cli.exe
+     check|sensitivity|experiment|experiment-slow *)
 
 let catalog = List.map (fun (e : Workload.Scenario.entry) -> e.name)
     Workload.Scenario.catalog
@@ -36,6 +40,13 @@ let runs = function
       (fun name -> (name, [ "experiment"; name ], "\n"))
       [ "table1"; "figure2"; "table3"; "semaphores"; "ipc"; "cyclic";
         "interrupt" ]
+  | "experiment-slow" ->
+    [
+      ("ablation", [ "experiment"; "ablation" ], "\n");
+      ( "figures3to5 --workloads 5",
+        [ "experiment"; "figures3to5"; "--workloads"; "5" ],
+        "\n" );
+    ]
   | s -> failwith ("sweep: unknown subcommand " ^ s)
 
 let () =
