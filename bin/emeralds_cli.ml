@@ -677,6 +677,9 @@ let inject_cmd =
     let plan =
       match plan with None -> default_plan scenario preset.name | Some p -> p
     in
+    (match Fault.Inject.check_plan scenario plan with
+    | Ok () -> ()
+    | Error msg -> bad_invocation "--plan: %s" msg);
     let mem_enforcement =
       Option.map
         (fun on_exceed ->

@@ -40,6 +40,27 @@ let default_config ~scenario ?(spec = Sched.Rm) ?(cost = Sim.Cost.m68040)
 
 let declared_budgets (t : Model.Task.t) = Some t.wcet
 
+(* [Plan] never sees the scenario, so a clause naming a task the
+   scenario lacks is caught here: a burst on it would raise in the
+   kernel, and the other clauses would perturb nothing. *)
+let check_plan (sc : Workload.Scenario.t) plan =
+  let tasks = Model.Taskset.tasks sc.taskset in
+  let known tid = Array.exists (fun (t : Model.Task.t) -> t.id = tid) tasks in
+  let unknown (f : Plan.fault) =
+    match f with
+    | Wcet_scale { tid; _ } | Wcet_add { tid; _ } | Release_jitter { tid; _ }
+    | Sporadic_burst { tid; _ }
+      when not (known tid) ->
+      Some (f, tid)
+    | _ -> None
+  in
+  match List.find_map unknown plan with
+  | None -> Ok ()
+  | Some (f, tid) ->
+    Error
+      (Printf.sprintf "clause %S: the scenario has no task %d"
+         (Plan.render [ f ]) tid)
+
 (* The natural quota function: what the static analyzer derives as the
    task's worst live-block demand across all pools (its [peak_live]
    upper ends summed); a job exceeding it violates the analyzed

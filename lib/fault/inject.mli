@@ -49,6 +49,12 @@ val default_config :
 val declared_budgets : Model.Task.t -> Model.Time.t option
 (** The natural budget function: every task's declared WCET. *)
 
+val check_plan : Workload.Scenario.t -> Plan.t -> (unit, string) result
+(** Every clause that names a task ([wcet-scale], [wcet-add], [jitter],
+    [burst]) must name one of the scenario's; [Error] names the first
+    clause that does not.  {!run} does not check: the CLI calls this
+    first. *)
+
 val declared_quotas :
   Workload.Scenario.t -> Model.Task.t -> int option
 (** The natural live-block quota function: the static analyzer's

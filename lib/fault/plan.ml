@@ -45,15 +45,29 @@ let empty = []
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
+(* [Ok ns], or [Error `Syntax], or [Error `Range] when the value's
+   nanoseconds do not fit in an int. *)
 let duration_of_string s =
-  let num_and cut mul =
+  let scaled cut mul =
     let n = String.sub s 0 (String.length s - cut) in
-    Option.map (fun v -> v * mul) (int_of_string_opt n)
+    match int_of_string_opt n with
+    | Some v when v > max_int / mul || v < min_int / mul -> Error `Range
+    | Some v -> Ok (v * mul)
+    | None ->
+      (* a numeral too long for an int is out of range too *)
+      let digits =
+        if String.starts_with ~prefix:"-" n then
+          String.sub n 1 (String.length n - 1)
+        else n
+      in
+      if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+      then Error `Range
+      else Error `Syntax
   in
-  if Filename.check_suffix s "ms" then num_and 2 1_000_000
-  else if Filename.check_suffix s "us" then num_and 2 1_000
-  else if Filename.check_suffix s "ns" then num_and 2 1
-  else Option.map (fun v -> v) (int_of_string_opt s)
+  if Filename.check_suffix s "ms" then scaled 2 1_000_000
+  else if Filename.check_suffix s "us" then scaled 2 1_000
+  else if Filename.check_suffix s "ns" then scaled 2 1
+  else scaled 0 1
 
 let parse_clause clause =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -91,8 +105,12 @@ let parse_clause clause =
         | None -> fail "clause %S: missing %s=" clause key
         | Some v -> (
           match duration_of_string v with
-          | Some n -> Ok n
-          | None -> fail "clause %S: %s=%s is not a duration" clause key v)
+          | Ok n -> Ok n
+          | Error `Syntax ->
+            fail "clause %S: %s=%s is not a duration" clause key v
+          | Error `Range ->
+            fail "clause %S: %s=%s is out of range: its nanoseconds do not \
+                  fit in an int (max %d)" clause key v max_int)
       in
       let opt_int_field key ~default =
         match List.assoc_opt key pairs with

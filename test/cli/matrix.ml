@@ -53,6 +53,12 @@ let bad_values =
     [ "check"; "--preset"; "table2"; "--horizon-ms=-10" ];
     [ "check"; "--max-states=0" ];
     [ "check"; "--max-depth=-1" ];
+    (* plan clauses on a task the scenario lacks, and a duration whose
+       nanoseconds overflow an int *)
+    [ "inject"; "--plan"; "burst:tid=99,at=20ms,count=3,spacing=1ms" ];
+    [ "inject"; "--plan"; "wcet-scale:tid=99,pct=400" ];
+    [ "inject"; "--plan";
+      "irq-storm:irq=9,at=10000000000000ms,count=1,spacing=1ms" ];
   ]
 
 let contains s sub =

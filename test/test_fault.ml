@@ -367,6 +367,57 @@ let test_plans_past_horizon () =
           (fun (e : Sim.Trace.stamped) -> e.entry = Interrupt { irq = 9 })
           (Sim.Trace.entries storm)))
 
+(* A duration's nanoseconds must fit in an int: the largest whole
+   millisecond value parses and round-trips, the next is out of range
+   (before, [v * mul] wrapped to another instant or a negative one). *)
+let test_plan_duration_range () =
+  let storm at =
+    Printf.sprintf "irq-storm:irq=9,at=%s,count=1,spacing=1ms" at
+  in
+  (match Fault.Plan.parse (storm "4611686018427ms") with
+  | Ok ([ Irq_storm { at; _ } ] as p) ->
+    check int "largest ms value" 4_611_686_018_427_000_000 at;
+    check bool "render/parse round-trip" true
+      (Fault.Plan.parse (Fault.Plan.render p) = Ok p)
+  | Ok _ | Error _ -> fail "4611686018427ms must parse");
+  let contains hay needle =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun v ->
+      check bool (v ^ " is out of range") true
+        (match Fault.Plan.parse (storm v) with
+        | Error m -> contains m "out of range"
+        | Ok _ -> false))
+    [ "4611686018428ms"; "5000000000000ms"; "10000000000000ms";
+      "4611686018427388us"; "-4611686018428ms"; "99999999999999999999ns" ];
+  check bool "a malformed value is not a duration" true
+    (match Fault.Plan.parse (storm "12x") with
+    | Error m -> contains m "not a duration"
+    | Ok _ -> false)
+
+(* Only the scenario knows its task ids: every clause that names a
+   task must name one of them. *)
+let test_plan_task_ids () =
+  let sc = Workload.Scenario.overrun_demo () in
+  let checked plan =
+    match Fault.Plan.parse plan with
+    | Ok p -> Fault.Inject.check_plan sc p
+    | Error e -> fail e
+  in
+  check bool "known tids pass" true
+    (checked "wcet-scale:tid=2,pct=400;irq-drop:irq=99,one-in=2" = Ok ());
+  List.iter
+    (fun plan ->
+      check bool (plan ^ " refused") true (Result.is_error (checked plan)))
+    [ "wcet-scale:tid=99,pct=400"; "wcet-add:tid=99,extra=1ms";
+      "jitter:tid=99,amp=500us"; "burst:tid=99,at=20ms,count=3,spacing=1ms";
+      "wcet-scale:tid=2,pct=400;burst:tid=0,at=1ms,count=1,spacing=1ms" ]
+
 let suite =
   [
     test_case "plan: render/parse round-trip" `Quick test_plan_roundtrip;
@@ -386,4 +437,7 @@ let suite =
       test_report_detects_and_falsifies;
     test_case "storms and bursts past the horizon" `Quick
       test_plans_past_horizon;
+    test_case "plan: durations out of range" `Quick test_plan_duration_range;
+    test_case "plan: task ids checked against the scenario" `Quick
+      test_plan_task_ids;
   ]
