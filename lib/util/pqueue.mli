@@ -1,8 +1,10 @@
 (** Indexed binary min-heap with stable handles.
 
-    Used by the discrete-event engine (timer events must be cancellable
-    when a task blocks or a timeout is disarmed) and by the RM-heap
-    scheduler variant measured in the paper's Table 1. *)
+    Used by the RM-heap scheduler variant measured in the paper's
+    Table 1 ([Readyq.Heap_queue]: a blocked task's handle removes it,
+    and {!visit_count} is the table's measure) and by
+    [Analysis.Demand]'s deadline sweep.  The discrete-event engine keeps
+    its own queue, specialised to events ([Sim.Engine]). *)
 
 type 'a t
 type 'a handle

@@ -239,6 +239,215 @@ let prop_series_order =
        (fun s -> run_setup ~series:true s = run_setup ~series:false s))
 
 (* ------------------------------------------------------------------ *)
+(* The engine's queue against the generic heap it replaced *)
+
+module type ENGINE = sig
+  type t
+  type handle
+
+  val create : unit -> t
+  val now : t -> Model.Time.t
+  val schedule : t -> at:Model.Time.t -> (unit -> unit) -> handle
+
+  val schedule_series :
+    t -> count:int -> at:(int -> Model.Time.t) -> (unit -> unit) -> unit
+
+  val schedule_after : t -> delay:Model.Time.t -> (unit -> unit) -> handle
+  val cancel : t -> handle -> bool
+  val pending : t -> int
+  val step : t -> bool
+  val run_until : t -> Model.Time.t -> unit
+  val run_bounded : t -> max_events:int -> bool
+end
+
+(* What a script step or a firing callback does.  Offsets count from
+   [now], and a negative one is in the past.  [Cancel k] cancels the
+   [k]-th most recently scheduled event: [Cancel 0] often finds it in
+   the front slot, [Cancel 1] often in the heap after the next event
+   demoted it, larger ones find events queued deep, fired or already
+   cancelled.  [Raise] ends a callback with an exception. *)
+type act =
+  | At of int * act list
+  | After of int * act list
+  | Series of int list * act list
+  | Cancel of int
+  | Raise
+
+type script_op = Do of act | Step | Run_until of int | Run_bounded of int
+
+module Script (E : ENGINE) = struct
+  (* The log of a script, then of stepping until nothing is queued:
+     every firing with its instant, every return value and exception,
+     and [pending] and [now] after each step of the script. *)
+  let run ops =
+    let e = E.create () in
+    let log = ref [] in
+    let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+    let handles = ref [] in
+    let ids = ref 0 in
+    let fresh () =
+      incr ids;
+      !ids
+    in
+    let rec perform = function
+      | At (d, body) -> queue (fun fn -> E.schedule e ~at:(E.now e + d) fn) body
+      | After (d, body) -> queue (fun fn -> E.schedule_after e ~delay:d fn) body
+      | Series (offsets, body) ->
+        let id = fresh () and base = E.now e and j = ref 0 in
+        let offsets = Array.of_list offsets in
+        E.schedule_series e ~count:(Array.length offsets)
+          ~at:(fun i -> base + offsets.(i))
+          (fun () ->
+            note "fire %d.%d @%d" id !j (E.now e);
+            incr j;
+            List.iter perform body)
+      | Cancel k ->
+        note "cancel %d: %s" k
+          (match List.nth_opt !handles k with
+          | None -> "none"
+          | Some h -> string_of_bool (E.cancel e h))
+      | Raise -> raise Exit
+    and queue schedule body =
+      let id = fresh () in
+      let h =
+        schedule (fun () ->
+            note "fire %d @%d" id (E.now e);
+            List.iter perform body)
+      in
+      handles := h :: !handles
+    in
+    let top what f =
+      (match f () with
+      | r -> note "%s -> %s" what r
+      | exception Exit -> note "%s raised" what
+      | exception Invalid_argument m -> note "%s: %s" what m);
+      note "pending %d now %d" (E.pending e) (E.now e)
+    in
+    List.iter
+      (function
+        | Do act ->
+          top "do" (fun () ->
+              perform act;
+              "")
+        | Step -> top "step" (fun () -> string_of_bool (E.step e))
+        | Run_until d ->
+          top "run_until" (fun () ->
+              E.run_until e (E.now e + d);
+              "")
+        | Run_bounded n ->
+          top "run_bounded" (fun () ->
+              string_of_bool (E.run_bounded e ~max_events:n)))
+      ops;
+    while E.pending e > 0 do
+      top "drain" (fun () -> string_of_bool (E.step e))
+    done;
+    List.rev !log
+end
+
+module Run_engine = Script (Sim.Engine)
+module Run_ref = Script (Engine_ref)
+
+let gen_script =
+  let open QCheck2.Gen in
+  let offset =
+    frequency
+      [ (1, int_range (-2) (-1)); (6, int_range 0 3); (2, int_range 4 30) ]
+  in
+  (* mostly non-decreasing instants; a step back raises when queued *)
+  let instants =
+    map2
+      (fun first steps ->
+        List.rev
+          (List.fold_left
+             (fun acc d -> (List.hd acc + d) :: acc)
+             [ first ] steps))
+      offset
+      (list_size (int_range 0 4)
+         (frequency [ (4, int_range 0 3); (1, return (-1)) ]))
+  in
+  let rec act depth =
+    let body =
+      if depth = 0 then return []
+      else list_size (int_range 0 3) (act (depth - 1))
+    in
+    frequency
+      [
+        (4, map2 (fun d b -> At (d, b)) offset body);
+        (2, map2 (fun d b -> After (d, b)) offset body);
+        (1, map2 (fun at b -> Series (at, b)) instants body);
+        ( 3,
+          map
+            (fun k -> Cancel k)
+            (frequency
+               [ (3, return 0); (3, int_range 1 3); (1, int_range 4 30) ]) );
+        (1, return Raise);
+      ]
+  in
+  list_size (int_range 1 30)
+    (frequency
+       [
+         (6, map (fun a -> Do a) (act 2));
+         (3, return Step);
+         (1, map (fun d -> Run_until d) (int_range (-1) 20));
+         (1, map (fun n -> Run_bounded n) (int_range (-1) 5));
+       ])
+
+let prop_engine_matches_reference =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    (QCheck2.Test.make ~count:500
+       ~name:"engine: same log as the reference queue"
+       ~print:(fun ops ->
+         Printf.sprintf "engine: %s\nreference: %s"
+           (String.concat "; " (Run_engine.run ops))
+           (String.concat "; " (Run_ref.run ops)))
+       gen_script
+       (fun ops -> Run_engine.run ops = Run_ref.run ops))
+
+(* An event whose callback holds the only pointer to a fresh block;
+   [w] gets a weak pointer to the block at [slot]. *)
+let[@inline never] watched e w slot ~at =
+  let block = Bytes.make 64 'x' in
+  Weak.set w slot (Some block);
+  Sim.Engine.schedule e ~at (fun () -> ignore (Sys.opaque_identity block))
+
+(* Fire or cancel nine watched events, from the front slot and from the
+   heap, and drop every handle.  The last heap entry moves into the hole
+   a cancel leaves, so [moved] leaves the queue from a place it was
+   moved to. *)
+let[@inline never] fire_and_cancel e w =
+  ignore (watched e w 0 ~at:(ms 1));
+  ignore (Sim.Engine.step e);
+  ignore (watched e w 1 ~at:(ms 2));
+  ignore (watched e w 2 ~at:(ms 3));
+  ignore (Sim.Engine.step e);
+  ignore (Sim.Engine.step e);
+  let demoted = watched e w 3 ~at:(ms 5) in
+  ignore (watched e w 4 ~at:(ms 4));
+  ignore (Sim.Engine.cancel e demoted);
+  ignore (Sim.Engine.step e);
+  ignore (Sim.Engine.cancel e (watched e w 5 ~at:(ms 6)));
+  let front = watched e w 6 ~at:(ms 7) in
+  let inner = watched e w 7 ~at:(ms 150) in
+  let moved = watched e w 8 ~at:(ms 160) in
+  ignore (Sim.Engine.cancel e inner);
+  ignore (Sim.Engine.cancel e moved);
+  ignore (Sim.Engine.cancel e front)
+
+let test_engine_drops_done_events () =
+  let e = Sim.Engine.create () in
+  for i = 1 to 20 do
+    ignore (Sim.Engine.schedule e ~at:(ms (100 + i)) ignore)
+  done;
+  let w = Weak.create 9 in
+  fire_and_cancel e w;
+  Gc.full_major ();
+  for slot = 0 to Weak.length w - 1 do
+    check bool (Printf.sprintf "block %d collected" slot) false
+      (Weak.check w slot)
+  done;
+  check int "the rest still queued" 20 (Sim.Engine.pending e)
+
+(* ------------------------------------------------------------------ *)
 (* Trace *)
 
 let test_trace_counters () =
@@ -763,4 +972,7 @@ let suite =
     prop_equal_matches_reference;
     test_case "engine: series rejects" `Quick test_engine_series_rejects;
     prop_series_order;
+    prop_engine_matches_reference;
+    test_case "engine: fired and cancelled events are unreachable" `Quick
+      test_engine_drops_done_events;
   ]
