@@ -584,7 +584,10 @@ let inject_cmd =
           ~doc:
             "Fault plan (replaces the preset's default plan), e.g. \
              'wcet-scale:tid=2,pct=400;jitter:tid=1,amp=500us'. See \
-             lib/fault/plan.mli for the full syntax.")
+             lib/fault/plan.mli for the full syntax. A clause on a task \
+             the scenario lacks, or a fabric fault (frame-drop, \
+             frame-corrupt, node-crash, node-restart, link-partition), \
+             is refused with exit 2.")
   in
   let policy =
     Arg.(
@@ -704,22 +707,17 @@ let inject_cmd =
     in
     let cfg =
       {
-        Fault.Inject.scenario;
-        spec = sched;
-        cost = Sim.Cost.m68040;
-        horizon = Model.Time.ms horizon_ms;
-        seed;
-        tick = None;
-        enforcement =
-          Some
-            {
-              Emeralds.Kernel.budget_of = Fault.Inject.declared_budgets;
-              policy;
-              miss;
-              shed_one_in;
-            };
-        mem_enforcement;
-        plan;
+        (Fault.Inject.default_config ~scenario ~spec:sched
+           ~horizon:(Model.Time.ms horizon_ms) ~seed
+           ~enforcement:
+             {
+               Emeralds.Kernel.budget_of = Fault.Inject.declared_budgets;
+               policy;
+               miss;
+               shed_one_in;
+             }
+           ?mem_enforcement ~plan ())
+        with
         observer;
       }
     in
@@ -759,9 +757,9 @@ let inject_cmd =
     (Cmd.info "inject"
        ~doc:
          "Replay a scenario under a fault plan (WCET overruns, release \
-          jitter, IRQ storms, lost signals, sporadic bursts, clock drift) \
-          with runtime budget enforcement, and report detection latency, \
-          shedding, and which static predictions the faults falsified")
+          jitter, IRQ storms, lost signals, sporadic bursts) with runtime \
+          budget enforcement, and report detection latency, shedding, and \
+          which static predictions the faults falsified")
     Term.(
       const run $ preset $ plan $ policy $ miss_policy $ shed_one_in
       $ mem_policy $ sched Emeralds.Sched.Rm $ horizon_ms 200 $ seed $ format
@@ -1300,7 +1298,9 @@ let fabric_cmd =
           ~doc:
             "Extra fault clauses appended to the preset's plan \
              (semicolon-separated; e.g. \
-             'frame-drop:one-in=16;node-crash:node=2,at=80ms').")
+             'frame-drop:one-in=16;node-crash:node=2,at=80ms'). A clause \
+             the fabric does not interpret, or one naming a node the \
+             cluster lacks, is refused with exit 2.")
   in
   let horizon_ms =
     Arg.(
@@ -1320,6 +1320,9 @@ let fabric_cmd =
       Fabric.Cluster.create ~engine ~bus ~cost:Sim.Cost.m68040
         ~spec:Emeralds.Sched.Edf ~seed ~assignments ()
     in
+    (match Fabric.Cluster.check_plan cluster plan with
+    | Ok () -> ()
+    | Error msg -> bad_invocation "--plan: %s" msg);
     Fabric.Cluster.install_plan cluster plan;
     Option.iter
       (fun (at, tid, dst) ->

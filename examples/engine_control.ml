@@ -14,41 +14,16 @@
 open Emeralds
 
 let ms = Model.Time.ms
-let us = Model.Time.us
-let taskset = Workload.Presets.engine_control
 let cost = Sim.Cost.m68040
 
-(* Shared kernel objects: statically allocated, as in EMERALDS (§3). *)
-let engine_speed = State_msg.create ~depth:3 ~words:2
-let fuel_map = Objects.sem ~kind:Types.Emeralds ()
-let spark_event = Objects.waitq ()
-let crank_irq = 7
-
-let programs (task : Model.Task.t) =
-  let open Program in
-  match task.id with
-  | 1 ->
-    (* injection timing: read speed, adjust injectors *)
-    [ state_read engine_speed; compute (us 800) ]
-  | 2 -> [ state_read engine_speed; compute (us 500) ]
-  | 3 ->
-    (* ignition timing: reads speed, then updates the fuel map inside
-       the semaphore-protected object *)
-    state_read engine_speed :: compute (us 300)
-    :: critical fuel_map (us 900)
-  | 4 ->
-    (* fuel-map adaptation: holds the map while recalculating, then
-       opens the spark window *)
-    compute (us 500)
-    :: (critical fuel_map (us 1500) @ [ signal spark_event ])
-  | 5 -> [ state_read engine_speed; compute (us 1600) ]
-  | 8 ->
-    (* knock diagnostics: waits for a spark window, then inspects the
-       map — the wait carries the acquire hint (§6.2's code parser),
-       so EMERALDS saves a context switch when the map is locked *)
-    compute (us 2000)
-    :: (wait spark_event :: critical fuel_map (us 2500))
-  | _ -> [ compute task.wcet ]
+(* The shipped [engine] scenario: the task set, each task's program
+   over statically allocated objects (§3), and the crank interrupt
+   source, whose state message carries engine speed. *)
+let scenario = Option.get (Workload.Scenario.make "engine")
+let taskset = scenario.taskset
+let programs = scenario.programs
+let crank = List.hd scenario.irq_sources
+let engine_speed = List.hd crank.writes
 
 let () =
   Printf.printf "engine-control workload: %d tasks, U = %.3f\n"
@@ -68,7 +43,7 @@ let () =
 
   (* Crank interrupts at ~6000 rpm: every 10 ms the handler samples the
      timer and publishes speed. *)
-  Kernel.register_irq k ~irq:crank_irq ~writes:[ engine_speed ]
+  Kernel.register_irq k ~irq:crank.irq ~writes:[ engine_speed ]
     ~handler:(fun () ->
       let rpm = 6000 + ((Model.Time.to_ms_f (Kernel.now k) |> int_of_float) mod 200) in
       State_msg.write engine_speed [| rpm; Kernel.now k / 1_000_000 |])
@@ -90,12 +65,9 @@ let () =
     exit 1
   end;
 
-  (* Derive the static memory footprint for this workload (the scenario
-     preset mirrors the objects allocated above) and hold it against the
-     paper's 32-128 KB device envelope before running. *)
-  let ab =
-    Absint.Report.analyze (Option.get (Workload.Scenario.make "engine"))
-  in
+  (* Derive the static memory footprint for this workload and hold it
+     against the paper's 32-128 KB device envelope before running. *)
+  let ab = Absint.Report.analyze scenario in
   Printf.printf
     "derived footprint: %d bytes code + %d bytes RAM = %d bytes \
      (envelope %d-%d): %s\n"
@@ -109,7 +81,7 @@ let () =
 
   let rec schedule_crank t =
     if t <= Model.Time.sec 2 then begin
-      Kernel.raise_irq_at k ~at:t ~irq:crank_irq;
+      Kernel.raise_irq_at k ~at:t ~irq:crank.irq;
       schedule_crank (t + ms 10)
     end
   in

@@ -67,10 +67,3 @@ let blocking_terms ~n css =
           (sum_of_max (fun cs -> cs.task_rank))
           (sum_of_max (fun cs -> cs.sem))
       end)
-
-(* The blocking-aware fixpoint is Rta's with B folded into the base
-   demand; delegate so there is exactly one RTA implementation. *)
-let response_time ?limit ~tasks ~blocking i =
-  Rta.response_time ?limit ~blocking ~tasks i
-
-let feasible ?limit tasks ~blocking = Rta.feasible ?limit ~blocking tasks

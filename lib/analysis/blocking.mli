@@ -4,9 +4,10 @@
     is bounded [26]: a job can be delayed by lower-priority tasks for
     at most one critical section per lower-priority task, and at most
     one per semaphore.  This module computes that bound from a
-    declarative description of who locks what for how long, and folds
-    it into response-time analysis — connecting the semaphore
-    subsystem back to the schedulability story. *)
+    declarative description of who locks what for how long;
+    {!Rta.response_time} and {!Rta.feasible} fold it in as [~blocking]
+    — connecting the semaphore subsystem back to the schedulability
+    story. *)
 
 type critical_section = {
   task_rank : int;  (** priority rank of the task executing it (0 = highest) *)
@@ -42,15 +43,3 @@ val blocking_terms : n:int -> critical_section list -> int array
     The [critical_section] list can be written by hand or extracted
     statically from thread programs by the verifier
     ([Lint.Blocking_terms.critical_sections]). *)
-
-val response_time :
-  ?limit:int ->
-  tasks:(int * int * int) array ->
-  blocking:int array ->
-  int ->
-  int option
-(** Response time of task [i] including its blocking term:
-    R = C + B + interference.  Same conventions as {!Rta}. *)
-
-val feasible :
-  ?limit:int -> (int * int * int) array -> blocking:int array -> bool

@@ -56,31 +56,6 @@ type mem_enforcement = {
   on_exceed : overrun_policy;
 }
 
-type enf_state = {
-  mutable used : Model.Time.t; (* budget consumed by the current job *)
-  mutable probe : Sim.Engine.handle option; (* armed budget-exhaustion event *)
-  mutable probe_job : int;
-  mutable overrun_flagged : bool; (* at most one overrun event per job *)
-  mutable skip_next : bool;
-  mutable since_shed : int; (* releases run since the last shed *)
-  mutable kill_pending : bool; (* miss-kill deferred until next dispatched *)
-  mutable demoted : bool;
-  mutable quota_flagged : bool; (* at most one quota event per job *)
-  mutable quota_hits : int;
-  mutable overruns : int;
-  mutable kills : int;
-  mutable sheds : int;
-  mutable first_detection : Model.Time.t option;
-}
-
-(* Observed per-(task, pool) allocator behaviour — the dynamic side of
-   the peak-live domination oracle. *)
-type mem_cell = {
-  mutable mc_hw : int; (* max blocks the task had live in the pool *)
-  mutable mc_leaked : int; (* blocks still live at job completion *)
-  mutable mc_oom : int; (* allocations denied to this task *)
-}
-
 type t = {
   engine : Sim.Engine.t;
   cost : Sim.Cost.t;
@@ -102,19 +77,17 @@ type t = {
   tick : Model.Time.t option; (* None = event-precise timers (EMERALDS) *)
   irq_handlers : (int, irq_entry) Hashtbl.t;
   (* enforcement: [None] leaves every code path below bit-identical to
-     the unenforced kernel (the fuzz differential depends on this) *)
+     the unenforced kernel (the fuzz differential depends on this); the
+     per-task state lives in each TCB's [enf] *)
   mutable enforcement : enforcement option;
-  enf : (int, enf_state) Hashtbl.t; (* per-tid, created lazily *)
   (* block-pool allocator *)
   pools : pool list; (* every pool any program references, id-sorted *)
   mutable mem_enforcement : mem_enforcement option;
-  mem_cells : (int * int, mem_cell) Hashtbl.t; (* (tid, pool_id) *)
   (* fault hooks, installed by [lib/fault]; all default to inert *)
   mutable fault_demand :
     (tid:int -> job:int -> Model.Time.t -> Model.Time.t) option;
   mutable fault_jitter : (tid:int -> job:int -> Model.Time.t) option;
   mutable fault_drop_signal : (wq_id:int -> bool) option;
-  mutable drift_ppm : int; (* tick-clock drift, parts per million *)
   (* branch decisions: each job of a branchy program draws one input
      word from a stream keyed by (seed, tid, job); [Br_input] consumes
      its bits.  The root rng is split, never advanced, so words are
@@ -126,56 +99,33 @@ type t = {
 let now k = Sim.Engine.now k.engine
 
 (* A periodic-tick kernel only notices timer expirations at tick
-   boundaries; EMERALDS programs its timer for exact instants.  A
-   drifting tick clock (fault hook) stretches or shrinks the effective
-   tick; event-precise kernels have no tick to drift. *)
+   boundaries; EMERALDS programs its timer for exact instants. *)
 let quantize k t =
-  match k.tick with
-  | None -> t
-  | Some q ->
-    let q =
-      if k.drift_ppm = 0 then q
-      else Int.max 1 (q + (q * k.drift_ppm / 1_000_000))
-    in
-    Util.Intmath.ceil_div t q * q
+  match k.tick with None -> t | Some q -> Util.Intmath.ceil_div t q * q
 
-let enf_state k (tcb : tcb) =
-  match Hashtbl.find_opt k.enf tcb.tid with
-  | Some st -> st
-  | None ->
-    let st =
-      {
-        used = 0;
-        probe = None;
-        probe_job = 0;
-        overrun_flagged = false;
-        skip_next = false;
-        since_shed = max_int / 2; (* no shed yet: the first one is free *)
-        kill_pending = false;
-        demoted = false;
-        quota_flagged = false;
-        quota_hits = 0;
-        overruns = 0;
-        kills = 0;
-        sheds = 0;
-        first_detection = None;
-      }
-    in
-    Hashtbl.add k.enf tcb.tid st;
-    st
-let mem_cell k (tcb : tcb) (p : pool) =
-  match Hashtbl.find_opt k.mem_cells (tcb.tid, p.pool_id) with
-  | Some c -> c
-  | None ->
-    let c = { mc_hw = 0; mc_leaked = 0; mc_oom = 0 } in
-    Hashtbl.add k.mem_cells (tcb.tid, p.pool_id) c;
-    c
+let find_cell (tcb : tcb) (p : pool) =
+  List.find_opt (fun c -> c.mc_pool == p) tcb.mem_cells
 
-let live_in (tcb : tcb) (p : pool) =
-  match List.assq_opt p tcb.live_blocks with Some n -> n | None -> 0
+(* Keep [mem_cells] most recently touched first: a job's leaks are
+   reported in that order. *)
+let to_front (tcb : tcb) c =
+  match tcb.mem_cells with
+  | c' :: _ when c' == c -> ()
+  | cells -> tcb.mem_cells <- c :: List.filter (fun x -> x != c) cells
 
 let total_live (tcb : tcb) =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 tcb.live_blocks
+  List.fold_left (fun acc c -> acc + c.mc_live) 0 tcb.mem_cells
+
+(* The first violation of any kind the enforcement layer detected. *)
+let detect k (tcb : tcb) =
+  if tcb.enf.first_detection = None then tcb.enf.first_detection <- Some (now k)
+
+let disarm_probe k (st : enf_state) =
+  match st.probe with
+  | Some h ->
+    ignore (Sim.Engine.cancel k.engine h);
+    st.probe <- None
+  | None -> ()
 
 let trace k = k.tr
 let probe k = k.probe
@@ -215,7 +165,7 @@ let check_invariants k =
             | None -> assert false)
         tcb.held_sems;
       (* live-block counts are non-negative *)
-      List.iter (fun (_, n) -> assert (n >= 0)) tcb.live_blocks)
+      List.iter (fun c -> assert (c.mc_live >= 0)) tcb.mem_cells)
     k.tcbs;
   (* pool occupancy: free blocks in range, and every outstanding block
      is owned by exactly one task's live count *)
@@ -223,7 +173,10 @@ let check_invariants k =
     (fun (p : pool) ->
       assert (p.pool_free >= 0 && p.pool_free <= p.pool_capacity);
       let owned =
-        Array.fold_left (fun acc tcb -> acc + live_in tcb p) 0 k.tcbs
+        Array.fold_left
+          (fun acc tcb ->
+            match find_cell tcb p with Some c -> acc + c.mc_live | None -> acc)
+          0 k.tcbs
       in
       assert (owned = p.pool_capacity - p.pool_free))
     k.pools
@@ -251,18 +204,13 @@ let interrupt_burst k =
     in
     b.owner.remaining <- b.owner.remaining - executed;
     Sim.Trace.add_busy k.tr executed;
-    (match k.enforcement with
-    | None -> ()
-    | Some _ ->
+    if Option.is_some k.enforcement then begin
       (* bank the executed time against the job's budget and disarm the
          budget probe — it is re-armed when the burst next resumes *)
-      let st = enf_state k b.owner in
+      let st = b.owner.enf in
       st.used <- Model.Time.add st.used executed;
-      (match st.probe with
-      | Some h ->
-        ignore (Sim.Engine.cancel k.engine h);
-        st.probe <- None
-      | None -> ()));
+      disarm_probe k st
+    end;
     if b.owner.remaining > 0 then ignore (Sim.Engine.cancel k.engine b.completion);
     k.burst <- None
 
@@ -462,52 +410,60 @@ let sem_release k tcb s =
        priority, the scheduler must still re-evaluate. *)
     if (not !woke) && was_inherited then select_now k
 
-(* Called when a thread's blocking call (Wait/Delay) completes and its
-   pc has been advanced past it.  [hint] is the code-parser annotation:
-   the semaphore the upcoming acquire will target (§6.2). *)
-let complete_blocking_call k tcb hint =
-  match hint with
-  | Some s when s.sem_kind = Emeralds -> (
-    join_approachers tcb s;
-    match if s.sem_value = 0 then Some s else None with
-    | Some s -> (
-      (* The semaphore is taken: inherit now and keep the thread
-         blocked — this is the eliminated context switch C2. *)
-      (match s.holder with
-      | Some holder -> do_inherit k ~holder ~waiter:tcb
-      | None -> ());
-      match tcb.state with
-      | Blocked _ ->
-        tcb.state <- Blocked "approach";
-        Obs.Probe.emit k.probe ~at:(now k)
-          (Approach_parked { tid = tcb.tid; sem = s.sem_id });
-        Obs.Probe.emit k.probe ~at:(now k)
-          (Note
-             (Printf.sprintf "tau%d held back awaiting sem%d" tcb.tid
-                s.sem_id));
-        (* The holder's priority may have risen above the running
-           thread's. *)
-        select_now k
-      | Ready | Running ->
-        (* Completed the call without blocking (the signal was already
-           pending) while S is locked: park it (§6.3.1, case B fix). *)
-        block_thread k tcb ~reason:"approach" ~dormant:false;
-        Obs.Probe.emit k.probe ~at:(now k)
-          (Approach_parked { tid = tcb.tid; sem = s.sem_id })
-      | Dormant -> assert false)
-    | None -> (
-      match tcb.state with
-      | Blocked _ -> unblock_thread k tcb
-      | Ready | Running -> ()
-      | Dormant -> assert false))
-  | Some _ | None -> (
+(* A thread's blocking call (Wait, Timed_wait, Delay) completes: step
+   its pc past the call and finish it under the call's code-parser
+   hint, the semaphore the upcoming acquire will target (§6.2). *)
+let complete_blocking_call k tcb =
+  let hint = tcb.hints.(tcb.pc) in
+  tcb.pc <- tcb.pc + 1;
+  let locked =
+    match hint with
+    | Some s when s.sem_kind = Emeralds ->
+      join_approachers tcb s;
+      if s.sem_value = 0 then Some s else None
+    | Some _ | None -> None
+  in
+  match locked with
+  | None -> (
     match tcb.state with
     | Blocked _ -> unblock_thread k tcb
     | Ready | Running -> ()
     | Dormant -> assert false)
+  | Some s -> (
+    (* The semaphore is taken: inherit now and keep the thread
+       blocked — this is the eliminated context switch C2. *)
+    (match s.holder with
+    | Some holder -> do_inherit k ~holder ~waiter:tcb
+    | None -> ());
+    match tcb.state with
+    | Blocked _ ->
+      tcb.state <- Blocked "approach";
+      Obs.Probe.emit k.probe ~at:(now k)
+        (Approach_parked { tid = tcb.tid; sem = s.sem_id });
+      Obs.Probe.emit k.probe ~at:(now k)
+        (Note
+           (Printf.sprintf "tau%d held back awaiting sem%d" tcb.tid s.sem_id));
+      (* The holder's priority may have risen above the running
+         thread's. *)
+      select_now k
+    | Ready | Running ->
+      (* Completed the call without blocking (the signal was already
+         pending) while S is locked: park it (§6.3.1, case B fix). *)
+      block_thread k tcb ~reason:"approach" ~dormant:false;
+      Obs.Probe.emit k.probe ~at:(now k)
+        (Approach_parked { tid = tcb.tid; sem = s.sem_id })
+    | Dormant -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* Wait queues and signals *)
+
+(* Complete the wait of [wq]'s best waiter; [false] if none waits. *)
+let wake_one k wq =
+  match take_first_waiter wq.wq_waiters with
+  | Some w ->
+    complete_blocking_call k w;
+    true
+  | None -> false
 
 let do_signal k wq =
   let dropped =
@@ -518,25 +474,10 @@ let do_signal k wq =
   if dropped then
     Obs.Probe.emit k.probe ~at:(now k)
       (Note (Printf.sprintf "signal lost on waitq%d (fault)" wq.wq_id))
-  else
-    match take_first_waiter wq.wq_waiters with
-    | Some w ->
-      let hint = w.hints.(w.pc) in
-      w.pc <- w.pc + 1;
-      complete_blocking_call k w hint
-    | None -> wq.pending_signals <- wq.pending_signals + 1
+  else if not (wake_one k wq) then
+    wq.pending_signals <- wq.pending_signals + 1
 
-let do_broadcast k wq =
-  let rec drain () =
-    match take_first_waiter wq.wq_waiters with
-    | Some w ->
-      let hint = w.hints.(w.pc) in
-      w.pc <- w.pc + 1;
-      complete_blocking_call k w hint;
-      drain ()
-    | None -> ()
-  in
-  drain ()
+let do_broadcast k wq = while wake_one k wq do () done
 
 (* ------------------------------------------------------------------ *)
 (* Mailboxes *)
@@ -630,11 +571,10 @@ let rec schedule_deadline_check k tcb ~job ~deadline =
       (match k.enforcement with
       | None -> ()
       | Some e -> (
-        let st = enf_state k tcb in
-        if st.first_detection = None then st.first_detection <- Some (now k);
+        detect k tcb;
         match e.miss with
         | Miss_record -> ()
-        | Miss_shed_next -> st.skip_next <- true
+        | Miss_shed_next -> tcb.enf.skip_next <- true
         | Miss_kill ->
           (kernel_event k (fun () ->
                charge k Sim.Trace.Ovh_timer k.cost.timer_service;
@@ -643,7 +583,7 @@ let rec schedule_deadline_check k tcb ~job ~deadline =
                  else
                    (* a blocked late job cannot be unlinked from its
                       wait list here; it dies when next dispatched *)
-                   st.kill_pending <- true))
+                   tcb.enf.kill_pending <- true))
             ()));
       if k.stop_on_miss then k.stopped <- true
     end
@@ -673,29 +613,20 @@ and begin_job k tcb ~job ~release =
   end;
   tcb.abs_deadline <- release + tcb.task.deadline;
   if not tcb.inherited then tcb.eff_deadline <- tcb.abs_deadline;
-  (match k.enforcement with
-  | None -> ()
-  | Some _ ->
-    let st = enf_state k tcb in
-    st.used <- 0;
-    st.overrun_flagged <- false;
-    st.kill_pending <- false;
-    (match st.probe with
-    | Some h ->
-      ignore (Sim.Engine.cancel k.engine h);
-      st.probe <- None
-    | None -> ());
-    if st.demoted then begin
-      st.demoted <- false;
-      if not tcb.inherited then begin
-        tcb.eff_prio <- tcb.base_prio;
-        tcb.eff_deadline <- tcb.abs_deadline;
-        charge k Sim.Trace.Ovh_sched_demote (k.sched.s_reprioritize tcb)
-      end
-    end);
-  (match k.mem_enforcement with
-  | None -> ()
-  | Some _ -> (enf_state k tcb).quota_flagged <- false);
+  let st = tcb.enf in
+  st.used <- 0;
+  st.overrun_flagged <- false;
+  st.kill_pending <- false;
+  st.quota_flagged <- false;
+  disarm_probe k st;
+  if st.demoted then begin
+    st.demoted <- false;
+    if not tcb.inherited then begin
+      tcb.eff_prio <- tcb.base_prio;
+      tcb.eff_deadline <- tcb.abs_deadline;
+      charge k Sim.Trace.Ovh_sched_demote (k.sched.s_reprioritize tcb)
+    end
+  end;
   Obs.Probe.emit k.probe ~at:(now k)
     (Job_release { tid = tcb.tid; job; deadline = tcb.abs_deadline });
   schedule_deadline_check k tcb ~job ~deadline:tcb.abs_deadline
@@ -705,7 +636,10 @@ and begin_job k tcb ~job ~release =
 
 and run_instrs k tcb =
   if k.stopped then ()
-  else if consume_kill_pending k tcb then ()
+  else if tcb.enf.kill_pending then begin
+    tcb.enf.kill_pending <- false;
+    kill_job k tcb
+  end
   else if tcb.pc >= Array.length tcb.program then job_complete k tcb
   else
     let step () =
@@ -736,57 +670,35 @@ and run_instrs k tcb =
     | Release s ->
       sem_release k tcb s;
       step ()
+    | (Wait wq | Timed_wait (wq, _)) when wq.pending_signals > 0 ->
+      (* a pending signal completes the call without blocking *)
+      wq.pending_signals <- wq.pending_signals - 1;
+      complete_blocking_call k tcb;
+      if is_ready tcb then run_instrs k tcb
     | Wait wq ->
-      if wq.pending_signals > 0 then begin
-        wq.pending_signals <- wq.pending_signals - 1;
-        let hint = tcb.hints.(tcb.pc) in
-        tcb.pc <- tcb.pc + 1;
-        complete_blocking_call k tcb hint;
-        if is_ready tcb then run_instrs k tcb
-      end
-      else begin
-        insert_by_prio wq.wq_waiters tcb;
-        block_thread k tcb ~reason:"wait" ~dormant:false
-      end
+      insert_by_prio wq.wq_waiters tcb;
+      block_thread k tcb ~reason:"wait" ~dormant:false
     | Timed_wait (wq, d) ->
-      if wq.pending_signals > 0 then begin
-        wq.pending_signals <- wq.pending_signals - 1;
-        let hint = tcb.hints.(tcb.pc) in
-        tcb.pc <- tcb.pc + 1;
-        complete_blocking_call k tcb hint;
-        if is_ready tcb then run_instrs k tcb
-      end
-      else begin
-        let armed_job = tcb.job_no and armed_pc = tcb.pc in
-        let hint = tcb.hints.(tcb.pc) in
-        insert_by_prio wq.wq_waiters tcb;
-        block_thread k tcb ~reason:"wait" ~dormant:false;
-        charge k Sim.Trace.Ovh_timer
-          (Charge.service k.cost Charge.Timed_wait ~words:0);
-        let timeout () =
-          (* fire only if the very same wait is still pending *)
-          let still_waiting =
-            tcb.job_no = armed_job && tcb.pc = armed_pc
-            &&
-            match tcb.wait_node with
-            | Some node -> Util.Dlist.mem wq.wq_waiters node
-            | None -> false
-          in
-          if still_waiting then begin
-            (match tcb.wait_node with
-            | Some node ->
-              Util.Dlist.remove wq.wq_waiters node;
-              tcb.wait_node <- None
-            | None -> ());
-            tcb.pc <- tcb.pc + 1;
-            complete_blocking_call k tcb hint
-          end
-        in
-        ignore
-          (Sim.Engine.schedule k.engine
-             ~at:(quantize k (now k + d))
-             (kernel_event k timeout))
-      end
+      let armed_job = tcb.job_no and armed_pc = tcb.pc in
+      insert_by_prio wq.wq_waiters tcb;
+      block_thread k tcb ~reason:"wait" ~dormant:false;
+      charge k Sim.Trace.Ovh_timer
+        (Charge.service k.cost Charge.Timed_wait ~words:0);
+      let timeout () =
+        (* fire only if the very same wait is still pending *)
+        match tcb.wait_node with
+        | Some node
+          when tcb.job_no = armed_job && tcb.pc = armed_pc
+               && Util.Dlist.mem wq.wq_waiters node ->
+          Util.Dlist.remove wq.wq_waiters node;
+          tcb.wait_node <- None;
+          complete_blocking_call k tcb
+        | Some _ | None -> ()
+      in
+      ignore
+        (Sim.Engine.schedule k.engine
+           ~at:(quantize k (now k + d))
+           (kernel_event k timeout))
     | Signal wq ->
       do_signal k wq;
       step ()
@@ -813,27 +725,31 @@ and run_instrs k tcb =
       step ()
     | Delay d ->
       charge k Sim.Trace.Ovh_timer (Charge.service k.cost Charge.Delay ~words:0);
-      let hint = tcb.hints.(tcb.pc) in
       block_thread k tcb ~reason:"delay" ~dormant:false;
-      let wake () =
-        tcb.pc <- tcb.pc + 1;
-        complete_blocking_call k tcb hint
-      in
       ignore
         (Sim.Engine.schedule k.engine
            ~at:(quantize k (now k + d))
-           (kernel_event k wake))
+           (kernel_event k (fun () -> complete_blocking_call k tcb)))
     | Alloc p ->
       charge k Sim.Trace.Ovh_pool (Charge.service k.cost Charge.Pool ~words:0);
+      let c =
+        match find_cell tcb p with
+        | Some c -> c
+        | None ->
+          (* the task's first allocation from [p] *)
+          let c =
+            { mc_pool = p; mc_live = 0; mc_hw = 0; mc_leaked = 0; mc_oom = 0 }
+          in
+          tcb.mem_cells <- c :: tcb.mem_cells;
+          c
+      in
       if p.pool_free > 0 then begin
         p.pool_free <- p.pool_free - 1;
         let live = p.pool_capacity - p.pool_free in
         p.pool_high_water <- Int.max p.pool_high_water live;
-        let mine = live_in tcb p + 1 in
-        tcb.live_blocks <-
-          (p, mine) :: List.filter (fun (q, _) -> q != p) tcb.live_blocks;
-        let c = mem_cell k tcb p in
-        c.mc_hw <- Int.max c.mc_hw mine;
+        c.mc_live <- c.mc_live + 1;
+        c.mc_hw <- Int.max c.mc_hw c.mc_live;
+        to_front tcb c;
         Obs.Probe.emit k.probe ~at:(now k)
           (Block_alloc { tid = tcb.tid; pool = p.pool_id; live });
         let job = tcb.job_no in
@@ -844,18 +760,19 @@ and run_instrs k tcb =
       end
       else begin
         p.pool_failures <- p.pool_failures + 1;
-        (mem_cell k tcb p).mc_oom <- (mem_cell k tcb p).mc_oom + 1;
+        c.mc_oom <- c.mc_oom + 1;
         Obs.Probe.emit k.probe ~at:(now k)
           (Pool_oom { tid = tcb.tid; pool = p.pool_id });
         step ()
       end
     | Free p ->
       charge k Sim.Trace.Ovh_pool (Charge.service k.cost Charge.Pool ~words:0);
-      let mine = live_in tcb p in
-      if mine <= 0 then
-        invalid_arg "Kernel: free of a block the job does not hold";
-      tcb.live_blocks <-
-        (p, mine - 1) :: List.filter (fun (q, _) -> q != p) tcb.live_blocks;
+      (match find_cell tcb p with
+      | Some c when c.mc_live > 0 ->
+        c.mc_live <- c.mc_live - 1;
+        to_front tcb c
+      | Some _ | None ->
+        invalid_arg "Kernel: free of a block the job does not hold");
       p.pool_free <- p.pool_free + 1;
       Obs.Probe.emit k.probe ~at:(now k)
         (Block_free
@@ -904,22 +821,14 @@ and check_quota k tcb =
     | None -> ()
     | Some quota ->
       let live = total_live tcb in
-      if live > quota then begin
-        let st = enf_state k tcb in
-        if not st.quota_flagged then begin
-          st.quota_flagged <- true;
-          st.quota_hits <- st.quota_hits + 1;
-          if st.first_detection = None then st.first_detection <- Some (now k);
-          Obs.Probe.emit k.probe ~at:(now k)
-            (Quota_exceeded { tid = tcb.tid; job = tcb.job_no; live; quota });
-          match me.on_exceed with
-          | Notify_only -> ()
-          | Demote by -> apply_demotion k tcb ~by
-          | Kill_job -> kill_job k tcb
-          | Skip_next ->
-            st.skip_next <- true;
-            kill_job k tcb
-        end
+      let st = tcb.enf in
+      if live > quota && not st.quota_flagged then begin
+        st.quota_flagged <- true;
+        st.quota_hits <- st.quota_hits + 1;
+        detect k tcb;
+        Obs.Probe.emit k.probe ~at:(now k)
+          (Quota_exceeded { tid = tcb.tid; job = tcb.job_no; live; quota });
+        enforce k tcb me.on_exceed
       end)
 
 (* Blocks still live when the job ends are leaks: record them, then
@@ -929,36 +838,44 @@ and check_quota k tcb =
    program leak. *)
 and reclaim_blocks k tcb ~leak =
   List.iter
-    (fun ((p : pool), n) ->
+    (fun c ->
+      let n = c.mc_live in
       if n > 0 then begin
+        let p = c.mc_pool in
+        c.mc_live <- 0;
         p.pool_free <- Int.min p.pool_capacity (p.pool_free + n);
         if leak then begin
-          (mem_cell k tcb p).mc_leaked <- (mem_cell k tcb p).mc_leaked + n;
+          c.mc_leaked <- c.mc_leaked + n;
           Obs.Probe.emit k.probe ~at:(now k)
             (Pool_leak
                { tid = tcb.tid; job = tcb.job_no; pool = p.pool_id; count = n })
         end
       end)
-    tcb.live_blocks;
-  tcb.live_blocks <- []
+    tcb.mem_cells
 
 and job_complete k tcb =
   reclaim_blocks k tcb ~leak:true;
   let response = now k - tcb.release_time in
-  tcb.completed_job <- tcb.job_no;
   tcb.jobs_completed <- tcb.jobs_completed + 1;
   tcb.total_response <- tcb.total_response + response;
   tcb.max_response <- Model.Time.max tcb.max_response response;
   Obs.Probe.emit k.probe ~at:(now k)
     (Job_complete { tid = tcb.tid; job = tcb.job_no; response });
-  if Queue.is_empty tcb.pending_releases then
-    block_thread k tcb ~reason:"dormant" ~dormant:true
-  else begin
-    (* A release arrived while this job overran: start it right away. *)
-    let job, release = Queue.pop tcb.pending_releases in
+  end_job k tcb ~reason:"dormant"
+
+(* The one exit of a job, completed or killed: the release queued
+   behind it begins, else the task goes dormant.  The new job brings
+   its own deadline, so a deadline queue re-selects; a fixed-priority
+   queue keeps the task's rank, and the job runs on. *)
+and end_job k tcb ~reason =
+  tcb.completed_job <- tcb.job_no;
+  match Queue.take_opt tcb.pending_releases with
+  | None -> block_thread k tcb ~reason ~dormant:true
+  | Some (job, release) -> (
     begin_job k tcb ~job ~release;
-    run_instrs k tcb
-  end
+    match k.sched.s_queue_class tcb with
+    | Dp _ -> select_now k
+    | Fp -> if tcb.state = Running then run_instrs k tcb)
 
 and start_compute k tcb =
   assert (k.burst = None);
@@ -984,7 +901,7 @@ and arm_budget_probe k e tcb ~started =
   match e.budget_of tcb.task with
   | None -> ()
   | Some budget ->
-    let st = enf_state k tcb in
+    let st = tcb.enf in
     if not st.overrun_flagged then begin
       let slack = Model.Time.max 0 (budget - st.used) in
       if slack < tcb.remaining then begin
@@ -1004,102 +921,75 @@ and arm_budget_probe k e tcb ~started =
         st.probe <-
           Some
             (Sim.Engine.schedule k.engine ~at:fire_at (fun () ->
-                 budget_probe k tcb))
+                 budget_probe k tcb ~budget e.policy))
       end
     end
 
-and budget_probe k tcb =
-  match k.enforcement with
-  | None -> ()
-  | Some e ->
-    let st = enf_state k tcb in
-    st.probe <- None;
-    if
-      (not k.stopped)
-      && st.probe_job = tcb.job_no
-      && tcb.completed_job < tcb.job_no
-      && not st.overrun_flagged
-    then
-      match e.budget_of tcb.task with
-      | None -> ()
-      | Some budget ->
-        let used_now =
-          match k.burst with
-          | Some b when b.owner == tcb ->
-            Model.Time.add st.used
-              (Util.Intmath.clamp ~lo:0 ~hi:b.owner.remaining
-                 (now k - b.started))
-          | Some _ | None -> st.used
-        in
-        if used_now > budget then
-          (kernel_event k (fun () -> handle_overrun k e tcb ~budget)) ()
+and budget_probe k tcb ~budget policy =
+  let st = tcb.enf in
+  st.probe <- None;
+  if
+    (not k.stopped)
+    && st.probe_job = tcb.job_no
+    && tcb.completed_job < tcb.job_no
+    && not st.overrun_flagged
+  then begin
+    let used_now =
+      match k.burst with
+      | Some b when b.owner == tcb ->
+        Model.Time.add st.used
+          (Util.Intmath.clamp ~lo:0 ~hi:b.owner.remaining (now k - b.started))
+      | Some _ | None -> st.used
+    in
+    if used_now > budget then
+      (kernel_event k (fun () -> handle_overrun k tcb ~budget policy)) ()
+  end
 
-and handle_overrun k e tcb ~budget =
+and handle_overrun k tcb ~budget policy =
   (* [kernel_event] has interrupted the burst, so [st.used] is final *)
-  let st = enf_state k tcb in
+  let st = tcb.enf in
   st.overrun_flagged <- true;
   st.overruns <- st.overruns + 1;
-  if st.first_detection = None then st.first_detection <- Some (now k);
+  detect k tcb;
   charge k Sim.Trace.Ovh_timer k.cost.timer_service;
   Obs.Probe.emit k.probe ~at:(now k)
     (Budget_overrun { tid = tcb.tid; job = tcb.job_no; used = st.used; budget });
-  match e.policy with
+  enforce k tcb policy
+
+(* What a budget overrun or a quota violation does to the job. *)
+and enforce k tcb = function
   | Notify_only -> ()
-  | Demote by -> apply_demotion k tcb ~by
+  | Demote by ->
+    (* Demotion defers to priority inheritance: while the thread holds
+       an inherited priority, lowering it would re-introduce exactly
+       the inversion PI exists to prevent, so the demotion is skipped
+       (and a later PI restore resets the fields to base — the PI
+       protocol owns them).  Cleared at the next release. *)
+    if not tcb.inherited then begin
+      tcb.enf.demoted <- true;
+      tcb.eff_prio <- tcb.base_prio + by;
+      tcb.eff_deadline <- tcb.abs_deadline + (by * tcb.task.period);
+      charge k Sim.Trace.Ovh_sched_demote (k.sched.s_reprioritize tcb)
+    end
   | Kill_job -> kill_job k tcb
   | Skip_next ->
-    st.skip_next <- true;
+    tcb.enf.skip_next <- true;
     kill_job k tcb
-
-(* Demotion defers to priority inheritance: while the thread holds an
-   inherited priority, lowering it would re-introduce exactly the
-   inversion PI exists to prevent, so the demotion is skipped (and a
-   later PI restore resets the fields to base — the PI protocol owns
-   them).  Cleared at the next release. *)
-and apply_demotion k tcb ~by =
-  if not tcb.inherited then begin
-    let st = enf_state k tcb in
-    st.demoted <- true;
-    tcb.eff_prio <- tcb.base_prio + by;
-    tcb.eff_deadline <- tcb.abs_deadline + (by * tcb.task.period);
-    charge k Sim.Trace.Ovh_sched_demote (k.sched.s_reprioritize tcb)
-  end
 
 (* Abort the current job: drop its held mutexes (releasing them runs
    the normal handoff protocol, so no waiter is stranded), mark the job
-   number consumed so the pending deadline probe stays quiet, and go
-   dormant — or start the next queued release.  Stats count kills
-   separately from completions.  Caller guarantees the thread is Ready
-   or Running. *)
+   number consumed so the pending deadline probe stays quiet, and leave
+   by the job exit.  Stats count kills separately from completions.
+   Caller guarantees the thread is Ready or Running. *)
 and kill_job k tcb =
-  let st = enf_state k tcb in
-  st.kills <- st.kills + 1;
+  tcb.enf.kills <- tcb.enf.kills + 1;
   Obs.Probe.emit k.probe ~at:(now k) (Job_killed { tid = tcb.tid; job = tcb.job_no });
   List.iter (fun s -> sem_release k tcb s) tcb.held_sems;
   reclaim_blocks k tcb ~leak:false;
   leave_approachers tcb;
   tcb.remaining <- 0;
   tcb.pc <- Array.length tcb.program;
-  tcb.completed_job <- tcb.job_no;
-  if Queue.is_empty tcb.pending_releases then
-    block_thread k tcb ~reason:"killed" ~dormant:true
-  else begin
-    let job, release = Queue.pop tcb.pending_releases in
-    begin_job k tcb ~job ~release;
-    if tcb.state = Running then run_instrs k tcb
-  end
-
-and consume_kill_pending k tcb =
-  match k.enforcement with
-  | None -> false
-  | Some _ ->
-    let st = enf_state k tcb in
-    if st.kill_pending then begin
-      st.kill_pending <- false;
-      kill_job k tcb;
-      true
-    end
-    else false
+  end_job k tcb ~reason:"killed"
 
 and on_compute_done k tcb =
   (* [kernel_event]'s burst accounting already banked the work. *)
@@ -1220,34 +1110,28 @@ let admit_release k tcb ~job ~sporadic =
     in
     Int.max job (last + 1)
   in
+  let st = tcb.enf in
   let disposition =
-    match k.enforcement with
-    | None -> `Run
-    | Some e ->
-      let st = enf_state k tcb in
-      if st.skip_next then begin
-        st.skip_next <- false;
-        `Shed "skip-next"
-      end
-      else if tcb.state <> Dormant then (
+    if st.skip_next then begin
+      st.skip_next <- false;
+      `Shed "skip-next"
+    end
+    else
+      match k.enforcement with
+      | Some { shed_one_in = Some kk; _ }
+        when tcb.state <> Dormant && st.since_shed >= kk ->
         (* the previous job is still active: overload *)
-        match e.shed_one_in with
-        | Some kk when st.since_shed >= kk -> `Shed "overload"
-        | Some _ | None ->
-          st.since_shed <- st.since_shed + 1;
-          `Run)
-      else begin
+        `Shed "overload"
+      | Some _ | None ->
         st.since_shed <- st.since_shed + 1;
         `Run
-      end
   in
   match disposition with
   | `Shed reason ->
-    let st = enf_state k tcb in
     st.sheds <- st.sheds + 1;
     st.since_shed <- 0;
     (* shedding is the overload *detection* acting: stamp it *)
-    if st.first_detection = None then st.first_detection <- Some (now k);
+    detect k tcb;
     Obs.Probe.emit k.probe ~at:(now k) (Job_shed { tid = tcb.tid; job; reason })
   | `Run ->
     if tcb.state = Dormant then begin
@@ -1318,7 +1202,7 @@ let make_tcb ~origin rank (task : Model.Task.t) program =
     wait_node = None;
     held_sems = [];
     waiting_on = None;
-    live_blocks = [];
+    mem_cells = [];
     has_branches = Program.has_branches program;
     input_word = 0L;
     branch_idx = 0;
@@ -1329,6 +1213,7 @@ let make_tcb ~origin rank (task : Model.Task.t) program =
     misses = 0;
     max_response = 0;
     total_response = 0;
+    enf = fresh_enf ();
   }
 
 let create ?(keep_trace = true) ?(stop_on_miss = false) ?(optimized_pi = true)
@@ -1404,14 +1289,11 @@ let create ?(keep_trace = true) ?(stop_on_miss = false) ?(optimized_pi = true)
       tick;
       irq_handlers = Hashtbl.create 8;
       enforcement = None;
-      enf = Hashtbl.create 8;
       pools;
       mem_enforcement = None;
-      mem_cells = Hashtbl.create 8;
       fault_demand = None;
       fault_jitter = None;
       fault_drop_signal = None;
-      drift_ppm = 0;
       input_root = Util.Rng.create ~seed:input_seed;
       branch_oracle = None;
     }
@@ -1477,7 +1359,6 @@ let set_demand_fault k f = k.fault_demand <- f
 let set_branch_oracle k f = k.branch_oracle <- f
 let set_release_jitter k f = k.fault_jitter <- f
 let set_signal_drop k f = k.fault_drop_signal <- f
-let set_drift_ppm k ppm = k.drift_ppm <- ppm
 
 type enf_stats = {
   e_tid : int;
@@ -1492,25 +1373,14 @@ let enforcement_stats k =
   Array.to_list
     (Array.map
        (fun (tcb : tcb) ->
-         match Hashtbl.find_opt k.enf tcb.tid with
-         | None ->
-           {
-             e_tid = tcb.tid;
-             e_overruns = 0;
-             e_kills = 0;
-             e_sheds = 0;
-             e_budget_used = 0;
-             e_first_detection = None;
-           }
-         | Some st ->
-           {
-             e_tid = tcb.tid;
-             e_overruns = st.overruns;
-             e_kills = st.kills;
-             e_sheds = st.sheds;
-             e_budget_used = st.used;
-             e_first_detection = st.first_detection;
-           })
+         {
+           e_tid = tcb.tid;
+           e_overruns = tcb.enf.overruns;
+           e_kills = tcb.enf.kills;
+           e_sheds = tcb.enf.sheds;
+           e_budget_used = tcb.enf.used;
+           e_first_detection = tcb.enf.first_detection;
+         })
        k.tcbs)
 
 type mem_stats = {
@@ -1522,28 +1392,25 @@ type mem_stats = {
 }
 
 let mem_stats k =
-  Hashtbl.fold
-    (fun (tid, pool) (c : mem_cell) acc ->
-      {
-        m_tid = tid;
-        m_pool = pool;
-        m_high_water = c.mc_hw;
-        m_leaked = c.mc_leaked;
-        m_oom = c.mc_oom;
-      }
-      :: acc)
-    k.mem_cells []
+  Array.fold_left
+    (fun acc (tcb : tcb) ->
+      List.fold_left
+        (fun acc c ->
+          {
+            m_tid = tcb.tid;
+            m_pool = c.mc_pool.pool_id;
+            m_high_water = c.mc_hw;
+            m_leaked = c.mc_leaked;
+            m_oom = c.mc_oom;
+          }
+          :: acc)
+        acc tcb.mem_cells)
+    [] k.tcbs
   |> List.sort (fun a b -> compare (a.m_pool, a.m_tid) (b.m_pool, b.m_tid))
 
 let quota_hits k =
   Array.to_list
-    (Array.map
-       (fun (tcb : tcb) ->
-         ( tcb.tid,
-           match Hashtbl.find_opt k.enf tcb.tid with
-           | Some st -> st.quota_hits
-           | None -> 0 ))
-       k.tcbs)
+    (Array.map (fun (tcb : tcb) -> (tcb.tid, tcb.enf.quota_hits)) k.tcbs)
 
 (* ------------------------------------------------------------------ *)
 (* Environment hooks *)

@@ -176,7 +176,14 @@ val trigger_job_series :
     no enforcement installed (the default) every path below is inert
     and the kernel's behaviour — including its trace, event counts and
     virtual-time charges — is bit-identical to the unenforced kernel;
-    the fuzz differential in [test_fuzz] checks exactly this. *)
+    the fuzz differential in [test_fuzz] checks exactly this.  Each
+    task's enforcement state lives in its TCB ([Types.tcb.enf]).
+
+    A killed job leaves as a completed one does: the release queued
+    behind it begins at once, else the task goes dormant.  Under a
+    deadline-ordered queue (EDF, a CSD DP queue) the new job's
+    deadline is new, so the scheduler re-selects first; under a
+    fixed-priority queue the job runs on. *)
 
 type overrun_policy =
   | Kill_job      (** abort the offending job, releasing its mutexes *)
@@ -269,7 +276,8 @@ val mem_stats : t -> mem_stats list
     least once appear. *)
 
 val quota_hits : t -> (int * int) list
-(** [(tid, quota-exceeded detections)] per task, for enforced runs. *)
+(** [(tid, quota-exceeded detections)] per task; all zero without
+    memory enforcement. *)
 
 (** {1 Fault hooks}
 
@@ -290,10 +298,6 @@ val set_release_jitter :
 val set_signal_drop : t -> (wq_id:int -> bool) option -> unit
 (** Return [true] to lose a wait-queue signal (covers kernel [Signal]
     instructions and IRQ-handler signals alike). *)
-
-val set_drift_ppm : t -> int -> unit
-(** Stretch (positive) or shrink (negative) the tick clock by parts
-    per million; no effect on event-precise kernels. *)
 
 val set_branch_oracle :
   t -> (tid:int -> job:int -> idx:int -> bool option) option -> unit

@@ -32,7 +32,7 @@ let tcb ?prio ?deadline ?(state = Types.Ready) ~tid () =
     wait_node = None;
     held_sems = [];
     waiting_on = None;
-    live_blocks = [];
+    mem_cells = [];
     has_branches = false;
     input_word = 0L;
     branch_idx = 0;
@@ -43,4 +43,5 @@ let tcb ?prio ?deadline ?(state = Types.Ready) ~tid () =
     misses = 0;
     max_response = 0;
     total_response = 0;
+    enf = Types.fresh_enf ();
   }

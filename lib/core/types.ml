@@ -20,6 +20,26 @@ type sem_kind = Standard | Emeralds
    hint on the preceding blocking call, the approach queue, and O(1)
    place-holder priority inheritance in sorted queues. *)
 
+(* Per-task enforcement state: what [Kernel]'s budget, miss and quota
+   policies know about a task.  It stays at [fresh_enf]'s values in a
+   kernel with no enforcement installed. *)
+type enf_state = {
+  mutable used : Model.Time.t; (* budget consumed by the current job *)
+  mutable probe : Sim.Engine.handle option; (* armed budget-exhaustion event *)
+  mutable probe_job : int;
+  mutable overrun_flagged : bool; (* at most one overrun event per job *)
+  mutable skip_next : bool;
+  mutable since_shed : int; (* releases run since the last shed *)
+  mutable kill_pending : bool; (* miss-kill deferred until next dispatched *)
+  mutable demoted : bool;
+  mutable quota_flagged : bool; (* at most one quota event per job *)
+  mutable quota_hits : int;
+  mutable overruns : int;
+  mutable kills : int;
+  mutable sheds : int;
+  mutable first_detection : Model.Time.t option;
+}
+
 type tcb = {
   tid : int;
   task : Model.Task.t;
@@ -50,9 +70,9 @@ type tcb = {
          currently blocks me *)
   mutable held_sems : sem list;
   mutable waiting_on : sem option; (* the semaphore whose waiter queue holds me *)
-  (* block-pool allocator *)
-  mutable live_blocks : (pool * int) list;
-      (* blocks allocated by the current job and not yet freed, per pool *)
+  (* block-pool allocator: one cell per pool the task has allocated
+     from, most recently allocated-from or freed-to first *)
+  mutable mem_cells : mem_cell list;
   (* branch decisions *)
   has_branches : bool;              (* flat program contains a Br_input *)
   mutable input_word : int64;       (* per-job branch-decision word *)
@@ -67,6 +87,7 @@ type tcb = {
   mutable misses : int;
   mutable max_response : Model.Time.t;
   mutable total_response : Model.Time.t;
+  enf : enf_state;
 }
 
 and instr =
@@ -111,6 +132,16 @@ and pool = {
   mutable pool_free : int;
   mutable pool_high_water : int;   (* max blocks simultaneously live *)
   mutable pool_failures : int;     (* allocations denied (OOM) *)
+}
+
+(* One task's use of one pool: the live count the allocator enforces,
+   and the observed behaviour the peak-live domination oracle checks. *)
+and mem_cell = {
+  mc_pool : pool;
+  mutable mc_live : int; (* blocks the current job holds, not yet freed *)
+  mutable mc_hw : int; (* max blocks the task had live in the pool *)
+  mutable mc_leaked : int; (* blocks still live at job completion *)
+  mutable mc_oom : int; (* allocations denied to this task *)
 }
 
 and sem = {
@@ -158,6 +189,24 @@ and sched = {
 }
 
 and queue_class = Dp of int | Fp
+
+let fresh_enf () =
+  {
+    used = 0;
+    probe = None;
+    probe_job = 0;
+    overrun_flagged = false;
+    skip_next = false;
+    since_shed = max_int / 2; (* no shed yet: the first one is free *)
+    kill_pending = false;
+    demoted = false;
+    quota_flagged = false;
+    quota_hits = 0;
+    overruns = 0;
+    kills = 0;
+    sheds = 0;
+    first_detection = None;
+  }
 
 let is_ready tcb = match tcb.state with Ready | Running -> true
                                       | Blocked _ | Dormant -> false

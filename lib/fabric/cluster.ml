@@ -306,6 +306,25 @@ let restart t ~node ~at =
            t.handled <- List.filter (fun id -> id <> node) t.handled
          end))
 
+(* [install_plan] interprets the fabric kinds only, and a clause on a
+   node the cluster lacks would raise mid-run or perturb nothing. *)
+let check_plan t plan =
+  let missing nodes =
+    List.find_opt
+      (fun node -> not (Array.exists (fun sh -> sh.sh_id = node) t.shards))
+      nodes
+    |> Option.map (Printf.sprintf "the cluster has no node %d")
+  in
+  Fault.Plan.refuse_first
+    (function
+      | Frame_drop _ | Frame_corrupt _ -> None
+      | Node_crash { node; _ } | Node_restart { node; _ } -> missing [ node ]
+      | Link_partition { a; b; _ } -> missing [ a; b ]
+      | Wcet_scale _ | Wcet_add _ | Release_jitter _ | Irq_storm _
+      | Irq_drop _ | Lost_signal _ | Sporadic_burst _ ->
+        Some "a single-kernel fault, which the fabric does not interpret")
+    plan
+
 let install_plan t plan =
   t.plan <- plan;
   let drop_one_in =

@@ -44,13 +44,20 @@ val create :
     @raise Invalid_argument on an empty assignment list, a node id
     outside [0..15], or a duplicate id (via the bus registry). *)
 
+val check_plan : t -> Fault.Plan.t -> (unit, string) result
+(** Every clause must be a fabric fault, and every node it names
+    ([node-crash], [node-restart], both ends of [link-partition]) one
+    of the cluster's; [Error] names the first clause that fails.
+    {!install_plan} does not check: the CLI calls this first. *)
+
 val install_plan : t -> Fault.Plan.t -> unit
 (** Install the fabric clauses of a fault plan: [frame-drop] /
     [frame-corrupt] as deterministic counter-based wire hooks,
     [link-partition] as a clock-gated link filter, [node-crash] /
     [node-restart] as scheduled events.  Also fixes the static
     failover bound for the planned crashes (worst over crashed nodes);
-    non-fabric clauses are ignored.  An empty plan clears the hooks. *)
+    non-fabric clauses are ignored ({!check_plan} refuses them).  An
+    empty plan clears the hooks. *)
 
 val run : t -> until:Model.Time.t -> unit
 (** Advance the shared engine to the horizon. *)

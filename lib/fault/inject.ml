@@ -1,5 +1,5 @@
 (* Plan compilation: hooks for what the kernel must mis-execute
-   (demand, jitter, lost signals, drift), environment scheduling for
+   (demand, jitter, lost signals), environment scheduling for
    what the world does to the kernel (arrivals, storms, bursts).
 
    Activation marks are collected out of band (a ref the hook closures
@@ -15,7 +15,6 @@ type config = {
   cost : Sim.Cost.t;
   horizon : Model.Time.t;
   seed : int;
-  tick : Model.Time.t option;
   enforcement : Kernel.enforcement option;
   mem_enforcement : Kernel.mem_enforcement option;
   plan : Plan.t;
@@ -31,7 +30,6 @@ let default_config ~scenario ?(spec = Sched.Rm) ?(cost = Sim.Cost.m68040)
     cost;
     horizon;
     seed;
-    tick = None;
     enforcement;
     mem_enforcement;
     plan;
@@ -42,24 +40,23 @@ let declared_budgets (t : Model.Task.t) = Some t.wcet
 
 (* [Plan] never sees the scenario, so a clause naming a task the
    scenario lacks is caught here: a burst on it would raise in the
-   kernel, and the other clauses would perturb nothing. *)
+   kernel, and the other clauses would perturb nothing.  So would a
+   fabric clause, which only [lib/fabric] interprets. *)
 let check_plan (sc : Workload.Scenario.t) plan =
   let tasks = Model.Taskset.tasks sc.taskset in
   let known tid = Array.exists (fun (t : Model.Task.t) -> t.id = tid) tasks in
-  let unknown (f : Plan.fault) =
+  let refuse (f : Plan.fault) =
     match f with
     | Wcet_scale { tid; _ } | Wcet_add { tid; _ } | Release_jitter { tid; _ }
     | Sporadic_burst { tid; _ }
       when not (known tid) ->
-      Some (f, tid)
+      Some (Printf.sprintf "the scenario has no task %d" tid)
+    | Frame_drop _ | Frame_corrupt _ | Node_crash _ | Node_restart _
+    | Link_partition _ ->
+      Some "a fabric fault, which a single-kernel run does not interpret"
     | _ -> None
   in
-  match List.find_map unknown plan with
-  | None -> Ok ()
-  | Some (f, tid) ->
-    Error
-      (Printf.sprintf "clause %S: the scenario has no task %d"
-         (Plan.render [ f ]) tid)
+  Plan.refuse_first refuse plan
 
 (* The natural quota function: what the static analyzer derives as the
    task's worst live-block demand across all pools (its [peak_live]
@@ -253,7 +250,7 @@ let schedule_storms_and_bursts k (cfg : config) mark =
 
 let run (cfg : config) =
   let k =
-    Kernel.create ?tick:cfg.tick ~cost:cfg.cost ~spec:cfg.spec
+    Kernel.create ~cost:cfg.cost ~spec:cfg.spec
       ~taskset:cfg.scenario.taskset ~programs:cfg.scenario.programs ()
   in
   Kernel.set_enforcement k cfg.enforcement;
@@ -264,13 +261,6 @@ let run (cfg : config) =
   install_demand_faults k cfg.plan mark;
   install_jitter k cfg.plan ~seed:cfg.seed mark;
   install_signal_drops k cfg.plan mark;
-  List.iter
-    (function
-      | Plan.Clock_drift { ppm } ->
-        Kernel.set_drift_ppm k ppm;
-        if cfg.tick <> None then mark 0 (Printf.sprintf "clock drift %+d ppm" ppm)
-      | _ -> ())
-    cfg.plan;
   let root = Util.Rng.create ~seed:cfg.seed in
   schedule_sources k cfg root mark;
   schedule_storms_and_bursts k cfg mark;

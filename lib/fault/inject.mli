@@ -4,8 +4,8 @@
     exactly the way the simulator does — programs attached, one IRQ
     handler per declared source signalling/publishing what the source
     declares, arrivals drawn seeded from each source's inter-arrival
-    window — then compiles the plan onto it: demand, jitter,
-    signal-loss and drift faults through the kernel's fault hooks
+    window — then compiles the plan onto it: demand, jitter and
+    signal-loss faults through the kernel's fault hooks
     ([Kernel.set_demand_fault] etc.), storms / drops / sporadic bursts
     at the environment level ([raise_irq_at], withheld arrivals,
     [trigger_job_at]).  The empty plan installs no hook and withholds
@@ -20,7 +20,6 @@ type config = {
   cost : Sim.Cost.t;
   horizon : Model.Time.t;
   seed : int;  (** drives IRQ arrival draws and jitter faults *)
-  tick : Model.Time.t option;  (** as [Kernel.create]; drift needs it *)
   enforcement : Emeralds.Kernel.enforcement option;
   mem_enforcement : Emeralds.Kernel.mem_enforcement option;
   plan : Plan.t;
@@ -43,17 +42,21 @@ val default_config :
   ?plan:Plan.t ->
   unit ->
   config
-(** RM scheduling, m68040 costs, 200 ms horizon, seed 7, event-precise
-    (no tick), no enforcement, empty plan, no observer. *)
+(** RM scheduling, m68040 costs, 200 ms horizon, seed 7, no
+    enforcement, empty plan, no observer.  Kernels are event-precise
+    (no tick). *)
 
 val declared_budgets : Model.Task.t -> Model.Time.t option
 (** The natural budget function: every task's declared WCET. *)
 
 val check_plan : Workload.Scenario.t -> Plan.t -> (unit, string) result
 (** Every clause that names a task ([wcet-scale], [wcet-add], [jitter],
-    [burst]) must name one of the scenario's; [Error] names the first
-    clause that does not.  {!run} does not check: the CLI calls this
-    first. *)
+    [burst]) must name one of the scenario's, and no clause may be a
+    fabric fault ([frame-drop], [frame-corrupt], [node-crash],
+    [node-restart], [link-partition]), which only the fabric
+    interprets; [Error] names the first clause that fails.  IRQ and
+    wait-queue ids go unchecked.  {!run} does not check: the CLI calls
+    this first. *)
 
 val declared_quotas :
   Workload.Scenario.t -> Model.Task.t -> int option

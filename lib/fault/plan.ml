@@ -23,10 +23,8 @@ type fault =
       count : int;
       spacing : Model.Time.t;
     }
-  | Clock_drift of { ppm : int }
-  (* fabric faults — pure data here; [lib/fabric] interprets them (the
-     injector in this library drives single-node kernels and treats
-     them as inert) *)
+  (* fabric faults — pure data here; [lib/fabric] interprets them, and
+     the single-node injector refuses them ([Inject.check_plan]) *)
   | Frame_drop of { one_in : int }
   | Frame_corrupt of { one_in : int }
   | Node_crash of { node : int; at : Model.Time.t }
@@ -157,9 +155,6 @@ let parse_clause clause =
         let* count = int_field "count" in
         let* spacing = dur_field "spacing" in
         Ok (Sporadic_burst { tid; at; count; spacing })
-      | "drift" ->
-        let* ppm = int_field "ppm" in
-        Ok (Clock_drift { ppm })
       | "frame-drop" ->
         let* one_in = int_field "one-in" in
         Ok (Frame_drop { one_in })
@@ -207,8 +202,6 @@ let parse_clause clause =
         else if spacing < 0 then bad "spacing must be non-negative"
         else if at < 0 then bad "at must be non-negative"
         else Ok f
-      | Clock_drift { ppm } ->
-        if ppm <= -1_000_000 then bad "ppm must exceed -1000000" else Ok f
       | Frame_drop { one_in } | Frame_corrupt { one_in } ->
         if one_in < 2 then bad "one-in must be >= 2" else Ok f
       | Node_crash { node; at } | Node_restart { node; at } ->
@@ -268,7 +261,6 @@ let fields = function
     ( "burst",
       [ ("tid", `Int tid); ("at", `Dur at); ("count", `Int count);
         ("spacing", `Dur spacing) ] )
-  | Clock_drift { ppm } -> ("drift", [ ("ppm", `Int ppm) ])
   | Frame_drop { one_in } -> ("frame-drop", [ ("one-in", `Int one_in) ])
   | Frame_corrupt { one_in } -> ("frame-corrupt", [ ("one-in", `Int one_in) ])
   | Node_crash { node; at } ->
@@ -291,6 +283,11 @@ let render_fault f =
   kind ^ ":" ^ String.concat "," (List.filter_map field fs)
 
 let render t = String.concat ";" (List.map render_fault t)
+
+let refuse_first why plan =
+  match List.find_map (fun f -> Option.map (fun w -> (f, w)) (why f)) plan with
+  | None -> Ok ()
+  | Some (f, w) -> Error (Printf.sprintf "clause %S: %s" (render [ f ]) w)
 
 (* JSON keys use '_' for '-' and carry durations as [_ns] *)
 let json_fault f =

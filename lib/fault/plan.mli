@@ -5,8 +5,8 @@
     meets: jobs that run past their declared WCET, releases that
     jitter, interrupt sources that storm or drop, wait-queue signals
     that get lost, sporadic arrivals that violate their declared
-    minimum interarrival, and a tick clock that drifts.  The empty
-    plan is the identity: injecting it leaves the simulation
+    minimum interarrival, and the fabric's wire and node faults.  The
+    empty plan is the identity: injecting it leaves the simulation
     bit-identical to an unfaulted run (the differential the fuzz
     harness checks).
 
@@ -24,7 +24,6 @@
     irq-drop:irq=9,one-in=3               every 3rd delivery lost
     lost-signal:wq=0,one-in=4             every 4th waitq signal lost
     burst:tid=3,at=50ms,count=3,spacing=1ms   sporadic arrivals
-    drift:ppm=500                         tick clock stretched 500 ppm
     frame-drop:one-in=7                   every 7th bus frame lost
     frame-corrupt:one-in=9                every 9th frame corrupted
     node-crash:node=1,at=40ms             station 1 fail-stops at 40 ms
@@ -33,8 +32,9 @@
     v}
 
     The last five are fabric faults: pure data here, interpreted by
-    [lib/fabric] (the single-node injector treats them as inert, so a
-    fabric plan can be parsed anywhere). *)
+    [lib/fabric].  Each consumer refuses the clauses it does not
+    interpret: [Fault.Inject.check_plan] the fabric kinds,
+    [Fabric.Cluster.check_plan] the single-node ones. *)
 
 type fault =
   | Wcet_scale of { tid : int; pct : int; from_job : int }
@@ -62,9 +62,6 @@ type fault =
     }
       (** [count] sporadic arrivals [spacing] apart — spacing below the
           task's period violates the declared minimum interarrival *)
-  | Clock_drift of { ppm : int }
-      (** stretch (positive) or shrink (negative) the tick clock;
-          inert on event-precise kernels *)
   | Frame_drop of { one_in : int }
       (** every [one_in]-th transmitted bus frame is lost on the wire
           (for every receiver — a broadcast bus has one wire) *)
@@ -97,6 +94,12 @@ val parse : string -> (t, string) result
 
 val render : t -> string
 (** Canonical concrete syntax; [parse (render p)] = [Ok p]. *)
+
+val refuse_first : (fault -> string option) -> t -> (unit, string) result
+(** [Error] naming the first clause for which the reason function
+    returns [Some why], as ["clause \"CLAUSE\": why"]; [Ok ()] if none.
+    What a plan consumer uses to refuse the clauses it does not
+    interpret. *)
 
 val to_json : t -> Util.Json.t
 (** JSON array of fault objects. *)

@@ -569,26 +569,20 @@ let exec_instr c i ~horizon =
             List.iter (fun w2 -> inherit_into c ~holder:w ~waiter:w2) rest
       end;
       `Ok
-    | Machine.IWait w ->
+    | (Machine.IWait w | Machine.ITimed_wait (w, _)) as wait ->
       if c.wq_sig.(w) > 0 then begin
+        (* a pending signal completes the call without blocking *)
         c.wq_sig.(w) <- c.wq_sig.(w) - 1;
         mark c State.waitqs;
         set c i { t with pc = t.pc + 1 }
       end
       else begin
-        set c i { t with mode = BWait w };
-        if c.tracing then
-          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "waitq" })
-      end;
-      `Ok
-    | Machine.ITimed_wait (w, d) ->
-      if c.wq_sig.(w) > 0 then begin
-        c.wq_sig.(w) <- c.wq_sig.(w) - 1;
-        mark c State.waitqs;
-        set c i { t with pc = t.pc + 1 }
-      end
-      else begin
-        set c i { t with mode = BTimed (w, c.now + d) };
+        let mode =
+          match wait with
+          | Machine.ITimed_wait (_, d) -> BTimed (w, c.now + d)
+          | _ -> BWait w
+        in
+        set c i { t with mode };
         if c.tracing then
           emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "waitq" })
       end;

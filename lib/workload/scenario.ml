@@ -43,7 +43,7 @@ let table2 = fresh @@ fun () ->
     ~programs:(fun (task : Model.Task.t) -> [ Program.compute task.wcet ])
     []
 
-(* The engine controller from examples/engine_control.ml: a crank IRQ
+(* The engine controller (examples/engine_control.ml runs it): a crank IRQ
    publishes engine speed as a state message, the fuel/spark tasks
    share the fuel-map object under an EMERALDS semaphore, and knock
    diagnostics waits for the spark window.  The crank window models

@@ -59,6 +59,15 @@ let bad_values =
     [ "inject"; "--plan"; "wcet-scale:tid=99,pct=400" ];
     [ "inject"; "--plan";
       "irq-storm:irq=9,at=10000000000000ms,count=1,spacing=1ms" ];
+    (* clauses a plan's consumer does not interpret: a node the fabric
+       lacks, single-kernel faults in a fabric, fabric faults in an
+       inject run, and the retired drift clause *)
+    [ "fabric"; "--preset"; "steady"; "--plan"; "node-crash:node=99,at=20ms" ];
+    [ "fabric"; "--plan"; "wcet-scale:tid=1,pct=400" ];
+    [ "fabric"; "--plan"; "link-partition:a=0,b=99,from=1ms,until=5ms" ];
+    [ "inject"; "--preset"; "engine"; "--plan"; "frame-drop:one-in=4" ];
+    [ "inject"; "--plan"; "drift:ppm=500" ];
+    [ "inject"; "--plan"; "node-crash:node=1,at=10ms" ];
   ]
 
 let contains s sub =

@@ -20,7 +20,6 @@ let full_plan : Fault.Plan.t =
     Irq_drop { irq = 9; one_in = 3 };
     Lost_signal { wq = 0; one_in = 4 };
     Sporadic_burst { tid = 3; at = ms 50; count = 3; spacing = ms 1 };
-    Clock_drift { ppm = 500 };
     Frame_drop { one_in = 16 };
     Frame_corrupt { one_in = 32 };
     Node_crash { node = 1; at = ms 50 };
@@ -416,7 +415,11 @@ let test_plan_task_ids () =
       check bool (plan ^ " refused") true (Result.is_error (checked plan)))
     [ "wcet-scale:tid=99,pct=400"; "wcet-add:tid=99,extra=1ms";
       "jitter:tid=99,amp=500us"; "burst:tid=99,at=20ms,count=3,spacing=1ms";
-      "wcet-scale:tid=2,pct=400;burst:tid=0,at=1ms,count=1,spacing=1ms" ]
+      "wcet-scale:tid=2,pct=400;burst:tid=0,at=1ms,count=1,spacing=1ms";
+      (* fabric clauses, which a single-kernel run does not interpret *)
+      "frame-drop:one-in=4"; "frame-corrupt:one-in=9";
+      "node-crash:node=1,at=10ms"; "node-restart:node=1,at=80ms";
+      "link-partition:a=0,b=1,from=1ms,until=5ms" ]
 
 let suite =
   [

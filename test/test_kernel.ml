@@ -446,6 +446,16 @@ let prop_analysis_feasible_implies_sim_clean =
       let k = run ~cost ~spec ts ~until:(ms 80) in
       Kernel.total_misses k = 0)
 
+(* U = 1 exactly.  At 20 ms tau4's fifth release fires just before its
+   fourth job completes at the same instant, so the release queues
+   behind the job.  The job's exit must let EDF choose: tau4#5 (deadline
+   25 ms) may not run ahead of tau1-3's jobs due at 24 ms. *)
+let test_edf_queued_release_reselects () =
+  let task id p c = Model.Task.make ~id ~period:(ms p) ~wcet:(us c) () in
+  let ts = taskset [ task 1 4 324; task 2 4 692; task 3 4 1544; task 4 5 1800 ] in
+  let k = run ~spec:Sched.Edf ts ~until:(ms 80) in
+  check int "no misses" 0 (Kernel.total_misses k)
+
 let suite =
   [
     test_case "single task lifecycle" `Quick test_single_task;
@@ -470,4 +480,6 @@ let suite =
     prop_rta_tight;
     prop_analysis_feasible_implies_sim_clean;
     test_case "per-call charges conform to Charge" `Quick test_charge_conformance;
+    test_case "EDF: a queued release re-selects at job exit" `Quick
+      test_edf_queued_release_reselects;
   ]
