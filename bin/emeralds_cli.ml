@@ -145,10 +145,6 @@ let scenarios_format =
   format ~json:true ~doc:" SARIF is one log for all scenarios."
     [ `Text; `Json; `Sarif ]
 
-let lint_ctx (s : Workload.Scenario.t) =
-  Lint.Ctx.make ~irq_signals:s.irq_signals ~irq_writes:s.irq_writes
-    ~taskset:s.taskset ~programs:s.programs ()
-
 let analyze_cmd =
   let preset =
     preset_opt ~doc:"Scenario to analyze (default: the shipped presets)"
@@ -294,7 +290,7 @@ let lint_cmd =
   let run preset format blocking =
     report_scenarios ~tool:"emeralds-lint" ~format preset
       (fun s ->
-        let ctx = lint_ctx s in
+        let ctx = Lint.Ctx.of_scenario s in
         let diags = Lint.Report.run ctx in
         ( diags,
           fun () ->
@@ -506,16 +502,13 @@ let check_cmd =
           (if r.truncated then " (exploration incomplete)" else "")
       | `Violation cex -> print_string (Mc.Counterexample.render m ~props cex));
       if rta then begin
-        let blocking = Lint.Blocking_terms.blocking_terms (lint_ctx scenario) in
-        let rows =
-          Array.map
-            (fun (t : Model.Task.t) -> (t.period, t.deadline, t.wcet))
-            (Model.Taskset.tasks scenario.taskset)
+        let bounds =
+          Lint.Blocking_terms.declared_rta (Lint.Ctx.of_scenario scenario)
         in
         Printf.printf "\nRTA cross-check (blocking terms from lint):\n";
         Array.iteri
           (fun i (t : Mc.Machine.mtask) ->
-            match Analysis.Rta.response_time ~blocking ~tasks:rows i with
+            match bounds.(i) with
             | None ->
               Printf.printf "  %-8s observed %8.3fms  RTA: unbounded\n"
                 t.task_name
@@ -895,6 +888,14 @@ let explain_cmd =
     let observer k = Obs.Blame.attach blame (Emeralds.Kernel.probe k) in
     let outcome = observed_run ~scenario ~sched ~horizon_ms ~seed observer in
     let tr = Emeralds.Kernel.trace outcome.kernel in
+    (* the blame oracle's verdicts; its RM bounds judge no other
+       scheduler *)
+    let violations s =
+      List.filter
+        (fun (v : Campaign.Eval.violation) ->
+          v.term = None || sched = Emeralds.Sched.Rm)
+        (Campaign.Eval.blame_violations statics tr s)
+    in
     let misses = Sim.Trace.deadline_misses tr in
     let overruns = Sim.Trace.budget_overruns tr in
     let kills = Sim.Trace.jobs_killed tr in
@@ -1013,36 +1014,34 @@ let explain_cmd =
                ("tasks", List (List.map task summaries)) ])
         ^ "\n"
       | `Sarif ->
-        let results = ref [] in
-        let add rule_id level message logical =
-          results :=
-            { Lint.Sarif.rule_id; level; message; logical = Some logical }
-            :: !results
+        let result rule_id tid message =
+          {
+            Lint.Sarif.rule_id;
+            level = Lint.Sarif.Error;
+            message;
+            logical = Some (Printf.sprintf "%s, task %d" preset_name tid);
+          }
         in
-        List.iter
-          (fun (s : Obs.Blame.task_summary) ->
-            if s.s_residual_violations > 0 then
-              add "explain/conservation" Lint.Sarif.Error
-                (Printf.sprintf
-                   "blame components of %d job(s) missed the observed \
-                    response by up to %dns"
-                   s.s_residual_violations s.s_max_abs_residual)
-                (Printf.sprintf "%s, task %d" preset_name s.s_id))
-          summaries;
-        List.iter
-          (fun (tid, cause, amount) ->
-            add "explain/miss" Lint.Sarif.Error
-              (Printf.sprintf "deadline miss: dominant blame %s (%dns)"
-                 (Obs.Blame.cause_label cause)
-                 amount)
-              (Printf.sprintf "%s, task %d" preset_name tid))
-          verdicts;
-        Lint.Sarif.render ~tool_name:"emeralds-explain" (List.rev !results)
+        let violation (v : Campaign.Eval.violation) =
+          result
+            (if v.term = None then "explain/conservation"
+             else "explain/domination")
+            v.tid v.message
+        in
+        let miss (tid, cause, amount) =
+          result "explain/miss" tid
+            (Printf.sprintf "deadline miss: dominant blame %s (%dns)"
+               (Obs.Blame.cause_label cause)
+               amount)
+        in
+        Lint.Sarif.render ~tool_name:"emeralds-explain"
+          (List.map violation (List.concat_map violations summaries)
+          @ List.map miss verdicts)
     in
     emit ~out ~format output;
     if
       misses > 0 || overruns > 0 || kills > 0
-      || Obs.Blame.residual_violations blame > 0
+      || List.exists (fun s -> violations s <> []) (Obs.Blame.summaries blame)
     then exit 1
   in
   Cmd.v
@@ -1053,8 +1052,9 @@ let explain_cmd =
           backlog, suspension) and cross-validate each component against \
           its analytical term: absint demand, the RTA interference \
           decomposition, the lint blocking term and the overhead budget at \
-          the RTA fixpoint.  Exits 1 on any miss, overrun, kill or \
-          conservation violation, naming the dominant blamer")
+          the RTA fixpoint.  Exits 1 on any miss, overrun, kill, \
+          conservation violation or bound the blame oracle finds \
+          exceeded, naming the dominant blamer")
     Term.(
       const run $ preset $ sched $ horizon_ms 100 $ seed $ task_filter
       $ format $ out)
@@ -1298,9 +1298,12 @@ let fabric_cmd =
           ~doc:
             "Extra fault clauses appended to the preset's plan \
              (semicolon-separated; e.g. \
-             'frame-drop:one-in=16;node-crash:node=2,at=80ms'). A clause \
-             the fabric does not interpret, or one naming a node the \
-             cluster lacks, is refused with exit 2.")
+             'frame-drop:one-in=16;node-crash:node=2,at=80ms'), each \
+             frame clause counting frames on its own. A clause the \
+             fabric does not interpret, naming a node the cluster lacks, \
+             or changing nothing when it fires (by instant, then plan \
+             order: restarting a live node, crashing a dead one) is \
+             refused with exit 2.")
   in
   let horizon_ms =
     Arg.(

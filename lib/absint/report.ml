@@ -29,6 +29,7 @@ type t = {
   total_bytes : int;
   budget_bytes : int;
   diags : Lint.Diag.t list;
+  ctx : Lint.Ctx.t;
 }
 
 module Imap = Map.Make (Int)
@@ -57,8 +58,9 @@ let waits_equal a b = Imap.equal Itv.equal a b
 let analyze ?lesion ?(cost = Sim.Cost.m68040)
     ?(budget_bytes = Memory.budget_default) (sc : Workload.Scenario.t) =
   let tasks = Model.Taskset.tasks sc.taskset in
+  let ctx = Lint.Ctx.of_scenario sc in
   let programs =
-    Array.map (fun task -> Array.of_list (sc.programs task)) tasks
+    Array.map (fun (tp : Lint.Ctx.task_prog) -> Array.of_list tp.prog) ctx.tasks
   in
   (* whole-scenario scans walk the leaves: programs are structured, so
      Sends/Allocs can sit inside branch arms and loop bodies *)
@@ -125,39 +127,27 @@ let analyze ?lesion ?(cost = Sim.Cost.m68040)
     Array.mapi (fun rank task -> { task; rank; summary = summaries.(rank) }) tasks
   in
   (* Exact lint extraction for the ceiling and the domination check. *)
-  let ctx =
-    Lint.Ctx.make ~irq_signals:sc.irq_signals ~irq_writes:sc.irq_writes
-      ~taskset:sc.taskset ~programs:sc.programs ()
-  in
   let lint_per_sem = Lint.Blocking_terms.per_sem ctx in
-  let ceiling_of sem_id =
-    (* fall back to deriving from our own holds if lint has no row *)
-    match
-      List.find_opt (fun (s, _, _) -> s = sem_id) lint_per_sem
-    with
-    | Some (_, ceiling, _) -> ceiling
-    | None ->
-      Array.fold_left
-        (fun best tb ->
-          if
-            List.exists
-              (fun (h : Exec.hold) -> h.sem.Types.sem_id = sem_id)
-              tb.summary.holds
-          then min best tb.rank
-          else best)
-        max_int task_bounds
-  in
   let sems =
     Imap.bindings holds
     |> List.map (fun (sem_id, hold) ->
-           let lint_worst =
-             match
-               List.find_opt (fun (s, _, _) -> s = sem_id) lint_per_sem
-             with
-             | Some (_, _, worst) -> worst
-             | None -> 0
-           in
-           { sem_id; ceiling = ceiling_of sem_id; hold; lint_worst })
+           match List.find_opt (fun (s, _, _) -> s = sem_id) lint_per_sem with
+           | Some (_, ceiling, lint_worst) ->
+             { sem_id; ceiling; hold; lint_worst }
+           | None ->
+             (* no lint row: derive the ceiling from our own holds *)
+             let ceiling =
+               Array.fold_left
+                 (fun best tb ->
+                   if
+                     List.exists
+                       (fun (h : Exec.hold) -> h.sem.Types.sem_id = sem_id)
+                       tb.summary.holds
+                   then min best tb.rank
+                   else best)
+                 max_int task_bounds
+             in
+             { sem_id; ceiling; hold; lint_worst = 0 })
   in
   let latency_bound =
     Array.fold_left (fun acc tb -> max acc tb.summary.atomic) 0 task_bounds
@@ -291,6 +281,7 @@ let analyze ?lesion ?(cost = Sim.Cost.m68040)
     total_bytes;
     budget_bytes;
     diags = List.sort Lint.Diag.compare !diags;
+    ctx;
   }
 
 let errors t = Lint.Diag.errors t.diags

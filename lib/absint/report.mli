@@ -62,6 +62,9 @@ type t = {
   total_bytes : int;  (** code + RAM, compared against the budget *)
   budget_bytes : int;
   diags : Lint.Diag.t list;
+  ctx : Lint.Ctx.t;
+      (** the scenario's one lint context ({!Lint.Ctx.of_scenario}):
+          ceilings, the domination check, and callers that also lint *)
 }
 
 val analyze :

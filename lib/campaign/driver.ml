@@ -33,15 +33,10 @@ let default_config =
     progress = None;
   }
 
-type shrunk = {
-  sh_tasks_before : int;
-  sh_tasks_after : int;
-  sh_segs_before : int;
-  sh_segs_after : int;
-  sh_evals : int;
+type report_finding = {
+  finding : Oracle.finding;
+  shrunk : Shrink.outcome option;
 }
-
-type report_finding = { finding : Oracle.finding; shrunk : shrunk option }
 
 type summary = {
   config : config;
@@ -76,21 +71,10 @@ let run (c : config) =
     bump f.oracle;
     (match c.progress with Some p -> p index f | None -> ());
     let shrunk =
-      if c.shrink && f.oracle <> Oracle.Validity then begin
-        let spec = List.nth specs index in
-        let o =
-          Shrink.run ~max_evals:c.shrink_evals ~oracle:f.oracle
-            ~ablation:c.ablation ~index spec
-        in
+      if c.shrink && f.oracle <> Oracle.Validity then
         Some
-          {
-            sh_tasks_before = o.tasks_before;
-            sh_tasks_after = o.tasks_after;
-            sh_segs_before = o.segs_before;
-            sh_segs_after = o.segs_after;
-            sh_evals = o.evals;
-          }
-      end
+          (Shrink.run ~max_evals:c.shrink_evals ~oracle:f.oracle
+             ~ablation:c.ablation ~index (List.nth specs index))
       else None
     in
     findings := { finding = f; shrunk } :: !findings

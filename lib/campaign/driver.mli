@@ -17,15 +17,11 @@ type config = {
 val default_config : config
 (** seed 7, count 100, all oracles, no ablation, no shrinking. *)
 
-type shrunk = {
-  sh_tasks_before : int;
-  sh_tasks_after : int;
-  sh_segs_before : int;
-  sh_segs_after : int;
-  sh_evals : int;
+type report_finding = {
+  finding : Oracle.finding;
+  shrunk : Shrink.outcome option;
+      (** with [shrink], the shrinker's outcome, shrunk spec included *)
 }
-
-type report_finding = { finding : Oracle.finding; shrunk : shrunk option }
 
 type summary = {
   config : config;

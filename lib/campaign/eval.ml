@@ -6,7 +6,7 @@
    between them.  The static terms the RM oracles check against — RTA
    eligibility, the Table-1-inflated fixpoint, the lint blocking terms
    and the per-component blame bounds — are derived only here; the
-   CLI's [explain] reads them through [statics] and [blame_terms]. *)
+   CLI's [explain] reads them and the blame verdicts from here too. *)
 
 type t = {
   findings : Oracle.finding list;
@@ -30,25 +30,22 @@ let norm_sig k = Sim.Trace.signature (Emeralds.Kernel.trace k)
    response-time recurrence models: computes and bounded critical
    sections.  Open-ended blocking (waits, receives, delays) is outside
    the claim. *)
-let rta_eligible (sc : Workload.Scenario.t) =
+let rta_eligible (ctx : Lint.Ctx.t) =
   Array.map
-    (fun (t : Model.Task.t) ->
+    (fun (tp : Lint.Ctx.task_prog) ->
       let ok = ref true in
       Emeralds.Program.iter_leaves
-        (fun instr ->
-          match instr with
-          | Emeralds.Types.Wait _ | Emeralds.Types.Timed_wait _
-          | Emeralds.Types.Recv _ | Emeralds.Types.Send _
-          | Emeralds.Types.Delay _ ->
+        (function
+          | Emeralds.Types.Wait _ | Timed_wait _ | Recv _ | Send _ | Delay _ ->
             ok := false
           | _ -> ())
-        (sc.programs t);
+        tp.prog;
       !ok)
-    (Model.Taskset.tasks sc.taskset)
+    ctx.tasks
 
 type statics = {
   scenario : Workload.Scenario.t;
-  ctx : Lint.Ctx.t;
+  ablation : Oracle.ablation;
   absint : Absint.Report.t;
   blocking : Model.Time.t array;
   rows : (int * int * int) array;
@@ -57,10 +54,6 @@ type statics = {
 }
 
 let statics ?(ablation = Oracle.No_ablation) (sc : Workload.Scenario.t) =
-  let ctx =
-    Lint.Ctx.make ~irq_signals:sc.irq_signals ~irq_writes:sc.irq_writes
-      ~taskset:sc.taskset ~programs:sc.programs ()
-  in
   (* cfg ablations weaken the abstract interpreter itself (skip the
      loop-bound multiplication / follow one branch arm); the resulting
      under-approximate bounds must be caught by Demand and Mem *)
@@ -71,7 +64,7 @@ let statics ?(ablation = Oracle.No_ablation) (sc : Workload.Scenario.t) =
     | _ -> None
   in
   let absint = Absint.Report.analyze ?lesion sc in
-  let blocking = Lint.Blocking_terms.blocking_terms ctx in
+  let blocking = Lint.Blocking_terms.blocking_terms absint.ctx in
   let blocking =
     (* ablation: pretend blocking is free — RTA bounds shrink below
        what the kernel actually delivers, which the campaign must
@@ -87,23 +80,17 @@ let statics ?(ablation = Oracle.No_ablation) (sc : Workload.Scenario.t) =
     Array.init (Array.length rows) (fun i ->
         Analysis.Rta.response_time ~blocking ~tasks:rows i)
   in
-  let eligible = rta_eligible sc in
-  { scenario = sc; ctx; absint; blocking; rows; rta; eligible }
+  let eligible = rta_eligible absint.ctx in
+  { scenario = sc; ablation; absint; blocking; rows; rta; eligible }
 
 type term = Exec | Interference of int | Blocking | Overhead
 
 let blame_terms st ~rank (s : Obs.Blame.task_summary) =
-  (* own execution vs the absint demand bound *)
+  (* own execution vs the absint demand bound (absint's tasks are in RM
+     order too) *)
   let exec =
-    match
-      Array.find_opt
-        (fun (tb : Absint.Report.task_bound) -> tb.task.id = s.s_id)
-        st.absint.tasks
-    with
-    | Some tb -> (
-      match Absint.Itv.hi_int tb.summary.exec with
-      | Some hi -> [ (Exec, s.s_max_exec, hi) ]
-      | None -> [])
+    match Absint.Itv.hi_int st.absint.tasks.(rank).summary.exec with
+    | Some hi -> [ (Exec, s.s_max_exec, hi) ]
     | None -> []
   in
   (* per-rank interference vs the RTA decomposition (one extra job per
@@ -137,6 +124,60 @@ let blame_terms st ~rank (s : Obs.Blame.task_summary) =
     | None -> []
   in
   exec @ interference @ blocking @ overhead
+
+type violation = { tid : int; term : term option; message : string }
+
+let blame_violations st tr (s : Obs.Blame.task_summary) =
+  let violation term message = { tid = s.s_id; term; message } in
+  (* conservation law: components sum exactly to every observed
+     response (the attributor derives the backlog term independently
+     from the release entry's absolute deadline, so a zero residual is
+     a real cross-check, not bookkeeping) *)
+  let conservation =
+    if s.s_residual_violations = 0 then []
+    else
+      [
+        violation None
+          (Printf.sprintf
+             "blame components of %d job(s) missed the observed response by \
+              up to %dns"
+             s.s_residual_violations s.s_max_abs_residual);
+      ]
+  in
+  (* per-term domination: each empirical component must stay within
+     its analytical term.  Enforcement kills and sheds invalidate the
+     per-job accounting a bound speaks about, so such runs are skipped
+     (the declared-budget notify-only policy never kills; this guards
+     future policies). *)
+  let i = s.s_rank in
+  let judged =
+    Sim.Trace.jobs_killed tr = 0
+    && Sim.Trace.jobs_shed tr = 0
+    && st.eligible.(i) && st.rta.(i) <> None && s.s_jobs > 0
+  in
+  let exceeded (term, v, bound) =
+    let halved = st.ablation = Oracle.Blame_bounds in
+    let bound = if halved then bound / 2 else bound in
+    if v <= bound then None
+    else
+      Some
+        (violation (Some term)
+           (match term with
+           | Exec ->
+             Printf.sprintf "blamed execution %dns > absint demand bound %dns"
+               v bound
+           | Interference j ->
+             Printf.sprintf
+               "blamed interference %dns from rank %d > RTA term %dns" v j bound
+           | Blocking ->
+             Printf.sprintf "blamed blocking %dns > lint blocking term %dns" v
+               bound
+           | Overhead ->
+             Printf.sprintf "blamed kernel overhead %dns > Table-1 budget %dns"
+               v bound))
+  in
+  conservation
+  @ if judged then List.filter_map exceeded (blame_terms st ~rank:i s) else []
 
 let sim_horizon tasks =
   let maxp =
@@ -289,19 +330,17 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   let sc = Workload.Generator.realize spec in
   let tasks = Model.Taskset.tasks sc.taskset in
   let st = statics ~ablation sc in
-  let diags = Lint.Report.run st.ctx in
   let rep = st.absint in
   if wants oracles Validity then begin
     List.iter
-      (fun (d : Lint.Diag.t) ->
-        if d.severity = Lint.Diag.Error then
-          add Validity ?task:d.task ("lint: " ^ d.check ^ ": " ^ d.message))
-      diags;
-    List.iter
-      (fun (d : Lint.Diag.t) ->
-        if d.severity = Lint.Diag.Error then
-          add Validity ?task:d.task ("absint: " ^ d.check ^ ": " ^ d.message))
-      rep.diags;
+      (fun (layer, diags) ->
+        List.iter
+          (fun (d : Lint.Diag.t) ->
+            if d.severity = Lint.Diag.Error then
+              add Validity ?task:d.task
+                (layer ^ ": " ^ d.check ^ ": " ^ d.message))
+          diags)
+      [ ("lint", Lint.Report.run rep.ctx); ("absint", rep.diags) ];
     let u = Workload.Generator.spec_utilization spec in
     if u > 1.0 then
       add Validity (Printf.sprintf "generated utilization %.3f > 1" u)
@@ -376,19 +415,13 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   | _ -> ());
   (match enforced with
   | Some k when wants oracles Demand ->
-    let observed = Fault.Report.observed_demand k in
-    Array.iter
-      (fun (tb : Absint.Report.task_bound) ->
-        match Absint.Itv.hi_int tb.summary.exec with
-        | Some hi ->
-          let hi = if ablation = Oracle.Absint_demand then hi / 2 else hi in
-          let used = observed tb.task.id in
-          if used > hi then
-            add Demand ~task:tb.task.id
-              (Printf.sprintf "observed execution %dns > absint bound %dns"
-                 used hi)
-        | None -> ())
-      rep.tasks
+    let bound hi = if ablation = Oracle.Absint_demand then hi / 2 else hi in
+    List.iter
+      (fun ((t : Model.Task.t), used, hi) ->
+        add Demand ~task:t.id
+          (Printf.sprintf "observed execution %dns > absint bound %dns" used
+             hi))
+      (Fault.Report.demand_excess ~bound rep k)
   | _ -> ());
   (match enforced with
   | Some k when wants oracles Mem ->
@@ -418,29 +451,18 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
                ms.m_high_water ms.m_pool hi))
       mstats;
     (* leak agreement: a leak the kernel recorded must have been
-       predicted by the exact lint walk, and a lint-predicted leak must
-       materialize once the task completed a job with every grant
-       honoured (an OOM anywhere voids the prediction: the leaked
-       block may simply never have been granted) *)
-    let leak_diag sub tid =
+       predicted by the exact lint walk for that (task, pool), and a
+       must-leak (every path) must materialize once the task completed
+       a job with every grant honoured (an OOM anywhere voids the
+       prediction: the leaked block may simply never have been
+       granted); a may-leak (some path) is not obliged to *)
+    let leaks = lazy (Lint.Alloc_discipline.leaks rep.ctx) in
+    let predicted ~must tid pool =
       List.exists
-        (fun (d : Lint.Diag.t) ->
-          d.check = "alloc-discipline"
-          && d.task = Some tid
-          && (let msg = d.message in
-              let n = String.length msg and m = String.length sub in
-              let rec find i =
-                i + m <= n && (String.sub msg i m = sub || find (i + 1))
-              in
-              find 0))
-        diags
+        (fun (l : Lint.Alloc_discipline.leak) ->
+          l.task = tid && l.pool.pool_id = pool && (l.must || not must))
+        (Lazy.force leaks)
     in
-    (* the path-sensitive lint distinguishes must-leaks ("still held at
-       job end", every path) from may-leaks ("may leak at job end",
-       some path).  A kernel-observed leak is predicted if either fired
-       for the task; only a must-leak is obliged to materialize. *)
-    let must_leak = leak_diag "still held at job end" in
-    let lint_leaks tid = must_leak tid || leak_diag "may leak at job end" tid in
     let any_oom = List.exists (fun ms -> ms.Emeralds.Kernel.m_oom > 0) mstats in
     let stats = Emeralds.Kernel.stats k in
     let completions tid =
@@ -454,14 +476,16 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     in
     List.iter
       (fun (ms : Emeralds.Kernel.mem_stats) ->
-        if ms.m_leaked > 0 && not (lint_leaks ms.m_tid) then
+        if ms.m_leaked > 0 && not (predicted ~must:false ms.m_tid ms.m_pool)
+        then
           add Mem ~task:ms.m_tid
             (Printf.sprintf
                "kernel reclaimed %d leaked block(s) of pool %d yet \
                 alloc-discipline lint predicted no leak"
                ms.m_leaked ms.m_pool);
         if
-          must_leak ms.m_tid && ms.m_leaked = 0 && (not any_oom)
+          predicted ~must:true ms.m_tid ms.m_pool
+          && ms.m_leaked = 0 && (not any_oom)
           && completions ms.m_tid > 0
         then
           add Mem ~task:ms.m_tid
@@ -473,57 +497,11 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   | _ -> ());
   (match (enforced, blame) with
   | Some k, Some b ->
-    (* conservation law: components sum exactly to every observed
-       response (the attributor derives the backlog term independently
-       from the release entry's absolute deadline, so a zero residual
-       is a real cross-check, not bookkeeping) *)
     List.iter
-      (fun (s : Obs.Blame.task_summary) ->
-        if s.s_residual_violations > 0 then
-          add Blame ~task:s.s_id
-            (Printf.sprintf
-               "blame components of %d job(s) missed the observed response \
-                by up to %dns"
-               s.s_residual_violations s.s_max_abs_residual))
-      (Obs.Blame.summaries b);
-    (* per-term domination: each empirical component must stay within
-       its analytical term.  Enforcement kills and sheds invalidate
-       the per-job accounting a bound speaks about, so such runs are
-       skipped (the declared-budget notify-only policy never kills;
-       this guards future policies). *)
-    let ktr = Emeralds.Kernel.trace k in
-    let halve v = if ablation = Oracle.Blame_bounds then v / 2 else v in
-    if Sim.Trace.jobs_killed ktr = 0 && Sim.Trace.jobs_shed ktr = 0 then
-      Array.iteri
-        (fun i (t : Model.Task.t) ->
-          match (Obs.Blame.summary b ~tid:t.id, rta.(i)) with
-          | Some s, Some _ when eligible.(i) && s.s_jobs > 0 ->
-            List.iter
-              (fun (term, v, bound) ->
-                let bound = halve bound in
-                if v > bound then
-                  add Blame ~task:t.id
-                    (match term with
-                    | Exec ->
-                      Printf.sprintf
-                        "blamed execution %dns > absint demand bound %dns" v
-                        bound
-                    | Interference j ->
-                      Printf.sprintf
-                        "blamed interference %dns from rank %d > RTA term \
-                         %dns"
-                        v j bound
-                    | Blocking ->
-                      Printf.sprintf
-                        "blamed blocking %dns > lint blocking term %dns" v
-                        bound
-                    | Overhead ->
-                      Printf.sprintf
-                        "blamed kernel overhead %dns > Table-1 budget %dns" v
-                        bound))
-              (blame_terms st ~rank:i s)
-          | _ -> ())
-        tasks
+      (fun v -> add Blame ~task:v.tid v.message)
+      (List.concat_map
+         (blame_violations st (Emeralds.Kernel.trace k))
+         (Obs.Blame.summaries b))
   | _ -> ());
   let metrics =
     match enforced with

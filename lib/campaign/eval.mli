@@ -5,8 +5,8 @@
     no kernel-object state leaks between layers.  The RM cross-check
     terms (RTA eligibility, the Table-1-inflated fixpoint, the lint
     blocking terms, the per-component blame bounds) are derived only
-    by {!statics} and {!blame_terms}; the CLI's [explain] reads its
-    terms from there. *)
+    by {!statics} and {!blame_terms}, and judged by
+    {!blame_violations}; the CLI's [explain] calls all three. *)
 
 type t = {
   findings : Oracle.finding list;
@@ -23,9 +23,10 @@ type t = {
 
 type statics = {
   scenario : Workload.Scenario.t;
-  ctx : Lint.Ctx.t;
+  ablation : Oracle.ablation;  (** the one the terms were built under *)
   absint : Absint.Report.t;
-      (** under the [Cfg_loop]/[Cfg_join] lesions when so ablated *)
+      (** under the [Cfg_loop]/[Cfg_join] lesions when so ablated; its
+          [ctx] is the scenario's one lint context *)
   blocking : Model.Time.t array;
       (** lint blocking term per RM rank; all zero under [Rta_blocking] *)
   rows : (int * int * int) array;
@@ -37,9 +38,9 @@ type statics = {
 }
 
 val statics : ?ablation:Oracle.ablation -> Workload.Scenario.t -> statics
-(** The static phase of {!run} on an already realized scenario: lint
-    context, absint report, blocking terms, RM rows, RTA fixpoints and
-    eligibility.  All RM-specific, priced at [Sim.Cost.m68040]. *)
+(** The static phase of {!run} on an already realized scenario: the
+    absint report with its lint context, blocking terms, RM rows, RTA
+    fixpoints and eligibility; all RM-specific, at [Sim.Cost.m68040]. *)
 
 type term =
   | Exec
@@ -56,6 +57,18 @@ val blame_terms :
     against the lint term (always), [Overhead] against
     [Analysis.Overhead.job_budget] at R* with the observed IRQ count.
     Interference and overhead appear only when the fixpoint exists. *)
+
+(** A blame verdict on one task: [term] is [None] for a conservation
+    violation, else the term whose bound was exceeded. *)
+type violation = { tid : int; term : term option; message : string }
+
+val blame_violations :
+  statics -> Sim.Trace.t -> Obs.Blame.task_summary -> violation list
+(** The [blame] oracle's check of one task, which [explain] reports
+    too: its conservation violation, then each {!blame_terms} row above
+    its bound (halved under [Blame_bounds]), judged only for an
+    RTA-eligible task with a fixpoint and a job, in a run whose trace
+    shows no kill or shed. *)
 
 val now_us : unit -> int
 (** Host wall clock, microseconds. *)

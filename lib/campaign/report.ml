@@ -30,8 +30,8 @@ let pp_text ppf (s : Driver.summary) =
       | Some sh ->
         Format.fprintf ppf
           "    shrunk %d->%d tasks, %d->%d segments (%d evals)@."
-          sh.sh_tasks_before sh.sh_tasks_after sh.sh_segs_before
-          sh.sh_segs_after sh.sh_evals
+          sh.tasks_before sh.tasks_after sh.segs_before sh.segs_after
+          sh.evals
       | None -> ())
     s.findings;
   Format.fprintf ppf
@@ -65,12 +65,12 @@ let to_json (s : Driver.summary) =
          ("scenario", String f.scenario); ("index", Int f.index) ]
       @ Option.fold f.task ~none:[] ~some:(fun t -> [ ("task", Int t) ])
       @ [ ("message", String f.message) ]
-      @ Option.fold r.shrunk ~none:[] ~some:(fun (sh : Driver.shrunk) ->
+      @ Option.fold r.shrunk ~none:[] ~some:(fun (sh : Shrink.outcome) ->
             [ ( "shrunk",
                 Obj
-                  [ ("tasks", pair sh.sh_tasks_before sh.sh_tasks_after);
-                    ("segments", pair sh.sh_segs_before sh.sh_segs_after);
-                    ("evals", Int sh.sh_evals) ] ) ]))
+                  [ ("tasks", pair sh.tasks_before sh.tasks_after);
+                    ("segments", pair sh.segs_before sh.segs_after);
+                    ("evals", Int sh.evals) ] ) ]))
   in
   to_string
     (Obj
@@ -117,7 +117,7 @@ let to_sarif (s : Driver.summary) =
         ^ (match r.shrunk with
           | Some sh ->
             Printf.sprintf " [shrunk to %d tasks, %d segments]"
-              sh.sh_tasks_after sh.sh_segs_after
+              sh.tasks_after sh.segs_after
           | None -> "");
       logical =
         Some

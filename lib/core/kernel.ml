@@ -1178,42 +1178,11 @@ let default_program (task : Model.Task.t) = [ Compute task.wcet ]
 let make_tcb ~origin rank (task : Model.Task.t) program =
   let program = Program.flatten program in
   {
-    tid = task.id;
-    task;
-    state = Dormant;
-    base_prio = rank;
-    eff_prio = rank;
-    abs_deadline = origin + task.phase + task.deadline;
-    eff_deadline = origin + task.phase + task.deadline;
-    release_time = 0;
-    job_no = 0;
+    (fresh_tcb ~prio:rank ~deadline:(origin + task.phase + task.deadline) task)
+    with
     program;
     hints = Program.derive_hints program;
-    pc = 0;
-    remaining = 0;
-    node = None;
-    heap_handle = None;
-    queue_idx = 0;
-    home_queue_idx = 0;
-    placeholder = None;
-    inherited = false;
-    approaching = None;
-    approach_node = None;
-    wait_node = None;
-    held_sems = [];
-    waiting_on = None;
-    mem_cells = [];
     has_branches = Program.has_branches program;
-    input_word = 0L;
-    branch_idx = 0;
-    inbox = None;
-    completed_job = 0;
-    pending_releases = Queue.create ();
-    jobs_completed = 0;
-    misses = 0;
-    max_response = 0;
-    total_response = 0;
-    enf = fresh_enf ();
   }
 
 let create ?(keep_trace = true) ?(stop_on_miss = false) ?(optimized_pi = true)

@@ -304,5 +304,7 @@ val set_branch_oracle :
 (** Force branch outcomes.  The oracle is consulted once per consumed
     input bit ([idx] counts bits within the job); [Some taken] decides
     the branch ([true] = fall through to the first arm), [None] falls
-    back to the job's input word.  Used by tests and by model-checker
-    counterexample replay to steer the kernel down a specific path. *)
+    back to the job's input word.  Tests use it to steer the kernel
+    down a specific path; the model checker's counterexample replay
+    ([Mc.Counterexample.replay]) drives [Mc.Step] instead and never
+    calls it. *)

@@ -208,6 +208,50 @@ let fresh_enf () =
     first_detection = None;
   }
 
+(* A dormant TCB with no program, no job and zeroed statistics, at
+   priority [prio] with [deadline] as its first absolute deadline, as
+   [fresh_enf] is for enforcement state: [Kernel] adds the flattened
+   program, its hints and branch flag, [Mock] its state. *)
+let fresh_tcb ~prio ~deadline (task : Model.Task.t) =
+  {
+    tid = task.id;
+    task;
+    state = Dormant;
+    base_prio = prio;
+    eff_prio = prio;
+    abs_deadline = deadline;
+    eff_deadline = deadline;
+    release_time = 0;
+    job_no = 0;
+    program = [||];
+    hints = [||];
+    pc = 0;
+    remaining = 0;
+    node = None;
+    heap_handle = None;
+    queue_idx = 0;
+    home_queue_idx = 0;
+    placeholder = None;
+    inherited = false;
+    approaching = None;
+    approach_node = None;
+    wait_node = None;
+    held_sems = [];
+    waiting_on = None;
+    mem_cells = [];
+    has_branches = false;
+    input_word = 0L;
+    branch_idx = 0;
+    inbox = None;
+    completed_job = 0;
+    pending_releases = Queue.create ();
+    jobs_completed = 0;
+    misses = 0;
+    max_response = 0;
+    total_response = 0;
+    enf = fresh_enf ();
+  }
+
 let is_ready tcb = match tcb.state with Ready | Running -> true
                                       | Blocked _ | Dormant -> false
 

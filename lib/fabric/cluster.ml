@@ -307,7 +307,11 @@ let restart t ~node ~at =
          end))
 
 (* [install_plan] interprets the fabric kinds only, and a clause on a
-   node the cluster lacks would raise mid-run or perturb nothing. *)
+   node the cluster lacks would raise mid-run or perturb nothing.  Only
+   the plan crashes nodes, so its node clauses, walked in the order the
+   engine fires them (by instant, then clause order), say which nodes
+   are down when each one fires: a restart of a live node and a crash
+   of a dead one would perturb nothing. *)
 let check_plan t plan =
   let missing nodes =
     List.find_opt
@@ -315,62 +319,81 @@ let check_plan t plan =
       nodes
     |> Option.map (Printf.sprintf "the cluster has no node %d")
   in
-  Fault.Plan.refuse_first
-    (function
-      | Frame_drop _ | Frame_corrupt _ -> None
-      | Node_crash { node; _ } | Node_restart { node; _ } -> missing [ node ]
-      | Link_partition { a; b; _ } -> missing [ a; b ]
-      | Wcet_scale _ | Wcet_add _ | Release_jitter _ | Irq_storm _
-      | Irq_drop _ | Lost_signal _ | Sporadic_burst _ ->
-        Some "a single-kernel fault, which the fabric does not interpret")
-    plan
+  let node_at = function
+    | Fault.Plan.Node_crash { at; _ } | Node_restart { at; _ } -> Some at
+    | _ -> None
+  in
+  Result.bind
+    (Fault.Plan.refuse_first
+       (function
+         | Frame_drop _ | Frame_corrupt _ -> None
+         | Node_crash { node; _ } | Node_restart { node; _ } -> missing [ node ]
+         | Link_partition { a; b; _ } -> missing [ a; b ]
+         | Wcet_scale _ | Wcet_add _ | Release_jitter _ | Irq_storm _
+         | Irq_drop _ | Lost_signal _ | Sporadic_burst _ ->
+           Some "a single-kernel fault, which the fabric does not interpret")
+       plan)
+    (fun () ->
+      let down = Hashtbl.create 4 in
+      Fault.Plan.refuse_first
+        (function
+          | Fault.Plan.Node_crash { node; _ } when Hashtbl.mem down node ->
+            Some
+              (Printf.sprintf
+                 "node %d is already down then: the plan crashed it and has \
+                  not restarted it"
+                 node)
+          | Node_crash { node; _ } -> Hashtbl.replace down node (); None
+          | Node_restart { node; _ } when not (Hashtbl.mem down node) ->
+            Some
+              (Printf.sprintf "node %d is up then: the plan has not crashed it"
+                 node)
+          | Node_restart { node; _ } -> Hashtbl.remove down node; None
+          | _ -> None)
+        (List.stable_sort
+           (fun a b -> compare (node_at a) (node_at b))
+           (List.filter (fun f -> node_at f <> None) plan)))
 
 let install_plan t plan =
   t.plan <- plan;
-  let drop_one_in =
-    List.find_map
-      (function Fault.Plan.Frame_drop { one_in } -> Some one_in | _ -> None)
-      plan
+  (* one every-n-th counter per clause, matching the irq-drop fault's
+     semantics: a frame is lost when any drop clause selects it, and
+     the corrupt clauses count only the frames that survive *)
+  let counters one_in =
+    List.filter_map (fun f -> Option.map (fun n -> (n, ref 0)) (one_in f)) plan
   in
-  let corrupt_one_in =
-    List.find_map
-      (function
-        | Fault.Plan.Frame_corrupt { one_in } -> Some one_in | _ -> None)
-      plan
+  let drops =
+    counters (function
+      | Fault.Plan.Frame_drop { one_in } -> Some one_in
+      | _ -> None)
   in
-  (match (drop_one_in, corrupt_one_in) with
-  | None, None -> Fieldbus.Bus.set_fault t.bus None
+  let corrupts =
+    counters (function
+      | Fault.Plan.Frame_corrupt { one_in } -> Some one_in
+      | _ -> None)
+  in
+  let selects =
+    List.fold_left
+      (fun hit (n, count) ->
+        incr count;
+        hit || !count mod n = 0)
+      false
+  in
+  (match (drops, corrupts) with
+  | [], [] -> Fieldbus.Bus.set_fault t.bus None
   | _ ->
-    (* deterministic counter-based selection, matching the irq-drop
-       fault's semantics: every one_in-th transmitted frame *)
-    let dropped = ref 0 and corrupted = ref 0 in
     Fieldbus.Bus.set_fault t.bus
       (Some
          (fun frame ->
-           let drop =
-             match drop_one_in with
-             | None -> false
-             | Some n ->
-               incr dropped;
-               !dropped mod n = 0
-           in
-           if drop then None
-           else
-             let corrupt =
-               match corrupt_one_in with
-               | None -> false
-               | Some n ->
-                 incr corrupted;
-                 !corrupted mod n = 0
-             in
-             if not corrupt then Some frame
-             else begin
-               t.corrupted <- t.corrupted + 1;
-               let payload = Array.copy frame.Fieldbus.Bus.payload in
-               let last = Array.length payload - 1 in
-               payload.(last) <- payload.(last) lxor (1 lsl 21);
-               Some { frame with Fieldbus.Bus.payload }
-             end)));
+           if selects drops then None
+           else if not (selects corrupts) then Some frame
+           else begin
+             t.corrupted <- t.corrupted + 1;
+             let payload = Array.copy frame.Fieldbus.Bus.payload in
+             let last = Array.length payload - 1 in
+             payload.(last) <- payload.(last) lxor (1 lsl 21);
+             Some { frame with Fieldbus.Bus.payload }
+           end)));
   let partitions =
     List.filter_map
       (function

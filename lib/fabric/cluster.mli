@@ -47,12 +47,18 @@ val create :
 val check_plan : t -> Fault.Plan.t -> (unit, string) result
 (** Every clause must be a fabric fault, and every node it names
     ([node-crash], [node-restart], both ends of [link-partition]) one
-    of the cluster's; [Error] names the first clause that fails.
-    {!install_plan} does not check: the CLI calls this first. *)
+    of the cluster's.  Then the node clauses, in the order the engine
+    fires them (by instant, then by clause order), must each change
+    something: a [node-restart] of a node the plan has not crashed by
+    then, or a [node-crash] of a node it has crashed and not restarted,
+    fails.  [Error] names the first clause that fails.  {!install_plan}
+    does not check: the CLI calls this first. *)
 
 val install_plan : t -> Fault.Plan.t -> unit
 (** Install the fabric clauses of a fault plan: [frame-drop] /
-    [frame-corrupt] as deterministic counter-based wire hooks,
+    [frame-corrupt] as deterministic counter-based wire hooks, one
+    counter per clause (a frame is dropped when any [frame-drop] clause
+    selects it; [frame-corrupt] clauses count the surviving frames),
     [link-partition] as a clock-gated link filter, [node-crash] /
     [node-restart] as scheduled events.  Also fixes the static
     failover bound for the planned crashes (worst over crashed nodes);

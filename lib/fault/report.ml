@@ -47,42 +47,22 @@ let tstr ns = Printf.sprintf "%.1f us" (Model.Time.to_us_f ns)
 type statics = {
   rta : (Model.Task.t * Model.Time.t) list;
       (* tasks RTA predicts feasible, with their response bound *)
-  demand : (Model.Task.t * Model.Time.t) list;
-      (* tasks with a finite absint per-job demand bound *)
+  absint : Absint.Report.t option;
 }
 
 let compute_statics (cfg : Inject.config) =
   let sc = cfg.scenario in
   let tasks = Model.Taskset.tasks sc.taskset in
-  let ctx =
-    Lint.Ctx.make ~irq_signals:sc.irq_signals ~irq_writes:sc.irq_writes
-      ~taskset:sc.taskset ~programs:sc.programs ()
-  in
-  let blocking = Lint.Blocking_terms.blocking_terms ctx in
-  let rows =
-    Array.map
-      (fun (t : Model.Task.t) -> (t.period, t.deadline, t.wcet))
-      tasks
-  in
+  let bounds = Lint.Blocking_terms.declared_rta (Lint.Ctx.of_scenario sc) in
   let rta =
     List.filter_map
-      (fun i ->
-        match Analysis.Rta.response_time ~blocking ~tasks:rows i with
-        | Some r -> Some (tasks.(i), r)
-        | None -> None)
+      (fun i -> Option.map (fun r -> (tasks.(i), r)) bounds.(i))
       (List.init (Array.length tasks) Fun.id)
   in
-  let demand =
-    match Absint.Report.analyze ~cost:cfg.cost sc with
-    | exception _ -> []
-    | rep ->
-      Array.to_list rep.tasks
-      |> List.filter_map (fun (tb : Absint.Report.task_bound) ->
-             Option.map
-               (fun hi -> (tb.task, hi))
-               (Absint.Itv.hi_int tb.summary.exec))
+  let absint =
+    try Some (Absint.Report.analyze ~cost:cfg.cost sc) with _ -> None
   in
-  { rta; demand }
+  { rta; absint }
 
 (* ------------------------------------------------------------------ *)
 (* One cell *)
@@ -109,12 +89,20 @@ let observed_demand k =
       tr;
   fun tid -> Option.value ~default:0 (Hashtbl.find_opt worst tid)
 
+let demand_excess ~bound (rep : Absint.Report.t) k =
+  let used = observed_demand k in
+  Array.to_list rep.tasks
+  |> List.filter_map (fun (tb : Absint.Report.task_bound) ->
+         match Absint.Itv.hi_int tb.summary.exec with
+         | Some hi when used tb.task.id > bound hi ->
+           Some (tb.task, used tb.task.id, bound hi)
+         | _ -> None)
+
 let falsified statics k =
   let stats = Kernel.stats k in
   let stat_of tid =
     List.find_opt (fun (s : Kernel.task_stats) -> s.tid = tid) stats
   in
-  let demand_of = observed_demand k in
   let rta_falsified =
     List.filter_map
       (fun ((task : Model.Task.t), bound) ->
@@ -146,21 +134,20 @@ let falsified statics k =
       statics.rta
   in
   let demand_falsified =
-    List.filter_map
-      (fun ((task : Model.Task.t), hi) ->
-        let used = demand_of task.id in
-        if used > hi then
-          Some
-            {
-              p_source = "absint";
-              p_task = task.id;
-              p_claim =
-                Printf.sprintf "derived per-job demand bound %s for tau%d"
-                  (tstr hi) task.id;
-              p_observed = Printf.sprintf "a job consumed %s" (tstr used);
-            }
-        else None)
-      statics.demand
+    match statics.absint with
+    | None -> []
+    | Some rep ->
+      List.map
+        (fun ((task : Model.Task.t), used, hi) ->
+          {
+            p_source = "absint";
+            p_task = task.id;
+            p_claim =
+              Printf.sprintf "derived per-job demand bound %s for tau%d"
+                (tstr hi) task.id;
+            p_observed = Printf.sprintf "a job consumed %s" (tstr used);
+          })
+        (demand_excess ~bound:Fun.id rep k)
   in
   rta_falsified @ demand_falsified
 
@@ -225,10 +212,9 @@ let run ?plans (cfg : Inject.config) =
     r_cells = cells;
   }
 
-let violations t =
-  List.exists
-    (fun c -> c.c_misses + c.c_overruns + c.c_kills + c.c_sheds > 0)
-    t.r_cells
+let faulted c = c.c_misses + c.c_overruns + c.c_kills + c.c_sheds > 0
+
+let violations t = List.exists faulted t.r_cells
 
 (* ------------------------------------------------------------------ *)
 (* Output *)
@@ -384,70 +370,42 @@ let net_to_json n =
            ("ok", Bool (net_ok n)) ]))
 
 let net_to_sarif n =
-  let fabric = Some "fabric" in
+  let result rule_id level message =
+    [ { Lint.Sarif.rule_id; level; message; logical = Some "fabric" } ]
+  in
   let bound_results =
-    if net_within_bound n then []
-    else
-      match (n.n_failover_latency, n.n_failover_bound) with
-      | Some obs, Some bound ->
-        [
-          {
-            Lint.Sarif.rule_id = "failover-bound-exceeded";
-            level = Lint.Sarif.Error;
-            message =
-              Printf.sprintf
-                "observed failover latency %s exceeds the static \
-                 migration-cost bound %s"
-                (tstr obs) (tstr bound);
-            logical = fabric;
-          };
-        ]
-      | _ -> []
+    match (n.n_failover_latency, n.n_failover_bound) with
+    | Some obs, Some bound when not (net_within_bound n) ->
+      result "failover-bound-exceeded" Lint.Sarif.Error
+        (Printf.sprintf
+           "observed failover latency %s exceeds the static migration-cost \
+            bound %s"
+           (tstr obs) (tstr bound))
+    | _ -> []
   in
   let miss_results =
     if n.n_e2e_misses = 0 then []
     else
-      [
-        {
-          Lint.Sarif.rule_id = "e2e-miss-after-failover";
-          level = Lint.Sarif.Error;
-          message =
-            Printf.sprintf
-              "%d end-to-end deadline miss(es) on surviving shards after \
-               failover completed"
-              n.n_e2e_misses;
-          logical = fabric;
-        };
-      ]
+      result "e2e-miss-after-failover" Lint.Sarif.Error
+        (Printf.sprintf
+           "%d end-to-end deadline miss(es) on surviving shards after \
+            failover completed"
+           n.n_e2e_misses)
   in
   let wire_results =
     if n.n_timeouts = 0 && n.n_shed = 0 then []
     else
-      [
-        {
-          Lint.Sarif.rule_id = "fabric-degraded";
-          level = Lint.Sarif.Warning;
-          message =
-            Printf.sprintf
-              "%d delivery timeout(s), %d task(s) shed during failover"
-              n.n_timeouts n.n_shed;
-          logical = fabric;
-        };
-      ]
+      result "fabric-degraded" Lint.Sarif.Warning
+        (Printf.sprintf
+           "%d delivery timeout(s), %d task(s) shed during failover"
+           n.n_timeouts n.n_shed)
   in
   let clean =
     if bound_results = [] && miss_results = [] && wire_results = [] then
-      [
-        {
-          Lint.Sarif.rule_id = "fabric-clean";
-          level = Lint.Sarif.Note;
-          message =
-            Printf.sprintf
-              "fabric run clean: %d node(s), %d frame(s), amplification %.2fx"
-              n.n_nodes n.n_frames n.n_retry_amplification;
-          logical = fabric;
-        };
-      ]
+      result "fabric-clean" Lint.Sarif.Note
+        (Printf.sprintf
+           "fabric run clean: %d node(s), %d frame(s), amplification %.2fx"
+           n.n_nodes n.n_frames n.n_retry_amplification)
     else []
   in
   bound_results @ miss_results @ wire_results @ clean
@@ -455,51 +413,34 @@ let net_to_sarif n =
 let to_sarif t =
   List.concat_map
     (fun c ->
+      let result rule_id level logical message =
+        { Lint.Sarif.rule_id; level; message; logical = Some logical }
+      in
+      let scenario = Printf.sprintf "scenario %s" t.r_scenario in
       let summary =
-        if c.c_misses + c.c_overruns + c.c_kills + c.c_sheds > 0 then
-          [
-            {
-              Lint.Sarif.rule_id = "fault-detected";
-              level = Lint.Sarif.Warning;
-              message =
-                Printf.sprintf
-                  "plan %s on %s: %d deadline miss(es), %d budget overrun(s), \
-                   %d kill(s), %d shed(s)%s"
-                  c.c_label t.r_scenario c.c_misses c.c_overruns c.c_kills
-                  c.c_sheds
-                  (match c.c_detection_latency with
-                  | Some l -> Printf.sprintf "; detection latency %s" (tstr l)
-                  | None -> "");
-              logical = Some (Printf.sprintf "scenario %s" t.r_scenario);
-            };
-          ]
+        if faulted c then
+          result "fault-detected" Lint.Sarif.Warning scenario
+            (Printf.sprintf
+               "plan %s on %s: %d deadline miss(es), %d budget overrun(s), %d \
+                kill(s), %d shed(s)%s"
+               c.c_label t.r_scenario c.c_misses c.c_overruns c.c_kills
+               c.c_sheds
+               (match c.c_detection_latency with
+               | Some l -> Printf.sprintf "; detection latency %s" (tstr l)
+               | None -> ""))
         else
-          [
-            {
-              Lint.Sarif.rule_id = "fault-clean";
-              level = Lint.Sarif.Note;
-              message =
-                Printf.sprintf "plan %s on %s: no violation%s" c.c_label
-                  t.r_scenario
-                  (if c.c_matches_baseline then
-                     " (trace identical to baseline)"
-                   else "");
-              logical = Some (Printf.sprintf "scenario %s" t.r_scenario);
-            };
-          ]
+          result "fault-clean" Lint.Sarif.Note scenario
+            (Printf.sprintf "plan %s on %s: no violation%s" c.c_label
+               t.r_scenario
+               (if c.c_matches_baseline then " (trace identical to baseline)"
+                else ""))
       in
-      let falsified =
-        List.map
-          (fun p ->
-            {
-              Lint.Sarif.rule_id = "prediction-falsified";
-              level = Lint.Sarif.Error;
-              message =
-                Printf.sprintf "plan %s: %s prediction falsified: %s -- %s"
-                  c.c_label p.p_source p.p_claim p.p_observed;
-              logical = Some (Printf.sprintf "task %d" p.p_task);
-            })
-          c.c_falsified
-      in
-      summary @ falsified)
+      summary
+      :: List.map
+           (fun p ->
+             result "prediction-falsified" Lint.Sarif.Error
+               (Printf.sprintf "task %d" p.p_task)
+               (Printf.sprintf "plan %s: %s prediction falsified: %s -- %s"
+                  c.c_label p.p_source p.p_claim p.p_observed))
+           c.c_falsified)
     t.r_cells

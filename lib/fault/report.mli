@@ -57,11 +57,16 @@ val run : ?plans:(string * Plan.t) list -> Inject.config -> t
     the single entry [cfg.plan] (skipped when empty); the baseline and
     the empty-plan cell are always included. *)
 
-val observed_demand : Emeralds.Kernel.t -> int -> Model.Time.t
-(** [observed_demand k tid] is the worst per-job demand task [tid]
-    consumed in the run [k]: the enforcement state's banked figures
-    joined with every [Budget_overrun] entry of the kept trace; 0 for a
-    task never seen. *)
+val demand_excess :
+  bound:(Model.Time.t -> Model.Time.t) ->
+  Absint.Report.t ->
+  Emeralds.Kernel.t ->
+  (Model.Task.t * Model.Time.t * Model.Time.t) list
+(** [(task, used, limit)] in RM order for each task whose worst
+    per-job demand in run [k] (banked enforcement figures joined with
+    the trace's [Budget_overrun] entries) exceeds [limit = bound hi],
+    [hi] its finite absint demand bound.  [inject] passes [Fun.id]; the
+    [demand] oracle halves [hi] under its absint-demand ablation. *)
 
 val violations : t -> bool
 (** Any cell with misses, overruns, kills or sheds — the CLI's exit-1

@@ -55,6 +55,37 @@ let walk (tp : Ctx.task_prog) on_bad_free =
   in
   snd (Ctx.dataflow ~init:Imap.empty ~join ~transfer tp)
 
+(* The per-job leak a row predicts: the floor when every path leaks
+   (must), else the ceiling when some path does (may). *)
+type leak = { task : int; pool : Types.pool; blocks : int; must : bool }
+
+let leak_of task (r : row) =
+  let leak blocks must = Some { task; pool = r.pool; blocks; must } in
+  if r.lo > 0 then leak r.lo true else if r.hi > 0 then leak r.hi false
+  else None
+
+let leaks (ctx : Ctx.t) =
+  Array.to_list ctx.tasks
+  |> List.concat_map (fun (tp : Ctx.task_prog) ->
+         walk tp (fun ~pc:_ ~certain:_ _ -> ())
+         |> Imap.bindings
+         |> List.filter_map (fun (_, r) -> leak_of tp.task.id r))
+
+let leak_message l =
+  let id = l.pool.pool_id in
+  if l.must then
+    Printf.sprintf
+      "%d block(s) of pool %d still held at job end: leaked every job, the \
+       pool would exhaust within %d job(s) (the kernel reclaims and records \
+       the leak)"
+      l.blocks id
+      ((l.pool.pool_capacity + l.blocks - 1) / l.blocks)
+  else
+    Printf.sprintf
+      "up to %d block(s) of pool %d may leak at job end on some paths (the \
+       kernel reclaims and records the leak when that branch is taken)"
+      l.blocks id
+
 let run (ctx : Ctx.t) =
   let diags = ref [] in
   let add sev ?task ?pc msg =
@@ -82,23 +113,11 @@ let run (ctx : Ctx.t) =
                    p.pool_id))
       in
       Imap.iter
-        (fun _ r ->
+        (fun _ (r : row) ->
           let p = r.pool in
-          if r.lo > 0 then
-            let jobs_to_dry = (p.pool_capacity + r.lo - 1) / r.lo in
-            add Diag.Error ~task:tid
-              (Printf.sprintf
-                 "%d block(s) of pool %d still held at job end: leaked every \
-                  job, the pool would exhaust within %d job(s) (the kernel \
-                  reclaims and records the leak)"
-                 r.lo p.pool_id jobs_to_dry)
-          else if r.hi > 0 then
-            add Diag.Error ~task:tid
-              (Printf.sprintf
-                 "up to %d block(s) of pool %d may leak at job end on some \
-                  paths (the kernel reclaims and records the leak when that \
-                  branch is taken)"
-                 r.hi p.pool_id);
+          Option.iter
+            (fun l -> add Diag.Error ~task:tid (leak_message l))
+            (leak_of tid r);
           if r.peak_lo > p.pool_capacity then
             add Diag.Error ~task:tid
               (Printf.sprintf

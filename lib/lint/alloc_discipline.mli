@@ -26,4 +26,20 @@
 
 val name : string
 
+(** A per-job leak prediction for one (task, pool): [must] when the
+    blocks stay held on every path ([blocks] is the floor over paths),
+    else a may-leak of up to [blocks] on some path. *)
+type leak = {
+  task : int;  (** task id *)
+  pool : Emeralds.Types.pool;
+  blocks : int;
+  must : bool;
+}
+
+val leaks : Ctx.t -> leak list
+(** Every leak prediction, by task in RM order, then by pool id: the
+    values {!run}'s leak diagnostics are written from, and what the
+    campaign's [mem] oracle checks the kernel's reclaimed leaks
+    against. *)
+
 val run : Ctx.t -> Diag.t list

@@ -216,6 +216,17 @@ let blocking_terms (ctx : Ctx.t) =
   Analysis.Blocking.blocking_terms ~n:(Array.length ctx.tasks)
     (blocking_sections ctx)
 
+let declared_rta (ctx : Ctx.t) =
+  let blocking = blocking_terms ctx in
+  let rows =
+    Array.map
+      (fun (tp : Ctx.task_prog) ->
+        (tp.task.period, tp.task.deadline, tp.task.wcet))
+      ctx.tasks
+  in
+  Array.mapi (fun i _ -> Analysis.Rta.response_time ~blocking ~tasks:rows i)
+    rows
+
 let per_sem (ctx : Ctx.t) =
   let table : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
   List.iter

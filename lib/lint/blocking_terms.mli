@@ -42,6 +42,12 @@ val blocking_terms : Ctx.t -> int array
     [Analysis.Blocking.blocking_terms] over {!blocking_sections}.
     Pass to [Analysis.Rta.response_time ~blocking]. *)
 
+val declared_rta : Ctx.t -> Model.Time.t option array
+(** Per-rank response-time bound of each task's declared WCET under
+    {!blocking_terms}, [None] without a fixpoint: what [inject]'s [rta]
+    predictions and [check --rta] compare against.  (The campaign and
+    [explain] use the Table-1-inflated recipe of [Campaign.Eval].) *)
+
 val per_sem : Ctx.t -> (int * int * int) list
 (** Per-semaphore summary, sorted by sem id: [(sem_id, ceiling,
     worst_cs)] where [ceiling] is the priority ceiling — the best

@@ -23,6 +23,10 @@ let make ?(irq_signals = []) ?(irq_writes = []) ~taskset ~programs () =
   in
   { tasks; irq_signals; irq_writes }
 
+let of_scenario (sc : Workload.Scenario.t) =
+  make ~irq_signals:sc.irq_signals ~irq_writes:sc.irq_writes
+    ~taskset:sc.taskset ~programs:sc.programs ()
+
 (* Forward dataflow over the flattened DAG.  All branch targets point
    forward, so one pass in pc order reaches every program point with
    its final joined in-state: by the time pc is processed, every

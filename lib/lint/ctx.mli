@@ -42,6 +42,10 @@ val make :
     @raise Invalid_argument when a program fails to flatten (see
     {!Emeralds.Program.flatten}). *)
 
+val of_scenario : Workload.Scenario.t -> t
+(** [make] over a scenario's task set, programs and IRQ metadata: the
+    one context every front end builds from a scenario. *)
+
 val dataflow :
   init:'a ->
   join:('a -> 'a -> 'a) ->

@@ -68,6 +68,10 @@ let bad_values =
     [ "inject"; "--preset"; "engine"; "--plan"; "frame-drop:one-in=4" ];
     [ "inject"; "--plan"; "drift:ppm=500" ];
     [ "inject"; "--plan"; "node-crash:node=1,at=10ms" ];
+    (* node clauses that would change nothing when they fire: a restart
+       of a node the plan has not crashed, a crash of one it has *)
+    [ "fabric"; "--plan"; "node-restart:node=1,at=10ms" ];
+    [ "fabric"; "--plan"; "node-crash:node=1,at=10ms;node-crash:node=1,at=20ms" ];
   ]
 
 let contains s sub =

@@ -289,6 +289,45 @@ let test_planned_migration () =
   let score = Fabric.Cluster.score cluster ~horizon:(ms 300) in
   check int "no misses around the move" 0 score.Fault.Report.n_e2e_misses
 
+(* Every frame clause of a plan gets its own counter, and the node
+   clauses, walked in firing order (by instant, then clause order),
+   must each change something. *)
+let test_plan_clauses () =
+  let cluster spec =
+    let engine, bus = setup () in
+    ( Fabric.Cluster.create ~engine ~bus ~cost:Sim.Cost.m68040
+        ~spec:Emeralds.Sched.Edf ~seed:42
+        ~assignments:(three_node_assignments ()) (),
+      Result.get_ok (Fault.Plan.parse spec) )
+  in
+  let dropped spec =
+    let c, plan = cluster spec in
+    Fabric.Cluster.install_plan c plan;
+    Fabric.Cluster.run c ~until:(ms 400);
+    (Fabric.Cluster.score c ~horizon:(ms 400)).Fault.Report.n_dropped
+  in
+  let both = dropped "frame-drop:one-in=4;frame-drop:one-in=3" in
+  check bool "two drop clauses drop more than either alone" true
+    (both > dropped "frame-drop:one-in=4" && both > dropped "frame-drop:one-in=3");
+  let refused spec =
+    let c, plan = cluster spec in
+    Result.is_error (Fabric.Cluster.check_plan c plan)
+  in
+  check bool "restart of a live node" true
+    (refused "node-restart:node=1,at=10ms");
+  check bool "crash of a crashed node" true
+    (refused "node-crash:node=1,at=10ms;node-crash:node=1,at=20ms");
+  check bool "restart firing before the crash at its instant" true
+    (refused "node-restart:node=1,at=10ms;node-crash:node=1,at=10ms");
+  check bool "crash then restart" false
+    (refused "node-crash:node=1,at=50ms;node-restart:node=1,at=100ms");
+  check bool "restart listed before the earlier crash" false
+    (refused "node-restart:node=1,at=100ms;node-crash:node=1,at=50ms");
+  check bool "crash, restart, crash" false
+    (refused
+       "node-crash:node=1,at=10ms;node-restart:node=1,at=50ms;\
+        node-crash:node=1,at=90ms")
+
 let suite =
   [
     test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -303,4 +342,5 @@ let suite =
     test_case "probe bit-identity" `Quick test_probe_bit_identity;
     test_case "overload sheds" `Quick test_overload_sheds;
     test_case "planned migration" `Quick test_planned_migration;
+    test_case "every plan clause applied or refused" `Quick test_plan_clauses;
   ]

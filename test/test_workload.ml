@@ -329,6 +329,35 @@ let test_realizations_number_alike () =
     (fun name -> same name (fun () -> Option.get (Workload.Scenario.make name)))
     Workload.Scenario.names
 
+(* workloads/*.tasks restate the presets' task sets; each must load to
+   exactly its preset, field by field *)
+let test_workload_files_match_presets () =
+  List.iter
+    (fun (file, preset) ->
+      match Workload.Spec_file.load (Filename.concat "../workloads" file) with
+      | Error e -> failf "%s: %s" file e
+      | Ok ts ->
+        let fields (t : Model.Task.t) =
+          ( (t.id, t.period, t.wcet),
+            (t.deadline, t.phase, t.blocking_calls),
+            (t.process, t.name) )
+        in
+        check int (file ^ ": task count")
+          (Model.Taskset.size preset) (Model.Taskset.size ts);
+        Array.iter2
+          (fun (want : Model.Task.t) got ->
+            check bool
+              (Printf.sprintf "%s: tau%d fields" file want.id)
+              true
+              (fields want = fields got))
+          (Model.Taskset.tasks preset) (Model.Taskset.tasks ts))
+    [
+      ("table2.tasks", Workload.Presets.table2);
+      ("engine_control.tasks", Workload.Presets.engine_control);
+      ("avionics.tasks", Workload.Presets.avionics);
+      ("voice.tasks", Workload.Presets.voice);
+    ]
+
 let suite =
   [
     test_case "period buckets" `Quick test_period_buckets;
@@ -343,4 +372,6 @@ let suite =
     test_case "presets" `Quick test_presets_sane;
     test_case "realizations number objects alike" `Quick
       test_realizations_number_alike;
+    test_case "workload files load to their presets" `Quick
+      test_workload_files_match_presets;
   ]
