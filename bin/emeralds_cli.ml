@@ -1102,19 +1102,25 @@ let campaign_cmd =
   let tasks =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "tasks" ] ~docv:"N"
           ~doc:"Tasks per generated scenario (default: 3-8, drawn per \
                 scenario).")
   in
   let target_u =
+    let parse s =
+      match float_of_string_opt s with
+      | Some u when u > 0. && u <= 0.85 -> Ok u
+      | Some _ | None ->
+        Error (`Msg (Printf.sprintf "%S is not a utilization in (0, 0.85]" s))
+    in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (conv (parse, Format.pp_print_float))) None
       & info [ "target-u" ] ~docv:"U"
           ~doc:
-            "Target utilization of each generated set (default: drawn in \
-             [0.35, 0.75]).")
+            "Target utilization of each generated set, at most 0.85, the \
+             generator's cap (default: drawn in [0.35, 0.75]).")
   in
   let family =
     let families =
@@ -1211,8 +1217,7 @@ let campaign_cmd =
     let s =
       Campaign.Driver.run
         {
-          Campaign.Driver.default_config with
-          seed;
+          Campaign.Driver.seed;
           count;
           family;
           n_tasks = tasks;

@@ -12,7 +12,6 @@ type config = {
   oracles : Oracle.key list;
   ablation : Oracle.ablation;
   shrink : bool;
-  shrink_evals : int;
   collect_metrics : bool;
   progress : (int -> Oracle.finding -> unit) option;
       (** called as each falsification is found, for streaming CLIs *)
@@ -28,7 +27,6 @@ let default_config =
     oracles = Oracle.all;
     ablation = Oracle.No_ablation;
     shrink = false;
-    shrink_evals = 150;
     collect_metrics = false;
     progress = None;
   }
@@ -73,7 +71,7 @@ let run (c : config) =
     let shrunk =
       if c.shrink && f.oracle <> Oracle.Validity then
         Some
-          (Shrink.run ~max_evals:c.shrink_evals ~oracle:f.oracle
+          (Shrink.run ~oracle:f.oracle
              ~ablation:c.ablation ~index (List.nth specs index))
       else None
     in

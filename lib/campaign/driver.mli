@@ -9,7 +9,6 @@ type config = {
   oracles : Oracle.key list;
   ablation : Oracle.ablation;
   shrink : bool;
-  shrink_evals : int;
   collect_metrics : bool;
   progress : (int -> Oracle.finding -> unit) option;
 }

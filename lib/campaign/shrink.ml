@@ -57,7 +57,9 @@ let drop_seg (spec : Workload.Generator.spec) id j =
         spec.s_tasks;
   }
 
-let run ?(max_evals = 150) ~oracle ~ablation ~index
+let max_evals = 150
+
+let run ~oracle ~ablation ~index
     (spec : Workload.Generator.spec) =
   let evals = ref 0 in
   let tasks_before = List.length spec.s_tasks in

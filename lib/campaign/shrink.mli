@@ -1,7 +1,7 @@
 (** Greedy shrinking of falsifying scenarios: delete whole tasks, then
     individual segments, keeping a deletion whenever the same oracle
     still fires and the scenario stays valid.  Restart-on-success to a
-    fixpoint, bounded by [max_evals] oracle re-evaluations. *)
+    fixpoint, bounded by 150 oracle re-evaluations. *)
 
 type outcome = {
   spec : Workload.Generator.spec;  (** the shrunk spec *)
@@ -15,11 +15,10 @@ type outcome = {
 val seg_count : Workload.Generator.spec -> int
 
 val run :
-  ?max_evals:int ->
   oracle:Oracle.key ->
   ablation:Oracle.ablation ->
   index:int ->
   Workload.Generator.spec ->
   outcome
-(** [max_evals] defaults to 150.  The original spec is returned
-    unchanged when no deletion reproduces the failure. *)
+(** The original spec is returned unchanged when no deletion
+    reproduces the failure. *)

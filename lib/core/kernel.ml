@@ -156,6 +156,9 @@ let check_invariants k =
         | Some r -> assert (r == tcb)
         | None -> assert false)
       | Ready | Blocked _ | Dormant -> ());
+      (match (tcb.waiting_on, tcb.state) with
+      | No_wait, _ | _, Blocked _ -> ()
+      | _ -> assert false);
       (* a mutex we hold must point back at us *)
       List.iter
         (fun s ->
@@ -242,25 +245,26 @@ let unblock_thread k tcb =
   select_now k
 
 (* ------------------------------------------------------------------ *)
-(* Wait-list helpers *)
+(* Waiters *)
 
-let insert_by_prio list tcb =
-  assert (tcb.wait_node = None);
-  let node =
-    match Util.Dlist.find_node (fun x -> prio_compare x tcb > 0) list with
-    | Some anchor -> Util.Dlist.insert_before list anchor tcb
-    | None -> Util.Dlist.push_back list tcb
+(* The tasks whose wait [on] matches, best served first. *)
+let waiters k on =
+  let key t =
+    Sched.served_first (k.sched.s_queue_class t) ~rank:t.eff_prio
+      ~deadline:t.eff_deadline ~base:t.base_prio
   in
-  tcb.wait_node <- Some node
+  Array.fold_right (fun t l -> if on t.waiting_on then t :: l else l) k.tcbs []
+  |> List.sort (fun a b -> compare (key a) (key b))
 
-let take_first_waiter list =
-  match Util.Dlist.first list with
-  | None -> None
-  | Some node ->
-    let w = Util.Dlist.value node in
-    Util.Dlist.remove list node;
-    w.wait_node <- None;
+(* The best-served task whose wait [on] matches, its wait over. *)
+let take_waiter k on =
+  match waiters k on with
+  | w :: _ ->
+    w.waiting_on <- No_wait;
     Some w
+  | [] -> None
+
+let on_sem s = function On_sem x -> x == s | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Priority inheritance *)
@@ -273,22 +277,17 @@ let rec do_inherit k ~holder ~waiter =
     charge k Sim.Trace.Ovh_pi (k.sched.s_inherit ~holder ~waiter);
     Obs.Probe.emit k.probe ~at:(now k)
       (Priority_inherit { holder = holder.tid; from_tid = waiter.tid });
-    (* Transitive chains: the holder may itself be queued on another
-       semaphore — its position there follows its new priority, and the
-       inner holder inherits in turn. *)
+    (* Transitive chains: the holder may itself be blocked on another
+       semaphore, whose holder inherits in turn. *)
     match holder.waiting_on with
-    | Some inner ->
-      (match holder.wait_node with
-      | Some node ->
-        Util.Dlist.remove inner.waiters node;
-        holder.wait_node <- None;
-        insert_by_prio inner.waiters holder
-      | None -> ());
-      (match inner.holder with
-      | Some inner_holder -> do_inherit k ~holder:inner_holder ~waiter:holder
-      | None -> ())
-    | None -> ()
+    | On_sem { holder = Some inner; _ } ->
+      do_inherit k ~holder:inner ~waiter:holder
+    | _ -> ()
   end
+
+(* [holder] inherits from each waiter of [s], best served first. *)
+let inherit_waiters k ~holder s =
+  List.iter (fun w -> do_inherit k ~holder ~waiter:w) (waiters k (on_sem s))
 
 let restore_prio k holder =
   if holder.inherited then begin
@@ -296,10 +295,7 @@ let restore_prio k holder =
     Obs.Probe.emit k.probe ~at:(now k) (Priority_restore { holder = holder.tid });
     (* Re-establish inheritance still owed to waiters of other
        semaphores this thread holds. *)
-    let redo s =
-      Util.Dlist.iter (fun w -> do_inherit k ~holder ~waiter:w) s.waiters
-    in
-    List.iter redo holder.held_sems
+    List.iter (inherit_waiters k ~holder) holder.held_sems
   end
 
 let leave_approachers tcb =
@@ -354,8 +350,7 @@ let sem_acquire k tcb s =
       assert (holder != tcb);
       do_inherit k ~holder ~waiter:tcb
     | None -> () (* counting semaphore: no single thread to inherit into *));
-    insert_by_prio s.waiters tcb;
-    tcb.waiting_on <- Some s;
+    tcb.waiting_on <- On_sem s;
     block_thread k tcb ~reason:"sem" ~dormant:false;
     `Blocked
   end
@@ -372,27 +367,24 @@ let sem_release k tcb s =
   s.holder <- None;
   let was_inherited = tcb.inherited in
   restore_prio k tcb;
-  match take_first_waiter s.waiters with
+  match take_waiter k (on_sem s) with
   | Some w ->
-    (* Hand the unit straight to the highest-priority waiter; its
-       acquire call completes as part of this release (Figure 7's
-       "unblock T2"). *)
+    (* Hand the unit straight to the best-served waiter; its acquire
+       call completes as part of this release (Figure 7's "unblock
+       T2"). *)
     if s.sem_initial = 1 then begin
       s.holder <- Some w;
       w.held_sems <- s :: w.held_sems
     end;
-    w.waiting_on <- None;
     w.pc <- w.pc + 1;
     Obs.Probe.emit k.probe ~at:(now k)
       (Sem_acquired { tid = w.tid; sem = s.sem_id });
     unblock_thread k w;
-    (* The wait list is rank-sorted, so the new holder already dominates
-       every remaining waiter's rank — but a remaining waiter's
-       *deadline* component may still be tighter.  Re-establish
-       inheritance so the holder's effective deadline is the min over
-       the queue it now blocks. *)
-    if s.sem_initial = 1 then
-      Util.Dlist.iter (fun w2 -> do_inherit k ~holder:w ~waiter:w2) s.waiters
+    (* The new holder was served first, but a remaining waiter may
+       still have a better rank or an earlier deadline.  Re-establish
+       inheritance so both are the best over the waiters it now
+       blocks. *)
+    if s.sem_initial = 1 then inherit_waiters k ~holder:w s
   | None ->
     (* A unit is free again: release the approach queue (§6.3.1). *)
     s.sem_value <- s.sem_value + 1;
@@ -459,7 +451,7 @@ let complete_blocking_call k tcb =
 
 (* Complete the wait of [wq]'s best waiter; [false] if none waits. *)
 let wake_one k wq =
-  match take_first_waiter wq.wq_waiters with
+  match take_waiter k (function On_waitq q -> q == wq | _ -> false) with
   | Some w ->
     complete_blocking_call k w;
     true
@@ -482,13 +474,18 @@ let do_broadcast k wq = while wake_one k wq do () done
 (* ------------------------------------------------------------------ *)
 (* Mailboxes *)
 
-let deliver k receiver msg mb =
-  receiver.inbox <- Some msg;
-  receiver.pc <- receiver.pc + 1;
+(* [tcb]'s send of [data] to [mb] completes: the message, stamped now. *)
+let sent k tcb mb data =
+  Obs.Probe.emit k.probe ~at:(now k)
+    (Msg_sent { tid = tcb.tid; mailbox = mb.mb_id; words = Array.length data });
+  { msg_data = Array.copy data; msg_src = tcb.tid; msg_stamp = now k }
+
+let received k tcb mb msg =
+  tcb.inbox <- Some msg;
   Obs.Probe.emit k.probe ~at:(now k)
     (Msg_received
        {
-         tid = receiver.tid;
+         tid = tcb.tid;
          mailbox = mb.mb_id;
          words = Array.length msg.msg_data;
          queued_for = now k - msg.msg_stamp;
@@ -497,32 +494,25 @@ let deliver k receiver msg mb =
 let mb_send k tcb mb data =
   charge k Sim.Trace.Ovh_ipc
     (Charge.service k.cost Charge.Send ~words:(Array.length data));
-  let msg = { msg_data = Array.copy data; msg_src = tcb.tid; msg_stamp = now k } in
-  match take_first_waiter mb.mb_receivers with
+  match take_waiter k (function On_recv m -> m == mb | _ -> false) with
   | Some receiver ->
-    Obs.Probe.emit k.probe ~at:(now k)
-      (Msg_sent { tid = tcb.tid; mailbox = mb.mb_id; words = Array.length data });
-    deliver k receiver msg mb;
+    received k receiver mb (sent k tcb mb data);
+    receiver.pc <- receiver.pc + 1;
     unblock_thread k receiver;
     `Sent
+  | None when Queue.length mb.mb_queue < mb.mb_capacity ->
+    Queue.push (sent k tcb mb data) mb.mb_queue;
+    `Sent
   | None ->
-    if Queue.length mb.mb_queue < mb.mb_capacity then begin
-      Queue.push msg mb.mb_queue;
-      Obs.Probe.emit k.probe ~at:(now k)
-        (Msg_sent { tid = tcb.tid; mailbox = mb.mb_id; words = Array.length data });
-      `Sent
-    end
-    else begin
-      insert_by_prio mb.mb_senders tcb;
-      block_thread k tcb ~reason:"mbox-full" ~dormant:false;
-      `Blocked
-    end
+    tcb.waiting_on <- On_send mb;
+    block_thread k tcb ~reason:"mbox-full" ~dormant:false;
+    `Blocked
 
 let mb_recv k tcb mb =
   (* the floor now; a queued message adds its copy below *)
   charge k Sim.Trace.Ovh_ipc (Charge.service_floor k.cost Charge.Recv ~words:0);
   if Queue.is_empty mb.mb_queue then begin
-    insert_by_prio mb.mb_receivers tcb;
+    tcb.waiting_on <- On_recv mb;
     block_thread k tcb ~reason:"mbox-empty" ~dormant:false;
     `Blocked
   end
@@ -532,28 +522,14 @@ let mb_recv k tcb mb =
     charge k Sim.Trace.Ovh_ipc
       (Charge.service k.cost Charge.Recv ~words
       - Charge.service_floor k.cost Charge.Recv ~words);
-    tcb.inbox <- Some msg;
-    Obs.Probe.emit k.probe ~at:(now k)
-      (Msg_received
-         {
-           tid = tcb.tid;
-           mailbox = mb.mb_id;
-           words = Array.length msg.msg_data;
-           queued_for = now k - msg.msg_stamp;
-         });
-    (* Space opened up: complete the first blocked sender's call. *)
-    (match take_first_waiter mb.mb_senders with
+    received k tcb mb msg;
+    (* Space opened up: complete the best blocked sender's call. *)
+    (match take_waiter k (function On_send m -> m == mb | _ -> false) with
     | Some sender -> (
       match sender.program.(sender.pc) with
       | Send (mb', data) when mb' == mb ->
-        let msg' =
-          { msg_data = Array.copy data; msg_src = sender.tid; msg_stamp = now k }
-        in
-        Queue.push msg' mb.mb_queue;
+        Queue.push (sent k sender mb data) mb.mb_queue;
         sender.pc <- sender.pc + 1;
-        Obs.Probe.emit k.probe ~at:(now k)
-          (Msg_sent
-             { tid = sender.tid; mailbox = mb.mb_id; words = Array.length data });
         unblock_thread k sender
       | _ -> assert false)
     | None -> ());
@@ -581,8 +557,8 @@ let rec schedule_deadline_check k tcb ~job ~deadline =
                if tcb.completed_job < job && tcb.job_no = job then
                  if is_ready tcb then kill_job k tcb
                  else
-                   (* a blocked late job cannot be unlinked from its
-                      wait list here; it dies when next dispatched *)
+                   (* the job exit takes a ready thread: a blocked
+                      late job dies when next dispatched *)
                    tcb.enf.kill_pending <- true))
             ()));
       if k.stop_on_miss then k.stopped <- true
@@ -676,24 +652,22 @@ and run_instrs k tcb =
       complete_blocking_call k tcb;
       if is_ready tcb then run_instrs k tcb
     | Wait wq ->
-      insert_by_prio wq.wq_waiters tcb;
+      tcb.waiting_on <- On_waitq wq;
       block_thread k tcb ~reason:"wait" ~dormant:false
     | Timed_wait (wq, d) ->
       let armed_job = tcb.job_no and armed_pc = tcb.pc in
-      insert_by_prio wq.wq_waiters tcb;
+      tcb.waiting_on <- On_waitq wq;
       block_thread k tcb ~reason:"wait" ~dormant:false;
       charge k Sim.Trace.Ovh_timer
         (Charge.service k.cost Charge.Timed_wait ~words:0);
       let timeout () =
         (* fire only if the very same wait is still pending *)
-        match tcb.wait_node with
-        | Some node
-          when tcb.job_no = armed_job && tcb.pc = armed_pc
-               && Util.Dlist.mem wq.wq_waiters node ->
-          Util.Dlist.remove wq.wq_waiters node;
-          tcb.wait_node <- None;
+        match tcb.waiting_on with
+        | On_waitq q
+          when q == wq && tcb.job_no = armed_job && tcb.pc = armed_pc ->
+          tcb.waiting_on <- No_wait;
           complete_blocking_call k tcb
-        | Some _ | None -> ()
+        | _ -> ()
       in
       ignore
         (Sim.Engine.schedule k.engine

@@ -10,14 +10,13 @@ let sem ?(kind = Emeralds) ?(initial = 1) () =
     sem_initial = initial;
     sem_value = initial;
     holder = None;
-    waiters = Util.Dlist.create ();
     approachers = Util.Dlist.create ();
   }
 
 let waitq () =
   let ids = Ids.get () in
   ids.waitq <- ids.waitq + 1;
-  { wq_id = ids.waitq; wq_waiters = Util.Dlist.create (); pending_signals = 0 }
+  { wq_id = ids.waitq; pending_signals = 0 }
 
 let pool ~block_bytes ~capacity () =
   if block_bytes < 1 then invalid_arg "Objects.pool: block_bytes must be >= 1";
@@ -41,6 +40,4 @@ let mailbox ~capacity () =
     mb_id = ids.mailbox;
     mb_capacity = capacity;
     mb_queue = Queue.create ();
-    mb_senders = Util.Dlist.create ();
-    mb_receivers = Util.Dlist.create ();
   }

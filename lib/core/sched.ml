@@ -21,6 +21,11 @@ let validate_partition spec ~n_tasks =
     if List.fold_left ( + ) 0 sizes > n_tasks then
       invalid_arg "Sched: CSD partition larger than the task set"
 
+let served_first cls ~rank ~deadline ~base =
+  match cls with
+  | Dp i -> (i, deadline, base)
+  | Fp -> (max_int, rank, base)
+
 (* ------------------------------------------------------------------ *)
 (* Generic multi-queue core: [ndp] EDF queues in static priority order
    followed by one RM (FP) queue.  EDF = 1 DP queue and an empty FP

@@ -36,6 +36,17 @@ val instantiate :
     @raise Invalid_argument if a [Csd] partition has a non-positive
     queue size. *)
 
+val served_first :
+  Types.queue_class -> rank:int -> deadline:Model.Time.t -> base:int ->
+  int * int * int
+(** The served-first key of a task blocked on a kernel object: of the
+    tasks waiting on one object, the smallest key (by [compare]) takes
+    the released unit, the signal, the message or the free slot.  A DP
+    queue serves its earliest effective deadline, the FP queue its best
+    effective rank, DP queues come before the FP queue, and ties go to
+    the better base rank.  The model checker orders its waiters by the
+    same key. *)
+
 val validate_partition : spec -> n_tasks:int -> unit
 (** Check a partition fits a workload ([Csd] sizes must sum to at most
     the task count); other specs always fit.

@@ -65,11 +65,8 @@ type tcb = {
   (* semaphore protocol *)
   mutable approaching : sem option; (* the approach queue I currently sit in *)
   mutable approach_node : tcb Util.Dlist.node option;
-  mutable wait_node : tcb Util.Dlist.node option;
-      (* my node in whichever wait list (sem waiters, waitq, mailbox)
-         currently blocks me *)
   mutable held_sems : sem list;
-  mutable waiting_on : sem option; (* the semaphore whose waiter queue holds me *)
+  mutable waiting_on : wait; (* the object whose wake-up I am blocked for *)
   (* block-pool allocator: one cell per pool the task has allocated
      from, most recently allocated-from or freed-to first *)
   mutable mem_cells : mem_cell list;
@@ -122,6 +119,16 @@ and instr =
       (* consume one input bit; 1 falls through, 0 jumps to the target *)
   | Jump of int            (* unconditional forward jump *)
 
+(* What a blocked task waits on.  No object keeps a list of its
+   waiters: a wake-up picks the best TCB waiting on it by
+   [Sched.served_first]. *)
+and wait =
+  | No_wait
+  | On_sem of sem          (* blocked in acquire *)
+  | On_waitq of waitq      (* blocked in a (timed) wait *)
+  | On_send of mailbox     (* blocked: mailbox full *)
+  | On_recv of mailbox     (* blocked: mailbox empty *)
+
 (* K0BA-style fixed-size block pool: capacity blocks of block_bytes
    each, handed out and returned in O(1).  Allocation never blocks —
    an exhausted pool is an OOM event, not a wait. *)
@@ -150,15 +157,10 @@ and sem = {
   sem_initial : int;              (* 1 = mutex; > 1 = counting semaphore *)
   mutable sem_value : int;        (* free units *)
   mutable holder : tcb option;    (* tracked (for PI) only when initial = 1 *)
-  waiters : tcb Util.Dlist.t;     (* blocked in acquire, kept in priority order *)
   approachers : tcb Util.Dlist.t; (* §6.3.1's special queue *)
 }
 
-and waitq = {
-  wq_id : int;
-  wq_waiters : tcb Util.Dlist.t;
-  mutable pending_signals : int;
-}
+and waitq = { wq_id : int; mutable pending_signals : int }
 
 and message = { msg_data : int array; msg_src : int; msg_stamp : Model.Time.t }
 
@@ -166,8 +168,6 @@ and mailbox = {
   mb_id : int;
   mb_capacity : int;
   mb_queue : message Queue.t;
-  mb_senders : tcb Util.Dlist.t;   (* blocked: mailbox full *)
-  mb_receivers : tcb Util.Dlist.t; (* blocked: mailbox empty *)
 }
 
 (* A scheduler instance.  Cost-returning operations report the virtual
@@ -235,9 +235,8 @@ let fresh_tcb ~prio ~deadline (task : Model.Task.t) =
     inherited = false;
     approaching = None;
     approach_node = None;
-    wait_node = None;
     held_sems = [];
-    waiting_on = None;
+    waiting_on = No_wait;
     mem_cells = [];
     has_branches = false;
     input_word = 0L;

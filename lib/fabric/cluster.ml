@@ -50,7 +50,10 @@ type t = {
   mutable plan : Fault.Plan.t;
   mutable corrupted : int;
   mutable crashes : (int * Model.Time.t) list; (* node, instant *)
-  mutable detections : (int * Model.Time.t) list; (* node, first detection *)
+  mutable detections : (int * Model.Time.t) list;
+      (* node, instant: every new suspicion by any shard *)
+  mutable presuspected : (int * Model.Time.t) list;
+      (* the crashes of a node a live shard already suspected *)
   mutable migrations : (int * int * Model.Time.t) list;
       (* tid, target, re-admission instant *)
   mutable shed_tids : int list;
@@ -252,8 +255,7 @@ let check_peers t sh =
           if silent > dead_for then begin
             if not (List.mem p.sh_id sh.sh_suspected) then begin
               sh.sh_suspected <- p.sh_id :: sh.sh_suspected;
-              if not (List.mem_assoc p.sh_id t.detections) then
-                t.detections <- (p.sh_id, now t) :: t.detections;
+              t.detections <- (p.sh_id, now t) :: t.detections;
               if is_coordinator t sh then failover t ~coord:sh ~dead:p.sh_id
             end
           end
@@ -280,6 +282,9 @@ let crash t ~node ~at =
     (Sim.Engine.schedule t.engine ~at (fun () ->
          let sh = shard t node in
          if sh.sh_alive then begin
+           let suspects p = p.sh_alive && List.mem node p.sh_suspected in
+           if Array.exists suspects t.shards then
+             t.presuspected <- (node, at) :: t.presuspected;
            sh.sh_alive <- false;
            Net.set_alive sh.sh_ep false;
            (match sh.sh_kernel with
@@ -548,6 +553,7 @@ let create ?probe ?(config = default_config) ~engine ~bus ~cost ~spec ~seed
       corrupted = 0;
       crashes = [];
       detections = [];
+      presuspected = [];
       migrations = [];
       shed_tids = [];
       handled = [];
@@ -619,16 +625,20 @@ let misses_after t ~cut =
     t.shards;
   !n
 
-let first_crash t =
-  match List.sort (fun (_, a) (_, b) -> compare a b) t.crashes with
-  | [] -> None
-  | c :: _ -> Some c
-
+(* From each crash of a node no live shard suspected to the first
+   suspicion of it at or after the crash; the worst of those. *)
 let detect_latency t =
-  match first_crash t with
-  | None -> None
-  | Some (node, at) ->
-    Option.map (fun d -> Model.Time.sub d at) (List.assoc_opt node t.detections)
+  let first_suspicion node ~from =
+    List.fold_left
+      (fun acc (n, d) -> if n = node && d >= from then Int.min acc d else acc)
+      max_int t.detections
+  in
+  List.fold_left
+    (fun acc ((node, at) as crash) ->
+      let d = first_suspicion node ~from:at in
+      if d = max_int || List.mem crash t.presuspected then acc
+      else Some (Model.Time.max (d - at) (Option.value acc ~default:0)))
+    None t.crashes
 
 let failover_latency t =
   (* worst crash-to-last-re-admission over the handled crashes *)
@@ -676,6 +686,8 @@ let score t ~horizon =
   {
     Fault.Report.n_nodes = Array.length t.shards;
     n_surviving = List.length (shards_alive t);
+    n_crashes = List.length t.crashes;
+    n_presuspected = List.length t.presuspected;
     n_migrated = List.length t.migrations;
     n_shed = List.length t.shed_tids;
     n_e2e_misses = misses_after t ~cut;

@@ -86,7 +86,9 @@ val static_bound : t -> Model.Time.t option
 (** The bound fixed by {!install_plan} (None without planned crashes). *)
 
 val detect_latency : t -> Model.Time.t option
-(** First crash to first suspicion, once observed. *)
+(** The worst, over the crashes of nodes no live shard suspected when
+    they crashed, of crash to the first suspicion of the node at or
+    after it; [None] when no such crash was detected. *)
 
 val failover_latency : t -> Model.Time.t option
 (** Worst crash-to-last-re-admission over handled crashes. *)

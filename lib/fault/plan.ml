@@ -43,30 +43,6 @@ let empty = []
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-(* [Ok ns], or [Error `Syntax], or [Error `Range] when the value's
-   nanoseconds do not fit in an int. *)
-let duration_of_string s =
-  let scaled cut mul =
-    let n = String.sub s 0 (String.length s - cut) in
-    match int_of_string_opt n with
-    | Some v when v > max_int / mul || v < min_int / mul -> Error `Range
-    | Some v -> Ok (v * mul)
-    | None ->
-      (* a numeral too long for an int is out of range too *)
-      let digits =
-        if String.starts_with ~prefix:"-" n then
-          String.sub n 1 (String.length n - 1)
-        else n
-      in
-      if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
-      then Error `Range
-      else Error `Syntax
-  in
-  if Filename.check_suffix s "ms" then scaled 2 1_000_000
-  else if Filename.check_suffix s "us" then scaled 2 1_000
-  else if Filename.check_suffix s "ns" then scaled 2 1
-  else scaled 0 1
-
 let parse_clause clause =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match String.index_opt clause ':' with
@@ -90,26 +66,6 @@ let parse_clause clause =
     if List.length pairs <> List.length kvs then
       fail "clause %S: malformed key=value pair" clause
     else
-      let int_field key =
-        match List.assoc_opt key pairs with
-        | None -> fail "clause %S: missing %s=" clause key
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n -> Ok n
-          | None -> fail "clause %S: %s=%s is not an integer" clause key v)
-      in
-      let dur_field key =
-        match List.assoc_opt key pairs with
-        | None -> fail "clause %S: missing %s=" clause key
-        | Some v -> (
-          match duration_of_string v with
-          | Ok n -> Ok n
-          | Error `Syntax ->
-            fail "clause %S: %s=%s is not a duration" clause key v
-          | Error `Range ->
-            fail "clause %S: %s=%s is out of range: its nanoseconds do not \
-                  fit in an int (max %d)" clause key v max_int)
-      in
       let opt_int_field key ~default =
         match List.assoc_opt key pairs with
         | None -> Ok default
@@ -117,6 +73,22 @@ let parse_clause clause =
           match int_of_string_opt v with
           | Some n -> Ok n
           | None -> fail "clause %S: %s=%s is not an integer" clause key v)
+      in
+      let int_field key =
+        if List.mem_assoc key pairs then opt_int_field key ~default:0
+        else fail "clause %S: missing %s=" clause key
+      in
+      let dur_field key =
+        match List.assoc_opt key pairs with
+        | None -> fail "clause %S: missing %s=" clause key
+        | Some v -> (
+          match Model.Time.of_string v with
+          | Ok n -> Ok n
+          | Error `Syntax ->
+            fail "clause %S: %s=%s is not a duration" clause key v
+          | Error `Range ->
+            fail "clause %S: %s=%s is out of range: its nanoseconds do not \
+                  fit in an int (max %d)" clause key v max_int)
       in
       let ( let* ) = Result.bind in
       let* f =

@@ -12,9 +12,10 @@
 
     Plans have a concrete syntax for the CLI ([--plan]); {!parse} and
     {!render} round-trip it.  Clauses are separated by [';'], each
-    clause is [kind:key=value,key=value].  Durations accept [ns], [us]
-    and [ms] suffixes (a bare integer is nanoseconds); one whose
-    nanoseconds do not fit in an int is an "out of range" error:
+    clause is [kind:key=value,key=value].  Durations are read by
+    {!Model.Time.of_string} ([ns], [us], [ms] or [s]; a bare number is
+    nanoseconds); one whose nanoseconds do not fit in an int is an
+    "out of range" error:
 
     {v
     wcet-scale:tid=2,pct=400[,from=1]     demand multiplied by pct/100

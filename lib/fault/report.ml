@@ -294,6 +294,8 @@ let to_json t =
 type net_score = {
   n_nodes : int;
   n_surviving : int;
+  n_crashes : int;
+  n_presuspected : int;
   n_migrated : int;
   n_shed : int;
   n_e2e_misses : int;
@@ -314,13 +316,16 @@ let net_within_bound n =
   | Some obs, Some bound -> obs <= bound
   | _ -> true
 
-let net_ok n = n.n_e2e_misses = 0 && net_within_bound n
+let failover_missing n = n.n_crashes > 0 && n.n_failover_latency = None
+
+let net_ok n =
+  n.n_e2e_misses = 0 && net_within_bound n && not (failover_missing n)
 
 let render_net n =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "fabric: %d node(s), %d surviving\n" n.n_nodes
-       n.n_surviving);
+    (Printf.sprintf "fabric: %d node(s), %d surviving, %d crash(es)\n"
+       n.n_nodes n.n_surviving n.n_crashes);
   Buffer.add_string buf
     (Printf.sprintf
        "  wire: %d frame(s), %d dropped, %d corrupt, %d retries, %d \
@@ -334,6 +339,11 @@ let render_net n =
   (match n.n_detect_latency with
   | Some d -> Buffer.add_string buf (Printf.sprintf "  detection %s\n" (tstr d))
   | None -> ());
+  if n.n_presuspected > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf
+         "  %d crash(es) of a node already suspected when it crashed\n"
+         n.n_presuspected);
   (match (n.n_failover_latency, n.n_failover_bound) with
   | Some obs, Some bound ->
     Buffer.add_string buf
@@ -344,9 +354,12 @@ let render_net n =
     Buffer.add_string buf
       (Printf.sprintf "  failover latency %s (no bound computed)\n" (tstr obs))
   | None, Some bound ->
+    (* the plan's crashes fix the bound, so a crash implies one *)
     Buffer.add_string buf
-      (Printf.sprintf "  static failover bound %s (no crash observed)\n"
-         (tstr bound))
+      (Printf.sprintf "  static failover bound %s (%s)\n" (tstr bound)
+         (if n.n_crashes = 0 then "no crash observed"
+          else Printf.sprintf "no failover observed after %d crash(es)"
+              n.n_crashes))
   | None, None -> ());
   Buffer.add_string buf
     (Printf.sprintf "  verdict: %s\n"
@@ -358,7 +371,8 @@ let net_to_json n =
     to_string
       (Obj
          [ ("nodes", Int n.n_nodes); ("surviving", Int n.n_surviving);
-           ("migrated", Int n.n_migrated); ("shed", Int n.n_shed);
+           ("crashes", Int n.n_crashes); ("migrated", Int n.n_migrated);
+           ("shed", Int n.n_shed);
            ("e2e_misses", Int n.n_e2e_misses); ("frames", Int n.n_frames);
            ("dropped", Int n.n_dropped); ("corrupt", Int n.n_corrupt);
            ("retries", Int n.n_retries); ("timeouts", Int n.n_timeouts);
@@ -381,6 +395,10 @@ let net_to_sarif n =
            "observed failover latency %s exceeds the static migration-cost \
             bound %s"
            (tstr obs) (tstr bound))
+    | None, _ when failover_missing n ->
+      result "failover-not-observed" Lint.Sarif.Error
+        (Printf.sprintf "%d node crash(es) and no failover observed"
+           n.n_crashes)
     | _ -> []
   in
   let miss_results =

@@ -89,6 +89,10 @@ val to_sarif : t -> Lint.Sarif.result list
 type net_score = {
   n_nodes : int;  (** stations in the fabric *)
   n_surviving : int;  (** stations alive at the end of the run *)
+  n_crashes : int;  (** node crashes that fired *)
+  n_presuspected : int;
+      (** crashes of a node a live station already suspected, say after
+          dropped heartbeats: they have no detection latency *)
   n_migrated : int;  (** tasks re-admitted on another node *)
   n_shed : int;
       (** tasks dropped during failover because every target's RTA
@@ -106,7 +110,8 @@ type net_score = {
           wire, grows under storm *)
   n_bus_utilization : float;  (** bus busy time / elapsed horizon *)
   n_detect_latency : Model.Time.t option;
-      (** crash to detector firing (first crash when several) *)
+      (** crash to the first suspicion at or after it, worst over the
+          crashes not already suspected *)
   n_failover_latency : Model.Time.t option;
       (** crash to last migrated task re-admitted on its target *)
   n_failover_bound : Model.Time.t option;
@@ -119,9 +124,9 @@ val net_within_bound : net_score -> bool
     when either side is missing. *)
 
 val net_ok : net_score -> bool
-(** Degradation was graceful: no end-to-end misses after failover and,
-    when both are known, observed failover latency within the static
-    bound. *)
+(** Degradation was graceful: no end-to-end misses after failover, a
+    failover observed when a node crashed, and, when both are known,
+    observed failover latency within the static bound. *)
 
 val render_net : net_score -> string
 

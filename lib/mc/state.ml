@@ -119,19 +119,19 @@ let dispatch_key (m : Machine.t) st i =
   let t = st.tasks.(i) in
   match m.sched with Machine.Fp -> t.eff | Machine.Edf -> t.effdl
 
-(* Collected in ascending index order, so a stable sort on the key
-   alone yields the [(key, idx)] order. *)
-let blocked_on pred m st =
+(* The kernel's served-first key: the index is the base rank, and a
+   deadline scheduler is one DP queue. *)
+let blocked_on pred (m : Machine.t) st =
+  let cls = match m.sched with Machine.Fp -> Emeralds.Types.Fp | Edf -> Dp 0 in
   let out = ref [] in
   for i = Array.length st.tasks - 1 downto 0 do
-    if pred st.tasks.(i).mode then out := i :: !out
+    let t = st.tasks.(i) in
+    if pred t.mode then
+      out :=
+        Emeralds.Sched.served_first cls ~rank:t.eff ~deadline:t.effdl ~base:i
+        :: !out
   done;
-  match !out with
-  | ([] | [ _ ]) as l -> l
-  | l ->
-    List.stable_sort
-      (fun a b -> Int.compare (dispatch_key m st a) (dispatch_key m st b))
-      l
+  List.map (fun (_, _, i) -> i) (List.sort compare !out)
 
 let sem_waiters m st s = blocked_on (function BSem x -> x = s | _ -> false) m st
 

@@ -173,10 +173,11 @@ val dispatch_key : Machine.t -> t -> int -> int
     EDF.  Smaller dispatches first; equal keys order by task index. *)
 
 val sem_waiters : Machine.t -> t -> int -> int list
-(** Tasks blocked on a semaphore, in [(dispatch_key, idx)] order.
-    Derived from task modes, not stored — queue order cannot drift
-    out of sync with the modes.  This is the one definition of
-    wait-queue order; {!Step} uses it on its working state too. *)
+(** Tasks blocked on a semaphore, best served first by the kernel's
+    {!Emeralds.Sched.served_first} (the task index is the base rank):
+    [(dispatch_key, idx)] order.  Derived from task modes, not stored —
+    queue order cannot drift out of sync with the modes.  {!Step} uses
+    it on its working state too. *)
 
 val wq_waiters : Machine.t -> t -> int -> int list
 (** Tasks blocked (plain or timed) on a wait queue, same order. *)

@@ -549,11 +549,11 @@ let exec_instr c i ~horizon =
           if c.sem_holder.(s) = i then c.sem_holder.(s) <- -1;
           mark c State.sems
         | w :: rest ->
-          (* direct handoff, like the kernel's [sem_release]: the best
-             waiter leaves with the unit.  Its rank dominates the
-             rank-sorted queue, but a remaining waiter's *deadline*
-             component may still be tighter — re-inherit so the new
-             holder's effective deadline is the min over the queue. *)
+          (* direct handoff, like the kernel's [sem_release]: the
+             best-served waiter leaves with the unit.  A remaining
+             waiter may still have a better rank or an earlier
+             deadline — re-inherit so both are the best over the
+             waiters the new holder now blocks. *)
           if c.m.sem_initial.(s) = 1 then begin
             c.sem_holder.(s) <- w;
             mark c State.sems

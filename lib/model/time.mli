@@ -19,6 +19,13 @@ val sec : int -> t
 val of_us_f : float -> t
 (** Round a fractional-microsecond constant (the paper's unit) to ns. *)
 
+val of_string : string -> (t, [ `Syntax | `Range ]) result
+(** A duration: a numeral with an optional unit, [ns] (the default),
+    [us], [ms] or [s].  An integer numeral is exact, a decimal one is
+    rounded to the nanosecond.  [`Range] when the nanoseconds do not
+    fit in an int, infinities included; [`Syntax] when the numeral is
+    not a number. *)
+
 val to_us_f : t -> float
 val to_ms_f : t -> float
 

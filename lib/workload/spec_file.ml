@@ -1,37 +1,14 @@
 let ( let* ) = Result.bind
 
 let duration_of_string s =
-  let s = String.trim s in
-  let split_suffix suffix =
-    if String.length s > String.length suffix
-       && String.sub s (String.length s - String.length suffix) (String.length suffix)
-          = suffix
-    then Some (String.sub s 0 (String.length s - String.length suffix))
-    else None
-  in
-  let parse_float_scaled body scale =
-    match float_of_string_opt body with
-    | Some f when f >= 0.0 -> Ok (int_of_float (Float.round (f *. scale)))
-    | Some _ -> Error (Printf.sprintf "negative duration %S" s)
-    | None -> Error (Printf.sprintf "bad duration %S" s)
-  in
-  (* check the longer suffixes first: "ms" before "s" *)
-  match split_suffix "ns" with
-  | Some body -> parse_float_scaled body 1.0
-  | None -> (
-    match split_suffix "us" with
-    | Some body -> parse_float_scaled body 1e3
-    | None -> (
-      match split_suffix "ms" with
-      | Some body -> parse_float_scaled body 1e6
-      | None -> (
-        match split_suffix "s" with
-        | Some body -> parse_float_scaled body 1e9
-        | None -> (
-          match int_of_string_opt s with
-          | Some ns when ns >= 0 -> Ok ns
-          | Some _ -> Error (Printf.sprintf "negative duration %S" s)
-          | None -> Error (Printf.sprintf "bad duration %S" s)))))
+  match Model.Time.of_string (String.trim s) with
+  | Ok ns when ns >= 0 -> Ok ns
+  | Ok _ -> Error (Printf.sprintf "negative duration %S" s)
+  | Error `Syntax -> Error (Printf.sprintf "bad duration %S" s)
+  | Error `Range ->
+    Error
+      (Printf.sprintf "duration %S is out of range: its nanoseconds do not \
+                       fit in an int" s)
 
 let string_of_duration t =
   if t mod 1_000_000_000 = 0 then Printf.sprintf "%ds" (t / 1_000_000_000)

@@ -11,11 +11,11 @@
     task 3 period=1s    wcet=15ms   phase=100ms
     v}
 
-    Durations accept [ns], [us], [ms], [s] suffixes (decimal values
-    allowed) or a bare integer meaning nanoseconds.  [deadline]
-    defaults to the period, [phase] to 0, [blocking] (blocking calls
-    per period) to 0.  '#' starts a comment; blank lines are
-    ignored. *)
+    Durations are read by {!Model.Time.of_string} ([ns], [us], [ms],
+    [s], decimals allowed, a bare number is nanoseconds); negative ones
+    and ones past an int are refused.  [deadline] defaults to the
+    period, [phase] to 0, [blocking] (blocking calls per period) to 0.
+    '#' starts a comment; blank lines are ignored. *)
 
 val parse : string -> (Model.Taskset.t, string) result
 (** Parse the format from a string; the error names the offending

@@ -72,6 +72,13 @@ let bad_values =
        of a node the plan has not crashed, a crash of one it has *)
     [ "fabric"; "--plan"; "node-restart:node=1,at=10ms" ];
     [ "fabric"; "--plan"; "node-crash:node=1,at=10ms;node-crash:node=1,at=20ms" ];
+    (* generator knobs the generator would clamp: a task count below 1,
+       a utilization outside (0, 0.85] *)
+    [ "campaign"; "--count"; "3"; "--tasks=0" ];
+    [ "campaign"; "--count"; "3"; "--tasks=-3" ];
+    [ "campaign"; "--count"; "3"; "--target-u=nan" ];
+    [ "campaign"; "--count"; "3"; "--target-u=-1" ];
+    [ "campaign"; "--count"; "3"; "--target-u=0.9" ];
   ]
 
 let contains s sub =

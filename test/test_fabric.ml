@@ -328,6 +328,66 @@ let test_plan_clauses () =
        "node-crash:node=1,at=10ms;node-restart:node=1,at=50ms;\
         node-crash:node=1,at=90ms")
 
+(* The scorecard reports what happened.  Under heavy frame loss a
+   crash can be detected and never failed over: that is not graceful
+   degradation.  A false suspicion of a live node is not its crash's
+   detection: the latency runs from each crash to the first suspicion
+   at or after it, and a node some live shard already suspects when it
+   crashes (cut off by a partition) gets none, never a negative one. *)
+let test_scorecard_reports_crashes () =
+  let run ?(extra = []) plan =
+    let engine, bus = setup () in
+    let cluster =
+      Fabric.Cluster.create ~engine ~bus ~cost:Sim.Cost.m68040
+        ~spec:Emeralds.Sched.Edf ~seed:7
+        ~assignments:(three_node_assignments () @ extra) ()
+    in
+    Fabric.Cluster.install_plan cluster (Result.get_ok (Fault.Plan.parse plan));
+    Fabric.Cluster.run cluster ~until:(ms 400);
+    Fabric.Cluster.score cluster ~horizon:(ms 400)
+  in
+  let contains hay needle =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+    in
+    at 0
+  in
+  let s = run "frame-drop:one-in=2;node-crash:node=0,at=200ms" in
+  let text = Fault.Report.render_net s in
+  check int "one crash" 1 s.n_crashes;
+  check bool "detected after the crash" true
+    (match s.n_detect_latency with Some d -> d > 0 | None -> false);
+  check bool "no failover observed" true (s.n_failover_latency = None);
+  check bool "not graceful" false (Fault.Report.net_ok s);
+  check bool "the text says so" true
+    (contains text "no failover observed after 1 crash(es)");
+  check bool "and does not deny the crash" false
+    (contains text "no crash observed");
+  check bool "the JSON carries the count" true
+    (contains (Fault.Report.net_to_json s) {|"crashes":1,|});
+  (* the crash-storm preset under frame loss: node 0 is falsely
+     suspected early, then nodes 1 and 2 crash *)
+  let s =
+    run
+      ~extra:[ (3, [ task ~id:6 ~period_ms:40 ~wcet_ms:2 ]) ]
+      "frame-drop:one-in=16;frame-corrupt:one-in=64;\
+       node-crash:node=1,at=60ms;node-crash:node=2,at=160ms;\
+       frame-drop:one-in=2"
+  in
+  check int "two crashes" 2 s.n_crashes;
+  check bool "detection is not negative" true
+    (match s.n_detect_latency with Some d -> d >= 0 | None -> true);
+  check bool "no failover of a crashed node: not graceful" false
+    (Fault.Report.net_ok s);
+  let s =
+    run "link-partition:a=0,b=1,from=20ms,until=200ms;node-crash:node=1,at=100ms"
+  in
+  check int "a crash of a node already suspected" 1 s.n_presuspected;
+  check bool "has no detection latency" true (s.n_detect_latency = None);
+  check bool "and is reported as such" true
+    (contains (Fault.Report.render_net s) "already suspected when it crashed")
+
 let suite =
   [
     test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -343,4 +403,6 @@ let suite =
     test_case "overload sheds" `Quick test_overload_sheds;
     test_case "planned migration" `Quick test_planned_migration;
     test_case "every plan clause applied or refused" `Quick test_plan_clauses;
+    test_case "scorecard reports the crashes it saw" `Quick
+      test_scorecard_reports_crashes;
   ]

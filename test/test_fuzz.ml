@@ -254,9 +254,9 @@ let prop_busy_conservation =
 let sem_wait_cycle k ~n =
   let next tid =
     match (Kernel.tcb k ~tid).Types.waiting_on with
-    | Some s ->
+    | Types.On_sem s ->
       Option.map (fun (h : Types.tcb) -> h.Types.tid) s.Types.holder
-    | None -> None
+    | _ -> None
   in
   let rec chase seen tid =
     List.mem tid seen

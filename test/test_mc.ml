@@ -278,29 +278,79 @@ let sporadic_explored () =
 
 (* --- kernel vs checker on deterministic schedules ------------------- *)
 
+let hand_built name tasks programs =
+  Workload.Scenario.
+    {
+      name;
+      taskset = Model.Taskset.of_list tasks;
+      programs;
+      irq_sources = [];
+      irq_signals = [];
+      irq_writes = [];
+    }
+
+(* Under EDF, tau1 (rank 0, due at 52 ms) and tau2 (rank 1, due at
+   35 ms) both wait for tau3's semaphore: the earlier deadline is
+   served first. *)
+let edf_handoff () =
+  let s = Emeralds.Objects.sem () in
+  hand_built "edf-handoff"
+    [
+      Model.Task.make ~id:1 ~period:(ms 50) ~phase:(ms 2) ~wcet:(ms 1) ();
+      Model.Task.make ~id:2 ~period:(ms 60) ~deadline:(ms 30) ~phase:(ms 5)
+        ~wcet:(ms 1) ();
+      Model.Task.make ~id:3 ~period:(ms 200) ~wcet:(ms 20) ();
+    ]
+    (fun (t : Model.Task.t) -> Emeralds.Program.critical s t.wcet)
+
+(* Under RM, tau3 waits on Q while it holds S, and tau1's block on S
+   boosts it to rank 0: tau4's first signal wakes tau3, not tau2. *)
+let rm_boosted_waiter () =
+  let s = Emeralds.Objects.sem () and q = Emeralds.Objects.waitq () in
+  let task id period phase wcet =
+    Model.Task.make ~id ~period:(ms period) ~phase:(ms phase) ~wcet:(ms wcet) ()
+  in
+  hand_built "rm-boosted-waiter"
+    [ task 1 10 2 1; task 2 20 1 1; task 3 40 0 1; task 4 80 0 4 ]
+    (fun (t : Model.Task.t) ->
+      let open Emeralds.Program in
+      match t.id with
+      | 1 -> critical s (ms 1)
+      | 2 -> [ wait q; compute (ms 1) ]
+      | 3 -> [ acquire s; wait q; compute (ms 1); release s ]
+      | _ -> [ compute (ms 3); signal q; compute (ms 1); signal q ])
+
 let kernel_differential () =
-  let s = Option.get (Workload.Scenario.make "table2") in
-  let horizon = ms 100 in
-  let k =
-    Emeralds.Kernel.create ~cost:Sim.Cost.zero ~spec:Emeralds.Sched.Rm
-      ~taskset:s.taskset ~programs:s.programs ()
-  in
-  Emeralds.Kernel.run k ~until:horizon;
-  let m = Mc.Machine.of_scenario s in
-  let bounds =
-    { Mc.Explorer.horizon = horizon; max_states = 50_000; max_depth = 5_000 }
-  in
-  let r = Mc.Explorer.check ~por:false ~props:[] ~bounds m in
   List.iter
-    (fun (st : Emeralds.Kernel.task_stats) ->
-      match Mc.Machine.task_of_tid m st.tid with
-      | None -> Alcotest.fail "unknown tid in kernel stats"
-      | Some mt ->
-        check_int
-          (Printf.sprintf "task %d worst response: kernel = checker" st.tid)
-          st.max_response
-          r.max_response.(mt.idx))
-    (Emeralds.Kernel.stats k)
+    (fun (s, spec, sched, horizon) ->
+      let s : Workload.Scenario.t = s () in
+      let k =
+        Emeralds.Kernel.create ~cost:Sim.Cost.zero ~spec ~taskset:s.taskset
+          ~programs:s.programs ()
+      in
+      Emeralds.Kernel.run k ~until:horizon;
+      let m = Mc.Machine.of_scenario ~sched s in
+      let bounds =
+        { Mc.Explorer.horizon = horizon; max_states = 50_000; max_depth = 5_000 }
+      in
+      let r = Mc.Explorer.check ~por:false ~props:[] ~bounds m in
+      List.iter
+        (fun (st : Emeralds.Kernel.task_stats) ->
+          match Mc.Machine.task_of_tid m st.tid with
+          | None -> Alcotest.fail "unknown tid in kernel stats"
+          | Some mt ->
+            check_int
+              (Printf.sprintf "%s task %d worst response: kernel = checker"
+                 s.name st.tid)
+              st.max_response
+              r.max_response.(mt.idx))
+        (Emeralds.Kernel.stats k))
+    [
+      ( (fun () -> Option.get (Workload.Scenario.make "table2")),
+        Emeralds.Sched.Rm, Mc.Machine.Fp, ms 100 );
+      (edf_handoff, Emeralds.Sched.Edf, Mc.Machine.Edf, ms 200);
+      (rm_boosted_waiter, Emeralds.Sched.Rm, Mc.Machine.Fp, ms 9);
+    ]
 
 (* --- branch forking: the checker explores both arms ----------------- *)
 

@@ -358,6 +358,41 @@ let test_workload_files_match_presets () =
       ("voice.tasks", Workload.Presets.voice);
     ]
 
+(* Spec files read durations through [Model.Time.of_string], as fault
+   plans do: a value a spec file accepted keeps it, and a duration out
+   of an int's range, infinite or NaN is refused as such, not passed
+   on to [Task.make] as a wrapped or zero period. *)
+let test_spec_file_durations () =
+  let load v =
+    Workload.Spec_file.parse (Printf.sprintf "task 1 period=%s wcet=1ms\n" v)
+  in
+  let contains hay needle =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (v, ns) ->
+      match load v with
+      | Ok ts ->
+        check int (v ^ " keeps its value") ns
+          (Model.Taskset.tasks ts).(0).period;
+        check bool (v ^ " reads as in a plan") true
+          (Model.Time.of_string v = Ok ns)
+      | Error m -> fail m)
+    [ ("10ms", ms 10); ("0.5s", ms 500); ("2.5ms", 2_500_000);
+      ("1500us", 1_500_000); ("20000000", ms 20); ("1e7ns", ms 10) ];
+  List.iter
+    (fun (v, why) ->
+      check bool (v ^ " refused: " ^ why) true
+        (match load v with Error m -> contains m why | Ok _ -> false))
+    [ ("1e30s", "out of range"); ("infs", "out of range");
+      ("-infms", "out of range"); ("99999999999999999999ns", "out of range");
+      ("4611686018428ms", "out of range"); ("nanms", "bad duration");
+      ("nan", "bad duration"); ("-10ms", "negative duration") ]
+
 let suite =
   [
     test_case "period buckets" `Quick test_period_buckets;
@@ -374,4 +409,6 @@ let suite =
       test_realizations_number_alike;
     test_case "workload files load to their presets" `Quick
       test_workload_files_match_presets;
+    test_case "spec-file durations: one reader, range-checked" `Quick
+      test_spec_file_durations;
   ]
