@@ -10,10 +10,12 @@
      second, `experiment NAME` at the default seed and workload count;
    - [experiment-slow]: `experiment ablation` and `experiment
      figures3to5 --workloads 5`, which take seconds, so their golden is
-     diffed under its own alias rather than by `dune runtest`.
+     diffed under its own alias rather than by `dune runtest`;
+   - [fabric]: `fabric --preset NAME --format F` for the five fabric
+     presets in text, JSON and SARIF, the scorecard and its verdict.
 
    Usage: sweep.exe PATH-TO-emeralds_cli.exe
-     check|sensitivity|experiment|experiment-slow *)
+     check|sensitivity|experiment|experiment-slow|fabric *)
 
 let catalog = List.map (fun (e : Workload.Scenario.entry) -> e.name)
     Workload.Scenario.catalog
@@ -47,6 +49,16 @@ let runs = function
         [ "experiment"; "figures3to5"; "--workloads"; "5" ],
         "\n" );
     ]
+  | "fabric" ->
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun format ->
+            ( name ^ " " ^ format,
+              [ "fabric"; "--preset"; name; "--format"; format ],
+              if format = "text" then "\n" else " " ))
+          [ "text"; "json"; "sarif" ])
+      [ "steady"; "migrate"; "crash"; "crash-storm"; "partition" ]
   | s -> failwith ("sweep: unknown subcommand " ^ s)
 
 let () =
