@@ -1347,14 +1347,12 @@ let fabric_cmd =
            (Fault.Report.net_to_sarif score))
     | `Json -> print_endline (Fault.Report.net_to_json score)
     | `Text -> print_string (Fault.Report.render_net score));
-    let fault_activity =
-      Fabric.Cluster.crashes cluster <> []
-      || Fabric.Cluster.shed cluster <> []
-      || score.Fault.Report.n_dropped > 0
-      || score.Fault.Report.n_corrupt > 0
-      || score.Fault.Report.n_timeouts > 0
-    in
-    if (not (Fault.Report.net_ok score)) || fault_activity then exit 1
+    (* exit 1 on any failure (shed tasks and timeouts are one) or on
+       fault activity *)
+    if
+      Fault.Report.net_failures score <> []
+      || score.n_crashes + score.n_dropped + score.n_corrupt > 0
+    then exit 1
   in
   Cmd.v
     (Cmd.info "fabric"

@@ -70,7 +70,7 @@ let generate taskset =
 
 let slot_count t = List.length t.slots
 
-let memory_bytes ?(bytes_per_entry = 6) t = bytes_per_entry * slot_count t
+let memory_bytes t = 6 * slot_count t
 
 let utilization_of_slots t =
   let busy =

@@ -32,9 +32,9 @@ val generate : Model.Taskset.t -> table option
 
 val slot_count : table -> int
 
-val memory_bytes : ?bytes_per_entry:int -> table -> int
-(** Table storage: one entry per slot (default 6 bytes: 16-bit start
-    offset, 16-bit length, 16-bit task id — a typical '90s encoding). *)
+val memory_bytes : table -> int
+(** Table storage: 6 bytes per slot (16-bit start offset, 16-bit
+    length, 16-bit task id — a typical '90s encoding). *)
 
 val utilization_of_slots : table -> float
 (** Fraction of the major cycle occupied by task slots (sanity:

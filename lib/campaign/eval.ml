@@ -517,33 +517,16 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     let t0 = now_us () in
     let cluster, net, assignments = run_e2e ~index ~ablation spec in
     fabric_us := since_us t0;
-    if net.Fault.Report.n_e2e_misses > 0 then
-      add Oracle.E2e
-        (Printf.sprintf
-           "%d post-failover deadline miss(es) across surviving shards"
-           net.Fault.Report.n_e2e_misses);
-    if not (Fault.Report.net_within_bound net) then
-      add Oracle.E2e
-        (Printf.sprintf
-           "observed failover latency %sns exceeds static bound %sns"
-           (match net.Fault.Report.n_failover_latency with
-           | Some l -> string_of_int l
-           | None -> "?")
-           (match net.Fault.Report.n_failover_bound with
-           | Some b -> string_of_int b
-           | None -> "?"));
-    (match Fabric.Cluster.failover_latency cluster with
-    | Some _ -> ()
-    | None ->
-      add Oracle.E2e
-        "planned node crash never completed failover (orphan neither \
-         migrated nor re-admitted)");
-    if Fabric.Cluster.shed cluster <> [] then
+    List.iter
+      (fun (r : Lint.Sarif.result) ->
+        if r.level = Error then add Oracle.E2e r.message)
+      (Fault.Report.net_failures net);
+    if net.n_shed > 0 then
       add Oracle.E2e
         (Printf.sprintf
            "admission rejected the orphan (shed %d task(s)) despite capped \
             utilization"
-           (List.length (Fabric.Cluster.shed cluster)));
+           net.n_shed);
     (* blame's fabric leg: re-derive the failover gap of each migrated
        task from per-shard blame release times (last release the dead
        shard recorded, first release on its target) and cross-validate

@@ -98,9 +98,10 @@ val run_e2e :
   Fabric.Cluster.t * Fault.Report.net_score * (int * Model.Task.t list) list
 (** The e2e oracle's fabric run in isolation: a canonical three-shard
     fabric derived from the scenario, one node crashed under frame
-    loss.  Returns the cluster (for latency/bound introspection), the
-    scored outcome, and the initial per-node task assignments (the
-    blame fabric leg resolves migrated tasks against them);
+    loss.  Returns the cluster (its kernels, crash and migrations for
+    the blame fabric leg), the scored outcome, which the oracle judges
+    by {!Fault.Report.net_failures}, and the initial per-node task
+    assignments (the blame leg resolves migrated tasks against them);
     [E2e_bound] halves the bound in the score. *)
 
 val run :

@@ -133,16 +133,14 @@ let summarize_ages mechanism ages =
       max_age_ms = List.fold_left max 0.0 ages;
     }
 
-let measure_freshness ?(writer_period_ms = 10) ?(reader_period_ms = 35) () =
+let measure_freshness () =
   let writer_task =
     (* deadline beyond the period: a writer stalled on a full mailbox is
        backpressure, not a deadline fault *)
-    Model.Task.make ~id:1 ~period:(ms writer_period_ms)
-      ~deadline:(ms 500) ~wcet:(ms 1) ()
+    Model.Task.make ~id:1 ~period:(ms 10) ~deadline:(ms 500) ~wcet:(ms 1) ()
   in
   let reader_task =
-    Model.Task.make ~id:2 ~period:(ms reader_period_ms) ~deadline:(ms 500)
-      ~wcet:(ms 1) ()
+    Model.Task.make ~id:2 ~period:(ms 35) ~deadline:(ms 500) ~wcet:(ms 1) ()
   in
   let taskset = Model.Taskset.of_list [ writer_task; reader_task ] in
   (* state messages *)

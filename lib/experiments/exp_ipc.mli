@@ -47,7 +47,8 @@ type freshness = {
   max_age_ms : float;
 }
 
-val measure_freshness :
-  ?writer_period_ms:int -> ?reader_period_ms:int -> unit -> freshness list
+val measure_freshness : unit -> freshness list
+(** A 10 ms writer and a 35 ms reader through a 3-deep state message
+    and a 4-slot mailbox, over 400 ms under EDF. *)
 
 val run : unit -> string

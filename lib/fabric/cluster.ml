@@ -21,9 +21,21 @@ type config = {
 let default_config =
   { hb_period = 5_000_000; miss_threshold = 3; net = Net.default_config }
 
+(* One record per executed crash.  A suspicion counts as its detection
+   only at or after the crash, and a failover as its failover only when
+   it starts at or after it: a node failed over while alive (falsely
+   suspected) and crashed later has no failover of that crash. *)
+type crash = {
+  node : int;
+  at : Model.Time.t;
+  presuspected : bool; (* a live shard already suspected the node *)
+  mutable detected : Model.Time.t option; (* first suspicion since *)
+  mutable failed_over : Model.Time.t option;
+      (* last re-admission of its failover *)
+}
+
 type shard = {
   sh_id : int;
-  sh_node : Fieldbus.Node.t;
   sh_ep : Net.t;
   mutable sh_kernel : Kernel.t option; (* None: crashed or no tasks *)
   mutable sh_origin : Model.Time.t; (* current kernel's time zero *)
@@ -37,6 +49,9 @@ type shard = {
   mutable sh_rx_tid : int option;
   mutable sh_rx_words : int list; (* reversed *)
   mutable sh_pending_admit : Model.Task.t list;
+  mutable sh_failover : crash option;
+      (* the crash this node's latest failover serves; None when it
+         was failed over alive *)
 }
 
 type t = {
@@ -46,20 +61,13 @@ type t = {
   spec : Sched.spec;
   config : config;
   shards : shard array;
-  probe : Obs.Probe.t option;
-  mutable plan : Fault.Plan.t;
   mutable corrupted : int;
-  mutable crashes : (int * Model.Time.t) list; (* node, instant *)
-  mutable detections : (int * Model.Time.t) list;
-      (* node, instant: every new suspicion by any shard *)
-  mutable presuspected : (int * Model.Time.t) list;
-      (* the crashes of a node a live shard already suspected *)
+  mutable crashes : crash list; (* newest first *)
   mutable migrations : (int * int * Model.Time.t) list;
       (* tid, target, re-admission instant *)
   mutable shed_tids : int list;
-  mutable handled : int list; (* dead nodes already failed over *)
-  mutable failover_ends : (int * Model.Time.t) list;
-      (* dead node -> last commit-driven re-admission *)
+  mutable handled : int list;
+      (* suspected nodes already failed over, live ones included *)
   mutable static_bound : Model.Time.t option;
 }
 
@@ -135,16 +143,31 @@ let send_image ~(from_ : shard) ~dst (task : Model.Task.t) =
     words;
   Net.send from_.sh_ep ~dst ~kind:Wire.Task_end ~arg:task.id ~data:0
 
+(* A re-admission of the failover that serves [crash], if any. *)
+let readmitted crash at =
+  Option.iter
+    (fun c ->
+      c.failed_over <-
+        Some (Option.fold ~none:at ~some:(Model.Time.max at) c.failed_over))
+    crash
+
 let failover t ~(coord : shard) ~dead =
   if not (List.mem dead t.handled) then begin
     t.handled <- dead :: t.handled;
     let dead_sh = shard t dead in
+    (* a down node's latest crash is at or before now; a live node has
+       no crash this failover serves *)
+    dead_sh.sh_failover <-
+      (if dead_sh.sh_alive then None
+       else List.find_opt (fun c -> c.node = dead) t.crashes);
     let orphans =
       List.sort
         (fun a b -> compare (Model.Task.utilization b) (Model.Task.utilization a))
         dead_sh.sh_tasks
     in
     dead_sh.sh_tasks <- [];
+    (* nothing to place: the failover is over as it starts *)
+    if orphans = [] then readmitted dead_sh.sh_failover (now t);
     let shard_util sh =
       List.fold_left
         (fun acc task -> acc +. Model.Task.utilization task)
@@ -179,9 +202,7 @@ let failover t ~(coord : shard) ~dead =
             in
             provision t sh ~origin (sh.sh_tasks @ [ task ]);
             t.migrations <- (task.id, sh.sh_id, origin) :: t.migrations;
-            t.failover_ends <-
-              (dead, origin)
-              :: List.remove_assoc dead t.failover_ends
+            readmitted dead_sh.sh_failover origin
           end
           else begin
             send_image ~from_:coord ~dst:sh.sh_id task;
@@ -189,7 +210,7 @@ let failover t ~(coord : shard) ~dead =
           end)
       placement;
     (* one commit per remote target, tagged with the dead node so the
-       re-admission instant lands in the right failover record *)
+       re-admission instant lands in the crash record it serves *)
     Hashtbl.iter
       (fun dst () ->
         Net.send coord.sh_ep ~dst ~kind:Wire.Commit ~arg:dead ~data:0)
@@ -199,7 +220,7 @@ let failover t ~(coord : shard) ~dead =
 (* ------------------------------------------------------------------ *)
 (* Receive path *)
 
-let handle_commit t sh ~dead =
+let handle_commit t sh ~serves =
   let admitted = List.rev sh.sh_pending_admit in
   sh.sh_pending_admit <- [];
   match admitted with
@@ -213,11 +234,7 @@ let handle_commit t sh ~dead =
       (fun (task : Model.Task.t) ->
         t.migrations <- (task.id, sh.sh_id, origin) :: t.migrations)
       admitted;
-    let prev = List.assoc_opt dead t.failover_ends in
-    let ends =
-      match prev with Some p -> Model.Time.max p origin | None -> origin
-    in
-    t.failover_ends <- (dead, ends) :: List.remove_assoc dead t.failover_ends
+    readmitted serves origin
 
 let handle_msg t sh (m : Wire.msg) =
   match m.kind with
@@ -237,7 +254,10 @@ let handle_msg t sh (m : Wire.msg) =
       (match deserialize_task words with
       | exception Invalid_argument _ -> () (* short image: drop it *)
       | task -> sh.sh_pending_admit <- task :: sh.sh_pending_admit))
-  | Wire.Commit -> handle_commit t sh ~dead:m.arg
+  | Wire.Commit ->
+    (* a planned migration's commit is tagged with its sender *)
+    handle_commit t sh
+      ~serves:(if m.arg = m.src then None else (shard t m.arg).sh_failover)
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
@@ -255,7 +275,11 @@ let check_peers t sh =
           if silent > dead_for then begin
             if not (List.mem p.sh_id sh.sh_suspected) then begin
               sh.sh_suspected <- p.sh_id :: sh.sh_suspected;
-              t.detections <- (p.sh_id, now t) :: t.detections;
+              List.iter
+                (fun c ->
+                  if c.node = p.sh_id && c.detected = None then
+                    c.detected <- Some (now t))
+                t.crashes;
               if is_coordinator t sh then failover t ~coord:sh ~dead:p.sh_id
             end
           end
@@ -283,8 +307,10 @@ let crash t ~node ~at =
          let sh = shard t node in
          if sh.sh_alive then begin
            let suspects p = p.sh_alive && List.mem node p.sh_suspected in
-           if Array.exists suspects t.shards then
-             t.presuspected <- (node, at) :: t.presuspected;
+           let presuspected = Array.exists suspects t.shards in
+           t.crashes <-
+             { node; at; presuspected; detected = None; failed_over = None }
+             :: t.crashes;
            sh.sh_alive <- false;
            Net.set_alive sh.sh_ep false;
            (match sh.sh_kernel with
@@ -292,8 +318,7 @@ let crash t ~node ~at =
              Kernel.halt k;
              sh.sh_retired <- k :: sh.sh_retired;
              sh.sh_kernel <- None
-           | None -> ());
-           t.crashes <- (node, at) :: t.crashes
+           | None -> ())
          end))
 
 let restart t ~node ~at =
@@ -360,7 +385,6 @@ let check_plan t plan =
            (List.filter (fun f -> node_at f <> None) plan)))
 
 let install_plan t plan =
-  t.plan <- plan;
   (* one every-n-th counter per clause, matching the irq-drop fault's
      semantics: a frame is lost when any drop clause selects it, and
      the corrupt clauses count only the frames that survive *)
@@ -519,14 +543,11 @@ let create ?probe ?(config = default_config) ~engine ~bus ~cost ~spec ~seed
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.map (fun (id, tasks) ->
            let node = Fieldbus.Node.create ~bus ~id () in
-           let ep =
-             Net.create ?probe ~node ~rng:(Util.Rng.split root id)
-               ~config:config.net ()
-           in
            {
              sh_id = id;
-             sh_node = node;
-             sh_ep = ep;
+             sh_ep =
+               Net.create ?probe ~node ~rng:(Util.Rng.split root id)
+                 ~config:config.net ();
              sh_kernel = None;
              sh_origin = 0;
              sh_retired = [];
@@ -537,6 +558,7 @@ let create ?probe ?(config = default_config) ~engine ~bus ~cost ~spec ~seed
              sh_rx_tid = None;
              sh_rx_words = [];
              sh_pending_admit = [];
+             sh_failover = None;
            })
     |> Array.of_list
   in
@@ -548,16 +570,11 @@ let create ?probe ?(config = default_config) ~engine ~bus ~cost ~spec ~seed
       spec;
       config;
       shards;
-      probe;
-      plan = Fault.Plan.empty;
       corrupted = 0;
       crashes = [];
-      detections = [];
-      presuspected = [];
       migrations = [];
       shed_tids = [];
       handled = [];
-      failover_ends = [];
       static_bound = None;
     }
   in
@@ -625,42 +642,30 @@ let misses_after t ~cut =
     t.shards;
   !n
 
-(* From each crash of a node no live shard suspected to the first
-   suspicion of it at or after the crash; the worst of those. *)
 let detect_latency t =
-  let first_suspicion node ~from =
-    List.fold_left
-      (fun acc (n, d) -> if n = node && d >= from then Int.min acc d else acc)
-      max_int t.detections
-  in
   List.fold_left
-    (fun acc ((node, at) as crash) ->
-      let d = first_suspicion node ~from:at in
-      if d = max_int || List.mem crash t.presuspected then acc
-      else Some (Model.Time.max (d - at) (Option.value acc ~default:0)))
+    (fun acc c ->
+      match c.detected with
+      | Some d when not c.presuspected ->
+        Some (Model.Time.max (d - c.at) (Option.value acc ~default:0))
+      | _ -> acc)
     None t.crashes
 
 let failover_latency t =
-  (* worst crash-to-last-re-admission over the handled crashes *)
-  List.filter_map
-    (fun (node, crashed_at) ->
-      Option.map
-        (fun e -> Model.Time.sub e crashed_at)
-        (List.assoc_opt node t.failover_ends))
-    t.crashes
-  |> function
+  match t.crashes with
   | [] -> None
-  | ls -> Some (List.fold_left Model.Time.max 0 ls)
-
-let last_failover_end t =
-  match List.map snd t.failover_ends with
-  | [] -> None
-  | es -> Some (List.fold_left Model.Time.max 0 es)
+  | cs ->
+    List.fold_left
+      (fun acc c ->
+        Option.bind acc (fun worst ->
+            Option.map (fun e -> Model.Time.max worst (e - c.at))
+              c.failed_over))
+      (Some 0) cs
 
 let static_bound t = t.static_bound
 let migrations t = List.rev t.migrations
 let shed t = List.rev t.shed_tids
-let crashes t = List.rev t.crashes
+let crashes t = List.rev_map (fun c -> (c.node, c.at)) t.crashes
 let shards_alive t =
   Array.to_list t.shards
   |> List.filter_map (fun sh -> if sh.sh_alive then Some sh.sh_id else None)
@@ -673,7 +678,10 @@ let kernels t ~node =
   @ (match sh.sh_kernel with Some k -> [ k ] | None -> [])
 
 let score t ~horizon =
-  let cut = Option.value ~default:0 (last_failover_end t) in
+  (* the last re-admission of any kind, planned migrations included *)
+  let cut =
+    List.fold_left (fun acc (_, _, at) -> Model.Time.max acc at) 0 t.migrations
+  in
   let unique =
     Array.fold_left (fun acc sh -> acc + Net.unique_sends sh.sh_ep) 0 t.shards
   in
@@ -687,7 +695,8 @@ let score t ~horizon =
     Fault.Report.n_nodes = Array.length t.shards;
     n_surviving = List.length (shards_alive t);
     n_crashes = List.length t.crashes;
-    n_presuspected = List.length t.presuspected;
+    n_presuspected =
+      List.length (List.filter (fun c -> c.presuspected) t.crashes);
     n_migrated = List.length t.migrations;
     n_shed = List.length t.shed_tids;
     n_e2e_misses = misses_after t ~cut;

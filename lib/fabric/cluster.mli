@@ -77,10 +77,12 @@ val migrate : t -> tid:int -> dst:int -> bool
     down. *)
 
 val score : t -> horizon:Model.Time.t -> Fault.Report.net_score
-(** End-to-end scorecard: post-failover deadline misses across
-    surviving shards, frame/drop/corrupt/retry/timeout counts, retry
-    amplification, bus utilization, observed detection and failover
-    latencies, and the static bound. *)
+(** End-to-end scorecard: deadline misses across surviving shards
+    after the last re-admission of any kind (planned migrations and
+    failovers of live nodes included), frame/drop/corrupt/retry/timeout
+    counts, retry amplification, bus utilization, the crash count, the
+    crashes of already-suspected nodes, {!detect_latency},
+    {!failover_latency} and the static bound. *)
 
 val static_bound : t -> Model.Time.t option
 (** The bound fixed by {!install_plan} (None without planned crashes). *)
@@ -91,7 +93,11 @@ val detect_latency : t -> Model.Time.t option
     after it; [None] when no such crash was detected. *)
 
 val failover_latency : t -> Model.Time.t option
-(** Worst crash-to-last-re-admission over handled crashes. *)
+(** The worst, over the crashes, of crash to the last re-admission of
+    the failover that started at or after it (to its start when the
+    node held no task); [None] without a crash or when a crash has no
+    such failover — a node failed over while alive, then crashed, has
+    none. *)
 
 val migrations : t -> (int * int * Model.Time.t) list
 (** [(tid, target node, re-admission instant)], in occurrence order. *)

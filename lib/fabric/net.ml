@@ -1,7 +1,8 @@
 (* Reliable delivery over the broadcast bus: per-destination send
    windows, per-seq acks, seeded-jitter exponential backoff, a retry
-   cap that turns persistent loss into a link-suspect signal, and
-   in-order exactly-once delivery at the receiver.
+   cap that abandons the message and counts a timeout, and in-order
+   exactly-once delivery at the receiver.  Failure detection is the
+   cluster's heartbeat suspicion, not this layer's.
 
    The endpoint never touches any kernel: tracepoints go to an optional
    probe hub, so a fabric with probes disabled is bit-identical in
@@ -36,7 +37,6 @@ type peer = {
   inflight : (int, inflight) Hashtbl.t; (* seq -> in-flight send *)
   backlog : Wire.msg Queue.t; (* waiting for a window slot *)
   held : (int, Wire.msg) Hashtbl.t; (* out-of-order arrivals *)
-  mutable suspect : bool;
 }
 
 type t = {
@@ -48,7 +48,6 @@ type t = {
   peers : (int, peer) Hashtbl.t;
   mutable alive : bool;
   mutable deliver : (Wire.msg -> unit) option;
-  mutable on_suspect : (int -> unit) option;
   mutable unique_sends : int; (* first transmissions, heartbeats included *)
   mutable retries : int;
   mutable timeouts : int;
@@ -70,7 +69,6 @@ let peer t id =
         inflight = Hashtbl.create 4;
         backlog = Queue.create ();
         held = Hashtbl.create 4;
-        suspect = false;
       }
     in
     Hashtbl.add t.peers id p;
@@ -79,10 +77,6 @@ let peer t id =
 let id t = Fieldbus.Node.id t.node
 let set_alive t v = t.alive <- v
 let on_deliver t f = t.deliver <- Some f
-let on_suspect t f = t.on_suspect <- Some f
-let suspects t =
-  Hashtbl.fold (fun id p acc -> if p.suspect then id :: acc else acc) t.peers []
-  |> List.sort compare
 
 let unique_sends t = t.unique_sends
 let retries t = t.retries
@@ -112,15 +106,11 @@ let rec arm_ack_check t ~dst (fl : inflight) =
     (Sim.Engine.schedule_after t.engine ~delay:t.config.ack_timeout (fun () ->
          if t.alive && not fl.f_acked then
            if fl.f_attempt >= t.config.retry_limit then begin
-             (* retry budget exhausted: declare the link suspect and
-                abandon the message (the layer above decides what a lost
-                transfer means) *)
+             (* retry budget exhausted: abandon the message (the layer
+                above decides what a lost transfer means) *)
              t.timeouts <- t.timeouts + 1;
              emit t (Sim.Trace.Net_timeout { node = id t; seq = fl.f_msg.seq });
-             let p = peer t dst in
-             Hashtbl.remove p.inflight fl.f_msg.seq;
-             p.suspect <- true;
-             (match t.on_suspect with Some f -> f dst | None -> ());
+             Hashtbl.remove (peer t dst).inflight fl.f_msg.seq;
              pump t ~dst
            end
            else
@@ -219,7 +209,6 @@ let create ?probe ~node ~rng ?(config = default_config) () =
       peers = Hashtbl.create 8;
       alive = true;
       deliver = None;
-      on_suspect = None;
       unique_sends = 0;
       retries = 0;
       timeouts = 0;

@@ -2,10 +2,11 @@
 
     Each endpoint pairs a bus station with: a per-destination send
     window, per-seq acks, retransmission on ack silence with
-    seeded-jitter exponential backoff, a retry cap that turns
-    persistent loss into a link-suspect signal, and in-order
-    exactly-once delivery (duplicates from lost acks are re-acked and
-    dropped; out-of-order arrivals are held until the gap fills).
+    seeded-jitter exponential backoff, a retry cap that abandons the
+    message and counts a timeout, and in-order exactly-once delivery
+    (duplicates from lost acks are re-acked and dropped; out-of-order
+    arrivals are held until the gap fills).  Failure detection is the
+    cluster's heartbeat suspicion, not this layer's.
 
     Heartbeats and acks ride the unreliable path: one transmission,
     no seq tracking — losing one is the condition the failure detector
@@ -17,7 +18,7 @@
 
 type config = {
   window : int;  (** in-flight frames per destination, >= 1 *)
-  retry_limit : int;  (** retransmissions before the link is suspect *)
+  retry_limit : int;  (** retransmissions before the message is abandoned *)
   ack_timeout : Model.Time.t;  (** ack silence before retransmitting *)
   backoff_base : Model.Time.t;  (** k-th retry adds [base * 2^k] *)
   backoff_jitter : Model.Time.t;  (** seeded uniform extra in [0, jitter] *)
@@ -55,21 +56,16 @@ val on_deliver : t -> (Wire.msg -> unit) -> unit
 (** Receive handler: intact unicast messages in order, plus every
     broadcast (heartbeats included — dispatch on [msg.kind]). *)
 
-val on_suspect : t -> (int -> unit) -> unit
-(** Called when a send to the given destination exhausts its retry
-    budget. *)
-
 val set_alive : t -> bool -> unit
 (** A dead endpoint neither transmits (sends, retries, acks,
     heartbeats) nor receives — the station-side half of a node
     crash. *)
-
-val suspects : t -> int list
-(** Destinations currently marked link-suspect, ascending. *)
 
 val unique_sends : t -> int
 (** First transmissions (data, acks and heartbeats; retries
     excluded). *)
 
 val retries : t -> int
+
 val timeouts : t -> int
+(** Sends that exhausted their retry budget and were abandoned. *)

@@ -1,4 +1,4 @@
-(* Plan-matrix replay and scoring.
+(* Plan replay and scoring.
 
    The baseline run (empty plan, no enforcement) is the pre-PR kernel
    bit for bit; every cell is compared against its trace signature.
@@ -47,7 +47,7 @@ let tstr ns = Printf.sprintf "%.1f us" (Model.Time.to_us_f ns)
 type statics = {
   rta : (Model.Task.t * Model.Time.t) list;
       (* tasks RTA predicts feasible, with their response bound *)
-  absint : Absint.Report.t option;
+  absint : Absint.Report.t;
 }
 
 let compute_statics (cfg : Inject.config) =
@@ -59,10 +59,7 @@ let compute_statics (cfg : Inject.config) =
       (fun i -> Option.map (fun r -> (tasks.(i), r)) bounds.(i))
       (List.init (Array.length tasks) Fun.id)
   in
-  let absint =
-    try Some (Absint.Report.analyze ~cost:cfg.cost sc) with _ -> None
-  in
-  { rta; absint }
+  { rta; absint = Absint.Report.analyze ~cost:cfg.cost sc }
 
 (* ------------------------------------------------------------------ *)
 (* One cell *)
@@ -134,20 +131,17 @@ let falsified statics k =
       statics.rta
   in
   let demand_falsified =
-    match statics.absint with
-    | None -> []
-    | Some rep ->
-      List.map
-        (fun ((task : Model.Task.t), used, hi) ->
-          {
-            p_source = "absint";
-            p_task = task.id;
-            p_claim =
-              Printf.sprintf "derived per-job demand bound %s for tau%d"
-                (tstr hi) task.id;
-            p_observed = Printf.sprintf "a job consumed %s" (tstr used);
-          })
-        (demand_excess ~bound:Fun.id rep k)
+    List.map
+      (fun ((task : Model.Task.t), used, hi) ->
+        {
+          p_source = "absint";
+          p_task = task.id;
+          p_claim =
+            Printf.sprintf "derived per-job demand bound %s for tau%d"
+              (tstr hi) task.id;
+          p_observed = Printf.sprintf "a job consumed %s" (tstr used);
+        })
+      (demand_excess ~bound:Fun.id statics.absint k)
   in
   rta_falsified @ demand_falsified
 
@@ -186,12 +180,9 @@ let make_cell (cfg : Inject.config) statics baseline ~label ~plan =
     c_falsified = falsified statics k;
   }
 
-let run ?plans (cfg : Inject.config) =
+let run (cfg : Inject.config) =
   let plans =
-    match plans with
-    | Some ps -> ps
-    | None ->
-      if cfg.plan = Plan.empty then [] else [ (Plan.render cfg.plan, cfg.plan) ]
+    if cfg.plan = Plan.empty then [] else [ (Plan.render cfg.plan, cfg.plan) ]
   in
   let statics = compute_statics cfg in
   let baseline =
@@ -311,17 +302,49 @@ type net_score = {
   n_failover_bound : Model.Time.t option;
 }
 
-let net_within_bound n =
-  match (n.n_failover_latency, n.n_failover_bound) with
-  | Some obs, Some bound -> obs <= bound
-  | _ -> true
+let fabric_result rule_id level message =
+  { Lint.Sarif.rule_id; level; message; logical = Some "fabric" }
 
-let failover_missing n = n.n_crashes > 0 && n.n_failover_latency = None
+let net_failures n =
+  let failover =
+    match (n.n_failover_latency, n.n_failover_bound) with
+    | Some obs, Some bound when obs > bound ->
+      [ fabric_result "failover-bound-exceeded" Lint.Sarif.Error
+          (Printf.sprintf
+             "observed failover latency %s exceeds the static migration-cost \
+              bound %s"
+             (tstr obs) (tstr bound)) ]
+    | None, _ when n.n_crashes > 0 ->
+      [ fabric_result "failover-not-observed" Lint.Sarif.Error
+          (Printf.sprintf "%d node crash(es) and no failover observed"
+             n.n_crashes) ]
+    | _ -> []
+  in
+  let misses =
+    if n.n_e2e_misses = 0 then []
+    else
+      [ fabric_result "e2e-miss-after-failover" Lint.Sarif.Error
+          (Printf.sprintf
+             "%d end-to-end deadline miss(es) on surviving shards after \
+              failover completed"
+             n.n_e2e_misses) ]
+  in
+  let degraded =
+    if n.n_timeouts = 0 && n.n_shed = 0 then []
+    else
+      [ fabric_result "fabric-degraded" Lint.Sarif.Warning
+          (Printf.sprintf
+             "%d delivery timeout(s), %d task(s) shed during failover"
+             n.n_timeouts n.n_shed) ]
+  in
+  failover @ misses @ degraded
 
-let net_ok n =
-  n.n_e2e_misses = 0 && net_within_bound n && not (failover_missing n)
+let failed fs rule = List.exists (fun r -> r.Lint.Sarif.rule_id = rule) fs
+let has_error = List.exists (fun r -> r.Lint.Sarif.level = Error)
+let net_ok n = not (has_error (net_failures n))
 
 let render_net n =
+  let fs = net_failures n in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "fabric: %d node(s), %d surviving, %d crash(es)\n"
@@ -344,26 +367,25 @@ let render_net n =
       (Printf.sprintf
          "  %d crash(es) of a node already suspected when it crashed\n"
          n.n_presuspected);
+  (* the plan's crashes fix the bound, so an observed failover has one *)
   (match (n.n_failover_latency, n.n_failover_bound) with
   | Some obs, Some bound ->
     Buffer.add_string buf
       (Printf.sprintf "  failover latency %s vs static bound %s: %s\n"
          (tstr obs) (tstr bound)
-         (if obs <= bound then "within bound" else "BOUND EXCEEDED"))
-  | Some obs, None ->
-    Buffer.add_string buf
-      (Printf.sprintf "  failover latency %s (no bound computed)\n" (tstr obs))
+         (if failed fs "failover-bound-exceeded" then "BOUND EXCEEDED"
+          else "within bound"))
   | None, Some bound ->
-    (* the plan's crashes fix the bound, so a crash implies one *)
     Buffer.add_string buf
       (Printf.sprintf "  static failover bound %s (%s)\n" (tstr bound)
-         (if n.n_crashes = 0 then "no crash observed"
-          else Printf.sprintf "no failover observed after %d crash(es)"
-              n.n_crashes))
-  | None, None -> ());
+         (if failed fs "failover-not-observed" then
+            Printf.sprintf "no failover observed after %d crash(es)"
+              n.n_crashes
+          else "no crash observed"))
+  | _, None -> ());
   Buffer.add_string buf
-    (Printf.sprintf "  verdict: %s\n"
-       (if net_ok n then "graceful degradation" else "DEGRADATION VIOLATION"));
+    (if has_error fs then "  verdict: DEGRADATION VIOLATION\n"
+     else "  verdict: graceful degradation\n");
   Buffer.contents buf
 
 let net_to_json n =
@@ -384,49 +406,13 @@ let net_to_json n =
            ("ok", Bool (net_ok n)) ]))
 
 let net_to_sarif n =
-  let result rule_id level message =
-    [ { Lint.Sarif.rule_id; level; message; logical = Some "fabric" } ]
-  in
-  let bound_results =
-    match (n.n_failover_latency, n.n_failover_bound) with
-    | Some obs, Some bound when not (net_within_bound n) ->
-      result "failover-bound-exceeded" Lint.Sarif.Error
-        (Printf.sprintf
-           "observed failover latency %s exceeds the static migration-cost \
-            bound %s"
-           (tstr obs) (tstr bound))
-    | None, _ when failover_missing n ->
-      result "failover-not-observed" Lint.Sarif.Error
-        (Printf.sprintf "%d node crash(es) and no failover observed"
-           n.n_crashes)
-    | _ -> []
-  in
-  let miss_results =
-    if n.n_e2e_misses = 0 then []
-    else
-      result "e2e-miss-after-failover" Lint.Sarif.Error
-        (Printf.sprintf
-           "%d end-to-end deadline miss(es) on surviving shards after \
-            failover completed"
-           n.n_e2e_misses)
-  in
-  let wire_results =
-    if n.n_timeouts = 0 && n.n_shed = 0 then []
-    else
-      result "fabric-degraded" Lint.Sarif.Warning
-        (Printf.sprintf
-           "%d delivery timeout(s), %d task(s) shed during failover"
-           n.n_timeouts n.n_shed)
-  in
-  let clean =
-    if bound_results = [] && miss_results = [] && wire_results = [] then
-      result "fabric-clean" Lint.Sarif.Note
+  match net_failures n with
+  | [] ->
+    [ fabric_result "fabric-clean" Lint.Sarif.Note
         (Printf.sprintf
            "fabric run clean: %d node(s), %d frame(s), amplification %.2fx"
-           n.n_nodes n.n_frames n.n_retry_amplification)
-    else []
-  in
-  bound_results @ miss_results @ wire_results @ clean
+           n.n_nodes n.n_frames n.n_retry_amplification) ]
+  | fs -> fs
 
 let to_sarif t =
   List.concat_map

@@ -1,7 +1,7 @@
-(** The resilience report: replay a scenario under a matrix of fault
-    plans and score what the enforcement layer saw.
+(** The resilience report: replay a scenario under its fault plan and
+    score what the enforcement layer saw.
 
-    Each plan becomes one cell: how many deadline misses, budget
+    Each run becomes one cell: how many deadline misses, budget
     overruns, kills and sheds the run produced, how long after the
     first fault activation the kernel first *detected* anything
     (budget-exhaustion or deadline-miss policy firing), whether the
@@ -52,10 +52,10 @@ type t = {
           with enforcement installed — the differential guard *)
 }
 
-val run : ?plans:(string * Plan.t) list -> Inject.config -> t
-(** Replay [cfg.scenario] under the plan matrix.  [plans] defaults to
-    the single entry [cfg.plan] (skipped when empty); the baseline and
-    the empty-plan cell are always included. *)
+val run : Inject.config -> t
+(** Replay [cfg.scenario] unfaulted (the baseline), then under the
+    empty plan with enforcement (the ["no-fault"] cell) and, unless it
+    is empty, under [cfg.plan] (labelled with its rendering). *)
 
 val demand_excess :
   bound:(Model.Time.t -> Model.Time.t) ->
@@ -113,25 +113,28 @@ type net_score = {
       (** crash to the first suspicion at or after it, worst over the
           crashes not already suspected *)
   n_failover_latency : Model.Time.t option;
-      (** crash to last migrated task re-admitted on its target *)
+      (** crash to the last re-admission of the failover that started
+          at or after it, worst over the crashes; [None] when a crash
+          has no such failover *)
   n_failover_bound : Model.Time.t option;
       (** the static migration-cost bound the observed latency must
           not exceed — the Quest-V predictability claim *)
 }
 
-val net_within_bound : net_score -> bool
-(** Observed failover latency within the static bound; vacuously true
-    when either side is missing. *)
+val net_failures : net_score -> Lint.Sarif.result list
+(** The fabric verdict, read by every report of a scorecard: errors for
+    an observed failover latency over the static bound
+    ([failover-bound-exceeded]), crashes with no observed failover
+    ([failover-not-observed]) and post-failover deadline misses
+    ([e2e-miss-after-failover]), then a warning for delivery timeouts
+    or shed tasks ([fabric-degraded]).  Empty when the run was clean. *)
 
 val net_ok : net_score -> bool
-(** Degradation was graceful: no end-to-end misses after failover, a
-    failover observed when a node crashed, and, when both are known,
-    observed failover latency within the static bound. *)
+(** Degradation was graceful: {!net_failures} has no error. *)
 
 val render_net : net_score -> string
 
 val net_to_json : net_score -> string
 
 val net_to_sarif : net_score -> Lint.Sarif.result list
-(** Error when the bound is exceeded or post-failover misses remain;
-    warning per timeout/shed; note when clean. *)
+(** {!net_failures}, or one [fabric-clean] note when it is empty. *)

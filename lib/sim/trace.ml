@@ -117,7 +117,7 @@ type entry =
   | Net_retry of { node : int; seq : int; attempt : int }
       (* fabric: a reliable frame was retransmitted *)
   | Net_timeout of { node : int; seq : int }
-      (* fabric: a send exhausted its retry budget (link suspect) *)
+      (* fabric: a send exhausted its retry budget and was abandoned *)
   | Net_arb of { frame_id : int; delay : Model.Time.t }
       (* fabric: bus arbitration delay of one transmitted frame *)
   | Note of string

@@ -108,8 +108,7 @@ type entry =
   | Net_retry of { node : int; seq : int; attempt : int }
       (** Fabric: the reliable-delivery layer retransmitted a frame. *)
   | Net_timeout of { node : int; seq : int }
-      (** Fabric: a send exhausted its retry budget — the sender marks
-          the link suspect. *)
+      (** Fabric: a send exhausted its retry budget and was abandoned. *)
   | Net_arb of { frame_id : int; delay : Model.Time.t }
       (** Fabric: bus arbitration delay of one transmitted frame. *)
   | Note of string

@@ -13,6 +13,13 @@ let setup () =
   let bus = Fieldbus.Bus.create ~engine ~bitrate_bps:1_000_000 () in
   (engine, bus)
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+  in
+  at 0
+
 (* ------------------------------------------------------------------ *)
 (* Wire *)
 
@@ -130,8 +137,7 @@ let test_net_in_order_under_drops () =
   check (list int) "all delivered, in order" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     (List.rev !got);
   check bool "loss forced retries" true (Fabric.Net.retries a > 0);
-  check int "no timeouts at one-in-3 loss" 0 (Fabric.Net.timeouts a);
-  check (list int) "link not suspect" [] (Fabric.Net.suspects a)
+  check int "no timeouts at one-in-3 loss" 0 (Fabric.Net.timeouts a)
 
 let test_net_duplicate_suppression () =
   (* drop only acks: the data arrives, its ack dies, the retransmit is a
@@ -155,23 +161,21 @@ let test_net_duplicate_suppression () =
   check int "delivered exactly once" 1 !got;
   check bool "the lost ack forced a retry" true (Fabric.Net.retries a >= 1)
 
-let test_net_retry_exhaustion_suspect () =
+let test_net_retry_exhaustion () =
   let engine, bus = setup () in
   let a = endpoint ~bus ~id:0 ~seed:5 () in
   let b = endpoint ~bus ~id:1 ~seed:6 () in
   let got = ref 0 in
   Fabric.Net.on_deliver b (fun _ -> incr got);
-  let suspected = ref [] in
-  Fabric.Net.on_suspect a (fun dst -> suspected := dst :: !suspected);
   (* a hard partition: nothing from 0 reaches 1 *)
   Fieldbus.Bus.set_link_filter bus
     (Some (fun ~src ~dst -> not (src = 0 && dst = 1)));
   Fabric.Net.send a ~dst:1 ~kind:Fabric.Wire.Task_end ~arg:7 ~data:0;
   Sim.Engine.run_until engine (ms 500);
   check int "nothing delivered" 0 !got;
-  check int "one timeout" 1 (Fabric.Net.timeouts a);
-  check (list int) "destination suspect" [ 1 ] !suspected;
-  check (list int) "suspect recorded" [ 1 ] (Fabric.Net.suspects a)
+  check int "retries stop at the cap" Fabric.Net.default_config.retry_limit
+    (Fabric.Net.retries a);
+  check int "one timeout" 1 (Fabric.Net.timeouts a)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster failover *)
@@ -346,13 +350,6 @@ let test_scorecard_reports_crashes () =
     Fabric.Cluster.run cluster ~until:(ms 400);
     Fabric.Cluster.score cluster ~horizon:(ms 400)
   in
-  let contains hay needle =
-    let n = String.length needle in
-    let rec at i =
-      i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
-    in
-    at 0
-  in
   let s = run "frame-drop:one-in=2;node-crash:node=0,at=200ms" in
   let text = Fault.Report.render_net s in
   check int "one crash" 1 s.n_crashes;
@@ -380,6 +377,18 @@ let test_scorecard_reports_crashes () =
     (match s.n_detect_latency with Some d -> d >= 0 | None -> true);
   check bool "no failover of a crashed node: not graceful" false
     (Fault.Report.net_ok s);
+  (* under one-in-3 loss node 2's crash is failed over, but node 1's
+     tasks never reach a survivor: each crash needs its own failover *)
+  let s =
+    run
+      ~extra:[ (3, [ task ~id:6 ~period_ms:40 ~wcet_ms:2 ]) ]
+      "frame-drop:one-in=16;frame-corrupt:one-in=64;\
+       node-crash:node=1,at=60ms;node-crash:node=2,at=160ms;\
+       frame-drop:one-in=3"
+  in
+  check bool "some tasks moved" true (s.n_migrated > 0);
+  check bool "yet a crash has no failover" true (s.n_failover_latency = None);
+  check bool "not graceful either" false (Fault.Report.net_ok s);
   let s =
     run "link-partition:a=0,b=1,from=20ms,until=200ms;node-crash:node=1,at=100ms"
   in
@@ -387,6 +396,47 @@ let test_scorecard_reports_crashes () =
   check bool "has no detection latency" true (s.n_detect_latency = None);
   check bool "and is reported as such" true
     (contains (Fault.Report.render_net s) "already suspected when it crashed")
+
+(* A crash is failed over only by a failover that starts at or after it.
+   The partition makes node 0 suspect node 1 and fail it over while it
+   is alive, re-admitting its tasks at 36 ms; node 1 crashes at 100 ms,
+   already suspected, so no failover follows.  That crash has no
+   observed failover, and every reader of the verdict says so. *)
+let test_failover_before_crash () =
+  let engine, bus = setup () in
+  let cluster =
+    Fabric.Cluster.create ~engine ~bus ~cost:Sim.Cost.m68040
+      ~spec:Emeralds.Sched.Edf ~seed:7 ~assignments:(three_node_assignments ())
+      ()
+  in
+  Fabric.Cluster.install_plan cluster
+    (Result.get_ok
+       (Fault.Plan.parse
+          "link-partition:a=0,b=1,from=20ms,until=200ms;\
+           node-crash:node=1,at=100ms"));
+  Fabric.Cluster.run cluster ~until:(ms 400);
+  let s = Fabric.Cluster.score cluster ~horizon:(ms 400) in
+  check bool "node 1 was failed over before it crashed" true
+    (List.exists
+       (fun (tid, _, at) -> tid = 3 && at < ms 100)
+       (Fabric.Cluster.migrations cluster));
+  check (option int) "no failover latency" None
+    (Fabric.Cluster.failover_latency cluster);
+  check (option int) "nor in the score" None s.n_failover_latency;
+  check bool "not graceful" false (Fault.Report.net_ok s);
+  check (list string) "the verdict's errors" [ "failover-not-observed" ]
+    (List.filter_map
+       (fun (r : Lint.Sarif.result) ->
+         if r.level = Error then Some r.rule_id else None)
+       (Fault.Report.net_failures s));
+  check bool "the SARIF reads the verdict" true
+    (Fault.Report.net_to_sarif s = Fault.Report.net_failures s);
+  let text = Fault.Report.render_net s in
+  List.iter
+    (fun claim ->
+      check bool ("the text does not say " ^ claim) false
+        (contains text claim))
+    [ "within bound"; "graceful degradation" ]
 
 let suite =
   [
@@ -396,7 +446,7 @@ let suite =
     test_case "wire arbitration classes" `Quick test_wire_arbitration_classes;
     test_case "net in-order under drops" `Quick test_net_in_order_under_drops;
     test_case "net duplicate suppression" `Quick test_net_duplicate_suppression;
-    test_case "net retry exhaustion" `Quick test_net_retry_exhaustion_suspect;
+    test_case "net retry exhaustion" `Quick test_net_retry_exhaustion;
     test_case "crash failover" `Quick test_crash_failover;
     test_case "failover within bound" `Quick test_failover_within_bound;
     test_case "probe bit-identity" `Quick test_probe_bit_identity;
@@ -405,4 +455,6 @@ let suite =
     test_case "every plan clause applied or refused" `Quick test_plan_clauses;
     test_case "scorecard reports the crashes it saw" `Quick
       test_scorecard_reports_crashes;
+    test_case "a failover before the crash is not its failover" `Quick
+      test_failover_before_crash;
   ]
