@@ -12,10 +12,14 @@
      figures3to5 --workloads 5`, which take seconds, so their golden is
      diffed under its own alias rather than by `dune runtest`;
    - [fabric]: `fabric --preset NAME --format F` for the five fabric
-     presets in text, JSON and SARIF, the scorecard and its verdict.
+     presets in text, JSON and SARIF, the scorecard and its verdict;
+   - [reports]: the report formats no other golden pins: `check`'s
+     SARIF with and without a violation, `inject`'s text and SARIF on
+     both demos that carry a fault plan, and `lint --blocking`'s
+     ceiling and blocking-term table.
 
    Usage: sweep.exe PATH-TO-emeralds_cli.exe
-     check|sensitivity|experiment|experiment-slow|fabric *)
+     check|sensitivity|experiment|experiment-slow|fabric|reports *)
 
 let catalog = List.map (fun (e : Workload.Scenario.entry) -> e.name)
     Workload.Scenario.catalog
@@ -59,6 +63,23 @@ let runs = function
               if format = "text" then "\n" else " " ))
           [ "text"; "json"; "sarif" ])
       [ "steady"; "migrate"; "crash"; "crash-storm"; "partition" ]
+  | "reports" ->
+    let run argv =
+      let text = not (List.mem "sarif" argv) in
+      (String.concat " " argv, argv, if text then "\n" else " ")
+    in
+    List.map run
+      [
+        [ "check"; "--preset"; "deadlock-demo"; "--props"; "deadlock";
+          "--format"; "sarif" ];
+        [ "check"; "--preset"; "engine"; "--horizon-ms"; "40"; "--format";
+          "sarif" ];
+        [ "inject"; "--preset"; "overrun-demo" ];
+        [ "inject"; "--preset"; "overrun-demo"; "--format"; "sarif" ];
+        [ "inject"; "--preset"; "storm-demo" ];
+        [ "inject"; "--preset"; "storm-demo"; "--format"; "sarif" ];
+        [ "lint"; "--blocking"; "--preset"; "engine" ];
+      ]
   | s -> failwith ("sweep: unknown subcommand " ^ s)
 
 let () =
