@@ -245,33 +245,47 @@ let emit ~out ~format output =
     write_file path output;
     Printf.printf "%s output written to %s\n" (format_name format) path
 
+(* Print a report in the chosen --format, or write it to the --out file
+   of a subcommand that has one; exit 1 on its failed verdict. *)
+let print_report ~out ~format (doc : Util.Doc.t) =
+  emit ~out ~format
+    (match format with
+    | `Text -> doc.text ()
+    | `Json -> doc.json ()
+    | `Sarif -> doc.sarif ());
+  if doc.failed then exit 1
+
 (* analyze and lint, on the --preset scenario or every shipped one: a
    report per scenario, or one SARIF log over all of them with each
-   result located in its scenario; exit 1 on any error.  [report]
-   returns a scenario's diagnostics and the printer of its text or JSON
-   report. *)
+   result located in its scenario; failed on any error.  [report]
+   returns a scenario's diagnostics, its text and its JSON line. *)
 let report_scenarios ~tool ~format preset report =
   let scenarios =
     match preset with
     | None -> Workload.Scenario.all ()
     | Some (e : Workload.Scenario.entry) -> [ e.build () ]
   in
-  let results = ref [] and errors = ref 0 in
-  List.iter
-    (fun (s : Workload.Scenario.t) ->
-      let diags, print = report s in
-      errors := !errors + Lint.Diag.errors diags;
-      if format = `Sarif then
-        let locate (r : Lint.Sarif.result) =
-          let at = match r.logical with None -> "" | Some l -> ", " ^ l in
-          { r with logical = Some (s.name ^ at) }
-        in
-        results := !results @ List.map locate (Lint.Sarif.of_diags diags)
-      else print ())
-    scenarios;
-  if format = `Sarif then
-    print_endline (Lint.Sarif.render ~tool_name:tool !results);
-  if !errors > 0 then exit 1
+  let reports =
+    List.map (fun (s : Workload.Scenario.t) -> (s.name, report s)) scenarios
+  in
+  let each f () = String.concat "" (List.map f reports) in
+  print_report ~out:None ~format
+    {
+      Util.Doc.text =
+        each (fun (name, (_, text, _)) ->
+            Printf.sprintf "==== %s ====\n%s" name (text ()));
+      json = each (fun (_, (_, _, json)) -> json () ^ "\n");
+      sarif =
+        (fun () ->
+          Lint.Sarif.render ~tool_name:tool
+            (List.concat_map
+               (fun (name, (diags, _, _)) -> Lint.Sarif.in_scenario name diags)
+               reports)
+          ^ "\n");
+      failed =
+        List.exists (fun (_, (diags, _, _)) -> Lint.Diag.errors diags > 0)
+          reports;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* run length and observability knobs *)

@@ -108,39 +108,6 @@ let schedulability_cmd =
 (* ------------------------------------------------------------------ *)
 (* analyze (abstract interpretation) *)
 
-(* Response-time analysis on the derived per-job demand with the absint
-   blocking terms; a task below an untimed wait has no bound. *)
-let print_derived_rta (r : Absint.Report.t) =
-  let blocking = Absint.Report.blocking_terms r in
-  let demand = Absint.Report.derived_demand r in
-  let rows =
-    Array.mapi
-      (fun i (tb : Absint.Report.task_bound) ->
-        let t = tb.task in
-        (t.period, t.deadline, Option.value demand.(i) ~default:t.wcet))
-      r.tasks
-  in
-  let us = Model.Time.to_us_f in
-  Printf.printf "\nRTA with derived demand and absint blocking terms:\n";
-  Array.iteri
-    (fun i (tb : Absint.Report.task_bound) ->
-      let t = tb.task in
-      let d = us (Option.value demand.(i) ~default:0) in
-      if Array.exists Option.is_none (Array.sub demand 0 (i + 1)) then
-        Printf.printf "  %-8s demand unbounded (untimed wait): no RTA bound\n"
-          t.name
-      else
-        match Analysis.Rta.response_time ~blocking ~tasks:rows i with
-        | None ->
-          Printf.printf "  %-8s demand %8.1fus  RTA: unbounded\n" t.name d
-        | Some bound ->
-          Printf.printf
-            "  %-8s demand %8.1fus  B %6.1fus  response %8.1fus  deadline \
-             %8.1fus  %s\n"
-            t.name d (us blocking.(i)) (us bound) (us t.deadline)
-            (if bound <= t.deadline then "ok" else "MISSED"))
-    r.tasks
-
 let scenarios_format =
   format ~json:true ~doc:" SARIF is one log for all scenarios."
     [ `Text; `Json; `Sarif ]
@@ -180,17 +147,13 @@ let analyze_cmd =
              declared WCETs and lint terms).")
   in
   let run preset cost budget_bytes format rta =
-    report_scenarios ~tool:"emeralds-absint" ~format preset
-      (fun s ->
+    report_scenarios ~tool:"emeralds-absint" ~format preset (fun s ->
         let r = Absint.Report.analyze ~cost ~budget_bytes s in
         ( r.diags,
-          fun () ->
-            if format = `Json then print_endline (Absint.Report.to_json r)
-            else begin
-              Printf.printf "==== %s ====\n" s.name;
-              print_string (Absint.Report.render r);
-              if rta then print_derived_rta r
-            end ))
+          (fun () ->
+            Absint.Report.render r
+            ^ if rta then Absint.Report.render_rta r else ""),
+          fun () -> Absint.Report.to_json r ))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -288,24 +251,14 @@ let lint_cmd =
              blocking terms.")
   in
   let run preset format blocking =
-    report_scenarios ~tool:"emeralds-lint" ~format preset
-      (fun s ->
+    report_scenarios ~tool:"emeralds-lint" ~format preset (fun s ->
         let ctx = Lint.Ctx.of_scenario s in
         let diags = Lint.Report.run ctx in
         ( diags,
-          fun () ->
-            if format = `Json then
-              Util.Json.(
-                print_endline
-                  (to_string
-                     (Obj
-                        [ ("scenario", String s.name);
-                          ("findings", Lint.Report.to_json diags) ])))
-            else begin
-              Printf.printf "==== %s ====\n" s.name;
-              print_string (Lint.Report.render diags);
-              if blocking then print_string (Lint.Report.render_blocking ctx)
-            end ))
+          (fun () ->
+            Lint.Report.render diags
+            ^ if blocking then Lint.Report.render_blocking ctx else ""),
+          fun () -> Lint.Report.scenario_json s.name diags ))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -438,90 +391,9 @@ let check_cmd =
         max_depth;
       }
     in
-    (* POR merges tie orders, so the RTA cross-check's worst responses
-       need it off *)
-    let por = not (no_por || rta) in
-    let r = Mc.Explorer.check ~por ?seed:search_seed ~props ~bounds m in
-    (match format with
-    | `Sarif ->
-      let results =
-        match r.verdict with
-        | `Ok -> []
-        | `Violation (cex : Mc.Counterexample.t) ->
-          [
-            {
-              Lint.Sarif.rule_id = "mc-" ^ cex.prop;
-              level = Lint.Sarif.Error;
-              message =
-                Printf.sprintf "%s (at %.3fms, %d choices deep)" cex.message
-                  (Model.Time.to_ms_f cex.at)
-                  (List.length cex.choices);
-              logical = Some scenario.name;
-            };
-          ]
-      in
-      print_endline (Lint.Sarif.render ~tool_name:"emeralds-mc" results)
-    | `Json ->
-      let open Util.Json in
-      let verdict =
-        match r.verdict with
-        | `Ok -> [ ("verdict", String "ok") ]
-        | `Violation cex ->
-          [ ("verdict", String "violation"); ("prop", String cex.prop);
-            ("message", String cex.message); ("at_ns", Int cex.at);
-            ("choices", Int (List.length cex.choices)) ]
-      in
-      let response (t : Mc.Machine.mtask) =
-        (t.task_name, Int r.max_response.(t.idx))
-      in
-      print_endline
-        (to_string
-           (Obj
-              ((("scenario", String scenario.name) :: verdict)
-              @ [ ("expansions", Int r.expansions);
-                  ("distinct", Int r.distinct); ("revisits", Int r.revisits);
-                  ("por_skipped", Int r.por_skipped);
-                  ("truncated", Bool r.truncated); ("jobs", Int r.jobs);
-                  ( "max_response_ns",
-                    Obj (Array.to_list (Array.map response m.tasks)) ) ])))
-    | `Text ->
-      Printf.printf
-        "%s: %d tasks, horizon %.1fms, properties: %s%s\n"
-        scenario.name (Mc.Machine.n_tasks m)
-        (Model.Time.to_ms_f bounds.horizon)
-        (String.concat ", " (List.map (fun (p : Mc.Props.t) -> p.name) props))
-        (if por then "" else " (POR off)");
-      Printf.printf
-        "explored %d segments, %d distinct decision states, %d revisits \
-         pruned, %d tie choices merged, %d jobs%s\n"
-        r.expansions r.distinct r.revisits r.por_skipped r.jobs
-        (if r.truncated then " [TRUNCATED: bounds hit]" else "");
-      (match r.verdict with
-      | `Ok ->
-        Printf.printf "no violation within bounds%s\n"
-          (if r.truncated then " (exploration incomplete)" else "")
-      | `Violation cex -> print_string (Mc.Counterexample.render m ~props cex));
-      if rta then begin
-        let bounds =
-          Lint.Blocking_terms.declared_rta (Lint.Ctx.of_scenario scenario)
-        in
-        Printf.printf "\nRTA cross-check (blocking terms from lint):\n";
-        Array.iteri
-          (fun i (t : Mc.Machine.mtask) ->
-            match bounds.(i) with
-            | None ->
-              Printf.printf "  %-8s observed %8.3fms  RTA: unbounded\n"
-                t.task_name
-                (Model.Time.to_ms_f r.max_response.(i))
-            | Some bound ->
-              Printf.printf "  %-8s observed %8.3fms  RTA bound %8.3fms  %s\n"
-                t.task_name
-                (Model.Time.to_ms_f r.max_response.(i))
-                (Model.Time.to_ms_f bound)
-                (if r.max_response.(i) <= bound then "ok" else "EXCEEDED"))
-          m.tasks
-      end);
-    if r.verdict <> `Ok then exit 1
+    print_report ~out:None ~format
+      (Mc.Report.run ~por:(not no_por) ~rta ~seed:search_seed ~props ~bounds
+         scenario m)
   in
   Cmd.v
     (Cmd.info "check"
@@ -560,6 +432,30 @@ let policy_name = function
   | Kill_job -> "kill"
   | Skip_next -> "skip-next"
   | Demote n -> Printf.sprintf "demote:%d" n
+
+(* Write the dump of the first recorder that triggered, else the live
+   window of the last (most faulted) run, to [path]; the line saying
+   so. *)
+let flightrec_dump recorders path =
+  let triggered fr = Obs.Flightrec.triggered fr <> None in
+  match List.filter triggered recorders @ List.rev recorders with
+  | [] -> ""
+  | fr :: _ -> (
+    let window = Obs.Flightrec.dump fr in
+    write_file path (Obs.Export.perfetto window);
+    match Obs.Flightrec.triggered fr with
+    | Some { at; entry } ->
+      Printf.sprintf
+        "flight recorder: %d-event window ending at %s (%.3f ms) written to \
+         %s\n"
+        (List.length window)
+        (Sim.Trace.kind_name (Sim.Trace.kind entry))
+        (Model.Time.to_ms_f at) path
+    | None ->
+      Printf.sprintf
+        "flight recorder: no trigger fired; %d-event live window written to \
+         %s\n"
+        (List.length window) path)
 
 let inject_cmd =
   let preset =
@@ -714,37 +610,19 @@ let inject_cmd =
         observer;
       }
     in
-    let report = Fault.Report.run cfg in
-    (match format with
-    | `Sarif ->
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-inject"
-           (Fault.Report.to_sarif report))
-    | `Json -> print_endline (Fault.Report.to_json report)
-    | `Text -> print_string (Fault.Report.render report));
-    (* the first recorder that triggered, else the live window of the
-       last (most faulted) run *)
-    let triggered fr = Obs.Flightrec.triggered fr <> None in
-    let candidates = List.filter triggered !recorders @ List.rev !recorders in
-    (match (flightrec_path, candidates) with
-    | None, _ | _, [] -> ()
-    | Some path, fr :: _ -> (
-      let window = Obs.Flightrec.dump fr in
-      write_file path (Obs.Export.perfetto window);
-      match Obs.Flightrec.triggered fr with
-      | Some { at; entry } ->
-        Printf.printf
-          "flight recorder: %d-event window ending at %s (%.3f ms) written \
-           to %s\n"
-          (List.length window)
-          (Sim.Trace.kind_name (Sim.Trace.kind entry))
-          (Model.Time.to_ms_f at) path
-      | None ->
-        Printf.printf
-          "flight recorder: no trigger fired; %d-event live window written \
-           to %s\n"
-          (List.length window) path));
-    if Fault.Report.violations report then exit 1
+    let doc = Fault.Report.doc (Fault.Report.run cfg) in
+    (* the flight-recorder line follows the report in every format *)
+    let note =
+      Option.fold flightrec_path ~none:"" ~some:(flightrec_dump !recorders)
+    in
+    let noted render () = render () ^ note in
+    print_report ~out:None ~format
+      {
+        doc with
+        text = noted doc.text;
+        json = noted doc.json;
+        sarif = noted doc.sarif;
+      }
   in
   Cmd.v
     (Cmd.info "inject"
@@ -757,17 +635,6 @@ let inject_cmd =
       const run $ preset $ plan $ policy $ miss_policy $ shed_one_in
       $ mem_policy $ sched Emeralds.Sched.Rm $ horizon_ms 200 $ seed $ format
       $ flightrec_path $ ring_bytes 32_768)
-
-(* trace and explain: one plain run of a scenario, with [observer]
-   subscribed to the kernel's probe *)
-let observed_run ~scenario ~sched ~horizon_ms ~seed observer =
-  Fault.Inject.run
-    {
-      (Fault.Inject.default_config ~scenario ~spec:sched
-         ~horizon:(Model.Time.ms horizon_ms) ~seed ())
-      with
-      observer = Some observer;
-    }
 
 (* ------------------------------------------------------------------ *)
 (* trace *)
@@ -804,7 +671,15 @@ let trace_cmd =
       Obs.Probe.subscribe probe ~mask (Obs.Metrics.observe metrics);
       Obs.Probe.subscribe probe ~mask (Obs.Flightrec.record flightrec)
     in
-    let outcome = observed_run ~scenario ~sched ~horizon_ms ~seed observer in
+    let outcome =
+      Fault.Inject.run
+        {
+          (Fault.Inject.default_config ~scenario ~spec:sched
+             ~horizon:(Model.Time.ms horizon_ms) ~seed ())
+          with
+          observer = Some observer;
+        }
+    in
     let window = Obs.Flightrec.dump flightrec in
     emit ~out ~format
       (match format with
@@ -872,177 +747,12 @@ let explain_cmd =
   in
   let run (preset : Workload.Scenario.entry) sched horizon_ms seed task_filter
       format out =
-    let preset_name = preset.name in
     let scenario = preset.build () in
     check_fits sched scenario.taskset;
     Option.iter (check_task ~flag:"--task" scenario) task_filter;
-    let tasks = Model.Taskset.tasks scenario.taskset in
-    (* static terms: the campaign's own (all RM-specific); tasks RTA
-       does not cover, or any other scheduler, get no bound columns *)
-    let statics = Campaign.Eval.statics scenario in
-    let bounded i = sched = Emeralds.Sched.Rm && statics.eligible.(i) in
-    (* simulation with the attributor on the probe stream *)
-    let blame =
-      Obs.Blame.create ~tasks:(Obs.Blame.of_taskset scenario.taskset) ()
-    in
-    let observer k = Obs.Blame.attach blame (Emeralds.Kernel.probe k) in
-    let outcome = observed_run ~scenario ~sched ~horizon_ms ~seed observer in
-    let tr = Emeralds.Kernel.trace outcome.kernel in
-    (* the blame oracle's verdicts; its RM bounds judge no other
-       scheduler *)
-    let violations s =
-      List.filter
-        (fun (v : Campaign.Eval.violation) ->
-          v.term = None || sched = Emeralds.Sched.Rm)
-        (Campaign.Eval.blame_violations statics tr s)
-    in
-    let misses = Sim.Trace.deadline_misses tr in
-    let overruns = Sim.Trace.budget_overruns tr in
-    let kills = Sim.Trace.jobs_killed tr in
-    let selected (s : Obs.Blame.task_summary) =
-      match task_filter with Some tid -> s.s_id = tid | None -> true
-    in
-    let summaries = List.filter selected (Obs.Blame.summaries blame) in
-    let task_of (s : Obs.Blame.task_summary) =
-      Array.to_list tasks |> List.find (fun (t : Model.Task.t) -> t.id = s.s_id)
-    in
-    (* the dominant cause of each missing task's worst job — the line
-       the exit-1 path prints and SARIF reports *)
-    let verdicts =
-      List.filter_map
-        (fun (s : Obs.Blame.task_summary) ->
-          match s.s_worst with
-          | Some bd when s.s_max_response > (task_of s).deadline ->
-            let cause, amount = Obs.Blame.dominant bd in
-            Some (s.s_id, cause, amount)
-          | _ -> None)
-        summaries
-    in
-    let output =
-      match format with
-      | `Text ->
-        let buf = Buffer.create 2048 in
-        Printf.bprintf buf
-          "explain: scenario %s, sched %s, horizon %d ms, seed %d\n"
-          preset_name
-          (Emeralds.Sched.spec_name sched)
-          horizon_ms seed;
-        Printf.bprintf buf
-          "  %d deadline miss(es), %d overrun(s), %d kill(s), %d \
-           conservation violation(s)\n"
-          misses overruns kills
-          (Obs.Blame.residual_violations blame);
-        List.iter
-          (fun (s : Obs.Blame.task_summary) ->
-            let i = s.s_rank in
-            Printf.bprintf buf
-              "\ntau%d (rank %d): %d job(s), max response %dns%s%s\n" s.s_id
-              s.s_rank s.s_jobs s.s_max_response
-              (match statics.rta.(i) with
-              | Some r when bounded i -> Printf.sprintf ", RTA bound %dns" r
-              | _ -> "")
-              (if s.s_max_response > (task_of s).deadline then "  ** MISSED **"
-               else "");
-            (match s.s_worst with
-            | Some bd ->
-              Printf.bprintf buf "%s"
-                (Format.asprintf "%a" Obs.Blame.pp_breakdown bd);
-              if bounded i then begin
-                Printf.bprintf buf "  cross-validation (worst per component \
-                                    across jobs vs analytical term):\n";
-                List.iter
-                  (fun (term, v, b) ->
-                    Printf.bprintf buf "  %-22s %10dns <= %10dns  %s\n"
-                      (match term with
-                      | Campaign.Eval.Exec -> "exec <= absint demand"
-                      | Interference j ->
-                        Printf.sprintf "interference(rank %d)" j
-                      | Blocking -> "blocking <= lint term"
-                      | Overhead -> "overhead <= Table-1")
-                      v b
-                      (if v <= b then "ok" else "EXCEEDS"))
-                  (Campaign.Eval.blame_terms statics ~rank:i s)
-              end
-            | None -> ())
-          )
-          summaries;
-        List.iter
-          (fun (tid, cause, amount) ->
-            Printf.bprintf buf
-              "\ntau%d missed its deadline: dominant blame %s (%dns)\n" tid
-              (Obs.Blame.cause_label cause)
-              amount)
-          verdicts;
-        Buffer.contents buf
-      | `Json ->
-        let open Util.Json in
-        let worst (bd : Obs.Blame.breakdown) =
-          let cause, ns = Obs.Blame.dominant bd in
-          let cause = String (Obs.Blame.cause_label cause) in
-          let term (j, v) = Obj [ ("rank", Int j); ("ns", Int v) ] in
-          Obj
-            [ ("job", Int bd.b_job); ("response", Int bd.b_response);
-              ("exec", Int bd.b_exec); ("backlog", Int bd.b_backlog);
-              ("blocking", Int (Obs.Blame.blocking_total bd));
-              ("overhead", Int (Obs.Blame.overhead_total bd));
-              ("suspend", Int bd.b_suspend); ("gap", Int bd.b_gap);
-              ("residual", Int bd.b_residual);
-              ("interference", List (List.map term bd.b_interference));
-              ("dominant", Obj [ ("cause", cause); ("ns", Int ns) ]) ]
-        in
-        let task (s : Obs.Blame.task_summary) =
-          let i = s.s_rank in
-          Obj
-            ([ ("tid", Int s.s_id); ("rank", Int i); ("jobs", Int s.s_jobs);
-               ("max_response", Int s.s_max_response);
-               ("missed", Bool (s.s_max_response > (task_of s).deadline)) ]
-            @ (match statics.rta.(i) with
-              | Some r when bounded i -> [ ("rta_bound", Int r) ]
-              | _ -> [])
-            @ Option.fold s.s_worst ~none:[] ~some:(fun bd ->
-                  [ ("worst", worst bd) ]))
-        in
-        to_string
-          (Obj
-             [ ("scenario", String preset_name);
-               ("sched", String (Emeralds.Sched.spec_name sched));
-               ("horizon_ms", Int horizon_ms); ("seed", Int seed);
-               ("misses", Int misses); ("overruns", Int overruns);
-               ("kills", Int kills);
-               ( "residual_violations",
-                 Int (Obs.Blame.residual_violations blame) );
-               ("tasks", List (List.map task summaries)) ])
-        ^ "\n"
-      | `Sarif ->
-        let result rule_id tid message =
-          {
-            Lint.Sarif.rule_id;
-            level = Lint.Sarif.Error;
-            message;
-            logical = Some (Printf.sprintf "%s, task %d" preset_name tid);
-          }
-        in
-        let violation (v : Campaign.Eval.violation) =
-          result
-            (if v.term = None then "explain/conservation"
-             else "explain/domination")
-            v.tid v.message
-        in
-        let miss (tid, cause, amount) =
-          result "explain/miss" tid
-            (Printf.sprintf "deadline miss: dominant blame %s (%dns)"
-               (Obs.Blame.cause_label cause)
-               amount)
-        in
-        Lint.Sarif.render ~tool_name:"emeralds-explain"
-          (List.map violation (List.concat_map violations summaries)
-          @ List.map miss verdicts)
-    in
-    emit ~out ~format output;
-    if
-      misses > 0 || overruns > 0 || kills > 0
-      || List.exists (fun s -> violations s <> []) (Obs.Blame.summaries blame)
-    then exit 1
+    print_report ~out ~format
+      (Campaign.Explain.run ~name:preset.name ~sched ~horizon_ms ~seed
+         ~task:task_filter scenario)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1214,26 +924,21 @@ let campaign_cmd =
             (Campaign.Oracle.name f.oracle)
             f.message)
     in
-    let s =
-      Campaign.Driver.run
-        {
-          Campaign.Driver.seed;
-          count;
-          family;
-          n_tasks = tasks;
-          target_u;
-          oracles;
-          ablation;
-          shrink;
-          collect_metrics = metrics;
-          progress;
-        }
-    in
-    (match format with
-    | `Sarif -> print_endline (Campaign.Report.to_sarif s)
-    | `Json -> print_endline (Campaign.Report.to_json s)
-    | `Text -> print_string (Campaign.Report.render_text s));
-    if Campaign.Driver.falsifications s > 0 then exit 1
+    print_report ~out:None ~format
+      (Campaign.Report.doc
+         (Campaign.Driver.run
+            {
+              Campaign.Driver.seed;
+              count;
+              family;
+              n_tasks = tasks;
+              target_u;
+              oracles;
+              ablation;
+              shrink;
+              collect_metrics = metrics;
+              progress;
+            }))
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -1249,44 +954,15 @@ let campaign_cmd =
 (* ------------------------------------------------------------------ *)
 (* fabric (multikernel fault-tolerance demos) *)
 
-(* name -> (shard assignments, fault plan, planned migration) *)
-let fabric_presets =
-  let ms = Model.Time.ms in
-  let task ~id ~period_ms ~wcet_ms =
-    Model.Task.make ~id ~period:(ms period_ms) ~wcet:(ms wcet_ms) ()
-  in
-  (* three light shards; the storm preset adds a fourth *)
-  let base =
-    [
-      (0, [ task ~id:1 ~period_ms:20 ~wcet_ms:2;
-            task ~id:2 ~period_ms:40 ~wcet_ms:4 ]);
-      (1, [ task ~id:3 ~period_ms:20 ~wcet_ms:2;
-            task ~id:4 ~period_ms:50 ~wcet_ms:5 ]);
-      (2, [ task ~id:5 ~period_ms:25 ~wcet_ms:2 ]);
-    ]
-  in
-  [
-    ("steady", (base, "", None));
-    ("migrate", (base, "", Some (ms 50, 5, 0)));
-    ("crash", (base, "node-crash:node=1,at=50ms", None));
-    ( "crash-storm",
-      ( base @ [ (3, [ task ~id:6 ~period_ms:40 ~wcet_ms:2 ]) ],
-        "frame-drop:one-in=16;frame-corrupt:one-in=64;\
-         node-crash:node=1,at=60ms;node-crash:node=2,at=160ms",
-        None ) );
-    ( "partition",
-      ( base,
-        "frame-drop:one-in=16;link-partition:a=0,b=2,from=30ms,until=90ms",
-        None ) );
-  ]
-
 let fabric_cmd =
   let preset =
     Arg.(
       value
       & opt
-          (table ~what:"preset" fabric_presets)
-          (List.assoc "steady" fabric_presets)
+          (table ~what:"preset"
+             (List.map (fun (p : Fabric.Preset.t) -> (p.name, p))
+                Fabric.Preset.all))
+          (List.hd Fabric.Preset.all)
       & info [ "preset" ] ~docv:"NAME"
           ~doc:
             "Fabric preset: steady (3 shards, no faults), migrate (steady \
@@ -1317,42 +993,16 @@ let fabric_cmd =
           ~doc:"Simulated horizon, milliseconds.")
   in
   let format = format ~json:true [ `Text; `Json; `Sarif ] in
-  let run (assignments, preset_plan, migration) extra horizon_ms seed format =
-    let plan =
-      Result.get_ok (Fault.Plan.parse preset_plan)
-      @ Option.value extra ~default:[]
-    in
-    let engine = Sim.Engine.create () in
-    let bus = Fieldbus.Bus.create ~engine ~bitrate_bps:1_000_000 () in
-    let cluster =
-      Fabric.Cluster.create ~engine ~bus ~cost:Sim.Cost.m68040
-        ~spec:Emeralds.Sched.Edf ~seed ~assignments ()
-    in
-    (match Fabric.Cluster.check_plan cluster plan with
-    | Ok () -> ()
-    | Error msg -> bad_invocation "--plan: %s" msg);
-    Fabric.Cluster.install_plan cluster plan;
-    Option.iter
-      (fun (at, tid, dst) ->
-        let migrate () = ignore (Fabric.Cluster.migrate cluster ~tid ~dst) in
-        ignore (Sim.Engine.schedule engine ~at migrate))
-      migration;
-    let horizon = Model.Time.ms horizon_ms in
-    Fabric.Cluster.run cluster ~until:horizon;
-    let score = Fabric.Cluster.score cluster ~horizon in
-    (match format with
-    | `Sarif ->
-      print_endline
-        (Lint.Sarif.render ~tool_name:"emeralds-fabric"
-           (Fault.Report.net_to_sarif score))
-    | `Json -> print_endline (Fault.Report.net_to_json score)
-    | `Text -> print_string (Fault.Report.render_net score));
-    (* exit 1 on any failure (shed tasks and timeouts are one) or on
-       fault activity *)
-    if
-      Fault.Report.net_failures score <> []
-      || score.n_crashes + score.n_dropped + score.n_corrupt > 0
-    then exit 1
+  let run (preset : Fabric.Preset.t) extra horizon_ms seed format =
+    match
+      Fabric.Preset.run ~config:Fabric.Cluster.default_config ~seed
+        ~horizon:(Model.Time.ms horizon_ms)
+        ~plan:(preset.plan @ Option.value extra ~default:[])
+        ~migration:preset.migration preset.assignments
+    with
+    | Ok (_, score) ->
+      print_report ~out:None ~format (Fault.Report.net_doc score)
+    | Error msg -> bad_invocation "--plan: %s" msg
   in
   Cmd.v
     (Cmd.info "fabric"

@@ -320,6 +320,43 @@ let derived_demand t =
       | _ -> None)
     t.tasks
 
+let render_rta t =
+  let buf = Buffer.create 512 in
+  let blocking = blocking_terms t in
+  let demand = derived_demand t in
+  let rows =
+    Array.mapi
+      (fun i tb ->
+        let task = tb.task in
+        (task.Model.Task.period, task.deadline,
+         Option.value demand.(i) ~default:task.wcet))
+      t.tasks
+  in
+  let us = Model.Time.to_us_f in
+  Buffer.add_string buf
+    "\nRTA with derived demand and absint blocking terms:\n";
+  Array.iteri
+    (fun i tb ->
+      let task = tb.task in
+      let d = us (Option.value demand.(i) ~default:0) in
+      if Array.exists Option.is_none (Array.sub demand 0 (i + 1)) then
+        Printf.bprintf buf
+          "  %-8s demand unbounded (untimed wait): no RTA bound\n"
+          task.Model.Task.name
+      else
+        match Analysis.Rta.response_time ~blocking ~tasks:rows i with
+        | None ->
+          Printf.bprintf buf "  %-8s demand %8.1fus  RTA: unbounded\n"
+            task.name d
+        | Some bound ->
+          Printf.bprintf buf
+            "  %-8s demand %8.1fus  B %6.1fus  response %8.1fus  deadline \
+             %8.1fus  %s\n"
+            task.name d (us blocking.(i)) (us bound) (us task.deadline)
+            (if bound <= task.deadline then "ok" else "MISSED"))
+    t.tasks;
+  Buffer.contents buf
+
 let render t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

@@ -101,4 +101,10 @@ val render : t -> string
 (** Human-readable report: per-task bounds, per-semaphore holds,
     latency, derived footprint with budget verdict, diagnostics. *)
 
+val render_rta : t -> string
+(** [analyze --rta]'s table: {!Analysis.Rta} per task on the
+    {!derived_demand} (the declared WCET where it is unbounded) with
+    the {!blocking_terms}; a task at or below an untimed wait gets no
+    bound. *)
+
 val to_json : t -> string

@@ -214,7 +214,9 @@ let e2e_cluster_config =
   }
 
 let e2e_horizon = Model.Time.ms 200
-let e2e_plan = "frame-drop:one-in=31;node-crash:node=1,at=40ms"
+let e2e_plan =
+  Result.get_ok
+    (Fault.Plan.parse "frame-drop:one-in=31;node-crash:node=1,at=40ms")
 
 (* Periods cycled from the scenario's tasks (clamped to [10ms, 50ms] so
    several post-failover jobs fit the horizon), utilization 12.5% each.
@@ -242,19 +244,15 @@ let e2e_assignments (spec : Workload.Generator.spec) =
   [ (0, [ task 0; task 1 ]); (1, [ task 2 ]); (2, [ task 3 ]) ]
 
 let run_e2e ~index ~ablation (spec : Workload.Generator.spec) =
-  let engine = Sim.Engine.create () in
-  let bus = Fieldbus.Bus.create ~engine ~bitrate_bps:1_000_000 () in
   let assignments = e2e_assignments spec in
-  let cluster =
-    Fabric.Cluster.create ~config:e2e_cluster_config ~engine ~bus
-      ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Edf ~seed:(1000 + index)
-      ~assignments ()
+  let cluster, score =
+    match
+      Fabric.Preset.run ~config:e2e_cluster_config ~seed:(1000 + index)
+        ~horizon:e2e_horizon ~plan:e2e_plan ~migration:None assignments
+    with
+    | Ok run -> run
+    | Error e -> failwith ("e2e plan: " ^ e)
   in
-  (match Fault.Plan.parse e2e_plan with
-  | Ok plan -> Fabric.Cluster.install_plan cluster plan
-  | Error e -> failwith ("e2e plan: " ^ e));
-  Fabric.Cluster.run cluster ~until:e2e_horizon;
-  let score = Fabric.Cluster.score cluster ~horizon:e2e_horizon in
   let score =
     if ablation = Oracle.E2e_bound then
       {

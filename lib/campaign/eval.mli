@@ -6,7 +6,7 @@
     terms (RTA eligibility, the Table-1-inflated fixpoint, the lint
     blocking terms, the per-component blame bounds) are derived only
     by {!statics} and {!blame_terms}, and judged by
-    {!blame_violations}; the CLI's [explain] calls all three. *)
+    {!blame_violations}; [explain]'s report, {!Explain}, calls all three. *)
 
 type t = {
   findings : Oracle.finding list;
@@ -98,7 +98,7 @@ val run_e2e :
   Fabric.Cluster.t * Fault.Report.net_score * (int * Model.Task.t list) list
 (** The e2e oracle's fabric run in isolation: a canonical three-shard
     fabric derived from the scenario, one node crashed under frame
-    loss.  Returns the cluster (its kernels, crash and migrations for
+    loss, run by {!Fabric.Preset.run}.  Returns the cluster (its kernels, crash and migrations for
     the blame fabric leg), the scored outcome, which the oracle judges
     by {!Fault.Report.net_failures}, and the initial per-node task
     assignments (the blame leg resolves migrated tasks against them);

@@ -138,3 +138,11 @@ let to_sarif (s : Driver.summary) =
       tools
   in
   Lint.Sarif.render_log runs
+
+let doc s =
+  {
+    Util.Doc.text = (fun () -> render_text s);
+    json = (fun () -> to_json s ^ "\n");
+    sarif = (fun () -> to_sarif s ^ "\n");
+    failed = Driver.falsifications s > 0;
+  }

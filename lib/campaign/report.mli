@@ -9,3 +9,7 @@ val to_sarif : Driver.summary -> string
     campaign); each finding is routed to the tool whose layer its
     falsified claim indicts.  Empty runs are emitted too: they state
     that the corresponding oracles were evaluated and held. *)
+
+val doc : Driver.summary -> Util.Doc.t
+(** The [campaign] report: {!render_text}, {!to_json} and {!to_sarif}
+    as documents; failed on any falsification. *)

@@ -327,8 +327,14 @@ let restart t ~node ~at =
          let sh = shard t node in
          if not sh.sh_alive then begin
            (* cold rejoin: no retained tasks, heartbeats resume and
-              peers un-suspect; the node is a migration target again *)
+              peers un-suspect; the node is a migration target again.
+              Its pre-crash view of its peers is stale: every peer
+              counts as seen now, so it suspects none that is alive *)
            sh.sh_alive <- true;
+           Array.iter
+             (fun p -> Hashtbl.replace sh.sh_last_seen p.sh_id (now t))
+             t.shards;
+           sh.sh_suspected <- [];
            Net.set_alive sh.sh_ep true;
            sh.sh_rx_tid <- None;
            sh.sh_rx_words <- [];

@@ -52,7 +52,7 @@ val check_plan : t -> Fault.Plan.t -> (unit, string) result
     something: a [node-restart] of a node the plan has not crashed by
     then, or a [node-crash] of a node it has crashed and not restarted,
     fails.  [Error] names the first clause that fails.  {!install_plan}
-    does not check: the CLI calls this first. *)
+    does not check: {!Preset.run} calls this first. *)
 
 val install_plan : t -> Fault.Plan.t -> unit
 (** Install the fabric clauses of a fault plan: [frame-drop] /

@@ -448,3 +448,25 @@ let to_sarif t =
                   c.c_label p.p_source p.p_claim p.p_observed))
            c.c_falsified)
     t.r_cells
+
+let doc t =
+  {
+    Util.Doc.text = (fun () -> render t);
+    json = (fun () -> to_json t ^ "\n");
+    sarif =
+      (fun () ->
+        Lint.Sarif.render ~tool_name:"emeralds-inject" (to_sarif t) ^ "\n");
+    failed = violations t;
+  }
+
+let net_doc n =
+  {
+    Util.Doc.text = (fun () -> render_net n);
+    json = (fun () -> net_to_json n ^ "\n");
+    sarif =
+      (fun () ->
+        Lint.Sarif.render ~tool_name:"emeralds-fabric" (net_to_sarif n) ^ "\n");
+    (* shed tasks and timeouts are a failure, and so is fault activity *)
+    failed =
+      net_failures n <> [] || n.n_crashes + n.n_dropped + n.n_corrupt > 0;
+  }

@@ -69,16 +69,14 @@ val demand_excess :
     [demand] oracle halves [hi] under its absint-demand ablation. *)
 
 val violations : t -> bool
-(** Any cell with misses, overruns, kills or sheds — the CLI's exit-1
-    condition. *)
+(** Any cell with misses, overruns, kills or sheds — the failed
+    verdict of {!doc}. *)
 
-val render : t -> string
-
-val to_json : t -> string
-
-val to_sarif : t -> Lint.Sarif.result list
-(** One result per detected-fault cell (warning), per falsified
-    prediction (error), and per clean cell (note). *)
+val doc : t -> Util.Doc.t
+(** The [inject] report: per cell its counts, detection latency and
+    falsified predictions as text or JSON; in SARIF one result per
+    detected-fault cell (warning), per falsified prediction (error),
+    and per clean cell (note).  Failed on {!violations}. *)
 
 (** {1 Fabric scoring}
 
@@ -138,3 +136,8 @@ val net_to_json : net_score -> string
 
 val net_to_sarif : net_score -> Lint.Sarif.result list
 (** {!net_failures}, or one [fabric-clean] note when it is empty. *)
+
+val net_doc : net_score -> Util.Doc.t
+(** The [fabric] report: {!render_net}, {!net_to_json} and
+    {!net_to_sarif} as documents; failed on any {!net_failures} entry
+    (a warning too) or on any crash, dropped or corrupted frame. *)

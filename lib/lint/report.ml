@@ -65,3 +65,7 @@ let render_blocking ctx =
   Buffer.contents buf
 
 let to_json diags = Util.Json.List (List.map Diag.to_json diags)
+
+let scenario_json name diags =
+  Util.Json.(
+    to_string (Obj [ ("scenario", String name); ("findings", to_json diags) ]))

@@ -21,3 +21,7 @@ val render_blocking : Ctx.t -> string
 
 val to_json : Diag.t list -> Util.Json.t
 (** The findings as a JSON array (see {!Diag.to_json}). *)
+
+val scenario_json : string -> Diag.t list -> string
+(** [lint --json]'s object for the named scenario: its name and its
+    findings. *)

@@ -33,6 +33,10 @@ let of_diags diags =
       })
     diags
 
+let in_scenario name diags =
+  let locate l = name ^ Option.fold l ~none:"" ~some:(( ^ ) ", ") in
+  List.map (fun r -> { r with logical = Some (locate r.logical) }) (of_diags diags)
+
 let result_json r =
   let open Util.Json in
   let location l =

@@ -22,6 +22,10 @@ type result = {
 val of_diags : Diag.t list -> result list
 (** Lint diagnostics as SARIF results ([Info] maps to [Note]). *)
 
+val in_scenario : string -> Diag.t list -> result list
+(** {!of_diags} located in the named scenario: its name leads each
+    logical location, so one log can carry several scenarios. *)
+
 type run = { tool_name : string; results : result list }
 (** One SARIF run: a tool driver (version 0.1) plus its results. *)
 

@@ -647,19 +647,10 @@ let exec_instr c i ~horizon =
         | [] -> ())
       end
       else begin
-        match State.mb_senders c.m (view c) b with
-        | s :: _ ->
-          (* zero-capacity rendezvous *)
-          set c i { t with pc = t.pc + 1 };
-          wake c s;
-          if c.tracing then
-            emit c
-              (Sim.Trace.Msg_received
-                 { tid = tid c i; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
-        | [] ->
-          set c i { t with mode = BRecv b };
-          if c.tracing then
-            emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
+        (* an empty box has no blocked sender: capacity is at least 1 *)
+        set c i { t with mode = BRecv b };
+        if c.tracing then
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
       end;
       `Ok
     | Machine.ISwrite sm ->

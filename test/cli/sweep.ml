@@ -62,7 +62,7 @@ let runs = function
               [ "fabric"; "--preset"; name; "--format"; format ],
               if format = "text" then "\n" else " " ))
           [ "text"; "json"; "sarif" ])
-      [ "steady"; "migrate"; "crash"; "crash-storm"; "partition" ]
+      (List.map (fun (p : Fabric.Preset.t) -> p.name) Fabric.Preset.all)
   | "reports" ->
     let run argv =
       let text = not (List.mem "sarif" argv) in

@@ -438,6 +438,31 @@ let test_failover_before_crash () =
         (contains text claim))
     [ "within bound"; "graceful degradation" ]
 
+(* A restarted node rejoins with a fresh view of its peers: each counts
+   as seen at the restart, so it suspects no live peer and only the
+   crash's orphans move.  With its pre-crash view it suspected nodes 1
+   and 2 and, as the lowest live id, re-admitted all five tasks on
+   itself while they kept running theirs (7 migrations). *)
+let test_restart_fails_over_no_live_peer () =
+  let engine, bus = setup () in
+  let cluster =
+    Fabric.Cluster.create ~engine ~bus ~cost:Sim.Cost.m68040
+      ~spec:Emeralds.Sched.Edf ~seed:7 ~assignments:(three_node_assignments ())
+      ()
+  in
+  Fabric.Cluster.install_plan cluster
+    (Result.get_ok
+       (Fault.Plan.parse
+          "node-crash:node=0,at=50ms;node-restart:node=0,at=100ms"));
+  Fabric.Cluster.run cluster ~until:(ms 400);
+  let s = Fabric.Cluster.score cluster ~horizon:(ms 400) in
+  check (list int) "every node is up" [ 0; 1; 2 ]
+    (Fabric.Cluster.shards_alive cluster);
+  check (list int) "only node 0's two tasks migrate" [ 1; 2 ]
+    (List.sort compare
+       (List.map (fun (tid, _, _) -> tid) (Fabric.Cluster.migrations cluster)));
+  check int "the score agrees" 2 s.n_migrated
+
 let suite =
   [
     test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -457,4 +482,6 @@ let suite =
       test_scorecard_reports_crashes;
     test_case "a failover before the crash is not its failover" `Quick
       test_failover_before_crash;
+    test_case "a restarted node fails over no live peer" `Quick
+      test_restart_fails_over_no_live_peer;
   ]
