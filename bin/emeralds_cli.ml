@@ -434,25 +434,25 @@ let policy_name = function
   | Demote n -> Printf.sprintf "demote:%d" n
 
 (* Write the dump of the first recorder that triggered, else the live
-   window of the last (most faulted) run, to [path]; the line saying
-   so. *)
+   window of the last (most faulted) run, to [path], and say so on
+   stderr, as trace's freeze note does: stdout holds the report alone. *)
 let flightrec_dump recorders path =
   let triggered fr = Obs.Flightrec.triggered fr <> None in
   match List.filter triggered recorders @ List.rev recorders with
-  | [] -> ""
+  | [] -> ()
   | fr :: _ -> (
     let window = Obs.Flightrec.dump fr in
     write_file path (Obs.Export.perfetto window);
     match Obs.Flightrec.triggered fr with
     | Some { at; entry } ->
-      Printf.sprintf
+      Printf.eprintf
         "flight recorder: %d-event window ending at %s (%.3f ms) written to \
          %s\n"
         (List.length window)
         (Sim.Trace.kind_name (Sim.Trace.kind entry))
         (Model.Time.to_ms_f at) path
     | None ->
-      Printf.sprintf
+      Printf.eprintf
         "flight recorder: no trigger fired; %d-event live window written to \
          %s\n"
         (List.length window) path)
@@ -611,18 +611,8 @@ let inject_cmd =
       }
     in
     let doc = Fault.Report.doc (Fault.Report.run cfg) in
-    (* the flight-recorder line follows the report in every format *)
-    let note =
-      Option.fold flightrec_path ~none:"" ~some:(flightrec_dump !recorders)
-    in
-    let noted render () = render () ^ note in
-    print_report ~out:None ~format
-      {
-        doc with
-        text = noted doc.text;
-        json = noted doc.json;
-        sarif = noted doc.sarif;
-      }
+    Option.iter (flightrec_dump !recorders) flightrec_path;
+    print_report ~out:None ~format doc
   in
   Cmd.v
     (Cmd.info "inject"

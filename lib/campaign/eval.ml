@@ -205,8 +205,7 @@ let e2e_cluster_config =
     miss_threshold = 10;
     net =
       {
-        Fabric.Net.window = 1;
-        retry_limit = 1;
+        Fabric.Net.retry_limit = 1;
         ack_timeout = Model.Time.us 200;
         backoff_base = Model.Time.us 100;
         backoff_jitter = Model.Time.us 50;

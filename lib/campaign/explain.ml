@@ -140,8 +140,6 @@ let run ~name ~sched ~horizon_ms ~seed ~task (scenario : Workload.Scenario.t)
            ("tasks", List (List.map task summaries)) ])
     ^ "\n"
   in
-  (* unlike every other document, explain's SARIF log has always ended
-     without a newline, and its golden pins the bytes *)
   let sarif () =
     let result rule_id tid message =
       {
@@ -164,6 +162,7 @@ let run ~name ~sched ~horizon_ms ~seed ~task (scenario : Workload.Scenario.t)
     Lint.Sarif.render ~tool_name:"emeralds-explain"
       (List.map violation (List.concat_map violations summaries)
       @ List.map miss verdicts)
+    ^ "\n"
   in
   {
     Util.Doc.text;

@@ -70,7 +70,6 @@ type t = {
   mutable busy_until : Model.Time.t; (* kernel-overhead cursor *)
   mutable pending_choice : tcb option;
   mutable need_dispatch : bool;
-  stop_on_miss : bool;
   mutable stopped : bool;
   origin : Model.Time.t; (* phase 0 of every task; nonzero for shards
                             (re)provisioned mid-run on a shared engine *)
@@ -129,7 +128,6 @@ let disarm_probe k (st : enf_state) =
 
 let trace k = k.tr
 let probe k = k.probe
-let stopped k = k.stopped
 
 (* Every event path — releases, dispatches, deadline checks — tests
    [k.stopped] before acting, so halting leaves the shared engine's
@@ -560,8 +558,7 @@ let rec schedule_deadline_check k tcb ~job ~deadline =
                    (* the job exit takes a ready thread: a blocked
                       late job dies when next dispatched *)
                    tcb.enf.kill_pending <- true))
-            ()));
-      if k.stop_on_miss then k.stopped <- true
+            ()))
     end
   in
   (* Probe 1 ns after the deadline so a job completing exactly at its
@@ -1159,7 +1156,7 @@ let make_tcb ~origin rank (task : Model.Task.t) program =
     has_branches = Program.has_branches program;
   }
 
-let create ?(keep_trace = true) ?(stop_on_miss = false) ?(optimized_pi = true)
+let create ?(keep_trace = true) ?(optimized_pi = true)
     ?(priority_order = `Rm) ?(input_seed = 0) ?(origin = 0) ?tick ?programs
     ?engine ~cost ~spec ~taskset () =
   (match tick with
@@ -1226,7 +1223,6 @@ let create ?(keep_trace = true) ?(stop_on_miss = false) ?(optimized_pi = true)
       busy_until = 0;
       pending_choice = None;
       need_dispatch = false;
-      stop_on_miss;
       stopped = false;
       origin;
       tick;

@@ -13,7 +13,6 @@ type t
 
 val create :
   ?keep_trace:bool ->
-  ?stop_on_miss:bool ->
   ?optimized_pi:bool ->
   ?priority_order:[ `Rm | `Dm ] ->
   ?input_seed:int ->
@@ -36,9 +35,6 @@ val create :
       encoded into the trace's byte log (a few bytes per event, never
       scanned by the GC; see {!Sim.Trace.t}); disable for bulk
       feasibility sweeps, which need only the aggregate counters.
-    - [stop_on_miss] (default false): freeze the simulation at the
-      first deadline miss (the breakdown-utilization probe needs only
-      the miss bit).
     - [optimized_pi] (default true): §6.2 place-holder priority
       inheritance; false selects the standard re-sorting path.
     - [priority_order] (default [`Rm]): how static priorities (and CSD
@@ -76,8 +72,6 @@ val probe : t -> Obs.Probe.t
     through it; attach [Obs.Metrics] / [Obs.Flightrec] subscribers
     here ({e before} running) for streaming statistics or bounded
     post-mortem recording without touching the trace itself. *)
-
-val stopped : t -> bool
 
 val halt : t -> unit
 (** Freeze this kernel permanently: already-queued engine events still

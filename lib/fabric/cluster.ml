@@ -3,12 +3,11 @@
    crash-failover / task-migration protocol.
 
    One deliberate modelling simplification: the fabric's bookkeeping
-   (task assignment table, which crashes have been handled) is a
-   replicated view held as shared OCaml state.  A real fabric would
-   gossip it; here the protocol under test is the *wire* part —
-   heartbeats, image transfer, acks, retries, commits — and the
-   bookkeeping stands in for a consensus layer the paper's 5-10-node
-   deployments would keep trivially consistent. *)
+   (the task assignment table) is a replicated view held as shared
+   OCaml state.  A real fabric would gossip it; here the protocol under
+   test is the *wire* part — heartbeats, image transfer, acks, retries,
+   commits — and the bookkeeping stands in for a consensus layer the
+   paper's 5-10-node deployments would keep trivially consistent. *)
 
 open Emeralds
 
@@ -23,8 +22,8 @@ let default_config =
 
 (* One record per executed crash.  A suspicion counts as its detection
    only at or after the crash, and a failover as its failover only when
-   it starts at or after it: a node failed over while alive (falsely
-   suspected) and crashed later has no failover of that crash. *)
+   it starts at or after it: a node that is still suspected when it
+   crashes gets none, since no new suspicion starts one. *)
 type crash = {
   node : int;
   at : Model.Time.t;
@@ -44,8 +43,9 @@ type shard = {
   mutable sh_alive : bool;
   sh_last_seen : (int, Model.Time.t) Hashtbl.t;
   mutable sh_suspected : int list; (* peers this shard considers dead *)
-  (* image receive state: in-order delivery makes this a simple
-     sequential accumulator *)
+  (* image receive state: a sequential accumulator.  Delivery is in
+     order but skips a message abandoned at the retry cap, so an image
+     counts only when its begin and end name the same task *)
   mutable sh_rx_tid : int option;
   mutable sh_rx_words : int list; (* reversed *)
   mutable sh_pending_admit : Model.Task.t list;
@@ -66,8 +66,7 @@ type t = {
   mutable migrations : (int * int * Model.Time.t) list;
       (* tid, target, re-admission instant *)
   mutable shed_tids : int list;
-  mutable handled : int list;
-      (* suspected nodes already failed over, live ones included *)
+  assigned : int list; (* task ids of the initial assignment *)
   mutable static_bound : Model.Time.t option;
 }
 
@@ -79,6 +78,8 @@ let shard t id =
   with
   | Some sh -> sh
   | None -> invalid_arg (Printf.sprintf "Cluster: unknown node %d" id)
+
+let tids = List.map (fun (task : Model.Task.t) -> task.id)
 
 let serialize_task (task : Model.Task.t) =
   [ task.id; task.period; task.wcet; task.deadline; task.phase ]
@@ -151,71 +152,75 @@ let readmitted crash at =
         Some (Option.fold ~none:at ~some:(Model.Time.max at) c.failed_over))
     crash
 
+(* At each new suspicion of [dead] by a coordinator: a second failover
+   of a node finds only the tasks it gained since the first. *)
 let failover t ~(coord : shard) ~dead =
-  if not (List.mem dead t.handled) then begin
-    t.handled <- dead :: t.handled;
-    let dead_sh = shard t dead in
-    (* a down node's latest crash is at or before now; a live node has
-       no crash this failover serves *)
-    dead_sh.sh_failover <-
-      (if dead_sh.sh_alive then None
-       else List.find_opt (fun c -> c.node = dead) t.crashes);
-    let orphans =
-      List.sort
-        (fun a b -> compare (Model.Task.utilization b) (Model.Task.utilization a))
-        dead_sh.sh_tasks
-    in
-    dead_sh.sh_tasks <- [];
-    (* nothing to place: the failover is over as it starts *)
-    if orphans = [] then readmitted dead_sh.sh_failover (now t);
-    let shard_util sh =
-      List.fold_left
-        (fun acc task -> acc +. Model.Task.utilization task)
-        0.0 sh.sh_tasks
-    in
-    (* least-loaded survivor first (ties by id): spreads the orphans and
-       keeps the coordinator from silently absorbing every transfer *)
-    let survivors =
-      List.sort
-        (fun a b -> compare (shard_util a, a.sh_id) (shard_util b, b.sh_id))
-        (coord :: alive_view t coord)
-    in
-    let placement =
-      Analysis.Partition.first_fit ~bins:survivors
-        ~fits:(fun sh placed task ->
-          rta_admits t (sh.sh_tasks @ placed @ [ task ]))
-        orphans
-    in
-    let targets = Hashtbl.create 4 in
-    List.iter
-      (fun ((task : Model.Task.t), target) ->
-        match target with
-        | None ->
-          (* no survivor admits it: Koren-Shasha shedding, the load is
-             dropped rather than the surviving deadlines *)
-          t.shed_tids <- task.id :: t.shed_tids
-        | Some sh ->
-          if sh.sh_id = coord.sh_id then begin
-            (* local re-admission: no wire transfer needed *)
-            let origin =
-              now t + Bound.admission_overhead ~cost:t.cost ~tasks:1
-            in
-            provision t sh ~origin (sh.sh_tasks @ [ task ]);
-            t.migrations <- (task.id, sh.sh_id, origin) :: t.migrations;
-            readmitted dead_sh.sh_failover origin
-          end
-          else begin
-            send_image ~from_:coord ~dst:sh.sh_id task;
-            Hashtbl.replace targets sh.sh_id ()
-          end)
-      placement;
-    (* one commit per remote target, tagged with the dead node so the
-       re-admission instant lands in the crash record it serves *)
-    Hashtbl.iter
-      (fun dst () ->
-        Net.send coord.sh_ep ~dst ~kind:Wire.Commit ~arg:dead ~data:0)
-      targets
-  end
+  let dead_sh = shard t dead in
+  (* a down node's latest crash is at or before now; a live node has
+     no crash this failover serves *)
+  let serves =
+    if dead_sh.sh_alive then None
+    else List.find_opt (fun c -> c.node = dead) t.crashes
+  in
+  (* a restarted coordinator suspects a still-dead node anew: that
+     repeat of the crash's failover finds no orphans and ends nothing *)
+  let repeat = Option.equal ( == ) serves dead_sh.sh_failover in
+  dead_sh.sh_failover <- serves;
+  let orphans =
+    List.sort
+      (fun a b -> compare (Model.Task.utilization b) (Model.Task.utilization a))
+      dead_sh.sh_tasks
+  in
+  dead_sh.sh_tasks <- [];
+  (* nothing to place: the failover is over as it starts *)
+  if orphans = [] && not repeat then readmitted serves (now t);
+  let shard_util sh =
+    List.fold_left
+      (fun acc task -> acc +. Model.Task.utilization task)
+      0.0 sh.sh_tasks
+  in
+  (* least-loaded survivor first (ties by id): spreads the orphans and
+     keeps the coordinator from silently absorbing every transfer *)
+  let survivors =
+    List.sort
+      (fun a b -> compare (shard_util a, a.sh_id) (shard_util b, b.sh_id))
+      (coord :: alive_view t coord)
+  in
+  let placement =
+    Analysis.Partition.first_fit ~bins:survivors
+      ~fits:(fun sh placed task ->
+        rta_admits t (sh.sh_tasks @ placed @ [ task ]))
+      orphans
+  in
+  let targets = Hashtbl.create 4 in
+  List.iter
+    (fun ((task : Model.Task.t), target) ->
+      match target with
+      | None ->
+        (* no survivor admits it: Koren-Shasha shedding, the load is
+           dropped rather than the surviving deadlines *)
+        t.shed_tids <- task.id :: t.shed_tids
+      | Some sh ->
+        if sh.sh_id = coord.sh_id then begin
+          (* local re-admission: no wire transfer needed *)
+          let origin =
+            now t + Bound.admission_overhead ~cost:t.cost ~tasks:1
+          in
+          provision t sh ~origin (sh.sh_tasks @ [ task ]);
+          t.migrations <- (task.id, sh.sh_id, origin) :: t.migrations;
+          readmitted serves origin
+        end
+        else begin
+          send_image ~from_:coord ~dst:sh.sh_id task;
+          Hashtbl.replace targets sh.sh_id ()
+        end)
+    placement;
+  (* one commit per remote target, tagged with the dead node so the
+     re-admission instant lands in the crash record it serves *)
+  Hashtbl.iter
+    (fun dst () ->
+      Net.send coord.sh_ep ~dst ~kind:Wire.Commit ~arg:dead ~data:0)
+    targets
 
 (* ------------------------------------------------------------------ *)
 (* Receive path *)
@@ -246,14 +251,14 @@ let handle_msg t sh (m : Wire.msg) =
   | Wire.Task_word -> sh.sh_rx_words <- m.data :: sh.sh_rx_words
   | Wire.Task_end -> (
     match sh.sh_rx_tid with
-    | None -> () (* stray end: transfer was abandoned by a timeout *)
-    | Some _ ->
+    | Some tid when tid = m.arg ->
       sh.sh_rx_tid <- None;
       let words = List.rev sh.sh_rx_words in
       sh.sh_rx_words <- [];
       (match deserialize_task words with
       | exception Invalid_argument _ -> () (* short image: drop it *)
-      | task -> sh.sh_pending_admit <- task :: sh.sh_pending_admit))
+      | task -> sh.sh_pending_admit <- task :: sh.sh_pending_admit)
+    | _ -> () (* stray end: its begin was abandoned at the retry cap *))
   | Wire.Commit ->
     (* a planned migration's commit is tagged with its sender *)
     handle_commit t sh
@@ -338,8 +343,7 @@ let restart t ~node ~at =
            Net.set_alive sh.sh_ep true;
            sh.sh_rx_tid <- None;
            sh.sh_rx_words <- [];
-           sh.sh_pending_admit <- [];
-           t.handled <- List.filter (fun id -> id <> node) t.handled
+           sh.sh_pending_admit <- []
          end))
 
 (* [install_plan] interprets the fabric kinds only, and a clause on a
@@ -580,7 +584,7 @@ let create ?probe ?(config = default_config) ~engine ~bus ~cost ~spec ~seed
       crashes = [];
       migrations = [];
       shed_tids = [];
-      handled = [];
+      assigned = List.concat_map (fun (_, tasks) -> tids tasks) assignments;
       static_bound = None;
     }
   in
@@ -697,6 +701,13 @@ let score t ~horizon =
   let timeouts =
     Array.fold_left (fun acc sh -> acc + Net.timeouts sh.sh_ep) 0 t.shards
   in
+  (* a task is accounted for when a live node holds it or it was shed *)
+  let accounted =
+    t.shed_tids
+    @ List.concat_map
+        (fun sh -> if sh.sh_alive then tids sh.sh_tasks else [])
+        (Array.to_list t.shards)
+  in
   {
     Fault.Report.n_nodes = Array.length t.shards;
     n_surviving = List.length (shards_alive t);
@@ -705,6 +716,9 @@ let score t ~horizon =
       List.length (List.filter (fun c -> c.presuspected) t.crashes);
     n_migrated = List.length t.migrations;
     n_shed = List.length t.shed_tids;
+    n_lost =
+      List.length
+        (List.filter (fun tid -> not (List.mem tid accounted)) t.assigned);
     n_e2e_misses = misses_after t ~cut;
     n_frames = Fieldbus.Bus.frames_sent t.bus;
     n_dropped = Fieldbus.Bus.frames_dropped t.bus;

@@ -5,12 +5,17 @@
     placed on survivors by first-fit over an RTA admission check,
     their images are moved as reliable ≤2-word frames, and tasks no
     survivor admits are shed (Koren–Shasha: drop load, not surviving
-    deadlines).
+    deadlines).  A coordinator (a live shard that sees no lower id
+    alive) fails a node over at each new suspicion of it, so a node
+    failed over while alive, un-suspected and suspected again is
+    failed over again, with only the tasks it gained since.  A
+    restarted coordinator that suspects a still-dead node anew repeats
+    that crash's failover, which finds no task and ends nothing.
 
-    The fabric's bookkeeping (assignment table, handled-crash set) is
-    shared state standing in for a small consensus layer; the protocol
-    under test is the wire part — heartbeats, image transfer, acks,
-    retries, commits. *)
+    The fabric's bookkeeping (the assignment table) is shared state
+    standing in for a small consensus layer; the protocol under test
+    is the wire part — heartbeats, image transfer, acks, retries,
+    commits. *)
 
 type config = {
   hb_period : Model.Time.t;  (** heartbeat broadcast period *)
@@ -79,10 +84,12 @@ val migrate : t -> tid:int -> dst:int -> bool
 val score : t -> horizon:Model.Time.t -> Fault.Report.net_score
 (** End-to-end scorecard: deadline misses across surviving shards
     after the last re-admission of any kind (planned migrations and
-    failovers of live nodes included), frame/drop/corrupt/retry/timeout
-    counts, retry amplification, bus utilization, the crash count, the
-    crashes of already-suspected nodes, {!detect_latency},
-    {!failover_latency} and the static bound. *)
+    failovers of live nodes included), the tasks of the initial
+    assignment that no live node holds at the horizon and that were
+    not shed (lost), frame/drop/corrupt/retry/timeout counts, retry
+    amplification, bus utilization, the crash count, the crashes of
+    already-suspected nodes, {!detect_latency}, {!failover_latency}
+    and the static bound. *)
 
 val static_bound : t -> Model.Time.t option
 (** The bound fixed by {!install_plan} (None without planned crashes). *)
@@ -94,9 +101,9 @@ val detect_latency : t -> Model.Time.t option
 
 val failover_latency : t -> Model.Time.t option
 (** The worst, over the crashes, of crash to the last re-admission of
-    the failover that started at or after it (to its start when the
-    node held no task); [None] without a crash or when a crash has no
-    such failover — a node failed over while alive, then crashed, has
+    the first failover that started at or after it (to its start when
+    the node held no task); [None] without a crash or when a crash has
+    no such failover — a node still suspected when it crashes has
     none. *)
 
 val migrations : t -> (int * int * Model.Time.t) list

@@ -1,15 +1,15 @@
-(* Reliable delivery over the broadcast bus: per-destination send
-   windows, per-seq acks, seeded-jitter exponential backoff, a retry
-   cap that abandons the message and counts a timeout, and in-order
-   exactly-once delivery at the receiver.  Failure detection is the
-   cluster's heartbeat suspicion, not this layer's.
+(* Reliable delivery over the broadcast bus, stop-and-wait: one FIFO
+   of sends per destination whose head is in flight, per-seq acks,
+   seeded-jitter exponential backoff, a retry cap that abandons the
+   head and counts a timeout, and exactly-once delivery at the
+   receiver.  Failure detection is the cluster's heartbeat suspicion,
+   not this layer's.
 
    The endpoint never touches any kernel: tracepoints go to an optional
    probe hub, so a fabric with probes disabled is bit-identical in
    behaviour (emission has no timing effect either way). *)
 
 type config = {
-  window : int; (* in-flight frames per destination *)
   retry_limit : int; (* retransmissions before giving up *)
   ack_timeout : Model.Time.t; (* silence before a retransmission *)
   backoff_base : Model.Time.t; (* k-th retry waits base * 2^k extra *)
@@ -18,25 +18,16 @@ type config = {
 
 let default_config =
   {
-    window = 1;
     retry_limit = 4;
     ack_timeout = 2_000_000; (* 2 ms: >> one 111-bit frame at 1 Mbit/s *)
     backoff_base = 500_000;
     backoff_jitter = 200_000;
   }
 
-type inflight = {
-  f_msg : Wire.msg;
-  mutable f_attempt : int;
-  mutable f_acked : bool;
-}
-
 type peer = {
   mutable next_seq : int;
-  mutable expect : int; (* next in-order seq from this peer *)
-  inflight : (int, inflight) Hashtbl.t; (* seq -> in-flight send *)
-  backlog : Wire.msg Queue.t; (* waiting for a window slot *)
-  held : (int, Wire.msg) Hashtbl.t; (* out-of-order arrivals *)
+  mutable last : int; (* seq of the last message delivered from it *)
+  sends : Wire.msg Queue.t; (* to it, in send order; the head is in flight *)
 }
 
 type t = {
@@ -62,20 +53,17 @@ let peer t id =
   match Hashtbl.find_opt t.peers id with
   | Some p -> p
   | None ->
-    let p =
-      {
-        next_seq = 0;
-        expect = 0;
-        inflight = Hashtbl.create 4;
-        backlog = Queue.create ();
-        held = Hashtbl.create 4;
-      }
-    in
+    let p = { next_seq = 0; last = -1; sends = Queue.create () } in
     Hashtbl.add t.peers id p;
     p
 
 let id t = Fieldbus.Node.id t.node
-let set_alive t v = t.alive <- v
+
+let set_alive t v =
+  t.alive <- v;
+  (* a dead endpoint's queued and in-flight sends die with it *)
+  if not v then Hashtbl.iter (fun _ p -> Queue.clear p.sends) t.peers
+
 let on_deliver t f = t.deliver <- Some f
 
 let unique_sends t = t.unique_sends
@@ -101,52 +89,44 @@ let backoff t attempt =
   (t.config.backoff_base * (1 lsl attempt))
   + Util.Rng.int_in t.rng ~lo:0 ~hi:(max 1 t.config.backoff_jitter)
 
-let rec arm_ack_check t ~dst (fl : inflight) =
+(* [m] is still awaiting its ack: neither acked, abandoned nor dropped
+   by a crash (each send is its own record). *)
+let in_flight p m =
+  match Queue.peek_opt p.sends with Some h -> h == m | None -> false
+
+(* Put the head of [p]'s queue on the wire. *)
+let rec start t p =
+  match Queue.peek_opt p.sends with
+  | None -> ()
+  | Some m ->
+    t.unique_sends <- t.unique_sends + 1;
+    transmit t m;
+    arm_ack_check t p m 0
+
+and arm_ack_check t p m attempt =
   ignore
     (Sim.Engine.schedule_after t.engine ~delay:t.config.ack_timeout (fun () ->
-         if t.alive && not fl.f_acked then
-           if fl.f_attempt >= t.config.retry_limit then begin
+         if in_flight p m then
+           if attempt >= t.config.retry_limit then begin
              (* retry budget exhausted: abandon the message (the layer
                 above decides what a lost transfer means) *)
              t.timeouts <- t.timeouts + 1;
-             emit t (Sim.Trace.Net_timeout { node = id t; seq = fl.f_msg.seq });
-             Hashtbl.remove (peer t dst).inflight fl.f_msg.seq;
-             pump t ~dst
+             emit t (Sim.Trace.Net_timeout { node = id t; seq = m.seq });
+             ignore (Queue.pop p.sends);
+             start t p
            end
            else
              ignore
-               (Sim.Engine.schedule_after t.engine
-                  ~delay:(backoff t fl.f_attempt)
+               (Sim.Engine.schedule_after t.engine ~delay:(backoff t attempt)
                   (fun () ->
-                    if t.alive && not fl.f_acked then begin
-                      fl.f_attempt <- fl.f_attempt + 1;
+                    if in_flight p m then begin
                       t.retries <- t.retries + 1;
                       emit t
                         (Sim.Trace.Net_retry
-                           {
-                             node = id t;
-                             seq = fl.f_msg.seq;
-                             attempt = fl.f_attempt;
-                           });
-                      transmit t fl.f_msg;
-                      arm_ack_check t ~dst fl
+                           { node = id t; seq = m.seq; attempt = attempt + 1 });
+                      transmit t m;
+                      arm_ack_check t p m (attempt + 1)
                     end))))
-
-(* Move backlog into the window while slots are free. *)
-and pump t ~dst =
-  let p = peer t dst in
-  while
-    t.alive
-    && Hashtbl.length p.inflight < t.config.window
-    && not (Queue.is_empty p.backlog)
-  do
-    let m = Queue.pop p.backlog in
-    let fl = { f_msg = m; f_attempt = 0; f_acked = false } in
-    Hashtbl.replace p.inflight m.seq fl;
-    t.unique_sends <- t.unique_sends + 1;
-    transmit t m;
-    arm_ack_check t ~dst fl
-  done
 
 let send t ~dst ~kind ~arg ~data =
   if dst = id t then invalid_arg "Net.send: cannot send to self";
@@ -154,8 +134,8 @@ let send t ~dst ~kind ~arg ~data =
     let p = peer t dst in
     let seq = p.next_seq in
     p.next_seq <- (seq + 1) land 0xffff;
-    Queue.push { Wire.kind; src = id t; dst; seq; arg; data } p.backlog;
-    pump t ~dst
+    Queue.push { Wire.kind; src = id t; dst; seq; arg; data } p.sends;
+    if Queue.length p.sends = 1 then start t p
   end
 
 let handle_data t (m : Wire.msg) =
@@ -172,31 +152,22 @@ let handle_data t (m : Wire.msg) =
       arg = m.seq;
       data = 0;
     };
-  if m.seq >= p.expect && not (Hashtbl.mem p.held m.seq) then
-    Hashtbl.replace p.held m.seq m;
-  (* drain in order *)
-  let rec drain () =
-    match Hashtbl.find_opt p.held p.expect with
-    | None -> ()
-    | Some msg ->
-      Hashtbl.remove p.held p.expect;
-      p.expect <- (p.expect + 1) land 0xffff;
-      (match t.deliver with Some f -> f msg | None -> ());
-      drain ()
-  in
-  drain ()
+  (* a sender moves on only past an ack or an abandoned message, so
+     anything at or below the last delivered seq is a retransmission *)
+  if m.seq > p.last then begin
+    p.last <- m.seq;
+    match t.deliver with Some f -> f m | None -> ()
+  end
 
 let handle_ack t (m : Wire.msg) =
   let p = peer t m.src in
-  match Hashtbl.find_opt p.inflight m.arg with
-  | None -> () (* late ack after a timeout, or a duplicate *)
-  | Some fl ->
-    fl.f_acked <- true;
-    Hashtbl.remove p.inflight m.arg;
-    pump t ~dst:m.src
+  match Queue.peek_opt p.sends with
+  | Some h when h.seq = m.arg ->
+    ignore (Queue.pop p.sends);
+    start t p
+  | _ -> () (* late ack after a timeout, or a duplicate *)
 
 let create ?probe ~node ~rng ?(config = default_config) () =
-  if config.window < 1 then invalid_arg "Net.create: window must be >= 1";
   if config.retry_limit < 0 then
     invalid_arg "Net.create: retry_limit must be >= 0";
   let t =

@@ -1,23 +1,24 @@
-(** Reliable delivery over {!Fieldbus.Bus}.
+(** Reliable delivery over {!Fieldbus.Bus}, stop-and-wait.
 
-    Each endpoint pairs a bus station with: a per-destination send
-    window, per-seq acks, retransmission on ack silence with
-    seeded-jitter exponential backoff, a retry cap that abandons the
-    message and counts a timeout, and in-order exactly-once delivery
-    (duplicates from lost acks are re-acked and dropped; out-of-order
-    arrivals are held until the gap fills).  Failure detection is the
+    Each endpoint pairs a bus station with: one FIFO of sends per
+    destination whose head is the one message in flight, per-seq
+    acks, retransmission on ack silence with seeded-jitter exponential
+    backoff, a retry cap that abandons the head and counts a timeout,
+    and exactly-once delivery: a data message is delivered iff its seq
+    is above the last one delivered from its sender, so duplicates
+    from lost acks are re-acked and dropped, and an abandoned message
+    leaves no gap that later ones wait on.  Failure detection is the
     cluster's heartbeat suspicion, not this layer's.
 
     Heartbeats and acks ride the unreliable path: one transmission,
     no seq tracking — losing one is the condition the failure detector
     is built to tolerate.
 
-    Sequence numbers are 16-bit and the reorder logic does not handle
+    Sequence numbers are 16-bit and the delivery test does not handle
     wraparound; a fabric run sends far fewer than 65k frames per
     peer pair. *)
 
 type config = {
-  window : int;  (** in-flight frames per destination, >= 1 *)
   retry_limit : int;  (** retransmissions before the message is abandoned *)
   ack_timeout : Model.Time.t;  (** ack silence before retransmitting *)
   backoff_base : Model.Time.t;  (** k-th retry adds [base * 2^k] *)
@@ -25,8 +26,8 @@ type config = {
 }
 
 val default_config : config
-(** Stop-and-wait (window 1), 4 retries, 2 ms ack timeout, 0.5 ms
-    backoff base, 0.2 ms jitter — sized for a 1 Mbit/s CAN wire. *)
+(** 4 retries, 2 ms ack timeout, 0.5 ms backoff base, 0.2 ms jitter —
+    sized for a 1 Mbit/s CAN wire. *)
 
 type t
 
@@ -46,7 +47,8 @@ val id : t -> int
 
 val send : t -> dst:int -> kind:Wire.kind -> arg:int -> data:int -> unit
 (** Queue one message for reliable delivery.  Messages to one
-    destination deliver in send order. *)
+    destination are sent one at a time, in send order; each is
+    acked or abandoned before the next goes on the wire. *)
 
 val broadcast : t -> kind:Wire.kind -> arg:int -> data:int -> unit
 (** Unreliable broadcast (heartbeats): transmitted once, never
@@ -59,7 +61,9 @@ val on_deliver : t -> (Wire.msg -> unit) -> unit
 val set_alive : t -> bool -> unit
 (** A dead endpoint neither transmits (sends, retries, acks,
     heartbeats) nor receives — the station-side half of a node
-    crash. *)
+    crash.  Dying drops its queued and in-flight sends, so a restarted
+    endpoint starts each destination's queue afresh; sequence numbers
+    continue. *)
 
 val unique_sends : t -> int
 (** First transmissions (data, acks and heartbeats; retries

@@ -289,6 +289,7 @@ type net_score = {
   n_presuspected : int;
   n_migrated : int;
   n_shed : int;
+  n_lost : int;
   n_e2e_misses : int;
   n_frames : int;
   n_dropped : int;
@@ -329,6 +330,15 @@ let net_failures n =
               failover completed"
              n.n_e2e_misses) ]
   in
+  let lost =
+    if n.n_lost = 0 then []
+    else
+      [ fabric_result "task-lost" Lint.Sarif.Error
+          (Printf.sprintf
+             "%d assigned task(s) held by no live node at the horizon and \
+              not shed"
+             n.n_lost) ]
+  in
   let degraded =
     if n.n_timeouts = 0 && n.n_shed = 0 then []
     else
@@ -337,7 +347,7 @@ let net_failures n =
              "%d delivery timeout(s), %d task(s) shed during failover"
              n.n_timeouts n.n_shed) ]
   in
-  failover @ misses @ degraded
+  failover @ misses @ lost @ degraded
 
 let failed fs rule = List.exists (fun r -> r.Lint.Sarif.rule_id = rule) fs
 let has_error = List.exists (fun r -> r.Lint.Sarif.level = Error)
@@ -359,6 +369,9 @@ let render_net n =
   Buffer.add_string buf
     (Printf.sprintf "  failover: %d migrated, %d shed, %d e2e miss(es)\n"
        n.n_migrated n.n_shed n.n_e2e_misses);
+  if n.n_lost > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf "  %d task(s) lost: no live node holds them\n" n.n_lost);
   (match n.n_detect_latency with
   | Some d -> Buffer.add_string buf (Printf.sprintf "  detection %s\n" (tstr d))
   | None -> ());
@@ -394,7 +407,7 @@ let net_to_json n =
       (Obj
          [ ("nodes", Int n.n_nodes); ("surviving", Int n.n_surviving);
            ("crashes", Int n.n_crashes); ("migrated", Int n.n_migrated);
-           ("shed", Int n.n_shed);
+           ("shed", Int n.n_shed); ("lost", Int n.n_lost);
            ("e2e_misses", Int n.n_e2e_misses); ("frames", Int n.n_frames);
            ("dropped", Int n.n_dropped); ("corrupt", Int n.n_corrupt);
            ("retries", Int n.n_retries); ("timeouts", Int n.n_timeouts);

@@ -95,6 +95,10 @@ type net_score = {
   n_shed : int;
       (** tasks dropped during failover because every target's RTA
           re-check failed (Koren–Shasha fallback) *)
+  n_lost : int;
+      (** tasks of the initial assignment that no live node holds at
+          the end of the run and that were not shed: lost in a
+          transfer, or left on a crashed node *)
   n_e2e_misses : int;
       (** deadline misses on surviving shards {e after} the last
           failover completed — the graceful-degradation criterion *)
@@ -123,9 +127,10 @@ val net_failures : net_score -> Lint.Sarif.result list
 (** The fabric verdict, read by every report of a scorecard: errors for
     an observed failover latency over the static bound
     ([failover-bound-exceeded]), crashes with no observed failover
-    ([failover-not-observed]) and post-failover deadline misses
-    ([e2e-miss-after-failover]), then a warning for delivery timeouts
-    or shed tasks ([fabric-degraded]).  Empty when the run was clean. *)
+    ([failover-not-observed]), post-failover deadline misses
+    ([e2e-miss-after-failover]) and lost tasks ([task-lost]), then a
+    warning for delivery timeouts or shed tasks ([fabric-degraded]).
+    Empty when the run was clean. *)
 
 val net_ok : net_score -> bool
 (** Degradation was graceful: {!net_failures} has no error. *)

@@ -69,28 +69,19 @@ type subscriber = { s_mask : mask; fn : Sim.Trace.stamped -> unit }
 
 type t = {
   tr : Sim.Trace.t;
-  mutable trace_mask : mask;
   mutable subs : subscriber array; (* in subscription order, see emit *)
   mutable union : mask; (* union of subscriber masks *)
-  (* [plain] caches "trace fully enabled, nobody listening": the hot
-     path is then one load+test on top of the bare Sim.Trace.emit. *)
+  (* [plain] caches "nobody listening": the hot path is then one
+     load+test on top of the bare Sim.Trace.emit. *)
   mutable plain : bool;
 }
 
-let refresh t =
-  t.union <- Array.fold_left (fun m s -> m lor s.s_mask) 0 t.subs;
-  t.plain <- t.trace_mask = all_mask && t.union = 0
-
-let create ~trace () =
-  { tr = trace; trace_mask = all_mask; subs = [||]; union = 0; plain = true }
-
-let set_trace_mask t m =
-  t.trace_mask <- m land all_mask;
-  refresh t
+let create ~trace () = { tr = trace; subs = [||]; union = 0; plain = true }
 
 let subscribe t ~mask fn =
   t.subs <- Array.append t.subs [| { s_mask = mask land all_mask; fn } |];
-  refresh t
+  t.union <- t.union lor (mask land all_mask);
+  t.plain <- t.union = 0
 
 (* One stamped record per event, shared by the built-in trace and every
    subscriber; a plain loop over the array, so no closure either. *)
@@ -99,7 +90,7 @@ let emit t ~at entry =
   else begin
     let b = bit (category_of_entry entry) in
     let stamped = { Sim.Trace.at; entry } in
-    if t.trace_mask land b <> 0 then Sim.Trace.record t.tr stamped;
+    Sim.Trace.record t.tr stamped;
     if t.union land b <> 0 then
       for i = 0 to Array.length t.subs - 1 do
         let s = t.subs.(i) in

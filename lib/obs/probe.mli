@@ -5,9 +5,9 @@
     to any number of subscribers (streaming metrics, flight recorders,
     live printers), each filtered by a per-category enable mask.
 
-    The common case — trace fully enabled, no subscribers — is a single
-    flag test on top of the plain [Sim.Trace.emit] call, so simulation
-    output stays bit-identical to the pre-observability kernel and the
+    The common case — no subscribers — is a single flag test on top of
+    the plain [Sim.Trace.emit] call, so simulation output stays
+    bit-identical to the pre-observability kernel and the
     instrumentation cost for disabled categories is near zero.  With
     subscribers, each event is stamped once: the built-in trace
     ({!Sim.Trace.record}) and every subscriber receive the same
@@ -47,13 +47,9 @@ val all_mask : mask
 type t
 
 val create : trace:Sim.Trace.t -> unit -> t
-(** A hub whose built-in trace subscriber is [trace], fully enabled. *)
-
-val set_trace_mask : t -> mask -> unit
-(** Restrict which categories reach the built-in trace.  Note the
-    kernel's aggregate counters (misses, switches, overhead) are
-    derived from the trace, so masking it changes simulation-visible
-    statistics — the CLI only ever masks extra subscribers. *)
+(** A hub whose built-in trace subscriber is [trace]; it records every
+    event (the kernel's aggregate counters are derived from it), and
+    only extra subscribers are masked. *)
 
 val subscribe : t -> mask:mask -> (Sim.Trace.stamped -> unit) -> unit
 (** Attach a subscriber; it sees exactly the events in [mask], in

@@ -4,8 +4,9 @@
    programs must refuse a static-only scenario with exit 2, saying so.
    The subcommands that write JSON or SARIF run once more per such
    format, and a run that exits 0 or 1 must print a document that
-   Util.Json.parse accepts.  Flag values the kernel or the model
-   checker would raise on must exit 2 as well.
+   Util.Json.parse accepts; so must inject's JSON report with a
+   flight-recorder dump, whose note goes to stderr.  Flag values the
+   kernel or the model checker would raise on must exit 2 as well.
 
    Usage: matrix.exe PATH-TO-emeralds_cli.exe *)
 
@@ -106,6 +107,11 @@ let () =
     in
     (code, read out, stderr, fail)
   in
+  let parses stdout fail =
+    match Util.Json.parse stdout with
+    | Ok _ -> ()
+    | Error e -> fail ("stdout does not parse as JSON: " ^ e)
+  in
   let scenario_run (e : Workload.Scenario.entry) sub args ~json =
     let code, stdout, stderr, fail =
       run (sub :: "--preset" :: e.name :: args)
@@ -117,10 +123,7 @@ let () =
     else if code < 0 || code > 2 then fail "exit code outside {0, 1, 2}"
     else if contains (String.lowercase_ascii stderr) "exception" then
       fail "exception on stderr"
-    else if json && code <= 1 then
-      match Util.Json.parse stdout with
-      | Ok _ -> ()
-      | Error e -> fail ("stdout does not parse as JSON: " ^ e)
+    else if json && code <= 1 then parses stdout fail
   in
   List.iter
     (fun (e : Workload.Scenario.entry) ->
@@ -133,6 +136,12 @@ let () =
             (Option.value ~default:[] (List.assoc_opt sub json_formats)))
         subcommands)
     Workload.Scenario.catalog;
+  let dump = Filename.temp_file "matrix" ".perfetto" in
+  (let code, stdout, _, fail =
+     run [ "inject"; "--preset"; "overrun-demo"; "--json"; "--flightrec"; dump ]
+   in
+   if code > 1 then fail "exit code outside {0, 1}" else parses stdout fail);
+  Sys.remove dump;
   List.iter
     (fun argv ->
       let code, _, _, fail = run argv in

@@ -20,6 +20,13 @@ let contains hay needle =
   in
   at 0
 
+(* The rule ids of a scorecard's verdict errors. *)
+let errors s =
+  List.filter_map
+    (fun (r : Lint.Sarif.result) ->
+      if r.level = Error then Some r.rule_id else None)
+    (Fault.Report.net_failures s)
+
 (* ------------------------------------------------------------------ *)
 (* Wire *)
 
@@ -375,8 +382,10 @@ let test_scorecard_reports_crashes () =
   check int "two crashes" 2 s.n_crashes;
   check bool "detection is not negative" true
     (match s.n_detect_latency with Some d -> d >= 0 | None -> true);
-  check bool "no failover of a crashed node: not graceful" false
-    (Fault.Report.net_ok s);
+  (* both crashes are failed over within the bound, but transfers
+     abandoned at the retry cap lose tau4-tau6 on the way *)
+  check int "three tasks lost" 3 s.n_lost;
+  check (list string) "lost tasks: not graceful" [ "task-lost" ] (errors s);
   (* under one-in-3 loss node 2's crash is failed over, but node 1's
      tasks never reach a survivor: each crash needs its own failover *)
   let s =
@@ -388,6 +397,7 @@ let test_scorecard_reports_crashes () =
   in
   check bool "some tasks moved" true (s.n_migrated > 0);
   check bool "yet a crash has no failover" true (s.n_failover_latency = None);
+  check int "and its two tasks are lost" 2 s.n_lost;
   check bool "not graceful either" false (Fault.Report.net_ok s);
   let s =
     run "link-partition:a=0,b=1,from=20ms,until=200ms;node-crash:node=1,at=100ms"
@@ -425,10 +435,7 @@ let test_failover_before_crash () =
   check (option int) "nor in the score" None s.n_failover_latency;
   check bool "not graceful" false (Fault.Report.net_ok s);
   check (list string) "the verdict's errors" [ "failover-not-observed" ]
-    (List.filter_map
-       (fun (r : Lint.Sarif.result) ->
-         if r.level = Error then Some r.rule_id else None)
-       (Fault.Report.net_failures s));
+    (errors s);
   check bool "the SARIF reads the verdict" true
     (Fault.Report.net_to_sarif s = Fault.Report.net_failures s);
   let text = Fault.Report.render_net s in
@@ -463,6 +470,127 @@ let test_restart_fails_over_no_live_peer () =
        (List.map (fun (tid, _, _) -> tid) (Fabric.Cluster.migrations cluster)));
   check int "the score agrees" 2 s.n_migrated
 
+(* A message abandoned at the retry cap leaves no gap the receiver
+   waits on: with the 0->1 link cut until 100 ms, the first send times
+   out, and two sends on the healed link both arrive.  A receiver that
+   held arrivals until the lost seq came would deliver neither. *)
+let test_net_abandoned_send_leaves_no_gap () =
+  let engine, bus = setup () in
+  let a = endpoint ~bus ~id:0 ~seed:5 () in
+  let b = endpoint ~bus ~id:1 ~seed:6 () in
+  let got = ref [] in
+  Fabric.Net.on_deliver b (fun m -> got := m.Fabric.Wire.arg :: !got);
+  Fieldbus.Bus.set_link_filter bus
+    (Some
+       (fun ~src ~dst ->
+         not (src = 0 && dst = 1 && Sim.Engine.now engine < ms 100)));
+  let send arg =
+    Fabric.Net.send a ~dst:1 ~kind:Fabric.Wire.Task_word ~arg ~data:0
+  in
+  send 0;
+  ignore
+    (Sim.Engine.schedule engine ~at:(ms 150) (fun () ->
+         send 1;
+         send 2));
+  Sim.Engine.run_until engine (ms 500);
+  check int "the first send was abandoned" 1 (Fabric.Net.timeouts a);
+  check (list int) "both later sends arrive, in order" [ 1; 2 ]
+    (List.rev !got)
+
+(* Dying drops the endpoint's sends: a sender that dies at 1 ms with
+   its first send unacked (its frame was lost) and restarts at 10 ms
+   gets its next send through.  A dead send left in flight would block
+   every later send to that peer, since its ack timer fired while the
+   sender was down. *)
+let test_net_send_after_restart () =
+  let engine, bus = setup () in
+  let a = endpoint ~bus ~id:0 ~seed:5 () in
+  let b = endpoint ~bus ~id:1 ~seed:6 () in
+  let got = ref [] in
+  Fabric.Net.on_deliver b (fun m -> got := m.Fabric.Wire.arg :: !got);
+  let first = ref true in
+  Fieldbus.Bus.set_fault bus
+    (Some
+       (fun f ->
+         if !first then begin
+           first := false;
+           None
+         end
+         else Some f));
+  Fabric.Net.send a ~dst:1 ~kind:Fabric.Wire.Task_word ~arg:0 ~data:0;
+  ignore
+    (Sim.Engine.schedule engine ~at:(ms 1) (fun () ->
+         Fabric.Net.set_alive a false));
+  ignore
+    (Sim.Engine.schedule engine ~at:(ms 10) (fun () ->
+         Fabric.Net.set_alive a true;
+         Fabric.Net.send a ~dst:1 ~kind:Fabric.Wire.Task_word ~arg:1 ~data:0));
+  Sim.Engine.run_until engine (ms 100);
+  check (list int) "the send after the restart arrives" [ 1 ] (List.rev !got)
+
+(* The partition preset fails node 2 over while it is alive; the
+   partition heals at 90 ms and node 0 stops suspecting it.  When node
+   2 really crashes at 120 ms, node 0's new suspicion fails it over
+   again (it holds no task by then, so the failover ends as it starts),
+   within the bound.  Failing each node over at most once would leave
+   this crash with no failover observed. *)
+let test_failover_after_partition_heals () =
+  let preset =
+    List.find
+      (fun (p : Fabric.Preset.t) -> p.name = "partition")
+      Fabric.Preset.all
+  in
+  let plan =
+    preset.plan @ Result.get_ok (Fault.Plan.parse "node-crash:node=2,at=120ms")
+  in
+  match
+    Fabric.Preset.run ~config:Fabric.Cluster.default_config ~seed:7
+      ~horizon:(ms 400) ~plan ~migration:None preset.assignments
+  with
+  | Error e -> fail e
+  | Ok (cluster, s) ->
+    check bool "node 2 was failed over before it crashed" true
+      (List.exists
+         (fun (tid, _, at) -> tid = 5 && at < ms 120)
+         (Fabric.Cluster.migrations cluster));
+    check (option int) "a failover of the crash" (Some (Model.Time.us 16_250))
+      s.n_failover_latency;
+    check bool "within the bound" true
+      (match (s.n_failover_latency, s.n_failover_bound) with
+      | Some l, Some b -> l <= b
+      | _ -> false);
+    check (list string) "graceful" [] (errors s)
+
+(* The crash preset loses node 1 at 50 ms; node 0, the coordinator,
+   crashes at 100 ms and restarts at 380 ms while node 1 is still
+   down.  The restarted node 0 suspects node 1 anew and, as the lowest
+   live id, repeats its failover: that repeat finds no orphans and must
+   not end node 1's crash again.  Ending it at the re-suspicion put the
+   failover latency at 346.25 ms, past the bound. *)
+let test_restarted_coordinator_ends_no_crash () =
+  let preset =
+    List.find
+      (fun (p : Fabric.Preset.t) -> p.name = "crash")
+      Fabric.Preset.all
+  in
+  let score extra =
+    match
+      Fabric.Preset.run ~config:Fabric.Cluster.default_config ~seed:7
+        ~horizon:(ms 400)
+        ~plan:(preset.plan @ Result.get_ok (Fault.Plan.parse extra))
+        ~migration:None preset.assignments
+    with
+    | Error e -> fail e
+    | Ok (_, s) -> s
+  in
+  let s = score "node-crash:node=0,at=100ms;node-restart:node=0,at=380ms" in
+  check (option int) "the first failovers' latency"
+    (score "node-crash:node=0,at=100ms").n_failover_latency
+    s.n_failover_latency;
+  check (option int) "19.036 ms" (Some (Model.Time.us 19_036))
+    s.n_failover_latency;
+  check (list string) "graceful" [] (errors s)
+
 let suite =
   [
     test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -484,4 +612,12 @@ let suite =
       test_failover_before_crash;
     test_case "a restarted node fails over no live peer" `Quick
       test_restart_fails_over_no_live_peer;
+    test_case "an abandoned send leaves no gap" `Quick
+      test_net_abandoned_send_leaves_no_gap;
+    test_case "a restarted sender sends again" `Quick
+      test_net_send_after_restart;
+    test_case "a crash after a healed partition is failed over" `Quick
+      test_failover_after_partition_heals;
+    test_case "a restarted coordinator ends no crash" `Quick
+      test_restarted_coordinator_ends_no_crash;
   ]

@@ -16,9 +16,8 @@ let taskset l = Model.Taskset.of_list l
 let task ?phase ?deadline id p c =
   Model.Task.make ?phase ?deadline ~id ~period:(ms p) ~wcet:(ms c) ()
 
-let run ?programs ?(cost = Sim.Cost.zero) ?(spec = Sched.Edf) ?stop_on_miss ts
-    ~until =
-  let k = Kernel.create ?programs ?stop_on_miss ~cost ~spec ~taskset:ts () in
+let run ?programs ?(cost = Sim.Cost.zero) ?(spec = Sched.Edf) ts ~until =
+  let k = Kernel.create ?programs ~cost ~spec ~taskset:ts () in
   Kernel.run k ~until;
   k
 
@@ -62,42 +61,19 @@ let test_deadline_miss_detection () =
   let k = run ~spec:Sched.Rm (taskset [ task 1 5 2; task 2 7 4 ]) ~until:(ms 8) in
   check int "tau2 misses its 7ms deadline" 1 (stat k 2).misses
 
-let test_stop_on_miss () =
-  let k =
-    run ~spec:Sched.Rm ~stop_on_miss:true
-      (taskset [ task 1 5 2; task 2 7 4 ])
-      ~until:(ms 100)
-  in
-  check bool "stopped early" true (Kernel.stopped k);
-  check int "exactly one miss recorded" 1 (Kernel.total_misses k)
-
 (* Two tasks whose first jobs both blow the same deadline instant: the
-   miss probes fire at the same virtual time, in release (FIFO) order.
-   [stop_on_miss] freezes the kernel inside the first probe, so only
-   that miss is recorded, and [first_miss] names the earlier-released
+   miss probes fire at the same virtual time, in release (FIFO) order,
+   so both misses count and [first_miss] names the earlier-released
    task. *)
 let test_simultaneous_miss_tie () =
   let ts = taskset [ task ~deadline:(ms 2) 1 10 1; task ~deadline:(ms 2) 2 10 1 ] in
   let programs _ = [ Program.compute (ms 5) ] in
-  let stopped = run ~programs ~spec:Sched.Rm ~stop_on_miss:true ts ~until:(ms 10) in
-  let tr = Kernel.trace stopped in
-  check int "only the first same-instant miss recorded" 1
-    (Sim.Trace.deadline_misses tr);
-  (match Sim.Trace.first_miss tr with
+  let tr = Kernel.trace (run ~programs ~spec:Sched.Rm ts ~until:(ms 10)) in
+  check bool "both misses recorded" true (Sim.Trace.deadline_misses tr >= 2);
+  match Sim.Trace.first_miss tr with
   | Some { at; entry = Sim.Trace.Deadline_miss { tid; _ } } ->
     check int "probe fires just past the deadline" (ms 2 + 1) at;
     check int "FIFO tie goes to the earlier release" 1 tid
-  | Some _ | None -> fail "first_miss missing");
-  (* without the stop, both same-instant misses count and first_miss
-     still names the earlier release *)
-  let free = run ~programs ~spec:Sched.Rm ts ~until:(ms 10) in
-  let tr = Kernel.trace free in
-  check bool "both misses recorded without the stop" true
-    (Sim.Trace.deadline_misses tr >= 2);
-  match Sim.Trace.first_miss tr with
-  | Some { at; entry = Sim.Trace.Deadline_miss { tid; _ } } ->
-    check int "same probe instant" (ms 2 + 1) at;
-    check int "same FIFO winner" 1 tid
   | Some _ | None -> fail "first_miss missing"
 
 let test_overrun_backlog () =
@@ -462,7 +438,10 @@ let suite =
     test_case "phase offsets" `Quick test_phase_offsets;
     test_case "preemption accounting" `Quick test_preemption;
     test_case "deadline miss detection" `Quick test_deadline_miss_detection;
-    test_case "stop on miss" `Quick test_stop_on_miss;
+    (* in a removed case's slot, so the cases after it keep their
+       printed index *)
+    test_case "EDF: a queued release re-selects at job exit" `Quick
+      test_edf_queued_release_reselects;
     test_case "simultaneous miss tie" `Quick test_simultaneous_miss_tie;
     test_case "overrun backlog" `Quick test_overrun_backlog;
     test_case "idle gaps" `Quick test_idle_gaps;
@@ -480,6 +459,4 @@ let suite =
     prop_rta_tight;
     prop_analysis_feasible_implies_sim_clean;
     test_case "per-call charges conform to Charge" `Quick test_charge_conformance;
-    test_case "EDF: a queued release re-selects at job exit" `Quick
-      test_edf_queued_release_reselects;
   ]

@@ -139,14 +139,6 @@ let test_probe_masking () =
   check int "trace got all" (List.length some_events)
     (List.length (Sim.Trace.entries tr))
 
-let test_probe_trace_mask () =
-  let tr = Sim.Trace.create () in
-  let p = Obs.Probe.create ~trace:tr () in
-  Obs.Probe.set_trace_mask p (Obs.Probe.mask_of [ Obs.Probe.Job ]);
-  List.iteri (fun i e -> Obs.Probe.emit p ~at:i e) some_events;
-  check int "trace filtered to job events" 1
-    (List.length (Sim.Trace.entries tr))
-
 let test_probe_category_names () =
   List.iter
     (fun c ->
@@ -726,7 +718,6 @@ let suite =
       test_hist_merge_associative;
     prop_hist_online_equals_batch;
     test_case "probe: subscriber masking" `Quick test_probe_masking;
-    test_case "probe: trace mask" `Quick test_probe_trace_mask;
     test_case "probe: category names round-trip" `Quick
       test_probe_category_names;
     test_case "probe: kernel trace unperturbed by subscribers" `Quick
