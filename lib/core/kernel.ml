@@ -566,8 +566,9 @@ let rec schedule_deadline_check k tcb ~job ~deadline =
      admitted past its own deadline (a stale pending release drained
      after an overrun) probes now rather than synchronously: the miss
      policy may kill the job and start the next one, which must not
-     re-enter the admit/begin chain that is still on the stack. *)
-  let check_at = Model.Time.max (now k) (deadline + 1) in
+     re-enter the admit/begin chain that is still on the stack.  The
+     add saturates: a deadline at [max_int] probes past any horizon. *)
+  let check_at = Model.Time.max (now k) (Model.Time.add_sat deadline 1) in
   ignore (Sim.Engine.schedule k.engine ~at:check_at check)
 
 and begin_job k tcb ~job ~release =
@@ -584,7 +585,7 @@ and begin_job k tcb ~job ~release =
     Obs.Probe.emit k.probe ~at:(now k)
       (Input_word { tid = tcb.tid; job; word = tcb.input_word })
   end;
-  tcb.abs_deadline <- release + tcb.task.deadline;
+  tcb.abs_deadline <- Model.Time.add_sat release tcb.task.deadline;
   if not tcb.inherited then tcb.eff_deadline <- tcb.abs_deadline;
   let st = tcb.enf in
   st.used <- 0;
@@ -853,7 +854,7 @@ and start_compute k tcb =
   let started = Model.Time.max (now k) k.busy_until in
   let completion =
     Sim.Engine.schedule k.engine
-      ~at:(started + tcb.remaining)
+      ~at:(Model.Time.add_sat started tcb.remaining)
       (kernel_event k (fun () -> on_compute_done k tcb))
   in
   k.burst <- Some { owner = tcb; started; completion };
@@ -1125,13 +1126,15 @@ let rec release_event k tcb ~job () =
   schedule_release k tcb ~job:(job + 1)
 
 (* Release j of a task fires at phase + (j-1) * period, overruns
-   notwithstanding (periodic tasks keep their nominal spacing).  The
-   release-jitter fault perturbs individual releases around the
-   nominal instant, clamped so a delayed chain never schedules into
-   the past. *)
+   notwithstanding (periodic tasks keep their nominal spacing), or at
+   [max_int] where that sum would wrap.  The release-jitter fault
+   perturbs individual releases around the nominal instant, clamped so
+   a delayed chain never schedules into the past. *)
 and schedule_release k tcb ~job =
   let at =
-    quantize k (k.origin + tcb.task.phase + ((job - 1) * tcb.task.period))
+    quantize k
+      (Model.Time.add_sat (k.origin + tcb.task.phase)
+         ((job - 1) * tcb.task.period))
   in
   let at =
     match k.fault_jitter with

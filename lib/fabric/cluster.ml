@@ -366,12 +366,11 @@ let check_plan t plan =
   Result.bind
     (Fault.Plan.refuse_first
        (function
-         | Frame_drop _ | Frame_corrupt _ -> None
+         | f when Fault.Plan.family f = Kernel ->
+           Some "a single-kernel fault, which the fabric does not interpret"
          | Node_crash { node; _ } | Node_restart { node; _ } -> missing [ node ]
          | Link_partition { a; b; _ } -> missing [ a; b ]
-         | Wcet_scale _ | Wcet_add _ | Release_jitter _ | Irq_storm _
-         | Irq_drop _ | Lost_signal _ | Sporadic_burst _ ->
-           Some "a single-kernel fault, which the fabric does not interpret")
+         | _ -> None)
        plan)
     (fun () ->
       let down = Hashtbl.create 4 in

@@ -47,13 +47,12 @@ let check_plan (sc : Workload.Scenario.t) plan =
   let known tid = Array.exists (fun (t : Model.Task.t) -> t.id = tid) tasks in
   let refuse (f : Plan.fault) =
     match f with
+    | _ when Plan.family f = Fabric ->
+      Some "a fabric fault, which a single-kernel run does not interpret"
     | Wcet_scale { tid; _ } | Wcet_add { tid; _ } | Release_jitter { tid; _ }
     | Sporadic_burst { tid; _ }
       when not (known tid) ->
       Some (Printf.sprintf "the scenario has no task %d" tid)
-    | Frame_drop _ | Frame_corrupt _ | Node_crash _ | Node_restart _
-    | Link_partition _ ->
-      Some "a fabric fault, which a single-kernel run does not interpret"
     | _ -> None
   in
   Plan.refuse_first refuse plan
@@ -113,10 +112,13 @@ let install_demand_faults k plan mark =
              (fun w (t, from_job, f) ->
                if t <> tid || job < from_job then w
                else
+                 (* arithmetic past [max_int] saturates the demand there
+                    instead of wrapping *)
                  let w' =
                    match f with
+                   | `Scale pct when pct > 0 && w > max_int / pct -> max_int
                    | `Scale pct -> w * pct / 100
-                   | `Add extra -> Model.Time.add w extra
+                   | `Add extra -> Model.Time.add_sat w extra
                  in
                  if w' <> w then
                    mark (Kernel.now k)

@@ -1,28 +1,20 @@
-(* The fault-plan DSL: variants, concrete syntax, canonical renderer.
+(* The fault-plan DSL: variants, one table row per kind, and the
+   parser, renderer and JSON derived from the table.
 
    The syntax is deliberately flat (kind:k=v,k=v;...) so plans travel
-   well on a command line and in CI configuration; the parser is a
-   hand-rolled splitter rather than a real grammar — every value is an
-   integer or a suffixed duration. *)
+   well on a command line and in CI configuration; every value is an
+   integer or a suffixed duration, read by [Model.Kv]. *)
 
 type fault =
   | Wcet_scale of { tid : int; pct : int; from_job : int }
   | Wcet_add of { tid : int; extra : Model.Time.t; from_job : int }
   | Release_jitter of { tid : int; amplitude : Model.Time.t }
   | Irq_storm of {
-      irq : int;
-      at : Model.Time.t;
-      count : int;
-      spacing : Model.Time.t;
-    }
+      irq : int; at : Model.Time.t; count : int; spacing : Model.Time.t }
   | Irq_drop of { irq : int; one_in : int }
   | Lost_signal of { wq : int; one_in : int }
   | Sporadic_burst of {
-      tid : int;
-      at : Model.Time.t;
-      count : int;
-      spacing : Model.Time.t;
-    }
+      tid : int; at : Model.Time.t; count : int; spacing : Model.Time.t }
   (* fabric faults — pure data here; [lib/fabric] interprets them, and
      the single-node injector refuses them ([Inject.check_plan]) *)
   | Frame_drop of { one_in : int }
@@ -30,229 +22,185 @@ type fault =
   | Node_crash of { node : int; at : Model.Time.t }
   | Node_restart of { node : int; at : Model.Time.t }
   | Link_partition of {
-      a : int;
-      b : int;
-      from_ : Model.Time.t;
-      until : Model.Time.t;
-    }
+      a : int; b : int; from_ : Model.Time.t; until : Model.Time.t }
 
 type t = fault list
 
 let empty = []
 
 (* ------------------------------------------------------------------ *)
+(* The table: one row per kind *)
+
+type family = Kernel | Fabric
+
+(* A field's value is an int either way; a duration reads and prints
+   as one.  A field without a default is required. *)
+type field = {
+  key : string; dur : bool; least : int; most : int; default : int option }
+
+let int ?(least = min_int) ?default key =
+  { key; dur = false; least; most = max_int; default }
+
+let dur ?(least = 0) ?(most = max_int) key =
+  { key; dur = true; least; most; default = None }
+
+(* [make] takes the values in field order; [values] gives them back
+   for the row's own constructor *)
+type row = {
+  name : string;
+  family : family;
+  fields : field list;
+  make : int array -> fault;
+  values : fault -> int list option;
+}
+
+let table =
+  [
+    { name = "wcet-scale"; family = Kernel;
+      fields =
+        [ int "tid"; int ~least:0 "pct"; int ~least:1 ~default:1 "from" ];
+      make = (fun v ->
+        Wcet_scale { tid = v.(0); pct = v.(1); from_job = v.(2) });
+      values = (function
+        | Wcet_scale f -> Some [ f.tid; f.pct; f.from_job ] | _ -> None) };
+    { name = "wcet-add"; family = Kernel;
+      fields = [ int "tid"; dur "extra"; int ~least:1 ~default:1 "from" ];
+      make = (fun v ->
+        Wcet_add { tid = v.(0); extra = v.(1); from_job = v.(2) });
+      values = (function
+        | Wcet_add f -> Some [ f.tid; f.extra; f.from_job ] | _ -> None) };
+    (* a wider amplitude would wrap the span of the draw, 2 amp + 1 *)
+    { name = "jitter"; family = Kernel;
+      fields = [ int "tid"; dur ~least:1 ~most:(max_int / 2) "amp" ];
+      make = (fun v -> Release_jitter { tid = v.(0); amplitude = v.(1) });
+      values = (function
+        | Release_jitter f -> Some [ f.tid; f.amplitude ] | _ -> None) };
+    { name = "irq-storm"; family = Kernel;
+      fields = [ int "irq"; dur "at"; int ~least:1 "count"; dur "spacing" ];
+      make = (fun v ->
+        Irq_storm { irq = v.(0); at = v.(1); count = v.(2); spacing = v.(3) });
+      values = (function
+        | Irq_storm f -> Some [ f.irq; f.at; f.count; f.spacing ]
+        | _ -> None) };
+    { name = "irq-drop"; family = Kernel;
+      fields = [ int "irq"; int ~least:2 "one-in" ];
+      make = (fun v -> Irq_drop { irq = v.(0); one_in = v.(1) });
+      values = (function Irq_drop f -> Some [ f.irq; f.one_in ] | _ -> None) };
+    { name = "lost-signal"; family = Kernel;
+      fields = [ int "wq"; int ~least:2 "one-in" ];
+      make = (fun v -> Lost_signal { wq = v.(0); one_in = v.(1) });
+      values = (function
+        | Lost_signal f -> Some [ f.wq; f.one_in ] | _ -> None) };
+    { name = "burst"; family = Kernel;
+      fields = [ int "tid"; dur "at"; int ~least:1 "count"; dur "spacing" ];
+      make = (fun v ->
+        Sporadic_burst
+          { tid = v.(0); at = v.(1); count = v.(2); spacing = v.(3) });
+      values = (function
+        | Sporadic_burst f -> Some [ f.tid; f.at; f.count; f.spacing ]
+        | _ -> None) };
+    { name = "frame-drop"; family = Fabric;
+      fields = [ int ~least:2 "one-in" ];
+      make = (fun v -> Frame_drop { one_in = v.(0) });
+      values = (function Frame_drop f -> Some [ f.one_in ] | _ -> None) };
+    { name = "frame-corrupt"; family = Fabric;
+      fields = [ int ~least:2 "one-in" ];
+      make = (fun v -> Frame_corrupt { one_in = v.(0) });
+      values = (function Frame_corrupt f -> Some [ f.one_in ] | _ -> None) };
+    { name = "node-crash"; family = Fabric;
+      fields = [ int ~least:0 "node"; dur "at" ];
+      make = (fun v -> Node_crash { node = v.(0); at = v.(1) });
+      values = (function Node_crash f -> Some [ f.node; f.at ] | _ -> None) };
+    { name = "node-restart"; family = Fabric;
+      fields = [ int ~least:0 "node"; dur "at" ];
+      make = (fun v -> Node_restart { node = v.(0); at = v.(1) });
+      values = (function Node_restart f -> Some [ f.node; f.at ] | _ -> None) };
+    { name = "link-partition"; family = Fabric;
+      fields = [ int ~least:0 "a"; int ~least:0 "b"; dur "from"; dur "until" ];
+      make = (fun v ->
+        Link_partition { a = v.(0); b = v.(1); from_ = v.(2); until = v.(3) });
+      values = (function
+        | Link_partition f -> Some [ f.a; f.b; f.from_; f.until ]
+        | _ -> None) };
+  ]
+
+(* a fault's row, with each field's value *)
+let row_of f =
+  Option.get
+    (List.find_map
+       (fun r ->
+         Option.map (fun v -> (r, List.combine r.fields v)) (r.values f))
+       table)
+
+let family f = (fst (row_of f)).family
+
+(* ------------------------------------------------------------------ *)
 (* Parsing *)
 
+let ( let* ) = Result.bind
+
+let rec all = function
+  | [] -> Ok []
+  | r :: rest ->
+    let* v = r in
+    let* vs = all rest in
+    Ok (v :: vs)
+
+(* the checks that span two fields *)
+let across = function
+  | Link_partition { a; b; _ } when a = b -> Error "a and b must differ"
+  | Link_partition { from_; until; _ } when until < from_ ->
+    Error "until must be >= from"
+  | f -> Ok f
+
 let parse_clause clause =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match String.index_opt clause ':' with
-  | None -> fail "clause %S: expected kind:key=value,..." clause
-  | Some i ->
-    let kind = String.sub clause 0 i in
-    let rest = String.sub clause (i + 1) (String.length clause - i - 1) in
-    let kvs = String.split_on_char ',' rest in
-    let pairs =
-      List.filter_map
-        (fun kv ->
-          match String.index_opt kv '=' with
-          | None -> None
-          | Some j ->
-            Some
-              ( String.trim (String.sub kv 0 j),
-                String.trim (String.sub kv (j + 1) (String.length kv - j - 1))
-              ))
-        kvs
-    in
-    if List.length pairs <> List.length kvs then
-      fail "clause %S: malformed key=value pair" clause
-    else
-      let opt_int_field key ~default =
-        match List.assoc_opt key pairs with
-        | None -> Ok default
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n -> Ok n
-          | None -> fail "clause %S: %s=%s is not an integer" clause key v)
-      in
-      let int_field key =
-        if List.mem_assoc key pairs then opt_int_field key ~default:0
-        else fail "clause %S: missing %s=" clause key
-      in
-      let dur_field key =
-        match List.assoc_opt key pairs with
-        | None -> fail "clause %S: missing %s=" clause key
-        | Some v -> (
-          match Model.Time.of_string v with
-          | Ok n -> Ok n
-          | Error `Syntax ->
-            fail "clause %S: %s=%s is not a duration" clause key v
-          | Error `Range ->
-            fail "clause %S: %s=%s is out of range: its nanoseconds do not \
-                  fit in an int (max %d)" clause key v max_int)
-      in
-      let ( let* ) = Result.bind in
-      let* f =
-        match kind with
-        | "wcet-scale" ->
-        let* tid = int_field "tid" in
-        let* pct = int_field "pct" in
-        let* from_job = opt_int_field "from" ~default:1 in
-        Ok (Wcet_scale { tid; pct; from_job })
-      | "wcet-add" ->
-        let* tid = int_field "tid" in
-        let* extra = dur_field "extra" in
-        let* from_job = opt_int_field "from" ~default:1 in
-        Ok (Wcet_add { tid; extra; from_job })
-      | "jitter" ->
-        let* tid = int_field "tid" in
-        let* amplitude = dur_field "amp" in
-        Ok (Release_jitter { tid; amplitude })
-      | "irq-storm" ->
-        let* irq = int_field "irq" in
-        let* at = dur_field "at" in
-        let* count = int_field "count" in
-        let* spacing = dur_field "spacing" in
-        Ok (Irq_storm { irq; at; count; spacing })
-      | "irq-drop" ->
-        let* irq = int_field "irq" in
-        let* one_in = int_field "one-in" in
-        Ok (Irq_drop { irq; one_in })
-      | "lost-signal" ->
-        let* wq = int_field "wq" in
-        let* one_in = int_field "one-in" in
-        Ok (Lost_signal { wq; one_in })
-      | "burst" ->
-        let* tid = int_field "tid" in
-        let* at = dur_field "at" in
-        let* count = int_field "count" in
-        let* spacing = dur_field "spacing" in
-        Ok (Sporadic_burst { tid; at; count; spacing })
-      | "frame-drop" ->
-        let* one_in = int_field "one-in" in
-        Ok (Frame_drop { one_in })
-      | "frame-corrupt" ->
-        let* one_in = int_field "one-in" in
-        Ok (Frame_corrupt { one_in })
-      | "node-crash" ->
-        let* node = int_field "node" in
-        let* at = dur_field "at" in
-        Ok (Node_crash { node; at })
-      | "node-restart" ->
-        let* node = int_field "node" in
-        let* at = dur_field "at" in
-        Ok (Node_restart { node; at })
-      | "link-partition" ->
-        let* a = int_field "a" in
-        let* b = int_field "b" in
-        let* from_ = dur_field "from" in
-        let* until = dur_field "until" in
-        Ok (Link_partition { a; b; from_; until })
-        | k -> fail "clause %S: unknown fault kind %S" clause k
-      in
-      (* structural sanity beyond syntax *)
-      let bad msg = fail "clause %S: %s" clause msg in
-      (match f with
-      | Wcet_scale { pct; from_job; _ } ->
-        if pct < 0 then bad "pct must be non-negative"
-        else if from_job < 1 then bad "from must be >= 1"
-        else Ok f
-      | Wcet_add { extra; from_job; _ } ->
-        if extra < 0 then bad "extra must be non-negative"
-        else if from_job < 1 then bad "from must be >= 1"
-        else Ok f
-      | Release_jitter { amplitude; _ } ->
-        if amplitude <= 0 then bad "amp must be positive" else Ok f
-      | Irq_storm { count; spacing; at; _ } ->
-        if count <= 0 then bad "count must be positive"
-        else if spacing < 0 then bad "spacing must be non-negative"
-        else if at < 0 then bad "at must be non-negative"
-        else Ok f
-      | Irq_drop { one_in; _ } | Lost_signal { one_in; _ } ->
-        if one_in < 2 then bad "one-in must be >= 2" else Ok f
-      | Sporadic_burst { count; spacing; at; _ } ->
-        if count <= 0 then bad "count must be positive"
-        else if spacing < 0 then bad "spacing must be non-negative"
-        else if at < 0 then bad "at must be non-negative"
-        else Ok f
-      | Frame_drop { one_in } | Frame_corrupt { one_in } ->
-        if one_in < 2 then bad "one-in must be >= 2" else Ok f
-      | Node_crash { node; at } | Node_restart { node; at } ->
-        if node < 0 then bad "node must be non-negative"
-        else if at < 0 then bad "at must be non-negative"
-        else Ok f
-      | Link_partition { a; b; from_; until } ->
-        if a < 0 || b < 0 then bad "node ids must be non-negative"
-        else if a = b then bad "a and b must differ"
-        else if from_ < 0 then bad "from must be non-negative"
-        else if until < from_ then bad "until must be >= from"
-        else Ok f)
+  let* row, body =
+    match String.index_opt clause ':' with
+    | None -> Error "expected kind:key=value,..."
+    | Some i -> (
+      let name = String.sub clause 0 i in
+      match List.find_opt (fun r -> r.name = name) table with
+      | None -> Error (Printf.sprintf "unknown fault kind %S" name)
+      | Some r ->
+        Ok (r, String.sub clause (i + 1) (String.length clause - i - 1)))
+  in
+  let* kv =
+    Model.Kv.pairs
+      ~keys:(List.map (fun f -> f.key) row.fields)
+      (String.split_on_char ',' body)
+  in
+  let value f =
+    match (List.assoc_opt f.key kv, f.default) with
+    | Some v, _ ->
+      (if f.dur then Model.Kv.dur else Model.Kv.int)
+        ~least:f.least ~most:f.most f.key v
+    | None, Some d -> Ok d
+    | None, None -> Error (Printf.sprintf "missing %s=" f.key)
+  in
+  let* values = all (List.map value row.fields) in
+  across (row.make (Array.of_list values))
 
 let parse s =
-  let clauses =
-    String.split_on_char ';' s |> List.map String.trim
-    |> List.filter (fun c -> c <> "")
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | c :: rest -> (
-      match parse_clause c with
-      | Ok f -> go (f :: acc) rest
-      | Error _ as e -> e)
-  in
-  go [] clauses
+  String.split_on_char ';' s |> List.map String.trim
+  |> List.filter (fun c -> c <> "")
+  |> List.map (fun c ->
+         Result.map_error (Printf.sprintf "clause %S: %s" c) (parse_clause c))
+  |> all
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-let dur ns =
-  if ns <> 0 && ns mod 1_000_000 = 0 then
-    Printf.sprintf "%dms" (ns / 1_000_000)
-  else if ns <> 0 && ns mod 1_000 = 0 then Printf.sprintf "%dus" (ns / 1_000)
-  else Printf.sprintf "%dns" ns
+let show f n = if f.dur then Model.Time.to_string n else string_of_int n
 
-(* Each fault's kind and fields in printing order, shared by the
-   concrete syntax and JSON; a [`Dur] field is a duration. *)
-let fields = function
-  | Wcet_scale { tid; pct; from_job } ->
-    ( "wcet-scale",
-      [ ("tid", `Int tid); ("pct", `Int pct); ("from", `Int from_job) ] )
-  | Wcet_add { tid; extra; from_job } ->
-    ( "wcet-add",
-      [ ("tid", `Int tid); ("extra", `Dur extra); ("from", `Int from_job) ] )
-  | Release_jitter { tid; amplitude } ->
-    ("jitter", [ ("tid", `Int tid); ("amp", `Dur amplitude) ])
-  | Irq_storm { irq; at; count; spacing } ->
-    ( "irq-storm",
-      [ ("irq", `Int irq); ("at", `Dur at); ("count", `Int count);
-        ("spacing", `Dur spacing) ] )
-  | Irq_drop { irq; one_in } ->
-    ("irq-drop", [ ("irq", `Int irq); ("one-in", `Int one_in) ])
-  | Lost_signal { wq; one_in } ->
-    ("lost-signal", [ ("wq", `Int wq); ("one-in", `Int one_in) ])
-  | Sporadic_burst { tid; at; count; spacing } ->
-    ( "burst",
-      [ ("tid", `Int tid); ("at", `Dur at); ("count", `Int count);
-        ("spacing", `Dur spacing) ] )
-  | Frame_drop { one_in } -> ("frame-drop", [ ("one-in", `Int one_in) ])
-  | Frame_corrupt { one_in } -> ("frame-corrupt", [ ("one-in", `Int one_in) ])
-  | Node_crash { node; at } ->
-    ("node-crash", [ ("node", `Int node); ("at", `Dur at) ])
-  | Node_restart { node; at } ->
-    ("node-restart", [ ("node", `Int node); ("at", `Dur at) ])
-  | Link_partition { a; b; from_; until } ->
-    ( "link-partition",
-      [ ("a", `Int a); ("b", `Int b); ("from", `Dur from_);
-        ("until", `Dur until) ] )
-
-(* the concrete syntax leaves out the default first job, from=1 *)
+(* the concrete syntax leaves out a default *)
 let render_fault f =
-  let kind, fs = fields f in
-  let field = function
-    | "from", `Int 1 -> None
-    | k, `Int n -> Some (Printf.sprintf "%s=%d" k n)
-    | k, `Dur ns -> Some (k ^ "=" ^ dur ns)
-  in
-  kind ^ ":" ^ String.concat "," (List.filter_map field fs)
+  let row, fs = row_of f in
+  row.name ^ ":"
+  ^ String.concat ","
+      (List.filter_map
+         (fun (f, n) ->
+           if f.default = Some n then None else Some (f.key ^ "=" ^ show f n))
+         fs)
 
 let render t = String.concat ";" (List.map render_fault t)
 
@@ -263,12 +211,13 @@ let refuse_first why plan =
 
 (* JSON keys use '_' for '-' and carry durations as [_ns] *)
 let json_fault f =
-  let kind, fs = fields f in
-  let key = String.map (fun c -> if c = '-' then '_' else c) in
-  let field = function
-    | k, `Int n -> (key k, Util.Json.Int n)
-    | k, `Dur ns -> (k ^ "_ns", Util.Json.Int ns)
+  let row, fs = row_of f in
+  let key f =
+    String.map (fun c -> if c = '-' then '_' else c) f.key
+    ^ if f.dur then "_ns" else ""
   in
-  Util.Json.(Obj (("kind", String kind) :: List.map field fs))
+  Util.Json.(
+    Obj
+      (("kind", String row.name) :: List.map (fun (f, n) -> (key f, Int n)) fs))
 
 let to_json t = Util.Json.List (List.map json_fault t)

@@ -12,10 +12,10 @@
 
     Plans have a concrete syntax for the CLI ([--plan]); {!parse} and
     {!render} round-trip it.  Clauses are separated by [';'], each
-    clause is [kind:key=value,key=value].  Durations are read by
-    {!Model.Time.of_string} ([ns], [us], [ms] or [s]; a bare number is
-    nanoseconds); one whose nanoseconds do not fit in an int is an
-    "out of range" error:
+    clause is [kind:key=value,key=value], read by {!Model.Kv}.  A
+    value is an integer or a duration, read by {!Model.Time.of_string}
+    ([ns], [us], [ms] or [s]; a bare number is nanoseconds) and
+    rendered by {!Model.Time.to_string}:
 
     {v
     wcet-scale:tid=2,pct=400[,from=1]     demand multiplied by pct/100
@@ -32,10 +32,22 @@
     link-partition:a=0,b=1,from=20ms,until=60ms
     v}
 
+    Each clause is checked against its kind's row in one table, and
+    refused, naming it, for: an unknown kind; a malformed [key=value]
+    pair, an unknown key or a repeated one; a missing key (only [from],
+    the first faulted job, has a default: 1); a value that is not an
+    integer or a duration, or a duration whose nanoseconds do not fit
+    in an int ("out of range"); a value out of its bounds, which are
+    [count] and a job number [from] >= 1, [one-in] >= 2, [pct], [node],
+    [a], [b] and every duration >= 0, and 1 ns <= [amp] <= [max_int / 2]
+    ns (so the jitter draw cannot wrap); and a link partition with
+    [a = b] or [until < from].  A demand fault whose arithmetic would
+    pass [max_int] sets the demand to [max_int] ([Fault.Inject]).
+
     The last five are fabric faults: pure data here, interpreted by
-    [lib/fabric].  Each consumer refuses the clauses it does not
-    interpret: [Fault.Inject.check_plan] the fabric kinds,
-    [Fabric.Cluster.check_plan] the single-node ones. *)
+    [lib/fabric].  Each consumer refuses the clauses of the other
+    {!family}: [Fault.Inject.check_plan] the fabric kinds,
+    [Fabric.Cluster.check_plan] the single-kernel ones. *)
 
 type fault =
   | Wcet_scale of { tid : int; pct : int; from_job : int }
@@ -46,21 +58,14 @@ type fault =
       (** seeded uniform offset in [[-amplitude, amplitude]] on every
           periodic release of the task *)
   | Irq_storm of {
-      irq : int;
-      at : Model.Time.t;
-      count : int;
-      spacing : Model.Time.t;
-    }  (** [count] extra deliveries starting at [at] *)
+      irq : int; at : Model.Time.t; count : int; spacing : Model.Time.t }
+      (** [count] extra deliveries starting at [at] *)
   | Irq_drop of { irq : int; one_in : int }
       (** every [one_in]-th scheduled delivery of the source is lost *)
   | Lost_signal of { wq : int; one_in : int }
       (** every [one_in]-th signal of the wait queue is lost *)
   | Sporadic_burst of {
-      tid : int;
-      at : Model.Time.t;
-      count : int;
-      spacing : Model.Time.t;
-    }
+      tid : int; at : Model.Time.t; count : int; spacing : Model.Time.t }
       (** [count] sporadic arrivals [spacing] apart — spacing below the
           task's period violates the declared minimum interarrival *)
   | Frame_drop of { one_in : int }
@@ -74,13 +79,13 @@ type fault =
   | Node_restart of { node : int; at : Model.Time.t }
       (** a crashed station rejoins (cold: no retained tasks) *)
   | Link_partition of {
-      a : int;
-      b : int;
-      from_ : Model.Time.t;
-      until : Model.Time.t;
-    }
+      a : int; b : int; from_ : Model.Time.t; until : Model.Time.t }
       (** frames between stations [a] and [b] (both directions) are
           suppressed during [[from_, until)] *)
+
+type family = Kernel | Fabric  (** who interprets a fault *)
+
+val family : fault -> family
 
 type t = fault list
 (** A plan; order is preserved (demand faults on one task compose in
@@ -89,9 +94,9 @@ type t = fault list
 val empty : t
 
 val parse : string -> (t, string) result
-(** Parse the concrete syntax above.  Whitespace around clauses is
-    ignored; an empty string is the empty plan.  Errors name the
-    offending clause. *)
+(** Parse the concrete syntax above.  Whitespace around clauses, keys
+    and values is ignored; an empty string is the empty plan.  Errors
+    read ["clause \"CLAUSE\": why"]. *)
 
 val render : t -> string
 (** Canonical concrete syntax; [parse (render p)] = [Ok p]. *)

@@ -584,7 +584,7 @@ let exec_instr c i ~horizon =
         in
         set c i { t with mode };
         if c.tracing then
-          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "waitq" })
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "wait" })
       end;
       `Ok
     | Machine.ISignal w ->
@@ -622,7 +622,7 @@ let exec_instr c i ~horizon =
         else begin
           set c i { t with mode = BSend b };
           if c.tracing then
-            emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
+            emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mbox-full" })
         end);
       `Ok
     | Machine.IRecv b ->
@@ -650,7 +650,7 @@ let exec_instr c i ~horizon =
         (* an empty box has no blocked sender: capacity is at least 1 *)
         set c i { t with mode = BRecv b };
         if c.tracing then
-          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mailbox" })
+          emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "mbox-empty" })
       end;
       `Ok
     | Machine.ISwrite sm ->

@@ -25,9 +25,15 @@ let of_string s =
     if Float.abs ns < 0x1p62 then Ok (int_of_float ns) else Error `Range
   | None, _ -> Error `Syntax
 
+let to_string ns =
+  if ns <> 0 && ns mod 1_000_000 = 0 then Printf.sprintf "%dms" (ns / 1_000_000)
+  else if ns <> 0 && ns mod 1_000 = 0 then Printf.sprintf "%dus" (ns / 1_000)
+  else Printf.sprintf "%dns" ns
+
 let to_us_f t = float_of_int t /. 1_000.0
 let to_ms_f t = float_of_int t /. 1_000_000.0
 let add = ( + )
+let add_sat a b = if a > max_int - b then max_int else a + b
 let sub = ( - )
 let mul t k = t * k
 let min = Int.min

@@ -26,10 +26,20 @@ val of_string : string -> (t, [ `Syntax | `Range ]) result
     fit in an int, infinities included; [`Syntax] when the numeral is
     not a number. *)
 
+val to_string : t -> string
+(** The spelling {!of_string} reads back exactly: whole milliseconds
+    as [ms], else whole microseconds as [us], else [ns] (so [0ns],
+    [1500us], [1000ms]). *)
+
 val to_us_f : t -> float
 val to_ms_f : t -> float
 
 val add : t -> t -> t
+
+val add_sat : t -> t -> t
+(** [add a b] for [b >= 0], but [max_int] where the sum would wrap: an
+    instant that far out is never reached. *)
+
 val sub : t -> t -> t
 val mul : t -> int -> t
 val min : t -> t -> t

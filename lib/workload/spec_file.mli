@@ -11,10 +11,17 @@
     task 3 period=1s    wcet=15ms   phase=100ms
     v}
 
-    Durations are read by {!Model.Time.of_string} ([ns], [us], [ms],
-    [s], decimals allowed, a bare number is nanoseconds); negative ones
-    and ones past an int are refused.  [deadline] defaults to the
-    period, [phase] to 0, [blocking] (blocking calls per period) to 0.
+    Each [key=value] word is read by {!Model.Kv}, the reader fault
+    plans use: a malformed pair, an unknown key and a repeated key are
+    refused alike.  Durations are read by {!Model.Time.of_string}
+    ([ns], [us], [ms], [s], decimals allowed, a bare number is
+    nanoseconds) and written by {!Model.Time.to_string}.  [period],
+    [wcet] and [deadline] must be at least 1 ns, [phase] and
+    [blocking] (blocking calls per period) at least 0; a duration
+    past an int is refused as out of range.  [period] and [wcet] are
+    required; [deadline] defaults to the period, [phase] and
+    [blocking] to 0, [process] to the task id and [name] to [tau<id>].
+    A wcet above the deadline and a repeated task id are refused too.
     '#' starts a comment; blank lines are ignored. *)
 
 val parse : string -> (Model.Taskset.t, string) result
@@ -27,6 +34,3 @@ val load : string -> (Model.Taskset.t, string) result
 val to_string : Model.Taskset.t -> string
 (** Render a task set back into the format ([parse] of the result
     round-trips). *)
-
-val duration_of_string : string -> (Model.Time.t, string) result
-(** Parse one duration token (exposed for the CLI). *)

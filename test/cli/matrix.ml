@@ -6,7 +6,8 @@
    format, and a run that exits 0 or 1 must print a document that
    Util.Json.parse accepts; so must inject's JSON report with a
    flight-recorder dump, whose note goes to stderr.  Flag values the
-   kernel or the model checker would raise on must exit 2 as well.
+   kernel or the model checker would raise on must exit 2 as well, and
+   so must fault plans and task files the key=value reader refuses.
 
    Usage: matrix.exe PATH-TO-emeralds_cli.exe *)
 
@@ -60,6 +61,11 @@ let bad_values =
     [ "inject"; "--plan"; "wcet-scale:tid=99,pct=400" ];
     [ "inject"; "--plan";
       "irq-storm:irq=9,at=10000000000000ms,count=1,spacing=1ms" ];
+    (* an unknown key, a repeated one, and a jitter amplitude whose
+       draw would wrap *)
+    [ "inject"; "--plan"; "wcet-scale:tid=2,pct=400,form=3" ];
+    [ "inject"; "--plan"; "wcet-scale:tid=2,pct=400,pct=100" ];
+    [ "inject"; "--plan"; "jitter:tid=1,amp=2305843009213693952ns" ];
     (* clauses a plan's consumer does not interpret: a node the fabric
        lacks, single-kernel faults in a fabric, fabric faults in an
        inject run, and the retired drift clause *)
@@ -142,11 +148,19 @@ let () =
    in
    if code > 1 then fail "exit code outside {0, 1}" else parses stdout fail);
   Sys.remove dump;
+  (* a task file whose line repeats a key *)
+  let tasks = Filename.temp_file "matrix" ".tasks" in
+  Out_channel.with_open_bin tasks (fun oc ->
+      output_string oc "task 1 period=4ms wcet=1ms period=8ms\n");
   List.iter
     (fun argv ->
       let code, _, _, fail = run argv in
       if code <> 2 then fail "a bad flag value must exit 2")
-    bad_values;
+    (bad_values
+    @ List.map
+        (fun sub -> [ sub; "--file"; tasks ])
+        [ "schedulability"; "simulate"; "sensitivity" ]);
+  Sys.remove tasks;
   Sys.remove out;
   Sys.remove err;
   if !failures > 0 then exit 1

@@ -304,9 +304,10 @@ let test_spec_file_errors () =
   expect_error "job 1 period=10ms wcet=1ms\n";
   expect_error "task 1 period=-10ms wcet=1ms\n"
 
+(* the key=value reader both task files and fault plans use *)
 let test_duration_parsing () =
   let ok s expected =
-    match Workload.Spec_file.duration_of_string s with
+    match Model.Kv.dur "period" s with
     | Ok v -> check int s expected v
     | Error msg -> fail msg
   in
@@ -316,7 +317,7 @@ let test_duration_parsing () =
   ok "0.5s" (ms 500);
   ok "12345" 12_345;
   check bool "garbage rejected" true
-    (Result.is_error (Workload.Spec_file.duration_of_string "fast"))
+    (Result.is_error (Model.Kv.dur "period" "fast"))
 
 (* ------------------------------------------------------------------ *)
 (* Protection domains *)

@@ -421,6 +421,52 @@ let test_plan_task_ids () =
       "node-crash:node=1,at=10ms"; "node-restart:node=1,at=80ms";
       "link-partition:a=0,b=1,from=1ms,until=5ms" ]
 
+(* ------------------------------------------------------------------ *)
+(* Values that would overflow after parsing *)
+
+(* The draw is uniform in [-amp, amp], a span of 2 amp + 1: the widest
+   amplitude whose span fits in an int runs, the next is refused (it
+   used to fail an assertion in [Util.Rng.int_in]). *)
+let test_jitter_amplitude_bound () =
+  let plan amp =
+    Fault.Plan.parse (Printf.sprintf "jitter:tid=1,amp=%dns" amp)
+  in
+  (match plan (max_int / 2) with
+  | Ok plan ->
+    let cfg =
+      Fault.Inject.default_config ~scenario:(Workload.Scenario.overrun_demo ())
+        ~plan ()
+    in
+    let k = (Fault.Inject.run cfg).kernel in
+    check bool "the widest amplitude runs" true
+      (Sim.Trace.length (Emeralds.Kernel.trace k) > 0)
+  | Error e -> fail e);
+  check bool "a wider one is refused" true
+    (match plan ((max_int / 2) + 1) with
+    | Error m -> String.ends_with ~suffix:"(got 2305843009213693952ns)" m
+    | Ok _ -> false)
+
+(* A demand fault whose arithmetic passes [max_int] sets the demand to
+   [max_int]: it runs as a demand no horizon reaches, the same run as
+   extra=1000s, where the wrapped demand used to read as no fault at
+   all. *)
+let demand_trace plan =
+  match Fault.Plan.parse plan with
+  | Ok plan ->
+    Sim.Trace.signature
+      (Emeralds.Kernel.trace
+         (Fault.Inject.run
+            (Fault.Inject.default_config
+               ~scenario:(Workload.Scenario.overrun_demo ()) ~plan ()))
+           .kernel)
+  | Error e -> fail e
+
+let test_demand_saturates plan () =
+  check bool (plan ^ " runs as extra=1000s") true
+    (demand_trace plan = demand_trace "wcet-add:tid=2,extra=1000s");
+  check bool "which differs from the unfaulted run" false
+    (demand_trace plan = demand_trace "")
+
 let suite =
   [
     test_case "plan: render/parse round-trip" `Quick test_plan_roundtrip;
@@ -443,4 +489,10 @@ let suite =
     test_case "plan: durations out of range" `Quick test_plan_duration_range;
     test_case "plan: task ids checked against the scenario" `Quick
       test_plan_task_ids;
+    test_case "plan: jitter amplitude bounded" `Quick
+      test_jitter_amplitude_bound;
+    test_case "plan: wcet-add past max_int saturates" `Quick
+      (test_demand_saturates "wcet-add:tid=2,extra=4611686018427387903ns");
+    test_case "plan: wcet-scale past max_int saturates" `Quick
+      (test_demand_saturates "wcet-scale:tid=2,pct=4611686018427387903");
   ]

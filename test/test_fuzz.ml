@@ -7,9 +7,9 @@
 
 open Emeralds
 
-let qtest ?(count = 120) name gen law =
+let qtest ?(count = 120) ?print name gen law =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick
-    (QCheck2.Test.make ~count ~name gen law)
+    (QCheck2.Test.make ~count ?print ~name gen law)
 
 let ms = Model.Time.ms
 let us = Model.Time.us
@@ -680,11 +680,101 @@ let prop_fabric_empty_plan_differential =
       | None -> false
       | Some sharded -> trace_signature standalone = trace_signature sharded)
 
+(* --- the key=value readers ------------------------------------------ *)
+
+(* Byte mutations of the repository's own inputs: the plans README
+   shows after --plan, the fabric presets', the e2e oracle's, one
+   clause of every kind and two of test_fault's; and
+   workloads/*.tasks. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let plan_seeds =
+  lazy
+    (let readme = read_file "../README.md" in
+     let rec scan i acc =
+       match String.index_from_opt readme i '\'' with
+       | None -> acc
+       | Some j when j >= 7 && String.sub readme (j - 7) 7 = "--plan " -> (
+         match String.index_from_opt readme (j + 1) '\'' with
+         | None -> acc
+         | Some k ->
+           scan (k + 1) (String.sub readme (j + 1) (k - j - 1) :: acc))
+       | Some j -> scan (j + 1) acc
+     in
+     Array.of_list
+       (scan 0 []
+       @ List.map
+           (fun (p : Fabric.Preset.t) -> Fault.Plan.render p.plan)
+           Fabric.Preset.all
+       @ [ "frame-drop:one-in=31;node-crash:node=1,at=40ms";
+           Fault.Plan.render Test_fault.full_plan; "jitter:tid=1,amp=750";
+           "burst:tid=1,at=20ms,count=3,spacing=3000000000000000000ns" ]))
+
+let task_seeds =
+  lazy
+    (Sys.readdir "../workloads" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".tasks")
+    |> List.map (fun f -> read_file (Filename.concat "../workloads" f))
+    |> Array.of_list)
+
+(* a seed, by index modulo the seed count, and edits to it: replace
+   one byte, insert before it or delete it, at a position modulo the
+   length; what goes in is a byte, mostly of the syntax's own, or a
+   numeral *)
+let gen_edits =
+  QCheck2.Gen.(
+    let piece =
+      oneof
+        [ map (String.make 1) (map Char.chr (int_range 0 255));
+          map (String.make 1)
+            (oneofl
+               (List.of_seq (String.to_seq ":;,= -.#\n\t0123456789msunx_")));
+          map string_of_int nat ]
+    in
+    pair nat (list_size (int_range 1 4) (triple (int_range 0 2) nat piece)))
+
+let mutate seeds (i, edits) =
+  let seeds = Lazy.force seeds in
+  List.fold_left
+    (fun s (op, at, piece) ->
+      let n = String.length s in
+      let at = at mod (n + 1) in
+      let tail k = String.sub s k (n - k) in
+      match op with
+      | 0 when at < n -> String.sub s 0 at ^ piece ^ tail (at + 1)
+      | 1 -> String.sub s 0 at ^ piece ^ tail at
+      | _ when at < n -> String.sub s 0 at ^ tail (at + 1)
+      | _ -> s)
+    seeds.(i mod Array.length seeds)
+    edits
+
+(* Neither reader may raise, and what it accepts renders to text that
+   reads back as the same value *)
+let prop_plan_reader =
+  qtest ~count:10_000 "plan reader: mutated plans round-trip"
+    ~print:(fun e -> Printf.sprintf "%S" (mutate plan_seeds e))
+    gen_edits
+    (fun e ->
+      match Fault.Plan.parse (mutate plan_seeds e) with
+      | Error _ -> true
+      | Ok p -> Fault.Plan.parse (Fault.Plan.render p) = Ok p)
+
+let prop_task_file_reader =
+  qtest ~count:10_000 "task-file reader: mutated files round-trip"
+    ~print:(fun e -> Printf.sprintf "%S" (mutate task_seeds e))
+    gen_edits
+    (fun e ->
+      match Workload.Spec_file.parse (mutate task_seeds e) with
+      | Error _ -> true
+      | Ok ts ->
+        Workload.Spec_file.parse (Workload.Spec_file.to_string ts) = Ok ts)
+
 let suite =
   [
     prop_kernel_fuzz; prop_busy_conservation; prop_lint_clean_runs;
     prop_injected_cycle; prop_absint_sound; prop_mem_sound;
     prop_enforcement_differential; prop_enforcement_fuzz;
     enforcement_regressions; prop_fabric_empty_plan_differential;
+    prop_plan_reader; prop_task_file_reader;
   ]
 

@@ -1158,6 +1158,63 @@ let edf_exploration_golden () =
         (Array.to_list r.max_response))
     edf_golden
 
+(* --- block reasons: the checker names a block as the kernel does --- *)
+
+(* tau1 receives from an empty one-slot box, tau2 waits on Q, and
+   tau3's third send finds the box full before it signals Q: each
+   blocks once, for its own reason.  The single schedule (distinct RM
+   ranks, no windows) runs in the zero-cost kernel and in the checker
+   with the replay hook, and both name the blocks alike. *)
+let block_reasons () =
+  let mb = Emeralds.Objects.mailbox ~capacity:1 ()
+  and q = Emeralds.Objects.waitq () in
+  let task id period wcet =
+    Model.Task.make ~id ~period:(ms period) ~wcet:(ms wcet) ()
+  in
+  let s =
+    hand_built "block-reasons"
+      [ task 1 10 1; task 2 20 1; task 3 40 2 ]
+      (fun (t : Model.Task.t) ->
+        let open Emeralds.Program in
+        let msg = send mb (words 1) in
+        match t.id with
+        | 1 -> [ recv mb; compute (ms 1) ]
+        | 2 -> [ wait q; compute (ms 1) ]
+        | _ -> [ compute (ms 1); msg; msg; msg; signal q; compute (ms 1) ])
+  in
+  let blocks entries =
+    String.concat "; "
+      (List.filter_map
+         (function
+           | Sim.Trace.Thread_block { reason = "dormant"; _ } -> None
+           | Thread_block { tid; reason } ->
+             Some (Printf.sprintf "%d %s" tid reason)
+           | _ -> None)
+         entries)
+  in
+  let k =
+    Emeralds.Kernel.create ~cost:Sim.Cost.zero ~spec:Emeralds.Sched.Rm
+      ~taskset:s.taskset ~programs:s.programs ()
+  in
+  Emeralds.Kernel.run k ~until:(ms 20);
+  let m = Mc.Machine.of_scenario s in
+  let emitted = ref [] in
+  let e =
+    Mc.Step.expand
+      ~emit:(fun _ entry -> emitted := entry :: !emitted)
+      ~horizon:(ms 20) m (Mc.State.init m)
+  in
+  check "one deterministic segment" true (e.next = `Leaf);
+  let kernel =
+    blocks
+      (List.map
+         (fun (st : Sim.Trace.stamped) -> st.entry)
+         (Sim.Trace.entries (Emeralds.Kernel.trace k)))
+  in
+  Alcotest.(check string) "blocks, kernel" "1 mbox-empty; 2 wait; 3 mbox-full"
+    kernel;
+  Alcotest.(check string) "blocks, checker" kernel (blocks (List.rev !emitted))
+
 let suite =
   [
     Alcotest.test_case "seeded deadlock: lint and MC agree" `Quick
@@ -1189,4 +1246,5 @@ let suite =
       partial_probe_exact;
     Alcotest.test_case "index vectors built from the parent's are exact"
       `Quick vector_reuse_exact;
+    Alcotest.test_case "block reasons: checker = kernel" `Quick block_reasons;
   ]

@@ -390,8 +390,35 @@ let test_spec_file_durations () =
         (match load v with Error m -> contains m why | Ok _ -> false))
     [ ("1e30s", "out of range"); ("infs", "out of range");
       ("-infms", "out of range"); ("99999999999999999999ns", "out of range");
-      ("4611686018428ms", "out of range"); ("nanms", "bad duration");
-      ("nan", "bad duration"); ("-10ms", "negative duration") ]
+      ("4611686018428ms", "out of range"); ("nanms", "not a duration");
+      ("nan", "not a duration"); ("-10ms", "must be at least 1ns") ]
+
+(* A deadline at [max_int] is met by a job done at 1.01 ms: the miss
+   probe 1 ns past the deadline saturates instead of wrapping to a
+   probe at the release.  With a phase, the deadline and the next
+   release instant saturate too, where they used to wrap into the past
+   (an exception from the engine). *)
+let test_spec_file_deadline_at_max_int () =
+  match
+    Workload.Spec_file.parse
+      "task 1 period=4611686018427387903ns wcet=1ms\n\
+       task 2 period=4611686018427387903ns wcet=1ms phase=1ms\n"
+  with
+  | Error m -> fail m
+  | Ok taskset ->
+    let k =
+      Emeralds.Kernel.create ~cost:Sim.Cost.m68040 ~spec:Emeralds.Sched.Edf
+        ~taskset ()
+    in
+    Emeralds.Kernel.run k ~until:(Model.Time.ms 10);
+    let tr = Emeralds.Kernel.trace k in
+    check int "no miss" 0 (Sim.Trace.deadline_misses tr);
+    check int "both jobs completed" 2
+      (List.length
+         (List.filter
+            (fun (e : Sim.Trace.stamped) ->
+              match e.entry with Job_complete _ -> true | _ -> false)
+            (Sim.Trace.entries tr)))
 
 let suite =
   [
@@ -411,4 +438,6 @@ let suite =
       test_workload_files_match_presets;
     test_case "spec-file durations: one reader, range-checked" `Quick
       test_spec_file_durations;
+    test_case "spec-file deadline at max_int is met" `Quick
+      test_spec_file_deadline_at_max_int;
   ]
