@@ -71,6 +71,22 @@ let at_least lo =
 
 let positive = at_least 1
 
+(* A whole number of [unit]s ("ms" or "us"), at least [lo], as a
+   [Model.Time.t]: read through [Model.Time.of_string], so a count
+   whose nanoseconds overflow an int is refused rather than wrapped.
+   Every time-valued flag takes its value through here. *)
+let duration ~unit lo =
+  let scale = Result.get_ok (Model.Time.of_string ("1" ^ unit)) in
+  let parse s =
+    match Arg.conv_parser (at_least lo) s with
+    | Error _ as e -> e
+    | Ok _ -> (
+      match Model.Time.of_string (s ^ unit) with
+      | Ok t -> Ok t
+      | Error _ -> Error (`Msg (Printf.sprintf "%s%s is out of range" s unit)))
+  in
+  Arg.conv (parse, fun ppf t -> Format.pp_print_int ppf (t / scale))
+
 let sched_conv =
   let named =
     Emeralds.Sched.
@@ -292,7 +308,8 @@ let report_scenarios ~tool ~format preset report =
 
 let horizon_ms default =
   Arg.(
-    value & opt positive default
+    value
+    & opt (duration ~unit:"ms" 1) (Model.Time.ms default)
     & info [ "horizon-ms" ] ~docv:"MS"
         ~doc:"Simulation horizon in milliseconds.")
 

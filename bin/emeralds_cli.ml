@@ -183,7 +183,7 @@ let simulate_cmd =
     let k =
       Emeralds.Kernel.create ~cost:Sim.Cost.m68040 ~spec ~taskset ()
     in
-    Emeralds.Kernel.run k ~until:(Model.Time.ms horizon);
+    Emeralds.Kernel.run k ~until:horizon;
     let tr = Emeralds.Kernel.trace k in
     if timeline then Format.printf "%a@." Sim.Trace.pp_timeline tr;
     Option.iter
@@ -191,9 +191,9 @@ let simulate_cmd =
         write_file path (Sim.Trace.to_csv tr);
         Printf.printf "trace written to %s\n" path)
       csv;
-    Printf.printf "%s over %dms: %d misses, %d switches, overhead %.3fms\n"
+    Printf.printf "%s over %s: %d misses, %d switches, overhead %.3fms\n"
       (Emeralds.Sched.spec_name spec)
-      horizon
+      (Model.Time.to_string horizon)
       (Sim.Trace.deadline_misses tr)
       (Sim.Trace.context_switches tr)
       (Model.Time.to_ms_f (Sim.Trace.overhead_total tr));
@@ -283,10 +283,10 @@ let check_cmd =
              edf. The checker explores every admissible tie-break either \
              way.")
   in
-  let horizon_ms =
+  let horizon =
     Arg.(
       value
-      & opt (some positive) None
+      & opt (some (duration ~unit:"ms" 1)) None
       & info [ "horizon-ms" ] ~docv:"MS"
           ~doc:"Virtual-time bound (default: one hyperperiod).")
   in
@@ -320,19 +320,23 @@ let check_cmd =
       value & flag
       & info [ "no-por" ] ~doc:"Disable partial-order reduction.")
   in
-  let read_span_us =
+  let read_span =
     Arg.(
-      value & opt (at_least 0) 0
+      value
+      & opt (duration ~unit:"us" 0) 0
       & info [ "read-span-us" ]
           ~doc:
             "Model state-message reads as taking this long (0 = atomic); \
              non-zero spans expose torn reads to the tear property.")
   in
   let sporadic =
+    let window = Arg.conv_parser (duration ~unit:"ms" 1) in
     let parse s =
-      match List.map int_of_string_opt (String.split_on_char ':' s) with
-      | [ Some tid; Some lo; Some hi ] when 0 < lo && lo <= hi ->
-        Ok (tid, Model.Time.ms lo, Model.Time.ms hi)
+      match String.split_on_char ':' s with
+      | [ tid; lo; hi ] -> (
+        match (int_of_string_opt tid, window lo, window hi) with
+        | Some tid, Ok lo, Ok hi when lo <= hi -> Ok (tid, lo, hi)
+        | _ -> Error (`Msg (Printf.sprintf "bad window %S" s)))
       | _ -> Error (`Msg (Printf.sprintf "bad window %S" s))
     in
     let print ppf (tid, lo, hi) =
@@ -372,21 +376,17 @@ let check_cmd =
              a truncated search stops at an order-dependent place, so \
              its counts, worst responses and verdict may vary too.")
   in
-  let run (preset : Workload.Scenario.entry) sched horizon_ms max_states
-      max_depth props no_por read_span_us sporadic format rta search_seed =
+  let run (preset : Workload.Scenario.entry) sched horizon max_states
+      max_depth props no_por read_span sporadic format rta search_seed =
     let scenario = preset.build () in
     List.iter (fun (t, _, _) -> check_task ~flag:"--sporadic" scenario t)
       sporadic;
     let m =
-      Mc.Machine.of_scenario ~sched ~read_span:(Model.Time.us read_span_us)
-        ~sporadic scenario
+      Mc.Machine.of_scenario ~sched ~read_span ~sporadic scenario
     in
     let bounds =
       {
-        Mc.Explorer.horizon =
-          (match horizon_ms with
-          | Some h -> Model.Time.ms h
-          | None -> m.hyperperiod);
+        Mc.Explorer.horizon = Option.value horizon ~default:m.hyperperiod;
         max_states;
         max_depth;
       }
@@ -402,8 +402,8 @@ let check_cmd =
           freedom, priority-inheritance correctness, invariants, torn \
           reads, deadline safety — with replayable counterexamples")
     Term.(
-      const run $ preset $ sched $ horizon_ms $ max_states $ max_depth $ props
-      $ no_por $ read_span_us $ sporadic $ format $ rta $ search_seed)
+      const run $ preset $ sched $ horizon $ max_states $ max_depth $ props
+      $ no_por $ read_span $ sporadic $ format $ rta $ search_seed)
 
 (* ------------------------------------------------------------------ *)
 (* inject (fault injection + enforcement report) *)
@@ -563,7 +563,7 @@ let inject_cmd =
     | _ -> []
   in
   let run (preset : Workload.Scenario.entry) plan policy miss shed_one_in
-      mem_policy sched horizon_ms seed format flightrec_path ring_bytes =
+      mem_policy sched horizon seed format flightrec_path ring_bytes =
     let scenario = preset.build () in
     check_fits sched scenario.taskset;
     let plan =
@@ -596,8 +596,7 @@ let inject_cmd =
     in
     let cfg =
       {
-        (Fault.Inject.default_config ~scenario ~spec:sched
-           ~horizon:(Model.Time.ms horizon_ms) ~seed
+        (Fault.Inject.default_config ~scenario ~spec:sched ~horizon ~seed
            ~enforcement:
              {
                Emeralds.Kernel.budget_of = Fault.Inject.declared_budgets;
@@ -646,7 +645,7 @@ let trace_cmd =
          metrics digest."
       [ `Perfetto; `Csv; `Metrics; `Json ]
   in
-  let run (preset : Workload.Scenario.entry) sched horizon_ms seed categories
+  let run (preset : Workload.Scenario.entry) sched horizon seed categories
       ring_bytes format out =
     let scenario = preset.build () in
     check_fits sched scenario.taskset;
@@ -664,8 +663,7 @@ let trace_cmd =
     let outcome =
       Fault.Inject.run
         {
-          (Fault.Inject.default_config ~scenario ~spec:sched
-             ~horizon:(Model.Time.ms horizon_ms) ~seed ())
+          (Fault.Inject.default_config ~scenario ~spec:sched ~horizon ~seed ())
           with
           observer = Some observer;
         }
@@ -735,13 +733,13 @@ let explain_cmd =
          results."
       [ `Text; `Json; `Sarif ]
   in
-  let run (preset : Workload.Scenario.entry) sched horizon_ms seed task_filter
+  let run (preset : Workload.Scenario.entry) sched horizon seed task_filter
       format out =
     let scenario = preset.build () in
     check_fits sched scenario.taskset;
     Option.iter (check_task ~flag:"--task" scenario) task_filter;
     print_report ~out ~format
-      (Campaign.Explain.run ~name:preset.name ~sched ~horizon_ms ~seed
+      (Campaign.Explain.run ~name:preset.name ~sched ~horizon ~seed
          ~task:task_filter scenario)
   in
   Cmd.v
@@ -976,17 +974,17 @@ let fabric_cmd =
              order: restarting a live node, crashing a dead one) is \
              refused with exit 2.")
   in
-  let horizon_ms =
+  let horizon =
     Arg.(
-      value & opt positive 400
+      value
+      & opt (duration ~unit:"ms" 1) (Model.Time.ms 400)
       & info [ "horizon-ms"; "horizon" ] ~docv:"MS"
           ~doc:"Simulated horizon, milliseconds.")
   in
   let format = format ~json:true [ `Text; `Json; `Sarif ] in
-  let run (preset : Fabric.Preset.t) extra horizon_ms seed format =
+  let run (preset : Fabric.Preset.t) extra horizon seed format =
     match
-      Fabric.Preset.run ~config:Fabric.Cluster.default_config ~seed
-        ~horizon:(Model.Time.ms horizon_ms)
+      Fabric.Preset.run ~config:Fabric.Cluster.default_config ~seed ~horizon
         ~plan:(preset.plan @ Option.value extra ~default:[])
         ~migration:preset.migration preset.assignments
     with
@@ -1002,7 +1000,7 @@ let fabric_cmd =
           frame delivery with retry/backoff, task migration with RTA \
           re-admission, and an end-to-end scorecard checking observed \
           failover latency against the static migration-cost bound")
-    Term.(const run $ preset $ plan $ horizon_ms $ seed $ format)
+    Term.(const run $ preset $ plan $ horizon $ seed $ format)
 
 let () =
   let info =

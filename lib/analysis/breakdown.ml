@@ -1,4 +1,7 @@
-let search ?(tol = 0.004) ~feasible ~u0 () =
+(* Tolerance on the returned utilization. *)
+let tol = 0.004
+
+let search ~feasible ~u0 =
   if u0 <= 0.0 then invalid_arg "Breakdown.search: non-positive utilization";
   (* Work in utilization space: u = u0 * scale. *)
   let feasible_u u = feasible (u /. u0) in
@@ -32,13 +35,13 @@ let feasible_scaled ~cost ~spec taskset s =
   | None -> false
   | Some scaled -> Feasibility.feasible ~cost ~spec scaled
 
-let of_spec ?tol ~cost ~spec taskset =
+let of_spec ~cost ~spec taskset =
   let u0 = Model.Taskset.utilization taskset in
-  search ?tol ~feasible:(feasible_scaled ~cost ~spec taskset) ~u0 ()
+  search ~feasible:(feasible_scaled ~cost ~spec taskset) ~u0
 
-let of_csd ?tol ?(mode = Partition.Grid) ~cost ~queues taskset =
+let of_csd ~cost ~queues taskset =
   let n = Model.Taskset.size taskset in
-  let candidates = Partition.candidates ~mode ~queues ~n in
+  let candidates = Partition.candidates ~mode:Grid ~queues ~n in
   let last_good = ref None in
   let feasible s =
     match Model.Taskset.scale_wcets taskset s with
@@ -64,4 +67,4 @@ let of_csd ?tol ?(mode = Partition.Grid) ~cost ~queues taskset =
       try_all ordered
   in
   let u0 = Model.Taskset.utilization taskset in
-  search ?tol ~feasible ~u0 ()
+  search ~feasible ~u0

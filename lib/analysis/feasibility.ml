@@ -6,11 +6,11 @@ let utilization rows =
     (fun acc (p, _, c) -> acc +. (float_of_int c /. float_of_int p))
     0.0 rows
 
-let edf_feasible ?max_points rows =
+let edf_feasible rows =
   if implicit_deadlines rows then utilization rows <= 1.0 +. 1e-12
-  else Demand.feasible ?max_points ~own:rows ~interference:[||] ()
+  else Demand.feasible ~own:rows ~interference:[||] ()
 
-let csd_feasible ?max_points sizes rows =
+let csd_feasible sizes rows =
   let n = Array.length rows in
   let dp_lens, fp_len = Overhead.layout sizes n in
   let fp_start = n - fp_len in
@@ -36,16 +36,16 @@ let csd_feasible ?max_points sizes rows =
       let interference =
         Array.map (fun (p, _, c) -> (p, c)) (Array.sub rows 0 start)
       in
-      Demand.feasible ?max_points ~own ~interference ()
+      Demand.feasible ~own ~interference ()
       && check_queue (q + 1) (start + len) rest
   in
   check_queue 0 0 dp_lens
 
-let feasible_rows ?max_points ~spec rows =
+let feasible_rows ~spec rows =
   match (spec : Emeralds.Sched.spec) with
-  | Edf -> edf_feasible ?max_points rows
+  | Edf -> edf_feasible rows
   | Rm | Rm_heap -> Rta.feasible rows
-  | Csd sizes -> csd_feasible ?max_points sizes rows
+  | Csd sizes -> csd_feasible sizes rows
 
-let feasible ?max_points ~cost ~spec taskset =
-  feasible_rows ?max_points ~spec (Overhead.inflate ~cost ~spec taskset)
+let feasible ~cost ~spec taskset =
+  feasible_rows ~spec (Overhead.inflate ~cost ~spec taskset)

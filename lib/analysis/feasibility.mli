@@ -9,13 +9,8 @@
     queues above it). *)
 
 val feasible :
-  ?max_points:int ->
-  cost:Sim.Cost.t ->
-  spec:Emeralds.Sched.spec ->
-  Model.Taskset.t ->
-  bool
+  cost:Sim.Cost.t -> spec:Emeralds.Sched.spec -> Model.Taskset.t -> bool
 
-val feasible_rows :
-  ?max_points:int -> spec:Emeralds.Sched.spec -> (int * int * int) array -> bool
+val feasible_rows : spec:Emeralds.Sched.spec -> (int * int * int) array -> bool
 (** Same, on pre-inflated [(period, deadline, wcet)] rows in RM order
     (for callers that inflate once and test many partitions). *)

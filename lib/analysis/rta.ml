@@ -1,4 +1,7 @@
-let response_time ?(limit = 10_000) ?blocking ~tasks i =
+(* Fixpoint iterations before the search gives up: unschedulable. *)
+let limit = 10_000
+
+let response_time ?blocking ~tasks i =
   let _, deadline, wcet = tasks.(i) in
   let b = match blocking with None -> 0 | Some terms -> terms.(i) in
   let base = wcet + b in
@@ -30,8 +33,8 @@ type decomposition = {
    interference sum at R* recovers the terms the iteration folded
    together.  [response_time] stays the single source of truth for the
    fixpoint itself. *)
-let decompose ?limit ?blocking ~tasks i =
-  match response_time ?limit ?blocking ~tasks i with
+let decompose ?blocking ~tasks i =
+  match response_time ?blocking ~tasks i with
   | None -> None
   | Some r ->
     let _, _, wcet = tasks.(i) in
@@ -49,15 +52,15 @@ let decompose ?limit ?blocking ~tasks i =
         dec_interference = interference;
       }
 
-let feasible_prefix ?limit ?blocking tasks ~upto =
+let feasible_prefix ?blocking tasks ~upto =
   let rec loop i =
     i >= upto
     ||
-    match response_time ?limit ?blocking ~tasks i with
+    match response_time ?blocking ~tasks i with
     | Some _ -> loop (i + 1)
     | None -> false
   in
   loop 0
 
-let feasible ?limit ?blocking tasks =
-  feasible_prefix ?limit ?blocking tasks ~upto:(Array.length tasks)
+let feasible ?blocking tasks =
+  feasible_prefix ?blocking tasks ~upto:(Array.length tasks)

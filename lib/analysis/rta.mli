@@ -4,11 +4,11 @@
     fit within its deadline. *)
 
 val response_time :
-  ?limit:int -> ?blocking:int array -> tasks:(int * int * int) array -> int -> int option
+  ?blocking:int array -> tasks:(int * int * int) array -> int -> int option
 (** [response_time ~tasks i] is the worst-case response time of the
     task at index [i] of [(period, deadline, wcet)] rows sorted by
     decreasing priority, or [None] if the fixpoint exceeds the task's
-    deadline (or [limit] iterations, default 10_000) — both mean
+    deadline (or 10_000 iterations) — both mean
     "unschedulable at this priority".
 
     [blocking] gives each rank a priority-inversion blocking term added
@@ -30,7 +30,6 @@ type decomposition = {
     cross-validated against ({!Obs.Blame}). *)
 
 val decompose :
-  ?limit:int ->
   ?blocking:int array ->
   tasks:(int * int * int) array ->
   int ->
@@ -38,12 +37,12 @@ val decompose :
 (** [decompose ~tasks i] re-derives the terms of [response_time] at
     its fixpoint; [None] exactly when {!response_time} is [None]. *)
 
-val feasible : ?limit:int -> ?blocking:int array -> (int * int * int) array -> bool
+val feasible : ?blocking:int array -> (int * int * int) array -> bool
 (** Whole-set feasibility: every task's response time is within its
     deadline. *)
 
 val feasible_prefix :
-  ?limit:int -> ?blocking:int array -> (int * int * int) array -> upto:int -> bool
+  ?blocking:int array -> (int * int * int) array -> upto:int -> bool
 (** Feasibility of tasks [0..upto-1] only (interference still comes
     solely from higher-priority tasks, so this equals [feasible] on the
     truncated array). *)

@@ -19,7 +19,10 @@ let feasible_with ~cost ~spec taskset ~task_id ~wcet =
   | scaled -> Feasibility.feasible ~cost ~spec scaled
   | exception Too_big -> false
 
-let headroom_of ?(tol = 0.01) ~cost ~spec taskset (task : Model.Task.t) =
+(* Relative tolerance of the bisection. *)
+let tol = 0.01
+
+let headroom_of ~cost ~spec taskset (task : Model.Task.t) =
   let feasible wcet =
     wcet >= 1 && feasible_with ~cost ~spec taskset ~task_id:task.id ~wcet
   in
@@ -54,12 +57,12 @@ let headroom_of ?(tol = 0.01) ~cost ~spec taskset (task : Model.Task.t) =
     end
   end
 
-let per_task ?tol ~cost ~spec taskset =
+let per_task ~cost ~spec taskset =
   Array.to_list
-    (Array.map (headroom_of ?tol ~cost ~spec taskset) (Model.Taskset.tasks taskset))
+    (Array.map (headroom_of ~cost ~spec taskset) (Model.Taskset.tasks taskset))
 
-let bottleneck ?tol ~cost ~spec taskset =
-  per_task ?tol ~cost ~spec taskset
+let bottleneck ~cost ~spec taskset =
+  per_task ~cost ~spec taskset
   |> List.fold_left
        (fun acc h ->
          match acc with

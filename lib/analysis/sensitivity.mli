@@ -19,17 +19,15 @@ type headroom = {
 }
 
 val per_task :
-  ?tol:float ->
   cost:Sim.Cost.t ->
   spec:Emeralds.Sched.spec ->
   Model.Taskset.t ->
   headroom list
 (** Headroom for every task, in RM order.  A task in an already
     infeasible workload reports [max_wcet = 0] and [scale = 0].
-    [tol] is the relative tolerance of the bisection (default 0.01). *)
+    Bisection finds [max_wcet] to within 1% (and 1 ns). *)
 
 val bottleneck :
-  ?tol:float ->
   cost:Sim.Cost.t ->
   spec:Emeralds.Sched.spec ->
   Model.Taskset.t ->

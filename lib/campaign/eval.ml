@@ -1,12 +1,11 @@
 (* Evaluate one generated scenario against the oracle lattice.
 
-   Each oracle compares two independently built layers of the repo;
-   the scenario is re-realized for every stateful consumer (statics,
-   each simulation, the model checker) so no kernel-object state leaks
-   between them.  The static terms the RM oracles check against — RTA
-   eligibility, the Table-1-inflated fixpoint, the lint blocking terms
-   and the per-component blame bounds — are derived only here; the
-   CLI's [explain] reads them and the blame verdicts from here too. *)
+   Each oracle compares two independently built layers of the repo on
+   one realization of the scenario.  The static terms the RM oracles
+   check against — RTA eligibility, the Table-1-inflated fixpoint, the
+   lint blocking terms and the per-component blame bounds — are
+   derived only here; the CLI's [explain] reads them and the blame
+   verdicts from here too. *)
 
 type t = {
   findings : Oracle.finding list;
@@ -299,12 +298,8 @@ let declared_enforcement ablation =
     shed_one_in = None;
   }
 
-let run_sim ?attach (spec : Workload.Generator.spec) ~horizon ~enforcement =
-  let cfg =
-    Fault.Inject.default_config
-      ~scenario:(Workload.Generator.realize spec)
-      ~horizon ~seed:9 ()
-  in
+let run_sim ?attach (spec : Workload.Generator.spec) sc ~horizon ~enforcement =
+  let cfg = Fault.Inject.default_config ~scenario:sc ~horizon ~seed:9 () in
   let observer k =
     sporadic_observer spec ~horizon k;
     match attach with Some f -> f k | None -> ()
@@ -362,7 +357,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   let enforced =
     if need_sim then
       Some
-        (run_sim spec ~horizon
+        (run_sim spec sc ~horizon
            ~enforcement:(Some (declared_enforcement ablation))
            ?attach:
              (Option.map
@@ -371,7 +366,8 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
     else None
   in
   let plain =
-    if wants oracles Ident then Some (run_sim spec ~horizon ~enforcement:None)
+    if wants oracles Ident then
+      Some (run_sim spec sc ~horizon ~enforcement:None)
     else None
   in
   let sim_us = since_us t0 in
@@ -598,7 +594,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
           else None)
         spec.s_tasks
     in
-    let m = Mc.Machine.of_scenario ~sporadic (Workload.Generator.realize spec) in
+    let m = Mc.Machine.of_scenario ~sporadic sc in
     let bounds =
       {
         Mc.Explorer.horizon = min m.hyperperiod horizon;

@@ -1,12 +1,12 @@
 (** Evaluate one generated scenario against the oracle lattice.
 
-    The scenario is re-realized for every stateful consumer — the
-    static analyses, each simulation run, and the model checker — so
-    no kernel-object state leaks between layers.  The RM cross-check
-    terms (RTA eligibility, the Table-1-inflated fixpoint, the lint
-    blocking terms, the per-component blame bounds) are derived only
-    by {!statics} and {!blame_terms}, and judged by
-    {!blame_violations}; [explain]'s report, {!Explain}, calls all three. *)
+    {!run} realizes the scenario once and hands it to the static
+    analyses, both simulation runs and the model checker.  The RM
+    cross-check terms (RTA eligibility, the Table-1-inflated fixpoint,
+    the lint blocking terms, the per-component blame bounds) are
+    derived only by {!statics} and {!blame_terms}, and judged by
+    {!blame_violations}; [explain]'s report, {!Explain}, calls all
+    three. *)
 
 type t = {
   findings : Oracle.finding list;
@@ -80,9 +80,7 @@ val since_us : int -> int
 val norm_sig : Emeralds.Kernel.t -> Sim.Trace.signature
 (** The kernel trace's {!Sim.Trace.signature}: [=] on two of them is
     [Sim.Trace.equal] on the traces, the Ident comparison {!run} makes
-    in place.  Kept for perfbench's replay of that comparison.  Object
-    ids are per realization, so two realizations of one spec compare
-    as they are. *)
+    in place.  Kept for perfbench's replay of that comparison. *)
 
 val sporadic_observer :
   Workload.Generator.spec -> horizon:Model.Time.t -> Emeralds.Kernel.t -> unit

@@ -1,5 +1,4 @@
-let run ~name ~sched ~horizon_ms ~seed ~task (scenario : Workload.Scenario.t)
-    =
+let run ~name ~sched ~horizon ~seed ~task (scenario : Workload.Scenario.t) =
   (* static terms: the campaign's own (all RM-specific); tasks RTA does
      not cover, or any other scheduler, get no bound columns *)
   let statics = Eval.statics scenario in
@@ -14,13 +13,13 @@ let run ~name ~sched ~horizon_ms ~seed ~task (scenario : Workload.Scenario.t)
   let outcome =
     Fault.Inject.run
       {
-        (Fault.Inject.default_config ~scenario ~spec:sched
-           ~horizon:(Model.Time.ms horizon_ms) ~seed ())
+        (Fault.Inject.default_config ~scenario ~spec:sched ~horizon ~seed ())
         with
         observer = Some observer;
       }
   in
   let tr = Emeralds.Kernel.trace outcome.kernel in
+  let horizon_ms = horizon / Model.Time.ms 1 in
   (* the blame oracle's verdicts; its RM bounds judge no other
      scheduler *)
   let violations s =

@@ -3,7 +3,7 @@
 val run :
   name:string ->
   sched:Emeralds.Sched.spec ->
-  horizon_ms:int ->
+  horizon:Model.Time.t ->
   seed:int ->
   task:int option ->
   Workload.Scenario.t ->

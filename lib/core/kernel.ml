@@ -1185,31 +1185,41 @@ let create ?(keep_trace = true) ?(optimized_pi = true)
   let engine =
     match engine with Some e -> e | None -> Sim.Engine.create ()
   in
-  (* Every pool any program references.  Pools are shared mutable
-     objects like semaphores, but unlike a semaphore a pool's state is
-     pure bookkeeping with no blocked threads attached, so a fresh
-     kernel safely resets it (replays over one realized scenario stay
-     deterministic). *)
+  (* Every object a program names starts from its declared state, as
+     at boot, so one realized scenario serves any number of kernels
+     created one after another; the pools are also kept for the
+     occupancy invariant. *)
   let pools =
     let tbl = Hashtbl.create 4 in
     Array.iter
       (fun (tcb : tcb) ->
         Array.iter
           (function
-            | Alloc p | Free p -> Hashtbl.replace tbl p.pool_id p
-            | _ -> ())
+            | Acquire s | Release s ->
+              s.sem_value <- s.sem_initial;
+              s.holder <- None;
+              if not (Util.Dlist.is_empty s.approachers) then
+                Util.Dlist.iter_nodes
+                  (Util.Dlist.remove s.approachers)
+                  s.approachers
+            | Wait wq | Timed_wait (wq, _) | Signal wq | Broadcast wq ->
+              wq.pending_signals <- 0
+            | Send (mb, _) | Recv mb -> Queue.clear mb.mb_queue
+            | State_write (sm, _) | State_read sm -> State_msg.restart sm
+            | Alloc p | Free p ->
+              p.pool_free <- p.pool_capacity;
+              p.pool_high_water <- 0;
+              p.pool_failures <- 0;
+              Hashtbl.replace tbl p.pool_id p
+            | Compute _ | Delay _ | If_input _ | Repeat _ | Br_input _
+            | Jump _ ->
+              ())
           tcb.program)
       tcbs;
     List.sort
       (fun (a : pool) b -> compare a.pool_id b.pool_id)
       (Hashtbl.fold (fun _ p acc -> p :: acc) tbl [])
   in
-  List.iter
-    (fun (p : pool) ->
-      p.pool_free <- p.pool_capacity;
-      p.pool_high_water <- 0;
-      p.pool_failures <- 0)
-    pools;
   let tr = Sim.Trace.create ~keep_entries:keep_trace () in
   let k =
     {

@@ -27,6 +27,16 @@ val create :
   t
 (** Build a kernel for a task set.
 
+    Every object a task program names starts from its declared state,
+    as at boot: a semaphore's free units, holder and approach queue, a
+    wait queue's pending signals, a mailbox's queue, a state message's
+    slots and sequence ({!State_msg.restart}), a pool's free blocks and
+    counters.  So the objects of one scenario serve any number of
+    kernels created one after another, each run as if first.  Two
+    kernels alive at once must not share an object, since creating the
+    second restarts the first's; the fabric's shards run default
+    programs and name none.
+
     - [engine]: share an existing discrete-event engine (distributed
       configurations put several nodes and a fieldbus on one engine);
       by default the kernel owns a fresh one.

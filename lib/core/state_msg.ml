@@ -9,22 +9,32 @@ type t = {
   mutable published : int;
 }
 
+(* Every slot zeroed and sequence 0 pre-published as the all-zero
+   value; the other slots carry stamps no sequence ever claims. *)
+let restart t =
+  for i = 0 to t.depth - 1 do
+    Array.fill t.slots.(i) 0 t.words 0;
+    t.slot_stamp.(i) <- (if i = 0 then 0 else i - t.depth)
+  done;
+  t.published <- 0
+
 let create ~depth ~words =
   if depth < 2 then invalid_arg "State_msg.create: depth must be >= 2";
   if words < 1 then invalid_arg "State_msg.create: words must be >= 1";
-  let slot_stamp = Array.init depth (fun i -> i - depth) in
-  (* Sequence 0 is pre-published as the all-zero value. *)
-  slot_stamp.(0) <- 0;
   let ids = Ids.get () in
   ids.state <- ids.state + 1;
-  {
-    sm_id = ids.state;
-    depth;
-    words;
-    slots = Array.init depth (fun _ -> Array.make words 0);
-    slot_stamp;
-    published = 0;
-  }
+  let t =
+    {
+      sm_id = ids.state;
+      depth;
+      words;
+      slots = Array.init depth (fun _ -> Array.make words 0);
+      slot_stamp = Array.make depth 0;
+      published = 0;
+    }
+  in
+  restart t;
+  t
 
 let id t = t.sm_id
 let depth t = t.depth

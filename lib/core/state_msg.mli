@@ -29,6 +29,10 @@ val create : depth:int -> words:int -> t
 (** [depth >= 2], [words >= 1].  Slots start zeroed with sequence 0
     published (readers of a never-written message see all zeroes). *)
 
+val restart : t -> unit
+(** Back to the state {!create} gave: zeroed slots, sequence 0.
+    [Kernel.create] calls it on every state message a program names. *)
+
 val id : t -> int
 (** Identifier, numbered like kernel-object ids ({!Objects}); traces
     and the static verifier ({!Lint}) key state messages by it. *)

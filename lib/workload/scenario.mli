@@ -8,11 +8,13 @@
     and simulate — or to compile into the pure transition system the
     bounded model checker ([lib/mc]) explores.
 
-    [make] and every builder below allocate fresh kernel objects on
-    every call, so a scenario can be linted and simulated repeatedly
-    without sharing mutable semaphore/mailbox state across runs; each
-    call restarts the ids ({!Emeralds.Ids.restart}), so every call
-    numbers its objects alike. *)
+    A built scenario may be linted, checked and run any number of
+    times: every [Kernel.create] starts the objects its programs name
+    from their declared state, so runs one after another do not see
+    each other.  [make] and every builder below allocate fresh kernel
+    objects on each call and restart the ids first
+    ({!Emeralds.Ids.restart}), so every call numbers its objects
+    alike. *)
 
 type irq_source = {
   irq : int;

@@ -6,8 +6,9 @@
    format, and a run that exits 0 or 1 must print a document that
    Util.Json.parse accepts; so must inject's JSON report with a
    flight-recorder dump, whose note goes to stderr.  Flag values the
-   kernel or the model checker would raise on must exit 2 as well, and
-   so must fault plans and task files the key=value reader refuses.
+   kernel or the model checker would raise on, or whose time would
+   overflow an int of nanoseconds, must exit 2 as well, and so must
+   fault plans and task files the key=value reader refuses.
 
    Usage: matrix.exe PATH-TO-emeralds_cli.exe *)
 
@@ -55,6 +56,16 @@ let bad_values =
     [ "check"; "--preset"; "table2"; "--horizon-ms=-10" ];
     [ "check"; "--max-states=0" ];
     [ "check"; "--max-depth=-1" ];
+    (* time values whose nanoseconds overflow an int *)
+    [ "simulate"; "--horizon-ms"; "9223372036854"; "--preset"; "table2";
+      "--sched"; "edf" ];
+    [ "inject"; "--preset"; "engine"; "--horizon-ms"; "5000000000000" ];
+    [ "check"; "--preset"; "engine"; "--horizon-ms"; "9223372036854" ];
+    [ "explain"; "--horizon-ms"; "9223372036854" ];
+    [ "trace"; "--horizon-ms"; "9223372036854" ];
+    [ "fabric"; "--horizon-ms"; "9223372036854" ];
+    [ "check"; "--read-span-us"; "9223372036854775" ];
+    [ "check"; "--sporadic"; "1:9223372036854:9223372036854" ];
     (* plan clauses on a task the scenario lacks, and a duration whose
        nanoseconds overflow an int *)
     [ "inject"; "--plan"; "burst:tid=99,at=20ms,count=3,spacing=1ms" ];

@@ -213,10 +213,12 @@ let test_rta_iteration_limit () =
   let rows = [| (ms 10, ms 10, ms 5); (ms 10, ms 10, ms 5) |] in
   (* converges normally *)
   check bool "fits exactly" true (Analysis.Rta.feasible rows);
-  (* an absurdly small limit cannot loop forever *)
-  check bool "limit respected" true
-    (match Analysis.Rta.response_time ~limit:1 ~tasks:rows 1 with
-    | Some _ | None -> true)
+  (* a recurrence that grows by 1 ns per step under a deadline it
+     never reaches stops at the iteration limit instead of looping *)
+  check (option int) "limit respected" None
+    (Analysis.Rta.response_time
+       ~tasks:[| (1, 1, 1); (max_int, max_int, 1) |]
+       1)
 
 let prop_partition_candidates_valid =
   qtest "partition candidates are well-formed"
@@ -237,7 +239,7 @@ let prop_partition_candidates_valid =
 let test_breakdown_rejects_empty_utilization () =
   check bool "u0 <= 0 rejected" true
     (try
-       ignore (Analysis.Breakdown.search ~feasible:(fun _ -> true) ~u0:0.0 ());
+       ignore (Analysis.Breakdown.search ~feasible:(fun _ -> true) ~u0:0.0);
        false
      with Invalid_argument _ -> true)
 

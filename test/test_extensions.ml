@@ -472,17 +472,16 @@ let test_blocking_rta () =
 
 let test_condvar_object () =
   let mutex = Objects.sem ~kind:Types.Emeralds () in
-  let cv = Condvar.create ~mutex () in
+  let cv = Objects.waitq () in
   let ts =
     Model.Taskset.of_list [ task 1 50 2; task ~phase:(ms 10) 2 50 2 ]
   in
   let programs (t : Model.Task.t) =
     let open Program in
     if t.id = 1 then
-      (acquire (Condvar.mutex cv) :: Condvar.wait cv)
-      @ [ compute (ms 1); release (Condvar.mutex cv) ]
-    else
-      [ acquire mutex; compute (ms 1); Condvar.signal cv; release mutex ]
+      (acquire mutex :: condition_wait cv mutex)
+      @ [ compute (ms 1); release mutex ]
+    else [ acquire mutex; compute (ms 1); signal cv; release mutex ]
   in
   let k =
     Kernel.create ~cost:Sim.Cost.zero ~spec:Sched.Rm ~taskset:ts ~programs ()
@@ -493,7 +492,7 @@ let test_condvar_object () =
 
 let test_condvar_broadcast () =
   let mutex = Objects.sem () in
-  let cv = Condvar.create ~mutex () in
+  let cv = Objects.waitq () in
   let ts =
     Model.Taskset.of_list
       [ task 1 100 1; task 2 100 1; task ~phase:(ms 5) 3 100 1 ]
@@ -501,9 +500,8 @@ let test_condvar_broadcast () =
   let programs (t : Model.Task.t) =
     let open Program in
     if t.id = 3 then
-      [ acquire mutex; Condvar.broadcast cv; release mutex; compute (ms 1) ]
-    else
-      (acquire mutex :: Condvar.wait cv) @ [ release mutex ]
+      [ acquire mutex; broadcast cv; release mutex; compute (ms 1) ]
+    else (acquire mutex :: condition_wait cv mutex) @ [ release mutex ]
   in
   let k =
     Kernel.create ~cost:Sim.Cost.zero ~spec:Sched.Rm ~taskset:ts ~programs ()

@@ -467,6 +467,24 @@ let test_demand_saturates plan () =
   check bool "which differs from the unfaulted run" false
     (demand_trace plan = demand_trace "")
 
+(* A built scenario is plain input: a second run on the same objects
+   gives the first run's trace, since each kernel starts the objects
+   its programs name from their declared state. *)
+let test_rerun_one_scenario () =
+  List.iter
+    (fun (e : Workload.Scenario.entry) ->
+      if e.static_only = None then begin
+        let cfg = Fault.Inject.default_config ~scenario:(e.build ()) () in
+        let signature () =
+          Sim.Trace.signature
+            (Emeralds.Kernel.trace (Fault.Inject.run cfg).kernel)
+        in
+        let first = signature () in
+        check bool (e.name ^ ": the rerun's trace is the first's") true
+          (first = signature ())
+      end)
+    Workload.Scenario.catalog
+
 let suite =
   [
     test_case "plan: render/parse round-trip" `Quick test_plan_roundtrip;
@@ -495,4 +513,6 @@ let suite =
       (test_demand_saturates "wcet-add:tid=2,extra=4611686018427387903ns");
     test_case "plan: wcet-scale past max_int saturates" `Quick
       (test_demand_saturates "wcet-scale:tid=2,pct=4611686018427387903");
+    test_case "one built scenario reruns to the same trace" `Quick
+      test_rerun_one_scenario;
   ]

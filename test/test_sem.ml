@@ -501,6 +501,29 @@ let prop_schemes_equivalent_outcomes =
       scheme_outcome Types.Standard ~n ~seed
       = scheme_outcome Types.Emeralds ~n ~seed)
 
+(* A kernel starts the semaphores its programs name from their
+   declared state: after a run cut off with tau2 holding [sem] and
+   tau1 parked in its approach queue, a new kernel over the same
+   programs runs as the first did on the untouched objects. *)
+let test_next_kernel_restarts_sem () =
+  let sem = Objects.sem ~kind:Types.Emeralds () in
+  let event = Objects.waitq () in
+  let ts = Model.Taskset.of_list [ task 1 10 1; task 2 20 5 ] in
+  let programs (t : Model.Task.t) =
+    let open Program in
+    if t.id = 1 then [ wait event; acquire sem; compute (ms 1); release sem ]
+    else [ acquire sem; signal event; compute (ms 4); release sem ]
+  in
+  let run until = run_k ~spec:Sched.Rm ~programs ts ~until in
+  let first = run (ms 40) in
+  let cut = run (ms 3) in
+  check string "tau1 parked in the approach queue" "approach"
+    (match (Kernel.tcb cut ~tid:1).state with
+    | Types.Blocked r -> r
+    | Types.Ready | Running | Dormant -> "not blocked");
+  check bool "the next kernel runs as the first" true
+    (Sim.Trace.equal (Kernel.trace first) (Kernel.trace (run (ms 40))))
+
 let suite =
   [
     prop_schemes_equivalent_outcomes;
@@ -527,6 +550,8 @@ let suite =
     test_case "chained inheritance" `Quick test_counting_via_chain;
     test_case "deadline-only inheritance keeps FP order" `Quick
       test_deadline_only_inheritance_keeps_fp_order;
+    test_case "the next kernel restarts a held, approached semaphore" `Quick
+      test_next_kernel_restarts_sem;
   ]
 
 let _ = us
