@@ -637,7 +637,7 @@ let trace_cmd =
       "engine"
   in
   let format =
-    format
+    format ~json:true
       ~doc:
         " perfetto is Chrome/Perfetto trace-event JSON of the \
          flight-recorder window, csv the same window as CSV, metrics the \
@@ -726,7 +726,7 @@ let explain_cmd =
       & info [ "task" ] ~docv:"TID" ~doc:"Explain only this task id.")
   in
   let format =
-    format
+    format ~json:true
       ~doc:
         " text is the ranked blame tables, json a machine digest, sarif \
          the misses and conservation and domination violations as \

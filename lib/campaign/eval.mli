@@ -94,11 +94,13 @@ val run_e2e :
   ablation:Oracle.ablation ->
   Workload.Generator.spec ->
   Fabric.Cluster.t * Fault.Report.net_score * (int * Model.Task.t list) list
-(** The e2e oracle's fabric run in isolation: a canonical three-shard
-    fabric derived from the scenario, one node crashed under frame
-    loss, run by {!Fabric.Preset.run}.  Returns the cluster (its kernels, crash and migrations for
-    the blame fabric leg), the scored outcome, which the oracle judges
-    by {!Fault.Report.net_failures}, and the initial per-node task
+(** The e2e oracle's fabric run in isolation: the canonical
+    three-shard fabric of scenario [index], one node crashed under
+    frame loss, run by {!Fabric.Preset.run}.  Its periods come from
+    the spec, but its scorecard depends on [index] alone.  Returns the
+    cluster (its kernels, crash and migrations for the blame fabric
+    leg), the scored outcome, which the oracle judges by
+    {!Fault.Report.net_failures}, and the initial per-node task
     assignments (the blame leg resolves migrated tasks against them);
     [E2e_bound] halves the bound in the score. *)
 

@@ -19,12 +19,15 @@ type key =
   | Mc_props  (** deadlock / PI / invariant / tear properties hold *)
   | Rta_mc  (** RTA bounds >= model-checked worst-case responses *)
   | E2e
-      (** fabric crash failover: a canonical three-shard fabric derived
-          from the scenario (periods cycled from its tasks, utilization
-          capped) crashes one node under frame loss; every surviving
-          shard keeps its post-failover deadlines, the orphan migrates
-          rather than sheds, and the observed failover latency stays
-          within the static migration-cost bound *)
+      (** fabric crash failover, one canonical three-shard fabric run
+          per scenario index (utilization capped) that crashes one node
+          under frame loss: every surviving shard keeps its
+          post-failover deadlines, the orphan migrates rather than
+          sheds, and the observed failover latency stays within the
+          static migration-cost bound.  The run's periods are cycled
+          from the scenario, but no scored field moves with them, so
+          the verdict depends on the index alone (ROADMAP item 15(b)
+          would give each scenario its own fault schedule) *)
   | Blame
       (** online per-job blame attribution: components (exec,
           interference, blocking, overhead, ...) sum exactly to every

@@ -73,7 +73,6 @@ type t = {
   mutable stopped : bool;
   origin : Model.Time.t; (* phase 0 of every task; nonzero for shards
                             (re)provisioned mid-run on a shared engine *)
-  tick : Model.Time.t option; (* None = event-precise timers (EMERALDS) *)
   irq_handlers : (int, irq_entry) Hashtbl.t;
   (* enforcement: [None] leaves every code path below bit-identical to
      the unenforced kernel (the fuzz differential depends on this); the
@@ -96,11 +95,6 @@ type t = {
 }
 
 let now k = Sim.Engine.now k.engine
-
-(* A periodic-tick kernel only notices timer expirations at tick
-   boundaries; EMERALDS programs its timer for exact instants. *)
-let quantize k t =
-  match k.tick with None -> t | Some q -> Util.Intmath.ceil_div t q * q
 
 let find_cell (tcb : tcb) (p : pool) =
   List.find_opt (fun c -> c.mc_pool == p) tcb.mem_cells
@@ -160,10 +154,9 @@ let check_invariants k =
       (* a mutex we hold must point back at us *)
       List.iter
         (fun s ->
-          if s.sem_initial = 1 then
-            match s.holder with
-            | Some h -> assert (h == tcb)
-            | None -> assert false)
+          match s.holder with
+          | Some h -> assert (h == tcb)
+          | None -> assert false)
         tcb.held_sems;
       (* live-block counts are non-negative *)
       List.iter (fun c -> assert (c.mc_live >= 0)) tcb.mem_cells)
@@ -313,10 +306,10 @@ let join_approachers tcb s =
 (* ------------------------------------------------------------------ *)
 (* Semaphores (§6) *)
 
-(* §6.3.1: while S has no free unit, no thread that has completed its
+(* §6.3.1: while S is held, no thread that has completed its
    pre-acquire blocking call may run toward its own acquire. *)
 let park_approachers k s ~except =
-  if s.sem_kind = Emeralds && s.sem_value = 0 then
+  if s.sem_kind = Emeralds && Option.is_some s.holder then
     Util.Dlist.iter
       (fun a ->
         if a != except && is_ready a then begin
@@ -329,35 +322,27 @@ let park_approachers k s ~except =
 let sem_acquire k tcb s =
   charge k Sim.Trace.Ovh_sem (Charge.service k.cost Charge.Sem ~words:0);
   leave_approachers tcb;
-  if s.sem_value > 0 then begin
-    s.sem_value <- s.sem_value - 1;
-    if s.sem_initial = 1 then begin
-      s.holder <- Some tcb;
-      tcb.held_sems <- s :: tcb.held_sems
-    end;
+  match s.holder with
+  | None ->
+    s.holder <- Some tcb;
+    tcb.held_sems <- s :: tcb.held_sems;
     Obs.Probe.emit k.probe ~at:(now k)
       (Sem_acquired { tid = tcb.tid; sem = s.sem_id });
     park_approachers k s ~except:tcb;
     `Granted
-  end
-  else begin
+  | Some holder ->
+    assert (holder != tcb);
     Obs.Probe.emit k.probe ~at:(now k)
       (Sem_blocked { tid = tcb.tid; sem = s.sem_id });
-    (match s.holder with
-    | Some holder ->
-      assert (holder != tcb);
-      do_inherit k ~holder ~waiter:tcb
-    | None -> () (* counting semaphore: no single thread to inherit into *));
+    do_inherit k ~holder ~waiter:tcb;
     tcb.waiting_on <- On_sem s;
     block_thread k tcb ~reason:"sem" ~dormant:false;
     `Blocked
-  end
 
 let sem_release k tcb s =
-  if s.sem_initial = 1 then (
-    match s.holder with
-    | Some h when h == tcb -> ()
-    | Some _ | None -> invalid_arg "Kernel: release of a semaphore not held");
+  (match s.holder with
+  | Some h when h == tcb -> ()
+  | Some _ | None -> invalid_arg "Kernel: release of a semaphore not held");
   charge k Sim.Trace.Ovh_sem (Charge.service k.cost Charge.Sem ~words:0);
   Obs.Probe.emit k.probe ~at:(now k)
     (Sem_released { tid = tcb.tid; sem = s.sem_id });
@@ -367,13 +352,11 @@ let sem_release k tcb s =
   restore_prio k tcb;
   match take_waiter k (on_sem s) with
   | Some w ->
-    (* Hand the unit straight to the best-served waiter; its acquire
+    (* Hand the mutex straight to the best-served waiter; its acquire
        call completes as part of this release (Figure 7's "unblock
        T2"). *)
-    if s.sem_initial = 1 then begin
-      s.holder <- Some w;
-      w.held_sems <- s :: w.held_sems
-    end;
+    s.holder <- Some w;
+    w.held_sems <- s :: w.held_sems;
     w.pc <- w.pc + 1;
     Obs.Probe.emit k.probe ~at:(now k)
       (Sem_acquired { tid = w.tid; sem = s.sem_id });
@@ -382,10 +365,9 @@ let sem_release k tcb s =
        still have a better rank or an earlier deadline.  Re-establish
        inheritance so both are the best over the waiters it now
        blocks. *)
-    if s.sem_initial = 1 then inherit_waiters k ~holder:w s
+    inherit_waiters k ~holder:w s
   | None ->
-    (* A unit is free again: release the approach queue (§6.3.1). *)
-    s.sem_value <- s.sem_value + 1;
+    (* The mutex is free again: release the approach queue (§6.3.1). *)
     let woke = ref false in
     if s.sem_kind = Emeralds then
       Util.Dlist.iter
@@ -410,7 +392,7 @@ let complete_blocking_call k tcb =
     match hint with
     | Some s when s.sem_kind = Emeralds ->
       join_approachers tcb s;
-      if s.sem_value = 0 then Some s else None
+      Option.map (fun holder -> (s, holder)) s.holder
     | Some _ | None -> None
   in
   match locked with
@@ -419,12 +401,10 @@ let complete_blocking_call k tcb =
     | Blocked _ -> unblock_thread k tcb
     | Ready | Running -> ()
     | Dormant -> assert false)
-  | Some s -> (
+  | Some (s, holder) -> (
     (* The semaphore is taken: inherit now and keep the thread
        blocked — this is the eliminated context switch C2. *)
-    (match s.holder with
-    | Some holder -> do_inherit k ~holder ~waiter:tcb
-    | None -> ());
+    do_inherit k ~holder ~waiter:tcb;
     match tcb.state with
     | Blocked _ ->
       tcb.state <- Blocked "approach";
@@ -668,9 +648,7 @@ and run_instrs k tcb =
         | _ -> ()
       in
       ignore
-        (Sim.Engine.schedule k.engine
-           ~at:(quantize k (now k + d))
-           (kernel_event k timeout))
+        (Sim.Engine.schedule k.engine ~at:(now k + d) (kernel_event k timeout))
     | Signal wq ->
       do_signal k wq;
       step ()
@@ -699,8 +677,7 @@ and run_instrs k tcb =
       charge k Sim.Trace.Ovh_timer (Charge.service k.cost Charge.Delay ~words:0);
       block_thread k tcb ~reason:"delay" ~dormant:false;
       ignore
-        (Sim.Engine.schedule k.engine
-           ~at:(quantize k (now k + d))
+        (Sim.Engine.schedule k.engine ~at:(now k + d)
            (kernel_event k (fun () -> complete_blocking_call k tcb)))
     | Alloc p ->
       charge k Sim.Trace.Ovh_pool (Charge.service k.cost Charge.Pool ~words:0);
@@ -718,7 +695,6 @@ and run_instrs k tcb =
       if p.pool_free > 0 then begin
         p.pool_free <- p.pool_free - 1;
         let live = p.pool_capacity - p.pool_free in
-        p.pool_high_water <- Int.max p.pool_high_water live;
         c.mc_live <- c.mc_live + 1;
         c.mc_hw <- Int.max c.mc_hw c.mc_live;
         to_front tcb c;
@@ -731,7 +707,6 @@ and run_instrs k tcb =
         if tcb.job_no = job && tcb.completed_job < job then step ()
       end
       else begin
-        p.pool_failures <- p.pool_failures + 1;
         c.mc_oom <- c.mc_oom + 1;
         Obs.Probe.emit k.probe ~at:(now k)
           (Pool_oom { tid = tcb.tid; pool = p.pool_id });
@@ -878,17 +853,11 @@ and arm_budget_probe k e tcb ~started =
       let slack = Model.Time.max 0 (budget - st.used) in
       if slack < tcb.remaining then begin
         (* fire 1 ns past the crossing instant so using exactly the
-           budget is not an overrun; tick kernels defer detection to
-           the next tick boundary.  If the crossing is already banked
-           from an earlier burst segment (the job blocked or was
-           preempted past its budget before a boundary observed it),
-           detection is overdue — fire now rather than quantizing
-           forward again, which would let a job that keeps yielding
-           just before each boundary overrun without bound. *)
-        let fire_at =
-          if st.used > budget then now k
-          else Model.Time.max (now k) (quantize k (started + slack + 1))
-        in
+           budget is not an overrun.  If the crossing is already banked
+           from an earlier burst segment (an event at the very instant
+           the probe was due stopped the burst first), detection is
+           overdue: fire now. *)
+        let fire_at = if st.used > budget then now k else started + slack + 1 in
         st.probe_job <- tcb.job_no;
         st.probe <-
           Some
@@ -1132,9 +1101,7 @@ let rec release_event k tcb ~job () =
    a delayed chain never schedules into the past. *)
 and schedule_release k tcb ~job =
   let at =
-    quantize k
-      (Model.Time.add_sat (k.origin + tcb.task.phase)
-         ((job - 1) * tcb.task.period))
+    Model.Time.add_sat (k.origin + tcb.task.phase) ((job - 1) * tcb.task.period)
   in
   let at =
     match k.fault_jitter with
@@ -1159,24 +1126,19 @@ let make_tcb ~origin rank (task : Model.Task.t) program =
     has_branches = Program.has_branches program;
   }
 
-let create ?(keep_trace = true) ?(optimized_pi = true)
-    ?(priority_order = `Rm) ?(input_seed = 0) ?(origin = 0) ?tick ?programs
-    ?engine ~cost ~spec ~taskset () =
-  (match tick with
-  | Some t when t <= 0 -> invalid_arg "Kernel.create: tick must be positive"
-  | Some _ | None -> ());
+let create ?(keep_trace = true) ?(optimized_pi = true) ?(input_seed = 0)
+    ?(origin = 0) ?programs ?engine ~cost ~spec ~taskset () =
   if origin < 0 then invalid_arg "Kernel.create: origin must be >= 0";
   Sched.validate_partition spec ~n_tasks:(Model.Taskset.size taskset);
   let programs =
     match programs with Some f -> f | None -> default_program
   in
   let sched = Sched.instantiate spec ~cost ~optimized_pi in
-  let tasks = Array.copy (Model.Taskset.tasks taskset) in
-  (match priority_order with
-  | `Rm -> () (* the task set is already in RM order *)
-  | `Dm -> Array.sort Model.Task.dm_compare tasks);
+  (* the task set is in RM order: a task's index is its rank *)
   let tcbs =
-    Array.mapi (fun rank task -> make_tcb ~origin rank task (programs task)) tasks
+    Array.mapi
+      (fun rank task -> make_tcb ~origin rank task (programs task))
+      (Model.Taskset.tasks taskset)
   in
   let by_tid = Hashtbl.create (Array.length tcbs) in
   Array.iter (fun tcb -> Hashtbl.replace by_tid tcb.tid tcb) tcbs;
@@ -1196,7 +1158,6 @@ let create ?(keep_trace = true) ?(optimized_pi = true)
         Array.iter
           (function
             | Acquire s | Release s ->
-              s.sem_value <- s.sem_initial;
               s.holder <- None;
               if not (Util.Dlist.is_empty s.approachers) then
                 Util.Dlist.iter_nodes
@@ -1208,8 +1169,6 @@ let create ?(keep_trace = true) ?(optimized_pi = true)
             | State_write (sm, _) | State_read sm -> State_msg.restart sm
             | Alloc p | Free p ->
               p.pool_free <- p.pool_capacity;
-              p.pool_high_water <- 0;
-              p.pool_failures <- 0;
               Hashtbl.replace tbl p.pool_id p
             | Compute _ | Delay _ | If_input _ | Repeat _ | Br_input _
             | Jump _ ->
@@ -1238,7 +1197,6 @@ let create ?(keep_trace = true) ?(optimized_pi = true)
       need_dispatch = false;
       stopped = false;
       origin;
-      tick;
       irq_handlers = Hashtbl.create 8;
       enforcement = None;
       pools;

@@ -14,10 +14,8 @@ type t
 val create :
   ?keep_trace:bool ->
   ?optimized_pi:bool ->
-  ?priority_order:[ `Rm | `Dm ] ->
   ?input_seed:int ->
   ?origin:Model.Time.t ->
-  ?tick:Model.Time.t ->
   ?programs:(Model.Task.t -> Program.t) ->
   ?engine:Sim.Engine.t ->
   cost:Sim.Cost.t ->
@@ -25,14 +23,18 @@ val create :
   taskset:Model.Taskset.t ->
   unit ->
   t
-(** Build a kernel for a task set.
+(** Build a kernel for a task set.  Static priorities (and CSD queue
+    membership) follow the task set's rate-monotonic order, and timers
+    fire at exact instants: EMERALDS programs its on-chip timer for
+    each release, delay and timeout rather than polling a periodic
+    tick.
 
     Every object a task program names starts from its declared state,
-    as at boot: a semaphore's free units, holder and approach queue, a
-    wait queue's pending signals, a mailbox's queue, a state message's
-    slots and sequence ({!State_msg.restart}), a pool's free blocks and
-    counters.  So the objects of one scenario serve any number of
-    kernels created one after another, each run as if first.  Two
+    as at boot: a semaphore free with an empty approach queue, a wait
+    queue's pending signals, a mailbox's queue, a state message's slots
+    and sequence ({!State_msg.restart}), a pool's free blocks.  So the
+    objects of one scenario serve any number of kernels created one
+    after another, each run as if first.  Two
     kernels alive at once must not share an object, since creating the
     second restarts the first's; the fabric's shards run default
     programs and name none.
@@ -47,17 +49,6 @@ val create :
       feasibility sweeps, which need only the aggregate counters.
     - [optimized_pi] (default true): §6.2 place-holder priority
       inheritance; false selects the standard re-sorting path.
-    - [priority_order] (default [`Rm]): how static priorities (and CSD
-      queue membership) are assigned — rate-monotonic or
-      deadline-monotonic ("or any fixed-priority scheduler such as
-      deadline-monotonic", §5.3).  Only matters when deadlines differ
-      from periods.
-    - [tick]: timer granularity.  EMERALDS drives its clock services
-      from the on-chip timer and wakes threads at exact instants (the
-      default, [tick] absent); passing a tick models a conventional
-      periodic-tick kernel — job releases and delay expirations are
-      deferred to the next tick boundary, adding up to one tick of
-      release jitter.
     - [programs] gives each task its job body (default: a single
       [compute wcet]).  Structured control flow is lowered by
       [Program.flatten] at TCB construction; hints for EMERALDS
@@ -221,10 +212,9 @@ type enforcement = {
 val set_enforcement : t -> enforcement option -> unit
 (** Install (or clear) the enforcement configuration.  Budgets are
     watched by an exhaustion event armed when a compute burst that
-    could cross the budget starts; detection granularity is 1 ns for
-    event-precise kernels and one tick for tick kernels (an overrun
-    that begins and ends within one tick goes unnoticed — the price of
-    tick-driven enforcement).  Call before [run].
+    could cross the budget starts, and fires 1 ns past the crossing:
+    a job is charged at most its budget plus 1 ns before the policy
+    acts.  Call before [run].
     @raise Invalid_argument if [shed_one_in] is non-positive or a
     [Demote] rank is non-positive. *)
 

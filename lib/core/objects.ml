@@ -1,14 +1,11 @@
 open Types
 
-let sem ?(kind = Emeralds) ?(initial = 1) () =
-  if initial < 1 then invalid_arg "Objects.sem: initial must be >= 1";
+let sem ?(kind = Emeralds) () =
   let ids = Ids.get () in
   ids.sem <- ids.sem + 1;
   {
     sem_id = ids.sem;
     sem_kind = kind;
-    sem_initial = initial;
-    sem_value = initial;
     holder = None;
     approachers = Util.Dlist.create ();
   }
@@ -28,8 +25,6 @@ let pool ~block_bytes ~capacity () =
     pool_block_bytes = block_bytes;
     pool_capacity = capacity;
     pool_free = capacity;
-    pool_high_water = 0;
-    pool_failures = 0;
   }
 
 let mailbox ~capacity () =

@@ -7,15 +7,12 @@
     directly.  Each id space counts from 1 per domain and restarts at
     {!Ids.restart}, which every workload realization calls first. *)
 
-val sem : ?kind:Types.sem_kind -> ?initial:int -> unit -> Types.sem
-(** A semaphore with [initial] free units (default 1 — a mutex).
-    Priority inheritance and the §6 optimizations apply to mutexes;
-    a counting semaphore ([initial > 1]) has no single holder to
-    inherit into, so its acquire/release degrade gracefully to plain
-    blocking semantics (the paper notes its schemes are "more generally
-    applicable to counting semaphores" — the hint machinery still
-    saves the switch when the next unit is known to be taken).
-    @raise Invalid_argument if [initial < 1]. *)
+val sem : ?kind:Types.sem_kind -> unit -> Types.sem
+(** A mutual-exclusion semaphore, free until a task acquires it and
+    then held by that task alone until it releases it: the kind the
+    paper's §6 optimizations target, and the holder priority
+    inheritance raises.  [kind] (default [Emeralds]) picks the
+    implementation. *)
 
 val waitq : unit -> Types.waitq
 (** An event wait queue (the target of blocking calls preceding

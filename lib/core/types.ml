@@ -137,8 +137,6 @@ and pool = {
   pool_block_bytes : int;
   pool_capacity : int;
   mutable pool_free : int;
-  mutable pool_high_water : int;   (* max blocks simultaneously live *)
-  mutable pool_failures : int;     (* allocations denied (OOM) *)
 }
 
 (* One task's use of one pool: the live count the allocator enforces,
@@ -154,9 +152,7 @@ and mem_cell = {
 and sem = {
   sem_id : int;
   sem_kind : sem_kind;
-  sem_initial : int;              (* 1 = mutex; > 1 = counting semaphore *)
-  mutable sem_value : int;        (* free units *)
-  mutable holder : tcb option;    (* tracked (for PI) only when initial = 1 *)
+  mutable holder : tcb option;    (* a mutex: free iff [None] *)
   approachers : tcb Util.Dlist.t; (* §6.3.1's special queue *)
 }
 

@@ -43,8 +43,7 @@ val default_config :
   unit ->
   config
 (** RM scheduling, m68040 costs, 200 ms horizon, seed 7, no
-    enforcement, empty plan, no observer.  Kernels are event-precise
-    (no tick). *)
+    enforcement, empty plan, no observer. *)
 
 val declared_budgets : Model.Task.t -> Model.Time.t option
 (** The natural budget function: every task's declared WCET. *)

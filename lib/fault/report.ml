@@ -53,13 +53,14 @@ type statics = {
 let compute_statics (cfg : Inject.config) =
   let sc = cfg.scenario in
   let tasks = Model.Taskset.tasks sc.taskset in
-  let bounds = Lint.Blocking_terms.declared_rta (Lint.Ctx.of_scenario sc) in
+  let absint = Absint.Report.analyze ~cost:cfg.cost sc in
+  let bounds = Lint.Blocking_terms.declared_rta absint.ctx in
   let rta =
     List.filter_map
       (fun i -> Option.map (fun r -> (tasks.(i), r)) bounds.(i))
       (List.init (Array.length tasks) Fun.id)
   in
-  { rta; absint = Absint.Report.analyze ~cost:cfg.cost sc }
+  { rta; absint }
 
 (* ------------------------------------------------------------------ *)
 (* One cell *)

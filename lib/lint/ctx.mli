@@ -60,8 +60,9 @@ val dataflow :
     single pass in pc order suffices because all edges point forward. *)
 
 (** Held-semaphore multisets at a program point, in acquisition order
-    (oldest first, duplicates for counting-semaphore units).  [must]
-    holds on every path to the point, [may] on at least one. *)
+    (oldest first; a duplicate is a mutex acquired again while held,
+    which lock-balance reports).  [must] holds on every path to the
+    point, [may] on at least one. *)
 type held = { must : Emeralds.Types.sem list; may : Emeralds.Types.sem list }
 
 val held_join : held -> held -> held
@@ -69,7 +70,7 @@ val held_join : held -> held -> held
     parts. *)
 
 val count : Emeralds.Types.sem list -> Emeralds.Types.sem -> int
-(** Units of one semaphore inside a held multiset. *)
+(** Acquisitions of one semaphore inside a held multiset. *)
 
 val drop_latest :
   Emeralds.Types.sem list -> Emeralds.Types.sem -> Emeralds.Types.sem list

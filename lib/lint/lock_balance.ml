@@ -4,9 +4,10 @@ let name = "lock-balance"
 
 module Imap = Map.Make (Int)
 
-(* Per-sem held units as an interval [lo, hi]: lo on the stingiest
-   path to the point, hi on the greediest.  Input bits make every path
-   feasible, so hi-findings are real executions, not artefacts. *)
+(* Per-sem acquisitions not yet released as an interval [lo, hi]: lo
+   on the stingiest path to the point, hi on the greediest.  Input
+   bits make every path feasible, so hi-findings are real executions,
+   not artefacts. *)
 let find held (s : Types.sem) =
   match Imap.find_opt s.sem_id held with Some row -> row | None -> (s, 0, 0)
 
@@ -33,23 +34,17 @@ let run (ctx : Ctx.t) =
         match instr with
         | Types.Acquire s ->
           let _, lo, hi = find held s in
-          if hi >= s.sem_initial then
+          if hi > 0 then
             add Diag.Error ~task:tid ~pc
-              (if s.sem_initial = 1 then
-                 if lo >= s.sem_initial then
-                   Printf.sprintf
-                     "double acquire of sem %d: the job blocks on itself"
-                     s.sem_id
-                 else
-                   Printf.sprintf
-                     "double acquire of sem %d on some path: the job blocks \
-                      on itself when that branch is taken"
-                     s.sem_id
+              (if lo > 0 then
+                 Printf.sprintf
+                   "double acquire of sem %d: the job blocks on itself"
+                   s.sem_id
                else
                  Printf.sprintf
-                   "acquire of sem %d exceeds its %d units with none released%s"
-                   s.sem_id s.sem_initial
-                   (if lo >= s.sem_initial then "" else " on some path"));
+                   "double acquire of sem %d on some path: the job blocks on \
+                    itself when that branch is taken"
+                   s.sem_id);
           Imap.add s.sem_id (s, lo + 1, hi + 1) held
         | Types.Release s ->
           let _, lo, hi = find held s in

@@ -48,7 +48,6 @@ type t = {
   model_name : string;
   tasks : mtask array;
   sem_ids : int array;
-  sem_initial : int array;
   wq_ids : int array;
   mb_ids : int array;
   mb_cap : int array;
@@ -210,7 +209,6 @@ let of_scenario ?(sched = Fp) ?(read_span = 0) ?(sporadic = []) (s : Workload.Sc
     model_name = s.name;
     tasks;
     sem_ids = Array.map (fun (s : Emeralds.Types.sem) -> s.sem_id) sem_objs;
-    sem_initial = Array.map (fun (s : Emeralds.Types.sem) -> s.sem_initial) sem_objs;
     wq_ids = Array.map (fun (w : Emeralds.Types.waitq) -> w.wq_id) wq_objs;
     mb_ids = Array.map (fun (m : Emeralds.Types.mailbox) -> m.mb_id) mb_objs;
     mb_cap = Array.map (fun (m : Emeralds.Types.mailbox) -> m.mb_capacity) mb_objs;

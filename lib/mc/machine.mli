@@ -74,7 +74,6 @@ type t = {
   model_name : string;
   tasks : mtask array;     (** in RM-rank order *)
   sem_ids : int array;     (** model index -> kernel object id *)
-  sem_initial : int array;
   wq_ids : int array;
   mb_ids : int array;
   mb_cap : int array;

@@ -198,19 +198,13 @@ let check_runners (_ : Machine.t) (st : State.t) =
   if !runners > 1 then fail "%d tasks running at once" !runners
 
 let check_objects (m : Machine.t) (st : State.t) =
-  for s = 0 to Array.length st.sem_val - 1 do
-    let v = st.sem_val.(s) in
-    if v < 0 || v > m.sem_initial.(s) then
-      fail "sem %d value %d outside [0,%d]" m.sem_ids.(s) v m.sem_initial.(s);
-    if v <> 0 && blocked st bsem_on s 0 then
-      fail "sem %d available (value %d) yet has waiters" m.sem_ids.(s) v;
+  for s = 0 to Array.length st.sem_holder - 1 do
     match st.sem_holder.(s) with
-    | -1 -> ()
+    | -1 ->
+      if blocked st bsem_on s 0 then
+        fail "sem %d free yet has waiters" m.sem_ids.(s)
     | h ->
       let ht = st.tasks.(h) in
-      if m.sem_initial.(s) <> 1 then
-        fail "counting sem %d has a tracked holder" m.sem_ids.(s);
-      if v <> 0 then fail "sem %d held yet value %d" m.sem_ids.(s) v;
       if not (List.mem s ht.held) then
         fail "sem %d holder %s does not list it as held" m.sem_ids.(s)
           m.tasks.(h).task_name;
@@ -364,7 +358,6 @@ let empty : State.t =
   {
     now = 0;
     tasks = [||];
-    sem_val = [||];
     sem_holder = [||];
     wq_sig = [||];
     mb_occ = [||];

@@ -46,8 +46,8 @@ val pi : t
 
 val invariants : t
 (** Structural kernel invariants on every state: at most one running
-    task, semaphore value/holder/held-list consistency, no waiters on
-    an available semaphore, mailbox occupancy within capacity and
+    task, semaphore holder/held-list consistency, no waiters on a
+    free semaphore, mailbox occupancy within capacity and
     consistent with blocked senders/receivers, program counters in
     range, and no faulting operations (e.g. releasing an un-held
     semaphore).  Three checks, in this order: the runner count reads

@@ -37,7 +37,6 @@ type tstate = {
 type t = {
   now : int;
   tasks : tstate array;
-  sem_val : int array;
   sem_holder : int array;
   wq_sig : int array;
   mb_occ : int array;
@@ -105,7 +104,6 @@ let init (m : Machine.t) =
   {
     now = 0;
     tasks;
-    sem_val = Array.copy m.sem_initial;
     sem_holder = Array.make (Array.length m.sem_ids) (-1);
     wq_sig = Array.make (Array.length m.wq_ids) 0;
     mb_occ = Array.make (Array.length m.mb_ids) 0;
@@ -278,7 +276,6 @@ let write_task b (m : Machine.t) st ~base (t : tstate) =
   add_pairs b t.live
 
 let write_objects b st =
-  add_array b st.sem_val;
   add_array b st.sem_holder;
   add_array b st.wq_sig;
   add_array b st.mb_occ;

@@ -71,8 +71,7 @@ type tstate = {
 type t = {
   now : int;
   tasks : tstate array;  (** indexed like [Machine.tasks] *)
-  sem_val : int array;
-  sem_holder : int array;  (** task index, -1 = none *)
+  sem_holder : int array;  (** task index, -1 = free *)
   wq_sig : int array;  (** pending (saved) signals *)
   mb_occ : int array;
   sm_seq : int array;
@@ -100,7 +99,7 @@ val live : parts
 (** The blocks each job holds ([tstate.live]). *)
 
 val sems : parts
-(** Semaphore values and holders. *)
+(** Semaphore holders. *)
 
 val mailboxes : parts
 val waitqs : parts

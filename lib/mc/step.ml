@@ -31,7 +31,6 @@ type ctx = {
   m : Machine.t;
   mutable now : int;
   tasks : tstate array;
-  sem_val : int array;
   sem_holder : int array;
   wq_sig : int array;
   mb_occ : int array;
@@ -72,7 +71,6 @@ let find_running (tasks : tstate array) =
 
 let thaw ?emit ~check ~check_note m (st : State.t) =
   let tasks = Array.copy st.tasks
-  and sem_val = Array.copy st.sem_val
   and sem_holder = Array.copy st.sem_holder
   and wq_sig = Array.copy st.wq_sig
   and mb_occ = Array.copy st.mb_occ
@@ -83,7 +81,6 @@ let thaw ?emit ~check ~check_note m (st : State.t) =
     m;
     now = st.now;
     tasks;
-    sem_val;
     sem_holder;
     wq_sig;
     mb_occ;
@@ -99,7 +96,6 @@ let thaw ?emit ~check ~check_note m (st : State.t) =
       {
         now = st.now;
         tasks;
-        sem_val;
         sem_holder;
         wq_sig;
         mb_occ;
@@ -508,26 +504,22 @@ let exec_instr c i ~horizon =
         end
       end
     | Machine.IAcquire s ->
-      if c.sem_val.(s) > 0 then begin
-        c.sem_val.(s) <- c.sem_val.(s) - 1;
-        if c.m.sem_initial.(s) = 1 then c.sem_holder.(s) <- i;
+      (match c.sem_holder.(s) with
+      | -1 ->
+        c.sem_holder.(s) <- i;
         mark c State.sems;
         set c i { t with pc = t.pc + 1; held = s :: t.held };
         if c.tracing then
           emit c
             (Sim.Trace.Sem_acquired { tid = tid c i; sem = c.m.sem_ids.(s) })
-      end
-      else begin
+      | h ->
         set c i { t with mode = BSem s };
         if c.tracing then begin
           emit c
             (Sim.Trace.Sem_blocked { tid = tid c i; sem = c.m.sem_ids.(s) });
           emit c (Sim.Trace.Thread_block { tid = tid c i; reason = "sem" })
         end;
-        match c.sem_holder.(s) with
-        | -1 -> ()
-        | h -> inherit_into c ~holder:h ~waiter:i
-      end;
+        inherit_into c ~holder:h ~waiter:i);
       `Ok
     | Machine.IRelease s ->
       if not (List.mem s t.held) then begin
@@ -545,19 +537,16 @@ let exec_instr c i ~horizon =
         restore_prio c i;
         match State.sem_waiters c.m (view c) s with
         | [] ->
-          c.sem_val.(s) <- c.sem_val.(s) + 1;
-          if c.sem_holder.(s) = i then c.sem_holder.(s) <- -1;
+          c.sem_holder.(s) <- -1;
           mark c State.sems
         | w :: rest ->
           (* direct handoff, like the kernel's [sem_release]: the
-             best-served waiter leaves with the unit.  A remaining
+             best-served waiter leaves holding the mutex.  A remaining
              waiter may still have a better rank or an earlier
              deadline — re-inherit so both are the best over the
              waiters the new holder now blocks. *)
-          if c.m.sem_initial.(s) = 1 then begin
-            c.sem_holder.(s) <- w;
-            mark c State.sems
-          end;
+          c.sem_holder.(s) <- w;
+          mark c State.sems;
           let wt = c.tasks.(w) in
           set c w { wt with mode = Ready; pc = wt.pc + 1; held = s :: wt.held };
           if c.tracing then begin
@@ -565,8 +554,7 @@ let exec_instr c i ~horizon =
             emit c
               (Sim.Trace.Sem_acquired { tid = tid c w; sem = c.m.sem_ids.(s) })
           end;
-          if c.m.sem_initial.(s) = 1 then
-            List.iter (fun w2 -> inherit_into c ~holder:w ~waiter:w2) rest
+          List.iter (fun w2 -> inherit_into c ~holder:w ~waiter:w2) rest
       end;
       `Ok
     | (Machine.IWait w | Machine.ITimed_wait (w, _)) as wait ->

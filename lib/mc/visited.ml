@@ -248,7 +248,6 @@ let fill v ~(parent : State.t) ~(pvec : vec) (st : State.t) =
   done;
   if
     has_parent
-    && same_ints st.sem_val parent.sem_val
     && same_ints st.sem_holder parent.sem_holder
     && same_ints st.wq_sig parent.wq_sig
     && same_ints st.mb_occ parent.mb_occ

@@ -32,9 +32,6 @@ let utilization t = float_of_int t.wcet /. float_of_int t.period
 let rm_compare a b =
   match compare a.period b.period with 0 -> compare a.id b.id | c -> c
 
-let dm_compare a b =
-  match compare a.deadline b.deadline with 0 -> compare a.id b.id | c -> c
-
 let pp ppf t =
   Format.fprintf ppf "%s(P=%a c=%a d=%a)" t.name Time.pp t.period Time.pp
     t.wcet Time.pp t.deadline

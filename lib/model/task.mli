@@ -48,7 +48,4 @@ val rm_compare : t -> t -> int
 (** Shorter period first (rate-monotonic priority order); ties broken
     by id so the order is total. *)
 
-val dm_compare : t -> t -> int
-(** Shorter relative deadline first (deadline-monotonic). *)
-
 val pp : Format.formatter -> t -> unit

@@ -5,10 +5,12 @@
    The subcommands that write JSON or SARIF run once more per such
    format, and a run that exits 0 or 1 must print a document that
    Util.Json.parse accepts; so must inject's JSON report with a
-   flight-recorder dump, whose note goes to stderr.  Flag values the
-   kernel or the model checker would raise on, or whose time would
-   overflow an int of nanoseconds, must exit 2 as well, and so must
-   fault plans and task files the key=value reader refuses.
+   flight-recorder dump, whose note goes to stderr.  Those subcommands
+   run once more with --json, which must exit and print as --format
+   json does.  Flag values the kernel or the model checker would raise
+   on, or whose time would overflow an int of nanoseconds, must exit 2
+   as well, and so must fault plans and task files the key=value
+   reader refuses.
 
    Usage: matrix.exe PATH-TO-emeralds_cli.exe *)
 
@@ -140,16 +142,25 @@ let () =
     else if code < 0 || code > 2 then fail "exit code outside {0, 1, 2}"
     else if contains (String.lowercase_ascii stderr) "exception" then
       fail "exception on stderr"
-    else if json && code <= 1 then parses stdout fail
+    else if json && code <= 1 then parses stdout fail;
+    (code, stdout)
   in
   List.iter
     (fun (e : Workload.Scenario.entry) ->
       List.iter
         (fun (sub, args) ->
-          scenario_run e sub args ~json:false;
+          ignore (scenario_run e sub args ~json:false);
           List.iter
             (fun fmt ->
-              scenario_run e sub (args @ [ "--format"; fmt ]) ~json:true)
+              let reply =
+                scenario_run e sub (args @ [ "--format"; fmt ]) ~json:true
+              in
+              if fmt = "json" then
+                let code, stdout, _, fail =
+                  run ((sub :: "--preset" :: e.name :: args) @ [ "--json" ])
+                in
+                if (code, stdout) <> reply then
+                  fail "--json must exit and print as --format json does")
             (Option.value ~default:[] (List.assoc_opt sub json_formats)))
         subcommands)
     Workload.Scenario.catalog;

@@ -88,9 +88,8 @@ let gen_case =
     let* kind = oneofl [ Types.Standard; Types.Emeralds ] in
     let* spec_idx = int_bound 6 in
     let* costly = bool in
-    let* tick = oneofl [ None; Some (ms 1); Some (us 700) ] in
     let* seed = int_range 1 10_000 in
-    return (n, kind, spec_idx, costly, tick, seed))
+    return (n, kind, spec_idx, costly, seed))
 
 (* Every scheduler the kernel ships: the classic three plus CSD with
    one, two and three DP queues (CSD-2/3/4) and the all-DP degenerate
@@ -147,7 +146,7 @@ let well_formed_trace entries horizon =
    same simulation; [make_enforcement], fed the generated programs,
    lets the differential and enforcement properties install budgets on
    an otherwise identical kernel. *)
-let run_one ?make_enforcement (n, kind, spec_idx, costly, tick, seed) =
+let run_one ?make_enforcement (n, kind, spec_idx, costly, seed) =
   let rng = Util.Rng.create ~seed in
   let objs = fresh_objects kind in
   let taskset =
@@ -164,7 +163,7 @@ let run_one ?make_enforcement (n, kind, spec_idx, costly, tick, seed) =
   let k =
     Kernel.create
       ~cost:(if costly then Sim.Cost.m68040 else Sim.Cost.zero)
-      ~spec:(spec_of spec_idx n) ~taskset ?tick
+      ~spec:(spec_of spec_idx n) ~taskset
       ~programs:(fun task -> programs.(task.id - 1))
       ~optimized_pi:(kind = Types.Emeralds) ()
   in
@@ -268,7 +267,7 @@ let sem_wait_cycle k ~n =
    errors are exactly the class of bugs that turn into stuck kernels,
    so error-free random programs must simulate without a semaphore
    wait cycle and keep every kernel invariant. *)
-let run_lint_clean (n, kind, spec_idx, costly, tick, seed) =
+let run_lint_clean (n, kind, spec_idx, costly, seed) =
   let rng = Util.Rng.create ~seed in
   let objs = fresh_objects kind in
   let taskset =
@@ -290,7 +289,7 @@ let run_lint_clean (n, kind, spec_idx, costly, tick, seed) =
     let k =
       Kernel.create
         ~cost:(if costly then Sim.Cost.m68040 else Sim.Cost.zero)
-        ~spec:(spec_of spec_idx n) ~taskset ?tick ~programs:programs_fn
+        ~spec:(spec_of spec_idx n) ~taskset ~programs:programs_fn
         ~optimized_pi:(kind = Types.Emeralds) ()
     in
     Kernel.run k ~until:(ms 150);
@@ -343,7 +342,7 @@ let prop_injected_cycle =
    observed per-job execution time sits under the derived WCET bound,
    and the derived footprint accounts for every kernel object the
    trace shows in use. *)
-let run_absint_sound (n, kind, _spec_idx, _costly, tick, seed) =
+let run_absint_sound (n, kind, _spec_idx, _costly, seed) =
   let rng = Util.Rng.create ~seed in
   let objs = fresh_objects kind in
   let taskset =
@@ -376,7 +375,7 @@ let run_absint_sound (n, kind, _spec_idx, _costly, tick, seed) =
     find 0
   in
   let k =
-    Kernel.create ~cost:Sim.Cost.zero ~spec:Sched.Rm ~taskset ?tick
+    Kernel.create ~cost:Sim.Cost.zero ~spec:Sched.Rm ~taskset
       ~programs:programs_fn ()
   in
   Kernel.run k ~until:(ms 150);
@@ -592,8 +591,8 @@ let prop_enforcement_differential =
 (* Aggressive enforcement — tight budgets, kill policies, skip-over
    shedding — must never corrupt the kernel: invariants hold, the
    trace stays well-formed, and no job consumes more than its budget
-   plus one detection quantum. *)
-let enforcement_case ((_, _, _, _, tick, _) as case) =
+   plus the probe's 1 ns. *)
+let enforcement_case case =
   let budget = us 1200 in
   let k, horizon =
     run_one
@@ -606,23 +605,23 @@ let enforcement_case ((_, _, _, _, tick, _) as case) =
         })
       case
   in
-  let quantum = Option.value tick ~default:0 in
   let tr = Kernel.trace k in
   Sim.Trace.busy_time tr <= horizon
   && well_formed_trace (Sim.Trace.entries tr) horizon
   && List.for_all
-       (fun (s : Kernel.enf_stats) -> s.e_budget_used <= budget + quantum + 1)
+       (fun (s : Kernel.enf_stats) -> s.e_budget_used <= budget + 1)
        (Kernel.enforcement_stats k)
 
 let prop_enforcement_fuzz =
   qtest ~count:60 "kill/shed enforcement never breaks kernel invariants"
     gen_case enforcement_case
 
-(* Cases this fuzzer once minimized to budget-accounting escapes: the
-   tick case deferred an already-banked overrun past every boundary
-   the job stopped short of; the no-tick case lost enforcement (and
-   the deadline check) for a whole job whose number collided with an
-   earlier sporadic arrival's. *)
+(* Cases this fuzzer once minimized to budget-accounting escapes, now
+   run event-precise: the first, found on a 700us-tick kernel,
+   deferred an already-banked overrun past every tick boundary the job
+   stopped short of; the second lost enforcement (and the deadline
+   check) for a whole job whose number collided with an earlier
+   sporadic arrival's. *)
 let enforcement_regressions =
   Alcotest.test_case "enforcement budget-escape regressions" `Quick
     (fun () ->
@@ -631,8 +630,8 @@ let enforcement_regressions =
           Alcotest.(check bool) "budget bound holds" true
             (enforcement_case case))
         [
-          (2, Types.Standard, 0, false, Some (us 700), 122);
-          (2, Types.Standard, 0, false, None, 1640);
+          (2, Types.Standard, 0, false, 122);
+          (2, Types.Standard, 0, false, 1640);
         ])
 
 (* Fabric differential: with the empty fault plan, a kernel running as

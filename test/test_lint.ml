@@ -55,15 +55,7 @@ let test_lock_balance () =
   let diags =
     Lint.Report.run (ctx_of [ [ acquire s; compute (us 100) ] ])
   in
-  check int "held at job end" 1 (count_errors "lock-balance" diags);
-  (* a counting semaphore really does have several units *)
-  let c2 = Objects.sem ~initial:2 () in
-  let diags =
-    Lint.Report.run
-      (ctx_of [ [ acquire c2; acquire c2; release c2; release c2 ] ])
-  in
-  check int "two units of a counting sem are fine" 0
-    (count_errors "lock-balance" diags)
+  check int "held at job end" 1 (count_errors "lock-balance" diags)
 
 let test_alloc_discipline () =
   let p = Objects.pool ~block_bytes:32 ~capacity:4 () in

@@ -542,7 +542,6 @@ let reference_key (m : Mc.Machine.t) (st : Mc.State.t) =
   Marshal.to_string
     ( now mod m.hyperperiod,
       Array.to_list (Array.mapi task st.tasks),
-      Array.to_list st.sem_val,
       Array.to_list st.sem_holder,
       Array.to_list st.wq_sig,
       Array.to_list st.mb_occ,
@@ -661,14 +660,12 @@ let neighbours (st : Mc.State.t) =
                   { t with read_sm = s; read_seq = st.sm_seq.(s) })
             (* blocked on each semaphore: on one it holds, a circular
                wait, with a lead-in when another task waits on it *)
-            @ List.init (Array.length st.sem_val) (fun s ->
+            @ List.init (Array.length st.sem_holder) (fun s ->
                   { t with mode = BSem s })))
        (Array.to_list st.tasks))
   @ [ { st with now = now + 1 }; shifted st ]
-  (* one object slot each: a semaphore's value and holder, a mailbox's
+  (* one object slot each: a semaphore's holder, a mailbox's
      occupancy, a wait queue's count and a pool's occupancy *)
-  @ List.init (Array.length st.sem_val) (fun s ->
-        { st with sem_val = with_slot st.sem_val s (st.sem_val.(s) + 1) })
   @ List.init (Array.length st.sem_holder) (fun s ->
         let h = if st.sem_holder.(s) < 0 then 0 else -1 in
         { st with sem_holder = with_slot st.sem_holder s h })
@@ -884,7 +881,7 @@ let probe_comparer name m =
 let well_formed (st : Mc.State.t) =
   Array.for_all
     (fun (t : Mc.State.tstate) ->
-      List.for_all (fun s -> s < Array.length st.sem_val) t.held)
+      List.for_all (fun s -> s < Array.length st.sem_holder) t.held)
     st.tasks
 
 (* The decision states of the catalog's scenarios and of 30 generated
@@ -944,7 +941,7 @@ let parts_differing (a : Mc.State.t) (b : Mc.State.t) =
     (fun i x -> if x != b.tasks.(i) then tasks := !tasks lor task x b.tasks.(i))
     a.tasks;
   !tasks
-  lor part sems (a.sem_val <> b.sem_val || a.sem_holder <> b.sem_holder)
+  lor part sems (a.sem_holder <> b.sem_holder)
   lor part mailboxes (a.mb_occ <> b.mb_occ)
   lor part waitqs (a.wq_sig <> b.wq_sig)
   lor part pools (a.pool_occ <> b.pool_occ)
@@ -955,7 +952,6 @@ let snapshot (st : Mc.State.t) =
   {
     st with
     tasks = Array.copy st.tasks;
-    sem_val = Array.copy st.sem_val;
     sem_holder = Array.copy st.sem_holder;
     wq_sig = Array.copy st.wq_sig;
     mb_occ = Array.copy st.mb_occ;

@@ -15,27 +15,23 @@ let taskset_of rows =
        (fun (id, period, wcet) -> Model.Task.make ~id ~period ~wcet ())
        rows)
 
-(* A job that crosses its budget inside a burst segment that ends
-   before the next tick boundary, then blocks.  Detection must fire as
-   soon as the job runs again: the old probe re-quantized forward on
-   every re-arm, so a job yielding just before each boundary overran
-   without bound (campaign fuzz case n=2 std Edf tick=700us seed=122:
-   1968us consumed against a 1200us budget, zero overruns). *)
+(* A budget crossing already banked when a burst resumes must be
+   detected at once.  Found on a periodic-tick kernel, whose probe
+   re-quantized forward on every re-arm, so a job that blocked just
+   before each tick boundary overran without bound (campaign fuzz case
+   n=2 std Edf tick=700us seed=122: 1968us consumed against a 1200us
+   budget, zero overruns).  Timers are event-precise now; the crossing
+   is banked when another kernel entry falls at the very instant the
+   probe is due, and the job must still stop 1 ns past its budget. *)
 let test_budget_probe_overdue () =
   let wq = Objects.waitq () in
   let taskset = taskset_of [ (1, ms 50, ms 3) ] in
   let program _ =
-    [
-      Program.compute (us 1100);
-      Program.wait wq;
-      Program.compute (us 500);
-      Program.wait wq;
-      Program.compute (us 400);
-    ]
+    [ Program.compute (us 600); Program.wait wq; Program.compute (us 500) ]
   in
   let k =
     Kernel.create ~cost:Sim.Cost.zero ~spec:Sched.Edf ~taskset
-      ~tick:(us 700) ~programs:program ()
+      ~programs:program ()
   in
   let budget = us 1000 in
   Kernel.set_enforcement k
@@ -46,16 +42,15 @@ let test_budget_probe_overdue () =
          miss = Kernel.Miss_record;
          shed_one_in = None;
        });
-  (* resume instants sit strictly between tick boundaries, and each
-     resumed burst ends before the next boundary *)
   Kernel.at k ~at:(us 5_000) (fun () -> Kernel.signal_waitq k wq);
-  Kernel.at k ~at:(us 9_300) (fun () -> Kernel.signal_waitq k wq);
+  (* the resumed burst's probe is due 400us + 1ns later; this entry,
+     queued first, fires before it and banks the crossing *)
+  Kernel.at k ~at:(us 5_400 + 1) ignore;
   Kernel.run k ~until:(ms 15);
   let st = List.hd (Kernel.enforcement_stats k) in
   check bool "overrun detected" true (st.e_overruns >= 1);
   check bool "kill happened" true (st.e_kills >= 1);
-  check bool "budget bound holds" true
-    (st.e_budget_used <= budget + us 700 + 1)
+  check bool "budget bound holds" true (st.e_budget_used <= budget + 1)
 
 (* Sporadic triggers used to steal the next periodic job number; the
    later periodic release then re-used it, and [begin_job] started a
