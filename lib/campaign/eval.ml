@@ -10,7 +10,7 @@
 type t = {
   findings : Oracle.finding list;
   stat_us : int;  (** wall time of lint + absint + RTA, microseconds *)
-  sim_us : int;  (** wall time of the two simulations and the e2e fabric *)
+  sim_us : int;  (** wall time of the two simulations *)
   mc_us : int;  (** wall time of the model checker *)
   mc_expansions : int;
   mc_truncated : bool;
@@ -184,24 +184,22 @@ let sim_horizon tasks =
   in
   min (2 * maxp) (Model.Time.ms 1000)
 
-(* -- e2e fabric oracle -------------------------------------------- *)
+(* -- e2e fabric run ------------------------------------------------ *)
 
-(* The e2e oracle runs one canonical three-shard fabric per scenario
-   index (seed 1000 + index), with utilization capped so the
-   survivors' admission check always accepts the orphan: the claim
-   under test is the failover machinery and its static bound, not the
-   placer's shedding decision, which has its own unit tests.  Its
-   periods are cycled from the scenario's tasks, but no scored field
-   moves with them: the specs of seeds 0, 1, 7 and 42 give
-   byte-identical scorecards at all 1,000 indices.  So the verdict
-   says nothing about the generated scenario; ROADMAP item 15(b)
-   would give each scenario its own fault schedule.
+(* One canonical three-shard fabric per index (seed 1000 + index),
+   with utilization capped so the survivors' admission check always
+   accepts the orphan: the claim under test is the failover machinery
+   and its static bound, not the placer's shedding decision, which has
+   its own unit tests.  Its periods are cycled from the spec's tasks,
+   but no scored field moves with them: the specs of seeds 0, 1, 7 and
+   42 give byte-identical scorecards at all 1,000 indices.  So the
+   campaign does not run it; test_fabric sweeps it over 1,000 indices.
 
-   The fabric parameters are chosen so the halved-bound ablation is
-   deterministically detected: detection dominates the bound
+   The fabric parameters are chosen so a halved bound is
+   deterministically exceeded: detection dominates the bound
    (miss_threshold 10 x 2 ms heartbeats) and the reliable layer is
    tight (1 retry, 200 us ack timeout), so the observed failover sits
-   between half the bound and the bound for every scenario. *)
+   between half the bound and the bound at every index. *)
 let e2e_cluster_config =
   {
     Fabric.Cluster.hb_period = Model.Time.ms 2;
@@ -225,7 +223,7 @@ let e2e_plan =
    Node 2 carries less load than node 0, so the util-ordered placer
    sends the orphan over the wire rather than re-admitting it locally
    on the coordinator — the image-transfer path is exercised on every
-   e2e run. *)
+   run. *)
 let e2e_assignments (spec : Workload.Generator.spec) =
   let periods =
     match
@@ -245,26 +243,14 @@ let e2e_assignments (spec : Workload.Generator.spec) =
   in
   [ (0, [ task 0; task 1 ]); (1, [ task 2 ]); (2, [ task 3 ]) ]
 
-let run_e2e ~index ~ablation (spec : Workload.Generator.spec) =
+let run_e2e ~index ~ablation:_ (spec : Workload.Generator.spec) =
   let assignments = e2e_assignments spec in
-  let cluster, score =
-    match
-      Fabric.Preset.run ~config:e2e_cluster_config ~seed:(1000 + index)
-        ~horizon:e2e_horizon ~plan:e2e_plan ~migration:None assignments
-    with
-    | Ok run -> run
-    | Error e -> failwith ("e2e plan: " ^ e)
-  in
-  let score =
-    if ablation = Oracle.E2e_bound then
-      {
-        score with
-        Fault.Report.n_failover_bound =
-          Option.map (fun b -> b / 2) score.Fault.Report.n_failover_bound;
-      }
-    else score
-  in
-  (cluster, score, assignments)
+  match
+    Fabric.Preset.run ~config:e2e_cluster_config ~seed:(1000 + index)
+      ~horizon:e2e_horizon ~plan:e2e_plan ~migration:None assignments
+  with
+  | Ok (cluster, score) -> (cluster, score, assignments)
+  | Error e -> failwith ("e2e plan: " ^ e)
 
 (* Sporadic arrivals are part of the scenario, not the engine: an
    observer triggers them from a dedicated split stream so both
@@ -508,84 +494,6 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
       Some m
     | _ -> None
   in
-  (* -- e2e fabric phase --------------------------------------------- *)
-  let fabric_us = ref 0 in
-  if wants oracles Oracle.E2e then begin
-    let t0 = now_us () in
-    let cluster, net, assignments = run_e2e ~index ~ablation spec in
-    fabric_us := since_us t0;
-    List.iter
-      (fun (r : Lint.Sarif.result) ->
-        if r.level = Error then add Oracle.E2e r.message)
-      (Fault.Report.net_failures net);
-    if net.n_shed > 0 then
-      add Oracle.E2e
-        (Printf.sprintf
-           "admission rejected the orphan (shed %d task(s)) despite capped \
-            utilization"
-           net.n_shed);
-    (* blame's fabric leg: re-derive the failover gap of each migrated
-       task from per-shard blame release times (last release the dead
-       shard recorded, first release on its target) and cross-validate
-       it against the static migration-cost bound.  Rebuilt offline
-       from the final kernels' traces — re-admission replaces the
-       target's kernel, so a live subscriber would miss the tail. *)
-    if wants oracles Blame then begin
-      let all_tasks =
-        List.concat_map snd assignments
-        |> List.sort Model.Task.rm_compare
-        |> List.map (fun (t : Model.Task.t) -> (t.id, t.period, t.deadline))
-        |> Array.of_list
-      in
-      let rebuild node =
-        (* a crashed node's kernel is retired, and a re-admission
-           re-provisions the destination shard — so a node's event
-           history spans every kernel it has run, in creation order *)
-        match Fabric.Cluster.kernels cluster ~node with
-        | [] -> None
-        | ks ->
-          let b = Obs.Blame.create ~tasks:all_tasks () in
-          List.iter
-            (fun k -> Sim.Trace.iter (Obs.Blame.observe b) (Emeralds.Kernel.trace k))
-            ks;
-          Some b
-      in
-      let halve v = if ablation = Oracle.Blame_bounds then v / 2 else v in
-      let period_of tid =
-        List.concat_map snd assignments
-        |> List.find_opt (fun (t : Model.Task.t) -> t.id = tid)
-        |> Option.map (fun (t : Model.Task.t) -> t.period)
-      in
-      List.iter
-        (fun (tid, dst, _at) ->
-          match Fabric.Cluster.crashes cluster with
-          | [] -> ()
-          | (dead, _) :: _ -> (
-            let release side =
-              Option.bind (rebuild side) (fun b ->
-                  Obs.Blame.summary b ~tid)
-            in
-            match
-              ( release dead,
-                release dst,
-                period_of tid,
-                Fabric.Cluster.static_bound cluster )
-            with
-            | Some sd, Some st, Some p, Some bound -> (
-              match (sd.s_last_release, st.s_first_release) with
-              | Some last, Some first ->
-                let gap = first - last - p in
-                if gap > halve bound then
-                  add Blame ~task:tid
-                    (Printf.sprintf
-                       "blame-derived failover gap %dns (releases %dns -> \
-                        %dns, period %dns) > migration bound %dns"
-                       gap last first p (halve bound))
-              | _ -> ())
-            | _ -> ()))
-        (Fabric.Cluster.migrations cluster)
-    end
-  end;
   (* -- model-checking phase ---------------------------------------- *)
   let need_mc = wants oracles Mc_props || wants oracles Rta_mc in
   let t0 = now_us () in
@@ -640,7 +548,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
   {
     findings = List.rev !findings;
     stat_us;
-    sim_us = sim_us + !fabric_us;
+    sim_us;
     mc_us;
     mc_expansions = !mc_expansions;
     mc_truncated = !mc_truncated;

@@ -11,8 +11,7 @@
 type t = {
   findings : Oracle.finding list;
   stat_us : int;  (** wall time of lint + absint + RTA, microseconds *)
-  sim_us : int;
-      (** wall time of the simulation runs plus the e2e fabric run *)
+  sim_us : int;  (** wall time of the simulation runs *)
   mc_us : int;  (** wall time of the model checker *)
   mc_expansions : int;
   mc_truncated : bool;
@@ -94,15 +93,16 @@ val run_e2e :
   ablation:Oracle.ablation ->
   Workload.Generator.spec ->
   Fabric.Cluster.t * Fault.Report.net_score * (int * Model.Task.t list) list
-(** The e2e oracle's fabric run in isolation: the canonical
-    three-shard fabric of scenario [index], one node crashed under
-    frame loss, run by {!Fabric.Preset.run}.  Its periods come from
-    the spec, but its scorecard depends on [index] alone.  Returns the
-    cluster (its kernels, crash and migrations for the blame fabric
-    leg), the scored outcome, which the oracle judges by
-    {!Fault.Report.net_failures}, and the initial per-node task
-    assignments (the blame leg resolves migrated tasks against them);
-    [E2e_bound] halves the bound in the score. *)
+(** The canonical crash-failover fabric run of index [index]: three
+    shards, one node crashed under frame loss, run by
+    {!Fabric.Preset.run}.  Its periods come from the spec, but its
+    scorecard depends on [index] alone, so {!run} does not make it;
+    test_fabric sweeps it, and perfbench's traced replay times it.
+    Returns the cluster (its kernels, crash and migrations, from which
+    blame rebuilds each migrated task's failover gap), the scored
+    outcome, judged by {!Fault.Report.net_failures}, and the initial
+    per-node task assignments.  [ablation] is ignored: no lesion
+    weakens this run, and the label stays for perfbench's callers. *)
 
 val run :
   ?oracles:Oracle.key list ->

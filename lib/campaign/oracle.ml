@@ -6,12 +6,11 @@ type key =
   | Ident
   | Mc_props
   | Rta_mc
-  | E2e
   | Blame
   | Crash
 
 let all =
-  [ Validity; Rta_sim; Demand; Mem; Ident; Mc_props; Rta_mc; E2e; Blame; Crash ]
+  [ Validity; Rta_sim; Demand; Mem; Ident; Mc_props; Rta_mc; Blame; Crash ]
 
 let name = function
   | Validity -> "validity"
@@ -21,7 +20,6 @@ let name = function
   | Ident -> "ident"
   | Mc_props -> "mc"
   | Rta_mc -> "rta-mc"
-  | E2e -> "e2e"
   | Blame -> "blame"
   | Crash -> "crash"
 
@@ -56,10 +54,6 @@ let description = function
   | Mc_props ->
     "model checker finds no deadlock / PI / invariant / tear violation"
   | Rta_mc -> "RTA bounds dominate model-checked worst-case responses"
-  | E2e ->
-    "fabric crash failover: surviving shards keep every post-failover \
-     deadline and observed failover latency stays within the static \
-     migration-cost bound"
   | Blame ->
     "per-job blame components sum exactly to each observed response and \
      every empirical component stays within its analytical term (RTA \
@@ -73,14 +67,13 @@ type ablation =
   | Mem_peak
   | Cfg_loop
   | Cfg_join
-  | E2e_bound
   | Blame_bounds
   | Ident_budget
 
 let ablations =
   [
     No_ablation; Rta_blocking; Absint_demand; Mem_peak; Cfg_loop; Cfg_join;
-    E2e_bound; Blame_bounds; Ident_budget;
+    Blame_bounds; Ident_budget;
   ]
 
 let ablation_name = function
@@ -90,7 +83,6 @@ let ablation_name = function
   | Mem_peak -> "mem"
   | Cfg_loop -> "cfg-loop"
   | Cfg_join -> "cfg-join"
-  | E2e_bound -> "e2e-bound"
   | Blame_bounds -> "blame"
   | Ident_budget -> "ident"
 

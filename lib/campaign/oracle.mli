@@ -18,16 +18,6 @@ type key =
   | Ident  (** enforcement at declared budgets is trace-bit-identical *)
   | Mc_props  (** deadlock / PI / invariant / tear properties hold *)
   | Rta_mc  (** RTA bounds >= model-checked worst-case responses *)
-  | E2e
-      (** fabric crash failover, one canonical three-shard fabric run
-          per scenario index (utilization capped) that crashes one node
-          under frame loss: every surviving shard keeps its
-          post-failover deadlines, the orphan migrates rather than
-          sheds, and the observed failover latency stays within the
-          static migration-cost bound.  The run's periods are cycled
-          from the scenario, but no scored field moves with them, so
-          the verdict depends on the index alone (ROADMAP item 15(b)
-          would give each scenario its own fault schedule) *)
   | Blame
       (** online per-job blame attribution: components (exec,
           interference, blocking, overhead, ...) sum exactly to every
@@ -66,9 +56,6 @@ type ablation =
       (** follow only one branch arm instead of joining both
           ([Absint.Exec.Drop_branch_join]): bounds miss the untaken
           arm's charge *)
-  | E2e_bound
-      (** halve the static failover bound: the observed failover
-          latency of the e2e fabric run must exceed it *)
   | Blame_bounds
       (** halve every analytical blame bound: empirical interference /
           blocking / overhead components must escape domination *)

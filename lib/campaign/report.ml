@@ -88,23 +88,19 @@ let to_json (s : Driver.summary) =
 
 (* SARIF routing: each finding is reported by the tool whose layer the
    falsified claim indicts, so CI annotations land on the right
-   component.  All five runs are always present — an empty run is the
+   component.  All four runs are always present — an empty run is the
    positive statement that its oracles were evaluated and held. *)
 let tool_of (k : Oracle.key) =
   match k with
   | Oracle.Validity -> "emeralds-lint"
   | Oracle.Demand | Oracle.Mem -> "emeralds-absint"
   | Oracle.Mc_props -> "emeralds-mc"
-  | Oracle.E2e -> "emeralds-fabric"
   | Oracle.Rta_sim | Oracle.Ident | Oracle.Rta_mc | Oracle.Blame
   | Oracle.Crash ->
     "emeralds-campaign"
 
 let tools =
-  [
-    "emeralds-lint"; "emeralds-absint"; "emeralds-mc"; "emeralds-fabric";
-    "emeralds-campaign";
-  ]
+  [ "emeralds-lint"; "emeralds-absint"; "emeralds-mc"; "emeralds-campaign" ]
 
 let to_sarif (s : Driver.summary) =
   let result_of (r : Driver.report_finding) =

@@ -331,7 +331,7 @@ let sem_acquire k tcb s =
     park_approachers k s ~except:tcb;
     `Granted
   | Some holder ->
-    assert (holder != tcb);
+    (* a holder acquiring again blocks on itself, as in the model checker *)
     Obs.Probe.emit k.probe ~at:(now k)
       (Sem_blocked { tid = tcb.tid; sem = s.sem_id });
     do_inherit k ~holder ~waiter:tcb;

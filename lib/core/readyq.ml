@@ -204,6 +204,30 @@ module Rm_queue = struct
       | Some h when h == hn || h == pn -> ignore (refresh_highestp t)
       | Some _ | None -> ())
 
+  (* [p] leaves the list for a DP queue, and the holder [h] it stands
+     in for, [h]'s own such holder and so on follow it out.  Their swaps
+     and that of [p]'s place-holder [y] permuted their homes and [y]
+     outranks them all, so [y] goes to the chain's first slot, whatever
+     the swaps' order.  Drops the links through [p]; returns [h]. *)
+  let leave t p =
+    let rec chain q =
+      let stands_for h = Option.fold ~none:false ~some:(( == ) q) h.placeholder in
+      match Util.Dlist.find_node stands_for t.list with
+      | Some n -> q :: chain (Util.Dlist.value n)
+      | None -> [ q ]
+    in
+    let chain = chain p in
+    let first = Util.Dlist.find_node (fun x -> List.memq x chain) t.list in
+    (match (p.placeholder, first) with
+    | Some y, Some n ->
+      Util.Dlist.swap t.list (node_of y) n;
+      ignore (refresh_highestp t)
+    | _ -> ());
+    p.placeholder <- None;
+    match chain with
+    | _ :: h :: _ -> h.placeholder <- None; Some h
+    | _ -> None
+
   (* Standard priority inheritance: physically re-insert [tcb] at its
      effective-priority position.  Returns entries scanned (the paper's
      O(n - r) step). *)

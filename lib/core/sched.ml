@@ -117,7 +117,7 @@ let inherit_fields ~holder ~waiter =
   holder.eff_deadline <- Model.Time.min holder.eff_deadline waiter.eff_deadline;
   holder.inherited <- true
 
-let multiq_inherit m ~holder ~waiter =
+let rec multiq_inherit m ~holder ~waiter =
   let holder_class = queue_class_of m holder in
   let waiter_class = queue_class_of m waiter in
   match (holder_class, waiter_class) with
@@ -145,14 +145,24 @@ let multiq_inherit m ~holder ~waiter =
        are unsorted). *)
     inherit_fields ~holder ~waiter;
     m.cost.pi_step
-  | Fp, Dp j ->
-    (* FP holder boosted into a DP queue until it releases.  Any
-       place-holder from an earlier FP-FP inheritance must first be
-       sent home, or it would be stranded at a stale position. *)
-    if m.optimized_pi then Readyq.Rm_queue.restore_swap m.fp ~holder;
-    inherit_fields ~holder ~waiter;
-    migrate m holder ~to_queue:j;
-    m.cost.pi_step
+  | Fp, Dp j -> fp_into_dp m ~holder ~waiter j ~walked:true
+
+(* FP holder boosted into DP queue [j] until it releases.  The holder
+   it stood in for blocks it, so it inherits the boost and follows it
+   ([Rm_queue.leave]).  The kernel's transitive step moves that one when
+   it reached [holder] itself ([walked]) and [holder] waits on its
+   semaphore; an approach, or a holder moved here, is followed here. *)
+and fp_into_dp m ~holder ~waiter j ~walked =
+  let follower =
+    if m.optimized_pi then Readyq.Rm_queue.leave m.fp holder else None
+  in
+  inherit_fields ~holder ~waiter;
+  migrate m holder ~to_queue:j;
+  m.cost.pi_step
+  + match (follower, holder.waiting_on) with
+    | Some h, On_sem { holder = Some x; _ } when walked && x == h -> 0
+    | Some h, _ -> fp_into_dp m ~holder:h ~waiter:holder j ~walked:false
+    | None, _ -> 0
 
 let multiq_restore m ~holder =
   if not holder.inherited then 0
@@ -163,7 +173,6 @@ let multiq_restore m ~holder =
     holder.inherited <- false;
     if migrated then begin
       migrate m holder ~to_queue:holder.home_queue_idx;
-      holder.placeholder <- None;
       m.cost.pi_step
     end
     else

@@ -1,5 +1,5 @@
 (* The static migration-cost bound — the Quest-V predictability claim
-   as arithmetic the e2e oracle can check against an observed run.
+   as arithmetic a test can check against an observed run.
 
    failover_bound = detect + transfer + admission:
 

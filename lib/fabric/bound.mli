@@ -1,7 +1,7 @@
 (** Static migration-cost bound: frames x transmission time, a
     worst-case retry budget, and the Table 1-derived re-admission
     overhead — computed before the run, checked against the observed
-    failover latency by the campaign's [e2e] oracle (the Quest-V
+    failover latency by the fabric's crash-failover sweep (the Quest-V
     "predictable migration" claim as a falsifiable property). *)
 
 val frame_time : bus:Fieldbus.Bus.t -> words:int -> Model.Time.t

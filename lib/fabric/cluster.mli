@@ -127,5 +127,5 @@ val kernels : t -> node:int -> Emeralds.Kernel.t list
     (crashed, or replaced when a re-admission re-provisioned the
     shard) first, then the live one.  Replaying their traces in this
     order yields one nondecreasing event stream per node — the
-    campaign's blame leg rebuilds per-node attribution across a
-    failover from exactly this. *)
+    crash-failover sweep's blame rebuild derives per-node attribution
+    across a failover from exactly this. *)

@@ -1,8 +1,8 @@
 (** The [fabric] subcommand's named runs, and the one way to run a
     fabric: a fresh engine and 1 Mbit/s bus, one EDF shard per
     assignment at the m68040 cost model, a fault plan, and the
-    scorecard at the horizon.  The campaign's [e2e] oracle runs its own
-    shards and plan through {!run}. *)
+    scorecard at the horizon.  [Campaign.Eval.run_e2e], the fabric's
+    crash-failover sweep, runs its own shards and plan through {!run}. *)
 
 type t = {
   name : string;  (** the CLI's [--preset] spelling *)

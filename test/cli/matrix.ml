@@ -99,6 +99,9 @@ let bad_values =
     [ "campaign"; "--count"; "3"; "--target-u=nan" ];
     [ "campaign"; "--count"; "3"; "--target-u=-1" ];
     [ "campaign"; "--count"; "3"; "--target-u=0.9" ];
+    (* the fabric sweep is a fabric test, not a campaign oracle *)
+    [ "campaign"; "--count"; "3"; "--oracles"; "e2e" ];
+    [ "campaign"; "--count"; "3"; "--ablate"; "e2e-bound" ];
   ]
 
 let contains s sub =

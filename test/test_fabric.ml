@@ -591,6 +591,83 @@ let test_restarted_coordinator_ends_no_crash () =
     s.n_failover_latency;
   check (list string) "graceful" [] (errors s)
 
+(* The failover gap of each task migrated off the crashed node, rebuilt
+   offline by blame from every kernel a node ran (a re-admission
+   replaces the target's kernel, so a live subscriber would miss the
+   tail): its first release on the target, less its last on the dead
+   node and one period. *)
+let failover_gaps cluster assignments =
+  let tasks = List.concat_map snd assignments in
+  let rows =
+    List.sort Model.Task.rm_compare tasks
+    |> List.map (fun (t : Model.Task.t) -> (t.id, t.period, t.deadline))
+    |> Array.of_list
+  in
+  let summary node tid =
+    let b = Obs.Blame.create ~tasks:rows () in
+    List.iter
+      (fun k -> Sim.Trace.iter (Obs.Blame.observe b) (Emeralds.Kernel.trace k))
+      (Fabric.Cluster.kernels cluster ~node);
+    Obs.Blame.summary b ~tid
+  in
+  match Fabric.Cluster.crashes cluster with
+  | [] -> []
+  | (dead, _) :: _ ->
+    List.filter_map
+      (fun (tid, dst, _) ->
+        let t = List.find (fun (t : Model.Task.t) -> t.id = tid) tasks in
+        match (summary dead tid, summary dst tid) with
+        | Some d, Some s -> (
+          match (d.s_last_release, s.s_first_release) with
+          | Some last, Some first -> Some (first - last - t.period)
+          | _ -> None)
+        | _ -> None)
+      (Fabric.Cluster.migrations cluster)
+
+(* The crash-failover run [Campaign.Eval.run_e2e] makes at each index
+   of the 1k seed-42 spec stream: no verdict error, no shed task, and
+   every blame-derived failover gap within the static bound.  Two
+   lesions must fire: halving the scorecard's bound fails each of the
+   first 50 runs, and halving the bound the gaps are held to is
+   exceeded 18 times in the first 60. *)
+let test_e2e_sweep () =
+  let gaps_past_half = ref 0 in
+  List.iteri
+    (fun index spec ->
+      let cluster, score, assignments =
+        Campaign.Eval.run_e2e ~index ~ablation:Campaign.Oracle.No_ablation
+          spec
+      in
+      let run = Printf.sprintf "run %d" index in
+      check (list string) (run ^ ": verdict") [] (errors score);
+      check int (run ^ ": shed") 0 score.Fault.Report.n_shed;
+      let bound =
+        match Fabric.Cluster.static_bound cluster with
+        | Some b -> b
+        | None -> fail (run ^ ": no static bound")
+      in
+      let gaps = failover_gaps cluster assignments in
+      List.iter
+        (fun gap ->
+          check bool (run ^ ": gap within the bound") true (gap <= bound))
+        gaps;
+      if index < 50 then
+        check int (run ^ ": errors under a halved bound") 1
+          (List.length
+             (errors
+                {
+                  score with
+                  n_failover_bound =
+                    Option.map (fun b -> b / 2) score.n_failover_bound;
+                }));
+      if index < 60 then
+        gaps_past_half :=
+          !gaps_past_half
+          + List.length (List.filter (fun g -> g > bound / 2) gaps))
+    (Campaign.Driver.spec_streams
+       { Campaign.Driver.default_config with seed = 42; count = 1000 });
+  check int "gaps past a halved bound in the first 60 runs" 18 !gaps_past_half
+
 let suite =
   [
     test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -620,4 +697,6 @@ let suite =
       test_failover_after_partition_heals;
     test_case "a restarted coordinator ends no crash" `Quick
       test_restarted_coordinator_ends_no_crash;
+    test_case "1k crash-failover sweep: clean, and both lesions fire" `Quick
+      test_e2e_sweep;
   ]

@@ -682,7 +682,7 @@ let prop_fabric_empty_plan_differential =
 (* --- the key=value readers ------------------------------------------ *)
 
 (* Byte mutations of the repository's own inputs: the plans README
-   shows after --plan, the fabric presets', the e2e oracle's, one
+   shows after --plan, the fabric presets', the e2e run's, one
    clause of every kind and two of test_fault's; and
    workloads/*.tasks. *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all

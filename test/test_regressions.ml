@@ -266,6 +266,206 @@ let test_handoff_reinherits_deadline () =
   | `Ok -> ()
   | `Violation _ -> fail "MC found a PI violation after hand-off")
 
+(* A task that acquires a mutex it already holds blocks on it, in the
+   kernel as in the model checker, which reports the circular wait as
+   a deadlock.  The kernel used to stop at an assertion instead.  Lint
+   refuses such programs, so no catalog scenario reaches it. *)
+let test_double_acquire_blocks () =
+  let s = Objects.sem () in
+  let taskset = taskset_of [ (1, ms 10, us 200); (2, ms 20, us 200) ] in
+  let programs (t : Model.Task.t) =
+    let open Program in
+    if t.id = 1 then
+      [ acquire s; acquire s; compute (us 100); release s; release s ]
+    else [ acquire s; compute (us 100); release s ]
+  in
+  let k =
+    Kernel.create ~cost:Sim.Cost.m68040 ~spec:Sched.Rm ~taskset ~programs ()
+  in
+  Kernel.run k ~until:(ms 40);
+  Kernel.check_invariants k;
+  List.iter
+    (fun (st : Kernel.task_stats) ->
+      check int (Printf.sprintf "tau%d completes no job" st.tid) 0
+        st.jobs_completed)
+    (Kernel.stats k);
+  let sc =
+    {
+      Workload.Scenario.name = "double-acquire";
+      taskset;
+      programs;
+      irq_sources = [];
+      irq_signals = [];
+      irq_writes = [];
+    }
+  in
+  let m = Mc.Machine.of_scenario sc in
+  match
+    (Mc.Explorer.check ~props:[ Mc.Props.deadlock ]
+       ~bounds:(Mc.Explorer.default_bounds m) m)
+      .verdict
+  with
+  | `Violation cex -> check string "checker verdict" "deadlock" cex.prop
+  | `Ok -> fail "the checker found no deadlock"
+
+(* A place-holder that has itself inherited into a DP queue is no
+   longer in the FP list, so its holder could not be sent home: CSD's
+   optimized PI raised in [Util.Dlist.swap] on these five of the 1k
+   seed-42 scenarios (gen-483 under [Csd [1]], among others).  Every
+   CSD-2 and CSD-3 split must run them, and the kernel's invariants
+   hold at the end.  Each horizon is the one the campaign simulated
+   them over when they raised: twice the longest period, at most 1 s. *)
+let test_csd_placeholder_migrates () =
+  let root = Util.Rng.create ~seed:42 in
+  List.iter
+    (fun (i, horizon) ->
+      let spec =
+        Workload.Generator.spec_of ~rng:(Util.Rng.split root i) ~index:i ()
+      in
+      let sc = Workload.Generator.realize spec in
+      let n = Model.Taskset.size sc.taskset in
+      let splits =
+        List.init (n - 1) (fun r -> [ r + 1 ])
+        @ List.concat
+            (List.init (n - 2) (fun a ->
+                 List.init (n - 2 - a) (fun b -> [ a + 1; b + 1 ])))
+      in
+      List.iter
+        (fun sizes ->
+          let cfg =
+            Fault.Inject.default_config ~scenario:sc ~spec:(Sched.Csd sizes)
+              ~horizon ~seed:9 ()
+          in
+          let observer = Campaign.Eval.sporadic_observer spec ~horizon in
+          Kernel.check_invariants
+            (Fault.Inject.run { cfg with observer = Some observer }).kernel)
+        splits)
+    [ (11, ms 500); (456, ms 500); (483, ms 128); (533, ms 800); (642, ms 200) ]
+
+(* Run [k] to [until], checking its invariants every 50us.  At zero
+   cost the checks do not move the schedule. *)
+let run_checked k ~until =
+  let rec probes t =
+    if t < until then begin
+      Kernel.at k ~at:t (fun () -> Kernel.check_invariants k);
+      probes (t + us 50)
+    end
+  in
+  probes (us 50);
+  Kernel.run k ~until;
+  Kernel.check_invariants k
+
+(* FP tasks Y > X > T > H and DP task W under CSD with optimized PI:
+   X holds s1 and becomes H's place-holder (blocked on s2, or parked on
+   its approach), Y is X's place-holder, and W then blocks on s1, so X
+   and H leave the FP list.  [y_first]: Y blocks on s1 before X reaches
+   H; otherwise X waits on [wq] with s2 as its hint and Y comes after.
+   Without [with_y], Y only computes and X has no place-holder.  T,
+   released at 2 ms, is ready until the chain unwinds.  Undoing the
+   swaps in a fixed order stranded Y behind T in one of the two
+   histories; a holder sent home kept its inherited priority behind T. *)
+let csd_chain ~y_first ~with_y =
+  let s1 = Objects.sem () and s2 = Objects.sem () and wq = Objects.waitq () in
+  let task id period phase =
+    Model.Task.make ~id ~period:(ms period) ~wcet:(ms 4) ~phase ()
+  in
+  let taskset =
+    Model.Taskset.of_list
+      [
+        task 1 20 (ms 3);
+        task 2 30 (if y_first then ms 1 else ms 2);
+        task 3 40 (us 500);
+        task 4 45 (ms 2);
+        task 5 50 0;
+      ]
+  in
+  let programs (t : Model.Task.t) =
+    let open Program in
+    match t.id with
+    | 1 -> [ acquire s1; compute (us 200); release s1 ]
+    | 2 when with_y ->
+      [ acquire s1; compute (us 200); release s1; compute (us 500) ]
+    | 3 ->
+      [ acquire s1 ]
+      @ (if y_first then [ compute (ms 1) ] else [ wait wq ])
+      @ [
+          acquire s2;
+          compute (us 200);
+          release s2;
+          release s1;
+          compute (ms 1);
+        ]
+    | 5 -> [ acquire s2; compute (ms 4); release s2; compute (us 500) ]
+    | _ -> [ compute (us 500) ]
+  in
+  let k =
+    Kernel.create ~cost:Sim.Cost.zero ~spec:(Sched.Csd [ 1 ]) ~taskset
+      ~programs ()
+  in
+  Kernel.at k ~at:(us 1500) (fun () -> Kernel.signal_waitq k wq);
+  run_checked k ~until:(ms 20);
+  List.iter
+    (fun (st : Kernel.task_stats) ->
+      check int (Printf.sprintf "tau%d completes its job" st.tid) 1
+        st.jobs_completed)
+    (Kernel.stats k)
+
+let test_csd_chain_blocked () = csd_chain ~y_first:true ~with_y:true
+let test_csd_chain_approach () = csd_chain ~y_first:false ~with_y:true
+let test_csd_approach_holder_follows () = csd_chain ~y_first:false ~with_y:false
+
+(* The kernel's transitive step, not the scheduler, must move a
+   follower that [holder] waits on by semaphore, or the step stops
+   there and misses that follower's own blocker.  X (holding s1) waits
+   on s2 held by H, H on s3 held by H2, which waits on [wq] and whose
+   place-holder V displaced H's.  When DP task W blocks on s1, H2 must
+   reach the DP queue too, or U preempts it once [wq] wakes it while W
+   waits.  Optimized PI must give the per-task outcomes of standard
+   PI, which has no place-holders. *)
+let test_csd_chain_follows_semaphores () =
+  let run optimized_pi =
+    let s1 = Objects.sem () and s2 = Objects.sem () and s3 = Objects.sem () in
+    let wq = Objects.waitq () in
+    let task id period phase =
+      Model.Task.make ~id ~period:(ms period) ~wcet:(ms 5) ~phase ()
+    in
+    let taskset =
+      Model.Taskset.of_list
+        [
+          task 1 10 (us 2500);
+          task 2 15 (us 2600);
+          task 3 20 (ms 1);
+          task 4 30 (us 1500);
+          task 5 40 (us 500);
+          task 6 50 0;
+        ]
+    in
+    let programs (t : Model.Task.t) =
+      let open Program in
+      let section s = [ acquire s; compute (us 200); release s ] in
+      match t.id with
+      | 1 -> section s1
+      | 2 -> [ compute (ms 1) ]
+      | 3 -> section s3
+      | 4 -> [ acquire s1 ] @ section s2 @ [ release s1 ]
+      | 5 -> [ acquire s2 ] @ section s3 @ [ release s2 ]
+      | _ ->
+        [ acquire s3; wait wq; compute (us 300); release s3; compute (us 500) ]
+    in
+    let k =
+      Kernel.create ~cost:Sim.Cost.zero ~optimized_pi ~spec:(Sched.Csd [ 1 ])
+        ~taskset ~programs ()
+    in
+    Kernel.at k ~at:(ms 3) (fun () -> Kernel.signal_waitq k wq);
+    run_checked k ~until:(ms 9);
+    List.map
+      (fun (st : Kernel.task_stats) ->
+        (st.tid, st.jobs_completed, st.max_response))
+      (Kernel.stats k)
+  in
+  check (list (triple int int int)) "optimized = standard" (run false)
+    (run true)
+
 let suite =
   [
     test_case "budget probe fires when detection is overdue" `Quick
@@ -278,4 +478,16 @@ let suite =
       test_chain_keeps_members;
     test_case "hand-off re-inherits remaining waiters' deadlines" `Quick
       test_handoff_reinherits_deadline;
+    test_case "a double acquire blocks on its own mutex" `Quick
+      test_double_acquire_blocks;
+    test_case "a place-holder may inherit into a DP queue" `Quick
+      test_csd_placeholder_migrates;
+    test_case "CSD: a blocked place-holder chain leaves the FP list" `Quick
+      test_csd_chain_blocked;
+    test_case "CSD: an approach place-holder chain leaves the FP list" `Quick
+      test_csd_chain_approach;
+    test_case "CSD: an approach place-holder's holder follows it" `Quick
+      test_csd_approach_holder_follows;
+    test_case "CSD: a semaphore chain follows as under standard PI" `Quick
+      test_csd_chain_follows_semaphores;
   ]
