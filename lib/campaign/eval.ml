@@ -519,8 +519,13 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
         [ "deadlock"; "pi"; "invariants"; "tear"; "mem" ]
     in
     (* POR merges tie orders, so rta-mc's worst responses need it off *)
+    let lesion =
+      if ablation = Oracle.Mc_inherit then Some Mc.Step.Keep_inherited
+      else None
+    in
     let res =
-      Mc.Explorer.check ~por:(not (wants oracles Rta_mc)) ~props ~bounds m
+      Mc.Explorer.check ~por:(not (wants oracles Rta_mc)) ?lesion ~props
+        ~bounds m
     in
     mc_expansions := res.expansions;
     mc_truncated := res.truncated;
@@ -535,7 +540,7 @@ let run ?(oracles = Oracle.all) ?(ablation = Oracle.No_ablation)
       Array.iteri
         (fun i (mt : Mc.Machine.mtask) ->
           match rta.(i) with
-          | Some bound when eligible.(i) ->
+          | Some bound when eligible.(i) && res.completed.(i) > 0 ->
             let obs = res.max_response.(i) in
             if obs > bound then
               add Rta_mc ~task:mt.tid

@@ -69,11 +69,12 @@ type ablation =
   | Cfg_join
   | Blame_bounds
   | Ident_budget
+  | Mc_inherit
 
 let ablations =
   [
     No_ablation; Rta_blocking; Absint_demand; Mem_peak; Cfg_loop; Cfg_join;
-    Blame_bounds; Ident_budget;
+    Blame_bounds; Ident_budget; Mc_inherit;
   ]
 
 let ablation_name = function
@@ -85,6 +86,7 @@ let ablation_name = function
   | Cfg_join -> "cfg-join"
   | Blame_bounds -> "blame"
   | Ident_budget -> "ident"
+  | Mc_inherit -> "mc"
 
 let ablation_of_string s =
   let s = String.lowercase_ascii (String.trim s) in

@@ -39,10 +39,11 @@ val parse_list : string -> (key list, string) result
 
 val description : key -> string
 
-(** Deliberate single-fault weakenings of one static layer, used by CI
-    to prove the campaign can actually detect unsoundness (a campaign
-    that never fires is indistinguishable from one that checks
-    nothing). *)
+(** Deliberate single-fault weakenings of one layer — a static
+    analysis, the enforcement setting, or one of the model checker's
+    kernel rules — used by CI to prove the campaign can actually
+    detect unsoundness (a campaign that never fires is
+    indistinguishable from one that checks nothing). *)
 type ablation =
   | No_ablation
   | Rta_blocking  (** drop blocking terms from RTA: bounds too small *)
@@ -63,6 +64,11 @@ type ablation =
       (** enforce half the declared budgets (still notify-only): the
           enforced run records overruns the plain run does not, so Ident
           must see the traces diverge *)
+  | Mc_inherit
+      (** the model checker's release keeps the holder's inherited rank
+          and deadline ({!Mc.Step.Keep_inherited}): Mc's [pi] property
+          must see effective priorities leave the inheritance
+          fixpoint *)
 
 val ablations : ablation list
 val ablation_name : ablation -> string

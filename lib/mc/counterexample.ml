@@ -15,9 +15,10 @@ let replay m ~props cex =
   let emit at e = Sim.Trace.emit trace ~at e in
   let check = Props.check_changed props m in
   let check_note = Props.check_note props m in
-  let rec go st choice choices =
+  let rec go st unprobed choice choices =
     let e =
-      Step.expand ~emit ~check ~check_note ?choice ~horizon:cex.horizon m st
+      Step.expand ~emit ~unprobed ~check ~check_note ?choice
+        ~horizon:cex.horizon m st
     in
     match (e.violation, choices) with
     | Some (p, _, _), [] ->
@@ -33,9 +34,9 @@ let replay m ~props cex =
         if not (List.mem c offered) then
           diverge "recorded choice %s was not offered on replay"
             (Step.choice_to_string m c);
-        go e.state (Some c) rest)
+        go e.state e.unprobed (Some c) rest)
   in
-  go (State.init m) None cex.choices;
+  go (State.init m) (State.everything ()) None cex.choices;
   trace
 
 let render m ~props cex =

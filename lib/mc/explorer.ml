@@ -11,10 +11,11 @@ type result = {
   por_skipped : int;
   truncated : bool;
   jobs : int;
+  completed : int array;
   max_response : int array;
 }
 
-let check ?(por = true) ?seed ~props ~bounds m =
+let check ?(por = true) ?seed ?lesion ~props ~bounds m =
   let por = por && not (List.exists (fun p -> p.Props.timing_sensitive) props) in
   (* With a seed, each branch's children are pushed in a shuffled order.
      While no bound cuts the search, the visited set makes the explored
@@ -41,31 +42,37 @@ let check ?(por = true) ?seed ~props ~bounds m =
   let skipped = ref 0 in
   let truncated = ref false in
   let jobs = ref 0 in
+  let completed = Array.make (Machine.n_tasks m) 0 in
   let max_response = Array.make (Machine.n_tasks m) 0 in
   let violation = ref None in
   (* Explicit DFS stack.  A frame is a parent decision state, its index
-     vector in the visited set, and the reversed choice path that
-     reaches the child, structurally shared with its siblings: the head
-     is the choice to commit (none for the initial state), so each
-     child is copied once, when expanded. *)
-  let stack = ref [ (State.init m, Visited.root, [], 0) ] in
+     vector in the visited set, the reversed choice path that reaches
+     the child, structurally shared with its siblings (the head is the
+     choice to commit, none for the initial state, so each child is
+     copied once, when expanded), and what the parent's expansion left
+     unprobed, shared with the siblings too. *)
+  let stack =
+    ref [ (State.init m, Visited.root, [], 0, State.everything ()) ]
+  in
   while !stack <> [] && !violation = None do
     match !stack with
     | [] -> ()
-    | (st, pvec, path, depth) :: rest ->
+    | (st, pvec, path, depth, unprobed) :: rest ->
       stack := rest;
       if !expansions >= bounds.max_states then truncated := true
       else begin
         incr expansions;
         let choice = match path with ch :: _ -> Some ch | [] -> None in
         let e =
-          Step.expand ~check ~check_note ?choice ~horizon:bounds.horizon m st
+          Step.expand ?lesion ~unprobed ~check ~check_note ?choice
+            ~horizon:bounds.horizon m st
         in
         List.iter
           (fun (_, n) ->
             match n with
             | State.Job_done { idx; response } ->
               incr jobs;
+              completed.(idx) <- completed.(idx) + 1;
               if response > max_response.(idx) then
                 max_response.(idx) <- response
             | _ -> ())
@@ -94,7 +101,9 @@ let check ?(por = true) ?seed ~props ~bounds m =
               skipped := !skipped + sk;
               List.iter
                 (fun ch ->
-                  stack := (e.state, vec, ch :: path, depth + 1) :: !stack)
+                  stack :=
+                    (e.state, vec, ch :: path, depth + 1, e.unprobed)
+                    :: !stack)
                 cs)
       end
   done;
@@ -107,5 +116,6 @@ let check ?(por = true) ?seed ~props ~bounds m =
     por_skipped = !skipped;
     truncated = !truncated;
     jobs = !jobs;
+    completed;
     max_response;
   }

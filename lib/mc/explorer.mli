@@ -35,9 +35,13 @@ type result = {
   por_skipped : int;  (** choices pruned by partial-order reduction *)
   truncated : bool;  (** some bound cut exploration short *)
   jobs : int;  (** job completions observed across all paths *)
+  completed : int array;
+      (** job completions per task (indexed like [Machine.tasks]),
+          across all paths *)
   max_response : int array;
       (** worst observed response per task (indexed like
-          [Machine.tasks]); with [`Ok], [truncated = false] and
+          [Machine.tasks]); 0 for a task with no completed job, which
+          observed nothing.  With [`Ok], [truncated = false] and
           partial-order reduction off, these are exhaustive worst cases
           over every admissible schedule within the horizon — the
           numbers the RTA cross-check compares against analytical
@@ -48,6 +52,7 @@ type result = {
 val check :
   ?por:bool ->
   ?seed:int ->
+  ?lesion:Step.lesion ->
   props:Props.t list ->
   bounds:bounds ->
   Machine.t ->
@@ -67,4 +72,7 @@ val check :
     violating run needs before finding it.  A bound that truncates the
     search cuts it at an order-dependent place, so then the explored
     states, the counts, the worst responses and the verdict may differ
-    between seeds. *)
+    between seeds.
+
+    [lesion] weakens the transition relation ({!Step.lesion}); it
+    exists to show that the properties can fail. *)

@@ -1,21 +1,33 @@
-(* One probe serves a whole search: [check_state] rebinds [st] and
-   forgets the cycle before each state.  [cycle] is shared by
-   [deadlock] and [pi] and found at most once per state; a found cycle
-   is [path.(cyc_from .. len - 1)].  [e] and [d] accumulate the PI
-   fixpoint. *)
+(* One probe serves a whole search and keeps only working arrays
+   between states: the state and its scope are arguments of every
+   check.
+   [cycle] is shared by [deadlock] and [pi] and found at most once per
+   state; a found cycle is [path.(cyc_from .. len - 1)].  [e] and [d]
+   accumulate the PI fixpoint.  [at] is the running check's index in
+   the compiled table.  The stamp arrays hold, per object, the [epoch]
+   of the last pass that saw a task blocked on it; [stamped] says the
+   running check made that pass. *)
 type cycle = Unknown | Acyclic | Cyclic
 
 type probe = {
-  mutable st : State.t;
+  m : Machine.t;
+  mutable was_cyclic : bool;  (* the scope's [cyclic] as the probe began *)
   mutable cycle : cycle;
   path : int array;  (* the blocked-on walk, one slot per task *)
   mutable len : int;
   mutable cyc_from : int;
   mutable e : int;
   mutable d : int;
+  mutable at : int;
+  mutable stamped : bool;
+  mutable epoch : int;
+  sem_waited : int array;
+  mb_sending : int array;
+  mb_receiving : int array;
 }
 
-type check = { reads : State.parts; run : Machine.t -> probe -> string option }
+type kind = Deadlock | Pi | Runners | Objects | Progress | Pools
+type check = { kind : kind; reads : State.parts }
 
 type t = {
   name : string;
@@ -33,15 +45,6 @@ exception Failed of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise_notrace (Failed msg)) fmt
 
-(* A check of the probed state by a function that [fail]s. *)
-let failing reads f =
-  {
-    reads;
-    run =
-      (fun m p ->
-        match f m p.st with () -> None | exception Failed msg -> Some msg);
-  }
-
 (* What the cycle search and the inheritance fixpoint read. *)
 let blocking = State.(modes lor sems)
 
@@ -50,7 +53,7 @@ let blocking = State.(modes lor sems)
 (* Each task blocks on at most one semaphore and a mutex has at most
    one holder, so the blocked-on graph is functional: walking it from
    a task either terminates or closes a cycle. *)
-let holder (st : State.t) i =
+let[@inline] holder (st : State.t) i =
   match st.tasks.(i).mode with State.BSem s -> st.sem_holder.(s) | _ -> -1
 
 let rec index_of (a : int array) x i len =
@@ -58,8 +61,8 @@ let rec index_of (a : int array) x i len =
 
 (* The path holds distinct tasks, so it ends or closes before it
    outgrows its one slot per task. *)
-let rec follow p =
-  match holder p.st p.path.(p.len - 1) with
+let rec follow p st =
+  match holder st p.path.(p.len - 1) with
   | -1 -> false
   | h ->
     let j = index_of p.path h 0 p.len in
@@ -70,52 +73,66 @@ let rec follow p =
     else begin
       p.path.(p.len) <- h;
       p.len <- p.len + 1;
-      follow p
+      follow p st
     end
 
-(* The first circular wait, walking from each blocked task in index
-   order. *)
-let rec scan p i =
-  if i >= Array.length p.st.tasks then false
-  else if holder p.st i = -1 then scan p (i + 1)
-  else begin
-    p.path.(0) <- i;
-    p.len <- 1;
-    follow p || scan p (i + 1)
-  end
+let walk p st i =
+  p.path.(0) <- i;
+  p.len <- 1;
+  follow p st
 
-let has_cycle p =
+(* The first circular wait walking from each task of [set] in index
+   order; from every task ([-1]), the first of the state.  A circular
+   wait that a state without one gains closes over a new edge, and a
+   walk from either end of an edge on a cycle goes round it.  A new
+   edge leaves a written task blocked on a semaphore or ends at the
+   holder of a written semaphore. *)
+let rec from_tasks p (st : State.t) set i =
+  let n = Array.length st.tasks in
+  let i = State.next set n i in
+  i < n && ((holder st i <> -1 && walk p st i) || from_tasks p st set (i + 1))
+
+let rec from_holders p (st : State.t) set s =
+  let n = Array.length st.sem_holder in
+  let s = State.next set n s in
+  s < n
+  && (let h = st.sem_holder.(s) in
+      (h >= 0 && walk p st h) || from_holders p st set (s + 1))
+
+(* Whether the state has a circular wait: found at most once per state,
+   and recorded in the scope for the next probe.  Asked only when a
+   blocking part changed; otherwise the answer is the last probe's. *)
+let has_cycle p st (sc : State.scope) =
   match p.cycle with
   | Cyclic -> true
   | Acyclic -> false
   | Unknown ->
-    let found = scan p 0 in
+    let found =
+      if p.was_cyclic then from_tasks p st (-1) 0
+      else from_tasks p st sc.task_set 0 || from_holders p st sc.sem_set 0
+    in
     p.cycle <- (if found then Cyclic else Acyclic);
+    sc.cyclic <- found;
     found
+
+let check_deadlock p st sc =
+  if has_cycle p st sc then begin
+    (* the cycle the full scan meets first, the one the message names *)
+    ignore (from_tasks p st (-1) 0);
+    (* the cycle's tasks only, last walked first *)
+    let names =
+      List.init (p.len - p.cyc_from) (fun k ->
+          p.m.tasks.(p.path.(p.len - 1 - k)).task_name)
+    in
+    fail "circular wait: %s" (String.concat " -> " names)
+  end
 
 let deadlock =
   {
     name = "deadlock";
     doc = "no circular wait among semaphore holders";
     timing_sensitive = false;
-    on_state =
-      [
-        {
-          reads = blocking;
-          run =
-            (fun m p ->
-              if not (has_cycle p) then None
-              else
-                (* the cycle's tasks only, last walked first *)
-                let names =
-                  List.init (p.len - p.cyc_from) (fun k ->
-                      m.tasks.(p.path.(p.len - 1 - k)).task_name)
-                in
-                Some
-                  (Printf.sprintf "circular wait: %s"
-                     (String.concat " -> " names)));
-        };
-      ];
+    on_state = [ { kind = Deadlock; reads = blocking } ];
     on_note = no_note;
   }
 
@@ -124,117 +141,227 @@ let deadlock =
 (* Task [i]'s fixpoint is the minimum rank and deadline over [i] and
    every task transitively blocked on a semaphore [i] holds.  Called
    only on states without a circular wait, so the walk terminates. *)
-let rec pi_visit p i =
-  let t = p.st.tasks.(i) in
+let rec pi_visit p (st : State.t) i =
+  let t = st.tasks.(i) in
   if i < p.e then p.e <- i;
   if t.dl < p.d then p.d <- t.dl;
-  pi_visit_held p i t.held
+  pi_visit_held p st i t.held
 
-and pi_visit_held p i = function
+and pi_visit_held p st i = function
   | [] -> ()
   | s :: rest ->
-    let st = p.st in
     if st.sem_holder.(s) = i then
       for w = 0 to Array.length st.tasks - 1 do
         match st.tasks.(w).mode with
-        | State.BSem x when x = s -> pi_visit p w
+        | State.BSem x when x = s -> pi_visit p st w
         | _ -> ()
       done;
-    pi_visit_held p i rest
+    pi_visit_held p st i rest
 
-let rec pi_scan (m : Machine.t) p i =
-  if i >= Array.length p.st.tasks then None
+let check_fixpoint p (st : State.t) i =
+  let t = st.tasks.(i) in
+  p.e <- max_int;
+  p.d <- max_int;
+  pi_visit p st i;
+  if t.eff <> p.e || t.effdl <> p.d then
+    fail
+      "%s: effective (rank %d, deadline %d) but inheritance fixpoint gives \
+       (rank %d, deadline %d)"
+      p.m.tasks.(i).task_name t.eff t.effdl p.e p.d
+
+(* A task that holds nothing is its own fixpoint. *)
+let pi_task p (st : State.t) i =
+  let t = st.tasks.(i) in
+  match (t.mode, t.held) with
+  | State.Idle, _ -> ()
+  | _, [] -> if t.eff <> i || t.effdl <> t.dl then check_fixpoint p st i
+  | _ -> check_fixpoint p st i
+
+let rec names_any set = function
+  | [] -> false
+  | s :: rest -> State.mem set s || names_any set rest
+
+(* [acc] with the tasks from [i] on whose held lists name a semaphore
+   of [set]: whatever held one before still lists it unless written. *)
+let rec listing (st : State.t) set acc i =
+  if i >= Array.length st.tasks then acc
   else
-    let t = p.st.tasks.(i) in
-    match t.mode with
-    | State.Idle -> pi_scan m p (i + 1)
-    | _ ->
-      p.e <- max_int;
-      p.d <- max_int;
-      pi_visit p i;
-      if t.eff <> p.e || t.effdl <> p.d then
-        Some
-          (Printf.sprintf
-             "%s: effective (rank %d, deadline %d) but inheritance \
-              fixpoint gives (rank %d, deadline %d)"
-             m.tasks.(i).task_name t.eff t.effdl p.e p.d)
-      else pi_scan m p (i + 1)
+    listing st set
+      (if names_any set st.tasks.(i).held then acc lor State.bit i else acc)
+      (i + 1)
+
+(* [closed] with task [i] and every task up its blocked-on chain: the
+   tasks whose fixpoint takes in [i]'s. *)
+let rec climb (st : State.t) closed i =
+  let b = State.bit i in
+  if closed land b = b then closed
+  else
+    let closed = closed lor b in
+    match st.tasks.(i).mode with
+    | State.BSem s when st.sem_holder.(s) >= 0 ->
+      climb st closed st.sem_holder.(s)
+    | _ -> closed
+
+let rec climb_from (st : State.t) base closed i =
+  let n = Array.length st.tasks in
+  let i = State.next base n i in
+  if i >= n then closed else climb_from st base (climb st closed i) (i + 1)
+
+(* A task's fixpoint reads its own record, the holders of the
+   semaphores it lists as held, and the records of the tasks blocked
+   below it.  So after a passing probe it can move only for a written
+   task, a task whose held list names a written semaphore, or a task
+   up the blocked-on chain of either.  A state with a circular wait
+   passes [pi] unchecked, so after one every task is checked. *)
+let pi_scope p st (sc : State.scope) =
+  if p.was_cyclic || sc.task_set < 0 then -1
+  else
+    let base =
+      if sc.sem_set = 0 then sc.task_set
+      else listing st sc.sem_set sc.task_set 0
+    in
+    climb_from st base 0 0
+
+let check_pi p (st : State.t) sc =
+  (* the fixpoint is undefined on a circular wait; the deadlock prop
+     owns those *)
+  if not (has_cycle p st sc) then begin
+    let n = Array.length st.tasks and set = pi_scope p st sc in
+    let i = ref (State.next set n 0) in
+    while !i < n do
+      pi_task p st !i;
+      i := State.next set n (!i + 1)
+    done
+  end
 
 let pi =
   {
     name = "pi";
     doc = "effective priorities equal the inheritance fixpoint";
     timing_sensitive = false;
-    on_state =
-      [
-        {
-          reads = blocking;
-          run =
-            (fun m p ->
-              (* the fixpoint is undefined on a circular wait; the
-                 deadlock prop owns those *)
-              if has_cycle p then None else pi_scan m p 0);
-        };
-      ];
+    on_state = [ { kind = Pi; reads = blocking } ];
     on_note = no_note;
   }
 
 (* --- structural invariants ------------------------------------------ *)
 
-let bsem_on s = function State.BSem x -> x = s | _ -> false
-let bsend_on b = function State.BSend x -> x = b | _ -> false
-let brecv_on b = function State.BRecv x -> x = b | _ -> false
+(* A second runner needs a task that was written into [Run]. *)
+let rec runs (st : State.t) set i =
+  let n = Array.length st.tasks in
+  let i = State.next set n i in
+  i < n
+  && ((match st.tasks.(i).mode with State.Run -> true | _ -> false)
+     || runs st set (i + 1))
 
-(* Some task from [i] on has a mode satisfying [pred obj]. *)
-let rec blocked (st : State.t) pred obj i =
-  i < Array.length st.tasks
-  && (pred obj st.tasks.(i).mode || blocked st pred obj (i + 1))
+let check_runners _ (st : State.t) (sc : State.scope) =
+  if runs st sc.task_set 0 then begin
+    let runners = ref 0 in
+    for i = 0 to Array.length st.tasks - 1 do
+      match st.tasks.(i).mode with State.Run -> incr runners | _ -> ()
+    done;
+    if !runners > 1 then fail "%d tasks running at once" !runners
+  end
 
-let check_runners (_ : Machine.t) (st : State.t) =
-  let runners = ref 0 in
-  for i = 0 to Array.length st.tasks - 1 do
-    match st.tasks.(i).mode with State.Run -> incr runners | _ -> ()
-  done;
-  if !runners > 1 then fail "%d tasks running at once" !runners
+(* Once per check, one pass over the tasks stamps every object a task
+   is blocked on with a fresh epoch. *)
+let stamp_waiters p (st : State.t) =
+  if not p.stamped then begin
+    p.stamped <- true;
+    p.epoch <- p.epoch + 1;
+    let e = p.epoch in
+    for i = 0 to Array.length st.tasks - 1 do
+      match st.tasks.(i).mode with
+      | State.BSem s -> p.sem_waited.(s) <- e
+      | State.BSend b -> p.mb_sending.(b) <- e
+      | State.BRecv b -> p.mb_receiving.(b) <- e
+      | _ -> ()
+    done
+  end
 
-let check_objects (m : Machine.t) (st : State.t) =
-  for s = 0 to Array.length st.sem_holder - 1 do
-    match st.sem_holder.(s) with
-    | -1 ->
-      if blocked st bsem_on s 0 then
-        fail "sem %d free yet has waiters" m.sem_ids.(s)
-    | h ->
-      let ht = st.tasks.(h) in
-      if not (List.mem s ht.held) then
-        fail "sem %d holder %s does not list it as held" m.sem_ids.(s)
-          m.tasks.(h).task_name;
-      if bsem_on s ht.mode then
-        fail "sem %d holder %s blocked on its own sem" m.sem_ids.(s)
-          m.tasks.(h).task_name
+(* [set] with the semaphores from [s] on that a task of [tasks] holds:
+   a semaphore's conditions read its holder's record. *)
+let rec held_by (st : State.t) tasks set s =
+  if s >= Array.length st.sem_holder then set
+  else
+    let h = st.sem_holder.(s) in
+    held_by st tasks
+      (if h >= 0 && State.mem tasks h then set lor State.bit s else set)
+      (s + 1)
+
+let check_sem p (st : State.t) s =
+  let m = p.m in
+  match st.sem_holder.(s) with
+  | -1 ->
+    stamp_waiters p st;
+    if p.sem_waited.(s) = p.epoch then
+      fail "sem %d free yet has waiters" m.sem_ids.(s)
+  | h -> (
+    let ht = st.tasks.(h) in
+    if not (List.mem s ht.held) then
+      fail "sem %d holder %s does not list it as held" m.sem_ids.(s)
+        m.tasks.(h).task_name;
+    match ht.mode with
+    | State.BSem x when x = s ->
+      fail "sem %d holder %s blocked on its own sem" m.sem_ids.(s)
+        m.tasks.(h).task_name
+    | _ -> ())
+
+let check_mailbox p (st : State.t) b =
+  let m = p.m in
+  let occ = st.mb_occ.(b) and cap = m.mb_cap.(b) in
+  if occ < 0 || occ > cap then
+    fail "mailbox %d occupancy %d outside [0,%d]" m.mb_ids.(b) occ cap;
+  stamp_waiters p st;
+  if occ <> cap && p.mb_sending.(b) = p.epoch then
+    fail "mailbox %d has blocked senders yet %d/%d slots" m.mb_ids.(b) occ
+      cap;
+  if occ <> 0 && p.mb_receiving.(b) = p.epoch then
+    fail "mailbox %d has blocked receivers yet occupancy %d" m.mb_ids.(b)
+      occ
+
+(* Semaphores, then mailboxes, then wait queues, each in index order
+   and each visited only when it, or what its conditions read, was
+   written; the waiters come from one pass, made when first needed. *)
+let check_objects p (st : State.t) (sc : State.scope) =
+  p.stamped <- false;
+  let ns = Array.length st.sem_holder in
+  let sems =
+    if sc.task_set = 0 then sc.sem_set else held_by st sc.task_set sc.sem_set 0
+  in
+  let s = ref (State.next sems ns 0) in
+  while !s < ns do
+    check_sem p st !s;
+    s := State.next sems ns (!s + 1)
   done;
-  for b = 0 to Array.length st.mb_occ - 1 do
-    let occ = st.mb_occ.(b) and cap = m.mb_cap.(b) in
-    if occ < 0 || occ > cap then
-      fail "mailbox %d occupancy %d outside [0,%d]" m.mb_ids.(b) occ cap;
-    if occ <> cap && blocked st bsend_on b 0 then
-      fail "mailbox %d has blocked senders yet %d/%d slots" m.mb_ids.(b) occ
-        cap;
-    if occ <> 0 && blocked st brecv_on b 0 then
-      fail "mailbox %d has blocked receivers yet occupancy %d" m.mb_ids.(b)
-        occ
+  let nb = Array.length st.mb_occ in
+  let b = ref (State.next sc.mb_set nb 0) in
+  while !b < nb do
+    check_mailbox p st !b;
+    b := State.next sc.mb_set nb (!b + 1)
   done;
-  for w = 0 to Array.length st.wq_sig - 1 do
-    if st.wq_sig.(w) < 0 then
-      fail "wait queue %d pending count %d" m.wq_ids.(w) st.wq_sig.(w)
+  let nw = Array.length st.wq_sig in
+  let w = ref (State.next sc.wq_set nw 0) in
+  while !w < nw do
+    if st.wq_sig.(!w) < 0 then
+      fail "wait queue %d pending count %d" p.m.wq_ids.(!w) st.wq_sig.(!w);
+    w := State.next sc.wq_set nw (!w + 1)
   done
 
-let check_progress (m : Machine.t) (st : State.t) =
-  for i = 0 to Array.length st.tasks - 1 do
-    let t = st.tasks.(i) in
-    let len = Array.length m.tasks.(i).code in
-    if t.pc < 0 || t.pc > len then
-      fail "%s pc %d outside [0,%d]" m.tasks.(i).task_name t.pc len;
-    if t.rem < 0 then fail "%s negative remaining burst" m.tasks.(i).task_name
+let fail_progress p (st : State.t) i =
+  let t = st.tasks.(i) and mt = p.m.tasks.(i) in
+  let len = Array.length mt.code in
+  if t.pc < 0 || t.pc > len then
+    fail "%s pc %d outside [0,%d]" mt.task_name t.pc len;
+  fail "%s negative remaining burst" mt.task_name
+
+let check_progress p (st : State.t) (sc : State.scope) =
+  let n = Array.length st.tasks and set = sc.task_set in
+  let i = ref (State.next set n 0) in
+  while !i < n do
+    let t = st.tasks.(!i) in
+    if t.pc < 0 || t.pc > Array.length p.m.tasks.(!i).code || t.rem < 0 then
+      fail_progress p st !i;
+    i := State.next set n (!i + 1)
   done
 
 let invariants =
@@ -245,9 +372,9 @@ let invariants =
     on_state =
       State.
         [
-          failing (modes lor switch) check_runners;
-          failing (modes lor sems lor mailboxes lor waitqs) check_objects;
-          failing progress check_progress;
+          { kind = Runners; reads = switch };
+          { kind = Objects; reads = modes lor sems lor mailboxes lor waitqs };
+          { kind = Progress; reads = progress };
         ];
     on_note =
       (fun _ ~at:_ -> function
@@ -281,19 +408,24 @@ let rec blocks_of pool = function
   | [] -> 0
   | (p, n) :: rest -> if p = pool then n else blocks_of pool rest
 
-let check_pools (m : Machine.t) (st : State.t) =
-  for p = 0 to Array.length st.pool_occ - 1 do
-    let occ = st.pool_occ.(p) in
-    if occ < 0 || occ > m.pool_cap.(p) then
-      fail "pool %d occupancy %d outside [0,%d]" m.pool_ids.(p) occ
-        m.pool_cap.(p);
+(* Each written pool in index order. *)
+let check_pools p (st : State.t) (sc : State.scope) =
+  let m = p.m and np = Array.length st.pool_occ and set = sc.pool_set in
+  let k = ref (State.next set np 0) in
+  while !k < np do
+    let pool = !k in
+    let occ = st.pool_occ.(pool) in
+    if occ < 0 || occ > m.pool_cap.(pool) then
+      fail "pool %d occupancy %d outside [0,%d]" m.pool_ids.(pool) occ
+        m.pool_cap.(pool);
     let owned = ref 0 in
     for i = 0 to Array.length st.tasks - 1 do
-      owned := !owned + blocks_of p st.tasks.(i).live
+      owned := !owned + blocks_of pool st.tasks.(i).live
     done;
     if !owned <> occ then
       fail "pool %d: tasks hold %d block(s) yet occupancy is %d"
-        m.pool_ids.(p) !owned occ
+        m.pool_ids.(pool) !owned occ;
+    k := State.next set np (pool + 1)
   done
 
 let mem =
@@ -301,7 +433,7 @@ let mem =
     name = "mem";
     doc = "block pools never over-commit, deny, or leak";
     timing_sensitive = false;
-    on_state = [ failing State.(pools lor live) check_pools ];
+    on_state = [ { kind = Pools; reads = State.(pools lor live) } ];
     on_note =
       (fun m ~at -> function
         | State.Oom { idx; pool } ->
@@ -337,55 +469,64 @@ let all = [ deadlock; pi; invariants; tear; mem; deadline ]
 let names = List.map (fun p -> p.name) all
 let by_name n = List.find_opt (fun p -> p.name = n) all
 
-(* The first failing check, in order, among those that read a changed
-   part. *)
-let rec first_check m p changed = function
-  | [] -> None
-  | c :: rest when c.reads land changed = 0 -> first_check m p changed rest
-  | c :: rest -> (
-    match c.run m p with
-    | None -> first_check m p changed rest
-    | failed -> failed)
+let run_check p st sc = function
+  | Deadlock -> check_deadlock p st sc
+  | Pi -> check_pi p st sc
+  | Runners -> check_runners p st sc
+  | Objects -> check_objects p st sc
+  | Progress -> check_progress p st sc
+  | Pools -> check_pools p st sc
 
-let rec first_state_failure m p changed = function
-  | [] -> None
-  | prop :: rest -> (
-    match first_check m p changed prop.on_state with
-    | Some msg -> Some (prop.name, msg)
-    | None -> first_state_failure m p changed rest)
-
-let empty : State.t =
-  {
-    now = 0;
-    tasks = [||];
-    sem_holder = [||];
-    wq_sig = [||];
-    mb_occ = [||];
-    sm_seq = [||];
-    pool_occ = [||];
-    irq_next = [||];
-  }
-
-let check_changed props m =
+(* The properties' state checks in order, compiled once into a table:
+   a probe runs, in table order, the rows that read a written part,
+   each a direct call, and the first [Failed] names its row's
+   property. *)
+let check_changed props (m : Machine.t) =
+  let table =
+    Array.of_list
+      (List.concat_map
+         (fun prop -> List.map (fun c -> (prop.name, c)) prop.on_state)
+         props)
+  in
+  let kinds = Array.map (fun (_, c) -> c.kind) table
+  and reads = Array.map (fun (_, c) -> c.reads) table in
   let p =
     {
-      st = empty;
+      m;
+      was_cyclic = false;
       cycle = Unknown;
       path = Array.make (Machine.n_tasks m) 0;
       len = 0;
       cyc_from = 0;
       e = 0;
       d = 0;
+      at = 0;
+      stamped = false;
+      epoch = 0;
+      sem_waited = Array.make (Array.length m.sem_ids) 0;
+      mb_sending = Array.make (Array.length m.mb_ids) 0;
+      mb_receiving = Array.make (Array.length m.mb_ids) 0;
     }
   in
-  fun ~changed st ->
-    p.st <- st;
+  fun ~(changed : State.scope) st ->
+    p.was_cyclic <- changed.cyclic;
     p.cycle <- Unknown;
-    first_state_failure m p changed props
+    match
+      for k = 0 to Array.length kinds - 1 do
+        if reads.(k) land changed.parts <> 0 then begin
+          p.at <- k;
+          run_check p st changed kinds.(k)
+        end
+      done
+    with
+    | () -> None
+    | exception Failed msg -> Some (fst table.(p.at), msg)
 
 let check_state props m =
-  let check = check_changed props m in
-  fun st -> check ~changed:State.all st
+  let check = check_changed props m and changed = State.everything () in
+  fun st ->
+    changed.cyclic <- false;
+    check ~changed st
 
 let rec first_note_failure m ~at n = function
   | [] -> None

@@ -5,20 +5,15 @@
     first failure aborts exploration with a counterexample.
 
     Each state check declares the {!State.parts} it reads, and is a
-    pure function of them.  A probe told which parts changed since the
-    previous probe passed re-runs only the checks that read one of
-    them: an unchanged part gives the answer it gave then, so the
-    first failing property and its message are those of the full
-    check. *)
-
-type probe
-(** The state being probed, with what several properties derive from
-    it (the first circular wait) computed at most once per state.  One
-    probe serves a whole search; it allocates nothing while the state
-    passes. *)
+    pure function of them.  A probe is told the {!State.scope} written
+    since the previous probe passed: it runs only the checks that read
+    a written part, and each of those visits only the tasks and
+    objects whose answer the writes can have moved.  Everything else
+    gives the answer it gave then, so the first failing property and
+    its message are those of the full check. *)
 
 type check
-(** One state check of a {!probe}d state, with the parts it reads. *)
+(** One state check, with the parts it reads. *)
 
 type t = {
   name : string;
@@ -51,7 +46,7 @@ val invariants : t
     consistent with blocked senders/receivers, program counters in
     range, and no faulting operations (e.g. releasing an un-held
     semaphore).  Three checks, in this order: the runner count reads
-    {!State.modes} and {!State.switch}; the semaphore, mailbox and
+    {!State.switch}; the semaphore, mailbox and
     wait-queue checks read {!State.modes}, {!State.sems},
     {!State.mailboxes} and {!State.waitqs}; the pc and burst check
     reads {!State.progress}. *)
@@ -80,20 +75,41 @@ val names : string list
 val check_changed :
   t list ->
   Machine.t ->
-  changed:State.parts ->
+  changed:State.scope ->
   State.t ->
   (string * string) option
-(** First failing property on a state, as [(name, message)], running
-    only the checks that read a part in [changed].  Exact when the
-    previous call passed on a state that differs from this one only
-    in [changed]; {!State.all} asks for every check.  Applied to the
-    properties and the machine, it builds the one probe that every
-    state it is then given reuses: apply it once per search.
-    Messages are formatted only on failure. *)
+(** First failing property on a state, as [(name, message)].  Exact
+    when the previous call passed on a state that differs from this
+    one only within [changed]: its parts, the tasks of its task set
+    and the objects of its object sets ({!State.scope}), and when
+    [changed.cyclic] is what that call left there.  The checks:
+    - deadlock: walks only from the new edges of the blocked-on graph
+      (a written task blocked on a semaphore, the holder of a written
+      semaphore);
+    - pi: the written tasks, the tasks whose held lists name a
+      written semaphore, and every task up their blocked-on chains,
+      lowest index first;
+    - the runner count: only when a written task is now running;
+    - the semaphore, mailbox and wait-queue checks: the written
+      objects and the semaphores written tasks hold, with one pass
+      over the tasks for the waiters they need;
+    - the pc and burst check: the written tasks;
+    - mem: the written pools.
+    After a state with a circular wait, which passes [pi] without
+    [deadlock], the cycle search and [pi] take every task.
+    {!State.everything} asks for every check on every task and object.
+
+    Applied to the properties and the machine, it compiles their
+    checks into one table and builds the probe that every state it is
+    then given reuses: apply it once per search.  A probe records
+    whether the state has a circular wait in [changed.cyclic] when it
+    looks, and keeps nothing else between calls.  It allocates nothing
+    while the state passes; messages are formatted only on failure. *)
 
 val check_state :
   t list -> Machine.t -> State.t -> (string * string) option
-(** The full check: {!check_changed} told that every part changed. *)
+(** The full check: {!check_changed} told every part, task and
+    object. *)
 
 val check_note :
   t list -> Machine.t -> at:int -> State.note -> (string * string) option

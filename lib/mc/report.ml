@@ -26,15 +26,20 @@ let run ~por ~rta ~seed ~props ~bounds (scenario : Workload.Scenario.t) m =
       Buffer.add_string b "\nRTA cross-check (blocking terms from lint):\n";
       Array.iteri
         (fun i (t : Machine.mtask) ->
-          let observed = r.max_response.(i) in
+          let done_ = r.completed.(i) > 0 and observed = r.max_response.(i) in
+          let obs =
+            if done_ then Printf.sprintf "%8.3fms" (ms observed) else "-"
+          in
           match bounds.(i) with
           | None ->
-            Printf.bprintf b "  %-8s observed %8.3fms  RTA: unbounded\n"
-              t.task_name (ms observed)
+            Printf.bprintf b "  %-8s observed %10s  RTA: unbounded\n"
+              t.task_name obs
           | Some bound ->
-            Printf.bprintf b "  %-8s observed %8.3fms  RTA bound %8.3fms  %s\n"
-              t.task_name (ms observed) (ms bound)
-              (if observed <= bound then "ok" else "EXCEEDED"))
+            Printf.bprintf b "  %-8s observed %10s  RTA bound %8.3fms  %s\n"
+              t.task_name obs (ms bound)
+              (if not done_ then "not observed"
+               else if observed <= bound then "ok"
+               else "EXCEEDED"))
         m.tasks
     end;
     Buffer.contents b
@@ -50,7 +55,8 @@ let run ~por ~rta ~seed ~props ~bounds (scenario : Workload.Scenario.t) m =
           ("choices", Int (List.length cex.choices)) ]
     in
     let response (t : Machine.mtask) =
-      (t.task_name, Int r.max_response.(t.idx))
+      ( t.task_name,
+        if r.completed.(t.idx) = 0 then Null else Int r.max_response.(t.idx) )
     in
     to_string
       (Obj

@@ -59,6 +59,63 @@ let all =
   modes lor switch lor progress lor live lor sems lor mailboxes lor waitqs
   lor pools
 
+type scope = {
+  mutable parts : parts;
+  mutable task_set : int;
+  mutable sem_set : int;
+  mutable mb_set : int;
+  mutable wq_set : int;
+  mutable pool_set : int;
+  mutable cyclic : bool;
+}
+
+(* Index 62 would be the sign bit, so indices from 62 on share the set
+   of all indices, [-1]. *)
+let[@inline] bit i = if i < Sys.int_size - 1 then 1 lsl i else -1
+let[@inline] mem set i = set land bit i <> 0
+
+(* The index of a set's lowest bit: multiplying by [debruijn] moves a
+   distinct 6-bit window to the top of the int for each of the 62
+   powers of two below the sign bit. *)
+let debruijn = 0x10c51c9669eaedf
+
+let lowest_index =
+  [|
+    0; 1; 2; 7; 3; 13; 8; 19; 4; 25; 14; 28; 9; 34; 20; 40; 5; 17; 26; 38; 15;
+    46; 29; 48; 10; 31; 35; 54; 21; 50; 41; 57; -1; 6; 12; 18; 24; 27; 33; 39;
+    16; 37; 45; 47; 30; 53; 49; 56; 61; 11; 23; 32; 36; 44; 52; 55; 60; 22;
+    43; 51; 59; 42; 58; -1;
+  |]
+
+let[@inline] next set n i =
+  if set < 0 then i
+  else if i >= Sys.int_size - 1 then n
+  else
+    let r = set lsr i in
+    if r = 0 then n
+    else i + Array.unsafe_get lowest_index (((r land -r) * debruijn) lsr 57)
+
+let everything () =
+  {
+    parts = all;
+    task_set = -1;
+    sem_set = -1;
+    mb_set = -1;
+    wq_set = -1;
+    pool_set = -1;
+    cyclic = false;
+  }
+
+let copy_scope sc = { sc with parts = sc.parts }
+
+let clear_scope sc =
+  sc.parts <- 0;
+  sc.task_set <- 0;
+  sc.sem_set <- 0;
+  sc.mb_set <- 0;
+  sc.wq_set <- 0;
+  sc.pool_set <- 0
+
 type note =
   | Job_done of { idx : int; response : int }
   | Miss of { idx : int }

@@ -90,7 +90,7 @@ val modes : parts
     priority fields [eff], [effdl], [dl], [inh] and [held]. *)
 
 val switch : parts
-(** A task switching between [Ready] and [Run]. *)
+(** A task entering or leaving [Run]. *)
 
 val progress : parts
 (** Task [pc] and [rem]. *)
@@ -106,8 +106,51 @@ val waitqs : parts
 val pools : parts
 
 val all : parts
-(** Every part: what a probe of a state with no passing predecessor is
-    told. *)
+(** Every part. *)
+
+(** What was written since the last passing probe on a search path:
+    the {!parts}, and which tasks and objects.  Tasks and each kind of
+    object are sets of indices held as bitsets ({!bit}).  A task is
+    written when a field some part covers changes.  An object is
+    written when its own slot changes (a semaphore's holder, a
+    mailbox's occupancy, a wait queue's pending count, a pool's
+    occupancy) or the tasks bound to it do: those blocked on it, and
+    for a pool how many of its blocks each task holds.  {!Step} keeps
+    one per expansion and hands what its last probe left unprobed to
+    its children; {!Props.check_changed} visits only what it names. *)
+type scope = {
+  mutable parts : parts;
+  mutable task_set : int;
+  mutable sem_set : int;
+  mutable mb_set : int;
+  mutable wq_set : int;
+  mutable pool_set : int;
+  mutable cyclic : bool;
+      (** the state the last passing probe saw had a circular wait;
+          kept by the probe, which passes such a state only when it
+          checks [pi] without [deadlock] *)
+}
+
+val bit : int -> int
+(** The set of index [i] alone: bit [i] below 62; every bit, the set
+    of all indices, from 62 on. *)
+
+val mem : int -> int -> bool
+(** [mem set i]: index [i] is in [set]. *)
+
+val next : int -> int -> int -> int
+(** [next set n i]: the least index of [set] from [i] on, or [n] when
+    there is none below [n].  Visiting a set costs one call per
+    index in it. *)
+
+val everything : unit -> scope
+(** A fresh scope of every part, task and object: what the probe of a
+    state with no passing predecessor is told. *)
+
+val copy_scope : scope -> scope
+
+val clear_scope : scope -> unit
+(** Nothing written: what follows a passing probe.  Keeps [cyclic]. *)
 
 (** What a transition segment observed — consumed by properties and
     statistics, never part of the state. *)

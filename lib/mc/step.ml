@@ -11,7 +11,10 @@ type expansion = {
   notes : (int * State.note) list;
   violation : (string * string * int) option;
   next : [ `Branch of choice list | `Leaf ];
+  unprobed : State.scope;
 }
+
+type lesion = Keep_inherited
 
 exception Stop_violation of string * string
 
@@ -24,9 +27,11 @@ exception Stop_violation of string * string
    otherwise rescan: the running task, and — refreshed only when
    [stale] — the next instant at which a release, timer, interrupt or
    deadline probe falls due and the number of open arrival windows.
-   [changed] accumulates the parts written since the last passing
-   probe.  [set] and the IRQ-slot writes keep all of these current;
-   the object-array writes [mark] their own part. *)
+   [scope] accumulates what was written since the last passing probe
+   on the search path, which may lie in the parent's expansion.
+   [set] and the IRQ-slot writes keep all of these current; the
+   object-array writes go through the setters below, which mark their
+   slot. *)
 type ctx = {
   m : Machine.t;
   mutable now : int;
@@ -40,14 +45,15 @@ type ctx = {
   mutable notes : (int * note) list; (* reversed *)
   tracing : bool;
   trace : int -> Sim.Trace.entry -> unit;
-  check : changed:State.parts -> State.t -> (string * string) option;
+  check : changed:State.scope -> State.t -> (string * string) option;
   check_note : at:int -> note -> (string * string) option;
+  keep_inherited : bool;
   mutable view : State.t;
   mutable running : int; (* the task in [Run], -1 for none *)
   mutable stale : bool; (* [due] and [windows] need a refresh *)
   mutable due : int; (* earliest pending instant; [max_int] = none *)
   mutable windows : int; (* unresolved [Choose] sources *)
-  mutable changed : State.parts;
+  scope : State.scope;
 }
 
 let no_trace _ _ = ()
@@ -69,7 +75,7 @@ let find_running (tasks : tstate array) =
   done;
   !r
 
-let thaw ?emit ~check ~check_note m (st : State.t) =
+let thaw ?emit ?lesion ?unprobed ~check ~check_note m (st : State.t) =
   let tasks = Array.copy st.tasks
   and sem_holder = Array.copy st.sem_holder
   and wq_sig = Array.copy st.wq_sig
@@ -92,6 +98,8 @@ let thaw ?emit ~check ~check_note m (st : State.t) =
     trace = Option.value emit ~default:no_trace;
     check;
     check_note;
+    keep_inherited =
+      (match lesion with Some Keep_inherited -> true | None -> false);
     view =
       {
         now = st.now;
@@ -107,23 +115,69 @@ let thaw ?emit ~check ~check_note m (st : State.t) =
     stale = true;
     due = max_int;
     windows = 0;
-    changed = State.all;
+    scope =
+      (match unprobed with
+      | Some sc -> State.copy_scope sc
+      | None -> State.everything ());
   }
 
-let mark c part = c.changed <- c.changed lor part
+let mark c part = c.scope.parts <- c.scope.parts lor part
+
+(* The object a blocked mode waits on gains or loses a waiter. *)
+let mark_blocked c = function
+  | BSem s -> c.scope.sem_set <- c.scope.sem_set lor State.bit s
+  | BSend b | BRecv b -> c.scope.mb_set <- c.scope.mb_set lor State.bit b
+  | BWait w | BTimed (w, _) -> c.scope.wq_set <- c.scope.wq_set lor State.bit w
+  | Idle | Ready | Run | BDelay _ -> ()
+
+let rec mark_pools c = function
+  | [] -> ()
+  | (p, _) :: rest ->
+    c.scope.pool_set <- c.scope.pool_set lor State.bit p;
+    mark_pools c rest
+
+(* The object-array writes, each marking its part and its slot. *)
+let set_holder c s h =
+  c.sem_holder.(s) <- h;
+  mark c State.sems;
+  c.scope.sem_set <- c.scope.sem_set lor State.bit s
+
+let set_mb_occ c b n =
+  c.mb_occ.(b) <- n;
+  mark c State.mailboxes;
+  c.scope.mb_set <- c.scope.mb_set lor State.bit b
+
+let set_wq_sig c w n =
+  c.wq_sig.(w) <- n;
+  mark c State.waitqs;
+  c.scope.wq_set <- c.scope.wq_set lor State.bit w
+
+let set_pool_occ c p n =
+  c.pool_occ.(p) <- n;
+  mark c State.pools;
+  c.scope.pool_set <- c.scope.pool_set lor State.bit p
 
 let timed = function BDelay _ | BTimed _ -> true | _ -> false
 
 (* Replace task [i]'s record, marking the parts in which the new one
-   differs and keeping the derived facts current.  Lists and modes
-   compare physically: a rebuilt equal value only marks more. *)
+   differs, the task if it differs in any, and the objects whose
+   waiters or holdings it moves, and keeping the derived facts
+   current.  Lists and modes compare physically: a rebuilt equal value
+   only marks more. *)
 let set c i t =
   let o = c.tasks.(i) in
   c.tasks.(i) <- t;
+  let parts = ref 0 in
   if o.mode != t.mode then begin
     (match (o.mode, t.mode) with
-    | (Ready | Run), (Ready | Run) -> mark c State.switch
-    | _ -> mark c State.modes);
+    | (Ready | Run), (Ready | Run) -> parts := State.switch
+    | om, tm ->
+      mark_blocked c om;
+      mark_blocked c tm;
+      parts :=
+        (match (om, tm) with
+        | Run, _ | _, Run -> State.(modes lor switch)
+        | _ -> State.modes));
     (match t.mode with
     | Run -> c.running <- i
     | _ -> if c.running = i then c.running <- -1);
@@ -132,9 +186,17 @@ let set c i t =
   if
     o.eff <> t.eff || o.effdl <> t.effdl || o.dl <> t.dl || o.inh != t.inh
     || o.held != t.held
-  then mark c State.modes;
-  if o.pc <> t.pc || o.rem <> t.rem then mark c State.progress;
-  if o.live != t.live then mark c State.live;
+  then parts := !parts lor State.modes;
+  if o.pc <> t.pc || o.rem <> t.rem then parts := !parts lor State.progress;
+  if o.live != t.live then begin
+    mark_pools c o.live;
+    mark_pools c t.live;
+    parts := !parts lor State.live
+  end;
+  if !parts <> 0 then begin
+    mark c !parts;
+    c.scope.task_set <- c.scope.task_set lor State.bit i
+  end;
   if o.next_rel != t.next_rel || o.dl_check <> t.dl_check then
     c.stale <- true
 
@@ -155,9 +217,9 @@ let note c n =
   | None -> ()
 
 let probe c =
-  match c.check ~changed:c.changed (view c) with
+  match c.check ~changed:c.scope (view c) with
   | Some (p, msg) -> raise (Stop_violation (p, msg))
-  | None -> c.changed <- 0
+  | None -> State.clear_scope c.scope
 
 let job_no c i =
   let mt = c.m.tasks.(i) in
@@ -195,11 +257,13 @@ let rec inherit_into c ~holder ~waiter =
   end
 
 (* Mirror of the kernel's [restore_prio]: back to base, then
-   re-inherit from the waiters of everything still held. *)
+   re-inherit from the waiters of everything still held.  The
+   [Keep_inherited] lesion skips the reset. *)
 let restore_prio c i =
   let t = c.tasks.(i) in
   let was_inh = t.inh in
-  set c i { t with eff = i; effdl = t.dl; inh = false };
+  if not c.keep_inherited then
+    set c i { t with eff = i; effdl = t.dl; inh = false };
   List.iter
     (fun s ->
       List.iter
@@ -263,8 +327,7 @@ let job_complete c i =
      job end are a leak, noted then reclaimed, before the completion *)
   List.iter
     (fun (p, n) ->
-      c.pool_occ.(p) <- Int.max 0 (c.pool_occ.(p) - n);
-      mark c State.pools;
+      set_pool_occ c p (Int.max 0 (c.pool_occ.(p) - n));
       note c (Leak { idx = i; pool = p; count = n });
       if c.tracing then
         emit c
@@ -294,9 +357,7 @@ let wake c i =
 
 let do_signal c w =
   match State.wq_waiters c.m (view c) w with
-  | [] ->
-    c.wq_sig.(w) <- c.wq_sig.(w) + 1;
-    mark c State.waitqs
+  | [] -> set_wq_sig c w (c.wq_sig.(w) + 1)
   | i :: _ -> wake c i
 
 let do_broadcast c w = List.iter (wake c) (State.wq_waiters c.m (view c) w)
@@ -506,8 +567,7 @@ let exec_instr c i ~horizon =
     | Machine.IAcquire s ->
       (match c.sem_holder.(s) with
       | -1 ->
-        c.sem_holder.(s) <- i;
-        mark c State.sems;
+        set_holder c s i;
         set c i { t with pc = t.pc + 1; held = s :: t.held };
         if c.tracing then
           emit c
@@ -536,17 +596,14 @@ let exec_instr c i ~horizon =
             (Sim.Trace.Sem_released { tid = tid c i; sem = c.m.sem_ids.(s) });
         restore_prio c i;
         match State.sem_waiters c.m (view c) s with
-        | [] ->
-          c.sem_holder.(s) <- -1;
-          mark c State.sems
+        | [] -> set_holder c s (-1)
         | w :: rest ->
           (* direct handoff, like the kernel's [sem_release]: the
              best-served waiter leaves holding the mutex.  A remaining
              waiter may still have a better rank or an earlier
              deadline — re-inherit so both are the best over the
              waiters the new holder now blocks. *)
-          c.sem_holder.(s) <- w;
-          mark c State.sems;
+          set_holder c s w;
           let wt = c.tasks.(w) in
           set c w { wt with mode = Ready; pc = wt.pc + 1; held = s :: wt.held };
           if c.tracing then begin
@@ -560,8 +617,7 @@ let exec_instr c i ~horizon =
     | (Machine.IWait w | Machine.ITimed_wait (w, _)) as wait ->
       if c.wq_sig.(w) > 0 then begin
         (* a pending signal completes the call without blocking *)
-        c.wq_sig.(w) <- c.wq_sig.(w) - 1;
-        mark c State.waitqs;
+        set_wq_sig c w (c.wq_sig.(w) - 1);
         set c i { t with pc = t.pc + 1 }
       end
       else begin
@@ -599,8 +655,7 @@ let exec_instr c i ~horizon =
                { tid = tid c r; mailbox = c.m.mb_ids.(b); words = 0; queued_for = 0 })
       | [] ->
         if c.mb_occ.(b) < c.m.mb_cap.(b) then begin
-          c.mb_occ.(b) <- c.mb_occ.(b) + 1;
-          mark c State.mailboxes;
+          set_mb_occ c b (c.mb_occ.(b) + 1);
           set c i { t with pc = t.pc + 1 };
           if c.tracing then
             emit c
@@ -615,8 +670,7 @@ let exec_instr c i ~horizon =
       `Ok
     | Machine.IRecv b ->
       if c.mb_occ.(b) > 0 then begin
-        c.mb_occ.(b) <- c.mb_occ.(b) - 1;
-        mark c State.mailboxes;
+        set_mb_occ c b (c.mb_occ.(b) - 1);
         set c i { t with pc = t.pc + 1 };
         if c.tracing then
           emit c
@@ -625,8 +679,7 @@ let exec_instr c i ~horizon =
         (* a freed slot admits the best blocked sender's message *)
         (match State.mb_senders c.m (view c) b with
         | s :: _ ->
-          c.mb_occ.(b) <- c.mb_occ.(b) + 1;
-          mark c State.mailboxes;
+          set_mb_occ c b (c.mb_occ.(b) + 1);
           wake c s;
           if c.tracing then
             emit c
@@ -672,8 +725,7 @@ let exec_instr c i ~horizon =
       `Ok
     | Machine.IAlloc p ->
       if c.pool_occ.(p) < c.m.pool_cap.(p) then begin
-        c.pool_occ.(p) <- c.pool_occ.(p) + 1;
-        mark c State.pools;
+        set_pool_occ c p (c.pool_occ.(p) + 1);
         let mine =
           (match List.assoc_opt p t.live with Some n -> n | None -> 0) + 1
         in
@@ -703,8 +755,7 @@ let exec_instr c i ~horizon =
         set c i { t with pc = t.pc + 1 };
         `Ok
       | Some mine ->
-        c.pool_occ.(p) <- c.pool_occ.(p) - 1;
-        mark c State.pools;
+        set_pool_occ c p (c.pool_occ.(p) - 1);
         let rest = List.remove_assoc p t.live in
         let live =
           if mine = 1 then rest else List.sort compare ((p, mine - 1) :: rest)
@@ -802,9 +853,9 @@ let commit c choice =
     set c idx
       { t with pc = (if taken then t.pc + 1 else target); brs = t.brs + 1 }
 
-let expand ?emit ?(check = fun ~changed:_ _ -> None)
+let expand ?emit ?lesion ?unprobed ?(check = fun ~changed:_ _ -> None)
     ?(check_note = fun ~at:_ _ -> None) ?choice ~horizon m st =
-  let c = thaw ?emit ~check ~check_note m st in
+  let c = thaw ?emit ?lesion ?unprobed ~check ~check_note m st in
   let next, violation =
     match
       (match choice with Some ch -> commit c ch | None -> ());
@@ -813,4 +864,10 @@ let expand ?emit ?(check = fun ~changed:_ _ -> None)
     | r -> (r, None)
     | exception Stop_violation (p, msg) -> (`Leaf, Some (p, msg, c.now))
   in
-  { state = view c; notes = List.rev c.notes; violation; next }
+  {
+    state = view c;
+    notes = List.rev c.notes;
+    violation;
+    next;
+    unprobed = c.scope;
+  }

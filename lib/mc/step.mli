@@ -28,9 +28,12 @@
     task's next release, timed mode or deadline probe, or to an
     interrupt slot; so the running task is read in O(1), nothing is
     delivered before that instant, and no window is searched for while
-    none is open.  Each probe is told the {!State.parts} written since
-    the last passing probe, and {!Props.check_changed} re-runs only the
-    checks that read one of them. *)
+    none is open.  Each probe is told the {!State.scope} written since
+    the last passing probe on the search path: the parts, the tasks
+    whose records changed and the objects whose slots, waiters or
+    holdings changed.  An expansion starts from what its parent's left
+    unprobed, so no probe re-checks what no step since the last one
+    wrote, and {!Props.check_changed} visits only that. *)
 
 type choice =
   | Arm_irq of { src : int; at : int }
@@ -51,11 +54,25 @@ type expansion = {
   next : [ `Branch of choice list | `Leaf ];
       (** [`Leaf]: quiescent up to the horizon, or stopped on a
           violation *)
+  unprobed : State.scope;
+      (** what was written since the last passing probe: the
+          [~unprobed] of each child's expansion *)
 }
+
+(** A deliberate weakening of the transition relation, so the
+    campaign can show that the properties catch a wrong kernel rule. *)
+type lesion =
+  | Keep_inherited
+      (** releasing a semaphore keeps the holder's inherited rank and
+          deadline instead of resetting them to its base before
+          re-inheriting from what it still holds — the campaign's [mc]
+          ablation, which {!Props.pi} must catch *)
 
 val expand :
   ?emit:(int -> Sim.Trace.entry -> unit) ->
-  ?check:(changed:State.parts -> State.t -> (string * string) option) ->
+  ?lesion:lesion ->
+  ?unprobed:State.scope ->
+  ?check:(changed:State.scope -> State.t -> (string * string) option) ->
   ?check_note:(at:int -> State.note -> (string * string) option) ->
   ?choice:choice ->
   horizon:int ->
@@ -65,9 +82,13 @@ val expand :
 (** Copy the state, commit [choice] (one of the [`Branch] list its
     expansion offered; none for the initial state) and crank to the
     next decision point.  Committing never advances time; the crank
-    does.  [check] probes every intermediate state, told the parts
-    written since its last passing probe of this expansion (the first
-    probe is told {!State.all}); [check_note] sees every emitted note.
+    does.  [check] probes every intermediate state, told what was
+    written since the last passing probe: [unprobed], the parent
+    expansion's [unprobed] (default {!State.everything}, for a state
+    no probe has passed), plus this expansion's writes before its
+    first probe, and this expansion's writes since its previous probe
+    after that.  The scope is not copied for [check]: a probe must not
+    keep it.  [check_note] sees every emitted note.
     The first [Some (prop, message)] aborts the crank and surfaces as
     [violation].  [emit] receives replayable {!Sim.Trace} entries
     (used by counterexample replay); without it no entry is built. *)

@@ -550,23 +550,30 @@ let reference_key (m : Mc.Machine.t) (st : Mc.State.t) =
     []
 
 (* Every decision state a bounded depth-first search reaches, revisits
-   included; only first visits (by reference key) are expanded.  [check]
-   probes every state the search passes through; [expanding] is called
-   before each expansion; [child] is told each decision state reached
-   from another, with that parent. *)
-let decision_states ?(check = fun ~changed:_ _ -> None) ?(expanding = ignore)
-    ?(child = fun _ _ -> ()) m (bounds : Mc.Explorer.bounds) =
+   included; only first visits (by reference key) are expanded, each
+   told what its parent's expansion left unprobed, as
+   [Explorer.check] does.  [check] probes every state the search
+   passes through; [child] is told each decision state reached from
+   another, with that parent.  [save] is called after each expansion
+   that branches, and its value is handed to [restore] before each of
+   the children's expansions ([root] before the first): it carries
+   what a test keeps along a search path. *)
+let decision_states_carrying ~root ~save ~restore
+    ?(check = fun ~changed:_ _ -> None) ?(child = fun _ _ -> ()) m
+    (bounds : Mc.Explorer.bounds) =
   let seen = Hashtbl.create 1024 in
   let out = ref [] and expansions = ref 0 in
-  let stack = ref [ (Mc.State.init m, None) ] in
+  let stack = ref [ (Mc.State.init m, None, Mc.State.everything (), root) ] in
   while !stack <> [] && !expansions < bounds.max_states do
     match !stack with
     | [] -> ()
-    | (st, choice) :: rest -> (
+    | (st, choice, unprobed, carried) :: rest -> (
       stack := rest;
       incr expansions;
-      expanding ();
-      let e = Mc.Step.expand ~check ?choice ~horizon:bounds.horizon m st in
+      restore carried;
+      let e =
+        Mc.Step.expand ~unprobed ~check ?choice ~horizon:bounds.horizon m st
+      in
       match e.next with
       | `Leaf -> ()
       | `Branch cs ->
@@ -575,10 +582,18 @@ let decision_states ?(check = fun ~changed:_ _ -> None) ?(expanding = ignore)
         let k = reference_key m e.state in
         if not (Hashtbl.mem seen k) then begin
           Hashtbl.add seen k ();
-          List.iter (fun ch -> stack := (e.state, Some ch) :: !stack) cs
+          let carried = save () in
+          List.iter
+            (fun ch ->
+              stack := (e.state, Some ch, e.unprobed, carried) :: !stack)
+            cs
         end)
   done;
   !out
+
+let decision_states ?check ?child m bounds =
+  decision_states_carrying ~root:() ~save:ignore ~restore:ignore ?check ?child
+    m bounds
 
 (* [st] with the clock and every absolute instant moved by [by] (one
    tick by default): canonically it differs from [st] only in the
@@ -887,16 +902,34 @@ let well_formed (st : Mc.State.t) =
 (* The decision states of the catalog's scenarios and of 30 generated
    seed-42 machines, and the neighbours of every twentieth.  The
    catalog's searches compare every probed state too, which takes in
-   the demos' violating states where their searches would stop. *)
+   the demos' violating states where their searches would stop, and
+   there the probe told what the search wrote since its last passing
+   probe must answer as the full check does, until a probe on the
+   search path fails. *)
 let props_match_reference () =
-  let violated = Hashtbl.create 8 in
+  let violated = Hashtbl.create 8 and scoped = ref 0 in
   let run ~every_probe (name, m, bounds) =
     let compare = probe_comparer name m in
-    let check ~changed:_ st =
-      if every_probe then compare st;
+    let probe = Mc.Props.check_changed Mc.Props.all m
+    and all = Mc.Props.check_state Mc.Props.all m in
+    (* whether every probe on the search path so far passed *)
+    let clean = ref true in
+    let check ~changed st =
+      if every_probe then begin
+        compare st;
+        if !clean then begin
+          let got = probe ~changed st and want = all st in
+          if got <> want then
+            Alcotest.failf "%s at %dns: told the writes %s, full check %s" name
+              st.Mc.State.now
+              (Option.fold ~none:"ok" ~some:snd got)
+              (Option.fold ~none:"ok" ~some:snd want);
+          incr scoped;
+          if got <> None then clean := false
+        end
+      end;
       None
     in
-    let all = Mc.Props.check_state Mc.Props.all m in
     List.iteri
       (fun i st ->
         compare st;
@@ -906,13 +939,17 @@ let props_match_reference () =
               compare st;
               Option.iter (fun (p, _) -> Hashtbl.replace violated p ()) (all st))
             (List.filter well_formed (neighbours st)))
-      (decision_states ~check m bounds)
+      (decision_states_carrying ~root:true
+         ~save:(fun () -> !clean)
+         ~restore:(fun c -> clean := c)
+         ~check m bounds)
   in
   List.iter
     (fun (e : Workload.Scenario.entry) ->
       run ~every_probe:true (machine_of_scenario (e.build ())))
     Workload.Scenario.catalog;
   List.iter (run ~every_probe:false) (generated_machines ~count:30);
+  check "the catalog's searches compared scoped probes" true (!scoped > 1000);
   List.iter
     (fun p ->
       check (p ^ " fails on some neighbour") true (Hashtbl.mem violated p))
@@ -920,31 +957,84 @@ let props_match_reference () =
 
 (* --- the change mask ----------------------------------------------- *)
 
-(* The parts in which two states of one machine differ, field by field
-   with structural equality: the test's own account of
-   [Mc.State.parts]. *)
-let parts_differing (a : Mc.State.t) (b : Mc.State.t) =
+(* The parts a task's record changes, field by field with structural
+   equality: the test's own account of [Mc.State.parts]. *)
+let task_parts (x : Mc.State.tstate) (y : Mc.State.tstate) =
   let open Mc.State in
   let part p differs = if differs then p else 0 in
-  let task (x : tstate) (y : tstate) =
-    (match (x.mode, y.mode) with
-    | (Ready | Run), (Ready | Run) -> part switch (x.mode <> y.mode)
-    | _ -> part modes (x.mode <> y.mode))
-    lor part modes
-          (x.eff <> y.eff || x.effdl <> y.effdl || x.dl <> y.dl
-          || x.inh <> y.inh || x.held <> y.held)
-    lor part progress (x.pc <> y.pc || x.rem <> y.rem)
-    lor part live (x.live <> y.live)
+  (if x.mode = y.mode then 0
+   else
+     match (x.mode, y.mode) with
+     | (Ready | Run), (Ready | Run) -> switch
+     | Run, _ | _, Run -> modes lor switch
+     | _ -> modes)
+  lor part modes
+        (x.eff <> y.eff || x.effdl <> y.effdl || x.dl <> y.dl || x.inh <> y.inh
+       || x.held <> y.held)
+  lor part progress (x.pc <> y.pc || x.rem <> y.rem)
+  lor part live (x.live <> y.live)
+
+let blocks_of pool live = Option.value ~default:0 (List.assoc_opt pool live)
+
+(* What differs between two states of one machine: the parts, the
+   tasks whose records differ in one, and the objects whose slot
+   differs or whose blocked tasks or holdings do — the test's own
+   account of [Mc.State.scope]. *)
+let scope_differing (a : Mc.State.t) (b : Mc.State.t) =
+  let open Mc.State in
+  let d =
+    {
+      parts = 0;
+      task_set = 0;
+      sem_set = 0;
+      mb_set = 0;
+      wq_set = 0;
+      pool_set = 0;
+      cyclic = false;
+    }
   in
-  let tasks = ref 0 in
+  let blocked_on = function
+    | BSem s -> d.sem_set <- d.sem_set lor bit s
+    | BSend x | BRecv x -> d.mb_set <- d.mb_set lor bit x
+    | BWait w | BTimed (w, _) -> d.wq_set <- d.wq_set lor bit w
+    | Idle | Ready | Run | BDelay _ -> ()
+  in
   Array.iteri
-    (fun i x -> if x != b.tasks.(i) then tasks := !tasks lor task x b.tasks.(i))
+    (fun i (x : tstate) ->
+      let y = b.tasks.(i) in
+      if x != y then begin
+        let parts = task_parts x y in
+        if parts <> 0 then begin
+          d.parts <- d.parts lor parts;
+          d.task_set <- d.task_set lor bit i
+        end;
+        if x.mode <> y.mode then begin
+          blocked_on x.mode;
+          blocked_on y.mode
+        end;
+        List.iter
+          (fun (p, _) ->
+            if blocks_of p x.live <> blocks_of p y.live then
+              d.pool_set <- d.pool_set lor bit p)
+          (x.live @ y.live)
+      end)
     a.tasks;
-  !tasks
-  lor part sems (a.sem_holder <> b.sem_holder)
-  lor part mailboxes (a.mb_occ <> b.mb_occ)
-  lor part waitqs (a.wq_sig <> b.wq_sig)
-  lor part pools (a.pool_occ <> b.pool_occ)
+  let slots part (xs : int array) ys mark =
+    Array.iteri
+      (fun k x ->
+        if x <> ys.(k) then begin
+          d.parts <- d.parts lor part;
+          mark k
+        end)
+      xs
+  in
+  slots sems a.sem_holder b.sem_holder (fun k ->
+      d.sem_set <- d.sem_set lor bit k);
+  slots mailboxes a.mb_occ b.mb_occ (fun k -> d.mb_set <- d.mb_set lor bit k);
+  slots waitqs a.wq_sig b.wq_sig (fun k -> d.wq_set <- d.wq_set lor bit k);
+  slots pools a.pool_occ b.pool_occ (fun k ->
+      d.pool_set <- d.pool_set lor bit k);
+  d
 
 (* A probed state outlives its probe: the crank goes on writing the
    arrays it shares. *)
@@ -958,43 +1048,111 @@ let snapshot (st : Mc.State.t) =
     pool_occ = Array.copy st.pool_occ;
   }
 
-(* Every probe of an expansion after its first is told at least the
-   parts in which its state differs from the one the previous probe
-   passed; the first is told every part. *)
+(* Where [told] misses something [d] names, as a description. *)
+let missed (d : Mc.State.scope) (told : Mc.State.scope) =
+  List.filter_map
+    (fun (what, x, y) ->
+      if x land lnot y <> 0 then Some (Printf.sprintf "%s %#x" what x) else None)
+    [
+      ("parts", d.parts, told.parts);
+      ("tasks", d.task_set, told.task_set);
+      ("sems", d.sem_set, told.sem_set);
+      ("mailboxes", d.mb_set, told.mb_set);
+      ("wait queues", d.wq_set, told.wq_set);
+      ("pools", d.pool_set, told.pool_set);
+    ]
+
+(* Every probe is told at least the parts, tasks and objects in which
+   its state differs from the one the last passing probe on its search
+   path saw, which for an expansion's first probe is its parent's last;
+   the search's first probe is told everything. *)
 let mask_covers_changes () =
-  let partial = ref 0 in
+  let partial = ref 0 and first_partial = ref 0 in
   List.iter
     (fun (name, m, bounds) ->
-      let prev = ref None in
-      let check ~changed st =
+      let prev = ref None and first = ref true in
+      let check ~(changed : Mc.State.scope) st =
         let st = snapshot st in
         (match !prev with
         | None ->
-          if changed <> Mc.State.all then
-            Alcotest.failf "%s: the first probe of an expansion was told %#x"
-              name changed
-        | Some p ->
-          let missed = parts_differing p st land lnot changed in
-          if missed <> 0 then
-            Alcotest.failf "%s at %dns: parts %#x changed, unmarked" name
-              st.now missed;
-          if changed <> Mc.State.all then incr partial);
+          if missed (Mc.State.everything ()) changed <> [] then
+            Alcotest.failf "%s: the search's first probe was told less" name
+        | Some p -> (
+          match missed (scope_differing p st) changed with
+          | [] ->
+            if changed.parts <> Mc.State.all then incr partial;
+            if !first && changed.task_set >= 0 then incr first_partial
+          | l ->
+            Alcotest.failf "%s at %dns: changed, unmarked: %s" name
+              st.now (String.concat ", " l)));
         prev := Some st;
+        first := false;
         None
       in
       ignore
-        (decision_states ~check ~expanding:(fun () -> prev := None) m bounds))
+        (decision_states_carrying ~root:None
+           ~save:(fun () -> !prev)
+           ~restore:(fun p ->
+             prev := p;
+             first := true)
+           ~check m bounds))
     (mask_machines ());
-  check "most probes are told fewer than all parts" true (!partial > 10_000)
+  check "most probes are told fewer than all parts" true (!partial > 10_000);
+  check "an expansion's first probe is told its parent's unprobed writes" true
+    (!first_partial > 1_000)
 
-(* On a clean decision state's neighbours, the probe told only the
-   parts that differ answers as the full check does, for every
-   property alone and all six.  Each distinct state is taken once. *)
+(* gen-0 of seed 42, hand-built as in [deadlock_names_the_cycle] but
+   with the held lists kept: tau3 waits on tau4, which waits on tau1,
+   which waits on tau4.  [pi] alone passes it, skipping the circular
+   wait, though tau4 and tau1 never inherited.  Then tau1 leaves the
+   wait, and only tau1 is written: the first task off the fixpoint,
+   tau4, is one the write never touched. *)
+let broken_cycle () =
+  let _, m, _ = List.hd (generated_machines ~count:1) in
+  let idx name =
+    (Option.get
+       (Array.find_opt
+          (fun (t : Mc.Machine.mtask) -> t.task_name = name)
+          m.tasks))
+      .idx
+  in
+  let tau1 = idx "tau1" and tau3 = idx "tau3" and tau4 = idx "tau4" in
+  let clean = Mc.State.init m in
+  let st =
+    {
+      clean with
+      tasks = Array.copy clean.tasks;
+      sem_holder = Array.copy clean.sem_holder;
+    }
+  in
+  let set i f = st.tasks.(i) <- f st.tasks.(i) in
+  st.sem_holder.(0) <- tau4;
+  st.sem_holder.(1) <- tau1;
+  set tau4 (fun t -> { t with mode = Mc.State.BSem 1; held = [ 0 ] });
+  set tau1 (fun t -> { t with mode = Mc.State.BSem 0; held = [ 1 ] });
+  set tau3 (fun t -> { t with mode = Mc.State.BSem 0 });
+  let broken = snapshot st in
+  broken.tasks.(tau1) <- { (broken.tasks.(tau1)) with mode = Mc.State.Ready };
+  (m, st, broken)
+
+(* On a clean decision state's neighbours, the probe told only what
+   differs answers as the full check does, for every property alone
+   and all six.  Each distinct state is taken once.  [pi] alone also
+   passes neighbours with a circular wait; on the neighbours of the
+   first such ones the probe is told what differs from them and that
+   they had a cycle, and must again answer as the full check does. *)
 let partial_probe_exact () =
-  let in_part = ref 0 in
+  let in_part = ref 0 and after_cycle = ref 0 in
+  let differ name names told got want =
+    if got <> want then
+      Alcotest.failf "%s [%s] told %#x of tasks %#x: %s, full check %s" name
+        (String.concat "," names) told.Mc.State.parts told.Mc.State.task_set
+        (Option.fold ~none:"ok" ~some:snd got)
+        (Option.fold ~none:"ok" ~some:snd want)
+  in
   List.iter
     (fun (name, m, bounds) ->
-      let seen = Hashtbl.create 1024 in
+      let seen = Hashtbl.create 1024 and cyclic_seen = ref 0 in
       let probes =
         List.map
           (fun ps ->
@@ -1004,6 +1162,8 @@ let partial_probe_exact () =
           prop_sets
       in
       let all = Mc.Props.check_state Mc.Props.all m in
+      let pi = Mc.Props.check_changed [ Mc.Props.pi ] m
+      and pi_full = Mc.Props.check_state [ Mc.Props.pi ] m in
       List.iter
         (fun st ->
           let k = Mc.State.key m st in
@@ -1011,22 +1171,46 @@ let partial_probe_exact () =
             Hashtbl.add seen k ();
             List.iter
               (fun n ->
-                let changed = parts_differing st n in
-                if changed <> Mc.State.all then incr in_part;
+                let told = scope_differing st n in
+                if told.parts <> Mc.State.all then incr in_part;
                 List.iter
                   (fun (names, partial, full) ->
-                    let got = partial ~changed n and want = full n in
-                    if got <> want then
-                      Alcotest.failf "%s [%s] told %#x: %s, full check %s" name
-                        (String.concat "," names) changed
-                        (Option.fold ~none:"ok" ~some:snd got)
-                        (Option.fold ~none:"ok" ~some:snd want))
-                  probes)
+                    let told = Mc.State.copy_scope told in
+                    differ name names told (partial ~changed:told n) (full n))
+                  probes;
+                let told = Mc.State.copy_scope told in
+                if pi ~changed:told n = None && told.cyclic && !cyclic_seen < 5
+                then begin
+                  incr cyclic_seen;
+                  List.iter
+                    (fun n2 ->
+                      let told = scope_differing n n2 in
+                      told.cyclic <- true;
+                      incr after_cycle;
+                      differ name [ "pi" ] told (pi ~changed:told n2) (pi_full n2))
+                    (List.filter well_formed (neighbours n))
+                end)
               (List.filter well_formed (neighbours st))
           end)
         (decision_states m bounds))
     (mask_machines ());
-  check "neighbours were probed in part" true (!in_part > 10_000)
+  let m, st, broken = broken_cycle () in
+  let pi = Mc.Props.check_changed [ Mc.Props.pi ] m in
+  let told = Mc.State.everything () in
+  Alcotest.check verdict "pi alone passes a circular wait" None (pi ~changed:told st);
+  check "the probe recorded the circular wait" true told.cyclic;
+  let told = scope_differing st broken in
+  told.cyclic <- true;
+  Alcotest.check verdict "the wait broken, the first task off the fixpoint"
+    (Mc.Props.check_state [ Mc.Props.pi ] m broken)
+    (pi ~changed:told broken);
+  check "it is a task the write did not touch" true
+    (match Mc.Props.check_state [ Mc.Props.pi ] m broken with
+    | Some (_, msg) -> String.length msg > 4 && String.sub msg 0 4 = "tau4"
+    | None -> false);
+  check "neighbours were probed in part" true (!in_part > 10_000);
+  check "neighbours of circular waits were probed after pi passed them" true
+    (!after_cycle > 100)
 
 (* --- pruning is pinned ----------------------------------------------- *)
 
@@ -1211,6 +1395,62 @@ let block_reasons () =
     kernel;
   Alcotest.(check string) "blocks, checker" kernel (blocks (List.rev !emitted))
 
+(* --- a passing probe allocates nothing ---------------------------- *)
+
+(* On the clean decision states of the engine preset and of a
+   generated machine, probes told everything and probes told one
+   task's write add no minor words to a loop that runs without them. *)
+let probe_allocates_nothing () =
+  List.iter
+    (fun (name, m, bounds) ->
+      let probe = Mc.Props.check_changed Mc.Props.all m
+      and full = Mc.Props.check_state Mc.Props.all m in
+      let states =
+        Array.of_list
+          (List.filter (fun st -> full st = None) (decision_states m bounds))
+      in
+      let n = Mc.Machine.n_tasks m and rounds = 100 in
+      let everything = Mc.State.everything () and one = Mc.State.everything () in
+      let words loop =
+        let before = Gc.minor_words () in
+        loop ();
+        Gc.minor_words () -. before
+      in
+      let empty () =
+        for r = 1 to rounds do
+          for k = 0 to Array.length states - 1 do
+            ignore (Sys.opaque_identity (r + k))
+          done
+        done
+      in
+      let told_everything () =
+        for _ = 1 to rounds do
+          for k = 0 to Array.length states - 1 do
+            ignore (Sys.opaque_identity (probe ~changed:everything states.(k)))
+          done
+        done
+      in
+      let told_one () =
+        for r = 1 to rounds do
+          for k = 0 to Array.length states - 1 do
+            Mc.State.clear_scope one;
+            one.parts <- Mc.State.(modes lor switch lor progress lor live);
+            one.task_set <- Mc.State.bit ((r + k) mod n);
+            ignore (Sys.opaque_identity (probe ~changed:one states.(k)))
+          done
+        done
+      in
+      check (name ^ ": clean decision states") true (Array.length states > 5);
+      let base = words empty in
+      Alcotest.(check (float 0.)) (name ^ ": told everything") base
+        (words told_everything);
+      Alcotest.(check (float 0.)) (name ^ ": told one task's write") base
+        (words told_one))
+    [
+      machine_of_scenario (Option.get (Workload.Scenario.make "engine"));
+      List.nth (generated_machines ~count:2) 1;
+    ]
+
 let suite =
   [
     Alcotest.test_case "seeded deadlock: lint and MC agree" `Quick
@@ -1243,4 +1483,6 @@ let suite =
     Alcotest.test_case "index vectors built from the parent's are exact"
       `Quick vector_reuse_exact;
     Alcotest.test_case "block reasons: checker = kernel" `Quick block_reasons;
+    Alcotest.test_case "a passing probe allocates nothing" `Quick
+      probe_allocates_nothing;
   ]
